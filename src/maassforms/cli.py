@@ -77,11 +77,12 @@ def _parse_cusp(level: int, repr_str: str):
     for c in cs:
         if c.label() == repr_str or (repr_str in ("inf", "oo", "infinity") and c.is_infinity):
             return c
-    # accept any a/c string and reduce to a representative
-    if "/" in repr_str:
+    # accept any a/c string, or a bare integer a as a/1, and reduce it to a
+    # representative
+    if "/" in repr_str or repr_str.lstrip("-").isdigit():
+        a_str, _, c_str = repr_str.partition("/")
         try:
-            a_str, c_str = repr_str.split("/")
-            a, cden = int(a_str), int(c_str)
+            a, cden = int(a_str), int(c_str or "1")
         except ValueError:
             _fail(f"cusp: cannot parse {repr_str!r}", EXIT_USAGE)
         g = math.gcd(a, cden)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, _prime_factors
 from .forms import (
     FormExpansion,
     IllConditionedError,
@@ -24,7 +24,7 @@ from .forms import (
     _mode_gram,
     _two_height_solve,
 )
-from .modgroup import Cusp, bottom_row, coset_reps, cusp_parameter
+from .modgroup import Cusp, coset_reps, cusp_parameter
 
 __all__ = [
     "eisenstein_series",
@@ -55,8 +55,8 @@ def _check_admissible(level: int, chi: DirichletCharacter, k: int, rho: Cusp):
 @lru_cache(maxsize=64)
 def _coset_rows(level: int, chi: DirichletCharacter, rho: Cusp, bound: int):
     reps = coset_reps(level, rho, bound)
-    rows = np.array([bottom_row(rho, g) for g in reps], dtype=float)
-    charvals = np.array([np.conj(chi(int(g.d))) for g in reps])
+    rows = reps.rows.astype(float)
+    charvals = np.array([np.conj(chi(d)) for d in reps.d.tolist()])
     rows.setflags(write=False)
     charvals.setflags(write=False)
     return rows, charvals
@@ -229,28 +229,6 @@ def f_expansion(
     return form
 
 
-def _euler_phi(n: int) -> int:
-    out = n
-    for p, _ in _factor(n):
-        out -= out // p
-    return out
-
-
-def _factor(n: int):
-    d, out = 2, []
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def dim_eisenstein(level: int, chi: DirichletCharacter) -> int:
     """Dimension of the span of the cusp Eisenstein series:
     sum over C | N with gcd(C, N/C) | N/m_chi of phi(gcd(C, N/C));
@@ -262,7 +240,7 @@ def dim_eisenstein(level: int, chi: DirichletCharacter) -> int:
             continue
         g = math.gcd(c, level // c)
         if (level // m) % g == 0:
-            total += _euler_phi(g)
+            total += math.prod((p - 1) * p ** (e - 1) for p, e in _prime_factors(g))
     return total
 
 

@@ -514,7 +514,7 @@ def twist(form: FormExpansion, psi: DirichletCharacter) -> FormExpansion:
     new_char = (chi * (psi * psi)).induce(new_level)
     cp = np.array([psi(n) * form.c_plus[n] for n in range(form.n_max + 1)])
     cm0 = psi(0) * form.c_minus_zero
-    cm = np.array([psi(n) * form.c_minus[n - 1] for n in range(1, form.n_max + 1)])
+    cm = np.array([psi(-n) * form.c_minus[n - 1] for n in range(1, form.n_max + 1)])
     return FormExpansion(
         weight=form.weight,
         level=new_level,
@@ -593,7 +593,8 @@ def extract_coefficients(
     G(v) = Gamma(1-k, -4 pi n v / t) for n != 0 and G(v) = v^{1-k} for n = 0;
     two heights give a 2x2 system.  Raises IllConditionedError when the two
     G values agree to 1e-8 relative (heights too close to separate the
-    components); the caller should then accept c-(n) = 0.
+    components; the caller should then accept c-(n) = 0), or when a G value
+    overflows the double range (n v / t >~ 56 for n > 0).
 
     samples bounds the resolvable frequency range: modes are aliased mod
     samples, so it must exceed the bandwidth of f plus |n|.
@@ -604,8 +605,14 @@ def extract_coefficients(
         raise ValueError(f"samples={samples} cannot resolve mode n={n}")
     i0 = _mode_from_samples(_sample_line(f_eval, t, v0, samples), t, kappa, n, v0)
     i1 = _mode_from_samples(_sample_line(f_eval, t, v1, samples), t, kappa, n, v1)
-    g0 = _mode_gram(k, t, n, v0)
-    g1 = _mode_gram(k, t, n, v1)
+    try:
+        g0 = _mode_gram(k, t, n, v0)
+        g1 = _mode_gram(k, t, n, v1)
+    except OverflowError:
+        raise IllConditionedError(
+            f"Gamma(1-k, -4 pi n v / t) leaves the double range for n = {n} at "
+            f"heights ({v0}, {v1}); lower the heights"
+        ) from None
     c_plus, c_minus, cond = _two_height_solve(i0, i1, g0, g1)
     if full_output:
         info = {"condition": cond, "g0": g0, "g1": g1, "i0": i0, "i1": i1}

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .characters import DirichletCharacter, c_psi
+from .characters import DirichletCharacter, _prime_factors, c_psi
 from .forms import FormExpansion, h_op, to_terms, twist
 from .specfun import QuadratureError, gamma_complex, w_nu
 
@@ -621,14 +621,13 @@ class ConductorSet:
         for m in self.conductors:
             if math.gcd(m, self.level) != 1:
                 raise ValueError(f"conductor {m} shares a factor with level {self.level}")
-            if m != 4 and not _is_odd_prime(m):
+            if not _twisting_conductor(m):
                 raise ValueError(f"conductor {m} is neither an odd prime nor 4")
 
 
-def _is_odd_prime(m: int) -> bool:
-    if m < 3 or m % 2 == 0:
-        return False
-    return all(m % d for d in range(3, int(math.isqrt(m)) + 1, 2))
+def _twisting_conductor(m: int) -> bool:
+    """m is 4 or an odd prime."""
+    return m == 4 or (m % 2 == 1 and _prime_factors(m) == [(m, 1)])
 
 
 _VERIFICATION_SETS = {
@@ -649,7 +648,7 @@ def verification_set(level: int, heuristic_size: int = 8) -> ConductorSet:
     while len(candidates) < heuristic_size * 4:
         candidates.append(m)
         m += 1
-    pool = sorted(c for c in candidates if c == 4 or _is_odd_prime(c))
+    pool = sorted(c for c in candidates if _twisting_conductor(c))
     for c in pool:
         if math.gcd(c, level) == 1:
             out.append(c)

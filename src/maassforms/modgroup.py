@@ -2,16 +2,22 @@
 data: representatives, scaling matrices, widths, cusp parameters, and coset
 representatives for Eisenstein sums.
 
-All group computations are exact (Fraction entries); floats only enter
-through the slash action on the upper half-plane.
+All group computations are exact.  Matrices carry Fraction entries, since
+the slash action also takes rational matrices such as T^{u/m} or the Fricke
+involution; the coset enumeration behind the Eisenstein sums works in plain
+integers and builds a RationalMatrix only when a representative is indexed.
+Floats only enter through the slash action on the upper half-plane.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
+
+import numpy as np
 
 from .characters import DirichletCharacter
 
@@ -27,6 +33,7 @@ __all__ = [
     "cusp_equivalent",
     "cusp_width",
     "cusp_parameter",
+    "CosetReps",
     "coset_reps",
     "bottom_row",
     "upper_triangular_decompose",
@@ -251,45 +258,84 @@ def cusps(level: int, chi: DirichletCharacter | None = None) -> list[Cusp]:
     return out
 
 
-def coset_reps(level: int, rho: Cusp, bound: int) -> list[RationalMatrix]:
+def _sl2_entries(m: RationalMatrix) -> tuple[int, int, int, int]:
+    """The entries of an integral determinant-1 matrix as ints."""
+    if not (m.is_integral and m.det == 1):
+        raise ValueError(f"scaling matrix {m!r} is not in SL_2(Z)")
+    return int(m.a), int(m.b), int(m.c), int(m.d)
+
+
+class CosetReps(Sequence):
+    """Coset representatives g_i = gamma_rho [[x_i, y_i], [c_i, d_i]] of
+    Gamma_rho \\ Gamma_0(N), held as integer arrays; scaling is gamma_rho's
+    (a, b, c, d).
+
+    rows[i] = (c_i, d_i) is the bottom row of gamma_rho^{-1} g_i and d[i] the
+    d-entry of g_i (where the character is read); both are read-only int64
+    arrays.  Indexing or iterating builds the RationalMatrix g_i.
+    """
+
+    def __init__(self, scaling: tuple, top: np.ndarray, rows: np.ndarray, d: np.ndarray):
+        self._scaling = scaling
+        self._top, self.rows, self.d = top, rows, d
+        for arr in (top, rows, d):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> RationalMatrix:
+        x, y = (int(v) for v in self._top[i])
+        c, d = (int(v) for v in self.rows[i])
+        a_r, b_r, c_r, d_r = self._scaling
+        return RationalMatrix(
+            a_r * x + b_r * c, a_r * y + b_r * d, c_r * x + d_r * c, c_r * y + d_r * d
+        )
+
+
+def coset_reps(level: int, rho: Cusp, bound: int) -> CosetReps:
     """One representative per coset of Gamma_rho \\ Gamma_0(N) among matrices
-    g whose row (c, d) of gamma_rho^{-1} g has max(|c|, |d|) <= bound.
+    g whose row (c, d) of gamma_rho^{-1} g has max(|c|, |d|) <= bound, sorted
+    by (max(|c|, |d|), |c|, |d|, c, d).
 
     Cosets biject with bottom rows of gamma_rho^{-1} Gamma_0(N) up to sign;
-    each normalized coprime row is lifted by extended Euclid and the T^j
-    ambiguity (j mod width) is resolved by testing membership in Gamma_0(N).
+    each normalized coprime row is lifted by extended Euclid to
+    h0 = [[x, y], [c, d]], and the T^j ambiguity (j mod width) is resolved in
+    integers: gamma_rho T^j h0 lies in Gamma_0(N) iff its lower-left entry
+    c_rho x + (c_rho j + d_rho) c is 0 mod N.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    reps = []
-    width = rho.width
+    scaling = _sl2_entries(rho.scaling)
+    _, _, c_r, d_r = scaling
+    found = []
     for c in range(0, bound + 1):
         d_range = range(1, bound + 1) if c == 0 else range(-bound, bound + 1)
         for d in d_range:
             if math.gcd(c, d) != 1:
                 continue
-            # Euclid lift of the bottom row (c, d) to SL_2(Z)
             _, x, y = _ext_gcd(d, -c)
-            h0 = RationalMatrix(x, y, c, d)
-            for j in range(width):
-                g = rho.scaling @ translation(j) @ h0
-                if g.in_gamma0(level):
-                    reps.append(g)
+            # lower-left entry of gamma_rho T^j h0, mod N, stepping j
+            low, step = (c_r * x + d_r * c) % level, c_r * c % level
+            for j in range(rho.width):
+                if low == 0:
+                    # T^j h0 = [[x + j c, y + j d], [c, d]]; g.d = c_rho (y + j d) + d_rho d
+                    x, y = x + j * c, y + j * d
+                    key = (max(abs(c), abs(d)), abs(c), abs(d), c, d)
+                    found.append((*key, x, y, c_r * y + d_r * d))
                     break
-    reps.sort(key=lambda g: _row_key(rho, g))
-    return reps
-
-
-def _row_key(rho: Cusp, g: RationalMatrix) -> tuple:
-    h = rho.scaling.inverse() @ g
-    c, d = int(h.c), int(h.d)
-    return (max(abs(c), abs(d)), abs(c), abs(d), c, d)
+                low = (low + step) % level
+    found.sort()
+    # int64 conversion raises OverflowError rather than wrapping
+    table = np.array(found, dtype=np.int64).reshape(-1, 8)
+    return CosetReps(scaling, table[:, 5:7].copy(), table[:, 3:5].copy(), table[:, 7].copy())
 
 
 def bottom_row(rho: Cusp, g: RationalMatrix) -> tuple[int, int]:
-    """The row (c, d) of gamma_rho^{-1} g entering j(gamma_rho^{-1} g, tau)."""
-    h = rho.scaling.inverse() @ g
-    return int(h.c), int(h.d)
+    """The row (c, d) of gamma_rho^{-1} g entering j(gamma_rho^{-1} g, tau);
+    gamma_rho^{-1} = [[d_rho, -b_rho], [-c_rho, a_rho]]."""
+    a_r, _, c_r, _ = _sl2_entries(rho.scaling)
+    return int(a_r * g.c - c_r * g.a), int(a_r * g.d - c_r * g.b)
 
 
 def upper_triangular_decompose(m: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix]:

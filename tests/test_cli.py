@@ -91,6 +91,14 @@ class TestExample:
         )
         assert code == 0
 
+    def test_bare_integer_cusp_is_read_as_a_over_1(self, tmp_path, capsys):
+        # "0" is the cusp 0/1, whose representative at level 7 is labelled 0/1
+        args = ["example", "--level", "7", "--weight", "-2", "--character", "triv",
+                "--nmax", "3"]
+        assert run(*args, "--cusp", "0", "--out", str(tmp_path / "a.json")) == 0
+        assert run(*args, "--cusp", "0/1", "--out", str(tmp_path / "b.json")) == 0
+        assert load_form(tmp_path / "a.json").to_json() == load_form(tmp_path / "b.json").to_json()
+
 
 class TestVerifyFe:
     def test_exact_pair_passes_default_tolerance(self, tmp_path, capsys):
@@ -199,6 +207,12 @@ class TestOps:
         assert run("extract", "--in", str(example_form), "--n", "1") == 0
         out = capsys.readouterr().out
         assert "c+(1)" in out
+
+    def test_extract_overflowing_heights_exits_4(self, example_form, capsys):
+        # Gamma(3, -4 pi 3 v1) overflows at v1 = 20
+        code = run("extract", "--in", str(example_form), "--n", "3", "--v0", "10", "--v1", "20")
+        assert code == 4
+        assert "double range" in capsys.readouterr().err
 
     def test_eval_rejects_lower_half_plane(self, example_form):
         assert run("eval", "--in", str(example_form), "--tau", "0.3-0.7j") == 3

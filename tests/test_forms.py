@@ -410,6 +410,23 @@ class TestTwist:
             ) / taub
             assert abs(lhs - rhs) <= 1e-8
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_slash_sum_identity_odd_psi(self, rng, m):
+        # the quadratic psi mod 3 and mod 4 are odd, so c-(-n) must pick up
+        # psi(-n) = psi(-1) psi(n)
+        psi = character_by_label(m, "quadratic")
+        assert psi.parity == -1
+        taub = gauss_sum(psi.conjugate())
+        f = make_random_form(rng, n_max=8)
+        fp = twist(f, psi)
+        for _ in range(10):
+            tau = random_tau(rng)
+            lhs = evaluate(fp, tau)
+            rhs = sum(
+                psi.conjugate()(u) * evaluate(f, tau + u / m) for u in range(1, m + 1)
+            ) / taub
+            assert abs(lhs - rhs) <= 1e-8
+
     def test_requires_primitive(self, rng):
         f = make_random_form(rng)
         psi9 = next(c for c in enumerate_characters(9) if c.conductor == 3)

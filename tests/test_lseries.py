@@ -299,6 +299,18 @@ class TestTwists:
             _, _, res_om = twisted_omega(ref, ref, TRIV1, psi, 1, -2, s)
             assert res_om <= 1e-4
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_odd_twist_residuals(self, m):
+        # the primitive psi mod 3 and mod 4 are odd: psi(-1) = -1 enters c-(-n)
+        ref = harmonic_eisenstein_level_one(400)
+        psi = character_by_label(m, "quadratic")
+        assert psi.parity == -1
+        for s in (0.5 + 0j, -1.0 + 1.0j, 2.0 + 0j):
+            _, _, res = twisted_lambda(ref, ref, TRIV1, psi, 1, -2, s)
+            assert res <= 1e-4
+            _, _, res_om = twisted_omega(ref, ref, TRIV1, psi, 1, -2, s)
+            assert res_om <= 1e-4
+
     def test_coprimality_required(self):
         ref = harmonic_eisenstein_level_one(20)
         psi = character_by_label(5, "quadratic")

@@ -1,10 +1,13 @@
 """Slash action, cusp enumeration, coset representatives, decomposition.
 Group-theoretic oracles are exact (integer/rational arithmetic)."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maassforms.characters import character_by_label, trivial_character
 from maassforms.modgroup import (
@@ -22,6 +25,7 @@ from maassforms.modgroup import (
     translation,
     upper_triangular_decompose,
 )
+from maassforms.modgroup import _ext_gcd as euclid_lift
 
 
 def random_gamma0(rng, level, bound=40):
@@ -254,6 +258,84 @@ class TestCosetReps:
             c, d = bottom_row(inf, g)
             assert max(abs(c), abs(d)) <= 7
             assert c % 6 == 0
+
+
+def fraction_coset_reps(level, rho, bound):
+    """The Fraction-matrix enumeration the integer one replaced: every
+    gamma_rho T^j h0 is formed and tested for membership in Gamma_0(N)."""
+    reps = []
+    for c in range(0, bound + 1):
+        d_range = range(1, bound + 1) if c == 0 else range(-bound, bound + 1)
+        for d in d_range:
+            if math.gcd(c, d) != 1:
+                continue
+            _, x, y = euclid_lift(d, -c)
+            h0 = RationalMatrix(x, y, c, d)
+            for j in range(rho.width):
+                g = rho.scaling @ translation(j) @ h0
+                if g.in_gamma0(level):
+                    reps.append(g)
+                    break
+    inv = rho.scaling.inverse()
+
+    def key(g):
+        h = inv @ g
+        c, d = int(h.c), int(h.d)
+        return (max(abs(c), abs(d)), abs(c), abs(d), c, d)
+
+    reps.sort(key=key)
+    return [tuple(int(v) for v in (inv @ g).entries()[2:]) for g in reps], reps
+
+
+@st.composite
+def shifted_cusps(draw):
+    """(N, cusp with scaling gamma_rho T^{width m}) for N <= 30."""
+    level = draw(st.integers(1, 30))
+    rho = draw(st.sampled_from(cusps(level)))
+    m = draw(st.integers(-3, 3))
+    scaling = rho.scaling @ translation(rho.width * m)
+    return level, dataclasses.replace(rho, scaling=scaling)
+
+
+class TestIntegerEnumerator:
+    @given(shifted_cusps(), st.integers(1, 12))
+    def test_matches_fraction_enumeration(self, level_cusp, bound):
+        level, rho = level_cusp
+        rows, mats = fraction_coset_reps(level, rho, bound)
+        reps = coset_reps(level, rho, bound)
+        assert len(reps) == len(mats)
+        assert [tuple(r) for r in reps.rows.tolist()] == rows
+        assert reps.d.tolist() == [int(g.d) for g in mats]
+        assert [g.entries() for g in reps] == [g.entries() for g in mats]
+
+    @pytest.mark.parametrize("level", range(1, 13))
+    def test_rows_over_all_cusps_partition_coprime_pairs(self, level):
+        bound = 10
+        rows = [
+            tuple(r) for rho in cusps(level) for r in coset_reps(level, rho, bound).rows.tolist()
+        ]
+        pairs = [
+            (c, d)
+            for c in range(bound + 1)
+            for d in range(-bound, bound + 1)
+            if math.gcd(c, d) == 1 and (c > 0 or d > 0)
+        ]
+        assert len(rows) == len(set(rows))
+        assert sorted(rows) == sorted(pairs)
+
+    @pytest.mark.parametrize(
+        "scaling", [RationalMatrix(Fraction(1, 2), 0, 0, 2), RationalMatrix(2, 0, 0, 1)]
+    )
+    def test_rejects_scaling_outside_sl2z(self, scaling):
+        rho = dataclasses.replace(cusps(1)[0], scaling=scaling)
+        with pytest.raises(ValueError, match="SL_2"):
+            coset_reps(1, rho, 4)
+
+    def test_arrays_are_read_only(self):
+        reps = coset_reps(6, cusps(6)[1], 5)
+        assert reps.rows.dtype.kind == reps.d.dtype.kind == "i"
+        with pytest.raises(ValueError):
+            reps.rows[0, 0] = 0
 
 
 class TestDecomposition:

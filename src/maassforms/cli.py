@@ -16,6 +16,8 @@ File formats
     cusp JSON      {"N": ..., "cusps": [{"repr": "a/c"|"inf", "width": t,
                     "kappa": kap, "scaling": [[a, b], [c, d]]}]}
     residual CSV   re_s, im_s, lambda_residual, omega_residual, tail_bound
+                   (tail_bound is the dropped [T, inf) Mellin integrand of
+                   f's pair, the twisted pair when --psi is given)
 
 Grid SPEC for verify-fe: "re0:re1:steps,im0:im1:steps" (inclusive rectangular
 grid); points at the four poles of the completed series are excluded with a
@@ -27,9 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -52,17 +52,13 @@ def _fail(message: str, code: int):
     raise CliError(message, code)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _emit(path: str | None, text: str) -> None:
+    """Write text to path atomically, or print it when no path is given."""
+    if path:
+        forms.atomic_write(path, text)
+        print(f"wrote {path}")
+    else:
+        print(text, end="")
 
 
 def _parse_character(level: int, label: str):
@@ -196,6 +192,7 @@ def cmd_verify_fe(args) -> int:
     form_f = forms.load_form(args.f)
     form_g = forms.load_form(args.g)
     grid = _parse_grid(args.grid)
+    psi = None
     if args.psi is not None:
         psi = _parse_psi(args.psi)
         if math.gcd(psi.modulus, form_f.level) != 1:
@@ -203,7 +200,6 @@ def cmd_verify_fe(args) -> int:
                 f"--psi conductor {psi.modulus} is not coprime to the level {form_f.level}",
                 EXIT_USAGE,
             )
-        k = form_f.weight
         # twisted continuation runs at level N m^2; the balanced Mellin and
         # form-truncation tails meet at e^{-2 pi sqrt(n_max) / (m sqrt N)},
         # which is the attainable residual floor for this expansion length
@@ -215,36 +211,11 @@ def cmd_verify_fe(args) -> int:
                 "notice: the floor exceeds the tolerance; residuals cannot "
                 "certify the pair at this expansion length"
             )
-        kept, lam_res, om_res = [], [], []
-        poles = (0.0, float(k), 1.0, float(k - 1))
-        excluded = []
-        for s in grid:
-            if any(abs(s - p) < 1e-9 for p in poles):
-                excluded.append(s)
-                continue
-            _, _, rl = lseries.twisted_lambda(
-                form_f, form_g, form_f.character, psi, form_f.level, k, s, args.T
-            )
-            _, _, ro = lseries.twisted_omega(
-                form_f, form_g, form_f.character, psi, form_f.level, k, s, args.T
-            )
-            kept.append(s)
-            lam_res.append(rl)
-            om_res.append(ro)
-        report = lseries.ResidualReport(
-            grid=kept,
-            lambda_residuals=lam_res,
-            omega_residuals=om_res,
-            excluded=excluded,
-            quadrature_T=args.T or 0.0,
-            tail_bound=floor,
-        )
-    else:
-        report = lseries.fe_residuals(form_f, form_g, grid, T=args.T)
+    report = lseries.fe_residuals(form_f, form_g, grid, T=args.T, psi=psi)
     if report.excluded:
         print(f"notice: excluded pole points {[_fmt(s) for s in report.excluded]}")
     if args.out:
-        _atomic_write(args.out, report.to_csv())
+        forms.atomic_write(args.out, report.to_csv())
         print(f"wrote {args.out}")
     print(f"max residual: {report.max_residual:.6e} (tolerance {args.tol:g})")
     if report.max_residual > args.tol:
@@ -254,27 +225,9 @@ def cmd_verify_fe(args) -> int:
     return EXIT_OK
 
 
-def cmd_shadow(args) -> int:
-    form = forms.load_form(args.infile)
-    out = forms.shadow(form)
-    payload = json.dumps(out.to_json(), indent=1) + "\n"
-    if args.out:
-        _atomic_write(args.out, payload)
-        print(f"wrote {args.out}")
-    else:
-        print(payload, end="")
-    return EXIT_OK
-
-
-def cmd_bol(args) -> int:
-    form = forms.load_form(args.infile)
-    out = forms.bol(form)
-    payload = json.dumps(out.to_json(), indent=1) + "\n"
-    if args.out:
-        _atomic_write(args.out, payload)
-        print(f"wrote {args.out}")
-    else:
-        print(payload, end="")
+def cmd_q_expansion(args) -> int:
+    out = args.operator(forms.load_form(args.infile))
+    _emit(args.out, json.dumps(out.to_json(), indent=1) + "\n")
     return EXIT_OK
 
 
@@ -334,12 +287,7 @@ def cmd_cusps(args) -> int:
             for c in cs
         ],
     }
-    text = json.dumps(payload, indent=1) + "\n"
-    if args.out:
-        _atomic_write(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+    _emit(args.out, json.dumps(payload, indent=1) + "\n")
     return EXIT_OK
 
 
@@ -490,15 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--out", default=None)
     vf.set_defaults(func=cmd_verify_fe)
 
-    sh = sub.add_parser("shadow", help="q-expansion of the shadow")
-    sh.add_argument("--in", dest="infile", required=True)
-    sh.add_argument("--out", default=None)
-    sh.set_defaults(func=cmd_shadow)
-
-    bl = sub.add_parser("bol", help="q-expansion of the iterated-derivative image")
-    bl.add_argument("--in", dest="infile", required=True)
-    bl.add_argument("--out", default=None)
-    bl.set_defaults(func=cmd_bol)
+    for name, operator, what in (
+        ("shadow", forms.shadow, "the shadow"),
+        ("bol", forms.bol, "the iterated-derivative image"),
+    ):
+        qe = sub.add_parser(name, help=f"q-expansion of {what}")
+        qe.add_argument("--in", dest="infile", required=True)
+        qe.add_argument("--out", default=None)
+        qe.set_defaults(func=cmd_q_expansion, operator=operator)
 
     tw = sub.add_parser("twist", help="coefficientwise character twist")
     tw.add_argument("--in", dest="infile", required=True)

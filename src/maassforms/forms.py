@@ -16,7 +16,10 @@ exact term algebra rather than finite differences.
 from __future__ import annotations
 
 import cmath
+import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -47,6 +50,7 @@ __all__ = [
     "growth_constant",
     "save_form",
     "load_form",
+    "atomic_write",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -226,18 +230,6 @@ def slash_jet1(ts: TermSeries, k: int, gamma: RationalMatrix, tau) -> Jet1:
     return Jet1(val, ftau + ftaubar, 1j * (ftau - ftaubar))
 
 
-def xi_from_jet(j: Jet1, k: int, v: float) -> complex:
-    return 2j * v**k * j.ftaubar.conjugate()
-
-
-def raising_from_jet(j: Jet1, k: int, v: float) -> complex:
-    return 2j * j.ftau + k / v * j.f
-
-
-def lowering_from_jet(j: Jet1, k: int, v: float) -> complex:
-    return -2j * v**2 * j.ftaubar
-
-
 def h_from_jet(j: Jet1, k: int, v: float) -> complex:
     return 2j * v * j.fu + k * j.f
 
@@ -317,23 +309,13 @@ class FormExpansion:
         )
 
 
-def save_form(form: FormExpansion, path) -> None:
-    """Write the form as JSON, atomically (write-temp-then-rename).
-
-    Floats are serialized by repr, so a load reproduces the in-memory values
-    bit for bit.
-    """
-    import json
-    import os
-    import tempfile
-
+def atomic_write(path, text: str) -> None:
+    """Write UTF-8 text to path atomically (write-temp-then-rename)."""
     path = os.fspath(path)
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(form.to_json(), fh, indent=1)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -341,9 +323,16 @@ def save_form(form: FormExpansion, path) -> None:
         raise
 
 
-def load_form(path) -> FormExpansion:
-    import json
+def save_form(form: FormExpansion, path) -> None:
+    """Write the form as JSON, atomically.
 
+    Floats are serialized by repr, so a load reproduces the in-memory values
+    bit for bit.
+    """
+    atomic_write(path, json.dumps(form.to_json(), indent=1) + "\n")
+
+
+def load_form(path) -> FormExpansion:
     with open(path, encoding="utf-8") as fh:
         return FormExpansion.from_json(json.load(fh))
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .characters import DirichletCharacter, _prime_factors, c_psi
 from .forms import FormExpansion, h_op, to_terms, twist
-from .specfun import QuadratureError, gamma_complex, w_nu
+from .specfun import QuadratureError, gamma_complex, gauss_legendre_panels, w_nu
 
 __all__ = [
     "UncertifiedRegionWarning",
@@ -142,9 +142,6 @@ class FrickePair:
     arguments; h_eval/i_eval evaluate H = 2iv df/du + k f and its g
     counterpart.  The four constants are (c_f+(0), c_f-(0), c_g+(0), c_g-(0)).
 
-    Two construction routes: from_forms takes two independently built
-    expansions (well-conditioned; gives the continuation CONDITIONAL on the
-    pair relation, for residues, strip probes and reconstruction), while
     analytic_pair builds the partner from one form alone by slashing it
     pointwise (the self-anchored route that functional-equation residuals
     must use; see fe_residuals).
@@ -161,50 +158,6 @@ class FrickePair:
     c_g_plus0: complex
     c_g_minus0: complex
     T_default: float | None = None
-
-    @staticmethod
-    def from_forms(
-        form_f: FormExpansion, form_g: FormExpansion, level: int | None = None
-    ) -> "FrickePair":
-        """Pair from two independently constructed expansions (the default,
-        well-conditioned route: no low-Im evaluations are ever needed)."""
-        if form_f.weight != form_g.weight:
-            raise ValueError("weights differ")
-        k = form_f.weight
-        ts_f, ts_g = to_terms(form_f), to_terms(form_g)
-        return FrickePair(
-            level=form_f.level if level is None else level,
-            weight=k,
-            f_eval=ts_f.eval,
-            g_eval=ts_g.eval,
-            h_eval=h_op(ts_f, k).eval,
-            i_eval=h_op(ts_g, k).eval,
-            c_f_plus0=complex(form_f.c_plus[0]),
-            c_f_minus0=form_f.c_minus_zero,
-            c_g_plus0=complex(form_g.c_plus[0]),
-            c_g_minus0=form_g.c_minus_zero,
-        )
-
-    def swap(self) -> "FrickePair":
-        """The pair seen from g: g|_k omega(N) = (-1)^k f."""
-        sign = (-1) ** self.weight
-
-        def scaled(fn):
-            return lambda taus: sign * np.asarray(fn(taus))
-
-        return FrickePair(
-            level=self.level,
-            weight=self.weight,
-            f_eval=self.g_eval,
-            g_eval=scaled(self.f_eval),
-            h_eval=self.i_eval,
-            i_eval=scaled(self.h_eval),
-            c_f_plus0=self.c_g_plus0,
-            c_f_minus0=self.c_g_minus0,
-            c_g_plus0=sign * self.c_f_plus0,
-            c_g_minus0=sign * self.c_f_minus0,
-            T_default=self.T_default,
-        )
 
 
 def analytic_pair(
@@ -269,16 +222,8 @@ def _default_T(pair: FrickePair) -> float:
     return 30.0 / math.sqrt(pair.level) * (1 - pair.weight)
 
 
-def _log_panels(upper: float, im_s: float, nodes: int = 16):
-    width = min(0.5, 4.0 / (1.0 + abs(im_s)))
-    npanels = max(2, int(math.ceil(upper / width)))
-    edges = np.linspace(0.0, upper, npanels + 1)
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    return x, w
+# Gauss-Legendre nodes per log-t panel of every incomplete Mellin integral
+_MELLIN_NODES = 16
 
 
 def _mellin_piece(
@@ -292,7 +237,10 @@ def _mellin_piece(
 ) -> complex:
     """int_1^T (F(i t / sqrt N) - const0 - const_v t^{1-k} / N^{(1-k)/2})
     t^{exponent - 1} dt, by Gauss-Legendre in x = log t."""
-    x, w = _log_panels(math.log(T), exponent.imag)
+    upper = math.log(T)
+    width = min(0.5, 4.0 / (1.0 + abs(exponent.imag)))
+    npanels = max(2, int(math.ceil(upper / width)))
+    x, w = gauss_legendre_panels(0.0, upper, npanels, _MELLIN_NODES)
     t = np.exp(x)
     taus = 1j * t / math.sqrt(level)
     vals = np.asarray(eval_fn(taus), dtype=complex)
@@ -376,7 +324,7 @@ class ResidualReport:
     omega_residuals: list
     excluded: list = field(default_factory=list)
     quadrature_T: float = 0.0
-    nodes_per_panel: int = 16
+    nodes_per_panel: int = _MELLIN_NODES
     tail_bound: float = 0.0
 
     def __post_init__(self):
@@ -433,6 +381,7 @@ def fe_residuals(
     grid: Sequence[complex],
     T: float | None = None,
     level: int | None = None,
+    psi: DirichletCharacter | None = None,
 ) -> ResidualReport:
     """|Lambda(f,s) - i^k Lambda(g,k-s)| and |Omega(f,s) + i^k Omega(g,k-s)|
     over the grid; points within 1e-9 of the four poles are excluded (both
@@ -444,16 +393,30 @@ def fe_residuals(
     representations are the same expression rearranged - so that route cannot
     distinguish true pairs from false ones; the self-anchored route can, and
     a single perturbed coefficient in g surfaces directly.
+
+    With psi (primitive, modulus m coprime to the level) the twisted
+    equations Lambda_N(f,s,psi) = i^k C_psi Lambda_N(g,k-s,psibar) and its
+    Omega companion are checked instead: the sides are the pairs of f_psi and
+    g_psibar at level N m^2 (see _twisted_sides), built once for the whole
+    grid, and i^k becomes i^k C_psi.  The residuals equal those of
+    twisted_lambda/twisted_omega point by point whenever f and g have the
+    same n_max.
+
+    T defaults to f's pair default, max(4, sqrt(n_max)), and is used for both
+    sides; tail_bound is the dropped [T, inf) integrand of f's pair.
     """
     if form_f.weight != form_g.weight:
         raise ValueError("weights differ")
     k = form_f.weight
     level = form_f.level if level is None else level
-    pair_f = analytic_pair(form_f, level)
-    pair_g = analytic_pair(form_g, level)
+    if psi is None:
+        pair_f, pair_g = analytic_pair(form_f, level), analytic_pair(form_g, level)
+        ik = _i_pow(k)
+    else:
+        pair_f, pair_g, cpsi = _twisted_sides(form_f, form_g, form_f.character, psi, level)
+        ik = _i_pow(k) * cpsi
     if T is None:
         T = _default_T(pair_f)
-    ik = _i_pow(k)
     poles = (0.0, float(k), 1.0, float(k - 1))
     kept, excluded, lam_res, om_res = [], [], [], []
     for s in grid:
@@ -575,22 +538,14 @@ def reconstruct_from_lambda(
     if t <= 0:
         raise ValueError("t must be > 0")
     npanels = max(2, int(math.ceil(2.0 * height)))
-    edges = np.linspace(-height, height, npanels + 1)
-    xg, wg = np.polynomial.legendre.leggauss(nodes_per_panel)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    ys = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    ws = (half[:, None] * wg[None, :]).ravel()
+    ys, ws = gauss_legendre_panels(-height, height, npanels, nodes_per_panel)
     svals = beta1 + 1j * ys
     lam = np.array([lambda_eval(complex(s)) for s in svals], dtype=complex)
     integrand = t ** (-svals) * lam
     value = complex(np.sum(ws * integrand) / (2.0 * math.pi))
 
     # refinement estimate with half the nodes per panel
-    coarse_nodes = max(2, nodes_per_panel // 2)
-    xg2, wg2 = np.polynomial.legendre.leggauss(coarse_nodes)
-    ys2 = (mid[:, None] + half[:, None] * xg2[None, :]).ravel()
-    ws2 = (half[:, None] * wg2[None, :]).ravel()
+    ys2, ws2 = gauss_legendre_panels(-height, height, npanels, max(2, nodes_per_panel // 2))
     lam2 = np.array([lambda_eval(complex(beta1 + 1j * y)) for y in ys2], dtype=complex)
     coarse = complex(np.sum(ws2 * t ** (-(beta1 + 1j * ys2)) * lam2) / (2.0 * math.pi))
     est = abs(value - coarse)

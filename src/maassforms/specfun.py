@@ -25,6 +25,7 @@ __all__ = [
     "inc_gamma",
     "w_nu",
     "mellin_invert_w",
+    "gauss_legendre_panels",
 ]
 
 
@@ -155,19 +156,21 @@ class MellinLineSpec:
             raise ValueError("node_count must be >= 2")
 
 
-def _line_nodes(line: MellinLineSpec, nodes_per_panel: int):
-    npanels = max(1, int(math.ceil(2.0 * line.half_height)))
-    edges = np.linspace(-line.half_height, line.half_height, npanels + 1)
-    xg, wg = np.polynomial.legendre.leggauss(nodes_per_panel)
+def gauss_legendre_panels(lo: float, hi: float, npanels: int, nodes: int):
+    """Composite Gauss-Legendre rule on [lo, hi]: npanels equal panels with
+    nodes nodes each; returns (x, w) flattened panel by panel."""
+    edges = np.linspace(lo, hi, npanels + 1)
+    xg, wg = np.polynomial.legendre.leggauss(nodes)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    t = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     w = (half[:, None] * wg[None, :]).ravel()
-    return t, w
+    return x, w
 
 
 def _invert_on_line(nu: int, x: float, line: MellinLineSpec, nodes_per_panel: int) -> float:
-    t, w = _line_nodes(line, nodes_per_panel)
+    h = line.half_height
+    t, w = gauss_legendre_panels(-h, h, max(1, int(math.ceil(2.0 * h))), nodes_per_panel)
     s = line.abscissa + 1j * t
     vals = x ** (-s) * w_nu(nu, s)
     return float(np.real(np.sum(w * vals)) / (2.0 * math.pi))

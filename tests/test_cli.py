@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit-code vocabulary, file round trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -167,6 +168,35 @@ class TestVerifyFe:
             "--psi", "5:quadratic", "--grid=-1:2:2,0:1:2", "--tol", "1e-4",
         )
         assert code == 0
+
+    def test_twisted_run_reports_through_the_residual_driver(self, tmp_path, monkeypatch):
+        # the twisted run is lseries.fe_residuals(..., psi=psi): its CSV
+        # carries the integrand tail of f's twisted pair, at the T used
+        import maassforms.lseries as lseries
+        from maassforms.eisenstein import harmonic_eisenstein_level_one
+        from maassforms.forms import save_form
+
+        seen = []
+        driver = lseries.fe_residuals
+
+        def recording(*args, **kwargs):
+            seen.append((kwargs["psi"], driver(*args, **kwargs)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(lseries, "fe_residuals", recording)
+        path = tmp_path / "ref.json"
+        save_form(harmonic_eisenstein_level_one(40), path)
+        out = tmp_path / "resid.csv"
+        code = run(
+            "verify-fe", "--f", str(path), "--g", str(path), "--psi", "5:quadratic",
+            "--grid=0.5:0.5:1,0:1:2", "--tol", "1", "--out", str(out),
+        )
+        assert code == 0
+        (psi, report), = seen
+        assert psi.modulus == 5
+        assert report.quadrature_T == math.sqrt(40)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(r[4]) for r in rows] == [report.tail_bound] * 2
 
 
 class TestOps:

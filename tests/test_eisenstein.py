@@ -37,17 +37,16 @@ def _cached_reps(level, rho, bound):
 
 def slashed_sum(level, chi, k, rho, gamma, tau, bound, kind):
     """(E|_{2-k} gamma)(tau) resp. (F|_k gamma)(tau) via the composed rows
-    of gamma_rho^{-1} g gamma: the natural truncation in the gamma frame."""
-    inv = rho.scaling.inverse()
+    of gamma_rho^{-1} g gamma: the natural truncation in the gamma frame.
+
+    The rows (c, d) of gamma_rho^{-1} g come from coset_reps and are composed
+    with the integral gamma in exact integers."""
+    reps = _cached_reps(level, rho, bound)
+    a, b, c, d = (int(x) for x in (gamma.a, gamma.b, gamma.c, gamma.d))
+    rows = [(float(rc * a + rd * c), float(rc * b + rd * d)) for rc, rd in reps.rows.tolist()]
+    phases = np.array([np.conj(chi(gd)) for gd in reps.d.tolist()])
     v = tau.imag
-    rows = []
-    phases = []
-    for g in _cached_reps(level, rho, bound):
-        h = inv @ g @ gamma
-        rows.append((float(h.c), float(h.d)))
-        phases.append(np.conj(chi(int(g.d))))
-    w = np.array([c * tau + d for c, d in rows])
-    phases = np.array(phases)
+    w = np.array([hc * tau + hd for hc, hd in rows])
     if kind == "eisenstein":
         return complex(np.sum(phases * w ** (k - 2)))
     return complex(

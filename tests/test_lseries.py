@@ -153,10 +153,15 @@ class TestContinuation:
                 lambda_continued(pair, complex(s))
 
     def test_pair_from_forms_matches_analytic(self):
-        # conditional-route continuation equals the self-anchored one for a
-        # true pair (level 1: g = f)
+        # a pair assembled from two given expansions (level 1: g = f)
+        # continues like the self-anchored one for a true pair
+        from maassforms.forms import h_op, to_terms
+
         ref = harmonic_eisenstein_level_one(80)
-        p_b = FrickePair.from_forms(ref, ref)
+        ts, k = to_terms(ref), ref.weight
+        c0, d0 = complex(ref.c_plus[0]), ref.c_minus_zero
+        p_b = FrickePair(1, k, ts.eval, ts.eval, h_op(ts, k).eval, h_op(ts, k).eval,
+                         c0, d0, c0, d0)
         p_a = analytic_pair(ref)
         for s in (2.0 + 0j, 0.5 + 1.0j, -1.0 + 2.0j):
             assert abs(lambda_continued(p_b, s) - lambda_continued(p_a, s)) <= 1e-8
@@ -290,26 +295,56 @@ class TestTwists:
         assert abs(lam_f - lambda_continued(pair, s)) <= 1e-12
         assert res <= 1e-10
 
-    def test_quadratic_twist_residuals(self):
+    @staticmethod
+    def check_twisted_residuals(psi):
+        # per-point twisted_lambda/twisted_omega residuals are small, and the
+        # psi-driver reproduces them exactly, skipping the pole s = 1
         ref = harmonic_eisenstein_level_one(400)
-        psi = character_by_label(5, "quadratic")
-        for s in (0.5 + 0j, -1.0 + 1.0j, 2.0 + 0j):
-            _, _, res = twisted_lambda(ref, ref, TRIV1, psi, 1, -2, s)
-            assert res <= 1e-4
-            _, _, res_om = twisted_omega(ref, ref, TRIV1, psi, 1, -2, s)
-            assert res_om <= 1e-4
+        rep = fe_residuals(ref, ref, [0.5 + 0j, 1.0 + 0j, -1.0 + 1.0j, 2.0 + 0j], psi=psi)
+        assert rep.excluded == [1.0 + 0j]
+        assert rep.grid == [0.5 + 0j, -1.0 + 1.0j, 2.0 + 0j]
+        lam = [twisted_lambda(ref, ref, TRIV1, psi, 1, -2, s)[2] for s in rep.grid]
+        om = [twisted_omega(ref, ref, TRIV1, psi, 1, -2, s)[2] for s in rep.grid]
+        assert max(lam + om) <= 1e-4
+        assert rep.lambda_residuals == lam
+        assert rep.omega_residuals == om
+
+    def test_quadratic_twist_residuals(self):
+        self.check_twisted_residuals(character_by_label(5, "quadratic"))
 
     @pytest.mark.parametrize("m", [3, 4])
     def test_odd_twist_residuals(self, m):
         # the primitive psi mod 3 and mod 4 are odd: psi(-1) = -1 enters c-(-n)
-        ref = harmonic_eisenstein_level_one(400)
         psi = character_by_label(m, "quadratic")
         assert psi.parity == -1
-        for s in (0.5 + 0j, -1.0 + 1.0j, 2.0 + 0j):
-            _, _, res = twisted_lambda(ref, ref, TRIV1, psi, 1, -2, s)
-            assert res <= 1e-4
-            _, _, res_om = twisted_omega(ref, ref, TRIV1, psi, 1, -2, s)
-            assert res_om <= 1e-4
+        self.check_twisted_residuals(psi)
+
+    @pytest.mark.parametrize("points", [1, 6])
+    def test_twisted_driver_builds_two_pairs(self, monkeypatch, points):
+        # one pair per side for the whole grid, not two per side per point
+        import maassforms.lseries as lseries
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return analytic_pair(*args, **kwargs)
+
+        monkeypatch.setattr(lseries, "analytic_pair", counting)
+        ref = harmonic_eisenstein_level_one(40)
+        grid = [complex(0.5, 0.3 * j) for j in range(points)]
+        fe_residuals(ref, ref, grid, psi=character_by_label(5, "quadratic"))
+        assert len(calls) == 2
+
+    def test_twisted_report_records_T_and_tail(self):
+        from maassforms.lseries import _integrand_tail
+
+        ref = harmonic_eisenstein_level_one(400)
+        psi = character_by_label(5, "quadratic")
+        rep = fe_residuals(ref, ref, [0.5 + 0j], psi=psi)
+        assert rep.quadrature_T == 20.0  # max(4, sqrt(400)), not 0
+        pair_f = analytic_pair(twist(ref, psi), 25)
+        assert rep.tail_bound == _integrand_tail(pair_f, 20.0)
 
     def test_coprimality_required(self):
         ref = harmonic_eisenstein_level_one(20)

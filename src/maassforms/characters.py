@@ -209,14 +209,6 @@ class DirichletCharacter:
             exps.append(int(e) % o)
         return DirichletCharacter(modulus, tuple(exps))
 
-    def primitive_character(self) -> "DirichletCharacter":
-        """The primitive character inducing chi."""
-        f = self.conductor
-        for psi in enumerate_characters(f):
-            if psi.induce(self.modulus) == self:
-                return psi
-        raise RuntimeError("no inducing character found")  # unreachable
-
     def to_json(self) -> dict:
         return {
             "modulus": self.modulus,

@@ -214,6 +214,8 @@ def cmd_verify_fe(args) -> int:
     report = lseries.fe_residuals(form_f, form_g, grid, T=args.T, psi=psi)
     if report.excluded:
         print(f"notice: excluded pole points {[_fmt(s) for s in report.excluded]}")
+    if not report.grid:
+        _fail("--grid leaves no point to check once the poles are excluded", EXIT_USAGE)
     if args.out:
         forms.atomic_write(args.out, report.to_csv())
         print(f"wrote {args.out}")

@@ -17,13 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .characters import DirichletCharacter, _prime_factors
-from .forms import (
-    FormExpansion,
-    IllConditionedError,
-    _mode_from_samples,
-    _mode_gram,
-    _two_height_solve,
-)
+from .forms import FormExpansion, IllConditionedError, two_height_solve
 from .modgroup import Cusp, coset_reps, cusp_parameter
 
 __all__ = [
@@ -158,10 +152,11 @@ def f_expansion(
     heights up to (10, 20) at bound 60; the law fails once the heights
     approach the bound, and at (40, 80) the c+(0) witness is 14 times too
     small).  A
-    datum whose Gram values leave the double range (c+(n) once
-    Gamma(1-k, -4 pi n v1) overflows, n v1 >~ 56; c-(-n) once both
-    Gamma(1-k, 4 pi n v) underflow, n v >~ 59) is stored as 0 with an
-    infinite witness.  The form itself does not depend on full_output.
+    datum that forms.two_height_solve cannot solve for (c+(n) once
+    (1 + Gamma(1-k, -4 pi n v1))^2 overflows, n v1 >~ 27 at k = -2; c-(-n)
+    once both Gamma(1-k, 4 pi n v) underflow, n v >~ 59) is stored as 0
+    with an infinite witness.  The form itself does not depend on
+    full_output.
     """
     _check_admissible(level, chi, k, rho)
     if heights is None:
@@ -184,17 +179,19 @@ def f_expansion(
     divisor = 2.0 ** (-k) - 1.0
 
     def solve(n: int):
-        """(c+, c-) of mode n from the bound-B sums, and their witnesses."""
-        g0, g1 = _mode_gram(k, 1.0, n, v0), _mode_gram(k, 1.0, n, v1)
-        full, part = [
-            _two_height_solve(
-                _mode_from_samples(vals0, 1.0, 0.0, n, v0),
-                _mode_from_samples(vals1, 1.0, 0.0, n, v1),
-                g0,
-                g1,
-            )[:2]
-            for vals0, vals1 in zip(lines0, lines1)
-        ]
+        """(c+, c-) of mode n from the bound-B sums, and their witnesses.  A
+        tall mode n != 0 the heights cannot resolve (Gram overflow for +n,
+        underflow of both Gram values for -n) is lost: kept at 0 and marked
+        by an infinite witness."""
+        try:
+            full, part = [
+                two_height_solve(vals0, vals1, k, 1.0, 0.0, n, v0, v1)[:2]
+                for vals0, vals1 in zip(lines0, lines1)
+            ]
+        except IllConditionedError:
+            if n == 0:
+                raise
+            return (0j, 0j), (math.inf, math.inf)
         return full, tuple(abs(x - y) / divisor for x, y in zip(full, part))
 
     c_plus = np.zeros(n_range + 1, dtype=complex)
@@ -202,18 +199,9 @@ def f_expansion(
     w_plus = np.zeros(n_range + 1)
     w_minus = np.zeros(n_range)
     (c_plus[0], cm0), (w_plus[0], w_cm0) = solve(0)
-    # past n v ~ 56 the Gram values leave the double range (overflow for
-    # +n, underflow of both for -n): the datum is lost, kept at 0 and
-    # marked by an infinite witness
     for n in range(1, n_range + 1):
-        try:
-            (c_plus[n], _), (w_plus[n], _) = solve(n)
-        except OverflowError:
-            w_plus[n] = math.inf
-        try:
-            (_, c_minus[n - 1]), (_, w_minus[n - 1]) = solve(-n)
-        except IllConditionedError:
-            w_minus[n - 1] = math.inf
+        (c_plus[n], _), (w_plus[n], _) = solve(n)
+        (_, c_minus[n - 1]), (_, w_minus[n - 1]) = solve(-n)
     form = FormExpansion(
         weight=k,
         level=level,

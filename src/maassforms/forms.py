@@ -15,7 +15,6 @@ exact term algebra rather than finite differences.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import os
@@ -27,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .characters import DirichletCharacter
-from .modgroup import RationalMatrix
+from .modgroup import RationalMatrix, slash_factor
 from .specfun import _inc_gamma_scaled
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "IllConditionedError",
     "to_terms",
     "evaluate",
-    "evaluate_partials",
     "evaluate_tail_bound",
     "laplacian",
     "shadow",
@@ -46,6 +44,7 @@ __all__ = [
     "lowering",
     "h_transform",
     "twist",
+    "two_height_solve",
     "extract_coefficients",
     "growth_constant",
     "save_form",
@@ -135,19 +134,6 @@ class TermSeries:
             return complex(out)
         return out
 
-    def slash_triangular(self, k: int, a, b, d) -> "TermSeries":
-        """Exact weight-k slash by [[a, b], [0, d]] with a, d > 0 rational."""
-        a, b, d = Fraction(a), Fraction(b), Fraction(d)
-        if a <= 0 or d <= 0:
-            raise ValueError("need a > 0 and d > 0")
-        pref = float(a * d) ** (k / 2.0) * float(d) ** (-k)
-        r = a / d
-        items = []
-        for (f, p, g), c in self.terms.items():
-            phase = cmath.exp(2j * math.pi * float(f * b / d))
-            items.append(((f * r, p, g * r), c * pref * phase * float(r) ** p))
-        return TermSeries.from_items(items)
-
 
 # weight-k operators on term series ----------------------------------------
 
@@ -216,14 +202,14 @@ def slash_jet1(ts: TermSeries, k: int, gamma: RationalMatrix, tau) -> Jet1:
     gamma tau is holomorphic, so d/dtau only sees f_tau and d/dtaubar only
     f_taubar, each scaled by m = det/(c tau + d)^2 resp. conj(m).
     """
-    a, b = complex(gamma.a), complex(gamma.b)
-    c, d = complex(gamma.c), complex(gamma.d)
+    c = complex(gamma.c)
     det = float(gamma.det)
-    w = c * tau + d
-    pref = det ** (k / 2.0) * w ** (-k)
+    w = c * tau + complex(gamma.d)
+    pref = slash_factor(k, gamma, tau)
+    # d/dtau of the slash factor
     dpref = det ** (k / 2.0) * (-k) * c * w ** (-k - 1)
     m = det / (w * w)
-    inner = jet1(ts, (a * tau + b) / w)
+    inner = jet1(ts, gamma.apply(tau))
     val = pref * inner.f
     ftau = dpref * inner.f + pref * inner.ftau * m
     ftaubar = pref * inner.ftaubar * np.conjugate(m)
@@ -274,12 +260,6 @@ class FormExpansion:
         object.__setattr__(self, "c_plus", cp)
         object.__setattr__(self, "c_minus", cm)
         object.__setattr__(self, "c_minus_zero", complex(self.c_minus_zero))
-
-    def c_minus_at(self, n: int) -> complex:
-        """c-(n) for n <= 0."""
-        if n == 0:
-            return self.c_minus_zero
-        return complex(self.c_minus[-n - 1])
 
     # -- JSON -----------------------------------------------------------
 
@@ -402,12 +382,6 @@ def evaluate(form: FormExpansion, tau):
     return to_terms(form).eval(tau)
 
 
-def evaluate_partials(form: FormExpansion, tau: complex) -> tuple[complex, complex]:
-    """(df/du, df/dv) by exact termwise differentiation."""
-    ts = to_terms(form)
-    return ts.d_u().eval(tau), ts.d_v().eval(tau)
-
-
 def evaluate_tail_bound(form: FormExpansion, v: float, constant: float | None = None) -> float:
     """Bound on the dropped tail sum_{|n| > n_max} at height v, from the
     growth metadata |c(n)| <= C n^alpha and the closed incomplete-gamma sum."""
@@ -520,22 +494,10 @@ def twist(form: FormExpansion, psi: DirichletCharacter) -> FormExpansion:
 # coefficient extraction
 
 
-def _sample_line(f_eval: Callable, t: float, v: float, samples: int) -> np.ndarray:
-    """f on the equispaced grid u_j = j t / samples along Im tau = v."""
-    taus = np.arange(samples) * (t / samples) + 1j * v
-    try:
-        vals = np.asarray(f_eval(taus), dtype=complex)
-        if vals.shape != taus.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([f_eval(complex(z)) for z in taus], dtype=complex)
-    return vals
-
-
 def _mode_from_samples(vals: np.ndarray, t: float, kappa: float, n: int, v: float) -> complex:
     """(1/t) \\int_{tau0}^{tau0+t} f(tau) e^{-2 pi i (n + kappa) tau / t} dtau
-    along Im tau = v, by the trapezoid rule on precomputed samples
-    (spectrally accurate for the periodic integrand)."""
+    along Im tau = v, by the trapezoid rule on the samples at
+    u_j = j t / len(vals) (spectrally accurate for the periodic integrand)."""
     samples = len(vals)
     taus = np.arange(samples) * (t / samples) + 1j * v
     phase = np.exp(-2j * math.pi * (n + kappa) * taus / t)
@@ -550,18 +512,40 @@ def _mode_gram(k: int, t: float, n: int, v: float) -> float:
     return _inc_gamma_scaled(1 - k, -4.0 * math.pi * n * v / t, 0.0)
 
 
-def _two_height_solve(i0: complex, i1: complex, g0: float, g1: float):
+def two_height_solve(vals0, vals1, k: int, t: float, kappa: float, n: int, v0: float, v1: float):
+    """(c+(n), c-(n), info) of a width-t, parameter-kappa expansion from its
+    samples at u_j = j t / len(vals) along Im tau = v0 and v1.
+
+    The period integral at height v equals c+(n) + c-(n) G(v) with
+    G(v) = Gamma(1-k, -4 pi n v / t) for n != 0 and G(v) = v^{1-k} for n = 0.
+    The G values come first: before any sample is transformed,
+    IllConditionedError is raised when (1 + G)^2 overflows (n v / t >~ 27
+    for n > 0 at k = -2) or when the two agree to 1e-8 relative (close
+    heights, or both underflowed; the caller may then accept c-(n) = 0).
+    info holds the condition estimate (1 + G)^2 / |G(v1) - G(v0)|, the G
+    values and the period integrals.
+    """
+    try:
+        g0, g1 = _mode_gram(k, t, n, v0), _mode_gram(k, t, n, v1)
+        scale = max(abs(g0), abs(g1))
+        square = (1.0 + scale) ** 2
+    except OverflowError:
+        raise IllConditionedError(
+            f"Gamma(1-k, -4 pi n v / t) leaves the double range for n = {n} at "
+            f"heights ({v0}, {v1}); lower the heights"
+        ) from None
     dg = g1 - g0
-    scale = max(abs(g0), abs(g1))
     if abs(dg) <= 1e-8 * scale:
         raise IllConditionedError(
             f"G(v0) = {g0:.6e} and G(v1) = {g1:.6e} agree to 1e-8 relative; "
             "move the heights apart (the caller may accept c-(n) = 0)"
         )
+    i0 = _mode_from_samples(vals0, t, kappa, n, v0)
+    i1 = _mode_from_samples(vals1, t, kappa, n, v1)
     c_minus = (i1 - i0) / dg
     c_plus = i0 - c_minus * g0
-    cond = (1.0 + scale) ** 2 / abs(dg)  # crude 2x2 condition estimate
-    return c_plus, c_minus, cond
+    info = {"condition": square / abs(dg), "g0": g0, "g1": g1, "i0": i0, "i1": i1}
+    return c_plus, c_minus, info
 
 
 def extract_coefficients(
@@ -576,34 +560,21 @@ def extract_coefficients(
     full_output: bool = False,
 ):
     """Recover (c+(n), c-(n)) of a width-t, parameter-kappa expansion from
-    period integrals at two heights.
+    period integrals at two heights (see two_height_solve, which raises
+    IllConditionedError when the heights cannot separate the components).
 
-    The period integral at height v equals c+(n) + c-(n) G(v) with
-    G(v) = Gamma(1-k, -4 pi n v / t) for n != 0 and G(v) = v^{1-k} for n = 0;
-    two heights give a 2x2 system.  Raises IllConditionedError when the two
-    G values agree to 1e-8 relative (heights too close to separate the
-    components; the caller should then accept c-(n) = 0), or when a G value
-    overflows the double range (n v / t >~ 56 for n > 0).
-
-    samples bounds the resolvable frequency range: modes are aliased mod
-    samples, so it must exceed the bandwidth of f plus |n|.
+    f_eval must be vectorised: it is called once per height, on an ndarray of
+    samples points, and must return an array of the same shape.  samples
+    bounds the resolvable frequency range: modes are aliased mod samples, so
+    it must exceed the bandwidth of f plus |n|.
     """
-    if v0 == v1:
-        raise IllConditionedError("heights must be distinct")
     if samples < 2 * abs(n) + 2:
         raise ValueError(f"samples={samples} cannot resolve mode n={n}")
-    i0 = _mode_from_samples(_sample_line(f_eval, t, v0, samples), t, kappa, n, v0)
-    i1 = _mode_from_samples(_sample_line(f_eval, t, v1, samples), t, kappa, n, v1)
-    try:
-        g0 = _mode_gram(k, t, n, v0)
-        g1 = _mode_gram(k, t, n, v1)
-    except OverflowError:
-        raise IllConditionedError(
-            f"Gamma(1-k, -4 pi n v / t) leaves the double range for n = {n} at "
-            f"heights ({v0}, {v1}); lower the heights"
-        ) from None
-    c_plus, c_minus, cond = _two_height_solve(i0, i1, g0, g1)
+    taus = [np.arange(samples) * (t / samples) + 1j * v for v in (v0, v1)]
+    lines = [np.asarray(f_eval(z), dtype=complex) for z in taus]
+    if any(vals.shape != z.shape for vals, z in zip(lines, taus)):
+        raise ValueError("f_eval must return an array shaped like its argument")
+    c_plus, c_minus, info = two_height_solve(*lines, k, t, kappa, n, v0, v1)
     if full_output:
-        info = {"condition": cond, "g0": g0, "g1": g1, "i0": i0, "i1": i1}
         return (c_plus, c_minus), info
     return c_plus, c_minus

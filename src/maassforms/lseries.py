@@ -140,7 +140,8 @@ class FrickePair:
 
     f_eval/g_eval evaluate the forms on (vectorized) upper half-plane
     arguments; h_eval/i_eval evaluate H = 2iv df/du + k f and its g
-    counterpart.  The four constants are (c_f+(0), c_f-(0), c_g+(0), c_g-(0)).
+    counterpart.  The four constants are (c_f+(0), c_f-(0), c_g+(0), c_g-(0)),
+    and T_default is the Mellin cut-off used when a continuation is given no T.
 
     analytic_pair builds the partner from one form alone by slashing it
     pointwise (the self-anchored route that functional-equation residuals
@@ -157,49 +158,39 @@ class FrickePair:
     c_f_minus0: complex
     c_g_plus0: complex
     c_g_minus0: complex
-    T_default: float | None = None
+    T_default: float
 
 
-def analytic_pair(
-    form: FormExpansion,
-    level: int | None = None,
-    T: float | None = None,
-    constant_heights: tuple[float, float] = (0.5, 1.0),
-) -> FrickePair:
+def analytic_pair(form: FormExpansion, level: int | None = None) -> FrickePair:
     """Self-anchored pair: the partner is f|_k omega(N) evaluated pointwise
     from the form's own terms, and the partner's constant terms are extracted
-    numerically from its zero mode.
+    numerically from its zero mode (at heights 0.5 and 1).
 
     This is the route that gives functional-equation residuals their content:
     a completed series continued through analytic_pair(form) uses no data
     except the form itself, so comparing two such continuations across
     s <-> k - s genuinely tests whether the two forms are Fricke partners.
     The price is evaluation of the form down to Im tau = 1/(sqrt(N) T); the
-    default T = sqrt(n_max) balances that truncation loss against the
-    dropped [T, inf) integrand.
+    pair's T_default = max(4, sqrt(n_max)) balances that truncation loss
+    against the dropped [T, inf) integrand.
     """
     from .forms import extract_coefficients, h_from_jet, slash_jet1
-    from .modgroup import fricke
+    from .modgroup import fricke, slash
 
     k = form.weight
     level = form.level if level is None else level
-    if T is None:
-        T = max(4.0, math.sqrt(form.n_max))
     omega = fricke(level)
     ts = to_terms(form)
 
     def g_eval(taus):
-        t = np.asarray(taus, dtype=complex)
-        pref = float(level) ** (k / 2.0) * (level * t) ** (-k)
-        return pref * ts.eval(-1.0 / (level * t))
+        return slash(ts.eval, k, omega, np.asarray(taus, dtype=complex))
 
     def i_eval(taus):
         t = np.asarray(taus, dtype=complex)
         jets = slash_jet1(ts, k, omega, t)
         return h_from_jet(jets, k, t.imag)
 
-    v0, v1 = constant_heights
-    cgp0, cgm0 = extract_coefficients(g_eval, k, 1.0, 0.0, 0, v0, v1)
+    cgp0, cgm0 = extract_coefficients(g_eval, k, 1.0, 0.0, 0, 0.5, 1.0)
     return FrickePair(
         level=level,
         weight=k,
@@ -211,15 +202,8 @@ def analytic_pair(
         c_f_minus0=form.c_minus_zero,
         c_g_plus0=cgp0,
         c_g_minus0=cgm0,
-        T_default=T,
+        T_default=max(4.0, math.sqrt(form.n_max)),
     )
-
-
-def _default_T(pair: FrickePair) -> float:
-    if pair.T_default is not None:
-        return pair.T_default
-    # integrand decays like e^{-2 pi t / sqrt N}: raw tails far below rounding
-    return 30.0 / math.sqrt(pair.level) * (1 - pair.weight)
 
 
 # Gauss-Legendre nodes per log-t panel of every incomplete Mellin integral
@@ -253,7 +237,7 @@ def lambda_star(pair: FrickePair, s: complex, T: float | None = None) -> complex
     """The entire pole-corrected completion: both incomplete Mellin integrals
     of the pair on [1, T].  Finite for every s."""
     if T is None:
-        T = _default_T(pair)
+        T = pair.T_default
     k = pair.weight
     i1 = _mellin_piece(pair.f_eval, pair.c_f_plus0, pair.c_f_minus0, pair.level, k, s, T)
     i2 = _mellin_piece(pair.g_eval, pair.c_g_plus0, pair.c_g_minus0, pair.level, k, k - s, T)
@@ -294,7 +278,7 @@ def omega_star(pair: FrickePair, s: complex, T: float | None = None) -> complex:
     """Entire completion of Omega: H/I incomplete Mellin integrals with the
     constants scaled by k and relative sign -i^k."""
     if T is None:
-        T = _default_T(pair)
+        T = pair.T_default
     k = pair.weight
     i1 = _mellin_piece(
         pair.h_eval, k * pair.c_f_plus0, k * pair.c_f_minus0, pair.level, k, s, T
@@ -380,7 +364,6 @@ def fe_residuals(
     form_g: FormExpansion,
     grid: Sequence[complex],
     T: float | None = None,
-    level: int | None = None,
     psi: DirichletCharacter | None = None,
 ) -> ResidualReport:
     """|Lambda(f,s) - i^k Lambda(g,k-s)| and |Omega(f,s) + i^k Omega(g,k-s)|
@@ -407,8 +390,7 @@ def fe_residuals(
     """
     if form_f.weight != form_g.weight:
         raise ValueError("weights differ")
-    k = form_f.weight
-    level = form_f.level if level is None else level
+    k, level = form_f.weight, form_f.level
     if psi is None:
         pair_f, pair_g = analytic_pair(form_f, level), analytic_pair(form_g, level)
         ik = _i_pow(k)
@@ -416,7 +398,7 @@ def fe_residuals(
         pair_f, pair_g, cpsi = _twisted_sides(form_f, form_g, form_f.character, psi, level)
         ik = _i_pow(k) * cpsi
     if T is None:
-        T = _default_T(pair_f)
+        T = pair_f.T_default
     poles = (0.0, float(k), 1.0, float(k - 1))
     kept, excluded, lam_res, om_res = [], [], [], []
     for s in grid:
@@ -525,7 +507,6 @@ def reconstruct_from_lambda(
     t: float,
     beta1: float,
     height: float,
-    nodes_per_panel: int = 12,
     full_output: bool = False,
 ):
     """(1/2 pi i) int_{beta1 - iH}^{beta1 + iH} t^{-s} Lambda(s) ds.
@@ -538,14 +519,14 @@ def reconstruct_from_lambda(
     if t <= 0:
         raise ValueError("t must be > 0")
     npanels = max(2, int(math.ceil(2.0 * height)))
-    ys, ws = gauss_legendre_panels(-height, height, npanels, nodes_per_panel)
+    ys, ws = gauss_legendre_panels(-height, height, npanels, 12)
     svals = beta1 + 1j * ys
     lam = np.array([lambda_eval(complex(s)) for s in svals], dtype=complex)
     integrand = t ** (-svals) * lam
     value = complex(np.sum(ws * integrand) / (2.0 * math.pi))
 
     # refinement estimate with half the nodes per panel
-    ys2, ws2 = gauss_legendre_panels(-height, height, npanels, max(2, nodes_per_panel // 2))
+    ys2, ws2 = gauss_legendre_panels(-height, height, npanels, 6)
     lam2 = np.array([lambda_eval(complex(beta1 + 1j * y)) for y in ys2], dtype=complex)
     coarse = complex(np.sum(ws2 * t ** (-(beta1 + 1j * ys2)) * lam2) / (2.0 * math.pi))
     est = abs(value - coarse)
@@ -591,22 +572,15 @@ _VERIFICATION_SETS = {
 }
 
 
-def verification_set(level: int, heuristic_size: int = 8) -> ConductorSet:
-    """Shipped conductor lists for levels 7 and 11; for other levels a
-    generated candidate list (first odd primes or 4, coprime to N), flagged
+def verification_set(level: int) -> ConductorSet:
+    """Shipped conductor lists for levels 7 and 11; for other levels the
+    first eight odd primes or 4 coprime to N, in increasing order, flagged
     heuristic."""
     if level in _VERIFICATION_SETS:
         return ConductorSet(level, _VERIFICATION_SETS[level], "paper")
-    out = []
-    m = 3
-    candidates = []
-    while len(candidates) < heuristic_size * 4:
-        candidates.append(m)
+    out, m = [], 3
+    while len(out) < 8:
+        if _twisting_conductor(m) and math.gcd(m, level) == 1:
+            out.append(m)
         m += 1
-    pool = sorted(c for c in candidates if _twisting_conductor(c))
-    for c in pool:
-        if math.gcd(c, level) == 1:
-            out.append(c)
-        if len(out) == heuristic_size:
-            break
     return ConductorSet(level, tuple(out), "heuristic")

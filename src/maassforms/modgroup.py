@@ -36,7 +36,6 @@ __all__ = [
     "CosetReps",
     "coset_reps",
     "bottom_row",
-    "upper_triangular_decompose",
 ]
 
 
@@ -71,10 +70,10 @@ class RationalMatrix:
         det = self.det
         return RationalMatrix(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
-    def apply(self, tau: complex) -> complex:
-        """Moebius action (a tau + b)/(c tau + d)."""
+    def apply(self, tau):
+        """Moebius action (a tau + b)/(c tau + d) at a complex scalar or ndarray."""
         denom = complex(self.c) * tau + complex(self.d)
-        if denom == 0:
+        if np.any(denom == 0):
             raise ZeroDivisionError("c*tau + d = 0")
         return (complex(self.a) * tau + complex(self.b)) / denom
 
@@ -112,21 +111,28 @@ def fricke(level: int) -> RationalMatrix:
     return RationalMatrix(0, -1, level, 0)
 
 
-def slash_factor(k: int, gamma: RationalMatrix, tau: complex) -> complex:
-    """(det gamma)^{k/2} (c tau + d)^{-k}; integer k keeps powers single-valued,
-    and the positive real root is taken for (det)^{k/2} with odd k."""
+def slash_factor(k: int, gamma: RationalMatrix, tau):
+    """(det gamma)^{k/2} (c tau + d)^{-k} at a complex scalar or ndarray tau;
+    integer k keeps powers single-valued, and the positive real root is taken
+    for (det)^{k/2} with odd k.  The one place the slash factor is formed."""
     denom = complex(gamma.c) * tau + complex(gamma.d)
-    if denom == 0:
+    if np.any(denom == 0):
         raise ZeroDivisionError("c*tau + d = 0")
     det = float(gamma.det)
     return det ** (k / 2.0) * denom ** (-k)
 
 
-def slash(f: Callable[[complex], complex], k: int, gamma: RationalMatrix, tau: complex) -> complex:
-    """Weight-k slash action (f|_k gamma)(tau) for a pointwise evaluator f."""
-    if tau.imag <= 0:
+def slash(f: Callable, k: int, gamma: RationalMatrix, tau):
+    """Weight-k slash action (f|_k gamma)(tau) at a complex scalar or ndarray
+    tau.  f must take a 1-d ndarray: it is called once, on gamma tau at every
+    point, and a scalar tau is a batch of one, so scalar and array calls agree
+    bit for bit."""
+    t = np.asarray(tau, dtype=complex)
+    flat = t.reshape(-1)
+    if np.any(flat.imag <= 0):
         raise ValueError("tau must lie in the upper half-plane")
-    return slash_factor(k, gamma, tau) * f(gamma.apply(tau))
+    out = slash_factor(k, gamma, flat) * f(gamma.apply(flat))
+    return complex(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +342,3 @@ def bottom_row(rho: Cusp, g: RationalMatrix) -> tuple[int, int]:
     gamma_rho^{-1} = [[d_rho, -b_rho], [-c_rho, a_rho]]."""
     a_r, _, c_r, _ = _sl2_entries(rho.scaling)
     return int(a_r * g.c - c_r * g.a), int(a_r * g.d - c_r * g.b)
-
-
-def upper_triangular_decompose(m: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix]:
-    """Write an integral M with det M > 0 as gamma * U with gamma in SL_2(Z)
-    and U = [[a, b], [0, d]], a >= 1, d >= 1; exact."""
-    if not m.is_integral:
-        raise ValueError("matrix must have integer entries")
-    m11, m21 = int(m.a), int(m.c)
-    g, x, y = _ext_gcd(m11, m21)
-    if g == 0:
-        raise ValueError("first column must be nonzero")
-    # [[x, y], [-m21/g, m11/g]] in SL_2(Z) clears the lower-left entry
-    inv = RationalMatrix(x, y, Fraction(-m21, g), Fraction(m11, g))
-    u = inv @ m
-    gamma = inv.inverse()
-    assert u.c == 0 and u.a >= 1 and u.d >= 1
-    assert (gamma @ u).entries() == m.entries()
-    return gamma, u

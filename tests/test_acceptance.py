@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import make_random_form, random_tau
+from helpers import make_random_form, random_tau
 from maassforms.characters import (
     character_by_label,
     enumerate_characters,

@@ -198,6 +198,21 @@ class TestVerifyFe:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [float(r[4]) for r in rows] == [report.tail_bound] * 2
 
+    @pytest.mark.parametrize("grid", ["-1:1:0,0:2:3", "0:0:1,0:0:1"])
+    def test_grid_without_a_point_to_check_exits_2(self, example_form, tmp_path, capsys, grid):
+        # an empty grid, and a grid holding only the pole s = 0: no residual
+        # is computed, so no verdict is printed and no CSV is written
+        out = tmp_path / "resid.csv"
+        code = run(
+            "verify-fe", "--f", str(example_form), "--g", str(example_form),
+            f"--grid={grid}", "--out", str(out),
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "max residual" not in captured.out
+        assert "no point to check" in captured.err
+        assert not out.exists()
+
 
 class TestOps:
     def test_shadow_of_pure_plus_form_is_zero(self, tmp_path, capsys):
@@ -241,6 +256,12 @@ class TestOps:
     def test_extract_overflowing_heights_exits_4(self, example_form, capsys):
         # Gamma(3, -4 pi 3 v1) overflows at v1 = 20
         code = run("extract", "--in", str(example_form), "--n", "3", "--v0", "10", "--v1", "20")
+        assert code == 4
+        assert "double range" in capsys.readouterr().err
+
+    def test_extract_overflowing_condition_exits_4(self, example_form, capsys):
+        # Gamma(3, -4 pi 3 v1) fits at v1 = 10, but (1 + G)^2 does not
+        code = run("extract", "--in", str(example_form), "--n", "3", "--v0", "5", "--v1", "10")
         assert code == 4
         assert "double range" in capsys.readouterr().err
 

@@ -5,13 +5,15 @@ tolerances here sit at 1e-9..1e-12; finite differences appear only as an
 independent cross-check at their own accuracy floor.
 """
 
+import cmath
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import make_random_form, random_tau
+from helpers import make_random_form, random_tau
 from maassforms.characters import (
     character_by_label,
     enumerate_characters,
@@ -21,10 +23,10 @@ from maassforms.characters import (
 from maassforms.forms import (
     FormExpansion,
     IllConditionedError,
+    TermSeries,
     bol,
     bol_op,
     evaluate,
-    evaluate_partials,
     evaluate_tail_bound,
     extract_coefficients,
     growth_constant,
@@ -116,21 +118,27 @@ class TestEvaluate:
             assert diff <= evaluate_tail_bound(clipped, v, constant=c) + 1e-15
 
 
+def partials(form, tau):
+    """(df/du, df/dv) by exact termwise differentiation."""
+    j = jet1(to_terms(form), tau)
+    return j.fu, j.fv
+
+
 class TestPartialsAndLaplacian:
     def test_partials_constant(self):
         f = simple_form(c_plus={0: 2.0})
-        fu, fv = evaluate_partials(f, 0.3 + 0.8j)
+        fu, fv = partials(f, 0.3 + 0.8j)
         assert abs(fu) < 1e-14 and abs(fv) < 1e-14
 
     def test_partials_v_power(self):
         f = simple_form(k=-2, c_minus_zero=1.0)
-        fu, fv = evaluate_partials(f, 0.1 + 0.9j)
+        fu, fv = partials(f, 0.1 + 0.9j)
         assert abs(fu) < 1e-14
         assert fv == pytest.approx(3.0 * 0.9**2, rel=1e-13)
 
     def test_partials_single_q(self):
         f = simple_form(c_plus={1: 1.0})
-        fu, _ = evaluate_partials(f, 1j)
+        fu, _ = partials(f, 1j)
         assert fu == pytest.approx(2j * math.pi * math.exp(-2.0 * math.pi), rel=1e-12)
 
     def test_partials_vs_finite_differences(self, rng):
@@ -138,7 +146,7 @@ class TestPartialsAndLaplacian:
         for _ in range(8):
             f = make_random_form(rng, k=int(rng.integers(-3, 0)))
             tau = random_tau(rng)
-            fu, fv = evaluate_partials(f, tau)
+            fu, fv = partials(f, tau)
             fu_fd = (evaluate(f, tau + h) - evaluate(f, tau - h)) / (2 * h)
             fv_fd = (evaluate(f, tau + 1j * h) - evaluate(f, tau - 1j * h)) / (2 * h)
             assert abs(fu - fu_fd) <= 1e-6 * max(1.0, abs(fu))
@@ -292,6 +300,19 @@ class TestHTransform:
             assert abs(lhs - rhs) <= 1e-6
 
 
+def slash_triangular(ts, k, a, b, d):
+    """Exact weight-k slash of a term series by [[a, b], [0, d]] with a, d > 0
+    rational: the Bol oracle, kept in the term algebra."""
+    a, b, d = Fraction(a), Fraction(b), Fraction(d)
+    pref = float(a * d) ** (k / 2.0) * float(d) ** (-k)
+    r = a / d
+    items = []
+    for (f, p, g), c in ts.terms.items():
+        phase = cmath.exp(2j * math.pi * float(f * b / d))
+        items.append(((f * r, p, g * r), c * pref * phase * float(r) ** p))
+    return TermSeries.from_items(items)
+
+
 class TestSlashCommutation:
     def test_xi_commutes_with_slash(self, rng):
         # xi_k(f|_k a) = (xi_k f)|_{2-k} a at random integral a, via exact jets:
@@ -348,7 +369,7 @@ class TestSlashCommutation:
             ts = to_terms(f)
             a, b, d = int(rng.integers(1, 4)), int(rng.integers(-3, 4)), int(rng.integers(1, 4))
             tau = random_tau(rng, 0.5, 1.5)
-            lhs = bol_op(ts.slash_triangular(k, a, b, d), k).eval(tau)
+            lhs = bol_op(slash_triangular(ts, k, a, b, d), k).eval(tau)
             rhs = bol_op(ts, k).eval(tau * a / d + b / d) * float(a * d) ** (
                 (2 - k) / 2.0
             ) * float(d) ** (-(2 - k))
@@ -482,6 +503,15 @@ class TestExtraction:
         ev = lambda taus: evaluate(f, taus)
         with pytest.raises(IllConditionedError):
             extract_coefficients(ev, -2, 1.0, 0.0, 1, 0.8, 0.8 + 1e-12)
+
+    @pytest.mark.parametrize("v0, v1", [(5.0, 10.0), (10.0, 20.0)])
+    def test_gram_overflow_is_ill_conditioned(self, rng, v0, v1):
+        # at n = 3 the condition estimate overflows from n v1 ~ 27 and the
+        # Gram value itself from n v1 ~ 56: both are a lost mode
+        f = make_random_form(rng)
+        ev = lambda taus: evaluate(f, taus)
+        with pytest.raises(IllConditionedError, match="double range"):
+            extract_coefficients(ev, -2, 1.0, 0.0, 3, v0, v1)
 
     def test_aliasing_guard(self, rng):
         f = make_random_form(rng)

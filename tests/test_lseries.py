@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import make_random_form
+from helpers import make_random_form
 from maassforms.characters import character_by_label, trivial_character
 from maassforms.eisenstein import harmonic_eisenstein_level_one
 from maassforms.forms import FormExpansion, evaluate, twist
@@ -154,14 +154,15 @@ class TestContinuation:
 
     def test_pair_from_forms_matches_analytic(self):
         # a pair assembled from two given expansions (level 1: g = f)
-        # continues like the self-anchored one for a true pair
+        # continues like the self-anchored one for a true pair; it is cut
+        # off at T = 30 (1 - k), far past the integrand's decay
         from maassforms.forms import h_op, to_terms
 
         ref = harmonic_eisenstein_level_one(80)
         ts, k = to_terms(ref), ref.weight
         c0, d0 = complex(ref.c_plus[0]), ref.c_minus_zero
         p_b = FrickePair(1, k, ts.eval, ts.eval, h_op(ts, k).eval, h_op(ts, k).eval,
-                         c0, d0, c0, d0)
+                         c0, d0, c0, d0, T_default=30.0 * (1 - k))
         p_a = analytic_pair(ref)
         for s in (2.0 + 0j, 0.5 + 1.0j, -1.0 + 2.0j):
             assert abs(lambda_continued(p_b, s) - lambda_continued(p_a, s)) <= 1e-8
@@ -418,6 +419,27 @@ class TestVerificationSets:
             assert m != 4  # gcd(4, 2) != 1, so 4 is filtered out
         s3 = verification_set(3)
         assert 4 in s3.conductors  # 4 is coprime to 3
+
+    @pytest.mark.parametrize(
+        "level, want",
+        [(210, (11, 13, 17, 19, 23, 29, 31, 37)), (30030, (17, 19, 23, 29, 31, 37, 41, 43))],
+    )
+    def test_heuristic_list_is_full_for_many_prime_factors(self, level, want):
+        # the first eight odd primes or 4 coprime to N, however many of the
+        # small ones N excludes
+        s = verification_set(level)
+        assert s.source == "heuristic" and s.conductors == want
+
+    def test_full_heuristic_lists_are_unchanged(self):
+        # the list scanned from the candidates 3..34 (the earlier rule),
+        # wherever that scan already found eight conductors
+        def scanned(level):
+            pool = [m for m in range(3, 35) if m == 4 or all(m % p for p in range(2, m))]
+            return tuple(m for m in pool if math.gcd(m, level) == 1)[:8]
+
+        full = [n for n in range(1, 5000) if len(scanned(n)) == 8 and n not in (7, 11)]
+        assert len(full) == 4997 - 229
+        assert all(verification_set(n).conductors == scanned(n) for n in full)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,20 @@
-"""Slash action, cusp enumeration, coset representatives, decomposition.
+"""Slash action, cusp enumeration, coset representatives.
 Group-theoretic oracles are exact (integer/rational arithmetic)."""
 
 import dataclasses
+import functools
 import math
+import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import make_random_form
 from maassforms.characters import character_by_label, trivial_character
+from maassforms.forms import to_terms
 from maassforms.modgroup import (
     Cusp,
     RationalMatrix,
@@ -23,7 +28,6 @@ from maassforms.modgroup import (
     identity_matrix,
     slash,
     translation,
-    upper_triangular_decompose,
 )
 from maassforms.modgroup import _ext_gcd as euclid_lift
 
@@ -103,6 +107,52 @@ class TestSlash:
             lhs = slash(inner, k, g2, tau)
             rhs = slash(f, k, g1 @ g2, tau)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+
+# SL_2(Z) as words in S and T^{+-1}, points in a strip of the upper half-plane
+_LETTERS = {"S": RationalMatrix(0, -1, 1, 0), "T": translation(1), "t": translation(-1)}
+sl2_words = st.lists(st.sampled_from("STt"), min_size=1, max_size=6).map(
+    lambda word: functools.reduce(operator.matmul, (_LETTERS[x] for x in word))
+)
+slash_matrices = st.one_of(sl2_words, st.integers(2, 12).map(fricke))
+point_lists = st.lists(
+    st.tuples(st.floats(-0.5, 0.5), st.floats(0.5, 1.5)).map(lambda p: complex(*p)),
+    min_size=1,
+    max_size=8,
+)
+weights = st.integers(-3, -1)
+
+
+def _evaluator(k):
+    """A to_terms(...).eval evaluator of a fixed random weight-k expansion."""
+    return to_terms(make_random_form(np.random.default_rng(7), k=k)).eval
+
+
+class TestArraySlash:
+    @given(weights, slash_matrices, point_lists)
+    def test_array_equals_pointwise(self, k, gamma, points):
+        f = _evaluator(k)
+        taus = np.array(points)
+        pointwise = np.array([slash(f, k, gamma, z) for z in points])
+        assert np.array_equal(slash(f, k, gamma, taus), pointwise)
+        assert np.array_equal(slash(f, k, gamma, taus.reshape(-1, 1)), pointwise.reshape(-1, 1))
+
+    @given(weights, slash_matrices, slash_matrices, point_lists)
+    def test_cocycle_on_words(self, k, g1, g2, points):
+        # (f|g1)|g2 = f|(g1 g2), det^{k/2} multiplying through
+        f, taus = _evaluator(k), np.array(points)
+        lhs = slash(lambda t: slash(f, k, g1, t), k, g2, taus)
+        rhs = slash(f, k, g1 @ g2, taus)
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(rhs))
+
+    @given(weights, st.integers(2, 12), point_lists)
+    def test_fricke_twice_is_the_sign(self, k, level, points):
+        # omega(N)^2 = -N I, whose slash is N^k (-N)^{-k} = (-1)^k only with
+        # the det^{k/2} factor
+        f, taus, w = _evaluator(k), np.array(points), fricke(level)
+        twice = slash(lambda t: slash(f, k, w, t), k, w, taus)
+        want = (-1) ** k * f(taus)
+        assert np.all(np.abs(twice - want) <= 1e-12 * np.abs(want))
 
 
 class TestFricke:
@@ -337,35 +387,3 @@ class TestIntegerEnumerator:
         with pytest.raises(ValueError):
             reps.rows[0, 0] = 0
 
-
-class TestDecomposition:
-    def test_identity(self):
-        gam, u = upper_triangular_decompose(identity_matrix())
-        assert gam.entries() == u.entries() == identity_matrix().entries()
-
-    def test_already_triangular(self):
-        m = RationalMatrix(2, 3, 0, 5)
-        gam, u = upper_triangular_decompose(m)
-        assert gam.entries() == identity_matrix().entries()
-        assert u.entries() == m.entries()
-
-    def test_worked_example(self):
-        m = RationalMatrix(1, 0, 2, 2)
-        gam, u = upper_triangular_decompose(m)
-        assert gam.det == 1 and gam.is_integral
-        assert u.c == 0 and u.a >= 1 and u.d >= 1
-        assert (gam @ u).entries() == m.entries()
-
-    def test_random_exact(self, rng):
-        done = 0
-        while done < 200:
-            a, b, c, d = (int(rng.integers(-9, 10)) for _ in range(4))
-            if a * d - b * c <= 0:
-                continue
-            m = RationalMatrix(a, b, c, d)
-            gam, u = upper_triangular_decompose(m)
-            assert gam.det == 1 and gam.is_integral
-            assert u.c == 0 and u.a >= 1 and u.d >= 1
-            assert u.a * u.d == m.det
-            assert (gam @ u).entries() == m.entries()
-            done += 1

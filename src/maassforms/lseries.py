@@ -143,6 +143,12 @@ class FrickePair:
     counterpart.  The four constants are (c_f+(0), c_f-(0), c_g+(0), c_g-(0)),
     and T_default is the Mellin cut-off used when a continuation is given no T.
 
+    The continuations (lambda_star, omega_star, lambda_continued,
+    omega_continued) take one s or an array of s.  An array is grouped by
+    the panel count of the log-t quadrature, which depends on s only through
+    |Im s|, and each evaluator is called once per group on that group's
+    nodes, so a batch costs about as many evaluations as one point.
+
     analytic_pair builds the partner from one form alone by slashing it
     pointwise (the self-anchored route that functional-equation residuals
     must use; see fe_residuals).
@@ -210,38 +216,69 @@ def analytic_pair(form: FormExpansion, level: int | None = None) -> FrickePair:
 _MELLIN_NODES = 16
 
 
+def _batch(s) -> tuple[np.ndarray, tuple | None]:
+    """s as a flat complex array, and the shape of the result: None for a
+    scalar s, which gets a Python complex back."""
+    arr = np.asarray(s, dtype=complex)
+    return arr.ravel(), (None if arr.ndim == 0 else arr.shape)
+
+
+def _unbatch(values: list, shape: tuple | None):
+    if shape is None:
+        return complex(values[0])
+    return np.array(values, dtype=complex).reshape(shape)
+
+
 def _mellin_piece(
     eval_fn: Callable,
     const0: complex,
     const_v: complex,
     level: int,
     k: int,
-    exponent: complex,
+    exponent,
     T: float,
-) -> complex:
+):
     """int_1^T (F(i t / sqrt N) - const0 - const_v t^{1-k} / N^{(1-k)/2})
-    t^{exponent - 1} dt, by Gauss-Legendre in x = log t."""
+    t^{exponent - 1} dt, by Gauss-Legendre in x = log t, for a scalar or an
+    array of exponents.
+
+    An exponent z gets max(2, ceil(log T / min(0.5, 4 / (1 + |Im z|))))
+    panels.  The exponents are grouped by that count and F is evaluated once
+    per group, on exactly the nodes a lone exponent would get; each value is
+    then summed on its own, so it does not depend on the rest of the batch.
+    """
+    exps, shape = _batch(exponent)
     upper = math.log(T)
-    width = min(0.5, 4.0 / (1.0 + abs(exponent.imag)))
-    npanels = max(2, int(math.ceil(upper / width)))
-    x, w = gauss_legendre_panels(0.0, upper, npanels, _MELLIN_NODES)
-    t = np.exp(x)
-    taus = 1j * t / math.sqrt(level)
-    vals = np.asarray(eval_fn(taus), dtype=complex)
-    sub = const0 + const_v * t ** (1 - k) / level ** ((1 - k) / 2.0)
-    integrand = (vals - sub) * np.exp(exponent * x)
-    return complex(np.sum(w * integrand))
+    groups: dict[int, list[int]] = {}
+    for i, z in enumerate(exps):
+        width = min(0.5, 4.0 / (1.0 + abs(z.imag)))
+        groups.setdefault(max(2, int(math.ceil(upper / width))), []).append(i)
+    out = [0j] * len(exps)
+    for npanels, members in groups.items():
+        x, w = gauss_legendre_panels(0.0, upper, npanels, _MELLIN_NODES)
+        t = np.exp(x)
+        vals = np.asarray(eval_fn(1j * t / math.sqrt(level)), dtype=complex)
+        diff = vals - (const0 + const_v * t ** (1 - k) / level ** ((1 - k) / 2.0))
+        for i in members:
+            out[i] = complex(np.sum(w * (diff * np.exp(exps[i] * x))))
+    return _unbatch(out, shape)
 
 
-def lambda_star(pair: FrickePair, s: complex, T: float | None = None) -> complex:
+def lambda_star(pair: FrickePair, s, T: float | None = None):
     """The entire pole-corrected completion: both incomplete Mellin integrals
-    of the pair on [1, T].  Finite for every s."""
+    of the pair on [1, T].  Finite for every s.
+
+    s is a complex number or an array of them; an array gives an array of
+    the same shape, each value equal to its lone-point value (see
+    _mellin_piece for how the batch shares integrand evaluations)."""
     if T is None:
         T = pair.T_default
     k = pair.weight
-    i1 = _mellin_piece(pair.f_eval, pair.c_f_plus0, pair.c_f_minus0, pair.level, k, s, T)
-    i2 = _mellin_piece(pair.g_eval, pair.c_g_plus0, pair.c_g_minus0, pair.level, k, k - s, T)
-    return i1 + _i_pow(k) * i2
+    pts, shape = _batch(s)
+    i1 = _mellin_piece(pair.f_eval, pair.c_f_plus0, pair.c_f_minus0, pair.level, k, pts, T)
+    i2 = _mellin_piece(pair.g_eval, pair.c_g_plus0, pair.c_g_minus0, pair.level, k, k - pts, T)
+    ik = _i_pow(k)
+    return _unbatch([a + ik * b for a, b in zip(i1.tolist(), i2.tolist())], shape)
 
 
 def _pole_terms(pair: FrickePair, s: complex, omega_sign: bool = False) -> complex:
@@ -257,42 +294,57 @@ def _pole_terms(pair: FrickePair, s: complex, omega_sign: bool = False) -> compl
     )
 
 
-def _guard_poles(pair: FrickePair, s: complex):
-    k = pair.weight
-    for p in (0.0, float(k), 1.0, float(k - 1)):
-        if abs(s - p) < 1e-12:
-            raise ValueError(
-                f"s = {s} is a pole of the completed series; probe lambda_star instead"
-            )
+def _guarded(pair: FrickePair, s) -> tuple[list[complex], tuple | None]:
+    """_batch with the points as Python complex numbers; ValueError if one is
+    a pole."""
+    flat, shape = _batch(s)
+    pts, k = flat.tolist(), pair.weight
+    for z in pts:
+        for p in (0.0, float(k), 1.0, float(k - 1)):
+            if abs(z - p) < 1e-12:
+                raise ValueError(
+                    f"s = {z} is a pole of the completed series; probe lambda_star instead"
+                )
+    return pts, shape
 
 
-def lambda_continued(pair: FrickePair, s: complex, T: float | None = None) -> complex:
+def lambda_continued(pair: FrickePair, s, T: float | None = None):
     """Lambda_N(f, s) for arbitrary s (away from the four simple poles),
     via lambda_star minus the pole terms.  Agrees with lambda_definitional
-    on the certified half-plane."""
-    _guard_poles(pair, s)
-    return lambda_star(pair, s, T) - _pole_terms(pair, s)
+    on the certified half-plane.  Vectorised over s like lambda_star; a pole
+    anywhere in the batch raises ValueError."""
+    pts, shape = _guarded(pair, s)
+    star = np.ravel(lambda_star(pair, s, T)).tolist()
+    return _unbatch([a - _pole_terms(pair, z) for a, z in zip(star, pts)], shape)
 
 
-def omega_star(pair: FrickePair, s: complex, T: float | None = None) -> complex:
+def omega_star(pair: FrickePair, s, T: float | None = None):
     """Entire completion of Omega: H/I incomplete Mellin integrals with the
-    constants scaled by k and relative sign -i^k."""
+    constants scaled by k and relative sign -i^k.  Vectorised over s like
+    lambda_star."""
     if T is None:
         T = pair.T_default
     k = pair.weight
+    pts, shape = _batch(s)
     i1 = _mellin_piece(
-        pair.h_eval, k * pair.c_f_plus0, k * pair.c_f_minus0, pair.level, k, s, T
+        pair.h_eval, k * pair.c_f_plus0, k * pair.c_f_minus0, pair.level, k, pts, T
     )
     i2 = _mellin_piece(
-        pair.i_eval, k * pair.c_g_plus0, k * pair.c_g_minus0, pair.level, k, k - s, T
+        pair.i_eval, k * pair.c_g_plus0, k * pair.c_g_minus0, pair.level, k, k - pts, T
     )
-    return i1 - _i_pow(k) * i2
+    ik = _i_pow(k)
+    return _unbatch([a - ik * b for a, b in zip(i1.tolist(), i2.tolist())], shape)
 
 
-def omega_continued(pair: FrickePair, s: complex, T: float | None = None) -> complex:
-    """Omega_N(f, s) for arbitrary s away from the poles."""
-    _guard_poles(pair, s)
-    return omega_star(pair, s, T) - pair.weight * _pole_terms(pair, s, omega_sign=True)
+def omega_continued(pair: FrickePair, s, T: float | None = None):
+    """Omega_N(f, s) for arbitrary s away from the poles.  Vectorised over s
+    like lambda_continued."""
+    pts, shape = _guarded(pair, s)
+    star = np.ravel(omega_star(pair, s, T)).tolist()
+    k = pair.weight
+    return _unbatch(
+        [a - k * _pole_terms(pair, z, omega_sign=True) for a, z in zip(star, pts)], shape
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +438,9 @@ def fe_residuals(
     same n_max.
 
     T defaults to f's pair default, max(4, sqrt(n_max)), and is used for both
-    sides; tail_bound is the dropped [T, inf) integrand of f's pair.
+    sides; tail_bound is the dropped [T, inf) integrand of f's pair.  Each
+    continuation (Lambda and Omega of each side) is one batch call over all
+    kept points, with values equal to the point-by-point ones.
     """
     if form_f.weight != form_g.weight:
         raise ValueError("weights differ")
@@ -400,19 +454,19 @@ def fe_residuals(
     if T is None:
         T = pair_f.T_default
     poles = (0.0, float(k), 1.0, float(k - 1))
-    kept, excluded, lam_res, om_res = [], [], [], []
-    for s in grid:
-        s = complex(s)
+    kept, excluded = [], []
+    for s in map(complex, grid):
         if any(abs(s - p) < 1e-9 for p in poles):
             excluded.append(s)
-            continue
-        lam_f = lambda_continued(pair_f, s, T)
-        lam_g = lambda_continued(pair_g, k - s, T)
-        om_f = omega_continued(pair_f, s, T)
-        om_g = omega_continued(pair_g, k - s, T)
-        kept.append(s)
-        lam_res.append(abs(lam_f - ik * lam_g))
-        om_res.append(abs(om_f + ik * om_g))
+        else:
+            kept.append(s)
+    pts = np.array(kept, dtype=complex)
+    lam_f = lambda_continued(pair_f, pts, T).tolist()
+    lam_g = lambda_continued(pair_g, k - pts, T).tolist()
+    om_f = omega_continued(pair_f, pts, T).tolist()
+    om_g = omega_continued(pair_g, k - pts, T).tolist()
+    lam_res = [abs(a - ik * b) for a, b in zip(lam_f, lam_g)]
+    om_res = [abs(a + ik * b) for a, b in zip(om_f, om_g)]
     return ResidualReport(
         grid=kept,
         lambda_residuals=lam_res,
@@ -501,7 +555,7 @@ def twisted_omega(
 
 
 def reconstruct_from_lambda(
-    lambda_eval: Callable[[complex], complex],
+    lambda_eval: Callable[[np.ndarray], np.ndarray],
     level: int,
     k: int,
     t: float,
@@ -515,20 +569,25 @@ def reconstruct_from_lambda(
     f(i t / sqrt N) - c+(0) - c-(0) t^{1-k} / N^{(1-k)/2}; the integrand
     decays like the gamma kernels, so height ~ 40 already saturates double
     precision for |log t| of order one.
+
+    lambda_eval must be vectorised: it is called once, on the array of all
+    quadrature nodes s (the 12-node rule and its 6-node refinement), and
+    its result is broadcast to that array's shape, so a constant works too.
+    lambda s: lambda_continued(pair, s) is such a callable.
     """
     if t <= 0:
         raise ValueError("t must be > 0")
     npanels = max(2, int(math.ceil(2.0 * height)))
     ys, ws = gauss_legendre_panels(-height, height, npanels, 12)
-    svals = beta1 + 1j * ys
-    lam = np.array([lambda_eval(complex(s)) for s in svals], dtype=complex)
-    integrand = t ** (-svals) * lam
-    value = complex(np.sum(ws * integrand) / (2.0 * math.pi))
-
     # refinement estimate with half the nodes per panel
     ys2, ws2 = gauss_legendre_panels(-height, height, npanels, 6)
-    lam2 = np.array([lambda_eval(complex(beta1 + 1j * y)) for y in ys2], dtype=complex)
-    coarse = complex(np.sum(ws2 * t ** (-(beta1 + 1j * ys2)) * lam2) / (2.0 * math.pi))
+    svals, svals2 = beta1 + 1j * ys, beta1 + 1j * ys2
+    nodes = np.concatenate([svals, svals2])
+    lam_all = np.broadcast_to(np.asarray(lambda_eval(nodes), dtype=complex), nodes.shape)
+    lam, lam2 = lam_all[: len(ys)], lam_all[len(ys) :]
+    integrand = t ** (-svals) * lam
+    value = complex(np.sum(ws * integrand) / (2.0 * math.pi))
+    coarse = complex(np.sum(ws2 * t ** (-svals2) * lam2) / (2.0 * math.pi))
     est = abs(value - coarse)
     tail = abs(lam[-1]) * t ** (-beta1)  # endpoint magnitude as tail scale
     if est > 1e-3 * max(1.0, abs(value)):

@@ -43,3 +43,27 @@ def test_tracer_installs_records_and_uninstalls():
     assert summary["lseries.omega_continued.calls"] == 2
     for layer in ("forms.extract_coefficients", "forms.slash_jet1", "forms.to_terms"):
         assert summary[f"{layer}.self_s"] > 0, layer
+
+
+# the shape of the benchmark's verify grid (bench/workloads.py VERIFY_GRID)
+VERIFY_GRID = [complex(re, im) for re in (-1.5, -1.0, -0.5, 0.5, 1.5) for im in (0.5, 1.5, 3.0)]
+
+
+def test_residual_driver_makes_one_batch_per_side():
+    # fe_residuals continues each side once for the whole grid, so the form
+    # evaluations do not grow with the number of grid points
+    ref = harmonic_eisenstein_level_one(8)
+    summaries = []
+    for grid in (VERIFY_GRID[:1], VERIFY_GRID):
+        t = load_tracer().Tracer()
+        t.install()
+        try:
+            fe_residuals(ref, ref, grid)
+        finally:
+            t.uninstall()
+        summaries.append(t.summary())
+    for summary in summaries:
+        assert summary["lseries.lambda_continued.calls"] == 2
+        assert summary["lseries.omega_continued.calls"] == 2
+    one, full = summaries
+    assert one["forms.TermSeries.eval.calls"] == full["forms.TermSeries.eval.calls"]

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from helpers import make_random_form
@@ -181,6 +183,49 @@ class TestContinuation:
         assert abs(val) <= 1e-12
 
 
+# points for the batch tests: |Im s| up to 60 spans several panel-count
+# groups (3 panels up to |Im s| = 7 at T = 4, 22 at |Im s| = 60); some come
+# as numpy scalars, and none lies within 1e-6 of a pole at k = -2
+batch_points = st.lists(
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-60.0, 60.0), st.booleans())
+    .filter(lambda p: min(abs(complex(p[0], p[1]) - q) for q in (0.0, -2.0, 1.0, -3.0)) > 1e-6)
+    .map(lambda p: np.complex128(complex(p[0], p[1])) if p[2] else complex(p[0], p[1])),
+    min_size=2,
+    max_size=6,
+)
+BATCHED = (lambda_continued, omega_continued, lambda_star, omega_star)
+
+
+@pytest.fixture(scope="module")
+def small_pair():
+    return analytic_pair(harmonic_eisenstein_level_one(4))
+
+
+class TestBatch:
+    @given(pts=batch_points, random=st.randoms(use_true_random=False))
+    def test_value_does_not_depend_on_the_batch(self, small_pair, pts, random):
+        random.shuffle(pts)
+        for fn in BATCHED:
+            batch = fn(small_pair, pts)
+            assert batch.shape == (len(pts),)
+            for z, value in zip(pts, batch):
+                assert value == fn(small_pair, z), (fn.__name__, z, pts)
+
+    def test_scalar_gives_python_complex_and_shape_is_kept(self, small_pair):
+        pts = np.array([[0.5 + 1j, -1.0 + 20j], [2.0 - 45j, np.complex128(0.25)]])
+        for fn in BATCHED:
+            for z in (0.5 + 1j, np.complex128(-1.0 + 20j), -1.5):
+                assert type(fn(small_pair, z)) is complex
+            batch = fn(small_pair, pts)
+            assert batch.shape == (2, 2)
+            assert batch[1, 0] == fn(small_pair, complex(pts[1, 0]))
+
+    @pytest.mark.parametrize("fn", [lambda_continued, omega_continued])
+    def test_pole_inside_a_batch_raises(self, small_pair, fn):
+        with pytest.raises(ValueError, match="pole"):
+            fn(small_pair, np.array([0.5 + 1j, -1.0 + 30j, 1.0 + 0j, 2.0 + 0j]))
+
+
 class TestResiduals:
     GRID = [complex(r, i) for r in (-1.0, -0.5, 0.5, 1.0) for i in (0.0, 1.0, 2.0)]
 
@@ -261,14 +306,13 @@ class TestPoleStructure:
             1.0: ik * cminus0,
             float(k - 1): -cminus0,
         }
-        for center, want in targets.items():
-            r = 0.3
-            nodes = 32
-            acc = 0.0 + 0.0j
-            for j in range(nodes):
-                z = r * np.exp(2j * math.pi * j / nodes)
-                acc += lambda_continued(pair, center + z) * z
-            got = acc / nodes
+        r = 0.3
+        nodes = 32
+        zs = r * np.exp(2j * math.pi * np.arange(nodes) / nodes)
+        # all four contours in one batch
+        vals = lambda_continued(pair, np.array(list(targets))[:, None] + zs)
+        for (center, want), row in zip(targets.items(), vals):
+            got = np.sum(row * zs) / nodes
             assert abs(got - want) <= 1e-5, (center, got, want)
 
     def test_lambda_star_bounded_on_center_line(self):
@@ -276,7 +320,7 @@ class TestPoleStructure:
         ref = harmonic_eisenstein_level_one(40)
         pair = analytic_pair(ref)
         ims = np.linspace(-50, 50, 21)
-        vals = np.array([abs(lambda_star(pair, -1.0 + 1j * t)) for t in ims])
+        vals = np.abs(lambda_star(pair, -1.0 + 1j * ims))
         assert np.all(np.isfinite(vals))
         # least-squares slope of log|Lambda*| against |Im s| is not positive;
         # the exact zero at the center (odd symmetry of the reflection) is

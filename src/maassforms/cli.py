@@ -30,6 +30,7 @@ import argparse
 import json
 import math
 import sys
+import time
 
 import numpy as np
 
@@ -300,13 +301,18 @@ def cmd_dim(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    """Run the built-in checks; each line carries the wall time of its check
+    (the time since the previous line)."""
     failures = 0
+    start = time.perf_counter()
 
     def check(name: str, ok: bool, detail: str = ""):
-        nonlocal failures
+        nonlocal failures, start
+        now = time.perf_counter()
         tag = "PASS" if ok else "FAIL"
-        print(f"[{tag}] {name}" + (f": {detail}" if detail else ""))
+        print(f"[{tag}] {name}" + (f": {detail}" if detail else "") + f" ({now - start:.3f} s)")
         failures += 0 if ok else 1
+        start = now
 
     rng = np.random.default_rng(20240915)
 

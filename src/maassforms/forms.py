@@ -11,6 +11,17 @@ Internally every expansion is flattened to a sum of elementary terms
 multiplication by powers of v, complex conjugation, and slashing by upper
 triangular matrices.  All operator identities are therefore checked with
 exact term algebra rather than finite differences.
+
+TermSeries.eval is the one numeric evaluator of forms: every caller
+(evaluate, the Fricke pairs of lseries, the CLI, the operator identities)
+goes through it.  Once per series it keeps the terms as float arrays, one
+row per distinct (freq, vexp) and one column per vpow, and it evaluates
+fixed blocks of points against fixed chunks of rows, each pair with one
+real np.exp and a few cos/sin columns.  TermSeries.jet takes the first
+partials from the same exponentials, so no derivative series is built to
+evaluate them.  Memory stays at a few block x chunk temporaries whatever
+the number of points or terms, and a point's value does not depend on the
+batch it arrives in.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -53,6 +65,17 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# TermSeries evaluation blocks: points per block and (freq, vexp) rows per
+# chunk.  Fixed, so that memory stays bounded (one block x chunk temporary is
+# 256 kB) and a point's value does not depend on its batch.
+_POINT_BLOCK = 64
+_TERM_CHUNK = 256
+# frequencies per entry of the low phase table (see TermSeries._sums)
+_PHASE_STEP = 16
+# e^{2 pi vexp v} below e^{_EXP_FLOOR} (about 1e-304) is taken as 0: the
+# term is then below 1e-304 times its coefficient, and the subnormal
+# arithmetic it would cost is slow
+_EXP_FLOOR = -700.0
 
 
 class IllConditionedError(RuntimeError):
@@ -61,6 +84,14 @@ class IllConditionedError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # term algebra
+
+
+def _cis(theta: np.ndarray) -> np.ndarray:
+    """cos theta + i sin theta."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 @dataclass(frozen=True)
@@ -118,21 +149,117 @@ class TermSeries:
             ((-f, p, g), c.conjugate()) for (f, p, g), c in self.terms.items()
         )
 
-    def eval(self, tau):
-        """Evaluate at tau (complex scalar or ndarray with Im > 0)."""
+    @cached_property
+    def _arrays(self):
+        """The terms as float arrays, one row per distinct (freq, vexp) in
+        order of first appearance: 2 pi freq and 2 pi vexp per row, the
+        distinct vpows, the vpows x rows coefficient matrix, the phase split
+        freq = (hi _PHASE_STEP + lo) / den with |lo| <= _PHASE_STEP / 2, and
+        per chunk of _TERM_CHUNK rows its largest 2 pi vexp, the vpow columns
+        it uses and its table of hi frequencies."""
+        pows = sorted({p for _, p, _ in self.terms})
+        col = {p: j for j, p in enumerate(pows)}
+        rows: dict = {}  # (freq, vexp) as integer pairs, which hash fast -> row
+        cells = []
+        for (f, p, g), c in self.terms.items():
+            key = (f.numerator, f.denominator, g.numerator, g.denominator)
+            cells.append((col[p], rows.setdefault(key, len(rows)), c))
+        coef = np.zeros((len(pows), len(rows)), dtype=complex)
+        for j, r, c in cells:
+            coef[j, r] = c
+        keys = np.array(list(rows), dtype=float).reshape(-1, 4)
+        wf = TWO_PI * (keys[:, 0] / keys[:, 1])
+        wg = TWO_PI * (keys[:, 2] / keys[:, 3])
+        den = math.lcm(*(fd for _, fd, _, _ in rows))
+        half = _PHASE_STEP // 2
+        shifted = [fn * (den // fd) + half for fn, fd, _, _ in rows]
+        w_lo = TWO_PI * np.arange(-half, half) / den
+        lo_idx = np.array([n % _PHASE_STEP for n in shifted], dtype=np.intp)
+        chunks = []
+        for lo in range(0, len(rows), _TERM_CHUNK):
+            hi = min(lo + _TERM_CHUNK, len(rows))
+            his = [n // _PHASE_STEP for n in shifted[lo:hi]]
+            tops = {h: i for i, h in enumerate(sorted(set(his)))}
+            w_hi = np.array([TWO_PI * (h * _PHASE_STEP / den) for h in tops])
+            hi_idx = np.array([tops[h] for h in his], dtype=np.intp)
+            cols = [j for j in range(len(pows)) if np.any(coef[j, lo:hi])]
+            chunks.append((lo, hi, wg[lo:hi].max(), cols, w_hi, hi_idx))
+        return wf, wg, np.array(pows, dtype=float), coef, den, w_lo, lo_idx, chunks
+
+    def _sums(self, tau, partials: bool):
+        """Value (and with partials, d/du and d/dv) at tau, each a flat array
+        over the points, and the shape to restore (None for a scalar tau).
+
+        Each block of _POINT_BLOCK points meets each chunk of _TERM_CHUNK
+        rows in one real np.exp of 2 pi vexp v.  The phase e^{2 pi i freq u}
+        is a product of two table entries, e^{2 pi i hi _PHASE_STEP u / den}
+        and e^{2 pi i lo u / den}, so a chunk of consecutive frequencies
+        takes a few cos/sin columns rather than one per row; on Re tau = 0
+        it is 1 and skipped.  A row's coefficient is a polynomial in v over
+        the chunk's vpow columns.  Every point's sums run over the chunks in
+        the same order, each chunk reduced by .sum(axis=1), so a point's
+        value does not depend on the batch it arrives in.
+        """
         t = np.asarray(tau, dtype=complex)
         if np.any(t.imag <= 0):
             raise ValueError("tau must lie in the upper half-plane")
-        u, v = t.real, t.imag
-        out = np.zeros_like(t)
-        for (f, p, g), c in self.terms.items():
-            term = c * np.exp(1j * TWO_PI * float(f) * u + TWO_PI * float(g) * v)
-            if p:
-                term = term * v ** float(p)
-            out = out + term
-        if np.isscalar(tau) or np.ndim(tau) == 0:
-            return complex(out)
-        return out
+        flat = t.reshape(-1)
+        wf, wg, pows, coef, den, w_lo, lo_idx, chunks = self._arrays
+        outs = [np.zeros(flat.shape, dtype=complex) for _ in range(3 if partials else 1)]
+        for a in range(0, flat.size, _POINT_BLOCK):
+            block = slice(a, a + _POINT_BLOCK)
+            u = flat.real[block, None]
+            v = flat.imag[block, None]
+            on_axis = not np.any(u)
+            if not on_axis:
+                u = u - den * np.round(u / den)  # a period of every phase, exactly
+                lo_tab = _cis(u * w_lo)
+            vp = v.T ** pows[:, None]  # (vpows, points), one contiguous row per vpow
+            if partials:
+                dvp = pows[:, None] * v.T ** (pows[:, None] - 1.0)
+            v_ends = (v.min(), v.max())
+            for lo, hi, g_top, cols, w_hi, hi_idx in chunks:
+                if max(x * g_top for x in v_ends) < _EXP_FLOOR:
+                    continue  # every factor below is 0: the chunk adds exact zeros
+                x = v * wg[lo:hi]
+                e = np.exp(x, out=np.zeros_like(x), where=x >= _EXP_FLOOR)
+                if on_axis:
+                    e = e.astype(complex)
+                else:
+                    e = e * _cis(u * w_hi)[:, hi_idx] * lo_tab[:, lo_idx[lo:hi]]
+                # c e v^vpow per vpow column, multiplied in the order of a lone term
+                term = np.zeros_like(e)
+                if partials:
+                    dterm = np.zeros_like(e)  # the v^vpow derivative part of d/dv
+                for j in cols:
+                    ec = e * coef[j, lo:hi]
+                    if pows[j]:
+                        term += ec * vp[j, :, None]
+                        if partials:
+                            dterm += ec * dvp[j, :, None]
+                    else:
+                        term += ec
+                outs[0][block] += term.sum(axis=1)
+                if partials:
+                    outs[1][block] += 1j * (term * wf[lo:hi]).sum(axis=1)
+                    dterm += term * wg[lo:hi]
+                    outs[2][block] += dterm.sum(axis=1)
+        return outs, (None if t.ndim == 0 else t.shape)
+
+    def eval(self, tau):
+        """Evaluate at tau (complex scalar or ndarray with Im > 0); a scalar
+        is a batch of one and returns a Python complex."""
+        (out,), shape = self._sums(tau, False)
+        return complex(out[0]) if shape is None else out.reshape(shape)
+
+    def jet(self, tau):
+        """(f, df/du, df/dv) at tau (complex scalar or ndarray with Im > 0),
+        from the exponentials of eval: d/du multiplies a term by 2 pi i freq
+        and d/dv by vpow/v + 2 pi vexp."""
+        outs, shape = self._sums(tau, True)
+        if shape is None:
+            return tuple(complex(x[0]) for x in outs)
+        return tuple(x.reshape(shape) for x in outs)
 
 
 # weight-k operators on term series ----------------------------------------
@@ -191,13 +318,15 @@ class Jet1:
         return 0.5 * (self.fu + 1j * self.fv)
 
 
-def jet1(ts: TermSeries, tau: complex) -> Jet1:
-    return Jet1(ts.eval(tau), ts.d_u().eval(tau), ts.d_v().eval(tau))
+def jet1(ts: TermSeries, tau) -> Jet1:
+    """Value and first partials of ts at tau (scalar or ndarray), from one
+    TermSeries.jet pass: no derivative series is built."""
+    return Jet1(*ts.jet(tau))
 
 
 def slash_jet1(ts: TermSeries, k: int, gamma: RationalMatrix, tau) -> Jet1:
     """Value and first partials of f|_k gamma at tau (scalar or ndarray),
-    by the chain rule.
+    by the chain rule from jet1 at gamma tau.
 
     gamma tau is holomorphic, so d/dtau only sees f_tau and d/dtaubar only
     f_taubar, each scaled by m = det/(c tau + d)^2 resp. conj(m).
@@ -354,27 +483,31 @@ def to_terms(form: FormExpansion) -> TermSeries:
     c-(-m) Gamma(1-k, 4 pi m v) q^{-m} is expanded through the finite sum
     Gamma(nu, x) = Gamma(nu) e^{-x} sum_{l<nu} x^l/l!, which absorbs the
     growing |q^{-m}| = e^{2 pi m v} into a decaying net exponent e^{-2 pi m v}.
+    The keys are distinct by construction, so the dict is built directly.
     """
     k = form.weight
     nu = 1 - k
     gamma_nu = math.gamma(nu)
-    items = []
+    terms = {}
     for n in range(form.n_max + 1):
-        c = form.c_plus[n]
+        c = complex(form.c_plus[n])
         if c != 0:
-            items.append(((Fraction(n), 0, Fraction(-n)), c))
+            terms[(Fraction(n), 0, Fraction(-n))] = c
     if form.c_minus_zero != 0:
-        items.append(((Fraction(0), nu, Fraction(0)), form.c_minus_zero))
+        terms[(Fraction(0), nu, Fraction(0))] = form.c_minus_zero
     for m in range(1, form.n_max + 1):
-        c = form.c_minus[m - 1]
+        c = complex(form.c_minus[m - 1])
         if c == 0:
             continue
         fourpim = 4.0 * math.pi * m
         coef_l = gamma_nu
+        freq = Fraction(-m)
         for l in range(nu):
-            items.append(((Fraction(-m), l, Fraction(-m)), c * coef_l))
+            z = c * coef_l
+            if z != 0:
+                terms[(freq, l, freq)] = z
             coef_l *= fourpim / (l + 1)
-    return TermSeries.from_items(items)
+    return TermSeries(terms)
 
 
 def evaluate(form: FormExpansion, tau):

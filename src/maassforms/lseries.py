@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .characters import DirichletCharacter, _prime_factors, c_psi
-from .forms import FormExpansion, h_op, to_terms, twist
+from .forms import FormExpansion, to_terms, twist
 from .specfun import QuadratureError, gamma_complex, gauss_legendre_panels, w_nu
 
 __all__ = [
@@ -179,8 +179,13 @@ def analytic_pair(form: FormExpansion, level: int | None = None) -> FrickePair:
     The price is evaluation of the form down to Im tau = 1/(sqrt(N) T); the
     pair's T_default = max(4, sqrt(n_max)) balances that truncation loss
     against the dropped [T, inf) integrand.
+
+    All four evaluators run on the form's one TermSeries: f_eval is its
+    eval, g_eval slashes it, and h_eval and i_eval take H = 2iv f_u + k f
+    from TermSeries.jet at tau and (through slash_jet1) at omega(N) tau, so
+    no derivative series is built.
     """
-    from .forms import extract_coefficients, h_from_jet, slash_jet1
+    from .forms import extract_coefficients, h_from_jet, jet1, slash_jet1
     from .modgroup import fricke, slash
 
     k = form.weight
@@ -190,6 +195,10 @@ def analytic_pair(form: FormExpansion, level: int | None = None) -> FrickePair:
 
     def g_eval(taus):
         return slash(ts.eval, k, omega, np.asarray(taus, dtype=complex))
+
+    def h_eval(taus):
+        t = np.asarray(taus, dtype=complex)
+        return h_from_jet(jet1(ts, t), k, t.imag)
 
     def i_eval(taus):
         t = np.asarray(taus, dtype=complex)
@@ -202,7 +211,7 @@ def analytic_pair(form: FormExpansion, level: int | None = None) -> FrickePair:
         weight=k,
         f_eval=ts.eval,
         g_eval=g_eval,
-        h_eval=h_op(ts, k).eval,
+        h_eval=h_eval,
         i_eval=i_eval,
         c_f_plus0=complex(form.c_plus[0]),
         c_f_minus0=form.c_minus_zero,

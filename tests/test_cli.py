@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -300,3 +301,11 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+    def test_each_check_prints_its_time(self, capsys):
+        assert run("selfcheck") == 0
+        out = capsys.readouterr().out.splitlines()
+        lines = [ln for ln in out if ln.startswith("[PASS]")]
+        assert len(lines) == len(out) - 1  # all but the closing "all checks passed"
+        for line in lines:
+            assert re.search(r" \(\d+\.\d{3} s\)$", line), line

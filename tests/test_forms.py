@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import make_random_form, random_tau
 from maassforms.characters import (
@@ -21,6 +23,8 @@ from maassforms.characters import (
     trivial_character,
 )
 from maassforms.forms import (
+    _POINT_BLOCK,
+    TWO_PI,
     FormExpansion,
     IllConditionedError,
     TermSeries,
@@ -116,6 +120,104 @@ class TestEvaluate:
             tau = 0.17 + 1j * v
             diff = abs(evaluate(full, tau) - evaluate(clipped, tau))
             assert diff <= evaluate_tail_bound(clipped, v, constant=c) + 1e-15
+
+
+def loop_eval(ts, taus):
+    """The per-term loop that TermSeries.eval replaced, kept as the oracle:
+    the value and sum |term| at each point of the array taus."""
+    u, v = taus.real, taus.imag
+    out = np.zeros(taus.shape, dtype=complex)
+    mag = np.zeros(taus.shape)
+    for (f, p, g), c in ts.terms.items():
+        term = c * np.exp(1j * TWO_PI * float(f) * u + TWO_PI * float(g) * v)
+        if p:
+            term = term * v ** float(p)
+        out = out + term
+        mag = mag + abs(term)
+    return out, mag
+
+
+# series whose terms reach every case of the evaluator: raising_op brings
+# vpow -1, xi_op conjugated (negated) frequencies, d_v and h_op mixed vpows,
+# and the 3/7 scaling frequencies that are not integers
+SERIES = {
+    "f": lambda ts, k: ts,
+    "d_u": lambda ts, k: ts.d_u(),
+    "d_v": lambda ts, k: ts.d_v(),
+    "h_op": h_op,
+    "raising_op": raising_op,
+    "xi_op": xi_op,
+    "freq * 3/7": lambda ts, k: TermSeries.from_items(
+        ((f * Fraction(3, 7), p, g * Fraction(3, 7)), c) for (f, p, g), c in ts.terms.items()
+    ),
+}
+point_lists = st.lists(
+    st.tuples(st.floats(-1.0, 1.0), st.floats(0.2, 2.0)).map(lambda p: complex(*p)),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestVectorisedEvaluator:
+    @given(st.integers(0, 2**32 - 1), st.integers(-3, -1), st.integers(1, 12),
+           st.sampled_from(sorted(SERIES)), point_lists)
+    def test_eval_and_jet_match_the_term_loop(self, seed, k, n_max, name, points):
+        form = make_random_form(np.random.default_rng(seed), k=k, n_max=n_max)
+        ts = SERIES[name](to_terms(form), k)
+        taus = np.array(points)
+        want, mag = loop_eval(ts, taus)
+        value = ts.eval(taus)
+        assert np.all(np.abs(value - want) <= 1e-14 * mag)
+        f, fu, fv = ts.jet(taus)
+        assert np.array_equal(f, value)
+        for got, series in ((fu, ts.d_u()), (fv, ts.d_v())):
+            want, mag = loop_eval(series, taus)
+            assert np.all(np.abs(got - want) <= 1e-14 * mag)
+
+    @pytest.mark.parametrize("on_axis", ["none", "some", "all"])
+    def test_value_does_not_depend_on_the_batch(self, rng, on_axis):
+        # more points than one block and more rows than one chunk; points on
+        # Re tau = 0 skip the phase, which must not change their value
+        ts = raising_op(to_terms(make_random_form(rng, k=-3, n_max=300)), -3)
+        n = 2 * _POINT_BLOCK + 11
+        taus = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(0.002, 1.5, n)
+        if on_axis != "none":
+            taus.real[:: 1 if on_axis == "all" else 3] = 0.0
+        value, jet = ts.eval(taus), ts.jet(taus)
+        for i, tau in enumerate(taus):
+            assert ts.eval(tau) == value[i]
+            assert ts.jet(tau) == tuple(x[i] for x in jet)
+
+    def test_scalar_and_shape(self, rng):
+        ts = to_terms(make_random_form(rng))
+        assert type(ts.eval(0.1 + 0.7j)) is complex
+        assert all(type(x) is complex for x in ts.jet(0.1 + 0.7j))
+        taus = np.array([[0.1 + 0.7j, 0.2 + 0.4j]] * 3)
+        assert ts.eval(taus).shape == (3, 2)
+        assert all(x.shape == (3, 2) for x in ts.jet(taus))
+        for bad in (0.3 + 0.0j, 0.3 - 1.0j, np.array([0.5j, -0.5j])):
+            with pytest.raises(ValueError):
+                ts.eval(bad)
+            with pytest.raises(ValueError):
+                ts.jet(bad)
+
+    def test_memory_is_bounded(self):
+        # 300 points against the 8,001 rows of n_max 4000 at a height where
+        # no row underflows: one complex points x rows matrix would take
+        # 38 MB, while the blocks and the one-time array build take about 4 MB
+        import tracemalloc
+
+        from maassforms.eisenstein import harmonic_eisenstein_level_one
+
+        ts = to_terms(harmonic_eisenstein_level_one(4000))
+        taus = np.linspace(0.0, 1.0, 300, endpoint=False) + 0.02j
+        tracemalloc.start()
+        try:
+            ts.eval(taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 def partials(form, tau):

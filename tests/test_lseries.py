@@ -290,6 +290,22 @@ class TestResiduals:
         assert data["max_residual"] == rep.max_residual
         assert len(data["grid"]) == 2
 
+    @pytest.mark.parametrize("psi, tol", [(None, 1e-8), (character_by_label(5, "quadratic"), 1e-4)])
+    def test_pair_path_builds_no_derivative_series(self, monkeypatch, psi, tol):
+        # H and the slashed 1-jet come from TermSeries.jet's exponentials, so
+        # neither the d_u/d_v series nor the h_op series is built
+        import maassforms.forms as forms
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("derivative series built on the pair path")
+
+        monkeypatch.setattr(forms.TermSeries, "d_u", forbidden)
+        monkeypatch.setattr(forms.TermSeries, "d_v", forbidden)
+        monkeypatch.setattr(forms, "h_op", forbidden)
+        ref = harmonic_eisenstein_level_one(400)
+        rep = fe_residuals(ref, ref, [0.5 + 1.0j, -1.0 + 0.5j], psi=psi)
+        assert rep.max_residual <= tol
+
 
 class TestPoleStructure:
     def test_residues_by_contour(self):

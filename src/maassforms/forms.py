@@ -19,9 +19,11 @@ row per distinct (freq, vexp) and one column per vpow, and it evaluates
 fixed blocks of points against fixed chunks of rows, each pair with one
 real np.exp and a few cos/sin columns.  TermSeries.jet takes the first
 partials from the same exponentials, so no derivative series is built to
-evaluate them.  Memory stays at a few block x chunk temporaries whatever
-the number of points or terms, and a point's value does not depend on the
-batch it arrives in.
+evaluate them.  Every block x chunk step writes into one fixed per-thread
+workspace, so memory stays bounded whatever the number of points or terms,
+a call allocates no large temporaries (whose release and re-fault would
+cost time that varies from run to run), and a point's value does not
+depend on the batch it arrives in.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import json
 import math
 import os
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -66,8 +69,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 # TermSeries evaluation blocks: points per block and (freq, vexp) rows per
-# chunk.  Fixed, so that memory stays bounded (one block x chunk temporary is
-# 256 kB) and a point's value does not depend on its batch.
+# chunk.  Fixed, so that memory stays bounded (one complex block x chunk
+# array is 256 kB) and a point's value does not depend on its batch.
 _POINT_BLOCK = 64
 _TERM_CHUNK = 256
 # frequencies per entry of the low phase table (see TermSeries._sums)
@@ -92,6 +95,28 @@ def _cis(theta: np.ndarray) -> np.ndarray:
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     return out
+
+
+class _Workspace(threading.local):
+    """Scratch arrays of one block x chunk each, made on a thread's first
+    evaluation and reused by all its later ones (about 1.8 MB per thread)."""
+
+    def __init__(self):
+        size = _POINT_BLOCK * _TERM_CHUNK
+        self.real = np.empty((2, size))
+        self.mask = np.empty(size, dtype=bool)
+        self.cplx = np.empty((6, size), dtype=complex)
+
+    def views(self, shape):
+        """The arrays as C-contiguous views of the given shape, laid out as
+        fresh arrays of that shape would be."""
+        n = shape[0] * shape[1]
+        return (*(a[:n].reshape(shape) for a in self.real),
+                self.mask[:n].reshape(shape),
+                *(a[:n].reshape(shape) for a in self.cplx))
+
+
+_WORK = _Workspace()
 
 
 @dataclass(frozen=True)
@@ -221,28 +246,35 @@ class TermSeries:
             for lo, hi, g_top, cols, w_hi, hi_idx in chunks:
                 if max(x * g_top for x in v_ends) < _EXP_FLOOR:
                     continue  # every factor below is 0: the chunk adds exact zeros
-                x = v * wg[lo:hi]
-                e = np.exp(x, out=np.zeros_like(x), where=x >= _EXP_FLOOR)
+                x, ex, keep, e, gath, ec, ecv, term, dterm = _WORK.views((v.size, hi - lo))
+                np.multiply(v, wg[lo:hi], out=x)
+                np.greater_equal(x, _EXP_FLOOR, out=keep)
+                ex.fill(0.0)
+                np.exp(x, out=ex, where=keep)
                 if on_axis:
-                    e = e.astype(complex)
+                    np.copyto(e, ex)
                 else:
-                    e = e * _cis(u * w_hi)[:, hi_idx] * lo_tab[:, lo_idx[lo:hi]]
-                # c e v^vpow per vpow column, multiplied in the order of a lone term
-                term = np.zeros_like(e)
+                    np.take(_cis(u * w_hi), hi_idx, axis=1, out=gath, mode="clip")
+                    np.multiply(ex, gath, out=e)
+                    np.take(lo_tab, lo_idx[lo:hi], axis=1, out=gath, mode="clip")
+                    np.multiply(e, gath, out=e)
+                # c e v^vpow per vpow column, multiplied in the order of a lone
+                # term; dterm is the v^vpow derivative part of d/dv
+                term.fill(0.0)
                 if partials:
-                    dterm = np.zeros_like(e)  # the v^vpow derivative part of d/dv
+                    dterm.fill(0.0)
                 for j in cols:
-                    ec = e * coef[j, lo:hi]
+                    np.multiply(e, coef[j, lo:hi], out=ec)
                     if pows[j]:
-                        term += ec * vp[j, :, None]
+                        term += np.multiply(ec, vp[j, :, None], out=ecv)
                         if partials:
-                            dterm += ec * dvp[j, :, None]
+                            dterm += np.multiply(ec, dvp[j, :, None], out=ecv)
                     else:
                         term += ec
                 outs[0][block] += term.sum(axis=1)
                 if partials:
-                    outs[1][block] += 1j * (term * wf[lo:hi]).sum(axis=1)
-                    dterm += term * wg[lo:hi]
+                    outs[1][block] += 1j * np.multiply(term, wf[lo:hi], out=ec).sum(axis=1)
+                    dterm += np.multiply(term, wg[lo:hi], out=ec)
                     outs[2][block] += dterm.sum(axis=1)
         return outs, (None if t.ndim == 0 else t.shape)
 

@@ -24,6 +24,7 @@ from maassforms.characters import (
 )
 from maassforms.forms import (
     _POINT_BLOCK,
+    _TERM_CHUNK,
     TWO_PI,
     FormExpansion,
     IllConditionedError,
@@ -218,6 +219,27 @@ class TestVectorisedEvaluator:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_warm_evaluation_reuses_the_workspace(self, rng):
+        # once the thread's workspace exists, a call allocates no block x
+        # chunk temporaries (256 kB each; the per-step temporaries they
+        # replace peaked at 1.9 MB here), so no large buffer is released and
+        # re-faulted from one call to the next
+        import tracemalloc
+
+        ts = raising_op(to_terms(make_random_form(rng, k=-3, n_max=300)), -3)
+        n = 2 * _POINT_BLOCK + 11
+        taus = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(0.002, 1.5, n)
+        ts.jet(taus)
+        tracemalloc.start()
+        try:
+            ts.eval(taus)
+            ts.jet(taus)
+            ts.eval(1j * taus.imag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 16 * _POINT_BLOCK * _TERM_CHUNK  # two complex arrays
 
 
 def partials(form, tau):

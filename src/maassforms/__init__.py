@@ -3,7 +3,7 @@
 Submodules:
     specfun     complex gamma, integer-order incomplete gamma, the Mellin
                 kernel W_nu and vertical-line Mellin inversion
-    characters  Dirichlet characters as exact value tables, Gauss sums,
+    characters  Dirichlet characters as integer exponent tables, Gauss sums,
                 and the twist constant
     modgroup    rational 2x2 matrices, slash action, Gamma_0(N) cusp data
                 and coset representatives

@@ -1,11 +1,13 @@
-"""Dirichlet characters modulo q as explicit value tables.
+"""Dirichlet characters modulo q as integer exponent tables.
 
 A character is stored by its exponent vector on a fixed generating set of
 (Z/qZ)^*: the modulus is CRT-split into prime powers, each odd prime power
 contributes one generator (a lifted primitive root), and 2^e contributes
-{-1, 5} for e >= 3 (just {-1} for e = 2).  Values are complex doubles, but
-the exact exponents a |-> r(a) in Q/Z with chi(a) = e^{2 pi i r(a)} are kept
-alongside so that equality, conductor and parity tests are exact.
+{-1, 5} for e >= 3 (just {-1} for e = 2).  From a discrete-log table shared
+by all characters of one modulus, each character keeps the integer n(a) with
+chi(a) = e^{2 pi i n(a)/lam}, lam the lcm of the generator orders, so that
+equality, conductor and parity tests are exact; its complex values come from
+one root per distinct n(a).
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+
+import numpy as np
 
 __all__ = [
     "DirichletCharacter",
@@ -92,23 +96,36 @@ def unit_group_generators(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _dlog_table(q: int) -> dict[int, tuple[int, ...]]:
-    """unit a (mod q) -> exponent tuple on unit_group_generators(q)."""
+def _unit_logs(q: int) -> np.ndarray:
+    """Integer table of shape (r + 1, q) for the r generators of (Z/qZ)^*.
+
+    Row i < r holds the exponent of each residue a (mod q) on generator i of
+    unit_group_generators(q), so a = prod g_i^{row_i[a]}; the last row is 1
+    on units and 0 elsewhere (non-units read exponent 0 in every row).
+    """
     gens, orders = unit_group_generators(q)
-    table = {}
-    for ks in product(*(range(o) for o in orders)):
-        a = 1
-        for g, k in zip(gens, ks):
-            a = a * pow(g, k, q) % q
-        table[a] = ks
-    if 1 % q not in table:
-        table[1 % q] = tuple(0 for _ in orders)
+    ks = np.indices(orders).reshape(len(orders), math.prod(orders))
+    units = np.full(ks.shape[1], 1 % q, dtype=np.int64)
+    for g, o, k in zip(gens, orders, ks):
+        powers = np.ones(1, dtype=np.int64)  # g^0 .. g^(o-1) by doubling
+        while len(powers) < o:
+            powers = np.concatenate([powers, powers * pow(g, len(powers), q) % q])
+        units = units * powers[k] % q
+    table = np.zeros((len(orders) + 1, q), dtype=np.int64)
+    table[:-1, units] = ks
+    table[-1, units] = 1
+    table.setflags(write=False)
     return table
 
 
 class DirichletCharacter:
     """Dirichlet character mod q, identified by its exponent vector on the
-    canonical generators: chi(g_i) = e^{2 pi i exponents_i / orders_i}."""
+    canonical generators: chi(g_i) = e^{2 pi i exponents_i / orders_i}.
+
+    With lam = lcm(orders), chi(a) = e^{2 pi i n(a) / lam} for an integer
+    n(a) in [0, lam); `_num` holds n(a) for every residue (-1 on non-units)
+    and the value list shares one complex root per distinct n(a).
+    """
 
     def __init__(self, modulus: int, exponents: tuple[int, ...]):
         gens, orders = unit_group_generators(modulus)
@@ -120,29 +137,27 @@ class DirichletCharacter:
         self.exponents = tuple(e % o for e, o in zip(exponents, orders))
         self.generators = gens
         self.gen_orders = orders
-        # exact exponents in Q/Z on every unit, None on non-units
-        dlog = _dlog_table(modulus)
-        self._rational: dict[int, Fraction] = {}
-        for a, ks in dlog.items():
-            r = sum(
-                (Fraction(e * k, o) for e, k, o in zip(self.exponents, ks, orders)),
-                Fraction(0),
-            )
-            self._rational[a] = r - math.floor(r)
-        self._values = {
-            a: cmath.exp(2j * math.pi * r) for a, r in self._rational.items()
-        }
+        self._lam = lam = math.lcm(*orders)
+        logs = _unit_logs(modulus)
+        num = np.zeros(modulus, dtype=np.int64)
+        for e, o, row in zip(self.exponents, orders, logs):
+            num += (e * (lam // o)) * row
+        self._num = np.where(logs[-1] == 1, num % lam, -1)
+        nums = self._num.tolist()
+        roots = {j: cmath.exp(2j * math.pi * Fraction(j, lam)) for j in set(nums) if j >= 0}
+        roots[-1] = 0.0 + 0.0j
+        self._values = [roots[j] for j in nums]
         self._conductor: int | None = None
 
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, n: int) -> complex:
-        a = n % self.modulus
-        return self._values.get(a, 0.0 + 0.0j)
+        return self._values[n % self.modulus]
 
     def rational_exponent(self, n: int) -> Fraction | None:
         """Exact r with chi(n) = e^{2 pi i r}, or None when chi(n) = 0."""
-        return self._rational.get(n % self.modulus)
+        j = int(self._num[n % self.modulus])
+        return None if j < 0 else Fraction(j, self._lam)
 
     # -- structure ----------------------------------------------------------
 
@@ -166,8 +181,7 @@ class DirichletCharacter:
     @property
     def parity(self) -> int:
         """chi(-1), exactly +1 or -1."""
-        r = self._rational[(self.modulus - 1) % self.modulus]
-        return 1 if r == 0 else -1
+        return 1 if self._num[self.modulus - 1] == 0 else -1
 
     @property
     def conductor(self) -> int:
@@ -186,28 +200,13 @@ class DirichletCharacter:
 
     def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
         """Product character modulo lcm of the moduli (exact)."""
-        m = math.lcm(self.modulus, other.modulus)
-        gens, orders = unit_group_generators(m)
-        exps = []
-        for g, o in zip(gens, orders):
-            r = self.rational_exponent(g) + other.rational_exponent(g)
-            e = r * o
-            assert e.denominator == 1, "product exponent must be integral"
-            exps.append(int(e) % o)
-        return DirichletCharacter(m, tuple(exps))
+        return _from_generator_values(math.lcm(self.modulus, other.modulus), (self, other))
 
     def induce(self, modulus: int) -> "DirichletCharacter":
         """The character mod `modulus` induced by chi (requires q | modulus)."""
         if modulus % self.modulus != 0:
             raise ValueError(f"{self.modulus} does not divide {modulus}")
-        gens, orders = unit_group_generators(modulus)
-        exps = []
-        for g, o in zip(gens, orders):
-            r = self.rational_exponent(g)
-            e = r * o
-            assert e.denominator == 1
-            exps.append(int(e) % o)
-        return DirichletCharacter(modulus, tuple(exps))
+        return _from_generator_values(modulus, (self,))
 
     def to_json(self) -> dict:
         return {
@@ -222,6 +221,18 @@ class DirichletCharacter:
         if "generators" in data and list(chi.generators) != list(data["generators"]):
             raise ValueError("generator convention mismatch in character data")
         return chi
+
+
+def _from_generator_values(modulus: int, chis) -> DirichletCharacter:
+    """The character mod `modulus` whose value at each unit is the product of
+    the chis' values there (every chi's modulus divides `modulus`)."""
+    gens, orders = unit_group_generators(modulus)
+    exps = []
+    for g, o in zip(gens, orders):
+        e = sum(chi.rational_exponent(g) for chi in chis) * o
+        assert e.denominator == 1, "exponent at a generator must be integral"
+        exps.append(int(e) % o)
+    return DirichletCharacter(modulus, tuple(exps))
 
 
 def trivial_character(q: int) -> DirichletCharacter:
@@ -243,17 +254,15 @@ def character_by_label(q: int, label: str) -> DirichletCharacter:
     if label in ("triv", "trivial", "1"):
         return trivial_character(q)
     if label == "quadratic":
-        quads = [
-            chi
-            for chi in enumerate_characters(q)
-            if not chi.is_trivial and chi == chi.conjugate()
-        ]
-        if len(quads) != 1:
+        # every generator order is even, so the real characters are the
+        # exponent vectors with entries in {0, o/2}: 2^r - 1 non-trivial ones
+        _, orders = unit_group_generators(q)
+        if len(orders) != 1:
             raise ValueError(
-                f"modulus {q} has {len(quads)} real non-trivial characters; "
+                f"modulus {q} has {2 ** len(orders) - 1} real non-trivial characters; "
                 "use an explicit index"
             )
-        return quads[0]
+        return DirichletCharacter(q, (orders[0] // 2,))
     try:
         idx = int(label)
     except ValueError:
@@ -267,23 +276,10 @@ def character_by_label(q: int, label: str) -> DirichletCharacter:
 def conductor(chi: DirichletCharacter) -> int:
     """Smallest f | q such that chi factors through a character mod f.
 
-    Checked exactly: f works iff chi(a) = 1 for every unit a = 1 (mod f).
+    Checked exactly: f works iff n(a) = 0 for every unit a = 1 (mod f).
     """
     q = chi.modulus
-    divisors = sorted(
-        d for d in range(1, q + 1) if q % d == 0
-    )
-    for f in divisors:
-        ok = True
-        for a in range(1, q + 1, f):
-            if math.gcd(a, q) != 1:
-                continue
-            if chi.rational_exponent(a) != 0:
-                ok = False
-                break
-        if ok:
-            return f
-    return q
+    return next(f for f in range(1, q + 1) if q % f == 0 and not np.any(chi._num[1::f] > 0))
 
 
 def gauss_sum(psi: DirichletCharacter) -> complex:

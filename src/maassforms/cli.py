@@ -260,10 +260,9 @@ def cmd_eval(args) -> int:
 
 def cmd_extract(args) -> int:
     form = forms.load_form(args.infile)
-    ev = lambda taus: forms.evaluate(form, taus)
     try:
         cp, cm = forms.extract_coefficients(
-            ev, form.weight, 1.0, 0.0, args.n, args.v0, args.v1, args.samples
+            forms.to_terms(form).eval, form.weight, 1.0, 0.0, args.n, args.v0, args.v1, args.samples
         )
     except forms.IllConditionedError as exc:
         _fail(str(exc), EXIT_CONDITIONING)

@@ -3,7 +3,11 @@ constant.  Brute-force checks are exhaustive at desk moduli."""
 
 import cmath
 import math
+import struct
+from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
 from maassforms.characters import (
@@ -59,10 +63,94 @@ class TestEnumeration:
                     assert abs(total) < 1e-9
 
     def test_unit_group_structure(self):
-        # generator orders multiply to phi(q) and enumerate each unit once
-        for q in (8, 15, 16, 24, 45, 56):
+        # generator orders multiply to phi(q) and prod g_i^{k_i} hits every
+        # unit exactly once
+        for q in (1, 2, 4, 8, 15, 16, 24, 45, 56, 97, 120):
             gens, orders = unit_group_generators(q)
             assert math.prod(orders) == euler_phi(q)
+            hits = [math.prod(pow(g, k, q) for g, k in zip(gens, ks)) % q
+                    for ks in product(*(range(o) for o in orders))]
+            assert sorted(hits) == [a % q for a in range(1, q + 1) if math.gcd(a, q) == 1]
+
+
+def oracle(chi, ks_list):
+    """The exact-Fraction construction, one unit at a time: the unit
+    a = prod g_i^{k_i} for each exponent vector ks, with r(a) in [0, 1) and
+    the value e^{2 pi i r(a)}."""
+    q, orders = chi.modulus, chi.gen_orders
+    out = {}
+    for ks in ks_list:
+        a = math.prod(pow(g, k, q) for g, k in zip(chi.generators, ks)) % q
+        r = sum(
+            (Fraction(e * k, o) for e, k, o in zip(chi.exponents, ks, orders)),
+            Fraction(0),
+        )
+        r -= math.floor(r)
+        out[a] = (r, cmath.exp(2j * math.pi * r))
+    return out
+
+
+def bits(z):
+    """The two doubles of z, so that == also tells the signs of zeros apart."""
+    return struct.pack("dd", z.real, z.imag)
+
+
+def assert_matches_oracle(chi, ks_list, non_units):
+    for a, (r, value) in oracle(chi, ks_list).items():
+        for n in (a, a - chi.modulus, a + chi.modulus):
+            assert chi.rational_exponent(n) == r
+            assert bits(chi(n)) == bits(value)
+    for a in non_units:
+        assert chi.rational_exponent(a) is None
+        assert bits(chi(a)) == bits(0j)
+
+
+class TestAgainstFractionOracle:
+    """The integer exponent tables against the exact-Fraction construction."""
+
+    def test_every_character_to_60(self):
+        for q in range(1, 61):
+            all_ks = list(product(*(range(o) for o in unit_group_generators(q)[1])))
+            non_units = [a for a in range(q) if math.gcd(a, q) != 1]
+            for chi in enumerate_characters(q):
+                table = oracle(chi, all_ks)
+                assert len(table) == euler_phi(q)
+                assert_matches_oracle(chi, all_ks, non_units)
+                assert chi.parity == (1 if table[(q - 1) % q][0] == 0 else -1)
+                f = min(
+                    f for f in range(1, q + 1)
+                    if q % f == 0 and all(r == 0 for a, (r, _) in table.items() if a % f == 1 % f)
+                )
+                assert chi.conductor == f
+
+    @pytest.mark.parametrize(
+        "m, q", [(4, 2**10), (3, 3**7), (5, 2700), (41, 7 * 41**2), (71, 11 * 71**2)]
+    )
+    def test_trivial_and_induced_quadratic_at_large_moduli(self, m, q):
+        # a seeded sample of units and non-units keeps the oracle cheap
+        rng = np.random.default_rng(q)
+        psi = character_by_label(m, "quadratic")
+        for chi, base in ((trivial_character(q), trivial_character(1)), (psi.induce(q), psi)):
+            ks_list = [tuple(int(rng.integers(o)) for o in chi.gen_orders) for _ in range(200)]
+            sample = rng.integers(0, q, 200).tolist()
+            assert_matches_oracle(chi, ks_list, [a for a in sample if math.gcd(a, q) != 1])
+            for a in sample:
+                if math.gcd(a, q) == 1:
+                    assert chi.rational_exponent(a) == base.rational_exponent(a)
+            assert chi.parity == base.parity and chi.conductor == base.modulus
+
+    def test_quadratic_label(self):
+        # the real characters of (Z/qZ)^* number its square roots of 1
+        for q in range(1, 300):
+            real = sum(1 for a in range(q) if math.gcd(a, q) == 1 and a * a % q == 1 % q)
+            if q < 60:
+                assert real == sum(1 for c in enumerate_characters(q) if c == c.conjugate())
+            if real == 2:
+                quad = character_by_label(q, "quadratic")
+                assert quad.modulus == q and quad == quad.conjugate() and not quad.is_trivial
+            else:
+                with pytest.raises(ValueError, match=f"has {real - 1} real non-trivial"):
+                    character_by_label(q, "quadratic")
 
 
 class TestConductor:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_random_form, random_tau
@@ -570,6 +570,27 @@ class TestTwist:
                 psi.conjugate()(u) * evaluate(f, tau + u / m) for u in range(1, m + 1)
             ) / taub
             assert abs(lhs - rhs) <= 1e-8
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 13, 71])
+    @pytest.mark.parametrize("level", [1, 7, 11])
+    @settings(max_examples=3)
+    @given(data=st.data())
+    def test_twist_back_by_the_conjugate(self, level, m, data):
+        # (f_psi)_{conj psi} is f on the n coprime to m and 0 elsewhere, at
+        # level N m^2 with the character of f induced there; 1e-15 is about
+        # 9 ulp: two complex products and the rounding of |psi(n)|^2 = 1
+        psis = [psi for psi in enumerate_characters(m) if psi.is_primitive]
+        psi = data.draw(st.sampled_from(psis))
+        f = make_random_form(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                             n_max=2 * m + 3, level=level)
+        back = twist(twist(f, psi), psi.conjugate())
+        assert back.level == level * m * m
+        assert back.character == f.character.induce(level * m * m)
+        assert back.c_minus_zero == 0
+        for got, want, start in ((back.c_plus, f.c_plus, 0), (back.c_minus, f.c_minus, 1)):
+            coprime = np.gcd(np.arange(start, start + len(want)), m) == 1
+            assert np.all(np.abs(got - want)[coprime] <= 1e-15 * np.abs(want)[coprime])
+            assert np.all(got[~coprime] == 0)
 
     def test_requires_primitive(self, rng):
         f = make_random_form(rng)

@@ -118,6 +118,13 @@ def _unit_logs(q: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=1 << 15)
+def _root(j: int, lam: int) -> complex:
+    """e^{2 pi i j / lam}, shared by the characters of every modulus with
+    this lam."""
+    return cmath.exp(2j * math.pi * Fraction(j, lam))
+
+
 class DirichletCharacter:
     """Dirichlet character mod q, identified by its exponent vector on the
     canonical generators: chi(g_i) = e^{2 pi i exponents_i / orders_i}.
@@ -144,7 +151,7 @@ class DirichletCharacter:
             num += (e * (lam // o)) * row
         self._num = np.where(logs[-1] == 1, num % lam, -1)
         nums = self._num.tolist()
-        roots = {j: cmath.exp(2j * math.pi * Fraction(j, lam)) for j in set(nums) if j >= 0}
+        roots = {j: _root(j, lam) for j in set(nums) if j >= 0}
         roots[-1] = 0.0 + 0.0j
         self._values = [roots[j] for j in nums]
         self._conductor: int | None = None

@@ -4,9 +4,11 @@ representatives for Eisenstein sums.
 
 All group computations are exact.  Matrices carry Fraction entries, since
 the slash action also takes rational matrices such as T^{u/m} or the Fricke
-involution; the coset enumeration behind the Eisenstein sums works in plain
-integers and builds a RationalMatrix only when a representative is indexed.
-Floats only enter through the slash action on the upper half-plane.
+involution; cusp widths and parameters are read from the scaling matrix's
+integer entries, and the coset enumeration behind the Eisenstein sums runs
+over the whole box of rows at once in int64 numpy (guarded against overflow)
+and builds a RationalMatrix only when a representative is indexed.  Floats
+only enter through the slash action on the upper half-plane.
 """
 
 from __future__ import annotations
@@ -191,21 +193,22 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def cusp_width(level: int, rho: Cusp) -> int:
-    """Least h >= 1 with gamma_rho T^h gamma_rho^{-1} in Gamma_0(N)."""
-    inv = rho.scaling.inverse()
-    for h in range(1, level + 1):
-        if (rho.scaling @ translation(h) @ inv).in_gamma0(level):
-            return h
-    raise RuntimeError("width not found below the level")  # unreachable
+    """Least h >= 1 with gamma_rho T^h gamma_rho^{-1} in Gamma_0(N).  That
+    matrix is [[1 - h a c, h a^2], [-h c^2, 1 + h a c]] for the first column
+    (a, c) of gamma_rho, so h = N / gcd(c^2, N)."""
+    _, _, c_r, _ = _sl2_entries(rho.scaling)
+    return level // math.gcd(c_r * c_r, level)
 
 
 def cusp_parameter(level: int, chi: DirichletCharacter, rho: Cusp) -> float:
     """kappa in [0, 1) with e^{2 pi i kappa} = chi(d) for the width generator
-    g_rho = gamma_rho T^{width} gamma_rho^{-1}."""
-    g = rho.scaling @ translation(rho.width) @ rho.scaling.inverse()
-    r = chi.rational_exponent(int(g.d))
+    g_rho = gamma_rho T^{width} gamma_rho^{-1}, whose d-entry is
+    1 + width a c for the first column (a, c) of gamma_rho."""
+    a_r, _, c_r, _ = _sl2_entries(rho.scaling)
+    d = 1 + rho.width * a_r * c_r
+    r = chi.rational_exponent(d)
     if r is None:
-        raise ValueError(f"character vanishes at d = {int(g.d)}; invalid cusp data")
+        raise ValueError(f"character vanishes at d = {d}; invalid cusp data")
     return float(r)
 
 
@@ -299,42 +302,61 @@ class CosetReps(Sequence):
         )
 
 
+def _euclid_lift(d: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of _ext_gcd(d, -c) for every row at once: the same quotient
+    sequence run over all rows together (numpy's // floors like Python's), each
+    row stopping when its remainder reaches 0."""
+    old_r, r = d.copy(), -c
+    old_x, x = np.ones_like(d), np.zeros_like(d)
+    old_y, y = np.zeros_like(d), np.ones_like(d)
+    live = np.flatnonzero(r)
+    while live.size:
+        q = old_r[live] // r[live]
+        for old, new in ((old_r, r), (old_x, x), (old_y, y)):
+            old[live], new[live] = new[live], old[live] - q * new[live]
+        live = live[r[live] != 0]
+    sign = np.where(old_r < 0, -1, 1)
+    return sign * old_x, sign * old_y
+
+
 def coset_reps(level: int, rho: Cusp, bound: int) -> CosetReps:
     """One representative per coset of Gamma_rho \\ Gamma_0(N) among matrices
     g whose row (c, d) of gamma_rho^{-1} g has max(|c|, |d|) <= bound, sorted
     by (max(|c|, |d|), |c|, |d|, c, d).
 
     Cosets biject with bottom rows of gamma_rho^{-1} Gamma_0(N) up to sign;
-    each normalized coprime row is lifted by extended Euclid to
-    h0 = [[x, y], [c, d]], and the T^j ambiguity (j mod width) is resolved in
-    integers: gamma_rho T^j h0 lies in Gamma_0(N) iff its lower-left entry
-    c_rho x + (c_rho j + d_rho) c is 0 mod N.
+    every normalized coprime row of the box is lifted at once, in int64 numpy,
+    by extended Euclid to h0 = [[x, y], [c, d]], and the T^j ambiguity (j mod
+    width) is resolved in integers: gamma_rho T^j h0 lies in Gamma_0(N) iff
+    its lower-left entry c_rho x + (c_rho j + d_rho) c is 0 mod N, tested for
+    all rows per j.  An up-front bound in Python ints raises OverflowError
+    where the d-entries c_rho y + d_rho d could leave int64.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     scaling = _sl2_entries(rho.scaling)
     _, _, c_r, d_r = scaling
-    found = []
-    for c in range(0, bound + 1):
-        d_range = range(1, bound + 1) if c == 0 else range(-bound, bound + 1)
-        for d in d_range:
-            if math.gcd(c, d) != 1:
-                continue
-            _, x, y = _ext_gcd(d, -c)
-            # lower-left entry of gamma_rho T^j h0, mod N, stepping j
-            low, step = (c_r * x + d_r * c) % level, c_r * c % level
-            for j in range(rho.width):
-                if low == 0:
-                    # T^j h0 = [[x + j c, y + j d], [c, d]]; g.d = c_rho (y + j d) + d_rho d
-                    x, y = x + j * c, y + j * d
-                    key = (max(abs(c), abs(d)), abs(c), abs(d), c, d)
-                    found.append((*key, x, y, c_r * y + d_r * d))
-                    break
-                low = (low + step) % level
-    found.sort()
-    # int64 conversion raises OverflowError rather than wrapping
-    table = np.array(found, dtype=np.int64).reshape(-1, 8)
-    return CosetReps(scaling, table[:, 5:7].copy(), table[:, 3:5].copy(), table[:, 7].copy())
+    # |y| <= width * bound and |d| <= bound bound every d-entry c_rho y + d_rho d
+    if bound * (abs(c_r) * rho.width + abs(d_r)) > np.iinfo(np.int64).max:
+        raise OverflowError(f"scaling entries of {rho.label()} overflow int64 at bound {bound}")
+    c, d = np.meshgrid(np.arange(bound + 1), np.arange(-bound, bound + 1), indexing="ij")
+    keep = (np.gcd(c, d) == 1) & ((c > 0) | (d > 0))
+    c, d = c[keep], d[keep]
+    x, y = _euclid_lift(d, c)
+    # lower-left entry of gamma_rho T^j h0, mod N, stepping j
+    low, step = (c_r % level * x + d_r % level * c) % level, c_r % level * c % level
+    shift = np.full(len(c), -1)
+    for j in range(rho.width):
+        shift[(shift < 0) & ((low + j * step) % level == 0)] = j
+    hit = shift >= 0
+    c, d, j = c[hit], d[hit], shift[hit]
+    # T^j h0 = [[x + j c, y + j d], [c, d]]; g.d = c_rho (y + j d) + d_rho d
+    x, y = x[hit] + j * c, y[hit] + j * d
+    order = np.lexsort((d, c, np.abs(d), np.abs(c), np.maximum(np.abs(c), np.abs(d))))
+    c, d, x, y = c[order], d[order], x[order], y[order]
+    return CosetReps(
+        scaling, np.stack([x, y], axis=1), np.stack([c, d], axis=1), c_r * y + d_r * d
+    )
 
 
 def bottom_row(rho: Cusp, g: RationalMatrix) -> tuple[int, int]:

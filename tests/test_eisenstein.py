@@ -6,10 +6,12 @@ probed by doubling the bound.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from maassforms import eisenstein
 from maassforms.characters import trivial_character
 from maassforms.eisenstein import (
     coset_tail_estimate,
@@ -21,7 +23,7 @@ from maassforms.eisenstein import (
     harmonic_eisenstein_level_one,
 )
 from maassforms.forms import evaluate, shadow
-from maassforms.modgroup import coset_reps, cusps
+from maassforms.modgroup import RationalMatrix, coset_reps, cusps
 
 TRIV1 = trivial_character(1)
 INF1 = cusps(1)[0]
@@ -254,6 +256,125 @@ class TestFExpansion:
         m = np.array(rows)
         rank = np.linalg.matrix_rank(m, tol=1e-3 * np.abs(m).max())
         assert rank == len(cs) == dim_eisenstein(level, chi)
+
+
+def one_shot(rows, charvals, flat, k, prefix):
+    """The rows x points lift summands the chunked coset sum replaced,
+    charvals w^{-k} |w|^{2k-2} with w = c tau + d, summed at once: (terms,
+    sum over all rows, sum over the first prefix rows)."""
+    w = rows[:, 0].reshape(-1, 1) * flat + rows[:, 1].reshape(-1, 1)
+    mod2 = (w * np.conj(w)).real
+    terms = charvals.reshape(-1, 1) * w ** (-k) * mod2 ** (k - 1)
+    return terms, terms.sum(axis=0), terms[:prefix].sum(axis=0)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def level7_rows():
+    """Rows of the cusp 0 of level 7 at bound 20 (457 of them), with
+    unit-modulus character values of random phase, and their bound//2 prefix."""
+    rows = eisenstein._coset_rows(7, trivial_character(7), cusps(7)[1], 20)[0]
+    charvals = np.exp(2j * np.pi * np.random.default_rng(11).random(len(rows)))
+    half = int(np.searchsorted(np.abs(rows).max(axis=1), 10, side="right"))
+    return rows, charvals, half
+
+
+def sample_points(count, seed=3):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1.0, 1.0, count) + 1j * rng.uniform(0.05, 2.0, count)
+
+
+class TestCosetSum:
+    @pytest.mark.parametrize("points", [2, 7, 256])
+    @pytest.mark.parametrize(
+        "chunk_rows, chunk_points, prefix",
+        [
+            (3, 4, 0),  # a prefix of no rows
+            (3, 4, 30),  # a chunk edge at the prefix
+            (3, 256, 31),  # the prefix inside a chunk
+            (3, 4, "half"),  # the bound//2 prefix
+            ("half", 256, "half"),  # a chunk edge exactly at the bound//2 prefix
+            (None, None, "half"),  # the module's own chunk sizes
+            (3, 4, "all"),
+        ],
+    )
+    def test_chunked_sum_equals_the_one_shot_sum(
+        self, monkeypatch, level7_rows, points, chunk_rows, chunk_points, prefix
+    ):
+        rows, charvals, half = level7_rows
+        sizes = {"half": half, "all": len(rows)}
+        prefix = sizes.get(prefix, prefix)
+        if chunk_rows is not None:
+            monkeypatch.setattr(eisenstein, "_CHUNK_ROWS", sizes.get(chunk_rows, chunk_rows))
+            monkeypatch.setattr(eisenstein, "_CHUNK_POINTS", chunk_points)
+        assert 0 < half < len(rows) and eisenstein._CHUNK_ROWS < len(rows)
+        taus = sample_points(points)
+        for k in (-1, -2, -3):
+            _, full, head = one_shot(rows, charvals, taus, k, prefix)
+            got_full, got_head = eisenstein._coset_sum(rows, charvals, taus, -k, k - 1, prefix)
+            assert same_bits(got_full, full)
+            assert same_bits(got_head, head)
+
+    @pytest.mark.parametrize("chunk_rows, chunk_points", [(3, 4), (None, None)])
+    def test_eisenstein_summands_without_the_modulus_factor(
+        self, monkeypatch, level7_rows, chunk_rows, chunk_points
+    ):
+        rows, charvals, _ = level7_rows
+        if chunk_rows is not None:
+            monkeypatch.setattr(eisenstein, "_CHUNK_ROWS", chunk_rows)
+            monkeypatch.setattr(eisenstein, "_CHUNK_POINTS", chunk_points)
+        taus = sample_points(7)
+        w = rows[:, 0].reshape(-1, 1) * taus + rows[:, 1].reshape(-1, 1)
+        for k in (-1, -2):
+            want = (charvals.reshape(-1, 1) * w ** (k - 2)).sum(axis=0)
+            assert same_bits(eisenstein._coset_sum(rows, charvals, taus, k - 2)[0], want)
+
+    def test_a_lone_point_does_not_depend_on_its_batch(self):
+        # numpy sums one column pairwise, so a lone point is summed in coset
+        # order like every batch: its value is its value in a batch, bit for
+        # bit, and it moves from the one-shot pairwise sum by at most
+        # 1e-14 sum |term| at bound 60
+        rows, charvals = eisenstein._coset_rows(1, TRIV1, INF1, 60)
+        taus = sample_points(40, seed=5)
+        batch_f = f_series(1, TRIV1, -2, INF1, taus, 60)
+        batch_e = eisenstein_series(1, TRIV1, -2, INF1, taus, 60)
+        for i, tau in enumerate(taus):
+            assert f_series(1, TRIV1, -2, INF1, tau, 60) == batch_f[i]
+            assert eisenstein_series(1, TRIV1, -2, INF1, tau, 60) == batch_e[i]
+            terms, full, _ = one_shot(rows, charvals, taus[i : i + 1], -2, 0)
+            got = eisenstein._coset_sum(rows, charvals, taus[i : i + 1], 2, -3)[0]
+            assert abs(got[0] - full[0]) <= 1e-14 * np.abs(terms).sum()
+
+    def test_no_rational_arithmetic_on_the_lift_path(self, monkeypatch):
+        # cusp data and coset enumeration read integer entries only
+        rho = cusps(10)[2]
+        chi = trivial_character(10)
+        eisenstein._coset_rows.cache_clear()
+
+        def refuse(*args):
+            raise AssertionError("RationalMatrix product on the lift path")
+
+        monkeypatch.setattr(RationalMatrix, "__matmul__", refuse)
+        form = f_expansion(10, chi, -2, rho, 4, bound=30)
+        assert np.all(np.isfinite(form.c_plus))
+
+    def test_memory_is_bounded(self):
+        # 256 points at bound 200: the rows x points layout held about 48,900
+        # rows x 256 x 16 B = 200 MB per temporary (803 MB traced peak); the
+        # chunked sum, coset enumeration included, peaked at 6.0 MB traced
+        eisenstein._coset_rows.cache_clear()
+        taus = sample_points(256)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            f_series(1, TRIV1, -2, INF1, taus, 200)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
 
 class TestDimension:

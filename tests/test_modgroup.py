@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import make_random_form
-from maassforms.characters import character_by_label, trivial_character
+from maassforms.characters import character_by_label, enumerate_characters, trivial_character
 from maassforms.forms import to_terms
 from maassforms.modgroup import (
     Cusp,
@@ -387,3 +387,75 @@ class TestIntegerEnumerator:
         with pytest.raises(ValueError):
             reps.rows[0, 0] = 0
 
+
+
+def rational_cusp_width(level, rho):
+    """The conjugation loop cusp_width replaced: the least h with
+    gamma_rho T^h gamma_rho^{-1} in Gamma_0(N), in Fraction matrices."""
+    inv = rho.scaling.inverse()
+    for h in range(1, level + 1):
+        if (rho.scaling @ translation(h) @ inv).in_gamma0(level):
+            return h
+    raise AssertionError("no width below the level")
+
+
+def rational_cusp_parameter(level, chi, rho):
+    """The Fraction-matrix cusp_parameter replaced: chi at the d-entry of
+    gamma_rho T^width gamma_rho^{-1}, or None where chi vanishes."""
+    g = rho.scaling @ translation(rho.width) @ rho.scaling.inverse()
+    r = chi.rational_exponent(int(g.d))
+    return None if r is None else float(r)
+
+
+def shifted(rho, m):
+    return dataclasses.replace(rho, scaling=rho.scaling @ translation(rho.width * m))
+
+
+def integer_parameter(level, chi, rho):
+    try:
+        return cusp_parameter(level, chi, rho)
+    except ValueError:
+        return None
+
+
+class TestIntegerCuspData:
+    def test_widths_match_the_conjugation_loop(self):
+        for level in range(1, 200):
+            for rho in cusps(level):
+                assert rho.width == cusp_width(level, rho) == rational_cusp_width(level, rho)
+                if level < 40:
+                    for m in (-2, 3):
+                        assert cusp_width(level, shifted(rho, m)) == rho.width
+
+    def test_parameters_match_the_conjugation_loop(self):
+        # every character mod N < 25 at default and shifted scalings, and
+        # the quadratic character of each modulus below 200 that has just one
+        chars = [chi for q in range(1, 25) for chi in enumerate_characters(q)]
+        for q in range(25, 200):
+            try:
+                chars.append(character_by_label(q, "quadratic"))
+            except ValueError:
+                pass
+        assert sum(not chi.is_trivial for chi in chars) > 200
+        for chi in chars:
+            level = chi.modulus
+            for rho in cusps(level):
+                for r in (rho, shifted(rho, -1), shifted(rho, 5))[: 3 if level < 25 else 1]:
+                    want = rational_cusp_parameter(level, chi, r)
+                    assert integer_parameter(level, chi, r) == want
+                    if want is not None:
+                        assert cusps(level, chi)[cusps(level).index(rho)].kappa == want
+
+    def test_coset_reps_refuse_int64_overflow(self):
+        # gamma_rho T^{7m} at the cusp 0 of level 7 has d-entry 7m: at
+        # 7m ~ 2^58 every entry fits in int64, while the d-entries
+        # c_rho y + d_rho d of the representatives reach 60 * 2^58 > 2^63
+        rho = cusps(7)[1]
+        big = shifted(rho, 2**58 // 7)
+        assert max(abs(int(e)) for e in big.scaling.entries()) < 2**63
+        with pytest.raises(OverflowError):
+            coset_reps(7, big, 60)
+        # at m = 2^40 the products fit and every entry is exact
+        reps = coset_reps(7, shifted(rho, 2**40), 60)
+        assert reps.d.tolist() == [int(g.d) for g in reps]
+        assert max(abs(v) for v in reps.d.tolist()) > 2**45

@@ -2,7 +2,7 @@
 
 Submodules:
     specfun     complex gamma, integer-order incomplete gamma, the Mellin
-                kernel W_nu and vertical-line Mellin inversion
+                kernel W_nu and the one vertical-line Mellin inversion rule
     characters  Dirichlet characters as integer exponent tables, Gauss sums,
                 and the twist constant
     modgroup    rational 2x2 matrices, slash action, Gamma_0(N) cusp data
@@ -14,7 +14,7 @@ Submodules:
                 dimension formula
     lseries     completed Dirichlet series, analytic continuation,
                 functional-equation residuals, twists, and inverse-Mellin
-                reconstruction
+                reconstruction on specfun's line rule
     cli         the `maassforms` command-line tool
 """
 

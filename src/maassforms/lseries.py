@@ -11,8 +11,9 @@ satisfy, for a Fricke pair g = f|_k omega(N), the functional equations
 Lambda_N(f,s) = i^k Lambda_N(g,k-s) and Omega_N(f,s) = -i^k Omega_N(g,k-s).
 Analytic continuation is computed from the incomplete Mellin representation
 on [1, T] (the integrand decays like e^{-2 pi t / sqrt N}), with the four
-simple pole terms restored explicitly; the converse direction inverts
-Lambda along a vertical line.
+simple pole terms restored explicitly; Lambda and Omega share one body for
+each step.  The converse direction inverts Lambda along a vertical line with
+specfun.invert_on_line, the rule that also inverts W_nu.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .characters import DirichletCharacter, _prime_factors, c_psi
 from .forms import FormExpansion, to_terms, twist
-from .specfun import QuadratureError, gamma_complex, gauss_legendre_panels, w_nu
+from .specfun import gamma_complex, gauss_legendre_panels, invert_on_line, w_nu
 
 __all__ = [
     "UncertifiedRegionWarning",
@@ -77,7 +78,7 @@ def _series_tail(form: FormExpansion, sigma: float) -> float:
     return c * m ** (a + 1 - sigma) / (sigma - a - 1)
 
 
-def _check_certified(form: FormExpansion, s: complex, what: str):
+def _l_series(form: FormExpansion, coeffs: np.ndarray, s: complex, full_output: bool, what: str):
     if s.real <= form.alpha + 1:
         warnings.warn(
             f"{what} at Re(s) = {s.real} is outside the certified half-plane "
@@ -85,24 +86,20 @@ def _check_certified(form: FormExpansion, s: complex, what: str):
             UncertifiedRegionWarning,
             stacklevel=3,
         )
+    val = _dirichlet_sum(coeffs, s)
+    if full_output:
+        return val, {"tail_bound": _series_tail(form, s.real)}
+    return val
 
 
 def l_plus(form: FormExpansion, s: complex, full_output: bool = False):
     """L+(f,s) = sum c+(n)/n^s, truncated at n_max with a growth-based tail."""
-    _check_certified(form, s, "L+")
-    val = _dirichlet_sum(form.c_plus[1:], s)
-    if full_output:
-        return val, {"tail_bound": _series_tail(form, s.real)}
-    return val
+    return _l_series(form, form.c_plus[1:], s, full_output, "L+")
 
 
 def l_minus(form: FormExpansion, s: complex, full_output: bool = False):
     """L-(f,s) = sum c-(-n)/n^s, truncated at n_max."""
-    _check_certified(form, s, "L-")
-    val = _dirichlet_sum(form.c_minus, s)
-    if full_output:
-        return val, {"tail_bound": _series_tail(form, s.real)}
-    return val
+    return _l_series(form, form.c_minus, s, full_output, "L-")
 
 
 def _kernel(level: int, s: complex) -> complex:
@@ -273,9 +270,11 @@ def _mellin_piece(
     return _unbatch(out, shape)
 
 
-def lambda_star(pair: FrickePair, s, T: float | None = None):
-    """The entire pole-corrected completion: both incomplete Mellin integrals
-    of the pair on [1, T].  Finite for every s.
+def _star(pair: FrickePair, s, T: float | None, omega: bool):
+    """The entire pole-corrected completion of Lambda (of Omega when omega
+    is set): the incomplete Mellin integrals on [1, T] of f and g (of H and
+    I for Omega, with the constants scaled by k), joined with relative sign
+    i^k (-i^k for Omega).  Finite for every s.
 
     s is a complex number or an array of them; an array gives an array of
     the same shape, each value equal to its lone-point value (see
@@ -283,77 +282,65 @@ def lambda_star(pair: FrickePair, s, T: float | None = None):
     if T is None:
         T = pair.T_default
     k = pair.weight
+    consts = (pair.c_f_plus0, pair.c_f_minus0, pair.c_g_plus0, pair.c_g_minus0)
+    if omega:
+        consts = tuple(k * c for c in consts)
+    f_eval, g_eval = (pair.h_eval, pair.i_eval) if omega else (pair.f_eval, pair.g_eval)
     pts, shape = _batch(s)
-    i1 = _mellin_piece(pair.f_eval, pair.c_f_plus0, pair.c_f_minus0, pair.level, k, pts, T)
-    i2 = _mellin_piece(pair.g_eval, pair.c_g_plus0, pair.c_g_minus0, pair.level, k, k - pts, T)
+    i1 = _mellin_piece(f_eval, consts[0], consts[1], pair.level, k, pts, T).tolist()
+    i2 = _mellin_piece(g_eval, consts[2], consts[3], pair.level, k, k - pts, T).tolist()
     ik = _i_pow(k)
-    return _unbatch([a + ik * b for a, b in zip(i1.tolist(), i2.tolist())], shape)
+    if omega:
+        return _unbatch([a - ik * b for a, b in zip(i1, i2)], shape)
+    return _unbatch([a + ik * b for a, b in zip(i1, i2)], shape)
 
 
-def _pole_terms(pair: FrickePair, s: complex, omega_sign: bool = False) -> complex:
-    k = pair.weight
-    ik = _i_pow(k)
-    nfac = pair.level ** ((1 - k) / 2.0)
-    sgn = -1.0 if omega_sign else 1.0
-    return (
-        pair.c_f_plus0 / s
-        + sgn * pair.c_g_plus0 * ik / (k - s)
-        + pair.c_f_minus0 / nfac / (s - k + 1)
-        + sgn * pair.c_g_minus0 * ik / nfac / (1 - s)
-    )
-
-
-def _guarded(pair: FrickePair, s) -> tuple[list[complex], tuple | None]:
-    """_batch with the points as Python complex numbers; ValueError if one is
-    a pole."""
+def _continued(pair: FrickePair, s, T: float | None, omega: bool):
+    """_star minus the four simple pole terms (scaled by k, with the g-side
+    terms negated, for Omega); ValueError if a point of the batch is a
+    pole."""
     flat, shape = _batch(s)
     pts, k = flat.tolist(), pair.weight
     for z in pts:
         for p in (0.0, float(k), 1.0, float(k - 1)):
             if abs(z - p) < 1e-12:
                 raise ValueError(
-                    f"s = {z} is a pole of the completed series; probe lambda_star instead"
+                    f"s = {z} is a pole of the completed series; probe lambda_star/omega_star"
                 )
-    return pts, shape
+    ik, nfac = _i_pow(k), pair.level ** ((1 - k) / 2.0)
+    sgn = -1.0 if omega else 1.0
+    out = []
+    for a, z in zip(np.ravel(_star(pair, s, T, omega)).tolist(), pts):
+        poles = (
+            pair.c_f_plus0 / z
+            + sgn * pair.c_g_plus0 * ik / (k - z)
+            + pair.c_f_minus0 / nfac / (z - k + 1)
+            + sgn * pair.c_g_minus0 * ik / nfac / (1 - z)
+        )
+        out.append(a - k * poles if omega else a - poles)
+    return _unbatch(out, shape)
 
 
-def lambda_continued(pair: FrickePair, s, T: float | None = None):
-    """Lambda_N(f, s) for arbitrary s (away from the four simple poles),
-    via lambda_star minus the pole terms.  Agrees with lambda_definitional
-    on the certified half-plane.  Vectorised over s like lambda_star; a pole
-    anywhere in the batch raises ValueError."""
-    pts, shape = _guarded(pair, s)
-    star = np.ravel(lambda_star(pair, s, T)).tolist()
-    return _unbatch([a - _pole_terms(pair, z) for a, z in zip(star, pts)], shape)
+def lambda_star(pair: FrickePair, s, T: float | None = None):
+    """The entire completion of Lambda (see _star); vectorised over s."""
+    return _star(pair, s, T, omega=False)
 
 
 def omega_star(pair: FrickePair, s, T: float | None = None):
-    """Entire completion of Omega: H/I incomplete Mellin integrals with the
-    constants scaled by k and relative sign -i^k.  Vectorised over s like
-    lambda_star."""
-    if T is None:
-        T = pair.T_default
-    k = pair.weight
-    pts, shape = _batch(s)
-    i1 = _mellin_piece(
-        pair.h_eval, k * pair.c_f_plus0, k * pair.c_f_minus0, pair.level, k, pts, T
-    )
-    i2 = _mellin_piece(
-        pair.i_eval, k * pair.c_g_plus0, k * pair.c_g_minus0, pair.level, k, k - pts, T
-    )
-    ik = _i_pow(k)
-    return _unbatch([a - ik * b for a, b in zip(i1.tolist(), i2.tolist())], shape)
+    """The entire completion of Omega (see _star); vectorised over s."""
+    return _star(pair, s, T, omega=True)
+
+
+def lambda_continued(pair: FrickePair, s, T: float | None = None):
+    """Lambda_N(f, s) for arbitrary s away from the four simple poles;
+    agrees with lambda_definitional on the certified half-plane.
+    Vectorised over s like lambda_star."""
+    return _continued(pair, s, T, omega=False)
 
 
 def omega_continued(pair: FrickePair, s, T: float | None = None):
-    """Omega_N(f, s) for arbitrary s away from the poles.  Vectorised over s
-    like lambda_continued."""
-    pts, shape = _guarded(pair, s)
-    star = np.ravel(omega_star(pair, s, T)).tolist()
-    k = pair.weight
-    return _unbatch(
-        [a - k * _pole_terms(pair, z, omega_sign=True) for a, z in zip(star, pts)], shape
-    )
+    """Omega_N(f, s) for arbitrary s away from the poles; vectorised over s."""
+    return _continued(pair, s, T, omega=True)
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +499,18 @@ def _twisted_sides(
     return pair_f, pair_g, cpsi
 
 
+def _twisted(form_f, form_g, chi, psi, level, k, s, T, omega: bool):
+    if k != form_f.weight:
+        raise ValueError("k must equal the weight of the forms")
+    pair_f, pair_g, cpsi = _twisted_sides(form_f, form_g, chi, psi, level)
+    continued = omega_continued if omega else lambda_continued
+    v_f = continued(pair_f, s, T)
+    v_g = continued(pair_g, k - s, T)
+    if omega:
+        return v_f, v_g, abs(v_f + _i_pow(k) * cpsi * v_g)
+    return v_f, v_g, abs(v_f - _i_pow(k) * cpsi * v_g)
+
+
 def twisted_lambda(
     form_f: FormExpansion,
     form_g: FormExpansion,
@@ -529,13 +528,7 @@ def twisted_lambda(
     level N m^2, so the residual genuinely tests the twisted pair relation
     including the constant C_psi.
     """
-    if k != form_f.weight:
-        raise ValueError("k must equal the weight of the forms")
-    pair_f, pair_g, cpsi = _twisted_sides(form_f, form_g, chi, psi, level)
-    lam_f = lambda_continued(pair_f, s, T)
-    lam_g = lambda_continued(pair_g, k - s, T)
-    residual = abs(lam_f - _i_pow(k) * cpsi * lam_g)
-    return lam_f, lam_g, residual
+    return _twisted(form_f, form_g, chi, psi, level, k, s, T, omega=False)
 
 
 def twisted_omega(
@@ -550,13 +543,7 @@ def twisted_omega(
 ) -> tuple[complex, complex, float]:
     """Twisted Omega values and the residual of
     Omega_N(f,s,psi) = -i^k C_psi Omega_N(g,k-s,psibar)."""
-    if k != form_f.weight:
-        raise ValueError("k must equal the weight of the forms")
-    pair_f, pair_g, cpsi = _twisted_sides(form_f, form_g, chi, psi, level)
-    om_f = omega_continued(pair_f, s, T)
-    om_g = omega_continued(pair_g, k - s, T)
-    residual = abs(om_f + _i_pow(k) * cpsi * om_g)
-    return om_f, om_g, residual
+    return _twisted(form_f, form_g, chi, psi, level, k, s, T, omega=True)
 
 
 # ---------------------------------------------------------------------------
@@ -579,33 +566,13 @@ def reconstruct_from_lambda(
     decays like the gamma kernels, so height ~ 40 already saturates double
     precision for |log t| of order one.
 
-    lambda_eval must be vectorised: it is called once, on the array of all
-    quadrature nodes s (the 12-node rule and its 6-node refinement), and
-    its result is broadcast to that array's shape, so a constant works too.
-    lambda s: lambda_continued(pair, s) is such a callable.
+    This is specfun.invert_on_line with fn = lambda_eval, x = t: lambda_eval
+    is called once, on all quadrature nodes, and the call raises
+    QuadratureError when the 6-node refinement moves the value by more than
+    1e-4 |value| + 1e-15.  lambda s: lambda_continued(pair, s) is such a
+    callable; level and k are not read.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0")
-    npanels = max(2, int(math.ceil(2.0 * height)))
-    ys, ws = gauss_legendre_panels(-height, height, npanels, 12)
-    # refinement estimate with half the nodes per panel
-    ys2, ws2 = gauss_legendre_panels(-height, height, npanels, 6)
-    svals, svals2 = beta1 + 1j * ys, beta1 + 1j * ys2
-    nodes = np.concatenate([svals, svals2])
-    lam_all = np.broadcast_to(np.asarray(lambda_eval(nodes), dtype=complex), nodes.shape)
-    lam, lam2 = lam_all[: len(ys)], lam_all[len(ys) :]
-    integrand = t ** (-svals) * lam
-    value = complex(np.sum(ws * integrand) / (2.0 * math.pi))
-    coarse = complex(np.sum(ws2 * t ** (-svals2) * lam2) / (2.0 * math.pi))
-    est = abs(value - coarse)
-    tail = abs(lam[-1]) * t ** (-beta1)  # endpoint magnitude as tail scale
-    if est > 1e-3 * max(1.0, abs(value)):
-        raise QuadratureError(
-            f"line reconstruction unresolved: refinement moves the value by {est:.3e}"
-        )
-    if full_output:
-        return value, {"refinement_error": est, "tail_scale": tail}
-    return value
+    return invert_on_line(lambda_eval, t, beta1, height, full_output)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maassforms.characters import (
     DirichletCharacter,
@@ -24,6 +26,52 @@ from maassforms.characters import (
 
 def euler_phi(q: int) -> int:
     return sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)
+
+
+@st.composite
+def characters_mod(draw, q=None):
+    """A random character mod q (q drawn up to 400 when not given)."""
+    q = draw(st.integers(1, 400)) if q is None else q
+    _, orders = unit_group_generators(q)
+    return DirichletCharacter(q, tuple(draw(st.integers(0, o - 1)) for o in orders))
+
+
+class TestRandomModuli:
+    @given(st.data())
+    def test_orthogonality(self, data):
+        chi1 = data.draw(characters_mod())
+        q = chi1.modulus
+        chi2 = data.draw(characters_mod(q))
+        # sum_a chi1(a) conj chi2(a) = phi(q) [chi1 = chi2]
+        tot = sum(chi1(a) * chi2(a).conjugate() for a in range(q))
+        want = euler_phi(q) if chi1 == chi2 else 0.0
+        assert abs(tot - want) <= 1e-10 * q
+        # sum_chi chi(a) conj chi(b) = phi(q) [a = b mod q] for units a, b
+        units = [u for u in range(q) if math.gcd(u, q) == 1]
+        a = data.draw(st.sampled_from(units))
+        b = data.draw(st.sampled_from(units))
+        tot = sum(chi(a) * chi(b).conjugate() for chi in enumerate_characters(q))
+        want = euler_phi(q) if a == b else 0.0
+        assert abs(tot - want) <= 1e-10 * q
+
+    @given(st.data())
+    def test_multiplicativity(self, data):
+        chi = data.draw(characters_mod())
+        q = chi.modulus
+        a, b = data.draw(st.integers(-10**6, 10**6)), data.draw(st.integers(-10**6, 10**6))
+        assert (chi(a) == 0) == (math.gcd(a, q) != 1)
+        ra, rb = chi.rational_exponent(a), chi.rational_exponent(b)
+        rab = chi.rational_exponent(a * b)
+        if ra is None or rb is None:
+            assert rab is None and chi(a * b) == 0
+        else:
+            # exact in the exponents, and to rounding in the values
+            assert rab == (ra + rb) % 1
+            assert abs(chi(a * b) - chi(a) * chi(b)) <= 1e-12
+        assert chi(a) == chi(a + q)
+        # the product of two characters mod q evaluates as the product
+        psi = data.draw(characters_mod(q))
+        assert abs((chi * psi)(a) - chi(a) * psi(a)) <= 1e-12
 
 
 class TestEnumeration:

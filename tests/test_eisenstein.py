@@ -419,6 +419,25 @@ class TestReferenceExpansion:
         # through test_matches_coset_sum_with_bound_scaling
         assert ref.c_plus[0] == pytest.approx(-0.290761347021876, rel=1e-12)
 
+    def test_sieve_matches_divisor_loop(self):
+        # oracle: sigma_3(n) from one divisor loop per n, fed through the
+        # closed-form expressions in Python floats; the sieve must give the
+        # same bits
+        n_max = 2000
+        pi3 = math.pi**3
+        s3 = [sum(d**3 for d in range(1, n + 1) if n % d == 0) for n in range(1, n_max + 1)]
+        want_e4 = [1.0] + [240.0 * s for s in s3]
+        want_plus = [-15.0 / (2.0 * pi3) * s / n**3 for n, s in enumerate(s3, 1)]
+        want_minus = [-15.0 / (4.0 * pi3) * s / n**3 for n, s in enumerate(s3, 1)]
+        assert eisenstein_level_one_coefficients(n_max).tolist() == want_e4
+        ref = harmonic_eisenstein_level_one(n_max)
+        assert ref.c_plus[1:].real.tolist() == want_plus
+        assert ref.c_minus.real.tolist() == want_minus
+        assert not ref.c_plus.imag.any() and not ref.c_minus.imag.any()
+        for n in (1, 2, 7):
+            assert eisenstein_level_one_coefficients(n).tolist() == want_e4[: n + 1]
+            assert harmonic_eisenstein_level_one(n).c_minus.real.tolist() == want_minus[:n]
+
     def test_own_fricke_partner(self):
         # at level 1 the lift is fixed by the Fricke slash: f(i/t) t^{-2}-ish
         ref = harmonic_eisenstein_level_one(60)

@@ -8,19 +8,23 @@ independent cross-check at their own accuracy floor.
 import cmath
 import json
 import math
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import make_random_form, random_tau
 from maassforms.characters import (
+    DirichletCharacter,
     character_by_label,
     enumerate_characters,
     gauss_sum,
     trivial_character,
+    unit_group_generators,
 )
 from maassforms.forms import (
     _POINT_BLOCK,
@@ -671,7 +675,60 @@ class TestExtraction:
         assert info["condition"] >= 1.0
 
 
+# awkward doubles a JSON round trip must keep: signed zero, the smallest
+# subnormals, the largest magnitudes
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.7976931348623157e308)
+finite_floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+complex_coeffs = st.builds(complex, finite_floats, finite_floats)
+
+
+@st.composite
+def json_forms(draw):
+    """Expansions with arbitrary finite coefficients and any character mod
+    the level (nontrivial ones included)."""
+    level, n_max = draw(st.integers(1, 60)), draw(st.integers(1, 8))
+    _, orders = unit_group_generators(level)
+    chi = DirichletCharacter(level, tuple(draw(st.integers(0, o - 1)) for o in orders))
+    return FormExpansion(
+        weight=draw(st.integers(-6, -1)),
+        level=level,
+        character=chi,
+        alpha=draw(st.one_of(st.sampled_from((0.0, 5e-324, 1e308)), st.floats(0.0, 1e308))),
+        n_max=n_max,
+        c_plus=draw(st.lists(complex_coeffs, min_size=n_max + 1, max_size=n_max + 1)),
+        c_minus_zero=draw(complex_coeffs),
+        c_minus=draw(st.lists(complex_coeffs, min_size=n_max, max_size=n_max)),
+    )
+
+
+def float_bits(form: FormExpansion) -> bytes:
+    """Every float of the form, as raw IEEE bytes (so -0.0 != 0.0)."""
+    scalars = np.array([form.alpha, form.c_minus_zero.real, form.c_minus_zero.imag])
+    return scalars.tobytes() + form.c_plus.tobytes() + form.c_minus.tobytes()
+
+
+EDGE_FORM = FormExpansion(
+    -3, 35, DirichletCharacter(35, (1, 5)), 5e-324, 4,
+    [complex(-0.0, 5e-324), 1e308, complex(-1e308, -0.0), -5e-324, 2.5e-310j],
+    complex(-0.0, -0.0),
+    [1.7976931348623157e308, complex(0.0, -0.0), -2.5e-310, 1.0],
+)
+
+
 class TestSerialization:
+    @given(json_forms())
+    @example(EDGE_FORM)
+    def test_save_load_round_trip_property(self, form):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "form.json")
+            save_form(form, path)
+            back = load_form(path)
+        assert (back.weight, back.level, back.n_max) == (form.weight, form.level, form.n_max)
+        assert back.character == form.character
+        assert float_bits(back) == float_bits(form)
+
     def test_json_round_trip_bit_exact(self, rng, tmp_path):
         f = make_random_form(rng, k=-3, n_max=9)
         path = tmp_path / "form.json"

@@ -38,7 +38,7 @@ from maassforms.lseries import (
     verification_set,
     xi_definitional,
 )
-from maassforms.specfun import _inc_gamma_scaled, gamma_complex, w_nu
+from maassforms.specfun import QuadratureError, _inc_gamma_scaled, gamma_complex, w_nu
 
 TRIV1 = trivial_character(1)
 TWO_PI = 2.0 * math.pi
@@ -459,6 +459,18 @@ class TestReconstruction:
         lam = lambda s: (1.0 / TWO_PI) ** s * gamma_complex(s)
         val, info = reconstruct_from_lambda(lam, 1, -2, 1.0, 2.0, 40.0, full_output=True)
         assert info["refinement_error"] <= 1e-8
+
+    def test_unresolved_raises(self):
+        # t^{-s} at t = 1e-6 oscillates past what 6 nodes per unit panel
+        # resolve: the refinement moves the value by ~2e7
+        lam = lambda s: (1.0 / TWO_PI) ** s * gamma_complex(s)
+        with pytest.raises(QuadratureError, match="refinement moves"):
+            reconstruct_from_lambda(lam, 1, -2, 1e-6, 2.0, 40.0)
+
+    def test_nonpositive_t_rejected(self):
+        for t in (0.0, -0.5):
+            with pytest.raises(ValueError, match="must be > 0"):
+                reconstruct_from_lambda(lambda s: 0j, 1, -2, t, 2.0, 40.0)
 
 
 class TestVerificationSets:

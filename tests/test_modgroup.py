@@ -244,6 +244,37 @@ class TestCusps:
                 hits = sum(1 for r in reps if cusp_equivalent(level, *cand, *r))
                 assert hits == 1, (level, cand)
 
+    @given(st.integers(1, 300), st.integers(-10**6, 10**6), st.integers(0, 10**6))
+    def test_random_cusp_is_equivalent_to_exactly_one_listed(self, level, a, c):
+        # witness oracle, independent of cusp_equivalent: a/c ~ r/s iff
+        # g_{a/c} (+-T^j) g_{r/s}^{-1} lies in Gamma_0(N) for some j mod N,
+        # g_{x/y} = [[x, *], [y, w]] in SL2(Z); the lower-left entry of that
+        # product is +-(c w' - (c j + w) s)
+        g = math.gcd(a, c)
+        a, c = (a // g, c // g) if g else (1, 0)
+        if c == 0:
+            a = 1
+
+        def lower_right(x, y):
+            # w with x w = 1 (mod y): the d-entry of an SL2(Z) matrix [[x, *], [y, w]]
+            return pow(x, -1, y) if y > 1 else 1
+
+        w = lower_right(a, c)
+        reps = [(r.a, r.c) for r in cusps(level)]
+        hits = [
+            (r, s)
+            for r, s in reps
+            if any((c * lower_right(r, s) - (c * j + w) * s) % level == 0 for j in range(level))
+        ]
+        assert len(hits) == 1, (level, a, c, hits)
+        # and the listing has the classical size sum_{d | N} phi(gcd(d, N/d))
+        count = sum(
+            sum(1 for u in range(1, math.gcd(d, level // d) + 1)
+                if math.gcd(u, math.gcd(d, level // d)) == 1)
+            for d in range(1, level + 1) if level % d == 0
+        )
+        assert len(reps) == count
+
     def test_parameters(self):
         # trivial character: kappa = 0 everywhere
         for level in (4, 6):

@@ -3,27 +3,27 @@ with evaluation, exact termwise derivatives, the operators xi_k, D^{1-k},
 R_k, L_k, Delta_k and H, character twists, and numerical coefficient
 extraction by period integrals.
 
-Internally every expansion is flattened to a sum of elementary terms
+Every expansion is a sum of elementary terms
 
     coef * e^{2 pi i * freq * u} * v^vpow * e^{2 pi * vexp * v},
 
-(freq, vexp rational, vpow integer) which is closed under d/du, d/dv,
-multiplication by powers of v, complex conjugation, and slashing by upper
-triangular matrices.  All operator identities are therefore checked with
-exact term algebra rather than finite differences.
+(freq, vexp rational, vpow integer), closed under d/du, d/dv, multiplication
+by powers of v, complex conjugation, and slashing by upper triangular
+matrices, so all operator identities are checked with exact term algebra
+rather than finite differences.  A form's TermSeries (to_terms) takes its
+evaluator arrays straight from the coefficient arrays and makes the exact
+Fraction-keyed dict of its terms only when an operator asks for it.
 
-TermSeries.eval is the one numeric evaluator of forms: every caller
-(evaluate, the Fricke pairs of lseries, the CLI, the operator identities)
-goes through it.  Once per series it keeps the terms as float arrays, one
-row per distinct (freq, vexp) and one column per vpow, and it evaluates
-fixed blocks of points against fixed chunks of rows, each pair with one
-real np.exp and a few cos/sin columns.  TermSeries.jet takes the first
-partials from the same exponentials, so no derivative series is built to
-evaluate them.  Every block x chunk step writes into one fixed per-thread
-workspace, so memory stays bounded whatever the number of points or terms,
-a call allocates no large temporaries (whose release and re-fault would
-cost time that varies from run to run), and a point's value does not
-depend on the batch it arrives in.
+TermSeries.eval is the one numeric evaluator of forms: every caller (evaluate,
+the Fricke pairs of lseries, the CLI, the operator identities) goes through
+it.  It keeps the terms as float arrays, one row per distinct (freq, vexp) and
+one column per vpow, and evaluates fixed blocks of points against fixed chunks
+of rows, each pair with one real np.exp and a few cos/sin columns;
+TermSeries.jet takes the first partials from the same exponentials.  Every
+block x chunk step writes into one fixed per-thread workspace, so memory stays
+bounded whatever the number of points or terms, a call allocates no large
+temporaries (whose release and re-fault would cost time that varies from run
+to run), and a point's value does not depend on the batch it arrives in.
 """
 
 from __future__ import annotations
@@ -174,42 +174,44 @@ class TermSeries:
             ((-f, p, g), c.conjugate()) for (f, p, g), c in self.terms.items()
         )
 
+    def _term_rows(self):
+        """The row producer of the dict: each distinct (freq, vexp), in order of
+        first appearance, as integer pairs (num, den); per term its row, vpow and coefficient."""
+        rows: dict = {}  # (freq, vexp) as integer pairs, which hash fast -> row
+        row = [rows.setdefault((f.numerator, f.denominator, g.numerator, g.denominator), len(rows))
+               for f, _, g in self.terms]
+        keys = np.array(list(rows), dtype=np.int64).reshape(-1, 4)
+        return keys, row, [p for _, p, _ in self.terms], list(self.terms.values())
+
     @cached_property
     def _arrays(self):
-        """The terms as float arrays, one row per distinct (freq, vexp) in
-        order of first appearance: 2 pi freq and 2 pi vexp per row, the
-        distinct vpows, the vpows x rows coefficient matrix, the phase split
-        freq = (hi _PHASE_STEP + lo) / den with |lo| <= _PHASE_STEP / 2, and
-        per chunk of _TERM_CHUNK rows its largest 2 pi vexp, the vpow columns
-        it uses and its table of hi frequencies."""
-        pows = sorted({p for _, p, _ in self.terms})
-        col = {p: j for j, p in enumerate(pows)}
-        rows: dict = {}  # (freq, vexp) as integer pairs, which hash fast -> row
-        cells = []
-        for (f, p, g), c in self.terms.items():
-            key = (f.numerator, f.denominator, g.numerator, g.denominator)
-            cells.append((col[p], rows.setdefault(key, len(rows)), c))
-        coef = np.zeros((len(pows), len(rows)), dtype=complex)
-        for j, r, c in cells:
-            coef[j, r] = c
-        keys = np.array(list(rows), dtype=float).reshape(-1, 4)
-        wf = TWO_PI * (keys[:, 0] / keys[:, 1])
-        wg = TWO_PI * (keys[:, 2] / keys[:, 3])
-        den = math.lcm(*(fd for _, fd, _, _ in rows))
+        """The rows of _term_rows as the evaluator's float arrays: 2 pi freq
+        and 2 pi vexp per row, the distinct vpows, the vpows x rows
+        coefficient matrix, the phase split freq = (hi _PHASE_STEP + lo) / den
+        with |lo| <= _PHASE_STEP / 2, and per chunk of _TERM_CHUNK rows its
+        largest 2 pi vexp, the vpow columns it uses and its table of hi
+        frequencies."""
+        keys, row, vpow, values = self._term_rows()
+        pows, col = np.unique(np.asarray(vpow, dtype=np.int64), return_inverse=True)
+        coef = np.zeros((pows.size, len(keys)), dtype=complex)
+        coef[col, np.asarray(row, dtype=np.intp)] = values
+        fn, fd, gn, gd = keys.T
+        den = math.lcm(*np.unique(fd).tolist())
+        if den * int(np.abs(fn).max(initial=0)) >= 2**62:
+            raise ValueError("frequencies too fine for the evaluator's phase tables")
         half = _PHASE_STEP // 2
-        shifted = [fn * (den // fd) + half for fn, fd, _, _ in rows]
+        shifted = fn * (den // fd) + half
         w_lo = TWO_PI * np.arange(-half, half) / den
-        lo_idx = np.array([n % _PHASE_STEP for n in shifted], dtype=np.intp)
+        wg = TWO_PI * (gn / gd)
         chunks = []
-        for lo in range(0, len(rows), _TERM_CHUNK):
-            hi = min(lo + _TERM_CHUNK, len(rows))
-            his = [n // _PHASE_STEP for n in shifted[lo:hi]]
-            tops = {h: i for i, h in enumerate(sorted(set(his)))}
-            w_hi = np.array([TWO_PI * (h * _PHASE_STEP / den) for h in tops])
-            hi_idx = np.array([tops[h] for h in his], dtype=np.intp)
-            cols = [j for j in range(len(pows)) if np.any(coef[j, lo:hi])]
+        for lo in range(0, len(keys), _TERM_CHUNK):
+            hi = min(lo + _TERM_CHUNK, len(keys))
+            tops, hi_idx = np.unique(shifted[lo:hi] // _PHASE_STEP, return_inverse=True)
+            cols = np.flatnonzero(coef[:, lo:hi].any(axis=1)).tolist()
+            w_hi = TWO_PI * (tops * _PHASE_STEP / den)
             chunks.append((lo, hi, wg[lo:hi].max(), cols, w_hi, hi_idx))
-        return wf, wg, np.array(pows, dtype=float), coef, den, w_lo, lo_idx, chunks
+        lo_idx = shifted % _PHASE_STEP
+        return TWO_PI * (fn / fd), wg, pows.astype(float), coef, den, w_lo, lo_idx, chunks
 
     def _sums(self, tau, partials: bool):
         """Value (and with partials, d/du and d/dv) at tau, each a flat array
@@ -509,37 +511,47 @@ class HolomorphicQExpansion:
         }
 
 
+class _FormSeries(TermSeries):
+    """The TermSeries of a form (see to_terms): rows from its coefficients, dict on demand."""
+
+    def __init__(self, form: FormExpansion):
+        object.__setattr__(self, "form", form)
+
+    @cached_property
+    def terms(self) -> dict:
+        keys, row, vpow, values = self._term_rows()
+        items = zip(keys[row].tolist(), vpow.tolist(), values.tolist())
+        return {(Fraction(f), p, Fraction(g)): c for (f, _, g, _), p, c in items}
+
+    def _term_rows(self):
+        """The row producer of the form, terms in dict order: c+(n) != 0, c-(0) != 0, then
+        c-(-m) Gamma(nu) (4 pi m)^l / l! by m and l < nu, each formed as for a lone term.
+        A run of one freq is a row, and c-(0) joins the row (0, 0) of a nonzero c+(0)."""
+        form, nu = self.form, 1 - self.form.weight
+        fourpim = 4.0 * math.pi * np.arange(1, form.n_max + 1)
+        steps = [np.full(form.n_max, math.gamma(nu))] + [fourpim / l for l in range(1, nu)]
+        z = form.c_minus[:, None] * np.cumprod(np.stack(steps, axis=1), axis=1)
+        keep = (z != 0) & (form.c_minus != 0)[:, None]
+        n, (m, l) = np.flatnonzero(form.c_plus), np.nonzero(keep)
+        c0 = np.zeros(int(form.c_minus_zero != 0), dtype=np.int64)
+        freq, vpow = np.concatenate([n, c0, -1 - m]), np.concatenate([0 * n, c0 + nu, l])
+        joins = (freq == 0) & (vpow > 0) & (form.c_plus[0] != 0)
+        new = (np.diff(freq, prepend=freq[:1] + 1) != 0) & ~joins
+        one = np.ones_like(freq)
+        keys = np.stack([freq, one, np.concatenate([-n, freq[n.size :]]), one], axis=1)[new]
+        values = np.concatenate([form.c_plus[n], [form.c_minus_zero] * c0.size, z[keep]])
+        return keys, np.where(joins, 0, np.cumsum(new) - 1), vpow, values
+
+
 def to_terms(form: FormExpansion) -> TermSeries:
-    """Flatten the expansion to the exact term algebra.
+    """The expansion as a TermSeries: evaluator arrays straight from the
+    coefficient arrays, and the exact dict only on demand.
 
     c-(-m) Gamma(1-k, 4 pi m v) q^{-m} is expanded through the finite sum
     Gamma(nu, x) = Gamma(nu) e^{-x} sum_{l<nu} x^l/l!, which absorbs the
     growing |q^{-m}| = e^{2 pi m v} into a decaying net exponent e^{-2 pi m v}.
-    The keys are distinct by construction, so the dict is built directly.
     """
-    k = form.weight
-    nu = 1 - k
-    gamma_nu = math.gamma(nu)
-    terms = {}
-    for n in range(form.n_max + 1):
-        c = complex(form.c_plus[n])
-        if c != 0:
-            terms[(Fraction(n), 0, Fraction(-n))] = c
-    if form.c_minus_zero != 0:
-        terms[(Fraction(0), nu, Fraction(0))] = form.c_minus_zero
-    for m in range(1, form.n_max + 1):
-        c = complex(form.c_minus[m - 1])
-        if c == 0:
-            continue
-        fourpim = 4.0 * math.pi * m
-        coef_l = gamma_nu
-        freq = Fraction(-m)
-        for l in range(nu):
-            z = c * coef_l
-            if z != 0:
-                terms[(freq, l, freq)] = z
-            coef_l *= fourpim / (l + 1)
-    return TermSeries(terms)
+    return _FormSeries(form)
 
 
 def evaluate(form: FormExpansion, tau):
@@ -640,18 +652,21 @@ def twist(form: FormExpansion, psi: DirichletCharacter) -> FormExpansion:
     chi = form.character
     new_level = math.lcm(form.level, m * m, m * chi.conductor)
     new_char = (chi * (psi * psi)).induce(new_level)
-    cp = np.array([psi(n) * form.c_plus[n] for n in range(form.n_max + 1)])
-    cm0 = psi(0) * form.c_minus_zero
-    cm = np.array([psi(-n) * form.c_minus[n - 1] for n in range(1, form.n_max + 1)])
+    psi_n = np.array(psi._values)[np.arange(-form.n_max, form.n_max + 1) % m]
+    c = np.concatenate([form.c_minus[::-1], form.c_plus])  # c at n = -n_max..n_max
+    # each product rounded as for lone scalars: numpy's complex array loop may fuse (FMA)
+    prod = np.empty_like(c)
+    prod.real = psi_n.real * c.real - psi_n.imag * c.imag
+    prod.imag = psi_n.real * c.imag + psi_n.imag * c.real
     return FormExpansion(
         weight=form.weight,
         level=new_level,
         character=new_char,
         alpha=form.alpha,
         n_max=form.n_max,
-        c_plus=cp,
-        c_minus_zero=cm0,
-        c_minus=cm,
+        c_plus=prod[form.n_max :],
+        c_minus_zero=psi(0) * form.c_minus_zero,
+        c_minus=prod[form.n_max - 1 :: -1],
     )
 
 

@@ -229,7 +229,7 @@ def _batch(s) -> tuple[np.ndarray, tuple | None]:
     return arr.ravel(), (None if arr.ndim == 0 else arr.shape)
 
 
-def _unbatch(values: list, shape: tuple | None):
+def _unbatch(values, shape: tuple | None):
     if shape is None:
         return complex(values[0])
     return np.array(values, dtype=complex).reshape(shape)
@@ -250,23 +250,24 @@ def _mellin_piece(
 
     An exponent z gets max(2, ceil(log T / min(0.5, 4 / (1 + |Im z|))))
     panels.  The exponents are grouped by that count and F is evaluated once
-    per group, on exactly the nodes a lone exponent would get; each value is
-    then summed on its own, so it does not depend on the rest of the batch.
+    per group, on exactly the nodes a lone exponent would get.  Its sums are
+    one exponents x nodes expression in row blocks of about 2^15 entries, and
+    .sum(axis=1) reduces each row alone, by the pairwise sum np.sum gives one
+    exponent, so a value does not depend on the rest of the batch.
     """
     exps, shape = _batch(exponent)
     upper = math.log(T)
-    groups: dict[int, list[int]] = {}
-    for i, z in enumerate(exps):
-        width = min(0.5, 4.0 / (1.0 + abs(z.imag)))
-        groups.setdefault(max(2, int(math.ceil(upper / width))), []).append(i)
-    out = [0j] * len(exps)
-    for npanels, members in groups.items():
+    counts = np.maximum(2, np.ceil(upper / np.fmin(0.5, 4.0 / (1.0 + np.abs(exps.imag)))))
+    out = np.empty(exps.shape, dtype=complex)
+    for npanels in dict.fromkeys(counts.astype(int).tolist()):
+        members = np.flatnonzero(counts == npanels)
         x, w = gauss_legendre_panels(0.0, upper, npanels, _MELLIN_NODES)
         t = np.exp(x)
         vals = np.asarray(eval_fn(1j * t / math.sqrt(level)), dtype=complex)
         diff = vals - (const0 + const_v * t ** (1 - k) / level ** ((1 - k) / 2.0))
-        for i in members:
-            out[i] = complex(np.sum(w * (diff * np.exp(exps[i] * x))))
+        step = max(1, (1 << 15) // x.size)
+        for rows in np.array_split(members, range(step, members.size, step)):
+            out[rows] = (w * (diff * np.exp(exps[rows, None] * x))).sum(axis=1)
     return _unbatch(out, shape)
 
 
@@ -279,20 +280,19 @@ def _star(pair: FrickePair, s, T: float | None, omega: bool):
     s is a complex number or an array of them; an array gives an array of
     the same shape, each value equal to its lone-point value (see
     _mellin_piece for how the batch shares integrand evaluations)."""
-    if T is None:
-        T = pair.T_default
+    T = pair.T_default if T is None else T
+    if not 1.0 < T < math.inf:
+        raise ValueError(f"the Mellin cut-off T must be a finite number > 1, got T = {T}")
     k = pair.weight
     consts = (pair.c_f_plus0, pair.c_f_minus0, pair.c_g_plus0, pair.c_g_minus0)
     if omega:
         consts = tuple(k * c for c in consts)
     f_eval, g_eval = (pair.h_eval, pair.i_eval) if omega else (pair.f_eval, pair.g_eval)
     pts, shape = _batch(s)
-    i1 = _mellin_piece(f_eval, consts[0], consts[1], pair.level, k, pts, T).tolist()
-    i2 = _mellin_piece(g_eval, consts[2], consts[3], pair.level, k, k - pts, T).tolist()
+    i1 = _mellin_piece(f_eval, consts[0], consts[1], pair.level, k, pts, T)
+    i2 = _mellin_piece(g_eval, consts[2], consts[3], pair.level, k, k - pts, T)
     ik = _i_pow(k)
-    if omega:
-        return _unbatch([a - ik * b for a, b in zip(i1, i2)], shape)
-    return _unbatch([a + ik * b for a, b in zip(i1, i2)], shape)
+    return _unbatch(i1 - ik * i2 if omega else i1 + ik * i2, shape)
 
 
 def _continued(pair: FrickePair, s, T: float | None, omega: bool):
@@ -301,12 +301,10 @@ def _continued(pair: FrickePair, s, T: float | None, omega: bool):
     pole."""
     flat, shape = _batch(s)
     pts, k = flat.tolist(), pair.weight
-    for z in pts:
-        for p in (0.0, float(k), 1.0, float(k - 1)):
-            if abs(z - p) < 1e-12:
-                raise ValueError(
-                    f"s = {z} is a pole of the completed series; probe lambda_star/omega_star"
-                )
+    pole = (np.abs(flat[:, None] - np.array([0.0, k, 1.0, k - 1.0])) < 1e-12).any(axis=1)
+    if pole.any():
+        z = pts[pole.argmax()]
+        raise ValueError(f"s = {z} is a pole of the completed series; probe lambda_star/omega_star")
     ik, nfac = _i_pow(k), pair.level ** ((1 - k) / 2.0)
     sgn = -1.0 if omega else 1.0
     out = []

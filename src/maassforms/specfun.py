@@ -15,6 +15,7 @@ on it.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,11 +138,17 @@ def w_nu(nu: int, s):
     return acc
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(nodes: int):
+    """The Gauss-Legendre rule on [-1, 1], solved once per node count (read-only)."""
+    return tuple(np.broadcast_to(a, a.shape) for a in np.polynomial.legendre.leggauss(nodes))
+
+
 def gauss_legendre_panels(lo: float, hi: float, npanels: int, nodes: int):
     """Composite Gauss-Legendre rule on [lo, hi]: npanels equal panels with
     nodes nodes each; returns (x, w) flattened panel by panel."""
     edges = np.linspace(lo, hi, npanels + 1)
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg, wg = _legendre_rule(nodes)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()

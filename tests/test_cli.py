@@ -140,6 +140,32 @@ class TestVerifyFe:
         )
         assert code == 5
 
+    @pytest.mark.parametrize("cutoff, want", [("1", 3), ("0.5", 3), ("0", 3), (None, 5)])
+    def test_mellin_cutoff_must_exceed_one(self, tmp_path, capsys, cutoff, want):
+        # g = f with c+(3) x 1.5 is no partner of f.  With T = 1 the Mellin
+        # integrals over [1, T] vanish and the pair would PASS (residual
+        # 2e-5); below 1 they run backwards.  Each such T exits 3 naming T,
+        # and the default T FAILs the pair (residual 2.2)
+        from maassforms.eisenstein import harmonic_eisenstein_level_one
+        from maassforms.forms import FormExpansion, save_form
+
+        f = harmonic_eisenstein_level_one(40)
+        cp = f.c_plus.copy()
+        cp[3] *= 1.5
+        g = FormExpansion(f.weight, f.level, f.character, f.alpha, f.n_max, cp,
+                          f.c_minus_zero, f.c_minus)
+        save_form(f, tmp_path / "f.json")
+        save_form(g, tmp_path / "g.json")
+        code = run(
+            "verify-fe", "--f", str(tmp_path / "f.json"), "--g", str(tmp_path / "g.json"),
+            "--grid=-1:1:5,0.5:2:3", "--tol", "1e-4", *(["--T", cutoff] if cutoff else []),
+        )
+        assert code == want
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        if want == 3:
+            assert "cut-off T must be a finite number > 1" in captured.err
+
     def test_psi_coprimality_exits_2(self, tmp_path):
         # build a level-5 form file by hand (content irrelevant to the check)
         form = {

@@ -142,6 +142,72 @@ def loop_eval(ts, taus):
     return out, mag
 
 
+def loop_terms(form):
+    """A form's exact dict built term by term, one coefficient at a time,
+    kept as the oracle of to_terms: the terms in their order, each product
+    formed as for a lone term."""
+    nu = 1 - form.weight
+    gamma_nu = math.gamma(nu)
+    terms = {}
+    for n in range(form.n_max + 1):
+        c = complex(form.c_plus[n])
+        if c != 0:
+            terms[(Fraction(n), 0, Fraction(-n))] = c
+    if form.c_minus_zero != 0:
+        terms[(Fraction(0), nu, Fraction(0))] = form.c_minus_zero
+    for m in range(1, form.n_max + 1):
+        c = complex(form.c_minus[m - 1])
+        if c == 0:
+            continue
+        fourpim = 4.0 * math.pi * m
+        coef_l = gamma_nu
+        freq = Fraction(-m)
+        for l in range(nu):
+            z = c * coef_l
+            if z != 0:
+                terms[(freq, l, freq)] = z
+            coef_l *= fourpim / (l + 1)
+    return terms
+
+
+def identical(a, b) -> bool:
+    """a == b bit for bit (signed zeros too), through tuples and lists."""
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(identical, a, b))
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def expansion(k, c_plus, c_minus_zero, c_minus):
+    n_max = len(c_minus)
+    return FormExpansion(k, 1, TRIV, 0.0, n_max, np.array(c_plus, dtype=complex),
+                         c_minus_zero, np.array(c_minus, dtype=complex))
+
+
+# coefficient parts: zero, O(1), subnormal and near the top of the range
+coefficient_parts = st.one_of(
+    st.just(0.0), st.floats(-10.0, 10.0), st.sampled_from([5e-324, -1e-310, 1e300, -1e300])
+)
+coefficients = st.builds(complex, coefficient_parts, coefficient_parts)
+
+
+@st.composite
+def expansions(draw):
+    k, n_max = draw(st.integers(-5, -1)), draw(st.integers(1, 80))
+    blocks = []
+    for size in (n_max + 1, n_max):
+        # dense, all zero, or a few isolated nonzeros
+        kind = draw(st.sampled_from(["dense", "zero", "isolated"]))
+        block = [0j] * size
+        if kind == "dense":
+            block = draw(st.lists(coefficients, min_size=size, max_size=size))
+        elif kind == "isolated":
+            for i in draw(st.sets(st.integers(0, size - 1), max_size=3)):
+                block[i] = draw(coefficients)
+        blocks.append(block)
+    return expansion(k, blocks[0], draw(st.one_of(st.just(0j), coefficients)), blocks[1])
+
+
 # series whose terms reach every case of the evaluator: raising_op brings
 # vpow -1, xi_op conjugated (negated) frequencies, d_v and h_op mixed vpows,
 # and the 3/7 scaling frequencies that are not integers
@@ -178,6 +244,36 @@ class TestVectorisedEvaluator:
         for got, series in ((fu, ts.d_u()), (fv, ts.d_v())):
             want, mag = loop_eval(series, taus)
             assert np.all(np.abs(got - want) <= 1e-14 * mag)
+
+    @given(expansions())
+    @example(expansion(-2, [0, 1 + 2j, 0, -3j], 0.5 - 1j, [1j, 0, 2]))  # c+(0) = 0 != c-(0)
+    @example(expansion(-2, [1, 1 + 2j, 0, -3j], 0.5 - 1j, [1j, 0, 2]))  # both nonzero
+    @example(expansion(-3, [1, 2, 3], 0, [1j, -1j]))  # c-(0) = 0
+    @example(expansion(-1, [1, 0, 2j], 0, [0, 0]))  # every c- = 0
+    @example(expansion(-4, [0, 0, 0, 0], 1 + 1j, [0, 3, 1j]))  # every c+ = 0
+    @example(expansion(-2, [0] * 30 + [1j], 0, [0] * 17 + [2.0] + [0] * 12))  # isolated
+    @example(expansion(-5, [5e-324, -1e300j, 1e300], complex(5e-324, -0.0), [-1e300, 5e-324j]))
+    @example(expansion(-2, [0, 0, 0], 0, [0, 0]))  # no term at all
+    def test_coefficient_path_equals_the_dict_path(self, form):
+        # to_terms builds the arrays from the coefficient arrays; they equal
+        # those of the dict the old loop built, row for row and bit for bit,
+        # and the dict, made only when asked for, equals that dict in keys,
+        # values and order.  A 1e300 coefficient times (4 pi m)^l / l!
+        # overflows to inf on both paths alike.
+        ts, oracle = to_terms(form), loop_terms(form)
+        with np.errstate(over="ignore"):
+            arrays = ts._arrays
+            assert "terms" not in vars(ts)
+            assert identical(arrays, TermSeries(oracle)._arrays)
+            assert list(ts.terms) == list(oracle)
+            assert identical(list(ts.terms.values()), list(oracle.values()))
+
+    def test_phase_table_overflow_is_refused(self):
+        # the phase split works in int64: den * |freq numerator| past 2^62
+        # would wrap, so such a series is refused rather than evaluated wrong
+        ts = TermSeries.from_items([((Fraction(2**40 + 1, 2**40), 0, -1), 1.0)])
+        with pytest.raises(ValueError, match="phase tables"):
+            ts.eval(0.5j)
 
     @pytest.mark.parametrize("on_axis", ["none", "some", "all"])
     def test_value_does_not_depend_on_the_batch(self, rng, on_axis):
@@ -595,6 +691,23 @@ class TestTwist:
             coprime = np.gcd(np.arange(start, start + len(want)), m) == 1
             assert np.all(np.abs(got - want)[coprime] <= 1e-15 * np.abs(want)[coprime])
             assert np.all(got[~coprime] == 0)
+
+    def test_one_gather_equals_the_per_coefficient_products(self, rng):
+        # psi(n) c+(n) and psi(-n) c-(-n) read from the value table in one
+        # numpy index, for every primitive character of modulus <= 40
+        f = make_random_form(rng, n_max=60)
+        count = 0
+        for q in range(1, 41):
+            for psi in filter(lambda c: c.is_primitive, enumerate_characters(q)):
+                t = twist(f, psi)
+                want = (
+                    np.array([psi(n) * f.c_plus[n] for n in range(f.n_max + 1)]),
+                    psi(0) * f.c_minus_zero,
+                    np.array([psi(-n) * f.c_minus[n - 1] for n in range(1, f.n_max + 1)]),
+                )
+                assert identical([t.c_plus, t.c_minus_zero, t.c_minus], list(want)), psi
+                count += 1
+        assert count > 200
 
     def test_requires_primitive(self, rng):
         f = make_random_form(rng)

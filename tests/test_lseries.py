@@ -54,6 +54,21 @@ def single_form(k=-2, n_max=4, plus=None, minus=None, minus_zero=0.0):
     return FormExpansion(k, 1, TRIV1, 0.0, n_max, cp, minus_zero, cm)
 
 
+def oldform_pair(level, base=40):
+    """(f, g), a golden Fricke pair with f != g: the level-1 lift read at
+    level N with n_max = N base, and its partner N^{k/2} F(N tau) with
+    c+-(N n) = N^{k/2} c+-(n) and c-(0) scaled by N^{k/2} N^{1-k}."""
+    lift = harmonic_eisenstein_level_one(level * base)
+    k, n_max, chi = lift.weight, level * base, trivial_character(level)
+    scale = float(level) ** (k / 2.0)
+    cp, cm = np.zeros(n_max + 1, dtype=complex), np.zeros(n_max, dtype=complex)
+    cp[::level] = scale * lift.c_plus[: base + 1]
+    cm[level - 1 :: level] = scale * lift.c_minus[:base]
+    f = FormExpansion(k, level, chi, lift.alpha, n_max, lift.c_plus, lift.c_minus_zero, lift.c_minus)
+    g0 = scale * float(level) ** (1 - k) * lift.c_minus_zero
+    return f, FormExpansion(k, level, chi, lift.alpha, n_max, cp, g0, cm)
+
+
 class TestDirichletSums:
     def test_single_coefficient(self):
         f = single_form(plus=1)
@@ -225,6 +240,36 @@ class TestBatch:
         with pytest.raises(ValueError, match="pole"):
             fn(small_pair, np.array([0.5 + 1j, -1.0 + 30j, 1.0 + 0j, 2.0 + 0j]))
 
+    def test_sums_span_panel_groups_and_row_blocks(self, small_pair):
+        # 300 points that share one panel count (15 panels of 16 nodes at
+        # T = 4 and |Im s| in [40, 40.1]) fill three row blocks of the Mellin
+        # sums (2^15 // 240 = 136 rows each); three more points open groups
+        # of their own.  Every value is the one its s gets alone.
+        panels = math.ceil(math.log(4.0) / (4.0 / 41.1))
+        assert panels == math.ceil(math.log(4.0) / (4.0 / 41.0)) == 15
+        assert 300 > 2 * ((1 << 15) // (16 * panels))
+        pts = np.concatenate([0.5 + 1j * np.linspace(40.0, 40.1, 300), [-1.0 + 1j, 2.0 - 7j, 0.3]])
+        for fn in (lambda_continued, omega_continued):
+            batch = fn(small_pair, pts)
+            for z, value in zip(pts, batch):
+                assert value == fn(small_pair, z), (fn.__name__, z)
+
+    def test_mellin_sums_keep_memory_bounded(self):
+        # 4,096 s on Re s = 2, |Im s| <= 40: the sums run in row blocks of
+        # about 2^15 entries, so the batch needs no exponents x nodes matrix
+        import tracemalloc
+
+        pair = analytic_pair(harmonic_eisenstein_level_one(40))
+        pts = 2.0 + 1j * np.linspace(-40.0, 40.0, 4096)
+        lambda_continued(pair, pts[:2])
+        tracemalloc.start()
+        try:
+            lambda_continued(pair, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
 
 class TestResiduals:
     GRID = [complex(r, i) for r in (-1.0, -0.5, 0.5, 1.0) for i in (0.0, 1.0, 2.0)]
@@ -305,6 +350,47 @@ class TestResiduals:
         ref = harmonic_eisenstein_level_one(400)
         rep = fe_residuals(ref, ref, [0.5 + 1.0j, -1.0 + 0.5j], psi=psi)
         assert rep.max_residual <= tol
+
+    @pytest.mark.parametrize("psi", [None, character_by_label(5, "quadratic")])
+    def test_pair_path_builds_no_exact_dict(self, monkeypatch, psi):
+        # to_terms builds the evaluator arrays from the coefficient arrays, so
+        # the numeric pair path makes no Fraction: the exact term dict is
+        # only made for the operators that ask for it
+        import maassforms.forms as forms
+
+        f, g = oldform_pair(7)
+        grid = [complex(r, i) for r in (-1.5, 0.5) for i in (0.5, 2.0)]
+        want = fe_residuals(f, g, grid, psi=psi)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("exact term dict built on the pair path")
+
+        monkeypatch.setattr(forms, "Fraction", forbidden)
+        rep = fe_residuals(f, g, grid, psi=psi)
+        assert rep.to_json() == want.to_json()
+        if psi is None:
+            assert rep.max_residual <= 1e-8
+
+
+class TestMellinCutoff:
+    # T <= 1 leaves no [1, T] integral to take: at T = 1 any partner passes
+    # and below it the integral runs backwards; inf and nan are no cut-off
+    @pytest.mark.parametrize("T", [1.0, 0.5, 0.0, -1.0, math.inf, math.nan])
+    def test_rejects_cutoffs_that_are_not_finite_and_above_one(self, small_pair, T):
+        ref = harmonic_eisenstein_level_one(4)
+        psi = character_by_label(5, "quadratic")
+        for call in (
+            *(lambda fn=fn: fn(small_pair, 0.5 + 1j, T) for fn in BATCHED),
+            lambda: fe_residuals(ref, ref, [0.5 + 1j], T=T),
+            lambda: fe_residuals(ref, ref, [0.5 + 1j], T=T, psi=psi),
+            lambda: twisted_lambda(ref, ref, TRIV1, psi, 1, -2, 0.5 + 1j, T),
+            lambda: twisted_omega(ref, ref, TRIV1, psi, 1, -2, 0.5 + 1j, T),
+        ):
+            with pytest.raises(ValueError, match="cut-off T"):
+                call()
+
+    def test_accepts_a_cutoff_just_above_one(self, small_pair):
+        assert np.isfinite(lambda_continued(small_pair, 0.5 + 1j, 1.5))
 
 
 class TestPoleStructure:

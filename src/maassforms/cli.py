@@ -212,6 +212,15 @@ def cmd_verify_fe(args) -> int:
                 "notice: the floor exceeds the tolerance; residuals cannot "
                 "certify the pair at this expansion length"
             )
+    # the default T trusts n_max, so a zero-padded form overshoots it
+    for side, form in (("f", form_f), ("g", form_g)):
+        last = max(np.flatnonzero((form.c_plus[1:] != 0) | (form.c_minus != 0)) + 1, default=0)
+        if last < form.n_max / 2:
+            print(
+                f"notice: the last nonzero coefficient of {side} is at n = {last}, below n_max/2 "
+                f"(n_max = {form.n_max}); the default T = max(4, sqrt({form_f.n_max})) = "
+                f"{max(4.0, math.sqrt(form_f.n_max)):.4g} assumes the full length"
+            )
     report = lseries.fe_residuals(form_f, form_g, grid, T=args.T, psi=psi)
     if report.excluded:
         print(f"notice: excluded pole points {[_fmt(s) for s in report.excluded]}")

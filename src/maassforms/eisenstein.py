@@ -214,12 +214,12 @@ def f_expansion(
     form at k = -2 only, where the error/witness ratio is 0.95-1.80 for
     heights up to (10, 20) at bound 60; the law fails once the heights
     approach the bound, and at (40, 80) the c+(0) witness is 14 times too
-    small).  A
-    datum that forms.two_height_solve cannot solve for (c+(n) once
-    (1 + Gamma(1-k, -4 pi n v1))^2 overflows, n v1 >~ 27 at k = -2; c-(-n)
-    once both Gamma(1-k, 4 pi n v) underflow, n v >~ 59) is stored as 0
-    with an infinite witness.  The form itself does not depend on
-    full_output.
+    small).  Both sums at both heights go through one
+    forms.two_height_solve call, one np.fft.fft per height.  A mode it
+    loses (c+(n) once (1 + Gamma(1-k, -4 pi n v1))^2 overflows, n v1 >~ 27
+    at k = -2; c-(-n) once both Gamma(1-k, 4 pi n v) underflow, n v >~ 59)
+    is stored as 0 with an infinite witness; a lost n = 0 raises
+    IllConditionedError.  The form itself does not depend on full_output.
     """
     _check_admissible(level, chi, k, rho)
     if heights is None:
@@ -231,52 +231,31 @@ def f_expansion(
     rows, charvals = _coset_rows(level, chi, rho, bound)
     # rows are sorted by max(|c|, |d|), so the bound//2 sum is a prefix
     half = int(np.searchsorted(np.abs(rows).max(axis=1), bound // 2, side="right"))
-
-    def sample_line(v: float):
+    # one line per height: the bound-B sum stacked on its bound//2 prefix
+    lines = []
+    for v in (v0, v1):
         taus = np.arange(samples) * (1.0 / samples) + 1j * v
-        full, head = _coset_sum(rows, charvals, taus, -k, k - 1, prefix=half)
-        scale = taus.imag ** (1 - k) / (1 - k)
-        return full * scale, head * scale
-
-    lines0, lines1 = sample_line(v0), sample_line(v1)
-    divisor = 2.0 ** (-k) - 1.0
-
-    def solve(n: int):
-        """(c+, c-) of mode n from the bound-B sums, and their witnesses.  A
-        tall mode n != 0 the heights cannot resolve (Gram overflow for +n,
-        underflow of both Gram values for -n) is lost: kept at 0 and marked
-        by an infinite witness."""
-        try:
-            full, part = [
-                two_height_solve(vals0, vals1, k, 1.0, 0.0, n, v0, v1)[:2]
-                for vals0, vals1 in zip(lines0, lines1)
-            ]
-        except IllConditionedError:
-            if n == 0:
-                raise
-            return (0j, 0j), (math.inf, math.inf)
-        return full, tuple(abs(x - y) / divisor for x, y in zip(full, part))
-
-    c_plus = np.zeros(n_range + 1, dtype=complex)
-    c_minus = np.zeros(n_range, dtype=complex)
-    w_plus = np.zeros(n_range + 1)
-    w_minus = np.zeros(n_range)
-    (c_plus[0], cm0), (w_plus[0], w_cm0) = solve(0)
-    for n in range(1, n_range + 1):
-        (c_plus[n], _), (w_plus[n], _) = solve(n)
-        (_, c_minus[n - 1]), (_, w_minus[n - 1]) = solve(-n)
+        full_head = _coset_sum(rows, charvals, taus, -k, k - 1, prefix=half)
+        lines.append(np.stack(full_head) * (v ** (1 - k) / (1 - k)))
+    modes = np.arange(-n_range, n_range + 1)
+    c_plus, c_minus, info = two_height_solve(*lines, k, 1.0, 0.0, modes, v0, v1)
+    if 0 in info["lost"]:
+        raise IllConditionedError(info["lost"][0])
+    lost, divisor = np.isin(modes, list(info["lost"])), 2.0 ** (-k) - 1.0
+    w_plus, w_minus = (np.where(lost, math.inf, abs(x - y) / divisor) for x, y in (c_plus, c_minus))
     form = FormExpansion(
         weight=k,
         level=level,
         character=chi,
         alpha=0.0,
         n_max=n_range,
-        c_plus=c_plus,
-        c_minus_zero=cm0,
-        c_minus=c_minus,
+        c_plus=c_plus[0, n_range:],
+        c_minus_zero=c_minus[0, n_range],
+        c_minus=c_minus[0, :n_range][::-1],
     )
     if full_output:
-        return form, {"c_plus": w_plus, "c_minus_zero": w_cm0, "c_minus": w_minus}
+        witness = (w_plus[n_range:], float(w_minus[n_range]), w_minus[:n_range][::-1])
+        return form, dict(zip(("c_plus", "c_minus_zero", "c_minus"), witness))
     return form
 
 

@@ -674,57 +674,60 @@ def twist(form: FormExpansion, psi: DirichletCharacter) -> FormExpansion:
 # coefficient extraction
 
 
-def _mode_from_samples(vals: np.ndarray, t: float, kappa: float, n: int, v: float) -> complex:
-    """(1/t) \\int_{tau0}^{tau0+t} f(tau) e^{-2 pi i (n + kappa) tau / t} dtau
-    along Im tau = v, by the trapezoid rule on the samples at
-    u_j = j t / len(vals) (spectrally accurate for the periodic integrand)."""
-    samples = len(vals)
-    taus = np.arange(samples) * (t / samples) + 1j * v
-    phase = np.exp(-2j * math.pi * (n + kappa) * taus / t)
-    return complex(np.mean(vals * phase))
+def two_height_solve(vals0, vals1, k: int, t: float, kappa: float, modes, v0: float, v1: float):
+    """(c+, c-, info) for an array of modes of a width-t, parameter-kappa
+    expansion, from sample lines at u_j = j t / S along Im tau = v0 and v1:
+    the last axis of vals0 and vals1 holds a line's S samples, leading axes
+    stack lines, and c+ and c- are shaped (*leading, len(modes)).
 
-
-def _mode_gram(k: int, t: float, n: int, v: float) -> float:
-    """G(v) multiplying c-(n) in the period integral: Gamma(1-k, -4 pi n v/t)
-    for n != 0 and v^{1-k} for n = 0."""
-    if n == 0:
-        return v ** (1 - k)
-    return _inc_gamma_scaled(1 - k, -4.0 * math.pi * n * v / t, 0.0)
-
-
-def two_height_solve(vals0, vals1, k: int, t: float, kappa: float, n: int, v0: float, v1: float):
-    """(c+(n), c-(n), info) of a width-t, parameter-kappa expansion from its
-    samples at u_j = j t / len(vals) along Im tau = v0 and v1.
-
-    The period integral at height v equals c+(n) + c-(n) G(v) with
-    G(v) = Gamma(1-k, -4 pi n v / t) for n != 0 and G(v) = v^{1-k} for n = 0.
-    The G values come first: before any sample is transformed,
-    IllConditionedError is raised when (1 + G)^2 overflows (n v / t >~ 27
-    for n > 0 at k = -2) or when the two agree to 1e-8 relative (close
-    heights, or both underflowed; the caller may then accept c-(n) = 0).
-    info holds the condition estimate (1 + G)^2 / |G(v1) - G(v0)|, the G
-    values and the period integrals.
+    Mode n's period integral at height v is c+(n) + c-(n) G(v), with
+    G(v) = Gamma(1-k, -4 pi n v / t) for n != 0 and v^{1-k} for n = 0.  It
+    is bin n mod S of one np.fft.fft per line of the kappa-shifted samples,
+    times e^{2 pi (n + kappa) v / t} / S: the trapezoid rule, spectrally
+    accurate for the periodic integrand.  Each mode's G pair is evaluated
+    once.  A mode is lost, with c+ = c- = 0 and its reason in
+    info["lost"][n], when (1 + G)^2 leaves the double range (n v / t >~ 27
+    for n > 0 at k = -2) or the two G agree to 1e-8 relative (close heights,
+    or both underflowed); its height factor, which may overflow, is never
+    formed.  info also holds per mode the condition estimate
+    (1 + G)^2 / |G(v1) - G(v0)| (inf when lost), the G values and the
+    period integrals.
     """
-    try:
-        g0, g1 = _mode_gram(k, t, n, v0), _mode_gram(k, t, n, v1)
-        scale = max(abs(g0), abs(g1))
-        square = (1.0 + scale) ** 2
-    except OverflowError:
-        raise IllConditionedError(
-            f"Gamma(1-k, -4 pi n v / t) leaves the double range for n = {n} at "
-            f"heights ({v0}, {v1}); lower the heights"
-        ) from None
-    dg = g1 - g0
-    if abs(dg) <= 1e-8 * scale:
-        raise IllConditionedError(
-            f"G(v0) = {g0:.6e} and G(v1) = {g1:.6e} agree to 1e-8 relative; "
-            "move the heights apart (the caller may accept c-(n) = 0)"
-        )
-    i0 = _mode_from_samples(vals0, t, kappa, n, v0)
-    i1 = _mode_from_samples(vals1, t, kappa, n, v1)
-    c_minus = (i1 - i0) / dg
-    c_plus = i0 - c_minus * g0
-    info = {"condition": square / abs(dg), "g0": g0, "g1": g1, "i0": i0, "i1": i1}
+    modes = np.asarray(modes, dtype=np.int64)
+    gram, condition, lost = np.full((2, modes.size), np.nan), np.full(modes.size, math.inf), {}
+    for j, n in enumerate(modes.tolist()):
+        try:
+            g0, g1 = gram[:, j] = [
+                _inc_gamma_scaled(1 - k, -4.0 * math.pi * n * v / t, 0.0) if n else v ** (1 - k)
+                for v in (v0, v1)
+            ]
+            scale = max(abs(g0), abs(g1))
+            square = (1.0 + scale) ** 2
+        except OverflowError:
+            lost[n] = (
+                f"Gamma(1-k, -4 pi n v / t) leaves the double range for n = {n} at "
+                f"heights ({v0}, {v1}); lower the heights"
+            )
+            continue
+        if abs(g1 - g0) <= 1e-8 * scale:
+            lost[n] = (
+                f"G(v0) = {g0:.6e} and G(v1) = {g1:.6e} agree to 1e-8 relative; "
+                "move the heights apart (the caller may accept c-(n) = 0)"
+            )
+        else:
+            condition[j] = square / abs(g1 - g0)
+    ok = np.isfinite(condition)
+    solved, periods = modes[ok], []
+    for vals, v in ((vals0, v0), (vals1, v1)):
+        samples = np.shape(vals)[-1]
+        shift = np.exp(-2j * math.pi * kappa * np.arange(samples) / samples) if kappa else 1.0
+        height = np.exp(2.0 * math.pi * (solved + kappa) * v / t) / samples
+        periods.append(np.fft.fft(np.asarray(vals) * shift)[..., solved % samples] * height)
+    c_minus = (periods[1] - periods[0]) / (gram[1, ok] - gram[0, ok])
+    out = np.zeros((4, *periods[0].shape[:-1], modes.size), dtype=complex)
+    out[..., ok] = periods[0] - c_minus * gram[0, ok], c_minus, *periods
+    c_plus, c_minus, i0, i1 = out
+    info = {"condition": condition, "g0": gram[0], "g1": gram[1], "i0": i0, "i1": i1, "lost": lost}
     return c_plus, c_minus, info
 
 
@@ -740,8 +743,9 @@ def extract_coefficients(
     full_output: bool = False,
 ):
     """Recover (c+(n), c-(n)) of a width-t, parameter-kappa expansion from
-    period integrals at two heights (see two_height_solve, which raises
-    IllConditionedError when the heights cannot separate the components).
+    period integrals at two heights: the one-mode case of two_height_solve,
+    raising IllConditionedError when the heights cannot separate the
+    components.
 
     f_eval must be vectorised: it is called once per height, on an ndarray of
     samples points, and must return an array of the same shape.  samples
@@ -754,7 +758,10 @@ def extract_coefficients(
     lines = [np.asarray(f_eval(z), dtype=complex) for z in taus]
     if any(vals.shape != z.shape for vals, z in zip(lines, taus)):
         raise ValueError("f_eval must return an array shaped like its argument")
-    c_plus, c_minus, info = two_height_solve(*lines, k, t, kappa, n, v0, v1)
+    c_plus, c_minus, info = two_height_solve(*lines, k, t, kappa, [n], v0, v1)
+    if info["lost"]:
+        raise IllConditionedError(info["lost"][n])
+    c_plus, c_minus = complex(c_plus[0]), complex(c_minus[0])
     if full_output:
-        return (c_plus, c_minus), info
+        return (c_plus, c_minus), {key: info[key][0] for key in info if key != "lost"}
     return c_plus, c_minus

@@ -164,7 +164,7 @@ class FrickePair:
     T_default: float
 
 
-def analytic_pair(form: FormExpansion, level: int | None = None) -> FrickePair:
+def analytic_pair(form: FormExpansion) -> FrickePair:
     """Self-anchored pair: the partner is f|_k omega(N) evaluated pointwise
     from the form's own terms, and the partner's constant terms are extracted
     numerically from its zero mode (at heights 0.5 and 1).
@@ -186,8 +186,7 @@ def analytic_pair(form: FormExpansion, level: int | None = None) -> FrickePair:
     from .modgroup import fricke, slash
 
     k = form.weight
-    level = form.level if level is None else level
-    omega = fricke(level)
+    omega = fricke(form.level)
     ts = to_terms(form)
 
     def g_eval(taus):
@@ -204,7 +203,7 @@ def analytic_pair(form: FormExpansion, level: int | None = None) -> FrickePair:
 
     cgp0, cgm0 = extract_coefficients(g_eval, k, 1.0, 0.0, 0, 0.5, 1.0)
     return FrickePair(
-        level=level,
+        level=form.level,
         weight=k,
         f_eval=ts.eval,
         g_eval=g_eval,
@@ -283,12 +282,14 @@ def _star(pair: FrickePair, s, T: float | None, omega: bool):
     T = pair.T_default if T is None else T
     if not 1.0 < T < math.inf:
         raise ValueError(f"the Mellin cut-off T must be a finite number > 1, got T = {T}")
+    pts, shape = _batch(s)
+    if not np.isfinite(pts).all():
+        raise ValueError(f"s must be a finite complex number, got s = {pts[~np.isfinite(pts)][0]}")
     k = pair.weight
     consts = (pair.c_f_plus0, pair.c_f_minus0, pair.c_g_plus0, pair.c_g_minus0)
     if omega:
         consts = tuple(k * c for c in consts)
     f_eval, g_eval = (pair.h_eval, pair.i_eval) if omega else (pair.f_eval, pair.g_eval)
-    pts, shape = _batch(s)
     i1 = _mellin_piece(f_eval, consts[0], consts[1], pair.level, k, pts, T)
     i2 = _mellin_piece(g_eval, consts[2], consts[3], pair.level, k, k - pts, T)
     ik = _i_pow(k)
@@ -438,9 +439,11 @@ def fe_residuals(
     """
     if form_f.weight != form_g.weight:
         raise ValueError("weights differ")
+    if form_f.level != form_g.level:
+        raise ValueError(f"levels differ: f is at level {form_f.level}, g at {form_g.level}")
     k, level = form_f.weight, form_f.level
     if psi is None:
-        pair_f, pair_g = analytic_pair(form_f, level), analytic_pair(form_g, level)
+        pair_f, pair_g = analytic_pair(form_f), analytic_pair(form_g)
         ik = _i_pow(k)
     else:
         pair_f, pair_g, cpsi = _twisted_sides(form_f, form_g, form_f.character, psi, level)
@@ -486,15 +489,15 @@ def _twisted_sides(
 
     By the twisting proposition f_psi|_k omega(N m^2) = C_psi g_psibar, so
     the twisted completed series live at level N m^2 and their functional
-    equation carries the constant C_psi."""
+    equation carries the constant C_psi.  level must be the level N of both
+    forms; twist then puts both twists at lcm(N, m^2, m m_chi) = N m^2."""
     m = psi.modulus
+    if form_f.level != level or form_g.level != level:
+        raise ValueError(f"f and g must be at level {level}, not {form_f.level} and {form_g.level}")
     if math.gcd(m, level) != 1:
         raise ValueError(f"conductor {m} must be coprime to the level {level}")
     cpsi = c_psi(chi, psi, level)
-    big = level * m * m
-    pair_f = analytic_pair(twist(form_f, psi), big)
-    pair_g = analytic_pair(twist(form_g, psi.conjugate()), big)
-    return pair_f, pair_g, cpsi
+    return analytic_pair(twist(form_f, psi)), analytic_pair(twist(form_g, psi.conjugate())), cpsi
 
 
 def _twisted(form_f, form_g, chi, psi, level, k, s, T, omega: bool):

@@ -7,8 +7,10 @@ import re
 import numpy as np
 import pytest
 
+from helpers import oldform_pair
 from maassforms.cli import main
-from maassforms.forms import load_form
+from maassforms.eisenstein import harmonic_eisenstein_level_one
+from maassforms.forms import FormExpansion, load_form, save_form
 
 
 def run(*argv):
@@ -104,9 +106,6 @@ class TestExample:
 
 class TestVerifyFe:
     def test_exact_pair_passes_default_tolerance(self, tmp_path, capsys):
-        from maassforms.eisenstein import harmonic_eisenstein_level_one
-        from maassforms.forms import save_form
-
         path = tmp_path / "exact.json"
         save_form(harmonic_eisenstein_level_one(40), path)
         out = tmp_path / "resid.csv"
@@ -146,9 +145,6 @@ class TestVerifyFe:
         # integrals over [1, T] vanish and the pair would PASS (residual
         # 2e-5); below 1 they run backwards.  Each such T exits 3 naming T,
         # and the default T FAILs the pair (residual 2.2)
-        from maassforms.eisenstein import harmonic_eisenstein_level_one
-        from maassforms.forms import FormExpansion, save_form
-
         f = harmonic_eisenstein_level_one(40)
         cp = f.c_plus.copy()
         cp[3] *= 1.5
@@ -165,6 +161,41 @@ class TestVerifyFe:
         assert "PASS" not in captured.out
         if want == 3:
             assert "cut-off T must be a finite number > 1" in captured.err
+
+    GRID = "--grid=-1.5:1.5:4,0.5:2:2"  # no pole of the completed series
+
+    def run_pair(self, tmp_path, f, g, *flags):
+        save_form(f, tmp_path / "f.json")
+        save_form(g, tmp_path / "g.json")
+        return run("verify-fe", "--f", str(tmp_path / "f.json"), "--g", str(tmp_path / "g.json"),
+                   self.GRID, *flags)
+
+    def test_zero_padded_form_gets_a_notice(self, tmp_path, capsys):
+        # a length-40 level-1 lift padded to n_max 280 at level 7, against
+        # its partner 7^{-1} F(7 tau): the default T = max(4, sqrt(n_max))
+        # trusts the padding, and the run fails
+        _, g = oldform_pair(7)
+        lift = harmonic_eisenstein_level_one(40)
+        cp, cm = np.zeros(281, dtype=complex), np.zeros(280, dtype=complex)
+        cp[:41], cm[:40] = lift.c_plus, lift.c_minus
+        padded = FormExpansion(-2, 7, g.character, lift.alpha, 280, cp, lift.c_minus_zero, cm)
+        assert self.run_pair(tmp_path, padded, g) == 5
+        out = capsys.readouterr().out
+        assert (
+            "notice: the last nonzero coefficient of f is at n = 40, below n_max/2 "
+            "(n_max = 280); the default T = max(4, sqrt(280)) = 16.73 assumes the full length"
+        ) in out
+        assert out.count("notice:") == 1
+
+    def test_golden_pair_prints_no_notice(self, tmp_path, capsys):
+        assert self.run_pair(tmp_path, *oldform_pair(7)) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out and "notice" not in out
+
+    def test_levels_that_differ_exit_3(self, tmp_path, capsys):
+        _, g = oldform_pair(7, base=4)
+        assert self.run_pair(tmp_path, harmonic_eisenstein_level_one(28), g) == 3
+        assert "levels differ: f is at level 1, g at 7" in capsys.readouterr().err
 
     def test_psi_coprimality_exits_2(self, tmp_path):
         # build a level-5 form file by hand (content irrelevant to the check)
@@ -184,9 +215,6 @@ class TestVerifyFe:
         assert code == 2
 
     def test_twisted_pass(self, tmp_path):
-        from maassforms.eisenstein import harmonic_eisenstein_level_one
-        from maassforms.forms import save_form
-
         ref = harmonic_eisenstein_level_one(400)
         path = tmp_path / "ref.json"
         save_form(ref, path)
@@ -200,9 +228,6 @@ class TestVerifyFe:
         # the twisted run is lseries.fe_residuals(..., psi=psi): its CSV
         # carries the integrand tail of f's twisted pair, at the T used
         import maassforms.lseries as lseries
-        from maassforms.eisenstein import harmonic_eisenstein_level_one
-        from maassforms.forms import save_form
-
         seen = []
         driver = lseries.fe_residuals
 

@@ -22,7 +22,7 @@ from maassforms.eisenstein import (
     f_series,
     harmonic_eisenstein_level_one,
 )
-from maassforms.forms import evaluate, shadow
+from maassforms.forms import IllConditionedError, evaluate, shadow
 from maassforms.modgroup import RationalMatrix, coset_reps, cusps
 
 TRIV1 = trivial_character(1)
@@ -238,6 +238,11 @@ class TestFExpansion:
         assert np.all(form.c_plus[1:] == 0) and np.all(np.isinf(witness["c_plus"][1:]))
         assert form.c_minus[1] == 0 and np.isinf(witness["c_minus"][1])
         assert np.isfinite(witness["c_plus"][0])
+
+    def test_lost_constant_mode_raises(self):
+        # c+(0) and c-(0) cannot be left out of a form: equal heights raise
+        with pytest.raises(IllConditionedError, match="agree to 1e-8 relative"):
+            f_expansion(1, TRIV1, -2, INF1, 2, bound=20, heights=(1.0, 1.0))
 
     def test_constant_term_near_one_third(self):
         form = f_expansion(1, TRIV1, -2, INF1, 6, bound=60)

@@ -26,6 +26,8 @@ from maassforms.characters import (
     trivial_character,
     unit_group_generators,
 )
+from maassforms import forms
+from maassforms.eisenstein import f_expansion
 from maassforms.forms import (
     _POINT_BLOCK,
     _TERM_CHUNK,
@@ -55,9 +57,10 @@ from maassforms.forms import (
     slash_jet1,
     to_terms,
     twist,
+    two_height_solve,
     xi_op,
 )
-from maassforms.modgroup import RationalMatrix, fricke
+from maassforms.modgroup import RationalMatrix, cusps, fricke
 
 TRIV = trivial_character(1)
 FOURPI = 4.0 * math.pi
@@ -763,7 +766,7 @@ class TestExtraction:
     def test_ill_conditioned_heights(self, rng):
         f = make_random_form(rng)
         ev = lambda taus: evaluate(f, taus)
-        with pytest.raises(IllConditionedError):
+        with pytest.raises(IllConditionedError, match="agree to 1e-8 relative; move the heights"):
             extract_coefficients(ev, -2, 1.0, 0.0, 1, 0.8, 0.8 + 1e-12)
 
     @pytest.mark.parametrize("v0, v1", [(5.0, 10.0), (10.0, 20.0)])
@@ -786,6 +789,82 @@ class TestExtraction:
         ev = lambda taus: evaluate(f, taus)
         (_, _), info = extract_coefficients(ev, -2, 1.0, 0.0, 1, 0.5, 1.0, full_output=True)
         assert info["condition"] >= 1.0
+
+
+def mode_from_samples(vals, t, kappa, n, v):
+    """Oracle: (1/t) int_{tau0}^{tau0+t} f(tau) e^{-2 pi i (n + kappa) tau / t} dtau
+    along Im tau = v, by the trapezoid rule on the samples at
+    u_j = j t / len(vals), one mode at a time."""
+    samples = len(vals)
+    taus = np.arange(samples) * (t / samples) + 1j * v
+    return complex(np.mean(vals * np.exp(-2j * math.pi * (n + kappa) * taus / t)))
+
+
+class TestTwoHeightSolve:
+    MODES = np.arange(-8, 9)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.25])
+    @pytest.mark.parametrize("t", [1.0, 2.0])
+    def test_every_mode_matches_the_per_mode_oracle(self, rng, kappa, t):
+        # three random forms, n_max <= 8, read as width-t, parameter-kappa
+        # expansions and stacked on a leading axis
+        v0, v1, samples = 0.3, 0.6, 64
+        fs = [make_random_form(rng, n_max=int(rng.integers(1, 9))) for _ in range(3)]
+        u = np.arange(samples) * (t / samples)
+
+        def line(f, v):
+            taus = u + 1j * v
+            return evaluate(f, taus / t) * np.exp(2j * math.pi * kappa * taus / t)
+
+        lines = [np.stack([line(f, v) for f in fs]) for v in (v0, v1)]
+        c_plus, c_minus, info = two_height_solve(*lines, -2, t, kappa, self.MODES, v0, v1)
+        assert c_plus.shape == c_minus.shape == info["i0"].shape == (3, self.MODES.size)
+        assert not info["lost"]
+        for i in range(3):
+            for j, n in enumerate(self.MODES.tolist()):
+                want, tols = [], []
+                for key, vals, v in (("i0", lines[0][i], v0), ("i1", lines[1][i], v1)):
+                    want.append(mode_from_samples(vals, t, kappa, n, v))
+                    tols.append(
+                        1e-12 * np.abs(vals).max() * math.exp(2 * math.pi * abs(n + kappa) * v / t)
+                    )
+                    assert abs(info[key][i, j] - want[-1]) <= tols[-1], (key, n)
+                # the oracle's periods through the same G pair; the solve
+                # magnifies a period error by at most the condition estimate
+                g0, g1 = info["g0"][j], info["g1"][j]
+                cm = (want[1] - want[0]) / (g1 - g0)
+                cp = want[0] - cm * g0
+                bound = 2 * max(tols) * info["condition"][j]
+                assert abs(c_minus[i, j] - cm) <= bound and abs(c_plus[i, j] - cp) <= bound
+
+    def test_each_mode_gram_pair_is_evaluated_once(self, monkeypatch):
+        calls = []
+        gamma = forms._inc_gamma_scaled
+        monkeypatch.setattr(forms, "_inc_gamma_scaled", lambda *a: calls.append(a) or gamma(*a))
+        vals = np.ones(32, dtype=complex)
+        two_height_solve(vals, vals, -2, 1.0, 0.0, np.arange(-3, 4), 0.5, 1.0)
+        assert len(calls) == 12  # two heights for each of the six modes n != 0
+
+    def test_lost_modes_come_back_zero_with_their_reason(self, rng):
+        f = make_random_form(rng)
+        taus = np.arange(64) / 64
+        lines = [evaluate(f, taus + 1j * v) for v in (10.0, 20.0)]
+        c_plus, c_minus, info = two_height_solve(*lines, -2, 1.0, 0.0, [0, 3, -8], 10.0, 20.0)
+        assert "double range" in info["lost"][3] and "agree to 1e-8" in info["lost"][-8]
+        assert c_plus[1:].tolist() == c_minus[1:].tolist() == [0j, 0j]
+        assert np.isinf(info["condition"][1:]).all() and np.isfinite(info["condition"][0])
+
+    def test_one_fft_per_sampled_height(self, monkeypatch, rng):
+        shapes = []
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda a, *args: shapes.append(np.shape(a)) or fft(a, *args))
+        f_expansion(1, TRIV, -2, cusps(1)[0], 8, bound=20)
+        # the bound-B line and its bound//2 prefix go in as one stack
+        assert shapes == [(2, 256), (2, 256)]
+        shapes.clear()
+        f = make_random_form(rng)
+        extract_coefficients(lambda taus: evaluate(f, taus), -2, 1.0, 0.0, 2, 0.5, 1.0)
+        assert shapes == [(256,), (256,)]
 
 
 # awkward doubles a JSON round trip must keep: signed zero, the smallest

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from helpers import make_random_form
+from helpers import make_random_form, oldform_pair
 from maassforms.characters import character_by_label, trivial_character
 from maassforms.eisenstein import harmonic_eisenstein_level_one
 from maassforms.forms import FormExpansion, evaluate, twist
@@ -52,21 +52,6 @@ def single_form(k=-2, n_max=4, plus=None, minus=None, minus_zero=0.0):
     if minus is not None:
         cm[minus - 1] = 1.0
     return FormExpansion(k, 1, TRIV1, 0.0, n_max, cp, minus_zero, cm)
-
-
-def oldform_pair(level, base=40):
-    """(f, g), a golden Fricke pair with f != g: the level-1 lift read at
-    level N with n_max = N base, and its partner N^{k/2} F(N tau) with
-    c+-(N n) = N^{k/2} c+-(n) and c-(0) scaled by N^{k/2} N^{1-k}."""
-    lift = harmonic_eisenstein_level_one(level * base)
-    k, n_max, chi = lift.weight, level * base, trivial_character(level)
-    scale = float(level) ** (k / 2.0)
-    cp, cm = np.zeros(n_max + 1, dtype=complex), np.zeros(n_max, dtype=complex)
-    cp[::level] = scale * lift.c_plus[: base + 1]
-    cm[level - 1 :: level] = scale * lift.c_minus[:base]
-    f = FormExpansion(k, level, chi, lift.alpha, n_max, lift.c_plus, lift.c_minus_zero, lift.c_minus)
-    g0 = scale * float(level) ** (1 - k) * lift.c_minus_zero
-    return f, FormExpansion(k, level, chi, lift.alpha, n_max, cp, g0, cm)
 
 
 class TestDirichletSums:
@@ -393,6 +378,26 @@ class TestMellinCutoff:
         assert np.isfinite(lambda_continued(small_pair, 0.5 + 1j, 1.5))
 
 
+class TestNonFiniteS:
+    # no quadrature grid exists for an infinite |Im s|, and a nan would
+    # pass through as a nan value: every continuation names the s instead
+    BAD = [complex(0.5, math.inf), complex(math.nan, 1.0), complex(-math.inf, 0.0),
+           complex(math.nan, math.nan)]
+
+    @pytest.mark.parametrize("s", BAD)
+    def test_rejected_by_every_continuation(self, small_pair, s):
+        ref = harmonic_eisenstein_level_one(4)
+        psi = character_by_label(5, "quadratic")
+        for call in (
+            *(lambda fn=fn: fn(small_pair, s) for fn in BATCHED),
+            lambda: BATCHED[0](small_pair, np.array([0.5 + 1j, s])),
+            lambda: fe_residuals(ref, ref, [0.5 + 1j, s]),
+            lambda: fe_residuals(ref, ref, [s], psi=psi),
+        ):
+            with pytest.raises(ValueError, match=r"s must be a finite complex number, got s = "):
+                call()
+
+
 class TestPoleStructure:
     def test_residues_by_contour(self):
         # residues of Lambda at s = 0, k, 1, k-1 are
@@ -490,8 +495,23 @@ class TestTwists:
         psi = character_by_label(5, "quadratic")
         rep = fe_residuals(ref, ref, [0.5 + 0j], psi=psi)
         assert rep.quadrature_T == 20.0  # max(4, sqrt(400)), not 0
-        pair_f = analytic_pair(twist(ref, psi), 25)
+        pair_f = analytic_pair(twist(ref, psi))
         assert rep.tail_bound == _integrand_tail(pair_f, 20.0)
+
+    def test_levels_must_match(self):
+        # each side is continued at its own level, so f and g at different
+        # levels, or a level other than theirs, have no functional equation
+        f, g = oldform_pair(7, base=4)
+        lift = harmonic_eisenstein_level_one(28)
+        psi = character_by_label(5, "quadratic")
+        with pytest.raises(ValueError, match="levels differ: f is at level 1, g at 7"):
+            fe_residuals(lift, g, [0.5 + 1j])
+        with pytest.raises(ValueError, match="levels differ"):
+            fe_residuals(f, lift, [0.5 + 1j], psi=psi)
+        for level in (1, 49):
+            for fn in (twisted_lambda, twisted_omega):
+                with pytest.raises(ValueError, match=f"f and g must be at level {level}, not 7"):
+                    fn(f, g, f.character, psi, level, -2, 0.5 + 1j)
 
     def test_coprimality_required(self):
         ref = harmonic_eisenstein_level_one(20)

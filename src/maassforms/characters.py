@@ -274,10 +274,11 @@ def character_by_label(q: int, label: str) -> DirichletCharacter:
         idx = int(label)
     except ValueError:
         raise ValueError(f"unknown character label {label!r}") from None
-    chars = enumerate_characters(q)
-    if not 0 <= idx < len(chars):
+    _, orders = unit_group_generators(q)
+    if not 0 <= idx < math.prod(orders):
         raise ValueError(f"character index {idx} out of range for modulus {q}")
-    return chars[idx]
+    # unravel_index in C order is the order of enumerate_characters' product
+    return DirichletCharacter(q, tuple(map(int, np.unravel_index(idx, orders))))
 
 
 def conductor(chi: DirichletCharacter) -> int:

@@ -337,33 +337,15 @@ def bol_op(ts: TermSeries, k: int) -> TermSeries:
 # slashed 1-jets -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Jet1:
-    f: complex
-    fu: complex
-    fv: complex
-
-    @property
-    def ftau(self) -> complex:
-        return 0.5 * (self.fu - 1j * self.fv)
-
-    @property
-    def ftaubar(self) -> complex:
-        return 0.5 * (self.fu + 1j * self.fv)
-
-
-def jet1(ts: TermSeries, tau) -> Jet1:
-    """Value and first partials of ts at tau (scalar or ndarray), from one
-    TermSeries.jet pass: no derivative series is built."""
-    return Jet1(*ts.jet(tau))
-
-
-def slash_jet1(ts: TermSeries, k: int, gamma: RationalMatrix, tau) -> Jet1:
-    """Value and first partials of f|_k gamma at tau (scalar or ndarray),
-    by the chain rule from jet1 at gamma tau.
+def slash_jet1(ts: TermSeries, k: int, gamma: RationalMatrix, tau):
+    """(f, df/du, df/dv) of f|_k gamma at tau (scalar or ndarray), the triple
+    TermSeries.jet gives, by the chain rule from TermSeries.jet at gamma tau.
 
     gamma tau is holomorphic, so d/dtau only sees f_tau and d/dtaubar only
-    f_taubar, each scaled by m = det/(c tau + d)^2 resp. conj(m).
+    f_taubar, each scaled by m = det/(c tau + d)^2 resp. conj(m), and
+    d/dtau also meets the slash factor.  The library's Fricke partners slash
+    the evaluators instead (lseries.FrickePair); this is the independent
+    derivative the slash identities are tested against.
     """
     c = complex(gamma.c)
     det = float(gamma.det)
@@ -372,15 +354,10 @@ def slash_jet1(ts: TermSeries, k: int, gamma: RationalMatrix, tau) -> Jet1:
     # d/dtau of the slash factor
     dpref = det ** (k / 2.0) * (-k) * c * w ** (-k - 1)
     m = det / (w * w)
-    inner = jet1(ts, gamma.apply(tau))
-    val = pref * inner.f
-    ftau = dpref * inner.f + pref * inner.ftau * m
-    ftaubar = pref * inner.ftaubar * np.conjugate(m)
-    return Jet1(val, ftau + ftaubar, 1j * (ftau - ftaubar))
-
-
-def h_from_jet(j: Jet1, k: int, v: float) -> complex:
-    return 2j * v * j.fu + k * j.f
+    f, fu, fv = ts.jet(gamma.apply(tau))
+    ftau = dpref * f + pref * 0.5 * (fu - 1j * fv) * m
+    ftaubar = pref * 0.5 * (fu + 1j * fv) * np.conjugate(m)
+    return pref * f, ftau + ftaubar, 1j * (ftau - ftaubar)
 
 
 # ---------------------------------------------------------------------------
@@ -681,31 +658,32 @@ def two_height_solve(vals0, vals1, k: int, t: float, kappa: float, modes, v0: fl
     stack lines, and c+ and c- are shaped (*leading, len(modes)).
 
     Mode n's period integral at height v is c+(n) + c-(n) G(v), with
-    G(v) = Gamma(1-k, -4 pi n v / t) for n != 0 and v^{1-k} for n = 0.  It
-    is bin n mod S of one np.fft.fft per line of the kappa-shifted samples,
-    times e^{2 pi (n + kappa) v / t} / S: the trapezoid rule, spectrally
-    accurate for the periodic integrand.  Each mode's G pair is evaluated
-    once.  A mode is lost, with c+ = c- = 0 and its reason in
-    info["lost"][n], when (1 + G)^2 leaves the double range (n v / t >~ 27
-    for n > 0 at k = -2) or the two G agree to 1e-8 relative (close heights,
-    or both underflowed); its height factor, which may overflow, is never
-    formed.  info also holds per mode the condition estimate
-    (1 + G)^2 / |G(v1) - G(v0)| (inf when lost), the G values and the
-    period integrals.
+    G(v) = Gamma(1-k, -4 pi (n + kappa) v / t) for n + kappa != 0 and
+    v^{1-k} for n + kappa = 0.  It is bin n mod S of one np.fft.fft per line
+    of the kappa-shifted samples, times e^{2 pi (n + kappa) v / t} / S: the
+    trapezoid rule, spectrally accurate for the periodic integrand.  Each
+    mode's G pair is evaluated once.  A mode is lost, with c+ = c- = 0 and
+    its reason in info["lost"][n], when (1 + G)^2 leaves the double range
+    (n v / t >~ 27 for n > 0 at k = -2) or the two G agree to 1e-8 relative
+    (close heights, or both underflowed); its height factor, which may
+    overflow, is never formed.  info also holds per mode the condition
+    estimate (1 + G)^2 / |G(v1) - G(v0)| (inf when lost), the G values and
+    the period integrals.
     """
     modes = np.asarray(modes, dtype=np.int64)
     gram, condition, lost = np.full((2, modes.size), np.nan), np.full(modes.size, math.inf), {}
     for j, n in enumerate(modes.tolist()):
+        nk = n + kappa
         try:
             g0, g1 = gram[:, j] = [
-                _inc_gamma_scaled(1 - k, -4.0 * math.pi * n * v / t, 0.0) if n else v ** (1 - k)
+                _inc_gamma_scaled(1 - k, -4.0 * math.pi * nk * v / t, 0.0) if nk else v ** (1 - k)
                 for v in (v0, v1)
             ]
             scale = max(abs(g0), abs(g1))
             square = (1.0 + scale) ** 2
         except OverflowError:
             lost[n] = (
-                f"Gamma(1-k, -4 pi n v / t) leaves the double range for n = {n} at "
+                f"Gamma(1-k, -4 pi (n + kappa) v / t) leaves the double range for n = {n} at "
                 f"heights ({v0}, {v1}); lower the heights"
             )
             continue

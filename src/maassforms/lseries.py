@@ -21,12 +21,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .characters import DirichletCharacter, _prime_factors, c_psi
 from .forms import FormExpansion, to_terms, twist
+from .modgroup import fricke, slash
 from .specfun import gamma_complex, gauss_legendre_panels, invert_on_line, w_nu
 
 __all__ = [
@@ -133,30 +135,31 @@ def omega_definitional(form: FormExpansion, s: complex) -> complex:
 
 @dataclass(frozen=True)
 class FrickePair:
-    """Evaluators and constants for a pair with g = f|_k omega(N).
+    """A form's evaluators and the constants of its Fricke pair, with
+    partner g = f|_k omega(N).
 
-    f_eval/g_eval evaluate the forms on (vectorized) upper half-plane
-    arguments; h_eval/i_eval evaluate H = 2iv df/du + k f and its g
-    counterpart.  The four constants are (c_f+(0), c_f-(0), c_g+(0), c_g-(0)),
-    and T_default is the Mellin cut-off used when a continuation is given no T.
+    f_eval evaluates f and h_eval H = 2iv df/du + k f on (vectorized) upper
+    half-plane arguments.  The partner is never stored: its integrands are
+    the Fricke slashes of these two evaluators, f_eval|_k omega(N) = g and
+    h_eval|_k omega(N) = -H_g, the second only on the imaginary axis, where
+    every Mellin integrand is read.  (H = v R_k - L_k / v and R_k, L_k
+    commute with the slash; at tau = iv the extra Fricke factors of weights
+    k + 2 and k - 2 are -v'/v and -v/v', v' = Im omega(N) tau, which flip
+    the sign of both parts.  Off the axis the two sides differ.)  The four
+    constants are (c_f+(0), c_f-(0), c_g+(0), c_g-(0)), and T_default is the
+    Mellin cut-off used when a continuation is given no T.
 
     The continuations (lambda_star, omega_star, lambda_continued,
     omega_continued) take one s or an array of s.  An array is grouped by
     the panel count of the log-t quadrature, which depends on s only through
     |Im s|, and each evaluator is called once per group on that group's
     nodes, so a batch costs about as many evaluations as one point.
-
-    analytic_pair builds the partner from one form alone by slashing it
-    pointwise (the self-anchored route that functional-equation residuals
-    must use; see fe_residuals).
     """
 
     level: int
     weight: int
     f_eval: Callable
-    g_eval: Callable
     h_eval: Callable
-    i_eval: Callable
     c_f_plus0: complex
     c_f_minus0: complex
     c_g_plus0: complex
@@ -177,38 +180,27 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
     pair's T_default = max(4, sqrt(n_max)) balances that truncation loss
     against the dropped [T, inf) integrand.
 
-    All four evaluators run on the form's one TermSeries: f_eval is its
-    eval, g_eval slashes it, and h_eval and i_eval take H = 2iv f_u + k f
-    from TermSeries.jet at tau and (through slash_jet1) at omega(N) tau, so
-    no derivative series is built.
+    Both evaluators run on the form's one TermSeries: f_eval is its eval,
+    and h_eval takes H = 2iv f_u + k f from TermSeries.jet, so no derivative
+    series is built.  The partner side of Lambda and Omega is the Fricke
+    slash of these (see FrickePair).
     """
-    from .forms import extract_coefficients, h_from_jet, jet1, slash_jet1
-    from .modgroup import fricke, slash
+    from .forms import extract_coefficients
 
     k = form.weight
-    omega = fricke(form.level)
     ts = to_terms(form)
 
-    def g_eval(taus):
-        return slash(ts.eval, k, omega, np.asarray(taus, dtype=complex))
-
     def h_eval(taus):
-        t = np.asarray(taus, dtype=complex)
-        return h_from_jet(jet1(ts, t), k, t.imag)
+        f, f_u, _ = ts.jet(taus)
+        return 2j * np.imag(taus) * f_u + k * f
 
-    def i_eval(taus):
-        t = np.asarray(taus, dtype=complex)
-        jets = slash_jet1(ts, k, omega, t)
-        return h_from_jet(jets, k, t.imag)
-
+    g_eval = partial(slash, ts.eval, k, fricke(form.level))
     cgp0, cgm0 = extract_coefficients(g_eval, k, 1.0, 0.0, 0, 0.5, 1.0)
     return FrickePair(
         level=form.level,
         weight=k,
         f_eval=ts.eval,
-        g_eval=g_eval,
         h_eval=h_eval,
-        i_eval=i_eval,
         c_f_plus0=complex(form.c_plus[0]),
         c_f_minus0=form.c_minus_zero,
         c_g_plus0=cgp0,
@@ -270,11 +262,23 @@ def _mellin_piece(
     return _unbatch(out, shape)
 
 
+def _sides(pair: FrickePair, omega: bool):
+    """The one place Omega differs from Lambda: the integrand (H instead of
+    f) and the constant terms (k c_f(0) and -k c_g(0) instead of c_f(0) and
+    c_g(0), since the partner's integrand is -H_g)."""
+    if not omega:
+        return pair.f_eval, (pair.c_f_plus0, pair.c_f_minus0, pair.c_g_plus0, pair.c_g_minus0)
+    k = pair.weight
+    return pair.h_eval, (k * pair.c_f_plus0, k * pair.c_f_minus0,
+                         -k * pair.c_g_plus0, -k * pair.c_g_minus0)
+
+
 def _star(pair: FrickePair, s, T: float | None, omega: bool):
     """The entire pole-corrected completion of Lambda (of Omega when omega
-    is set): the incomplete Mellin integrals on [1, T] of f and g (of H and
-    I for Omega, with the constants scaled by k), joined with relative sign
-    i^k (-i^k for Omega).  Finite for every s.
+    is set): the incomplete Mellin integrals on [1, T] of the integrand and
+    of its Fricke slash, joined with relative sign i^k.  The slash is the
+    partner's integrand on the imaginary axis (see FrickePair).  Finite for
+    every s.
 
     s is a complex number or an array of them; an array gives an array of
     the same shape, each value equal to its lone-point value (see
@@ -286,20 +290,16 @@ def _star(pair: FrickePair, s, T: float | None, omega: bool):
     if not np.isfinite(pts).all():
         raise ValueError(f"s must be a finite complex number, got s = {pts[~np.isfinite(pts)][0]}")
     k = pair.weight
-    consts = (pair.c_f_plus0, pair.c_f_minus0, pair.c_g_plus0, pair.c_g_minus0)
-    if omega:
-        consts = tuple(k * c for c in consts)
-    f_eval, g_eval = (pair.h_eval, pair.i_eval) if omega else (pair.f_eval, pair.g_eval)
-    i1 = _mellin_piece(f_eval, consts[0], consts[1], pair.level, k, pts, T)
-    i2 = _mellin_piece(g_eval, consts[2], consts[3], pair.level, k, k - pts, T)
-    ik = _i_pow(k)
-    return _unbatch(i1 - ik * i2 if omega else i1 + ik * i2, shape)
+    ev, (cf0, cfv, cg0, cgv) = _sides(pair, omega)
+    partner = partial(slash, ev, k, fricke(pair.level))
+    i1 = _mellin_piece(ev, cf0, cfv, pair.level, k, pts, T)
+    i2 = _mellin_piece(partner, cg0, cgv, pair.level, k, k - pts, T)
+    return _unbatch(i1 + _i_pow(k) * i2, shape)
 
 
 def _continued(pair: FrickePair, s, T: float | None, omega: bool):
-    """_star minus the four simple pole terms (scaled by k, with the g-side
-    terms negated, for Omega); ValueError if a point of the batch is a
-    pole."""
+    """_star minus the four simple pole terms of its constants; ValueError
+    if a point of the batch is a pole."""
     flat, shape = _batch(s)
     pts, k = flat.tolist(), pair.weight
     pole = (np.abs(flat[:, None] - np.array([0.0, k, 1.0, k - 1.0])) < 1e-12).any(axis=1)
@@ -307,16 +307,11 @@ def _continued(pair: FrickePair, s, T: float | None, omega: bool):
         z = pts[pole.argmax()]
         raise ValueError(f"s = {z} is a pole of the completed series; probe lambda_star/omega_star")
     ik, nfac = _i_pow(k), pair.level ** ((1 - k) / 2.0)
-    sgn = -1.0 if omega else 1.0
-    out = []
-    for a, z in zip(np.ravel(_star(pair, s, T, omega)).tolist(), pts):
-        poles = (
-            pair.c_f_plus0 / z
-            + sgn * pair.c_g_plus0 * ik / (k - z)
-            + pair.c_f_minus0 / nfac / (z - k + 1)
-            + sgn * pair.c_g_minus0 * ik / nfac / (1 - z)
-        )
-        out.append(a - k * poles if omega else a - poles)
+    _, (cf0, cfv, cg0, cgv) = _sides(pair, omega)
+    out = [
+        a - (cf0 / z + cg0 * ik / (k - z) + cfv / nfac / (z - k + 1) + cgv * ik / nfac / (1 - z))
+        for a, z in zip(np.ravel(_star(pair, s, T, omega)).tolist(), pts)
+    ]
     return _unbatch(out, shape)
 
 

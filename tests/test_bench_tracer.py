@@ -41,8 +41,11 @@ def test_tracer_installs_records_and_uninstalls():
     assert summary["lseries.analytic_pair.calls"] == 2
     assert summary["lseries.lambda_continued.calls"] == 2
     assert summary["lseries.omega_continued.calls"] == 2
-    for layer in ("forms.extract_coefficients", "forms.slash_jet1", "forms.to_terms"):
+    for layer in ("forms.extract_coefficients", "forms.to_terms"):
         assert summary[f"{layer}.self_s"] > 0, layer
+    # the Fricke partners slash the pair's evaluators; the chain-rule
+    # partner stays out of the residual path
+    assert summary["forms.slash_jet1.self_s"] == 0
 
 
 # the shape of the benchmark's verify grid (bench/workloads.py VERIFY_GRID)

@@ -322,6 +322,20 @@ class TestSerialization:
                 assert data["modulus"] == q
                 assert len(data["exponents"]) == len(data["generators"])
 
+    @given(st.data())
+    def test_index_label_is_the_enumeration_entry(self, data):
+        # the index is read through unravel_index, not by building every
+        # character, and names the same entry as the enumeration order
+        # (label "1" is the trivial character's alias, not index 1)
+        q = data.draw(st.integers(1, 200))
+        idx = data.draw(st.integers(0, euler_phi(q) - 1).filter(lambda i: i != 1))
+        assert character_by_label(q, str(idx)) == enumerate_characters(q)[idx]
+        past = euler_phi(q) + 1
+        with pytest.raises(ValueError, match=f"index {past} out of range for modulus {q}"):
+            character_by_label(q, str(past))
+        with pytest.raises(ValueError, match="out of range"):
+            character_by_label(q, "-1")
+
     def test_labels(self):
         assert character_by_label(7, "triv").is_trivial
         quad = character_by_label(7, "quadratic")

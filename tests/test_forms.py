@@ -41,10 +41,8 @@ from maassforms.forms import (
     evaluate_tail_bound,
     extract_coefficients,
     growth_constant,
-    h_from_jet,
     h_op,
     h_transform,
-    jet1,
     laplacian,
     laplacian_op,
     load_form,
@@ -347,8 +345,8 @@ class TestVectorisedEvaluator:
 
 def partials(form, tau):
     """(df/du, df/dv) by exact termwise differentiation."""
-    j = jet1(to_terms(form), tau)
-    return j.fu, j.fv
+    _, fu, fv = to_terms(form).jet(tau)
+    return fu, fv
 
 
 class TestPartialsAndLaplacian:
@@ -554,8 +552,8 @@ class TestSlashCommutation:
                     break
             alpha = RationalMatrix(a, b, c, d)
             tau = random_tau(rng, 0.6, 1.6)
-            jet = slash_jet1(ts, k, alpha, tau)
-            lhs = 2j * tau.imag**k * jet.ftaubar.conjugate()
+            _, fu, fv = slash_jet1(ts, k, alpha, tau)
+            lhs = 2j * tau.imag**k * (0.5 * (fu + 1j * fv)).conjugate()
             xi_ts = xi_op(ts, k)
             w = complex(alpha.c) * tau + complex(alpha.d)
             pref = float(alpha.det) ** ((2 - k) / 2.0) * w ** (-(2 - k))
@@ -576,14 +574,15 @@ class TestSlashCommutation:
             alpha = RationalMatrix(a, b, c, d)
             tau = random_tau(rng, 0.6, 1.6)
             v = tau.imag
-            jet = slash_jet1(ts, k, alpha, tau)
+            f, fu, fv = slash_jet1(ts, k, alpha, tau)
+            ftau, ftaubar = 0.5 * (fu - 1j * fv), 0.5 * (fu + 1j * fv)
             w = complex(alpha.c) * tau + complex(alpha.d)
             det = float(alpha.det)
             tau2 = alpha.apply(tau)
-            lhs_r = 2j * jet.ftau + k / v * jet.f
+            lhs_r = 2j * ftau + k / v * f
             rhs_r = det ** ((k + 2) / 2.0) * w ** (-(k + 2)) * raising_op(ts, k).eval(tau2)
             assert abs(lhs_r - rhs_r) <= 1e-7 * max(1.0, abs(rhs_r))
-            lhs_l = -2j * v**2 * jet.ftaubar
+            lhs_l = -2j * v**2 * ftaubar
             rhs_l = det ** ((k - 2) / 2.0) * w ** (-(k - 2)) * lowering_op(ts, k).eval(tau2)
             assert abs(lhs_l - rhs_l) <= 1e-7 * max(1.0, abs(rhs_l))
 
@@ -836,6 +835,36 @@ class TestTwoHeightSolve:
                 cp = want[0] - cm * g0
                 bound = 2 * max(tols) * info["condition"][j]
                 assert abs(c_minus[i, j] - cm) <= bound and abs(c_plus[i, j] - cp) <= bound
+
+    @staticmethod
+    def kappa_line(coeffs, k, t, kappa, v, samples=64):
+        """Samples along Im tau = v of sum_n (c+ + c- Gamma(1-k, -4 pi (n +
+        kappa) v / t)) e^{2 pi i (n + kappa) tau / t}, Gamma(3, x) in closed
+        form (k = -2)."""
+        taus = np.arange(samples) * (t / samples) + 1j * v
+        out = np.zeros(samples, dtype=complex)
+        for n, (cp, cm) in coeffs.items():
+            x = -4.0 * math.pi * (n + kappa) * v / t
+            gram = 2.0 * math.exp(-x) * (1.0 + x + x * x / 2.0)
+            out += (cp + cm * gram) * np.exp(2j * math.pi * (n + kappa) * taus / t)
+        return out
+
+    @pytest.mark.parametrize("kappa", [0.25, 0.5])
+    @pytest.mark.parametrize("t", [1.0, 2.0])
+    def test_kappa_shifted_gram_recovers_single_and_mixed_terms(self, rng, kappa, t):
+        # mode n of a parameter-kappa expansion carries Gamma(1-k, -4 pi (n +
+        # kappa) v / t), also at n = 0, where n + kappa != 0 rules out v^{1-k}
+        modes, v0, v1 = [-2, -1, 0, 1], 0.3, 0.6
+        cases = [{n: (0.0, 1.0)} for n in modes]
+        cases.append({n: tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for n in modes})
+        for coeffs in cases:
+            lines = [self.kappa_line(coeffs, -2, t, kappa, v) for v in (v0, v1)]
+            c_plus, c_minus, info = two_height_solve(*lines, -2, t, kappa, modes, v0, v1)
+            assert not info["lost"]
+            want = np.array([coeffs.get(n, (0.0, 0.0)) for n in modes])
+            scale = np.abs(want).max()
+            assert np.abs(c_plus - want[:, 0]).max() <= 1e-10 * scale
+            assert np.abs(c_minus - want[:, 1]).max() <= 1e-10 * scale
 
     def test_each_mode_gram_pair_is_evaluated_once(self, monkeypatch):
         calls = []

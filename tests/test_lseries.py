@@ -22,6 +22,7 @@ from maassforms.lseries import (
     FrickePair,
     ResidualReport,
     UncertifiedRegionWarning,
+    _mellin_piece,
     analytic_pair,
     fe_residuals,
     l_minus,
@@ -155,19 +156,18 @@ class TestContinuation:
                 lambda_continued(pair, complex(s))
 
     def test_pair_from_forms_matches_analytic(self):
-        # a pair assembled from two given expansions (level 1: g = f)
-        # continues like the self-anchored one for a true pair; it is cut
-        # off at T = 30 (1 - k), far past the integrand's decay
+        # Omega through the exact h_op term series agrees with Omega through
+        # the pair's jet-based h_eval, at the pair's own T and constants
         from maassforms.forms import h_op, to_terms
 
         ref = harmonic_eisenstein_level_one(80)
-        ts, k = to_terms(ref), ref.weight
-        c0, d0 = complex(ref.c_plus[0]), ref.c_minus_zero
-        p_b = FrickePair(1, k, ts.eval, ts.eval, h_op(ts, k).eval, h_op(ts, k).eval,
-                         c0, d0, c0, d0, T_default=30.0 * (1 - k))
         p_a = analytic_pair(ref)
+        p_b = FrickePair(1, ref.weight, p_a.f_eval, h_op(to_terms(ref), ref.weight).eval,
+                         p_a.c_f_plus0, p_a.c_f_minus0, p_a.c_g_plus0, p_a.c_g_minus0,
+                         p_a.T_default)
         for s in (2.0 + 0j, 0.5 + 1.0j, -1.0 + 2.0j):
-            assert abs(lambda_continued(p_b, s) - lambda_continued(p_a, s)) <= 1e-8
+            om = omega_continued(p_a, s)
+            assert abs(omega_continued(p_b, s) - om) <= 1e-12 * max(1.0, abs(om))
 
     def test_degenerate_constant_form_omega_integrand(self):
         # pure c+(0): H = k c+(0), so the constant-subtracted integrand is 0
@@ -199,6 +199,46 @@ BATCHED = (lambda_continued, omega_continued, lambda_star, omega_star)
 @pytest.fixture(scope="module")
 def small_pair():
     return analytic_pair(harmonic_eisenstein_level_one(4))
+
+
+def mellin_nodes(pair, s):
+    """Every point at which _mellin_piece reads its integrand for s."""
+    seen = []
+    _mellin_piece(lambda z: seen.append(z) or np.zeros_like(z), 0j, 0j, pair.level,
+                  pair.weight, s, pair.T_default)
+    return np.concatenate(seen)
+
+
+def partner_rule_forms():
+    ref = harmonic_eisenstein_level_one(40)
+    yield ref
+    for level in (2, 7, 11):
+        yield oldform_pair(level)[0]
+    yield twist(ref, character_by_label(5, "quadratic"))
+
+
+class TestFrickePartnerRule:
+    """The partner's Omega integrand is the Fricke slash of h_eval, negated:
+    on the imaginary axis H_g = -(H_f)|_k omega(N) for g = f|_k omega(N),
+    held here against the chain-rule H of g from slash_jet1."""
+
+    S = np.array([0.5 + 1.0j, -1.0 + 20.0j, 2.5 + 0.0j])
+
+    @pytest.mark.parametrize("form", list(partner_rule_forms()), ids=lambda f: f"N{f.level}")
+    def test_slash_of_h_is_minus_the_chain_rule_partner(self, form):
+        from maassforms.forms import slash_jet1, to_terms
+        from maassforms.modgroup import fricke, slash
+
+        pair, k = analytic_pair(form), form.weight
+        omega, ts = fricke(form.level), to_terms(form)
+        nodes = mellin_nodes(pair, self.S)
+        assert nodes.size and (nodes.real == 0).all()
+        for taus, close in ((nodes, True), (nodes + 0.3, False)):
+            rule = -slash(pair.h_eval, k, omega, taus)
+            f, fu, _ = slash_jet1(ts, k, omega, taus)
+            chain = 2j * taus.imag * fu + k * f
+            gap = np.abs(rule - chain).max() / np.abs(chain).max()
+            assert gap <= 1e-13 if close else gap > 1e-2
 
 
 class TestBatch:
@@ -567,11 +607,27 @@ class TestReconstruction:
         assert info["refinement_error"] <= 1e-8
 
     def test_unresolved_raises(self):
-        # t^{-s} at t = 1e-6 oscillates past what 6 nodes per unit panel
-        # resolve: the refinement moves the value by ~2e7
-        lam = lambda s: (1.0 / TWO_PI) ** s * gamma_complex(s)
+        # an integrand that carries its own factor 1e6^s oscillates past what
+        # 6 nodes per unit panel resolve at t = 1 (the panels narrow with
+        # |log t| only): the refinement moves the value by ~2e7
+        lam = lambda s: (1e6 / TWO_PI) ** s * gamma_complex(s)
         with pytest.raises(QuadratureError, match="refinement moves"):
-            reconstruct_from_lambda(lam, 1, -2, 1e-6, 2.0, 40.0)
+            reconstruct_from_lambda(lam, 1, -2, 1.0, 2.0, 40.0)
+
+    @pytest.mark.parametrize("t", [1e-3, 1e-2, 0.1, 10.0, 20.0])
+    def test_small_and_large_t_resolve(self, t):
+        # panels of width 1/|log t| let the 6-node refinement follow t^{-iy},
+        # which turns |log t| radians per unit of Im s
+        lam = lambda s: (1.0 / TWO_PI) ** s * gamma_complex(s)
+        got = reconstruct_from_lambda(lam, 1, -2, t, 2.0, 40.0)
+        assert abs(got - math.exp(-TWO_PI * t)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [math.exp(-1.0), 0.5, 1.0, 2.0, math.e])
+    def test_unit_panels_for_t_within_a_factor_e(self, t):
+        # 80 panels of width 1 at height 40, 12 + 6 nodes each
+        sizes = []
+        reconstruct_from_lambda(lambda s: sizes.append(s.size) or 0j, 1, -2, t, 2.0, 40.0)
+        assert sizes == [80 * 18]
 
     def test_nonpositive_t_rejected(self):
         for t in (0.0, -0.5):

@@ -256,9 +256,9 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
 def character_by_label(q: int, label: str) -> DirichletCharacter:
     """Resolve a CLI label: 'triv'/'trivial', 'quadratic' (the unique real
     non-trivial character when it exists), or an integer index into
-    enumerate_characters(q)."""
+    enumerate_characters(q), whose entry 0 is the trivial character."""
     label = label.strip().lower()
-    if label in ("triv", "trivial", "1"):
+    if label in ("triv", "trivial"):
         return trivial_character(q)
     if label == "quadratic":
         # every generator order is even, so the real characters are the

@@ -18,12 +18,16 @@ TermSeries.eval is the one numeric evaluator of forms: every caller (evaluate,
 the Fricke pairs of lseries, the CLI, the operator identities) goes through
 it.  It keeps the terms as float arrays, one row per distinct (freq, vexp) and
 one column per vpow, and evaluates fixed blocks of points against fixed chunks
-of rows, each pair with one real np.exp and a few cos/sin columns;
-TermSeries.jet takes the first partials from the same exponentials.  Every
+of rows, each pair with one real np.exp and a few cos/sin columns.  One pass
+(TermSeries._sums) forms only the partials it is asked for from the same
+exponentials: eval the value alone, the Fricke pairs' H = 2iv f_u + k f the
+value and df/du, and TermSeries.jet the value, df/du and df/dv.  Every
 block x chunk step writes into one fixed per-thread workspace, so memory stays
 bounded whatever the number of points or terms, a call allocates no large
 temporaries (whose release and re-fault would cost time that varies from run
-to run), and a point's value does not depend on the batch it arrives in.
+to run), and a point's value does not depend on the batch it arrives in.  A
+pair's partner constants come from extract_coefficients at 32 samples per
+line (lseries._ZERO_MODE_SAMPLES), one call that is one 64-point block.
 """
 
 from __future__ import annotations
@@ -213,9 +217,12 @@ class TermSeries:
         lo_idx = shifted % _PHASE_STEP
         return TWO_PI * (fn / fd), wg, pows.astype(float), coef, den, w_lo, lo_idx, chunks
 
-    def _sums(self, tau, partials: bool):
-        """Value (and with partials, d/du and d/dv) at tau, each a flat array
+    def _sums(self, tau, order: int):
+        """The value and its first partials at tau: order 0 gives (f,), 1
+        gives (f, df/du) and 2 gives (f, df/du, df/dv), each a flat array
         over the points, and the shape to restore (None for a scalar tau).
+        Only order 2 forms the d/dv sums (the v^vpow derivative columns and
+        their per-chunk products).
 
         Each block of _POINT_BLOCK points meets each chunk of _TERM_CHUNK
         rows in one real np.exp of 2 pi vexp v.  The phase e^{2 pi i freq u}
@@ -225,14 +232,15 @@ class TermSeries:
         it is 1 and skipped.  A row's coefficient is a polynomial in v over
         the chunk's vpow columns.  Every point's sums run over the chunks in
         the same order, each chunk reduced by .sum(axis=1), so a point's
-        value does not depend on the batch it arrives in.
+        value does not depend on the batch it arrives in, and no sum depends
+        on the order that asked for it.
         """
         t = np.asarray(tau, dtype=complex)
         if np.any(t.imag <= 0):
             raise ValueError("tau must lie in the upper half-plane")
         flat = t.reshape(-1)
         wf, wg, pows, coef, den, w_lo, lo_idx, chunks = self._arrays
-        outs = [np.zeros(flat.shape, dtype=complex) for _ in range(3 if partials else 1)]
+        outs = [np.zeros(flat.shape, dtype=complex) for _ in range(order + 1)]
         for a in range(0, flat.size, _POINT_BLOCK):
             block = slice(a, a + _POINT_BLOCK)
             u = flat.real[block, None]
@@ -242,7 +250,7 @@ class TermSeries:
                 u = u - den * np.round(u / den)  # a period of every phase, exactly
                 lo_tab = _cis(u * w_lo)
             vp = v.T ** pows[:, None]  # (vpows, points), one contiguous row per vpow
-            if partials:
+            if order > 1:
                 dvp = pows[:, None] * v.T ** (pows[:, None] - 1.0)
             v_ends = (v.min(), v.max())
             for lo, hi, g_top, cols, w_hi, hi_idx in chunks:
@@ -263,19 +271,20 @@ class TermSeries:
                 # c e v^vpow per vpow column, multiplied in the order of a lone
                 # term; dterm is the v^vpow derivative part of d/dv
                 term.fill(0.0)
-                if partials:
+                if order > 1:
                     dterm.fill(0.0)
                 for j in cols:
                     np.multiply(e, coef[j, lo:hi], out=ec)
                     if pows[j]:
                         term += np.multiply(ec, vp[j, :, None], out=ecv)
-                        if partials:
+                        if order > 1:
                             dterm += np.multiply(ec, dvp[j, :, None], out=ecv)
                     else:
                         term += ec
                 outs[0][block] += term.sum(axis=1)
-                if partials:
+                if order > 0:
                     outs[1][block] += 1j * np.multiply(term, wf[lo:hi], out=ec).sum(axis=1)
+                if order > 1:
                     dterm += np.multiply(term, wg[lo:hi], out=ec)
                     outs[2][block] += dterm.sum(axis=1)
         return outs, (None if t.ndim == 0 else t.shape)
@@ -283,14 +292,14 @@ class TermSeries:
     def eval(self, tau):
         """Evaluate at tau (complex scalar or ndarray with Im > 0); a scalar
         is a batch of one and returns a Python complex."""
-        (out,), shape = self._sums(tau, False)
+        (out,), shape = self._sums(tau, 0)
         return complex(out[0]) if shape is None else out.reshape(shape)
 
     def jet(self, tau):
         """(f, df/du, df/dv) at tau (complex scalar or ndarray with Im > 0),
         from the exponentials of eval: d/du multiplies a term by 2 pi i freq
         and d/dv by vpow/v + 2 pi vexp."""
-        outs, shape = self._sums(tau, True)
+        outs, shape = self._sums(tau, 2)
         if shape is None:
             return tuple(complex(x[0]) for x in outs)
         return tuple(x.reshape(shape) for x in outs)
@@ -725,16 +734,17 @@ def extract_coefficients(
     raising IllConditionedError when the heights cannot separate the
     components.
 
-    f_eval must be vectorised: it is called once per height, on an ndarray of
-    samples points, and must return an array of the same shape.  samples
-    bounds the resolvable frequency range: modes are aliased mod samples, so
-    it must exceed the bandwidth of f plus |n|.
+    f_eval must be vectorised: it is called once, on a (2, samples) ndarray
+    holding the line at v0 in row 0 and the line at v1 in row 1, and must
+    return an array of the same shape.  samples bounds the resolvable
+    frequency range: modes are aliased mod samples, so it must exceed the
+    bandwidth of f plus |n|.
     """
     if samples < 2 * abs(n) + 2:
         raise ValueError(f"samples={samples} cannot resolve mode n={n}")
-    taus = [np.arange(samples) * (t / samples) + 1j * v for v in (v0, v1)]
-    lines = [np.asarray(f_eval(z), dtype=complex) for z in taus]
-    if any(vals.shape != z.shape for vals, z in zip(lines, taus)):
+    taus = np.arange(samples) * (t / samples) + 1j * np.array([[v0], [v1]])
+    lines = np.asarray(f_eval(taus), dtype=complex)
+    if lines.shape != taus.shape:
         raise ValueError("f_eval must return an array shaped like its argument")
     c_plus, c_minus, info = two_height_solve(*lines, k, t, kappa, [n], v0, v1)
     if info["lost"]:

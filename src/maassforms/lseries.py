@@ -167,10 +167,26 @@ class FrickePair:
     T_default: float
 
 
+# Samples per line of the partner's zero-mode extraction.  Bin 0 of an
+# S-point line at height v also holds the aliased modes +-S, +-2S, ... of
+# the 1-periodic partner.  At the lower height v0 = 0.5, mode S weighs
+# e^{-2 pi S v0} times c+(S), and mode -S weighs e^{-2 pi S v0} times
+# c-(-S) Gamma(1-k) sum_{l < 1-k} (4 pi S v0)^l / l!, the finite
+# incomplete-gamma sum of to_terms, a polynomial of degree -k.  At S = 32,
+# e^{-2 pi S v0} = e^{-100.5} = 2.2e-44 and the sum is below 3.2e16 for
+# every k >= -10, so an alias is below 1e-27 of its own coefficient
+# (c+(S) or c-(-S) Gamma(1-k)); higher aliases and the line at v1 = 1 are
+# smaller still.  More samples would evaluate the partner where no
+# constant reads it.
+_ZERO_MODE_SAMPLES = 32
+
+
 def analytic_pair(form: FormExpansion) -> FrickePair:
     """Self-anchored pair: the partner is f|_k omega(N) evaluated pointwise
     from the form's own terms, and the partner's constant terms are extracted
-    numerically from its zero mode (at heights 0.5 and 1).
+    numerically from its zero mode: one extract_coefficients call, that is
+    one evaluator call on _ZERO_MODE_SAMPLES points at each of the heights
+    0.5 and 1.
 
     This is the route that gives functional-equation residuals their content:
     a completed series continued through analytic_pair(form) uses no data
@@ -181,9 +197,10 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
     against the dropped [T, inf) integrand.
 
     Both evaluators run on the form's one TermSeries: f_eval is its eval,
-    and h_eval takes H = 2iv f_u + k f from TermSeries.jet, so no derivative
-    series is built.  The partner side of Lambda and Omega is the Fricke
-    slash of these (see FrickePair).
+    and h_eval takes H = 2iv f_u + k f from one pass of its sums that forms
+    f and f_u but not df/dv (the values of TermSeries.jet, without its third
+    part), so no derivative series is built.  The partner side of Lambda and
+    Omega is the Fricke slash of these (see FrickePair).
     """
     from .forms import extract_coefficients
 
@@ -191,11 +208,12 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
     ts = to_terms(form)
 
     def h_eval(taus):
-        f, f_u, _ = ts.jet(taus)
-        return 2j * np.imag(taus) * f_u + k * f
+        (f, f_u), shape = ts._sums(taus, 1)
+        h = 2j * np.ravel(np.imag(taus)) * f_u + k * f
+        return complex(h[0]) if shape is None else h.reshape(shape)
 
     g_eval = partial(slash, ts.eval, k, fricke(form.level))
-    cgp0, cgm0 = extract_coefficients(g_eval, k, 1.0, 0.0, 0, 0.5, 1.0)
+    cgp0, cgm0 = extract_coefficients(g_eval, k, 1.0, 0.0, 0, 0.5, 1.0, _ZERO_MODE_SAMPLES)
     return FrickePair(
         level=form.level,
         weight=k,
@@ -418,6 +436,14 @@ def fe_residuals(
     representations are the same expression rearranged - so that route cannot
     distinguish true pairs from false ones; the self-anchored route can, and
     a single perturbed coefficient in g surfaces directly.
+
+    Only one orientation is certified: f's pair is continued at s and g's
+    at k - s.  The reversed reading (f's pair at k - s against g's at s)
+    carries a larger error; on the golden oldform pairs (the level-1 lift
+    at n_max 40 N against N^{k/2} F(N tau)) its Omega residuals are 1.2e-9
+    at N = 7 and 4.1e-9 at N = 11, against about 2e-11 in this orientation.
+    So a PASS can depend on which form is passed as f; checking both
+    orientations would double the cost.
 
     With psi (primitive, modulus m coprime to the level) the twisted
     equations Lambda_N(f,s,psi) = i^k C_psi Lambda_N(g,k-s,psibar) and its

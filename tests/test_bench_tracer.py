@@ -8,6 +8,7 @@ otherwise surface only there, so the tracer is installed and removed here.
 import importlib.util
 from pathlib import Path
 
+from helpers import oldform_pair
 from maassforms.eisenstein import harmonic_eisenstein_level_one
 from maassforms.lseries import fe_residuals
 
@@ -70,3 +71,21 @@ def test_residual_driver_makes_one_batch_per_side():
         assert summary["lseries.omega_continued.calls"] == 2
     one, full = summaries
     assert one["forms.TermSeries.eval.calls"] == full["forms.TermSeries.eval.calls"]
+
+
+def test_pair_builds_evaluate_only_what_they_read():
+    # on the N = 11 golden pair each analytic_pair extracts c_g(0) from one
+    # 64-point call (32 samples at each of two heights); the Lambda nodes of
+    # both pairs and their Fricke images take one call each (the grid is one
+    # panel group), and the tail estimate one point.  H is not formed
+    # through eval.  256-sample lines read 9 calls and 1,473 points.
+    f, g = oldform_pair(11)
+    t = load_tracer().Tracer()
+    t.install()
+    try:
+        fe_residuals(f, g, VERIFY_GRID)
+    finally:
+        t.uninstall()
+    summary = t.summary()
+    assert summary["forms.TermSeries.eval.calls"] == 7
+    assert summary["forms.TermSeries.eval.points"] == 577

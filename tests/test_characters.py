@@ -326,9 +326,8 @@ class TestSerialization:
     def test_index_label_is_the_enumeration_entry(self, data):
         # the index is read through unravel_index, not by building every
         # character, and names the same entry as the enumeration order
-        # (label "1" is the trivial character's alias, not index 1)
         q = data.draw(st.integers(1, 200))
-        idx = data.draw(st.integers(0, euler_phi(q) - 1).filter(lambda i: i != 1))
+        idx = data.draw(st.integers(0, euler_phi(q) - 1))
         assert character_by_label(q, str(idx)) == enumerate_characters(q)[idx]
         past = euler_phi(q) + 1
         with pytest.raises(ValueError, match=f"index {past} out of range for modulus {q}"):
@@ -338,6 +337,11 @@ class TestSerialization:
 
     def test_labels(self):
         assert character_by_label(7, "triv").is_trivial
+        for label in ("trivial", "0", " TRIV "):
+            assert character_by_label(7, label) == trivial_character(7)
+        # "1" is index 1, not an alias of the trivial character
+        assert character_by_label(5, "1") == enumerate_characters(5)[1]
+        assert not character_by_label(5, "1").is_trivial
         quad = character_by_label(7, "quadratic")
         assert quad == quad.conjugate() and not quad.is_trivial
         with pytest.raises(ValueError):

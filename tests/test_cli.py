@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from helpers import oldform_pair
+from maassforms.characters import enumerate_characters
 from maassforms.cli import main
 from maassforms.eisenstein import harmonic_eisenstein_level_one
-from maassforms.forms import FormExpansion, load_form, save_form
+from maassforms.forms import FormExpansion, load_form, save_form, twist
 
 
 def run(*argv):
@@ -296,6 +297,18 @@ class TestOps:
         tw = load_form(out)
         assert tw.level == 25
         assert tw.c_minus_zero == 0
+
+    def test_twist_by_character_index_one(self, example_form, tmp_path):
+        # "5:1" is entry 1 of the enumeration mod 5, a primitive quartic
+        # character, not an alias of the trivial one
+        out = tmp_path / "twisted.json"
+        assert run("twist", "--in", str(example_form), "--psi", "5:1", "--out", str(out)) == 0
+        psi = enumerate_characters(5)[1]
+        want = twist(load_form(example_form), psi)
+        got = load_form(out)
+        assert got.level == 25 and got.character == want.character
+        assert np.array_equal(got.c_plus, want.c_plus)
+        assert np.array_equal(got.c_minus, want.c_minus)
 
     def test_eval_and_extract(self, example_form, capsys):
         assert run("eval", "--in", str(example_form), "--tau", "0.3+0.7j") == 0

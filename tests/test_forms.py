@@ -789,6 +789,28 @@ class TestExtraction:
         (_, _), info = extract_coefficients(ev, -2, 1.0, 0.0, 1, 0.5, 1.0, full_output=True)
         assert info["condition"] >= 1.0
 
+    def test_one_evaluator_call_for_both_heights(self, rng):
+        f = make_random_form(rng)
+        seen = []
+
+        def ev(taus):
+            seen.append(taus)
+            return evaluate(f, taus)
+
+        got = extract_coefficients(ev, -2, 1.0, 0.0, 1, 0.5, 1.0, samples=32)
+        assert len(seen) == 1 and seen[0].shape == (2, 32)
+        assert np.array_equal(seen[0], np.arange(32) / 32 + 1j * np.array([[0.5], [1.0]]))
+        # each line alone gives the same values, so the same constants
+        lines = [evaluate(f, row) for row in seen[0]]
+        c_plus, c_minus, _ = two_height_solve(*lines, -2, 1.0, 0.0, [1], 0.5, 1.0)
+        assert got == (complex(c_plus[0]), complex(c_minus[0]))
+
+    @pytest.mark.parametrize("shape", [(64,), (32,), (32, 2), (1, 2, 32)])
+    def test_wrongly_shaped_return_is_refused(self, shape):
+        with pytest.raises(ValueError, match="f_eval must return an array shaped like its argument"):
+            extract_coefficients(lambda taus: np.zeros(shape, dtype=complex), -2, 1.0, 0.0, 0,
+                                 0.5, 1.0, samples=32)
+
 
 def mode_from_samples(vals, t, kappa, n, v):
     """Oracle: (1/t) int_{tau0}^{tau0+t} f(tau) e^{-2 pi i (n + kappa) tau / t} dtau

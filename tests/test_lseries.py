@@ -6,6 +6,7 @@ its own Fricke partner) is the golden pair throughout.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -239,6 +240,60 @@ class TestFrickePartnerRule:
             chain = 2j * taus.imag * fu + k * f
             gap = np.abs(rule - chain).max() / np.abs(chain).max()
             assert gap <= 1e-13 if close else gap > 1e-2
+
+
+def partner_constant_forms():
+    for level in (1, 2, 7, 11):
+        f, g = oldform_pair(level)
+        yield pytest.param(f, id=f"N{level}-f")
+        yield pytest.param(g, id=f"N{level}-g")
+    lift = harmonic_eisenstein_level_one(400)
+    for m in (3, 4, 5):
+        yield pytest.param(twist(lift, character_by_label(m, "quadratic")), id=f"lift400-psi{m}")
+
+
+class TestPartnerConstants:
+    """analytic_pair reads c_g(0) from _ZERO_MODE_SAMPLES points per line,
+    which loses nothing against the 256-sample extraction."""
+
+    @pytest.mark.parametrize("form", list(partner_constant_forms()))
+    def test_zero_mode_matches_the_256_sample_extraction(self, form):
+        from maassforms.forms import extract_coefficients, to_terms
+        from maassforms.modgroup import fricke, slash
+
+        pair, k = analytic_pair(form), form.weight
+        g_eval = partial(slash, to_terms(form).eval, k, fricke(form.level))
+        want = extract_coefficients(g_eval, k, 1.0, 0.0, 0, 0.5, 1.0, 256)
+        assert abs(pair.c_g_plus0 - want[0]) <= 1e-14
+        assert abs(pair.c_g_minus0 - want[1]) <= 1e-14
+
+
+def h_path_forms():
+    ref = harmonic_eisenstein_level_one(40)
+    yield pytest.param(ref, id="N1")
+    for level in (7, 11):
+        f, g = oldform_pair(level)
+        yield pytest.param(f, id=f"N{level}-f")
+        yield pytest.param(g, id=f"N{level}-g")
+    yield pytest.param(twist(ref, character_by_label(5, "quadratic")), id="psi5")
+
+
+class TestHEvaluator:
+    """h_eval takes f and f_u from one pass without the d/dv sums; its H
+    is the one formed from TermSeries.jet, bit for bit."""
+
+    @pytest.mark.parametrize("form", list(h_path_forms()))
+    def test_h_equals_the_jet_formula(self, form):
+        from maassforms.forms import to_terms
+        from maassforms.modgroup import fricke
+
+        pair, ts, k = analytic_pair(form), to_terms(form), form.weight
+        nodes = mellin_nodes(pair, TestFrickePartnerRule.S)
+        for taus in (nodes, fricke(form.level).apply(nodes)):
+            f, f_u, _ = ts.jet(taus)
+            assert np.array_equal(pair.h_eval(taus), 2j * taus.imag * f_u + k * f)
+        h = pair.h_eval(complex(nodes[0]))
+        assert type(h) is complex and h == pair.h_eval(nodes[:1])[0]
 
 
 class TestBatch:

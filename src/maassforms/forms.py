@@ -14,14 +14,15 @@ rather than finite differences.  A form's TermSeries (to_terms) takes its
 evaluator arrays straight from the coefficient arrays and makes the exact
 Fraction-keyed dict of its terms only when an operator asks for it.
 
-TermSeries.eval is the one numeric evaluator of forms: every caller (evaluate,
-the Fricke pairs of lseries, the CLI, the operator identities) goes through
-it.  It keeps the terms as float arrays, one row per distinct (freq, vexp) and
-one column per vpow, and evaluates fixed blocks of points against fixed chunks
-of rows, each pair with one real np.exp and a few cos/sin columns.  One pass
-(TermSeries._sums) forms only the partials it is asked for from the same
-exponentials: eval the value alone, the Fricke pairs' H = 2iv f_u + k f the
-value and df/du, and TermSeries.jet the value, df/du and df/dv.  Every
+TermSeries._sums is the one numeric pass over a form: TermSeries.eval (which
+evaluate, the CLI and the operator identities call), TermSeries.jet and the
+Fricke pairs of lseries all read it.  It keeps the terms as float arrays, one
+row per distinct (freq, vexp) and one column per vpow, and evaluates fixed
+blocks of points against fixed chunks of rows, each pair with one real np.exp
+and a few cos/sin columns.  One pass forms only the partials it is asked for
+from the same exponentials: eval and a Fricke pair read for Lambda alone the
+value, a pair read for Lambda and Omega the value and df/du (for
+H = 2iv f_u + k f), and TermSeries.jet the value, df/du and df/dv.  Every
 block x chunk step writes into one fixed per-thread workspace, so memory stays
 bounded whatever the number of points or terms, a call allocates no large
 temporaries (whose release and re-fault would cost time that varies from run
@@ -353,7 +354,7 @@ def slash_jet1(ts: TermSeries, k: int, gamma: RationalMatrix, tau):
     gamma tau is holomorphic, so d/dtau only sees f_tau and d/dtaubar only
     f_taubar, each scaled by m = det/(c tau + d)^2 resp. conj(m), and
     d/dtau also meets the slash factor.  The library's Fricke partners slash
-    the evaluators instead (lseries.FrickePair); this is the independent
+    their evaluator instead (lseries.FrickePair); this is the independent
     derivative the slash identities are tested against.
     """
     c = complex(gamma.c)

@@ -11,9 +11,9 @@ satisfy, for a Fricke pair g = f|_k omega(N), the functional equations
 Lambda_N(f,s) = i^k Lambda_N(g,k-s) and Omega_N(f,s) = -i^k Omega_N(g,k-s).
 Analytic continuation is computed from the incomplete Mellin representation
 on [1, T] (the integrand decays like e^{-2 pi t / sqrt N}), with the four
-simple pole terms restored explicitly; Lambda and Omega share one body for
-each step.  The converse direction inverts Lambda along a vertical line with
-specfun.invert_on_line, the rule that also inverts W_nu.
+simple pole terms restored explicitly; Lambda and Omega are two rows of one
+integrand evaluator.  The converse direction inverts Lambda along a vertical
+line with specfun.invert_on_line, the rule that also inverts W_nu.
 """
 
 from __future__ import annotations
@@ -135,36 +135,43 @@ def omega_definitional(form: FormExpansion, s: complex) -> complex:
 
 @dataclass(frozen=True)
 class FrickePair:
-    """A form's evaluators and the constants of its Fricke pair, with
-    partner g = f|_k omega(N).
+    """A form's integrand evaluator and the constants of its Fricke pair,
+    with partner g = f|_k omega(N).
 
-    f_eval evaluates f and h_eval H = 2iv df/du + k f on (vectorized) upper
-    half-plane arguments.  The partner is never stored: its integrands are
-    the Fricke slashes of these two evaluators, f_eval|_k omega(N) = g and
-    h_eval|_k omega(N) = -H_g, the second only on the imaginary axis, where
-    every Mellin integrand is read.  (H = v R_k - L_k / v and R_k, L_k
-    commute with the slash; at tau = iv the extra Fricke factors of weights
-    k + 2 and k - 2 are -v'/v and -v/v', v' = Im omega(N) tau, which flip
-    the sign of both parts.  Off the axis the two sides differ.)  The four
-    constants are (c_f+(0), c_f-(0), c_g+(0), c_g-(0)), and T_default is the
-    Mellin cut-off used when a continuation is given no T.
+    integrands(taus, rows) stacks the first rows of (f, H = 2iv df/du + k f)
+    at a 1-d array of points: one row for Lambda, two for Lambda and Omega.
+    The partner is never stored: its integrands are the Fricke slash of the
+    same evaluator, f|_k omega(N) = g and H|_k omega(N) = -H_g, the second
+    only on the imaginary axis, where every Mellin integrand is read.  (H =
+    v R_k - L_k / v and R_k, L_k commute with the slash; at tau = iv the
+    extra Fricke factors of weights k + 2 and k - 2 are -v'/v and -v/v',
+    v' = Im omega(N) tau, which flip the sign of both parts.  Off the axis
+    the two sides differ.)  The four constants are (c_f+(0), c_f-(0),
+    c_g+(0), c_g-(0)), and T_default is the Mellin cut-off used when a
+    continuation is given no T.
 
     The continuations (lambda_star, omega_star, lambda_continued,
     omega_continued) take one s or an array of s.  An array is grouped by
     the panel count of the log-t quadrature, which depends on s only through
-    |Im s|, and each evaluator is called once per group on that group's
-    nodes, so a batch costs about as many evaluations as one point.
+    |Im s|, and the evaluator is called once per group on its nodes and once
+    on their Fricke images, so a batch costs about as many as one point.
     """
 
     level: int
     weight: int
-    f_eval: Callable
-    h_eval: Callable
+    integrands: Callable
     c_f_plus0: complex
     c_f_minus0: complex
     c_g_plus0: complex
     c_g_minus0: complex
     T_default: float
+
+    @property
+    def row_constants(self) -> tuple:
+        """Per row, (c0, c_v, partner c0, partner c_v) of its Mellin pieces:
+        the four constants for f, k c_f(0) and -k c_g(0) for H (-H_g)."""
+        lam = (self.c_f_plus0, self.c_f_minus0, self.c_g_plus0, self.c_g_minus0)
+        return lam, tuple(sign * self.weight * c for sign, c in zip((1, 1, -1, -1), lam))
 
 
 # Samples per line of the partner's zero-mode extraction.  Bin 0 of an
@@ -196,29 +203,29 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
     pair's T_default = max(4, sqrt(n_max)) balances that truncation loss
     against the dropped [T, inf) integrand.
 
-    Both evaluators run on the form's one TermSeries: f_eval is its eval,
-    and h_eval takes H = 2iv f_u + k f from one pass of its sums that forms
-    f and f_u but not df/dv (the values of TermSeries.jet, without its third
+    The evaluator makes one pass of the form's TermSeries sums per call: the
+    value-only pass for the row f alone, and for (f, H) the pass that forms f
+    and f_u but not df/dv (the values of TermSeries.jet, without its third
     part), so no derivative series is built.  The partner side of Lambda and
-    Omega is the Fricke slash of these (see FrickePair).
+    Omega is the Fricke slash of this evaluator (see FrickePair).
     """
     from .forms import extract_coefficients
 
     k = form.weight
     ts = to_terms(form)
 
-    def h_eval(taus):
-        (f, f_u), shape = ts._sums(taus, 1)
-        h = 2j * np.ravel(np.imag(taus)) * f_u + k * f
-        return complex(h[0]) if shape is None else h.reshape(shape)
+    def integrands(taus, rows):
+        outs, _ = ts._sums(taus, rows - 1)
+        if rows == 2:
+            outs[1] = 2j * taus.imag * outs[1] + k * outs[0]
+        return np.array(outs)
 
     g_eval = partial(slash, ts.eval, k, fricke(form.level))
     cgp0, cgm0 = extract_coefficients(g_eval, k, 1.0, 0.0, 0, 0.5, 1.0, _ZERO_MODE_SAMPLES)
     return FrickePair(
         level=form.level,
         weight=k,
-        f_eval=ts.eval,
-        h_eval=h_eval,
+        integrands=integrands,
         c_f_plus0=complex(form.c_plus[0]),
         c_f_minus0=form.c_minus_zero,
         c_g_plus0=cgp0,
@@ -244,80 +251,66 @@ def _unbatch(values, shape: tuple | None):
     return np.array(values, dtype=complex).reshape(shape)
 
 
-def _mellin_piece(
-    eval_fn: Callable,
-    const0: complex,
-    const_v: complex,
-    level: int,
-    k: int,
-    exponent,
-    T: float,
-):
-    """int_1^T (F(i t / sqrt N) - const0 - const_v t^{1-k} / N^{(1-k)/2})
-    t^{exponent - 1} dt, by Gauss-Legendre in x = log t, for a scalar or an
-    array of exponents.
+def _mellin_piece(eval_fn: Callable, consts: Sequence[tuple[complex, complex]], level: int,
+                  k: int, exps: np.ndarray, T: float) -> np.ndarray:
+    """int_1^T (F_r(i t / sqrt N) - c0_r - cv_r t^{1-k} / N^{(1-k)/2})
+    t^{z - 1} dt for each row F_r of eval_fn, with consts[r] = (c0_r, cv_r),
+    and each exponent z of the 1-d array exps, by Gauss-Legendre in
+    x = log t: an array rows x exponents.
 
     An exponent z gets max(2, ceil(log T / min(0.5, 4 / (1 + |Im z|))))
-    panels.  The exponents are grouped by that count and F is evaluated once
-    per group, on exactly the nodes a lone exponent would get.  Its sums are
-    one exponents x nodes expression in row blocks of about 2^15 entries, and
-    .sum(axis=1) reduces each row alone, by the pairwise sum np.sum gives one
-    exponent, so a value does not depend on the rest of the batch.
+    panels.  The exponents are grouped by that count and eval_fn is called
+    once per group, on exactly the nodes a lone exponent would get.  Each
+    row's sums are one exponents x nodes expression in blocks of about 2^15
+    entries, and .sum(axis=1) reduces each exponent alone, by the pairwise
+    sum np.sum gives one exponent, so a value does not depend on the rest of
+    the batch or on the other rows.
     """
-    exps, shape = _batch(exponent)
     upper = math.log(T)
     counts = np.maximum(2, np.ceil(upper / np.fmin(0.5, 4.0 / (1.0 + np.abs(exps.imag)))))
-    out = np.empty(exps.shape, dtype=complex)
+    out = np.empty((len(consts), exps.size), dtype=complex)
     for npanels in dict.fromkeys(counts.astype(int).tolist()):
         members = np.flatnonzero(counts == npanels)
         x, w = gauss_legendre_panels(0.0, upper, npanels, _MELLIN_NODES)
         t = np.exp(x)
         vals = np.asarray(eval_fn(1j * t / math.sqrt(level)), dtype=complex)
-        diff = vals - (const0 + const_v * t ** (1 - k) / level ** ((1 - k) / 2.0))
+        diffs = [row - (c0 + cv * t ** (1 - k) / level ** ((1 - k) / 2.0))
+                 for row, (c0, cv) in zip(vals, consts)]
         step = max(1, (1 << 15) // x.size)
-        for rows in np.array_split(members, range(step, members.size, step)):
-            out[rows] = (w * (diff * np.exp(exps[rows, None] * x))).sum(axis=1)
-    return _unbatch(out, shape)
+        for block in np.array_split(members, range(step, members.size, step)):
+            kernel = np.exp(exps[block, None] * x)
+            for r, diff in enumerate(diffs):
+                out[r, block] = (w * (diff * kernel)).sum(axis=1)
+    return out
 
 
-def _sides(pair: FrickePair, omega: bool):
-    """The one place Omega differs from Lambda: the integrand (H instead of
-    f) and the constant terms (k c_f(0) and -k c_g(0) instead of c_f(0) and
-    c_g(0), since the partner's integrand is -H_g)."""
-    if not omega:
-        return pair.f_eval, (pair.c_f_plus0, pair.c_f_minus0, pair.c_g_plus0, pair.c_g_minus0)
-    k = pair.weight
-    return pair.h_eval, (k * pair.c_f_plus0, k * pair.c_f_minus0,
-                         -k * pair.c_g_plus0, -k * pair.c_g_minus0)
+def _star(pair: FrickePair, s, T: float | None, rows: int) -> list:
+    """The entire pole-corrected completions of the first rows integrands
+    (Lambda, then Omega; Lambda alone takes the value-only evaluator pass):
+    the incomplete Mellin integrals on [1, T] of each integrand and of its
+    Fricke slash, the partner's integrand on the imaginary axis (see
+    FrickePair), joined with relative sign i^k.  Finite for every s.
 
-
-def _star(pair: FrickePair, s, T: float | None, omega: bool):
-    """The entire pole-corrected completion of Lambda (of Omega when omega
-    is set): the incomplete Mellin integrals on [1, T] of the integrand and
-    of its Fricke slash, joined with relative sign i^k.  The slash is the
-    partner's integrand on the imaginary axis (see FrickePair).  Finite for
-    every s.
-
-    s is a complex number or an array of them; an array gives an array of
-    the same shape, each value equal to its lone-point value (see
-    _mellin_piece for how the batch shares integrand evaluations)."""
+    s is a complex number or an array of them; each row is shaped like s,
+    each value equal to its lone-point value (see _mellin_piece for how the
+    batch shares integrand evaluations)."""
     T = pair.T_default if T is None else T
     if not 1.0 < T < math.inf:
         raise ValueError(f"the Mellin cut-off T must be a finite number > 1, got T = {T}")
     pts, shape = _batch(s)
     if not np.isfinite(pts).all():
         raise ValueError(f"s must be a finite complex number, got s = {pts[~np.isfinite(pts)][0]}")
-    k = pair.weight
-    ev, (cf0, cfv, cg0, cgv) = _sides(pair, omega)
+    k, consts = pair.weight, pair.row_constants[:rows]
+    ev = partial(pair.integrands, rows=rows)
     partner = partial(slash, ev, k, fricke(pair.level))
-    i1 = _mellin_piece(ev, cf0, cfv, pair.level, k, pts, T)
-    i2 = _mellin_piece(partner, cg0, cgv, pair.level, k, k - pts, T)
-    return _unbatch(i1 + _i_pow(k) * i2, shape)
+    i1 = _mellin_piece(ev, [c[:2] for c in consts], pair.level, k, pts, T)
+    i2 = _mellin_piece(partner, [c[2:] for c in consts], pair.level, k, k - pts, T)
+    return [_unbatch(row, shape) for row in i1 + _i_pow(k) * i2]
 
 
-def _continued(pair: FrickePair, s, T: float | None, omega: bool):
-    """_star minus the four simple pole terms of its constants; ValueError
-    if a point of the batch is a pole."""
+def _continued(pair: FrickePair, s, T: float | None, rows: int) -> list:
+    """_star minus the four simple pole terms of each row's constants;
+    ValueError if a point of the batch is a pole."""
     flat, shape = _batch(s)
     pts, k = flat.tolist(), pair.weight
     pole = (np.abs(flat[:, None] - np.array([0.0, k, 1.0, k - 1.0])) < 1e-12).any(axis=1)
@@ -325,34 +318,33 @@ def _continued(pair: FrickePair, s, T: float | None, omega: bool):
         z = pts[pole.argmax()]
         raise ValueError(f"s = {z} is a pole of the completed series; probe lambda_star/omega_star")
     ik, nfac = _i_pow(k), pair.level ** ((1 - k) / 2.0)
-    _, (cf0, cfv, cg0, cgv) = _sides(pair, omega)
-    out = [
-        a - (cf0 / z + cg0 * ik / (k - z) + cfv / nfac / (z - k + 1) + cgv * ik / nfac / (1 - z))
-        for a, z in zip(np.ravel(_star(pair, s, T, omega)).tolist(), pts)
+    return [
+        _unbatch([a - (cf0 / z + cg0 * ik / (k - z) + cfv / nfac / (z - k + 1)
+                       + cgv * ik / nfac / (1 - z)) for a, z in zip(row.tolist(), pts)], shape)
+        for row, (cf0, cfv, cg0, cgv) in zip(_star(pair, flat, T, rows), pair.row_constants)
     ]
-    return _unbatch(out, shape)
 
 
 def lambda_star(pair: FrickePair, s, T: float | None = None):
     """The entire completion of Lambda (see _star); vectorised over s."""
-    return _star(pair, s, T, omega=False)
+    return _star(pair, s, T, 1)[0]
 
 
 def omega_star(pair: FrickePair, s, T: float | None = None):
     """The entire completion of Omega (see _star); vectorised over s."""
-    return _star(pair, s, T, omega=True)
+    return _star(pair, s, T, 2)[1]
 
 
 def lambda_continued(pair: FrickePair, s, T: float | None = None):
     """Lambda_N(f, s) for arbitrary s away from the four simple poles;
     agrees with lambda_definitional on the certified half-plane.
     Vectorised over s like lambda_star."""
-    return _continued(pair, s, T, omega=False)
+    return _continued(pair, s, T, 1)[0]
 
 
 def omega_continued(pair: FrickePair, s, T: float | None = None):
     """Omega_N(f, s) for arbitrary s away from the poles; vectorised over s."""
-    return _continued(pair, s, T, omega=True)
+    return _continued(pair, s, T, 2)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +407,7 @@ def _integrand_tail(pair: FrickePair, T: float) -> float:
     tau = 1j * T / math.sqrt(pair.level)
     k = pair.weight
     sub = pair.c_f_plus0 + pair.c_f_minus0 * T ** (1 - k) / pair.level ** ((1 - k) / 2.0)
-    lead = abs(complex(np.asarray(pair.f_eval(np.array([tau])))[0]) - sub)
+    lead = abs(complex(pair.integrands(np.array([tau]), 1)[0, 0]) - sub)
     return lead * math.sqrt(pair.level) / (2.0 * math.pi)
 
 
@@ -442,8 +434,9 @@ def fe_residuals(
     carries a larger error; on the golden oldform pairs (the level-1 lift
     at n_max 40 N against N^{k/2} F(N tau)) its Omega residuals are 1.2e-9
     at N = 7 and 4.1e-9 at N = 11, against about 2e-11 in this orientation.
-    So a PASS can depend on which form is passed as f; checking both
-    orientations would double the cost.
+    So a PASS can depend on which form is passed as f.  Reading both would
+    cost Mellin sums but no evaluator pass: s and k - s share their Mellin
+    nodes, which depend on s only through |Im s|.
 
     With psi (primitive, modulus m coprime to the level) the twisted
     equations Lambda_N(f,s,psi) = i^k C_psi Lambda_N(g,k-s,psibar) and its
@@ -455,8 +448,9 @@ def fe_residuals(
 
     T defaults to f's pair default, max(4, sqrt(n_max)), and is used for both
     sides; tail_bound is the dropped [T, inf) integrand of f's pair.  Each
-    continuation (Lambda and Omega of each side) is one batch call over all
-    kept points, with values equal to the point-by-point ones.
+    side is continued once, Lambda and Omega together from one evaluator
+    pass per node set, in one batch over all kept points, with values equal
+    to the point-by-point ones.
     """
     if form_f.weight != form_g.weight:
         raise ValueError("weights differ")
@@ -467,8 +461,7 @@ def fe_residuals(
         pair_f, pair_g = analytic_pair(form_f), analytic_pair(form_g)
         ik = _i_pow(k)
     else:
-        pair_f, pair_g, cpsi = _twisted_sides(form_f, form_g, form_f.character, psi, level)
-        ik = _i_pow(k) * cpsi
+        pair_f, pair_g, ik = _twisted_sides(form_f, form_g, form_f.character, psi, level)
     if T is None:
         T = pair_f.T_default
     poles = (0.0, float(k), 1.0, float(k - 1))
@@ -479,10 +472,8 @@ def fe_residuals(
         else:
             kept.append(s)
     pts = np.array(kept, dtype=complex)
-    lam_f = lambda_continued(pair_f, pts, T).tolist()
-    lam_g = lambda_continued(pair_g, k - pts, T).tolist()
-    om_f = omega_continued(pair_f, pts, T).tolist()
-    om_g = omega_continued(pair_g, k - pts, T).tolist()
+    lam_f, om_f = (row.tolist() for row in _continued(pair_f, pts, T, 2))
+    lam_g, om_g = (row.tolist() for row in _continued(pair_g, k - pts, T, 2))
     lam_res = [abs(a - ik * b) for a, b in zip(lam_f, lam_g)]
     om_res = [abs(a + ik * b) for a, b in zip(om_f, om_g)]
     return ResidualReport(
@@ -506,7 +497,8 @@ def _twisted_sides(
     psi: DirichletCharacter,
     level: int,
 ) -> tuple[FrickePair, FrickePair, complex]:
-    """Self-anchored pairs for f_psi and g_psibar at level N m^2, plus C_psi.
+    """Self-anchored pairs for f_psi and g_psibar at level N m^2, plus the
+    constant i^k C_psi of their functional equations.
 
     By the twisting proposition f_psi|_k omega(N m^2) = C_psi g_psibar, so
     the twisted completed series live at level N m^2 and their functional
@@ -517,20 +509,16 @@ def _twisted_sides(
         raise ValueError(f"f and g must be at level {level}, not {form_f.level} and {form_g.level}")
     if math.gcd(m, level) != 1:
         raise ValueError(f"conductor {m} must be coprime to the level {level}")
-    cpsi = c_psi(chi, psi, level)
-    return analytic_pair(twist(form_f, psi)), analytic_pair(twist(form_g, psi.conjugate())), cpsi
+    ik = _i_pow(form_f.weight) * c_psi(chi, psi, level)
+    return analytic_pair(twist(form_f, psi)), analytic_pair(twist(form_g, psi.conjugate())), ik
 
 
-def _twisted(form_f, form_g, chi, psi, level, k, s, T, omega: bool):
+def _twisted(form_f, form_g, chi, psi, level, k, s, T, continued: Callable):
+    """continued at s and at k - s of the twisted pairs, and i^k C_psi."""
     if k != form_f.weight:
         raise ValueError("k must equal the weight of the forms")
-    pair_f, pair_g, cpsi = _twisted_sides(form_f, form_g, chi, psi, level)
-    continued = omega_continued if omega else lambda_continued
-    v_f = continued(pair_f, s, T)
-    v_g = continued(pair_g, k - s, T)
-    if omega:
-        return v_f, v_g, abs(v_f + _i_pow(k) * cpsi * v_g)
-    return v_f, v_g, abs(v_f - _i_pow(k) * cpsi * v_g)
+    pair_f, pair_g, ik = _twisted_sides(form_f, form_g, chi, psi, level)
+    return continued(pair_f, s, T), continued(pair_g, k - s, T), ik
 
 
 def twisted_lambda(
@@ -550,7 +538,8 @@ def twisted_lambda(
     level N m^2, so the residual genuinely tests the twisted pair relation
     including the constant C_psi.
     """
-    return _twisted(form_f, form_g, chi, psi, level, k, s, T, omega=False)
+    v_f, v_g, ik = _twisted(form_f, form_g, chi, psi, level, k, s, T, lambda_continued)
+    return v_f, v_g, abs(v_f - ik * v_g)
 
 
 def twisted_omega(
@@ -565,7 +554,8 @@ def twisted_omega(
 ) -> tuple[complex, complex, float]:
     """Twisted Omega values and the residual of
     Omega_N(f,s,psi) = -i^k C_psi Omega_N(g,k-s,psibar)."""
-    return _twisted(form_f, form_g, chi, psi, level, k, s, T, omega=True)
+    v_f, v_g, ik = _twisted(form_f, form_g, chi, psi, level, k, s, T, omega_continued)
+    return v_f, v_g, abs(v_f + ik * v_g)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 from maassforms.characters import trivial_character
 from maassforms.eisenstein import harmonic_eisenstein_level_one
 from maassforms.forms import FormExpansion
+from maassforms.lseries import FrickePair
 
 
 def make_random_form(rng, k=-2, n_max=6, level=1, alpha=1.0):
@@ -46,3 +47,14 @@ def oldform_pair(level, base=40):
     f = FormExpansion(k, level, chi, lift.alpha, n_max, lift.c_plus, lift.c_minus_zero, lift.c_minus)
     g0 = scale * float(level) ** (1 - k) * lift.c_minus_zero
     return f, FormExpansion(k, level, chi, lift.alpha, n_max, cp, g0, cm)
+
+
+def pair_from_evaluators(level, k, f_eval, h_eval, constants, T):
+    """A FrickePair whose integrand rows are f_eval and h_eval (each called on
+    a 1-d array of points, h_eval only when the Omega row is read), with
+    constants (c_f+(0), c_f-(0), c_g+(0), c_g-(0)) and Mellin cut-off T."""
+
+    def integrands(taus, rows):
+        return np.array([fn(taus) for fn in (f_eval, h_eval)[:rows]])
+
+    return FrickePair(level, k, integrands, *constants, T)

@@ -3,13 +3,20 @@
 bench/tracer.py replaces library functions at their import sites to time
 each layer of a traced benchmark run.  A renamed or deleted function would
 otherwise surface only there, so the tracer is installed and removed here.
+The counts the tracer cannot see (continuations per pair, evaluator passes)
+are taken with test-local wrappers.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+import maassforms.lseries as lseries
 from helpers import oldform_pair
 from maassforms.eisenstein import harmonic_eisenstein_level_one
+from maassforms.forms import TermSeries
 from maassforms.lseries import fe_residuals
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -22,7 +29,40 @@ def load_tracer():
     return module
 
 
-def test_tracer_installs_records_and_uninstalls():
+@pytest.fixture
+def continuations(monkeypatch):
+    """(pair, rows) of every lseries._continued call."""
+    seen, body = [], lseries._continued
+
+    def counting(pair, s, T, rows):
+        seen.append((pair, rows))
+        return body(pair, s, T, rows)
+
+    monkeypatch.setattr(lseries, "_continued", counting)
+    return seen
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """(order, points) of every TermSeries._sums call: one evaluator pass."""
+    seen, sums = [], TermSeries._sums
+
+    def counting(self, tau, order):
+        seen.append((order, int(np.size(tau))))
+        return sums(self, tau, order)
+
+    monkeypatch.setattr(TermSeries, "_sums", counting)
+    return seen
+
+
+def assert_one_continuation_per_pair(continuations):
+    # fe_residuals continues each of its two pairs once, Lambda and Omega
+    # together, and not through the public one-row readings
+    assert [rows for _, rows in continuations] == [2, 2]
+    assert continuations[0][0] is not continuations[1][0]
+
+
+def test_tracer_installs_records_and_uninstalls(continuations):
     tracer = load_tracer()
     sites = [(owner, attr) for _, module, attr, importers, _ in tracer.FUNCTIONS
              for owner in (module, *importers)]
@@ -40,8 +80,9 @@ def test_tracer_installs_records_and_uninstalls():
     summary = t.summary()
     assert set(summary) == set(tracer.METRICS)
     assert summary["lseries.analytic_pair.calls"] == 2
-    assert summary["lseries.lambda_continued.calls"] == 2
-    assert summary["lseries.omega_continued.calls"] == 2
+    assert summary["lseries.lambda_continued.calls"] == 0
+    assert summary["lseries.omega_continued.calls"] == 0
+    assert_one_continuation_per_pair(continuations)
     for layer in ("forms.extract_coefficients", "forms.to_terms"):
         assert summary[f"{layer}.self_s"] > 0, layer
     # the Fricke partners slash the pair's evaluators; the chain-rule
@@ -53,12 +94,14 @@ def test_tracer_installs_records_and_uninstalls():
 VERIFY_GRID = [complex(re, im) for re in (-1.5, -1.0, -0.5, 0.5, 1.5) for im in (0.5, 1.5, 3.0)]
 
 
-def test_residual_driver_makes_one_batch_per_side():
+def test_residual_driver_makes_one_batch_per_side(continuations, passes):
     # fe_residuals continues each side once for the whole grid, so the form
     # evaluations do not grow with the number of grid points
     ref = harmonic_eisenstein_level_one(8)
-    summaries = []
+    summaries, pass_counts = [], []
     for grid in (VERIFY_GRID[:1], VERIFY_GRID):
+        continuations.clear()
+        passes.clear()
         t = load_tracer().Tracer()
         t.install()
         try:
@@ -66,26 +109,24 @@ def test_residual_driver_makes_one_batch_per_side():
         finally:
             t.uninstall()
         summaries.append(t.summary())
+        pass_counts.append(len(passes))
+        assert_one_continuation_per_pair(continuations)
     for summary in summaries:
-        assert summary["lseries.lambda_continued.calls"] == 2
-        assert summary["lseries.omega_continued.calls"] == 2
+        assert summary["lseries.lambda_continued.calls"] == 0
+        assert summary["lseries.omega_continued.calls"] == 0
     one, full = summaries
     assert one["forms.TermSeries.eval.calls"] == full["forms.TermSeries.eval.calls"]
+    assert pass_counts[0] == pass_counts[1]
 
 
-def test_pair_builds_evaluate_only_what_they_read():
+def test_pair_builds_evaluate_only_what_they_read(passes):
     # on the N = 11 golden pair each analytic_pair extracts c_g(0) from one
-    # 64-point call (32 samples at each of two heights); the Lambda nodes of
-    # both pairs and their Fricke images take one call each (the grid is one
-    # panel group), and the tail estimate one point.  H is not formed
-    # through eval.  256-sample lines read 9 calls and 1,473 points.
+    # 64-point value-only pass (32 samples at each of two heights).  Each
+    # pair's Lambda and Omega nodes and their Fricke images take one order-1
+    # pass each (the grid is one panel group of 7 panels x 16 nodes), and the
+    # tail estimate one point.  With separate Lambda and Omega continuations
+    # this read 11 passes on 1,025 points.
     f, g = oldform_pair(11)
-    t = load_tracer().Tracer()
-    t.install()
-    try:
-        fe_residuals(f, g, VERIFY_GRID)
-    finally:
-        t.uninstall()
-    summary = t.summary()
-    assert summary["forms.TermSeries.eval.calls"] == 7
-    assert summary["forms.TermSeries.eval.points"] == 577
+    fe_residuals(f, g, VERIFY_GRID)
+    assert sorted(passes) == [(0, 1), (0, 64), (0, 64)] + [(1, 112)] * 4
+    assert len(passes) == 7 and sum(n for _, n in passes) == 577

@@ -14,16 +14,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from helpers import make_random_form, oldform_pair
+from helpers import make_random_form, oldform_pair, pair_from_evaluators
 from maassforms.characters import character_by_label, trivial_character
 from maassforms.eisenstein import harmonic_eisenstein_level_one
 from maassforms.forms import FormExpansion, evaluate, twist
 from maassforms.lseries import (
     ConductorSet,
-    FrickePair,
     ResidualReport,
     UncertifiedRegionWarning,
+    _continued,
     _mellin_piece,
+    _star,
     analytic_pair,
     fe_residuals,
     l_minus,
@@ -158,14 +159,14 @@ class TestContinuation:
 
     def test_pair_from_forms_matches_analytic(self):
         # Omega through the exact h_op term series agrees with Omega through
-        # the pair's jet-based h_eval, at the pair's own T and constants
+        # the pair's jet-based H row, at the pair's own T and constants
         from maassforms.forms import h_op, to_terms
 
         ref = harmonic_eisenstein_level_one(80)
-        p_a = analytic_pair(ref)
-        p_b = FrickePair(1, ref.weight, p_a.f_eval, h_op(to_terms(ref), ref.weight).eval,
-                         p_a.c_f_plus0, p_a.c_f_minus0, p_a.c_g_plus0, p_a.c_g_minus0,
-                         p_a.T_default)
+        p_a, ts = analytic_pair(ref), to_terms(ref)
+        consts = (p_a.c_f_plus0, p_a.c_f_minus0, p_a.c_g_plus0, p_a.c_g_minus0)
+        p_b = pair_from_evaluators(1, ref.weight, ts.eval, h_op(ts, ref.weight).eval, consts,
+                                   p_a.T_default)
         for s in (2.0 + 0j, 0.5 + 1.0j, -1.0 + 2.0j):
             om = omega_continued(p_a, s)
             assert abs(omega_continued(p_b, s) - om) <= 1e-12 * max(1.0, abs(om))
@@ -176,12 +177,14 @@ class TestContinuation:
         cp = f.c_plus.copy()
         cp[0] = 1.0
         f = FormExpansion(-2, 1, TRIV1, 0.0, 2, cp, 0.0, f.c_minus)
-        from maassforms.lseries import _mellin_piece
         from maassforms.forms import h_op, to_terms
 
-        h_eval = h_op(to_terms(f), -2).eval
-        val = _mellin_piece(h_eval, -2.0 * 1.0, 0.0, 1, -2, 3.0 + 0j, 20.0)
-        assert abs(val) <= 1e-12
+        ts = to_terms(f)
+        pair = pair_from_evaluators(1, -2, ts.eval, h_op(ts, -2).eval, (1.0, 0.0, 0.0, 0.0), 20.0)
+        consts = [c[:2] for c in pair.row_constants]  # H's are k c+(0) = -2 and 0
+        val = _mellin_piece(partial(pair.integrands, rows=2), consts, 1, -2, np.array([3.0 + 0j]),
+                            20.0)
+        assert abs(val[1, 0]) <= 1e-12
 
 
 # points for the batch tests: |Im s| up to 60 spans several panel-count
@@ -205,8 +208,8 @@ def small_pair():
 def mellin_nodes(pair, s):
     """Every point at which _mellin_piece reads its integrand for s."""
     seen = []
-    _mellin_piece(lambda z: seen.append(z) or np.zeros_like(z), 0j, 0j, pair.level,
-                  pair.weight, s, pair.T_default)
+    _mellin_piece(lambda z: seen.append(z) or np.zeros((1, z.size)), [(0j, 0j)], pair.level,
+                  pair.weight, np.ravel(s), pair.T_default)
     return np.concatenate(seen)
 
 
@@ -219,9 +222,10 @@ def partner_rule_forms():
 
 
 class TestFrickePartnerRule:
-    """The partner's Omega integrand is the Fricke slash of h_eval, negated:
-    on the imaginary axis H_g = -(H_f)|_k omega(N) for g = f|_k omega(N),
-    held here against the chain-rule H of g from slash_jet1."""
+    """The partner's Omega integrand is the Fricke slash of the pair's H row,
+    negated: on the imaginary axis H_g = -(H_f)|_k omega(N) for
+    g = f|_k omega(N), held here against the chain-rule H of g from
+    slash_jet1."""
 
     S = np.array([0.5 + 1.0j, -1.0 + 20.0j, 2.5 + 0.0j])
 
@@ -235,7 +239,7 @@ class TestFrickePartnerRule:
         nodes = mellin_nodes(pair, self.S)
         assert nodes.size and (nodes.real == 0).all()
         for taus, close in ((nodes, True), (nodes + 0.3, False)):
-            rule = -slash(pair.h_eval, k, omega, taus)
+            rule = -slash(partial(pair.integrands, rows=2), k, omega, taus)[1]
             f, fu, _ = slash_jet1(ts, k, omega, taus)
             chain = 2j * taus.imag * fu + k * f
             gap = np.abs(rule - chain).max() / np.abs(chain).max()
@@ -279,8 +283,9 @@ def h_path_forms():
 
 
 class TestHEvaluator:
-    """h_eval takes f and f_u from one pass without the d/dv sums; its H
-    is the one formed from TermSeries.jet, bit for bit."""
+    """The pair's evaluator takes f and f_u from one pass without the d/dv
+    sums when both rows are read; its H row is the one formed from
+    TermSeries.jet, bit for bit, and its f row is TermSeries.eval's."""
 
     @pytest.mark.parametrize("form", list(h_path_forms()))
     def test_h_equals_the_jet_formula(self, form):
@@ -291,9 +296,28 @@ class TestHEvaluator:
         nodes = mellin_nodes(pair, TestFrickePartnerRule.S)
         for taus in (nodes, fricke(form.level).apply(nodes)):
             f, f_u, _ = ts.jet(taus)
-            assert np.array_equal(pair.h_eval(taus), 2j * taus.imag * f_u + k * f)
-        h = pair.h_eval(complex(nodes[0]))
-        assert type(h) is complex and h == pair.h_eval(nodes[:1])[0]
+            assert np.array_equal(pair.integrands(taus, 2)[1], 2j * taus.imag * f_u + k * f)
+            assert np.array_equal(pair.integrands(taus, 1), ts.eval(taus)[None])
+        # a lone point gets the value it gets in a batch
+        assert np.array_equal(pair.integrands(nodes[:1], 2), pair.integrands(nodes, 2)[:, :1])
+
+
+class TestRowsAskedFor:
+    """No value depends on which rows were asked for: Lambda read with
+    Omega is Lambda read alone, bit for bit, at s and at k - s."""
+
+    @pytest.mark.parametrize("form", list(h_path_forms()))
+    def test_both_rows_equal_the_lone_readings(self, form):
+        pair, k = analytic_pair(form), form.weight
+        grid = np.array([complex(r, i) for r in (-1.5, -1.0, -0.5, 0.5, 1.5)
+                         for i in (0.5, 1.5, 3.0)] + [0.5 + 25j, -1.0 - 40j])
+        for pts in (grid, k - grid):
+            lam, om = _continued(pair, pts, None, 2)
+            assert np.array_equal(lam, lambda_continued(pair, pts))
+            assert np.array_equal(om, omega_continued(pair, pts))
+            lam_star, om_star = _star(pair, pts, None, 2)
+            assert np.array_equal(lam_star, lambda_star(pair, pts))
+            assert np.array_equal(om_star, omega_star(pair, pts))
 
 
 class TestBatch:

@@ -27,6 +27,7 @@ notice.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -395,6 +396,25 @@ def cmd_selfcheck(args) -> int:
             sh = forms.shadow(form)
             ok = ok and abs(xi_op(ts, k).eval(tau) - sh.evaluate(tau)) < 1e-9
     check("operator identities", ok)
+
+    # the evaluator against a plain loop over the terms, at Fricke-image
+    # heights down to 0.02 and off the imaginary axis
+    lift = eisenstein.harmonic_eisenstein_level_one(400)
+    nu = 1 - lift.weight
+    taus = [0.02j, 0.05j, 0.3j, 1.0j, 0.25 + 0.02j, -0.4 + 0.1j, 0.5 + 0.7j, 0.1 + 2.0j]
+    got = forms.evaluate(lift, np.array(taus))
+    worst = 0.0
+    for tau, value in zip(taus, got):
+        v = tau.imag
+        terms = [lift.c_minus_zero * v**nu]
+        for n in range(lift.n_max + 1):
+            terms.append(lift.c_plus[n] * cmath.exp(2j * math.pi * n * tau))
+        for m in range(1, lift.n_max + 1):
+            gam = specfun.inc_gamma(nu, 4 * math.pi * m * v)
+            if gam:
+                terms.append(lift.c_minus[m - 1] * gam * cmath.exp(-2j * math.pi * m * tau))
+        worst = max(worst, abs(value - sum(terms)) / sum(map(abs, terms)))
+    check("evaluator vs term sum", worst < 1e-12, f"worst rel to sum |term| {worst:.2e}")
 
     # functional equation on the built-in reference pair + sensitivity
     ref = eisenstein.harmonic_eisenstein_level_one(40)

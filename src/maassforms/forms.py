@@ -16,17 +16,22 @@ Fraction-keyed dict of its terms only when an operator asks for it.
 
 TermSeries._sums is the one numeric pass over a form: TermSeries.eval (which
 evaluate, the CLI and the operator identities call), TermSeries.jet and the
-Fricke pairs of lseries all read it.  It keeps the terms as float arrays, one
-row per distinct (freq, vexp) and one column per vpow, and evaluates fixed
-blocks of points against fixed chunks of rows, each pair with one real np.exp
-and a few cos/sin columns.  One pass forms only the partials it is asked for
-from the same exponentials: eval and a Fricke pair read for Lambda alone the
-value, a pair read for Lambda and Omega the value and df/du (for
-H = 2iv f_u + k f), and TermSeries.jet the value, df/du and df/dv.  Every
-block x chunk step writes into one fixed per-thread workspace, so memory stays
-bounded whatever the number of points or terms, a call allocates no large
-temporaries (whose release and re-fault would cost time that varies from run
-to run), and a point's value does not depend on the batch it arrives in.  A
+Fricke pairs of lseries all read it.  It evaluates a power series by baby
+steps and giant steps (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973).
+Every row e^{2 pi i freq u + 2 pi vexp v} lies on a q-line, holomorphic
+(q^n) or antiholomorphic (conj q^n), or off both as a shifted one, and along
+a line a row is a giant power times one of 16 baby powers.  Per block of 64
+points, one table of those powers takes a real np.exp and a cos/sin once per
+distinct Re tau, with no exponential per term, and each coefficient set is
+one matrix product of the giant powers against a matrix cached per series,
+contracted with the baby powers and v^vpow.  One pass forms only the sets it
+is asked for: eval and a Fricke pair read for Lambda alone the value, a pair
+read for Lambda and Omega the value and df/du (for H = 2iv f_u + k f), and
+TermSeries.jet the value, df/du and df/dv.  Memory stays bounded whatever
+the number of points or terms (the tables are per block and per slice of
+256 giant steps, and a sparse series gets a giant step per nonzero mode, not
+per span), and a point's value does not depend on the batch it arrives in:
+every block is padded to 64 points, so each product has one shape.  A
 pair's partner constants come from extract_coefficients at 32 samples per
 line (lseries._ZERO_MODE_SAMPLES), one call that is one 64-point block.
 """
@@ -37,7 +42,6 @@ import json
 import math
 import os
 import tempfile
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -73,16 +77,16 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-# TermSeries evaluation blocks: points per block and (freq, vexp) rows per
-# chunk.  Fixed, so that memory stays bounded (one complex block x chunk
-# array is 256 kB) and a point's value does not depend on its batch.
+# TermSeries evaluation: points per block (every block, the last one padded,
+# so each matrix product has one shape and a point's value does not depend
+# on its batch), baby steps per giant step, and giant steps per slice of the
+# power table (so a block's tables stay bounded whatever the number of rows)
 _POINT_BLOCK = 64
-_TERM_CHUNK = 256
-# frequencies per entry of the low phase table (see TermSeries._sums)
-_PHASE_STEP = 16
-# e^{2 pi vexp v} below e^{_EXP_FLOOR} (about 1e-304) is taken as 0: the
-# term is then below 1e-304 times its coefficient, and the subnormal
-# arithmetic it would cost is slow
+_BABY = 16
+_GIANT_SLICE = 256
+# a table entry e^{x} with Re x below _EXP_FLOOR (e^{-700} is about 1e-304)
+# is taken as 0: every term it multiplies is then below 1e-304 times its
+# coefficient, and the subnormal arithmetic it would cost is slow
 _EXP_FLOOR = -700.0
 
 
@@ -94,34 +98,49 @@ class IllConditionedError(RuntimeError):
 # term algebra
 
 
-def _cis(theta: np.ndarray) -> np.ndarray:
-    """cos theta + i sin theta."""
-    out = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
-    return out
+def _power_table(phase_u, rows, v, phase_rate, size_rate) -> np.ndarray:
+    """e^{a u + b v} for each column (a, b) of the rates, a imaginary and b
+    real, and each point (u = phase_u[rows], v): a columns x points array,
+    0 where b v < _EXP_FLOOR.  The phases are formed once per entry of
+    phase_u."""
+    x = size_rate[:, None] * v
+    np.putmask(x, x < _EXP_FLOOR, -np.inf)
+    return np.exp(x, out=x) * np.exp(phase_rate[:, None] * phase_u)[:, rows]
 
 
-class _Workspace(threading.local):
-    """Scratch arrays of one block x chunk each, made on a thread's first
-    evaluation and reused by all its later ones (about 1.8 MB per thread)."""
+def _set_layout(size: int, kinds: int, pows, col, sign, kind, lo, vpow):
+    """The layout of one coefficient set's product matrix, whose rows are
+    _BABY per (kind, sign, vpow) group that holds a term, in sorted order,
+    and whose columns are the size giant steps.  Returned: per term the flat
+    index of its cell (group, lo, col); and the layout: the matrix shape,
+    per kind its run of groups (kind, start, end) and the run of those of
+    sign -1 (start, end), and per group the index of its vpow in pows."""
+    key = (kind * 2 + (sign > 0)) * pows.size + (vpow - int(pows[0]))
+    present = np.bincount(key, minlength=2 * kinds * pows.size) > 0
+    keys = np.flatnonzero(present)
+    group_kind = (keys // (2 * pows.size)).tolist()
+    runs, conj = [], []
+    for g, k in enumerate(group_kind):
+        if not runs or runs[-1][0] != k:
+            runs.append([k, g, g])
+            conj.append([g, g])
+        runs[-1][2] = g + 1
+        if keys[g] // pows.size % 2 == 0:
+            conj[-1][1] = g + 1
+    cells = ((np.cumsum(present) - 1)[key] * _BABY + lo) * size + col
+    return cells, ((keys.size * _BABY, size), tuple(map(tuple, runs)), tuple(map(tuple, conj)),
+                   keys % pows.size)
 
-    def __init__(self):
-        size = _POINT_BLOCK * _TERM_CHUNK
-        self.real = np.empty((2, size))
-        self.mask = np.empty(size, dtype=bool)
-        self.cplx = np.empty((6, size), dtype=complex)
 
-    def views(self, shape):
-        """The arrays as C-contiguous views of the given shape, laid out as
-        fresh arrays of that shape would be."""
-        n = shape[0] * shape[1]
-        return (*(a[:n].reshape(shape) for a in self.real),
-                self.mask[:n].reshape(shape),
-                *(a[:n].reshape(shape) for a in self.cplx))
-
-
-_WORK = _Workspace()
+def _coefficient_matrix(cells, shape, coef, sign) -> np.ndarray:
+    """The complex matrix of the given shape holding at each flat index of
+    cells the sum of its entries of coef, each conjugated where sign is -1,
+    added in order."""
+    coef = np.where(sign < 0, np.conj(coef), coef)
+    matrix = np.empty(shape, dtype=complex)
+    for part, values in ((matrix.real, coef.real), (matrix.imag, coef.imag)):
+        part[...] = np.bincount(cells, values, matrix.size).reshape(shape)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -190,105 +209,155 @@ class TermSeries:
 
     @cached_property
     def _arrays(self):
-        """The rows of _term_rows as the evaluator's float arrays: 2 pi freq
-        and 2 pi vexp per row, the distinct vpows, the vpows x rows
-        coefficient matrix, the phase split freq = (hi _PHASE_STEP + lo) / den
-        with |lo| <= _PHASE_STEP / 2, and per chunk of _TERM_CHUNK rows its
-        largest 2 pi vexp, the vpow columns it uses and its table of hi
-        frequencies."""
+        """The rows of _term_rows as power-table rates, and the layout and
+        matrix of the value set.
+
+        With L the common denominator of every freq and vexp, a row is
+        e^{2 pi i F u / L + 2 pi G v / L} for integers F and G.  Its index
+        is n = F, or n = -F on the antiholomorphic line G = F != 0 (sign -1),
+        and its line offset is c = G + n, so that G = c - n.  A row of sign
+        +1 is then e^{2 pi c v / L} q^{n / L}, and one of sign -1 the
+        conjugate of that, so both signs of one offset share their powers.
+        The rows of offset c sit at n = step (16 hi + j), step the gcd of
+        their indices and 0 <= j < 16.  The rows of one (c, hi) share a
+        giant power, at the first of them, the largest, so no giant power
+        overflows where its rows do not; a row at j' past it is that giant
+        power times the baby power j' of its step (its kind).  A sparse
+        series thus gets one giant step per nonzero mode, not one per 16
+        indices of its span.
+
+        Returned: L; the rates of _power_table for each kind's _BABY baby
+        steps and then each giant step, taken with sign +1; the vpows the
+        sets read; per term its giant step, sign, kind, baby step, vpow,
+        coefficient, 2 pi freq and 2 pi vexp; and the value set as (cell per
+        term, layout, matrix) (see _set_layout).
+        """
         keys, row, vpow, values = self._term_rows()
-        pows, col = np.unique(np.asarray(vpow, dtype=np.int64), return_inverse=True)
-        coef = np.zeros((pows.size, len(keys)), dtype=complex)
-        coef[col, np.asarray(row, dtype=np.intp)] = values
         fn, fd, gn, gd = keys.T
-        den = math.lcm(*np.unique(fd).tolist())
-        if den * int(np.abs(fn).max(initial=0)) >= 2**62:
+        dens = np.concatenate([fd, gd])
+        den = int(np.lcm.reduce(dens, initial=1))
+        top = max(int(np.abs(keys[:, ::2]).max(initial=0)), 1)
+        if not 0 < den < 2**62 // (4 * top) or np.any(den % dens):
             raise ValueError("frequencies too fine for the evaluator's phase tables")
-        half = _PHASE_STEP // 2
-        shifted = fn * (den // fd) + half
-        w_lo = TWO_PI * np.arange(-half, half) / den
-        wg = TWO_PI * (gn / gd)
-        chunks = []
-        for lo in range(0, len(keys), _TERM_CHUNK):
-            hi = min(lo + _TERM_CHUNK, len(keys))
-            tops, hi_idx = np.unique(shifted[lo:hi] // _PHASE_STEP, return_inverse=True)
-            cols = np.flatnonzero(coef[:, lo:hi].any(axis=1)).tolist()
-            w_hi = TWO_PI * (tops * _PHASE_STEP / den)
-            chunks.append((lo, hi, wg[lo:hi].max(), cols, w_hi, hi_idx))
-        lo_idx = shifted % _PHASE_STEP
-        return TWO_PI * (fn / fd), wg, pows.astype(float), coef, den, w_lo, lo_idx, chunks
+        F, G = fn * (den // fd), gn * (den // gd)
+        sign = np.where((G == F) & (F != 0), -1, 1)
+        lines, line = np.unique(G + sign * F, return_inverse=True)
+        by_line = np.argsort(line, kind="stable")
+        firsts = np.searchsorted(line[by_line], np.arange(lines.size))
+        step = np.abs(np.gcd.reduceat(sign[by_line] * F[by_line], firsts)) if F.size else F
+        step[step == 0] = 1  # a line whose one index is 0
+        hi, lo = np.divmod(sign * F // step[line], _BABY)
+        order = np.lexsort((lo, hi, line))
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = (line[order][1:] != line[order][:-1]) | (hi[order][1:] != hi[order][:-1])
+        col = np.empty(order.size, dtype=np.intp)
+        col[order] = np.cumsum(new) - 1
+        g_line, g_hi, g_lo = line[order][new], hi[order][new], lo[order][new]
+        lo -= g_lo[col]  # a giant step sits at its first row, the largest of its rows
+        steps, kind = np.unique(step, return_inverse=True)
+        at = step[g_line] * (_BABY * g_hi + g_lo)
+        lo_steps = (steps[:, None] * np.arange(_BABY)).reshape(-1)
+        phase_rate = 2j * math.pi * np.concatenate([lo_steps, at]) / den
+        size_rate = TWO_PI * np.concatenate([-lo_steps, lines[g_line] - at]) / den
+        vpow = np.asarray(vpow, dtype=np.int64)
+        pows = np.arange(vpow.min(initial=0) - 1, vpow.max(initial=0) + 1, dtype=float)
+        row = np.asarray(row, dtype=np.intp)
+        terms = (col[row], sign[row], kind[line][row], lo[row], vpow, np.asarray(values, dtype=complex),
+                 (TWO_PI * (fn / fd))[row], (TWO_PI * (gn / gd))[row])
+        cells, layout = _set_layout(g_hi.size, steps.size, pows, *terms[:5])
+        matrix = _coefficient_matrix(cells, layout[0], terms[5], terms[1])
+        return den, (phase_rate, size_rate), pows, terms, (cells, layout, matrix)
+
+    @cached_property
+    def _du_matrix(self):
+        """The d/du set's matrix, built on the first pass that reads df/du:
+        2 pi i freq times each coefficient, in the value set's layout."""
+        _, _, _, (_, sign, _, _, _, coef, wf, _), (cells, layout, _) = self._arrays
+        return _coefficient_matrix(cells, layout[0], coef * (1j * wf), sign)
+
+    @cached_property
+    def _dv_set(self):
+        """The d/dv set's layout and matrix, built on the first pass that
+        reads df/dv: 2 pi vexp times each coefficient at its vpow, and vpow
+        times it at vpow - 1."""
+        _, (_, size_rate), pows, (*place, vpow, coef, _, wg), (_, layout, _) = self._arrays
+        a, b = wg != 0, vpow != 0
+        place = [np.concatenate([x[a], x[b]]) for x in place]
+        coef = np.concatenate([coef[a] * wg[a], coef[b] * vpow[b]])
+        size = layout[0][1]
+        cells, dv_layout = _set_layout(size, (size_rate.size - size) // _BABY, pows, *place,
+                                       np.concatenate([vpow[a], vpow[b] - 1]))
+        return dv_layout, _coefficient_matrix(cells, dv_layout[0], coef, place[1])
 
     def _sums(self, tau, order: int):
         """The value and its first partials at tau: order 0 gives (f,), 1
         gives (f, df/du) and 2 gives (f, df/du, df/dv), each a flat array
         over the points, and the shape to restore (None for a scalar tau).
-        Only order 2 forms the d/dv sums (the v^vpow derivative columns and
-        their per-chunk products).
+        Only the sets asked for are formed.
 
-        Each block of _POINT_BLOCK points meets each chunk of _TERM_CHUNK
-        rows in one real np.exp of 2 pi vexp v.  The phase e^{2 pi i freq u}
-        is a product of two table entries, e^{2 pi i hi _PHASE_STEP u / den}
-        and e^{2 pi i lo u / den}, so a chunk of consecutive frequencies
-        takes a few cos/sin columns rather than one per row; on Re tau = 0
-        it is 1 and skipped.  A row's coefficient is a polynomial in v over
-        the chunk's vpow columns.  Every point's sums run over the chunks in
-        the same order, each chunk reduced by .sum(axis=1), so a point's
-        value does not depend on the batch it arrives in, and no sum depends
-        on the order that asked for it.
+        The points go in blocks of _POINT_BLOCK, the last one padded.  Per
+        block, one power table holds e^{2 pi i freq u + 2 pi vexp v} of every
+        baby and giant step (see _arrays): a real np.exp of the v part, whose
+        entries below e^{_EXP_FLOOR} are 0, times the phase, formed once per
+        run of equal Re tau.  Each set is then, per slice of _GIANT_SLICE
+        giant steps, one matrix product of its cached matrix against the
+        giant steps' table, times the baby steps' table summed over the baby
+        steps, times v^vpow per group, and summed over the groups, the sign
+        -1 ones conjugated.  Sets of one layout (the value and d/du) share
+        these elementwise passes.  Every product has one shape per series
+        and set, so a point's value does not depend on the batch it arrives
+        in, and no sum depends on the order that asked for it.
         """
         t = np.asarray(tau, dtype=complex)
         if np.any(t.imag <= 0):
             raise ValueError("tau must lie in the upper half-plane")
         flat = t.reshape(-1)
-        wf, wg, pows, coef, den, w_lo, lo_idx, chunks = self._arrays
-        outs = [np.zeros(flat.shape, dtype=complex) for _ in range(order + 1)]
+        den, rates, pows, _, (_, layout, matrix) = self._arrays
+        groups = [(layout, [matrix, self._du_matrix] if order else [matrix])]
+        if order > 1:
+            dv_layout, dv_matrix = self._dv_set
+            groups.append((dv_layout, [dv_matrix]))
+        outs = np.empty((order + 1, flat.size), dtype=complex)
+        size = layout[0][1]
+        nbaby = rates[1].size - size
+        # every block padded to _POINT_BLOCK points; a run of equal Re tau
+        # ends at each change and at each block
+        pts = np.full(-(-flat.size // _POINT_BLOCK) * _POINT_BLOCK, 1j)
+        pts[: flat.size] = flat
+        uu = np.fmod(pts.real, den)  # den is a period of every phase; fmod is exact
+        new = np.ones(pts.size, dtype=bool)
+        np.not_equal(uu[1:], uu[:-1], out=new[1:])
+        new[::_POINT_BLOCK] = True
+        run = np.cumsum(new) - 1
         for a in range(0, flat.size, _POINT_BLOCK):
             block = slice(a, a + _POINT_BLOCK)
-            u = flat.real[block, None]
-            v = flat.imag[block, None]
-            on_axis = not np.any(u)
-            if not on_axis:
-                u = u - den * np.round(u / den)  # a period of every phase, exactly
-                lo_tab = _cis(u * w_lo)
-            vp = v.T ** pows[:, None]  # (vpows, points), one contiguous row per vpow
-            if order > 1:
-                dvp = pows[:, None] * v.T ** (pows[:, None] - 1.0)
-            v_ends = (v.min(), v.max())
-            for lo, hi, g_top, cols, w_hi, hi_idx in chunks:
-                if max(x * g_top for x in v_ends) < _EXP_FLOOR:
-                    continue  # every factor below is 0: the chunk adds exact zeros
-                x, ex, keep, e, gath, ec, ecv, term, dterm = _WORK.views((v.size, hi - lo))
-                np.multiply(v, wg[lo:hi], out=x)
-                np.greater_equal(x, _EXP_FLOOR, out=keep)
-                ex.fill(0.0)
-                np.exp(x, out=ex, where=keep)
-                if on_axis:
-                    np.copyto(e, ex)
-                else:
-                    np.take(_cis(u * w_hi), hi_idx, axis=1, out=gath, mode="clip")
-                    np.multiply(ex, gath, out=e)
-                    np.take(lo_tab, lo_idx[lo:hi], axis=1, out=gath, mode="clip")
-                    np.multiply(e, gath, out=e)
-                # c e v^vpow per vpow column, multiplied in the order of a lone
-                # term; dterm is the v^vpow derivative part of d/dv
-                term.fill(0.0)
-                if order > 1:
-                    dterm.fill(0.0)
-                for j in cols:
-                    np.multiply(e, coef[j, lo:hi], out=ec)
-                    if pows[j]:
-                        term += np.multiply(ec, vp[j, :, None], out=ecv)
-                        if order > 1:
-                            dterm += np.multiply(ec, dvp[j, :, None], out=ecv)
+            m = min(_POINT_BLOCK, flat.size - a)
+            phase_u, rows, v = uu[block][new[block]], run[block] - run[a], pts.imag[block]
+            for start in range(0, max(size, 1), _GIANT_SLICE):
+                cols = slice(0 if start == 0 else nbaby + start, nbaby + start + _GIANT_SLICE)
+                table = _power_table(phase_u, rows, v, rates[0][cols], rates[1][cols])
+                if start == 0:
+                    babies, table = table[:nbaby], table[nbaby:]
+                    powers = v ** pows[:, None]
+                j = 0
+                for (shape, runs, conj, pow_of), matrices in groups:
+                    part = np.empty((len(matrices), shape[0], v.size), dtype=complex)
+                    for k, matrix in enumerate(matrices):
+                        np.matmul(matrix[:, start : start + _GIANT_SLICE], table, out=part[k])
+                    part = part.reshape(len(matrices), shape[0] // _BABY, _BABY, v.size)
+                    for kind, g0, g1 in runs:
+                        part[:, g0:g1] *= babies[kind * _BABY : (kind + 1) * _BABY]
+                    sums = part.sum(axis=2)
+                    sums *= powers[pow_of]
+                    for g0, g1 in conj:
+                        np.conjugate(sums[:, g0:g1], out=sums[:, g0:g1])
+                    value = sums.sum(axis=1)[:, :m]
+                    if start:
+                        outs[j : j + len(matrices), a : a + m] += value
                     else:
-                        term += ec
-                outs[0][block] += term.sum(axis=1)
-                if order > 0:
-                    outs[1][block] += 1j * np.multiply(term, wf[lo:hi], out=ec).sum(axis=1)
-                if order > 1:
-                    dterm += np.multiply(term, wg[lo:hi], out=ec)
-                    outs[2][block] += dterm.sum(axis=1)
-        return outs, (None if t.ndim == 0 else t.shape)
+                        outs[j : j + len(matrices), a : a + m] = value
+                    j += len(matrices)
+        return list(outs), (None if t.ndim == 0 else t.shape)
 
     def eval(self, tau):
         """Evaluate at tau (complex scalar or ndarray with Im > 0); a scalar

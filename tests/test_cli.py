@@ -373,3 +373,12 @@ class TestSelfcheck:
         assert len(lines) == len(out) - 1  # all but the closing "all checks passed"
         for line in lines:
             assert re.search(r" \(\d+\.\d{3} s\)$", line), line
+
+    def test_evaluator_is_checked_against_the_term_sum(self, capsys):
+        assert run("selfcheck") == 0
+        out = capsys.readouterr().out.splitlines()
+        names = [ln.split("]", 1)[1].split(":")[0].split(" (")[0].strip() for ln in out[:-1]]
+        assert names.index("evaluator vs term sum") == names.index("operator identities") + 1
+        line = out[names.index("evaluator vs term sum")]
+        assert re.match(r"\[PASS\] evaluator vs term sum: worst rel to sum \|term\| \d\.\d\de-\d\d \(", line)
+        assert float(line.split("|term| ")[1].split(" ")[0]) < 1e-12

@@ -30,7 +30,6 @@ from maassforms import forms
 from maassforms.eisenstein import f_expansion
 from maassforms.forms import (
     _POINT_BLOCK,
-    _TERM_CHUNK,
     TWO_PI,
     FormExpansion,
     IllConditionedError,
@@ -270,7 +269,7 @@ class TestVectorisedEvaluator:
             assert identical(list(ts.terms.values()), list(oracle.values()))
 
     def test_phase_table_overflow_is_refused(self):
-        # the phase split works in int64: den * |freq numerator| past 2^62
+        # the line indices are int64: den * |freq numerator| past 2^62 / 4
         # would wrap, so such a series is refused rather than evaluated wrong
         ts = TermSeries.from_items([((Fraction(2**40 + 1, 2**40), 0, -1), 1.0)])
         with pytest.raises(ValueError, match="phase tables"):
@@ -278,8 +277,8 @@ class TestVectorisedEvaluator:
 
     @pytest.mark.parametrize("on_axis", ["none", "some", "all"])
     def test_value_does_not_depend_on_the_batch(self, rng, on_axis):
-        # more points than one block and more rows than one chunk; points on
-        # Re tau = 0 skip the phase, which must not change their value
+        # more points than one block; points on Re tau = 0 share one phase
+        # per block, which must not change their value
         ts = raising_op(to_terms(make_random_form(rng, k=-3, n_max=300)), -3)
         n = 2 * _POINT_BLOCK + 11
         taus = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(0.002, 1.5, n)
@@ -321,11 +320,11 @@ class TestVectorisedEvaluator:
             tracemalloc.stop()
         assert peak < 8e6
 
-    def test_warm_evaluation_reuses_the_workspace(self, rng):
-        # once the thread's workspace exists, a call allocates no block x
-        # chunk temporaries (256 kB each; the per-step temporaries they
-        # replace peaked at 1.9 MB here), so no large buffer is released and
-        # re-faulted from one call to the next
+    def test_warm_evaluation_allocates_little(self, rng):
+        # once the series' matrices exist, a call allocates only its block's
+        # tables and sums, below the bound the earlier evaluator's two
+        # 64-point x 256-row complex scratch arrays set (512 kiB; the
+        # per-step temporaries those replaced peaked at 1.9 MB here)
         import tracemalloc
 
         ts = raising_op(to_terms(make_random_form(rng, k=-3, n_max=300)), -3)
@@ -340,7 +339,120 @@ class TestVectorisedEvaluator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 16 * _POINT_BLOCK * _TERM_CHUNK  # two complex arrays
+        assert peak < 2 * 16 * 64 * 256
+
+
+# series whose rows the form strategy above never reaches: hand-built rows
+# off both q-lines (freq != +-vexp), sparse expansions whose nonzero modes sit
+# 10^4 to 10^6 apart, and either scaled by 3/7; every one holds the constant
+# 1, so sum |term| stays O(1) where the other terms underflow
+small_parts = st.floats(-3.0, 3.0).filter(lambda x: abs(x) > 1e-3)
+small_coefficients = st.builds(complex, small_parts, small_parts)
+
+
+@st.composite
+def off_line_series(draw):
+    items = [((0, 0, 0), 1.0)]
+    for _ in range(draw(st.integers(1, 10))):
+        den = draw(st.integers(1, 3))
+        freq = Fraction(draw(st.integers(-12, 12)), den)
+        vexp = Fraction(draw(st.integers(-12, 1)), den)  # e^{2 pi vexp v} finite at v = 60
+        items.append(((freq, draw(st.integers(-1, 3)), vexp), draw(small_coefficients)))
+    return TermSeries.from_items(items)
+
+
+@st.composite
+def sparse_series(draw):
+    modes = [draw(st.integers(1, 40))]
+    for _ in range(draw(st.integers(1, 3))):
+        modes.append(modes[-1] + draw(st.integers(10**4, 10**6)))
+    k = draw(st.integers(-3, -1))
+    items = [((0, 0, 0), 1.0)]
+    for n in modes:
+        if draw(st.booleans()):
+            items.append(((n, 0, -n), draw(small_coefficients)))  # c+(n) q^n
+        else:
+            # c-(-n) Gamma(1-k, 4 pi n v) q^{-n}, expanded as to_terms does
+            c = draw(small_coefficients) * math.gamma(1 - k)
+            for l in range(1 - k):
+                items.append(((-n, l, -n), c * (4 * math.pi * n) ** l / math.factorial(l)))
+    return TermSeries.from_items(items)
+
+
+def scaled(ts, by):
+    return TermSeries.from_items(((f * by, p, g * by), c) for (f, p, g), c in ts.terms.items())
+
+
+# heights log-uniform in [0.002, 60]: at the top, whole power tables fall
+# under the e^{-700} floor; half the points on Re tau = 0, so blocks mix
+# points on and off the axis
+heights = st.floats(math.log(0.002), math.log(60.0)).map(math.exp)
+mixed_points = st.lists(
+    st.tuples(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), heights).map(lambda p: complex(*p)),
+    min_size=1,
+    max_size=140,
+)
+
+
+class TestRowKinds:
+    @given(st.one_of(off_line_series(), sparse_series()), st.booleans(), mixed_points)
+    @settings(max_examples=40)
+    def test_eval_and_jet_match_the_term_loop(self, ts, scale, points):
+        if scale:
+            ts = scaled(ts, Fraction(3, 7))
+        taus = np.array(points)
+        want, mag = loop_eval(ts, taus)
+        value = ts.eval(taus)
+        assert np.all(np.abs(value - want) <= 1e-14 * mag)
+        f, fu, fv = ts.jet(taus)
+        assert np.array_equal(f, value)
+        for got, series in ((fu, ts.d_u()), (fv, ts.d_v())):
+            want, mag = loop_eval(series, taus)
+            assert np.all(np.abs(got - want) <= 1e-14 * mag)
+
+    def test_sparse_wide_series_keeps_memory_bounded(self):
+        # c+ at n = 1, 10^5 and 2 10^6 only: the tables hold one giant step
+        # per nonzero mode, where tables over the span of n would take about
+        # 128 MB per 64-point block
+        import tracemalloc
+
+        ts = TermSeries.from_items(((n, 0, -n), 1.0 + 0.5j) for n in (1, 10**5, 2 * 10**6))
+        taus = np.linspace(0.0, 1.0, 256, endpoint=False) + 1e-6j * np.arange(1, 257)
+        tracemalloc.start()
+        try:
+            ts.eval(taus)
+            ts.jet(taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_values_do_not_depend_on_the_blas_threads(self, tmp_path):
+        # the same bytes with one BLAS thread and with two, for eval and jet
+        # of a long lift on one batch mixing points on and off the axis
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, numpy as np\n"
+            "from maassforms.eisenstein import harmonic_eisenstein_level_one\n"
+            "from maassforms.forms import to_terms\n"
+            "rng = np.random.default_rng(7)\n"
+            "taus = rng.uniform(-1.0, 1.0, 200) + 1j * rng.uniform(0.005, 1.5, 200)\n"
+            "taus.real[::2] = 0.0\n"
+            "ts = to_terms(harmonic_eisenstein_level_one(2000))\n"
+            "np.save(sys.argv[1], np.array([ts.eval(taus), *ts.jet(taus)]))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+            out = tmp_path / f"threads{threads}.npy"
+            subprocess.run([sys.executable, "-c", code, str(out)], env=env, check=True)
+            outs.append(np.load(out))
+        assert outs[0].shape == (4, 200)
+        assert outs[0].tobytes() == outs[1].tobytes()
 
 
 def partials(form, tau):

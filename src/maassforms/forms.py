@@ -14,26 +14,29 @@ rather than finite differences.  A form's TermSeries (to_terms) takes its
 evaluator arrays straight from the coefficient arrays and makes the exact
 Fraction-keyed dict of its terms only when an operator asks for it.
 
-TermSeries._sums is the one numeric pass over a form: TermSeries.eval (which
-evaluate, the CLI and the operator identities call), TermSeries.jet and the
-Fricke pairs of lseries all read it.  It evaluates a power series by baby
-steps and giant steps (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973).
-Every row e^{2 pi i freq u + 2 pi vexp v} lies on a q-line, holomorphic
-(q^n) or antiholomorphic (conj q^n), or off both as a shifted one, and along
-a line a row is a giant power times one of 16 baby powers.  Per block of 64
-points, one table of those powers takes a real np.exp and a cos/sin once per
+TermSeries._sums is the one numeric pass over a series: TermSeries.eval
+(which evaluate, HolomorphicQExpansion.evaluate, the CLI and the operator
+identities call), TermSeries.jet and the Fricke pairs of lseries all read it.
+It evaluates a power series by baby steps and giant steps (Paterson and
+Stockmeyer, SIAM J. Comput. 2, 1973).  Every row
+e^{2 pi i freq u + 2 pi vexp v} lies on a q-line, holomorphic (q^n) or
+antiholomorphic (conj q^n), or off both as a shifted one, and along a line a
+row is a giant power times one of 16 baby powers.  Per block of 64 points,
+one table of those powers takes a real np.exp and a cos/sin once per
 distinct Re tau, with no exponential per term, and each coefficient set is
 one matrix product of the giant powers against a matrix cached per series,
-contracted with the baby powers and v^vpow.  One pass forms only the sets it
-is asked for: eval and a Fricke pair read for Lambda alone the value, a pair
-read for Lambda and Omega the value and df/du (for H = 2iv f_u + k f), and
-TermSeries.jet the value, df/du and df/dv.  Memory stays bounded whatever
-the number of points or terms (the tables are per block and per slice of
-256 giant steps, and a sparse series gets a giant step per nonzero mode, not
-per span), and a point's value does not depend on the batch it arrives in:
-every block is padded to 64 points, so each product has one shape.  A
-pair's partner constants come from extract_coefficients at 32 samples per
-line (lseries._ZERO_MODE_SAMPLES), one call that is one 64-point block.
+contracted with the baby powers and v^vpow.  A pass forms the value set, or
+that and the df/du set, which shares its layout: eval and a Fricke pair read
+for Lambda alone the value, and a pair read for Lambda and Omega both (for
+H = 2iv f_u + k f).  TermSeries.jet reads both too, and df/dv as eval of the
+exact series d_v(), which it builds once and keeps.  Memory stays bounded
+whatever the number of points or terms (the tables are per block and per
+slice of 256 giant steps, and a sparse series gets a giant step per nonzero
+mode, not per span), and a point's value does not depend on the batch it
+arrives in: every block is padded to 64 points, so each product has one
+shape.  A pair's partner constants come from extract_coefficients at 32
+samples per line (lseries._ZERO_MODE_SAMPLES), one call that is one 64-point
+block.
 """
 
 from __future__ import annotations
@@ -106,30 +109,6 @@ def _power_table(phase_u, rows, v, phase_rate, size_rate) -> np.ndarray:
     x = size_rate[:, None] * v
     np.putmask(x, x < _EXP_FLOOR, -np.inf)
     return np.exp(x, out=x) * np.exp(phase_rate[:, None] * phase_u)[:, rows]
-
-
-def _set_layout(size: int, kinds: int, pows, col, sign, kind, lo, vpow):
-    """The layout of one coefficient set's product matrix, whose rows are
-    _BABY per (kind, sign, vpow) group that holds a term, in sorted order,
-    and whose columns are the size giant steps.  Returned: per term the flat
-    index of its cell (group, lo, col); and the layout: the matrix shape,
-    per kind its run of groups (kind, start, end) and the run of those of
-    sign -1 (start, end), and per group the index of its vpow in pows."""
-    key = (kind * 2 + (sign > 0)) * pows.size + (vpow - int(pows[0]))
-    present = np.bincount(key, minlength=2 * kinds * pows.size) > 0
-    keys = np.flatnonzero(present)
-    group_kind = (keys // (2 * pows.size)).tolist()
-    runs, conj = [], []
-    for g, k in enumerate(group_kind):
-        if not runs or runs[-1][0] != k:
-            runs.append([k, g, g])
-            conj.append([g, g])
-        runs[-1][2] = g + 1
-        if keys[g] // pows.size % 2 == 0:
-            conj[-1][1] = g + 1
-    cells = ((np.cumsum(present) - 1)[key] * _BABY + lo) * size + col
-    return cells, ((keys.size * _BABY, size), tuple(map(tuple, runs)), tuple(map(tuple, conj)),
-                   keys % pows.size)
 
 
 def _coefficient_matrix(cells, shape, coef, sign) -> np.ndarray:
@@ -226,11 +205,16 @@ class TermSeries:
         series thus gets one giant step per nonzero mode, not one per 16
         indices of its span.
 
+        The value set's matrix has _BABY rows per (kind, sign, vpow) group
+        that holds a term, in sorted order, and a column per giant step; a
+        term sits at the cell (group, baby step, giant step).
+
         Returned: L; the rates of _power_table for each kind's _BABY baby
         steps and then each giant step, taken with sign +1; the vpows the
-        sets read; per term its giant step, sign, kind, baby step, vpow,
-        coefficient, 2 pi freq and 2 pi vexp; and the value set as (cell per
-        term, layout, matrix) (see _set_layout).
+        groups read; per term its cell, sign, coefficient and 2 pi freq; the
+        layout: the matrix shape, per kind its run of groups (kind, start,
+        end) and the run of those of sign -1 (start, end), and per group the
+        index of its vpow; and the value set's matrix.
         """
         keys, row, vpow, values = self._term_rows()
         fn, fd, gn, gd = keys.T
@@ -260,40 +244,42 @@ class TermSeries:
         phase_rate = 2j * math.pi * np.concatenate([lo_steps, at]) / den
         size_rate = TWO_PI * np.concatenate([-lo_steps, lines[g_line] - at]) / den
         vpow = np.asarray(vpow, dtype=np.int64)
-        pows = np.arange(vpow.min(initial=0) - 1, vpow.max(initial=0) + 1, dtype=float)
+        pows = np.arange(vpow.min(initial=0), vpow.max(initial=0) + 1, dtype=float)
         row = np.asarray(row, dtype=np.intp)
-        terms = (col[row], sign[row], kind[line][row], lo[row], vpow, np.asarray(values, dtype=complex),
-                 (TWO_PI * (fn / fd))[row], (TWO_PI * (gn / gd))[row])
-        cells, layout = _set_layout(g_hi.size, steps.size, pows, *terms[:5])
-        matrix = _coefficient_matrix(cells, layout[0], terms[5], terms[1])
-        return den, (phase_rate, size_rate), pows, terms, (cells, layout, matrix)
+        key = (kind[line][row] * 2 + (sign[row] > 0)) * pows.size + (vpow - int(pows[0]))
+        present = np.bincount(key, minlength=2 * steps.size * pows.size) > 0
+        groups = np.flatnonzero(present)
+        runs, conj = [], []
+        for g, k in enumerate((groups // (2 * pows.size)).tolist()):
+            if not runs or runs[-1][0] != k:
+                runs.append([k, g, g])
+                conj.append([g, g])
+            runs[-1][2] = g + 1
+            if groups[g] // pows.size % 2 == 0:
+                conj[-1][1] = g + 1
+        cells = ((np.cumsum(present) - 1)[key] * _BABY + lo[row]) * g_hi.size + col[row]
+        terms = (cells, sign[row], np.asarray(values, dtype=complex), (TWO_PI * (fn / fd))[row])
+        shape = (groups.size * _BABY, g_hi.size)
+        layout = (shape, tuple(map(tuple, runs)), tuple(map(tuple, conj)), groups % pows.size)
+        matrix = _coefficient_matrix(cells, shape, terms[2], terms[1])
+        return den, (phase_rate, size_rate), pows, terms, layout, matrix
 
     @cached_property
     def _du_matrix(self):
         """The d/du set's matrix, built on the first pass that reads df/du:
         2 pi i freq times each coefficient, in the value set's layout."""
-        _, _, _, (_, sign, _, _, _, coef, wf, _), (cells, layout, _) = self._arrays
-        return _coefficient_matrix(cells, layout[0], coef * (1j * wf), sign)
+        _, _, _, (cells, sign, coef, wf), (shape, *_), _ = self._arrays
+        return _coefficient_matrix(cells, shape, coef * (1j * wf), sign)
 
     @cached_property
-    def _dv_set(self):
-        """The d/dv set's layout and matrix, built on the first pass that
-        reads df/dv: 2 pi vexp times each coefficient at its vpow, and vpow
-        times it at vpow - 1."""
-        _, (_, size_rate), pows, (*place, vpow, coef, _, wg), (_, layout, _) = self._arrays
-        a, b = wg != 0, vpow != 0
-        place = [np.concatenate([x[a], x[b]]) for x in place]
-        coef = np.concatenate([coef[a] * wg[a], coef[b] * vpow[b]])
-        size = layout[0][1]
-        cells, dv_layout = _set_layout(size, (size_rate.size - size) // _BABY, pows, *place,
-                                       np.concatenate([vpow[a], vpow[b] - 1]))
-        return dv_layout, _coefficient_matrix(cells, dv_layout[0], coef, place[1])
+    def _dv_series(self) -> "TermSeries":
+        """d_v(), the series whose value jet gives as df/dv, built on its first call."""
+        return self.d_v()
 
     def _sums(self, tau, order: int):
-        """The value and its first partials at tau: order 0 gives (f,), 1
-        gives (f, df/du) and 2 gives (f, df/du, df/dv), each a flat array
-        over the points, and the shape to restore (None for a scalar tau).
-        Only the sets asked for are formed.
+        """The value at tau, and for order 1 also df/du: order 0 gives (f,)
+        and 1 gives (f, df/du), each a flat array over the points, and the
+        shape to restore (None for a scalar tau).
 
         The points go in blocks of _POINT_BLOCK, the last one padded.  Per
         block, one power table holds e^{2 pi i freq u + 2 pi vexp v} of every
@@ -301,24 +287,21 @@ class TermSeries:
         entries below e^{_EXP_FLOOR} are 0, times the phase, formed once per
         run of equal Re tau.  Each set is then, per slice of _GIANT_SLICE
         giant steps, one matrix product of its cached matrix against the
-        giant steps' table, times the baby steps' table summed over the baby
-        steps, times v^vpow per group, and summed over the groups, the sign
-        -1 ones conjugated.  Sets of one layout (the value and d/du) share
-        these elementwise passes.  Every product has one shape per series
-        and set, so a point's value does not depend on the batch it arrives
-        in, and no sum depends on the order that asked for it.
+        giant steps' table; the two sets share one layout and every
+        elementwise pass after it: times the baby steps' table summed over
+        the baby steps, times v^vpow per group, and summed over the groups,
+        the sign -1 ones conjugated.  Every product has one shape per series,
+        so a point's value does not depend on the batch it arrives in, and f
+        does not depend on the order.
         """
         t = np.asarray(tau, dtype=complex)
         if np.any(t.imag <= 0):
             raise ValueError("tau must lie in the upper half-plane")
         flat = t.reshape(-1)
-        den, rates, pows, _, (_, layout, matrix) = self._arrays
-        groups = [(layout, [matrix, self._du_matrix] if order else [matrix])]
-        if order > 1:
-            dv_layout, dv_matrix = self._dv_set
-            groups.append((dv_layout, [dv_matrix]))
-        outs = np.empty((order + 1, flat.size), dtype=complex)
-        size = layout[0][1]
+        den, rates, pows, _, (shape, runs, conj, pow_of), matrix = self._arrays
+        matrices = [matrix, self._du_matrix] if order else [matrix]
+        outs = np.zeros((len(matrices), flat.size), dtype=complex)
+        size = shape[1]
         nbaby = rates[1].size - size
         # every block padded to _POINT_BLOCK points; a run of equal Re tau
         # ends at each change and at each block
@@ -339,24 +322,17 @@ class TermSeries:
                 if start == 0:
                     babies, table = table[:nbaby], table[nbaby:]
                     powers = v ** pows[:, None]
-                j = 0
-                for (shape, runs, conj, pow_of), matrices in groups:
-                    part = np.empty((len(matrices), shape[0], v.size), dtype=complex)
-                    for k, matrix in enumerate(matrices):
-                        np.matmul(matrix[:, start : start + _GIANT_SLICE], table, out=part[k])
-                    part = part.reshape(len(matrices), shape[0] // _BABY, _BABY, v.size)
-                    for kind, g0, g1 in runs:
-                        part[:, g0:g1] *= babies[kind * _BABY : (kind + 1) * _BABY]
-                    sums = part.sum(axis=2)
-                    sums *= powers[pow_of]
-                    for g0, g1 in conj:
-                        np.conjugate(sums[:, g0:g1], out=sums[:, g0:g1])
-                    value = sums.sum(axis=1)[:, :m]
-                    if start:
-                        outs[j : j + len(matrices), a : a + m] += value
-                    else:
-                        outs[j : j + len(matrices), a : a + m] = value
-                    j += len(matrices)
+                part = np.empty((len(matrices), shape[0], v.size), dtype=complex)
+                for out, mat in zip(part, matrices):
+                    np.matmul(mat[:, start : start + _GIANT_SLICE], table, out=out)
+                part = part.reshape(len(matrices), shape[0] // _BABY, _BABY, v.size)
+                for kind, g0, g1 in runs:
+                    part[:, g0:g1] *= babies[kind * _BABY : (kind + 1) * _BABY]
+                sums = part.sum(axis=2)
+                sums *= powers[pow_of]
+                for g0, g1 in conj:
+                    np.conjugate(sums[:, g0:g1], out=sums[:, g0:g1])
+                outs[:, a : a + m] += sums.sum(axis=1)[:, :m]
         return list(outs), (None if t.ndim == 0 else t.shape)
 
     def eval(self, tau):
@@ -366,10 +342,12 @@ class TermSeries:
         return complex(out[0]) if shape is None else out.reshape(shape)
 
     def jet(self, tau):
-        """(f, df/du, df/dv) at tau (complex scalar or ndarray with Im > 0),
-        from the exponentials of eval: d/du multiplies a term by 2 pi i freq
-        and d/dv by vpow/v + 2 pi vexp."""
-        outs, shape = self._sums(tau, 2)
+        """(f, df/du, df/dv) at tau (complex scalar or ndarray with Im > 0):
+        f and df/du from one pass, in which d/du multiplies a term by
+        2 pi i freq, and df/dv as eval of the exact series d_v(), which is
+        built on the first call and kept."""
+        outs, shape = self._sums(tau, 1)
+        outs += self._dv_series._sums(tau, 0)[0]
         if shape is None:
             return tuple(complex(x[0]) for x in outs)
         return tuple(x.reshape(shape) for x in outs)
@@ -549,15 +527,14 @@ class HolomorphicQExpansion:
         arr.setflags(write=False)
         object.__setattr__(self, "coefficients", arr)
 
+    @cached_property
+    def _series(self) -> TermSeries:
+        """sum c(n) q^n as a TermSeries, built on the first evaluate."""
+        return TermSeries.from_items(((n, 0, -n), c) for n, c in enumerate(self.coefficients))
+
     def evaluate(self, tau):
-        t = np.asarray(tau, dtype=complex)
-        q = np.exp(2j * math.pi * t)
-        out = np.zeros_like(t)
-        for n in range(len(self.coefficients) - 1, -1, -1):
-            out = out * q + self.coefficients[n]
-        if np.isscalar(tau) or np.ndim(tau) == 0:
-            return complex(out)
-        return out
+        """The sum at tau (complex scalar or ndarray with Im > 0), by TermSeries.eval."""
+        return self._series.eval(tau)
 
     def to_json(self) -> dict:
         return {

@@ -205,9 +205,9 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
 
     The evaluator makes one pass of the form's TermSeries sums per call: the
     value-only pass for the row f alone, and for (f, H) the pass that forms f
-    and f_u but not df/dv (the values of TermSeries.jet, without its third
-    part), so no derivative series is built.  The partner side of Lambda and
-    Omega is the Fricke slash of this evaluator (see FrickePair).
+    and f_u (the first two values of TermSeries.jet, which takes df/dv from a
+    second series), so no derivative series is built.  The partner side of
+    Lambda and Omega is the Fricke slash of this evaluator (see FrickePair).
     """
     from .forms import extract_coefficients
 
@@ -503,10 +503,13 @@ def _twisted_sides(
     By the twisting proposition f_psi|_k omega(N m^2) = C_psi g_psibar, so
     the twisted completed series live at level N m^2 and their functional
     equation carries the constant C_psi.  level must be the level N of both
-    forms; twist then puts both twists at lcm(N, m^2, m m_chi) = N m^2."""
+    forms, and chi the character of f; twist then puts both twists at
+    lcm(N, m^2, m m_chi) = N m^2."""
     m = psi.modulus
     if form_f.level != level or form_g.level != level:
         raise ValueError(f"f and g must be at level {level}, not {form_f.level} and {form_g.level}")
+    if chi != form_f.character:
+        raise ValueError(f"chi must be the character of f: {chi!r} is not {form_f.character!r}")
     if math.gcd(m, level) != 1:
         raise ValueError(f"conductor {m} must be coprime to the level {level}")
     ik = _i_pow(form_f.weight) * c_psi(chi, psi, level)

@@ -171,22 +171,33 @@ class TestVerifyFe:
         return run("verify-fe", "--f", str(tmp_path / "f.json"), "--g", str(tmp_path / "g.json"),
                    self.GRID, *flags)
 
-    def test_zero_padded_form_gets_a_notice(self, tmp_path, capsys):
-        # a length-40 level-1 lift padded to n_max 280 at level 7, against
-        # its partner 7^{-1} F(7 tau): the default T = max(4, sqrt(n_max))
-        # trusts the padding, and the run fails
+    @staticmethod
+    def padded_pair():
+        """A length-40 level-1 lift padded to n_max 280 at level 7, and its
+        partner 7^{-1} F(7 tau)."""
         _, g = oldform_pair(7)
         lift = harmonic_eisenstein_level_one(40)
         cp, cm = np.zeros(281, dtype=complex), np.zeros(280, dtype=complex)
         cp[:41], cm[:40] = lift.c_plus, lift.c_minus
-        padded = FormExpansion(-2, 7, g.character, lift.alpha, 280, cp, lift.c_minus_zero, cm)
-        assert self.run_pair(tmp_path, padded, g) == 5
+        return FormExpansion(-2, 7, g.character, lift.alpha, 280, cp, lift.c_minus_zero, cm), g
+
+    def test_zero_padded_form_gets_a_notice(self, tmp_path, capsys):
+        # the default T = max(4, sqrt(n_max)) trusts the padding, and the
+        # run fails
+        assert self.run_pair(tmp_path, *self.padded_pair()) == 5
         out = capsys.readouterr().out
         assert (
             "notice: the last nonzero coefficient of f is at n = 40, below n_max/2 "
             "(n_max = 280); the default T = max(4, sqrt(280)) = 16.73 assumes the full length"
         ) in out
         assert out.count("notice:") == 1
+        assert out.index("notice:") < out.index("max residual")
+
+    def test_zero_padded_form_with_a_given_t_gets_no_notice(self, tmp_path, capsys):
+        # the notice names the default T, which a run given --T does not use
+        self.run_pair(tmp_path, *self.padded_pair(), "--T", "8")
+        out = capsys.readouterr().out
+        assert "max residual" in out and "notice" not in out
 
     def test_golden_pair_prints_no_notice(self, tmp_path, capsys):
         assert self.run_pair(tmp_path, *oldform_pair(7)) == 0

@@ -278,16 +278,18 @@ class TestVectorisedEvaluator:
     @pytest.mark.parametrize("on_axis", ["none", "some", "all"])
     def test_value_does_not_depend_on_the_batch(self, rng, on_axis):
         # more points than one block; points on Re tau = 0 share one phase
-        # per block, which must not change their value
+        # per block, which must not change their value.  A dict series and
+        # a form's own, whose jet evaluates its cached d_v series
         ts = raising_op(to_terms(make_random_form(rng, k=-3, n_max=300)), -3)
         n = 2 * _POINT_BLOCK + 11
         taus = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(0.002, 1.5, n)
         if on_axis != "none":
             taus.real[:: 1 if on_axis == "all" else 3] = 0.0
-        value, jet = ts.eval(taus), ts.jet(taus)
-        for i, tau in enumerate(taus):
-            assert ts.eval(tau) == value[i]
-            assert ts.jet(tau) == tuple(x[i] for x in jet)
+        for ts in (ts, to_terms(make_random_form(rng, k=-3, n_max=300))):
+            value, jet = ts.eval(taus), ts.jet(taus)
+            for i, tau in enumerate(taus):
+                assert ts.eval(tau) == value[i]
+                assert ts.jet(tau) == tuple(x[i] for x in jet)
 
     def test_scalar_and_shape(self, rng):
         ts = to_terms(make_random_form(rng))
@@ -321,25 +323,27 @@ class TestVectorisedEvaluator:
         assert peak < 8e6
 
     def test_warm_evaluation_allocates_little(self, rng):
-        # once the series' matrices exist, a call allocates only its block's
-        # tables and sums, below the bound the earlier evaluator's two
-        # 64-point x 256-row complex scratch arrays set (512 kiB; the
-        # per-step temporaries those replaced peaked at 1.9 MB here)
+        # once the series' matrices (and jet's d_v series) exist, a call
+        # allocates only its block's tables and sums, below the bound the
+        # earlier evaluator's two 64-point x 256-row complex scratch arrays
+        # set (512 kiB; the per-step temporaries those replaced peaked at
+        # 1.9 MB here).  A dict series and a form's own
         import tracemalloc
 
         ts = raising_op(to_terms(make_random_form(rng, k=-3, n_max=300)), -3)
         n = 2 * _POINT_BLOCK + 11
         taus = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(0.002, 1.5, n)
-        ts.jet(taus)
-        tracemalloc.start()
-        try:
-            ts.eval(taus)
+        for ts in (ts, to_terms(make_random_form(rng, k=-3, n_max=300))):
             ts.jet(taus)
-            ts.eval(1j * taus.imag)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 16 * 64 * 256
+            tracemalloc.start()
+            try:
+                ts.eval(taus)
+                ts.jet(taus)
+                ts.eval(1j * taus.imag)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 16 * 64 * 256
 
 
 # series whose rows the form strategy above never reaches: hand-built rows
@@ -548,6 +552,23 @@ class TestShadowAndBol:
     def test_bol_ignores_negative_index_data(self):
         f = simple_form(k=-2, c_minus={-1: 2.0, -3: 1.0})
         assert np.all(bol(f).coefficients == 0)
+
+    @pytest.mark.parametrize("operator", [shadow, bol])
+    @pytest.mark.parametrize("k", [-1, -2, -3])
+    def test_evaluate_matches_the_term_loop(self, rng, operator, k):
+        # sum c(n) q^n against a plain loop over its terms, at heights down
+        # to 0.01, on the imaginary axis and off it
+        qe = operator(make_random_form(rng, k=k, n_max=40))
+        v = np.geomspace(0.01, 2.0, 12)
+        taus = np.concatenate([1j * v, rng.uniform(-1.0, 1.0, v.size) + 1j * v])
+        n = np.arange(qe.coefficients.size)[:, None]
+        terms = qe.coefficients[:, None] * np.exp(2j * math.pi * n * taus)
+        got = qe.evaluate(taus)
+        assert np.all(np.abs(got - terms.sum(axis=0)) <= 1e-14 * np.abs(terms).sum(axis=0))
+        assert type(qe.evaluate(taus[-1])) is complex
+        for bad in (0.3 + 0.0j, 0.3 - 1.0j, np.array([0.5j, -0.5j])):
+            with pytest.raises(ValueError):
+                qe.evaluate(bad)
 
     def test_bol_matches_termwise_derivative(self, rng):
         for k in (-1, -2, -3):

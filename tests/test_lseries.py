@@ -6,6 +6,7 @@ its own Fricke partner) is the golden pair throughout.
 """
 
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -631,6 +632,17 @@ class TestTwists:
             for fn in (twisted_lambda, twisted_omega):
                 with pytest.raises(ValueError, match=f"f and g must be at level {level}, not 7"):
                     fn(f, g, f.character, psi, level, -2, 0.5 + 1j)
+
+    def test_character_must_be_that_of_f(self):
+        # C_psi depends on chi, so any chi but f's own would give a wrong
+        # constant without a warning
+        f, g = oldform_pair(7, base=4)
+        psi = character_by_label(5, "quadratic")
+        other = character_by_label(7, "quadratic")
+        want = re.escape(f"chi must be the character of f: {other!r} is not {f.character!r}")
+        for fn in (twisted_lambda, twisted_omega):
+            with pytest.raises(ValueError, match=want):
+                fn(f, g, other, psi, 7, -2, 0.5 + 1j)
 
     def test_coprimality_required(self):
         ref = harmonic_eisenstein_level_one(20)

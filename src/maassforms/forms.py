@@ -10,9 +10,9 @@ Every expansion is a sum of elementary terms
 (freq, vexp rational, vpow integer), closed under d/du, d/dv, multiplication
 by powers of v, complex conjugation, and slashing by upper triangular
 matrices, so all operator identities are checked with exact term algebra
-rather than finite differences.  A form's TermSeries (to_terms) takes its
-evaluator arrays straight from the coefficient arrays and makes the exact
-Fraction-keyed dict of its terms only when an operator asks for it.
+rather than finite differences.  A TermSeries holds its terms as integer
+arrays over a common denominator, which that algebra and the evaluator both
+read; to_terms builds them straight from a form's coefficient arrays.
 
 TermSeries._sums is the one numeric pass over a series: TermSeries.eval
 (which evaluate, HolomorphicQExpansion.evaluate, the CLI and the operator
@@ -45,7 +45,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -91,6 +91,7 @@ _GIANT_SLICE = 256
 # is taken as 0: every term it multiplies is then below 1e-304 times its
 # coefficient, and the subnormal arithmetic it would cost is slow
 _EXP_FLOOR = -700.0
+_TOO_FINE = "frequencies too fine for the evaluator's phase tables"
 
 
 class IllConditionedError(RuntimeError):
@@ -122,46 +123,89 @@ def _coefficient_matrix(cells, shape, coef, sign) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True)
+def _times(a, b) -> np.ndarray:
+    """a * b, each product rounded as for lone Python complexes (numpy's loop may fuse)."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _merged(den: int, F, G, vpow, coef, placed: int = 0) -> "TermSeries":
+    """The terms merged by key (F, G, vpow) as a dict merges them: keys in the
+    order of their first term, each coefficient its terms' sum in order from
+    0j, or from the term itself for the first `placed` terms (distinct keys)."""
+    keys = np.stack([F, G, vpow], axis=1)
+    _, firsts, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    group = np.argsort(np.argsort(firsts))[inverse]  # keys numbered by their first term
+    acc = np.zeros(firsts.size, dtype=complex)
+    acc[group[:placed]] = coef[:placed]
+    np.add.at(acc, group[placed:], coef[placed:])
+    return TermSeries(den, *keys[np.sort(firsts)].T, acc)
+
+
+@dataclass(frozen=True, eq=False)
 class TermSeries:
-    """Finite sum of terms coef * e^{2 pi i freq u} * v^vpow * e^{2 pi vexp v}.
+    """Finite sum of terms coef * e^{2 pi i freq u} * v^vpow * e^{2 pi vexp v},
+    freq = F / den and vexp = G / den, held as int64 arrays F, G, vpow and a
+    complex array coef with one entry per term and one term per key (F, G,
+    vpow).  Construction drops the terms of coefficient 0 and reduces den to
+    their least common denominator; the operators are exact integer algebra,
+    each coefficient formed as Python forms it for a lone term."""
 
-    Stored as a dict (freq, vpow, vexp) -> coef with rational freq/vexp, so
-    derivatives and conjugation are exact.
-    """
+    den: int
+    F: np.ndarray
+    G: np.ndarray
+    vpow: np.ndarray
+    coef: np.ndarray
 
-    terms: dict = field(default_factory=dict)
+    def __post_init__(self):
+        keep, den = self.coef != 0, self.den
+        parts = [a[keep] for a in (self.F, self.G, self.vpow, self.coef)]
+        if den > 1:
+            cut = math.gcd(den, int(np.gcd.reduce(parts[0])), int(np.gcd.reduce(parts[1])))
+            den, parts[0], parts[1] = den // cut, parts[0] // cut, parts[1] // cut
+        for name, value in zip(("den", "F", "G", "vpow", "coef"), (den, *parts)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def from_items(items) -> "TermSeries":
-        acc: dict = {}
-        for (freq, vpow, vexp), coef in items:
-            key = (Fraction(freq), int(vpow), Fraction(vexp))
-            acc[key] = acc.get(key, 0j) + complex(coef)
-        return TermSeries({k: c for k, c in acc.items() if c != 0})
+        """The series of ((freq, vpow, vexp), coef) items, one key's added in order from 0j."""
+        items = [((Fraction(f), int(p), Fraction(g)), complex(c)) for (f, p, g), c in items]
+        den = math.lcm(*(x.denominator for (f, _, g), _ in items for x in (f, g)))
+        keys = [(int(f * den), int(g * den), p) for (f, p, g), _ in items]
+        if max((abs(x) for key in keys for x in key[:2]), default=0) >= 2**63:
+            raise ValueError(_TOO_FINE)
+        F, G, vpow = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+        return _merged(den, F, G, vpow, np.array([c for _, c in items], dtype=complex))
+
+    def _top(self) -> int:
+        """The largest |F| and |G|, at least 1."""
+        return max(1, int(np.abs(self.F).max(initial=0)), int(np.abs(self.G).max(initial=0)))
 
     def __add__(self, other: "TermSeries") -> "TermSeries":
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            acc[k] = acc.get(k, 0j) + c
-        return TermSeries({k: c for k, c in acc.items() if c != 0})
+        den = math.lcm(self.den, other.den)
+        scaled = [(den // s.den, s) for s in (self, other)]
+        if max(a * s._top() for a, s in scaled) >= 2**63:  # F and G over den leave int64
+            raise ValueError(_TOO_FINE)
+        terms = ((a * s.F, a * s.G, s.vpow, s.coef) for a, s in scaled)
+        return _merged(den, *map(np.concatenate, zip(*terms)), self.coef.size)
 
     def scale(self, z: complex) -> "TermSeries":
-        return TermSeries({k: z * c for k, c in self.terms.items()})
+        return TermSeries(self.den, self.F, self.G, self.vpow, _times(z, self.coef))
 
     def d_u(self) -> "TermSeries":
-        return TermSeries.from_items(
-            ((f, p, g), c * (2j * math.pi * f)) for (f, p, g), c in self.terms.items()
-        )
+        # each new coefficient added to 0j, as _merged adds a new key's terms
+        w = _times(2j * math.pi, self.F / self.den)
+        return TermSeries(self.den, self.F, self.G, self.vpow, 0j + _times(self.coef, w))
 
     def d_v(self) -> "TermSeries":
-        items = []
-        for (f, p, g), c in self.terms.items():
-            if p != 0:
-                items.append(((f, p - 1, g), c * p))
-            if g != 0:
-                items.append(((f, p, g), c * (TWO_PI * float(g))))
-        return TermSeries.from_items(items)
+        """Per term, the derivative of v^vpow and then that of e^{2 pi vexp v}."""
+        rate = np.stack([self.vpow, TWO_PI * (self.G / self.den)], axis=1).reshape(-1)
+        vpow = np.stack([self.vpow - 1, self.vpow], axis=1).reshape(-1)
+        live = rate != 0
+        F, G, coef = (np.repeat(a, 2)[live] for a in (self.F, self.G, self.coef))
+        return _merged(self.den, F, G, vpow[live], _times(coef, rate[live]))
 
     def d_tau(self) -> "TermSeries":
         return (self.d_u() + self.d_v().scale(-1j)).scale(0.5)
@@ -170,32 +214,20 @@ class TermSeries:
         return (self.d_u() + self.d_v().scale(1j)).scale(0.5)
 
     def mul_v(self, j: int) -> "TermSeries":
-        return TermSeries({(f, p + j, g): c for (f, p, g), c in self.terms.items()})
+        return TermSeries(self.den, self.F, self.G, self.vpow + j, self.coef)
 
-    def conjugate(self) -> "TermSeries":
-        return TermSeries.from_items(
-            ((-f, p, g), c.conjugate()) for (f, p, g), c in self.terms.items()
-        )
-
-    def _term_rows(self):
-        """The row producer of the dict: each distinct (freq, vexp), in order of
-        first appearance, as integer pairs (num, den); per term its row, vpow and coefficient."""
-        rows: dict = {}  # (freq, vexp) as integer pairs, which hash fast -> row
-        row = [rows.setdefault((f.numerator, f.denominator, g.numerator, g.denominator), len(rows))
-               for f, _, g in self.terms]
-        keys = np.array(list(rows), dtype=np.int64).reshape(-1, 4)
-        return keys, row, [p for _, p, _ in self.terms], list(self.terms.values())
+    def conjugate(self) -> "TermSeries":  # 0j + as in d_u
+        return TermSeries(self.den, -self.F, self.G, self.vpow, 0j + np.conj(self.coef))
 
     @cached_property
     def _arrays(self):
-        """The rows of _term_rows as power-table rates, and the layout and
-        matrix of the value set.
+        """The terms as power-table rates, and the layout and matrix of the
+        value set.
 
-        With L the common denominator of every freq and vexp, a row is
-        e^{2 pi i F u / L + 2 pi G v / L} for integers F and G.  Its index
+        A term's row is e^{2 pi i F u / den + 2 pi G v / den}.  Its index
         is n = F, or n = -F on the antiholomorphic line G = F != 0 (sign -1),
         and its line offset is c = G + n, so that G = c - n.  A row of sign
-        +1 is then e^{2 pi c v / L} q^{n / L}, and one of sign -1 the
+        +1 is then e^{2 pi c v / den} q^{n / den}, and one of sign -1 the
         conjugate of that, so both signs of one offset share their powers.
         The rows of offset c sit at n = step (16 hi + j), step the gcd of
         their indices and 0 <= j < 16.  The rows of one (c, hi) share a
@@ -209,21 +241,16 @@ class TermSeries:
         that holds a term, in sorted order, and a column per giant step; a
         term sits at the cell (group, baby step, giant step).
 
-        Returned: L; the rates of _power_table for each kind's _BABY baby
-        steps and then each giant step, taken with sign +1; the vpows the
-        groups read; per term its cell, sign, coefficient and 2 pi freq; the
-        layout: the matrix shape, per kind its run of groups (kind, start,
-        end) and the run of those of sign -1 (start, end), and per group the
-        index of its vpow; and the value set's matrix.
+        Returned: the rates of _power_table for each kind's _BABY baby steps
+        and then each giant step, taken with sign +1; the vpows the groups
+        read; per term its cell, sign and 2 pi freq; the layout: the matrix
+        shape, per kind its run of groups (kind, start, end) and the run of
+        those of sign -1 (start, end), and per group the index of its vpow;
+        and the value set's matrix.
         """
-        keys, row, vpow, values = self._term_rows()
-        fn, fd, gn, gd = keys.T
-        dens = np.concatenate([fd, gd])
-        den = int(np.lcm.reduce(dens, initial=1))
-        top = max(int(np.abs(keys[:, ::2]).max(initial=0)), 1)
-        if not 0 < den < 2**62 // (4 * top) or np.any(den % dens):
-            raise ValueError("frequencies too fine for the evaluator's phase tables")
-        F, G = fn * (den // fd), gn * (den // gd)
+        den, F, G, vpow = self.den, self.F, self.G, self.vpow
+        if not den < 2**62 // (4 * self._top()):
+            raise ValueError(_TOO_FINE)
         sign = np.where((G == F) & (F != 0), -1, 1)
         lines, line = np.unique(G + sign * F, return_inverse=True)
         by_line = np.argsort(line, kind="stable")
@@ -243,10 +270,8 @@ class TermSeries:
         lo_steps = (steps[:, None] * np.arange(_BABY)).reshape(-1)
         phase_rate = 2j * math.pi * np.concatenate([lo_steps, at]) / den
         size_rate = TWO_PI * np.concatenate([-lo_steps, lines[g_line] - at]) / den
-        vpow = np.asarray(vpow, dtype=np.int64)
         pows = np.arange(vpow.min(initial=0), vpow.max(initial=0) + 1, dtype=float)
-        row = np.asarray(row, dtype=np.intp)
-        key = (kind[line][row] * 2 + (sign[row] > 0)) * pows.size + (vpow - int(pows[0]))
+        key = (kind[line] * 2 + (sign > 0)) * pows.size + (vpow - int(pows[0]))
         present = np.bincount(key, minlength=2 * steps.size * pows.size) > 0
         groups = np.flatnonzero(present)
         runs, conj = [], []
@@ -257,19 +282,18 @@ class TermSeries:
             runs[-1][2] = g + 1
             if groups[g] // pows.size % 2 == 0:
                 conj[-1][1] = g + 1
-        cells = ((np.cumsum(present) - 1)[key] * _BABY + lo[row]) * g_hi.size + col[row]
-        terms = (cells, sign[row], np.asarray(values, dtype=complex), (TWO_PI * (fn / fd))[row])
+        cells = ((np.cumsum(present) - 1)[key] * _BABY + lo) * g_hi.size + col
         shape = (groups.size * _BABY, g_hi.size)
         layout = (shape, tuple(map(tuple, runs)), tuple(map(tuple, conj)), groups % pows.size)
-        matrix = _coefficient_matrix(cells, shape, terms[2], terms[1])
-        return den, (phase_rate, size_rate), pows, terms, layout, matrix
+        matrix = _coefficient_matrix(cells, shape, self.coef, sign)
+        return (phase_rate, size_rate), pows, (cells, sign, TWO_PI * (F / den)), layout, matrix
 
     @cached_property
     def _du_matrix(self):
         """The d/du set's matrix, built on the first pass that reads df/du:
         2 pi i freq times each coefficient, in the value set's layout."""
-        _, _, _, (cells, sign, coef, wf), (shape, *_), _ = self._arrays
-        return _coefficient_matrix(cells, shape, coef * (1j * wf), sign)
+        _, _, (cells, sign, wf), (shape, *_), _ = self._arrays
+        return _coefficient_matrix(cells, shape, self.coef * (1j * wf), sign)
 
     @cached_property
     def _dv_series(self) -> "TermSeries":
@@ -298,7 +322,7 @@ class TermSeries:
         if np.any(t.imag <= 0):
             raise ValueError("tau must lie in the upper half-plane")
         flat = t.reshape(-1)
-        den, rates, pows, _, (shape, runs, conj, pow_of), matrix = self._arrays
+        rates, pows, _, (shape, runs, conj, pow_of), matrix = self._arrays
         matrices = [matrix, self._du_matrix] if order else [matrix]
         outs = np.zeros((len(matrices), flat.size), dtype=complex)
         size = shape[1]
@@ -307,7 +331,7 @@ class TermSeries:
         # ends at each change and at each block
         pts = np.full(-(-flat.size // _POINT_BLOCK) * _POINT_BLOCK, 1j)
         pts[: flat.size] = flat
-        uu = np.fmod(pts.real, den)  # den is a period of every phase; fmod is exact
+        uu = np.fmod(pts.real, self.den)  # den is a period of every phase; fmod is exact
         new = np.ones(pts.size, dtype=bool)
         np.not_equal(uu[1:], uu[:-1], out=new[1:])
         new[::_POINT_BLOCK] = True
@@ -344,8 +368,8 @@ class TermSeries:
     def jet(self, tau):
         """(f, df/du, df/dv) at tau (complex scalar or ndarray with Im > 0):
         f and df/du from one pass, in which d/du multiplies a term by
-        2 pi i freq, and df/dv as eval of the exact series d_v(), which is
-        built on the first call and kept."""
+        2 pi i freq, and df/dv as eval of the exact series d_v(), which the
+        first call builds from the term arrays and keeps."""
         outs, shape = self._sums(tau, 1)
         outs += self._dv_series._sums(tau, 0)[0]
         if shape is None:
@@ -530,7 +554,8 @@ class HolomorphicQExpansion:
     @cached_property
     def _series(self) -> TermSeries:
         """sum c(n) q^n as a TermSeries, built on the first evaluate."""
-        return TermSeries.from_items(((n, 0, -n), c) for n, c in enumerate(self.coefficients))
+        n = np.arange(self.coefficients.size)
+        return TermSeries(1, n, -n, 0 * n, self.coefficients)
 
     def evaluate(self, tau):
         """The sum at tau (complex scalar or ndarray with Im > 0), by TermSeries.eval."""
@@ -544,47 +569,22 @@ class HolomorphicQExpansion:
         }
 
 
-class _FormSeries(TermSeries):
-    """The TermSeries of a form (see to_terms): rows from its coefficients, dict on demand."""
-
-    def __init__(self, form: FormExpansion):
-        object.__setattr__(self, "form", form)
-
-    @cached_property
-    def terms(self) -> dict:
-        keys, row, vpow, values = self._term_rows()
-        items = zip(keys[row].tolist(), vpow.tolist(), values.tolist())
-        return {(Fraction(f), p, Fraction(g)): c for (f, _, g, _), p, c in items}
-
-    def _term_rows(self):
-        """The row producer of the form, terms in dict order: c+(n) != 0, c-(0) != 0, then
-        c-(-m) Gamma(nu) (4 pi m)^l / l! by m and l < nu, each formed as for a lone term.
-        A run of one freq is a row, and c-(0) joins the row (0, 0) of a nonzero c+(0)."""
-        form, nu = self.form, 1 - self.form.weight
-        fourpim = 4.0 * math.pi * np.arange(1, form.n_max + 1)
-        steps = [np.full(form.n_max, math.gamma(nu))] + [fourpim / l for l in range(1, nu)]
-        z = form.c_minus[:, None] * np.cumprod(np.stack(steps, axis=1), axis=1)
-        keep = (z != 0) & (form.c_minus != 0)[:, None]
-        n, (m, l) = np.flatnonzero(form.c_plus), np.nonzero(keep)
-        c0 = np.zeros(int(form.c_minus_zero != 0), dtype=np.int64)
-        freq, vpow = np.concatenate([n, c0, -1 - m]), np.concatenate([0 * n, c0 + nu, l])
-        joins = (freq == 0) & (vpow > 0) & (form.c_plus[0] != 0)
-        new = (np.diff(freq, prepend=freq[:1] + 1) != 0) & ~joins
-        one = np.ones_like(freq)
-        keys = np.stack([freq, one, np.concatenate([-n, freq[n.size :]]), one], axis=1)[new]
-        values = np.concatenate([form.c_plus[n], [form.c_minus_zero] * c0.size, z[keep]])
-        return keys, np.where(joins, 0, np.cumsum(new) - 1), vpow, values
-
-
 def to_terms(form: FormExpansion) -> TermSeries:
-    """The expansion as a TermSeries: evaluator arrays straight from the
-    coefficient arrays, and the exact dict only on demand.
-
-    c-(-m) Gamma(1-k, 4 pi m v) q^{-m} is expanded through the finite sum
-    Gamma(nu, x) = Gamma(nu) e^{-x} sum_{l<nu} x^l/l!, which absorbs the
-    growing |q^{-m}| = e^{2 pi m v} into a decaying net exponent e^{-2 pi m v}.
+    """The expansion as a TermSeries, built from the coefficient arrays: the
+    terms c+(n) q^n, c-(0) v^{1-k}, then c-(-m) Gamma(1-k) (4 pi m)^l / l!
+    v^l e^{-2 pi i m u - 2 pi m v} by m and l < 1-k, each formed as for a
+    lone term.  That is c-(-m) Gamma(1-k, 4 pi m v) q^{-m} through the
+    finite sum Gamma(nu, x) = Gamma(nu) e^{-x} sum_{l<nu} x^l/l!, which
+    absorbs the growing |q^{-m}| = e^{2 pi m v} into a decaying e^{-2 pi m v}.
     """
-    return _FormSeries(form)
+    nu, n = 1 - form.weight, np.arange(form.n_max + 1)
+    steps = [np.full(form.n_max, math.gamma(nu))] + [4 * math.pi * n[1:] / l for l in range(1, nu)]
+    z = form.c_minus[:, None] * np.cumprod(np.stack(steps, axis=1), axis=1)
+    z[form.c_minus == 0] = 0  # also where the product overflowed
+    F = np.concatenate([n, [0], np.repeat(-n[1:], nu)])
+    vpow = np.concatenate([0 * n, [nu], np.tile(np.arange(nu), form.n_max)])
+    coef = np.concatenate([form.c_plus, [form.c_minus_zero], z.reshape(-1)])
+    return TermSeries(1, F, -np.abs(F), vpow, coef)  # every term decays as e^{-2 pi |freq| v}
 
 
 def evaluate(form: FormExpansion, tau):
@@ -687,10 +687,7 @@ def twist(form: FormExpansion, psi: DirichletCharacter) -> FormExpansion:
     new_char = (chi * (psi * psi)).induce(new_level)
     psi_n = np.array(psi._values)[np.arange(-form.n_max, form.n_max + 1) % m]
     c = np.concatenate([form.c_minus[::-1], form.c_plus])  # c at n = -n_max..n_max
-    # each product rounded as for lone scalars: numpy's complex array loop may fuse (FMA)
-    prod = np.empty_like(c)
-    prod.real = psi_n.real * c.real - psi_n.imag * c.imag
-    prod.imag = psi_n.real * c.imag + psi_n.imag * c.real
+    prod = _times(psi_n, c)
     return FormExpansion(
         weight=form.weight,
         level=new_level,

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .characters import DirichletCharacter, _prime_factors, c_psi
-from .forms import FormExpansion, to_terms, twist
+from .forms import FormExpansion, growth_constant, to_terms, twist
 from .modgroup import fricke, slash
 from .specfun import gamma_complex, gauss_legendre_panels, invert_on_line, w_nu
 
@@ -72,8 +72,6 @@ def _dirichlet_sum(coeffs: np.ndarray, s: complex) -> complex:
 
 
 def _series_tail(form: FormExpansion, sigma: float) -> float:
-    from .forms import growth_constant
-
     c, a, m = growth_constant(form), form.alpha, form.n_max
     if sigma <= a + 1:
         return math.inf
@@ -209,6 +207,7 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
     second series), so no derivative series is built.  The partner side of
     Lambda and Omega is the Fricke slash of this evaluator (see FrickePair).
     """
+    # looked up in forms at each call, where bench/tracer.py wraps it by name
     from .forms import extract_coefficients
 
     k = form.weight

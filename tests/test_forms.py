@@ -127,13 +127,20 @@ class TestEvaluate:
             assert diff <= evaluate_tail_bound(clipped, v, constant=c) + 1e-15
 
 
+def items(ts):
+    """The terms of a TermSeries as ((freq, vpow, vexp), coef) items, freq
+    and vexp as Fractions."""
+    for F, G, p, c in zip(ts.F.tolist(), ts.G.tolist(), ts.vpow.tolist(), ts.coef.tolist()):
+        yield (Fraction(F, ts.den), p, Fraction(G, ts.den)), c
+
+
 def loop_eval(ts, taus):
     """The per-term loop that TermSeries.eval replaced, kept as the oracle:
     the value and sum |term| at each point of the array taus."""
     u, v = taus.real, taus.imag
     out = np.zeros(taus.shape, dtype=complex)
     mag = np.zeros(taus.shape)
-    for (f, p, g), c in ts.terms.items():
+    for (f, p, g), c in items(ts):
         term = c * np.exp(1j * TWO_PI * float(f) * u + TWO_PI * float(g) * v)
         if p:
             term = term * v ** float(p)
@@ -168,6 +175,69 @@ def loop_terms(form):
                 terms[(freq, l, freq)] = z
             coef_l *= fourpim / (l + 1)
     return terms
+
+
+class DictSeries:
+    """The Fraction-keyed dict algebra TermSeries replaced, kept as the
+    oracle of its merges and coefficients: terms (freq, vpow, vexp) -> coef,
+    each coefficient formed by Python's complex arithmetic.  As in
+    TermSeries, the terms of coefficient 0 are dropped whenever a series is
+    built; the dict algebra kept those that scale made."""
+
+    def __init__(self, terms):
+        self.terms = {key: c for key, c in terms.items() if c != 0}
+
+    @staticmethod
+    def from_items(items):
+        acc = {}
+        for (freq, vpow, vexp), coef in items:
+            key = (Fraction(freq), int(vpow), Fraction(vexp))
+            acc[key] = acc.get(key, 0j) + complex(coef)
+        return DictSeries(acc)
+
+    def __add__(self, other):
+        acc = dict(self.terms)
+        for key, c in other.terms.items():
+            acc[key] = acc.get(key, 0j) + c
+        return DictSeries(acc)
+
+    def scale(self, z):
+        return DictSeries({key: z * c for key, c in self.terms.items()})
+
+    def d_u(self):
+        return DictSeries.from_items(
+            ((f, p, g), c * (2j * math.pi * f)) for (f, p, g), c in self.terms.items()
+        )
+
+    def d_v(self):
+        items = []
+        for (f, p, g), c in self.terms.items():
+            if p != 0:
+                items.append(((f, p - 1, g), c * p))
+            if g != 0:
+                items.append(((f, p, g), c * (TWO_PI * float(g))))
+        return DictSeries.from_items(items)
+
+    def d_tau(self):
+        return (self.d_u() + self.d_v().scale(-1j)).scale(0.5)
+
+    def d_taubar(self):
+        return (self.d_u() + self.d_v().scale(1j)).scale(0.5)
+
+    def mul_v(self, j):
+        return DictSeries({(f, p + j, g): c for (f, p, g), c in self.terms.items()})
+
+    def conjugate(self):
+        return DictSeries.from_items(
+            ((-f, p, g), c.conjugate()) for (f, p, g), c in self.terms.items()
+        )
+
+    def series(self) -> TermSeries:
+        """The same terms as a TermSeries, built directly from its arrays."""
+        den = math.lcm(*(x.denominator for f, _, g in self.terms for x in (f, g)))
+        keys = [(int(f * den), int(g * den), p) for f, p, g in self.terms]
+        arrays = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+        return TermSeries(den, *arrays, np.array(list(self.terms.values()), dtype=complex))
 
 
 def identical(a, b) -> bool:
@@ -208,6 +278,56 @@ def expansions(draw):
     return expansion(k, blocks[0], draw(st.one_of(st.just(0j), coefficients)), blocks[1])
 
 
+def q_term(den, num=1):
+    """v q^{num / den} as a one-term series."""
+    return TermSeries.from_items([((Fraction(num, den), 1, -Fraction(num, den)), 1.0)])
+
+
+@st.composite
+def item_lists(draw):
+    """((freq, vpow, vexp), coef) items over at most four keys, so that keys
+    repeat, with freq and vexp over one of the denominators 1, 2, 3, 6, 7."""
+    den = draw(st.sampled_from([1, 2, 3, 6, 7]))
+    key = st.tuples(
+        st.integers(-6, 6).map(lambda n: Fraction(n, den)),
+        st.integers(-1, 2),
+        st.integers(-6, 1).map(lambda n: Fraction(n, den)),
+    )
+    keys = draw(st.lists(key, min_size=1, max_size=4))
+    size = draw(st.integers(0, 12))
+    item = st.tuples(st.sampled_from(keys), coefficients)
+    return draw(st.lists(item, min_size=size, max_size=size))
+
+
+def assert_same_terms(ts, ref):
+    """ts holds the terms of the DictSeries ref in keys, order and bits."""
+    assert ts.den == ref.series().den
+    assert [key for key, _ in items(ts)] == list(ref.terms)
+    assert identical(ts.coef, np.array(list(ref.terms.values()), dtype=complex))
+    assert identical(ts._arrays, ref.series()._arrays)
+
+
+class TestTermAlgebra:
+    @given(st.integers(0, 2**32 - 1), st.integers(-3, -1), st.integers(1, 12), item_lists(),
+           item_lists())
+    @example(0, -2, 3, [((Fraction(1, 2), 0, 0), 1.0), ((1, 0, 0), 2.0),
+                        ((Fraction(1, 2), 0, 0), -1.0)], [])  # a cancelled 1/2: den back to 1
+    @example(1, -1, 2, [((0, 0, 0), complex(-0.0, 1.0))], [((0, 0, 0), -1j)])  # a + b cancels
+    def test_term_algebra_matches_the_dict_algebra(self, seed, k, n_max, a, b):
+        # from_items with repeated keys, sums over different denominators,
+        # a form's series, and every operator chain on the sums and the form
+        form = make_random_form(np.random.default_rng(seed), k=k, n_max=n_max)
+        pairs = [(TermSeries.from_items(x), DictSeries.from_items(x)) for x in (a, b)]
+        pairs.append((to_terms(form), DictSeries(loop_terms(form))))
+        pairs += [(pairs[0][0] + pairs[1][0], pairs[0][1] + pairs[1][1]),
+                  (pairs[2][0] + pairs[0][0], pairs[2][1] + pairs[0][1])]
+        for ts, ref in pairs:
+            assert_same_terms(ts, ref)
+        for ts, ref in pairs[2:]:
+            for op in (raising_op, lowering_op, laplacian_op, xi_op, h_op, bol_op):
+                assert_same_terms(op(ts, k), op(ref, k))
+
+
 # series whose terms reach every case of the evaluator: raising_op brings
 # vpow -1, xi_op conjugated (negated) frequencies, d_v and h_op mixed vpows,
 # and the 3/7 scaling frequencies that are not integers
@@ -219,7 +339,7 @@ SERIES = {
     "raising_op": raising_op,
     "xi_op": xi_op,
     "freq * 3/7": lambda ts, k: TermSeries.from_items(
-        ((f * Fraction(3, 7), p, g * Fraction(3, 7)), c) for (f, p, g), c in ts.terms.items()
+        ((f * Fraction(3, 7), p, g * Fraction(3, 7)), c) for (f, p, g), c in items(ts)
     ),
 }
 point_lists = st.lists(
@@ -255,25 +375,35 @@ class TestVectorisedEvaluator:
     @example(expansion(-5, [5e-324, -1e300j, 1e300], complex(5e-324, -0.0), [-1e300, 5e-324j]))
     @example(expansion(-2, [0, 0, 0], 0, [0, 0]))  # no term at all
     def test_coefficient_path_equals_the_dict_path(self, form):
-        # to_terms builds the arrays from the coefficient arrays; they equal
-        # those of the dict the old loop built, row for row and bit for bit,
-        # and the dict, made only when asked for, equals that dict in keys,
-        # values and order.  A 1e300 coefficient times (4 pi m)^l / l!
-        # overflows to inf on both paths alike.
-        ts, oracle = to_terms(form), loop_terms(form)
+        # to_terms builds the terms from the coefficient arrays; they equal
+        # those the old loop built one coefficient at a time in keys, order
+        # and bits, and so do the evaluator arrays.  The oracle series is
+        # built directly: from_items would add each coefficient to 0j and
+        # lose a -0.0.  A 1e300 coefficient times (4 pi m)^l / l! overflows
+        # to inf on both paths alike.
         with np.errstate(over="ignore"):
-            arrays = ts._arrays
-            assert "terms" not in vars(ts)
-            assert identical(arrays, TermSeries(oracle)._arrays)
-            assert list(ts.terms) == list(oracle)
-            assert identical(list(ts.terms.values()), list(oracle.values()))
+            assert_same_terms(to_terms(form), DictSeries(loop_terms(form)))
 
     def test_phase_table_overflow_is_refused(self):
-        # the line indices are int64: den * |freq numerator| past 2^62 / 4
-        # would wrap, so such a series is refused rather than evaluated wrong
-        ts = TermSeries.from_items([((Fraction(2**40 + 1, 2**40), 0, -1), 1.0)])
-        with pytest.raises(ValueError, match="phase tables"):
-            ts.eval(0.5j)
+        # the line indices are int64: den * |F| past 2^62 / 4 would wrap, so
+        # such a series is refused rather than evaluated wrong.  Each term
+        # of the sums alone is evaluated; the first sum and its d_v have
+        # den near 2^62, and in the second F over its den would be 2^64 and
+        # 3, which int64 wraps to a series the evaluator would take; the
+        # last items' F over their den, 2^62 * 5, leaves int64 too
+        for den, num in ((2**31 - 1, 1), (2**31 + 11, 1), (3, 2**40), (2**24, 1)):
+            assert np.isfinite(q_term(den, num).eval(0.5j))
+        for build in (
+            lambda: TermSeries.from_items([((Fraction(2**40 + 1, 2**40), 0, -1), 1.0)]),
+            lambda: q_term(2**31 - 1) + q_term(2**31 + 11),
+            lambda: (q_term(2**31 - 1) + q_term(2**31 + 11)).d_v(),
+            lambda: q_term(3, 2**40) + q_term(2**24),
+            lambda: TermSeries.from_items(
+                [((Fraction(2**62, 3), 0, 0), 1.0), ((Fraction(1, 5), 0, 0), 1.0)]
+            ),
+        ):
+            with pytest.raises(ValueError, match="phase tables"):
+                build().eval(0.5j)
 
     @pytest.mark.parametrize("on_axis", ["none", "some", "all"])
     def test_value_does_not_depend_on_the_batch(self, rng, on_axis):
@@ -384,7 +514,7 @@ def sparse_series(draw):
 
 
 def scaled(ts, by):
-    return TermSeries.from_items(((f * by, p, g * by), c) for (f, p, g), c in ts.terms.items())
+    return TermSeries.from_items(((f * by, p, g * by), c) for (f, p, g), c in items(ts))
 
 
 # heights log-uniform in [0.002, 60]: at the top, whole power tables fall
@@ -664,11 +794,11 @@ def slash_triangular(ts, k, a, b, d):
     a, b, d = Fraction(a), Fraction(b), Fraction(d)
     pref = float(a * d) ** (k / 2.0) * float(d) ** (-k)
     r = a / d
-    items = []
-    for (f, p, g), c in ts.terms.items():
+    slashed = []
+    for (f, p, g), c in items(ts):
         phase = cmath.exp(2j * math.pi * float(f * b / d))
-        items.append(((f * r, p, g * r), c * pref * phase * float(r) ** p))
-    return TermSeries.from_items(items)
+        slashed.append(((f * r, p, g * r), c * pref * phase * float(r) ** p))
+    return TermSeries.from_items(slashed)
 
 
 class TestSlashCommutation:

@@ -458,21 +458,30 @@ class TestResiduals:
 
     @pytest.mark.parametrize("psi", [None, character_by_label(5, "quadratic")])
     def test_pair_path_builds_no_exact_dict(self, monkeypatch, psi):
-        # to_terms builds the evaluator arrays from the coefficient arrays, so
-        # the numeric pair path makes no Fraction: the exact term dict is
-        # only made for the operators that ask for it
+        # the numeric paths make no Fraction: the pair path, a series' first
+        # jet (which builds its d_v series) and the first evaluate of a
+        # shadow or Bol image all work on the integer term arrays
         import maassforms.forms as forms
 
         f, g = oldform_pair(7)
         grid = [complex(r, i) for r in (-1.5, 0.5) for i in (0.5, 2.0)]
-        want = fe_residuals(f, g, grid, psi=psi)
+        taus = np.array(grid)
+        first_calls = (
+            lambda: fe_residuals(f, g, grid, psi=psi),
+            lambda: forms.to_terms(g).jet(taus),
+            lambda: forms.shadow(f).evaluate(taus),
+            lambda: forms.bol(g).evaluate(taus),
+        )
+        want = [call() for call in first_calls]
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("exact term dict built on the pair path")
+            raise AssertionError("Fraction made on a numeric path")
 
         monkeypatch.setattr(forms, "Fraction", forbidden)
-        rep = fe_residuals(f, g, grid, psi=psi)
-        assert rep.to_json() == want.to_json()
+        rep, *got = [call() for call in first_calls]
+        assert rep.to_json() == want[0].to_json()
+        for values, first in zip(got, want[1:]):
+            np.testing.assert_array_equal(values, first)
         if psi is None:
             assert rep.max_residual <= 1e-8
 

@@ -1,0 +1,8 @@
+"""`python -m maassforms`: the command-line tool, without an install."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,11 +3,9 @@
 A character is stored by its exponent vector on a fixed generating set of
 (Z/qZ)^*: the modulus is CRT-split into prime powers, each odd prime power
 contributes one generator (a lifted primitive root), and 2^e contributes
-{-1, 5} for e >= 3 (just {-1} for e = 2).  From a discrete-log table shared
-by all characters of one modulus, each character keeps the integer n(a) with
-chi(a) = e^{2 pi i n(a)/lam}, lam the lcm of the generator orders, so that
-equality, conductor and parity tests are exact; its complex values come from
-one root per distinct n(a).
+{-1, 5} for e >= 3 (just {-1} for e = 2).  Construction keeps that vector,
+the generators, their orders and lam = lcm(orders); the exact exponents n(a),
+chi(a) = e^{2 pi i n(a)/lam}, and the values chi(a) are tabulated on first read.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -120,8 +118,7 @@ def _unit_logs(q: int) -> np.ndarray:
 
 @lru_cache(maxsize=1 << 15)
 def _root(j: int, lam: int) -> complex:
-    """e^{2 pi i j / lam}, shared by the characters of every modulus with
-    this lam."""
+    """e^{2 pi i j / lam}, shared by every character whose orders have lcm lam."""
     return cmath.exp(2j * math.pi * Fraction(j, lam))
 
 
@@ -129,9 +126,8 @@ class DirichletCharacter:
     """Dirichlet character mod q, identified by its exponent vector on the
     canonical generators: chi(g_i) = e^{2 pi i exponents_i / orders_i}.
 
-    With lam = lcm(orders), chi(a) = e^{2 pi i n(a) / lam} for an integer
-    n(a) in [0, lam); `_num` holds n(a) for every residue (-1 on non-units)
-    and the value list shares one complex root per distinct n(a).
+    Eager: modulus, exponents, generators, gen_orders, _lam.  Built on first
+    read, read-only: `_num`, n(a) per residue (-1 on non-units); `values`, chi(a).
     """
 
     def __init__(self, modulus: int, exponents: tuple[int, ...]):
@@ -144,22 +140,29 @@ class DirichletCharacter:
         self.exponents = tuple(e % o for e, o in zip(exponents, orders))
         self.generators = gens
         self.gen_orders = orders
-        self._lam = lam = math.lcm(*orders)
-        logs = _unit_logs(modulus)
-        num = np.zeros(modulus, dtype=np.int64)
-        for e, o, row in zip(self.exponents, orders, logs):
-            num += (e * (lam // o)) * row
-        self._num = np.where(logs[-1] == 1, num % lam, -1)
-        nums = self._num.tolist()
-        roots = {j: _root(j, lam) for j in set(nums) if j >= 0}
-        roots[-1] = 0.0 + 0.0j
-        self._values = [roots[j] for j in nums]
-        self._conductor: int | None = None
+        self._lam = math.lcm(*orders)
+
+    @cached_property
+    def _num(self) -> np.ndarray:
+        logs, lam = _unit_logs(self.modulus), self._lam
+        steps = [e * (lam // o) for e, o in zip(self.exponents, self.gen_orders)]
+        num = np.where(logs[-1] == 1, np.array(steps, dtype=np.int64) @ logs[:-1] % lam, -1)
+        num.setflags(write=False)
+        return num
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        roots = np.zeros(self._lam + 1, dtype=complex)  # roots[-1] = 0 on non-units
+        for j in np.bincount(self._num + 1)[1:].nonzero()[0].tolist():
+            roots[j] = _root(j, self._lam)
+        values = roots[self._num]
+        values.setflags(write=False)
+        return values
 
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, n: int) -> complex:
-        return self._values[n % self.modulus]
+        return self.values.item(n % self.modulus)
 
     def rational_exponent(self, n: int) -> Fraction | None:
         """Exact r with chi(n) = e^{2 pi i r}, or None when chi(n) = 0."""
@@ -190,11 +193,9 @@ class DirichletCharacter:
         """chi(-1), exactly +1 or -1."""
         return 1 if self._num[self.modulus - 1] == 0 else -1
 
-    @property
+    @cached_property
     def conductor(self) -> int:
-        if self._conductor is None:
-            self._conductor = conductor(self)
-        return self._conductor
+        return conductor(self)
 
     @property
     def is_primitive(self) -> bool:
@@ -286,14 +287,14 @@ def conductor(chi: DirichletCharacter) -> int:
 
     Checked exactly: f works iff n(a) = 0 for every unit a = 1 (mod f).
     """
-    q = chi.modulus
-    return next(f for f in range(1, q + 1) if q % f == 0 and not np.any(chi._num[1::f] > 0))
+    divisors = product(*([p**k for k in range(e + 1)] for p, e in _prime_factors(chi.modulus)))
+    return next(f for f in sorted(map(math.prod, divisors)) if not np.any(chi._num[1::f] > 0))
 
 
 def gauss_sum(psi: DirichletCharacter) -> complex:
     """tau(psi) = sum_{a mod m} psi(a) e^{2 pi i a / m}."""
     m = psi.modulus
-    return sum(psi(a) * cmath.exp(2j * math.pi * a / m) for a in range(m))
+    return sum(v * cmath.exp(2j * math.pi * a / m) for a, v in enumerate(psi.values.tolist()))
 
 
 def c_psi(chi: DirichletCharacter, psi: DirichletCharacter, level: int) -> complex:

@@ -60,7 +60,7 @@ _CHUNK_POINTS = 256
 def _coset_rows(level: int, chi: DirichletCharacter, rho: Cusp, bound: int):
     reps = coset_reps(level, rho, bound)
     rows = reps.rows.astype(float)
-    charvals = np.conj(np.array(chi._values))[reps.d % chi.modulus]
+    charvals = np.conj(chi.values[reps.d % chi.modulus])
     rows.setflags(write=False)
     charvals.setflags(write=False)
     return rows, charvals

@@ -685,7 +685,7 @@ def twist(form: FormExpansion, psi: DirichletCharacter) -> FormExpansion:
     chi = form.character
     new_level = math.lcm(form.level, m * m, m * chi.conductor)
     new_char = (chi * (psi * psi)).induce(new_level)
-    psi_n = np.array(psi._values)[np.arange(-form.n_max, form.n_max + 1) % m]
+    psi_n = psi.values[np.arange(-form.n_max, form.n_max + 1) % m]
     c = np.concatenate([form.c_minus[::-1], form.c_plus])  # c at n = -n_max..n_max
     prod = _times(psi_n, c)
     return FormExpansion(

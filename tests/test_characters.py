@@ -5,6 +5,7 @@ import cmath
 import math
 import struct
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -29,9 +30,9 @@ def euler_phi(q: int) -> int:
 
 
 @st.composite
-def characters_mod(draw, q=None):
-    """A random character mod q (q drawn up to 400 when not given)."""
-    q = draw(st.integers(1, 400)) if q is None else q
+def characters_mod(draw, q=None, q_max=400):
+    """A random character mod q (q drawn up to q_max when not given)."""
+    q = draw(st.integers(1, q_max)) if q is None else q
     _, orders = unit_group_generators(q)
     return DirichletCharacter(q, tuple(draw(st.integers(0, o - 1)) for o in orders))
 
@@ -72,6 +73,64 @@ class TestRandomModuli:
         # the product of two characters mod q evaluates as the product
         psi = data.draw(characters_mod(q))
         assert abs((chi * psi)(a) - chi(a) * psi(a)) <= 1e-12
+
+
+class TestTablesOnFirstRead:
+    """Construction keeps the exponent vector; the residue tables are built
+    when first read, and must equal the per-residue definitions."""
+
+    @given(characters_mod(q_max=2000))
+    def test_value_table_is_the_root_of_each_exponent(self, chi):
+        q, lam = chi.modulus, chi._lam
+        assert "_num" not in vars(chi) and "values" not in vars(chi)
+        nums = chi._num.tolist()
+        for a, j in enumerate(nums):
+            want = 0j if j < 0 else cmath.exp(2j * math.pi * Fraction(j, lam))
+            assert bits(complex(chi.values[a])) == bits(want)
+            got = chi(a - q)
+            assert type(got) is complex and bits(got) == bits(want)
+        assert not chi.values.flags.writeable and not chi._num.flags.writeable
+
+    @given(st.data())
+    def test_exact_structure_at_large_moduli(self, data):
+        chi = data.draw(characters_mod(q_max=2000))
+        q = chi.modulus
+        a, b = data.draw(st.integers(-10**6, 10**6)), data.draw(st.integers(-10**6, 10**6))
+        ra, rb, rab = chi.rational_exponent(a), chi.rational_exponent(b), chi.rational_exponent(a * b)
+        if ra is None or rb is None:
+            assert rab is None
+        else:
+            assert rab == (ra + rb) % 1
+        assert (chi * chi.conjugate()).is_trivial
+        r = data.draw(st.integers(1, 5))
+        lifted = chi.induce(q * r)
+        assert "_num" not in vars(lifted) and "values" not in vars(lifted)
+        for n in data.draw(st.lists(st.integers(0, q * r - 1), min_size=1, max_size=20)):
+            if math.gcd(n, q * r) == 1:
+                assert lifted.rational_exponent(n) == chi.rational_exponent(n)
+                assert bits(lifted(n)) == bits(chi(n))
+
+    @given(characters_mod(q_max=2000))
+    def test_identity_does_not_depend_on_the_tables(self, chi):
+        @lru_cache(maxsize=None)
+        def seen(c):
+            return object()
+
+        twin = DirichletCharacter(chi.modulus, chi.exponents)
+        key, h = seen(chi), hash(chi)
+        _ = chi.values, chi.conductor  # read every table of chi, none of twin's
+        assert chi == twin and hash(chi) == h == hash(twin)
+        assert seen(chi) is key and seen(twin) is key
+        assert seen.cache_info().hits == 2
+
+    @given(characters_mod(q_max=2000))
+    def test_conductor_is_the_smallest_factoring_divisor(self, chi):
+        q = chi.modulus
+        want = next(
+            f for f in range(1, q + 1)
+            if q % f == 0 and all(chi.rational_exponent(a) in (None, 0) for a in range(1, q, f))
+        )
+        assert chi.conductor == conductor(chi) == want
 
 
 class TestEnumeration:

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,3 +397,20 @@ class TestSelfcheck:
         line = out[names.index("evaluator vs term sum")]
         assert re.match(r"\[PASS\] evaluator vs term sum: worst rel to sum \|term\| \d\.\d\de-\d\d \(", line)
         assert float(line.split("|term| ")[1].split(" ")[0]) < 1e-12
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        # `python -m maassforms` from the source tree, without an install;
+        # main's exit code reaches the shell
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+        def module(*argv):
+            return subprocess.run([sys.executable, "-m", "maassforms", *argv], env=env,
+                                  cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+        done = module("--help")
+        assert done.returncode == 0 and "verify-fe" in done.stdout
+        done = module("example", "--level", "4", "--weight", "-2", "--cusp", "bogus",
+                      "--character", "triv", "--nmax", "4", "--out", "x.json")
+        assert done.returncode == 2 and "cusp" in done.stderr

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_random_form, random_tau
+from helpers import make_random_form, oldform_pair, random_tau
 from maassforms.characters import (
     DirichletCharacter,
     character_by_label,
@@ -973,6 +974,23 @@ class TestTwist:
                 assert identical([t.c_plus, t.c_minus_zero, t.c_minus], list(want)), psi
                 count += 1
         assert count > 200
+
+    def test_twist_to_a_large_level_builds_no_residue_table(self):
+        # the twisted character mod N m^2 = 55,451 is only identified, not
+        # tabulated: the whole twist must allocate less than one int64 per
+        # residue of the new level (443,608 bytes), the size of a single
+        # residue table there.  Measured peaks: 0.06-0.09 MB with tables built
+        # on first read, 1.79 MB (3.14 MB on a first call) with eager tables
+        f, _ = oldform_pair(11)
+        psi = character_by_label(71, "quadratic")
+        tracemalloc.start()
+        try:
+            t = twist(f, psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert t.level == 11 * 71**2
+        assert peak < 8 * t.level
 
     def test_requires_primitive(self, rng):
         f = make_random_form(rng)

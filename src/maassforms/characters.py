@@ -119,7 +119,7 @@ def _unit_logs(q: int) -> np.ndarray:
 @lru_cache(maxsize=1 << 15)
 def _root(j: int, lam: int) -> complex:
     """e^{2 pi i j / lam}, shared by every character whose orders have lcm lam."""
-    return cmath.exp(2j * math.pi * Fraction(j, lam))
+    return cmath.exp(2j * math.pi * (j / lam))  # j / lam is the correctly rounded quotient
 
 
 class DirichletCharacter:
@@ -233,13 +233,15 @@ class DirichletCharacter:
 
 def _from_generator_values(modulus: int, chis) -> DirichletCharacter:
     """The character mod `modulus` whose value at each unit is the product of
-    the chis' values there (every chi's modulus divides `modulus`)."""
+    the chis' values there (every chi's modulus divides `modulus`): at each
+    generator, the sum of their exponents over lam, the lcm of their lams."""
     gens, orders = unit_group_generators(modulus)
+    lam = math.lcm(*(chi._lam for chi in chis))
     exps = []
     for g, o in zip(gens, orders):
-        e = sum(chi.rational_exponent(g) for chi in chis) * o
-        assert e.denominator == 1, "exponent at a generator must be integral"
-        exps.append(int(e) % o)
+        j = sum(int(chi._num[g % chi.modulus]) * (lam // chi._lam) for chi in chis) * o
+        assert j % lam == 0, "exponent at a generator must be integral"
+        exps.append(j // lam % o)
     return DirichletCharacter(modulus, tuple(exps))
 
 

@@ -5,38 +5,37 @@ extraction by period integrals.
 
 Every expansion is a sum of elementary terms
 
-    coef * e^{2 pi i * freq * u} * v^vpow * e^{2 pi * vexp * v},
+    coef * v^vpow * q^n (n >= 0)   or   coef * v^vpow * conj(q)^{-n} (n < 0),
 
-(freq, vexp rational, vpow integer), closed under d/du, d/dv, multiplication
-by powers of v, complex conjugation, and slashing by upper triangular
-matrices, so all operator identities are checked with exact term algebra
-rather than finite differences.  A TermSeries holds its terms as integer
-arrays over a common denominator, which that algebra and the evaluator both
+that is coef * e^{2 pi i n u - 2 pi |n| v} * v^vpow with n and vpow
+integers: the weights are integral and the expansions at infinity have
+kappa = 0.  These terms are closed under d/du, d/dv, multiplication by
+powers of v and complex conjugation, so all operator identities are checked
+with exact term algebra rather than finite differences.  A TermSeries holds
+its terms as integer arrays, which that algebra and the evaluator both
 read; to_terms builds them straight from a form's coefficient arrays.
 
 TermSeries._sums is the one numeric pass over a series: TermSeries.eval
 (which evaluate, HolomorphicQExpansion.evaluate, the CLI and the operator
 identities call), TermSeries.jet and the Fricke pairs of lseries all read it.
 It evaluates a power series by baby steps and giant steps (Paterson and
-Stockmeyer, SIAM J. Comput. 2, 1973).  Every row
-e^{2 pi i freq u + 2 pi vexp v} lies on a q-line, holomorphic (q^n) or
-antiholomorphic (conj q^n), or off both as a shifted one, and along a line a
-row is a giant power times one of 16 baby powers.  Per block of 64 points,
-one table of those powers takes a real np.exp and a cos/sin once per
-distinct Re tau, with no exponential per term, and each coefficient set is
-one matrix product of the giant powers against a matrix cached per series,
-contracted with the baby powers and v^vpow.  A pass forms the value set, or
-that and the df/du set, which shares its layout: eval and a Fricke pair read
-for Lambda alone the value, and a pair read for Lambda and Omega both (for
-H = 2iv f_u + k f).  TermSeries.jet reads both too, and df/dv as eval of the
-exact series d_v(), which it builds once and keeps.  Memory stays bounded
-whatever the number of points or terms (the tables are per block and per
-slice of 256 giant steps, and a sparse series gets a giant step per nonzero
-mode, not per span), and a point's value does not depend on the batch it
-arrives in: every block is padded to 64 points, so each product has one
-shape.  A pair's partner constants come from extract_coefficients at 32
-samples per line (lseries._ZERO_MODE_SAMPLES), one call that is one 64-point
-block.
+Stockmeyer, SIAM J. Comput. 2, 1973).  A term's exponential is q^n or
+conj(q)^{-n}, and q^|n| is a giant power times one of 16 baby powers.  Per
+block of 64 points, one table of those powers takes a real np.exp and a
+cos/sin once per distinct Re tau, with no exponential per term, and each
+coefficient set is one matrix product of the giant powers against a matrix
+cached per series, contracted with the baby powers and v^vpow.  A pass forms
+the value set, or that and the df/du set, which shares its layout: eval and
+a Fricke pair read for Lambda alone the value, and a pair read for Lambda
+and Omega both (for H = 2iv f_u + k f).  TermSeries.jet reads both too, and
+df/dv as eval of the exact series d_v(), which it builds once and keeps.
+Memory stays bounded whatever the number of points or terms (the tables are
+per block and per slice of 256 giant steps, and a sparse series gets a giant
+step per nonzero mode, not per span), and a point's value does not depend on
+the batch it arrives in: every block is padded to 64 points, so each product
+has one shape.  A pair's partner constants come from extract_coefficients at
+32 samples per line (lseries._ZERO_MODE_SAMPLES), one call that is one
+64-point block.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
@@ -91,7 +89,6 @@ _GIANT_SLICE = 256
 # is taken as 0: every term it multiplies is then below 1e-304 times its
 # coefficient, and the subnormal arithmetic it would cost is slow
 _EXP_FLOOR = -700.0
-_TOO_FINE = "frequencies too fine for the evaluator's phase tables"
 
 
 class IllConditionedError(RuntimeError):
@@ -131,81 +128,56 @@ def _times(a, b) -> np.ndarray:
     return out
 
 
-def _merged(den: int, F, G, vpow, coef, placed: int = 0) -> "TermSeries":
-    """The terms merged by key (F, G, vpow) as a dict merges them: keys in the
+def _merged(F, vpow, coef, placed: int = 0) -> "TermSeries":
+    """The terms merged by key (F, vpow) as a dict merges them: keys in the
     order of their first term, each coefficient its terms' sum in order from
     0j, or from the term itself for the first `placed` terms (distinct keys)."""
-    keys = np.stack([F, G, vpow], axis=1)
+    keys = np.stack([F, vpow], axis=1)
     _, firsts, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     group = np.argsort(np.argsort(firsts))[inverse]  # keys numbered by their first term
     acc = np.zeros(firsts.size, dtype=complex)
     acc[group[:placed]] = coef[:placed]
     np.add.at(acc, group[placed:], coef[placed:])
-    return TermSeries(den, *keys[np.sort(firsts)].T, acc)
+    return TermSeries(*keys[np.sort(firsts)].T, acc)
 
 
 @dataclass(frozen=True, eq=False)
 class TermSeries:
-    """Finite sum of terms coef * e^{2 pi i freq u} * v^vpow * e^{2 pi vexp v},
-    freq = F / den and vexp = G / den, held as int64 arrays F, G, vpow and a
-    complex array coef with one entry per term and one term per key (F, G,
-    vpow).  Construction drops the terms of coefficient 0 and reduces den to
-    their least common denominator; the operators are exact integer algebra,
-    each coefficient formed as Python forms it for a lone term."""
+    """Finite sum of terms coef * e^{2 pi i F u - 2 pi |F| v} * v^vpow, that
+    is coef v^vpow q^F for F >= 0 and coef v^vpow conj(q)^{-F} for F < 0,
+    held as int64 arrays F and vpow and a complex array coef with one entry
+    per term and one term per key (F, vpow).  Construction drops the terms
+    of coefficient 0; the operators are exact integer algebra, each
+    coefficient formed as Python forms it for a lone term."""
 
-    den: int
     F: np.ndarray
-    G: np.ndarray
     vpow: np.ndarray
     coef: np.ndarray
 
     def __post_init__(self):
-        keep, den = self.coef != 0, self.den
-        parts = [a[keep] for a in (self.F, self.G, self.vpow, self.coef)]
-        if den > 1:
-            cut = math.gcd(den, int(np.gcd.reduce(parts[0])), int(np.gcd.reduce(parts[1])))
-            den, parts[0], parts[1] = den // cut, parts[0] // cut, parts[1] // cut
-        for name, value in zip(("den", "F", "G", "vpow", "coef"), (den, *parts)):
-            object.__setattr__(self, name, value)
-
-    @staticmethod
-    def from_items(items) -> "TermSeries":
-        """The series of ((freq, vpow, vexp), coef) items, one key's added in order from 0j."""
-        items = [((Fraction(f), int(p), Fraction(g)), complex(c)) for (f, p, g), c in items]
-        den = math.lcm(*(x.denominator for (f, _, g), _ in items for x in (f, g)))
-        keys = [(int(f * den), int(g * den), p) for (f, p, g), _ in items]
-        if max((abs(x) for key in keys for x in key[:2]), default=0) >= 2**63:
-            raise ValueError(_TOO_FINE)
-        F, G, vpow = np.array(keys, dtype=np.int64).reshape(-1, 3).T
-        return _merged(den, F, G, vpow, np.array([c for _, c in items], dtype=complex))
-
-    def _top(self) -> int:
-        """The largest |F| and |G|, at least 1."""
-        return max(1, int(np.abs(self.F).max(initial=0)), int(np.abs(self.G).max(initial=0)))
+        keep = self.coef != 0
+        for name in ("F", "vpow", "coef"):
+            object.__setattr__(self, name, getattr(self, name)[keep])
 
     def __add__(self, other: "TermSeries") -> "TermSeries":
-        den = math.lcm(self.den, other.den)
-        scaled = [(den // s.den, s) for s in (self, other)]
-        if max(a * s._top() for a, s in scaled) >= 2**63:  # F and G over den leave int64
-            raise ValueError(_TOO_FINE)
-        terms = ((a * s.F, a * s.G, s.vpow, s.coef) for a, s in scaled)
-        return _merged(den, *map(np.concatenate, zip(*terms)), self.coef.size)
+        terms = ((s.F, s.vpow, s.coef) for s in (self, other))
+        return _merged(*map(np.concatenate, zip(*terms)), self.coef.size)
 
     def scale(self, z: complex) -> "TermSeries":
-        return TermSeries(self.den, self.F, self.G, self.vpow, _times(z, self.coef))
+        return TermSeries(self.F, self.vpow, _times(z, self.coef))
 
     def d_u(self) -> "TermSeries":
         # each new coefficient added to 0j, as _merged adds a new key's terms
-        w = _times(2j * math.pi, self.F / self.den)
-        return TermSeries(self.den, self.F, self.G, self.vpow, 0j + _times(self.coef, w))
+        w = _times(2j * math.pi, self.F)
+        return TermSeries(self.F, self.vpow, 0j + _times(self.coef, w))
 
     def d_v(self) -> "TermSeries":
-        """Per term, the derivative of v^vpow and then that of e^{2 pi vexp v}."""
-        rate = np.stack([self.vpow, TWO_PI * (self.G / self.den)], axis=1).reshape(-1)
+        """Per term, the derivative of v^vpow and then that of e^{-2 pi |F| v}."""
+        rate = np.stack([self.vpow, TWO_PI * -np.abs(self.F)], axis=1).reshape(-1)
         vpow = np.stack([self.vpow - 1, self.vpow], axis=1).reshape(-1)
         live = rate != 0
-        F, G, coef = (np.repeat(a, 2)[live] for a in (self.F, self.G, self.coef))
-        return _merged(self.den, F, G, vpow[live], _times(coef, rate[live]))
+        F, coef = (np.repeat(a, 2)[live] for a in (self.F, self.coef))
+        return _merged(F, vpow[live], _times(coef, rate[live]))
 
     def d_tau(self) -> "TermSeries":
         return (self.d_u() + self.d_v().scale(-1j)).scale(0.5)
@@ -214,84 +186,60 @@ class TermSeries:
         return (self.d_u() + self.d_v().scale(1j)).scale(0.5)
 
     def mul_v(self, j: int) -> "TermSeries":
-        return TermSeries(self.den, self.F, self.G, self.vpow + j, self.coef)
+        return TermSeries(self.F, self.vpow + j, self.coef)
 
     def conjugate(self) -> "TermSeries":  # 0j + as in d_u
-        return TermSeries(self.den, -self.F, self.G, self.vpow, 0j + np.conj(self.coef))
+        return TermSeries(-self.F, self.vpow, 0j + np.conj(self.coef))
 
     @cached_property
     def _arrays(self):
         """The terms as power-table rates, and the layout and matrix of the
         value set.
 
-        A term's row is e^{2 pi i F u / den + 2 pi G v / den}.  Its index
-        is n = F, or n = -F on the antiholomorphic line G = F != 0 (sign -1),
-        and its line offset is c = G + n, so that G = c - n.  A row of sign
-        +1 is then e^{2 pi c v / den} q^{n / den}, and one of sign -1 the
-        conjugate of that, so both signs of one offset share their powers.
-        The rows of offset c sit at n = step (16 hi + j), step the gcd of
-        their indices and 0 <= j < 16.  The rows of one (c, hi) share a
-        giant power, at the first of them, the largest, so no giant power
-        overflows where its rows do not; a row at j' past it is that giant
-        power times the baby power j' of its step (its kind).  A sparse
-        series thus gets one giant step per nonzero mode, not one per 16
-        indices of its span.
+        A term's row is q^n, n = F >= 0 (sign +1), or the conjugate of q^n,
+        n = -F > 0 (sign -1), so both signs share their powers.  The rows sit
+        at n = step (16 hi + j), step the gcd of the n (N for the series of
+        g(N tau)) and 0 <= j < 16.  The rows of one hi share a giant power,
+        at the least n among them, so no giant power underflows where its
+        rows do not; a row j' past it is that giant power times the baby
+        power j' of the step.  A sparse series thus gets one giant step per
+        nonzero mode, not one per 16 indices of its span.
 
-        The value set's matrix has _BABY rows per (kind, sign, vpow) group
-        that holds a term, in sorted order, and a column per giant step; a
+        The value set's matrix has _BABY rows per (sign, vpow) group that
+        holds a term, those of sign -1 first, and a column per giant step; a
         term sits at the cell (group, baby step, giant step).
 
-        Returned: the rates of _power_table for each kind's _BABY baby steps
-        and then each giant step, taken with sign +1; the vpows the groups
-        read; per term its cell, sign and 2 pi freq; the layout: the matrix
-        shape, per kind its run of groups (kind, start, end) and the run of
-        those of sign -1 (start, end), and per group the index of its vpow;
-        and the value set's matrix.
+        Returned: the rates of _power_table for the _BABY baby steps and then
+        each giant step; the vpows the groups read; per term its cell, sign
+        and 2 pi F; the layout: the matrix shape, the number of groups of
+        sign -1, and per group the index of its vpow; and the value set's
+        matrix.
         """
-        den, F, G, vpow = self.den, self.F, self.G, self.vpow
-        if not den < 2**62 // (4 * self._top()):
-            raise ValueError(_TOO_FINE)
-        sign = np.where((G == F) & (F != 0), -1, 1)
-        lines, line = np.unique(G + sign * F, return_inverse=True)
-        by_line = np.argsort(line, kind="stable")
-        firsts = np.searchsorted(line[by_line], np.arange(lines.size))
-        step = np.abs(np.gcd.reduceat(sign[by_line] * F[by_line], firsts)) if F.size else F
-        step[step == 0] = 1  # a line whose one index is 0
-        hi, lo = np.divmod(sign * F // step[line], _BABY)
-        order = np.lexsort((lo, hi, line))
-        new = np.ones(order.size, dtype=bool)
-        new[1:] = (line[order][1:] != line[order][:-1]) | (hi[order][1:] != hi[order][:-1])
-        col = np.empty(order.size, dtype=np.intp)
-        col[order] = np.cumsum(new) - 1
-        g_line, g_hi, g_lo = line[order][new], hi[order][new], lo[order][new]
-        lo -= g_lo[col]  # a giant step sits at its first row, the largest of its rows
-        steps, kind = np.unique(step, return_inverse=True)
-        at = step[g_line] * (_BABY * g_hi + g_lo)
-        lo_steps = (steps[:, None] * np.arange(_BABY)).reshape(-1)
-        phase_rate = 2j * math.pi * np.concatenate([lo_steps, at]) / den
-        size_rate = TWO_PI * np.concatenate([-lo_steps, lines[g_line] - at]) / den
+        F, vpow = self.F, self.vpow
+        sign = np.where(F < 0, -1, 1)
+        n = np.abs(F)
+        step = int(np.gcd.reduce(n)) or 1  # 0 with no term or n = 0 alone
+        m = n // step
+        giants, col = np.unique(m // _BABY, return_inverse=True)
+        ordered = np.sort(m)
+        at = ordered[np.searchsorted(ordered, giants * _BABY)]  # each giant step's least row
+        lo = m - at[col]
+        rate = step * np.concatenate([np.arange(_BABY), at])
         pows = np.arange(vpow.min(initial=0), vpow.max(initial=0) + 1, dtype=float)
-        key = (kind[line] * 2 + (sign > 0)) * pows.size + (vpow - int(pows[0]))
-        present = np.bincount(key, minlength=2 * steps.size * pows.size) > 0
+        key = (sign > 0) * pows.size + (vpow - int(pows[0]))
+        present = np.bincount(key, minlength=2 * pows.size) > 0
         groups = np.flatnonzero(present)
-        runs, conj = [], []
-        for g, k in enumerate((groups // (2 * pows.size)).tolist()):
-            if not runs or runs[-1][0] != k:
-                runs.append([k, g, g])
-                conj.append([g, g])
-            runs[-1][2] = g + 1
-            if groups[g] // pows.size % 2 == 0:
-                conj[-1][1] = g + 1
-        cells = ((np.cumsum(present) - 1)[key] * _BABY + lo) * g_hi.size + col
-        shape = (groups.size * _BABY, g_hi.size)
-        layout = (shape, tuple(map(tuple, runs)), tuple(map(tuple, conj)), groups % pows.size)
+        cells = ((np.cumsum(present) - 1)[key] * _BABY + lo) * giants.size + col
+        shape = (groups.size * _BABY, giants.size)
+        layout = (shape, int(np.count_nonzero(groups < pows.size)), groups % pows.size)
         matrix = _coefficient_matrix(cells, shape, self.coef, sign)
-        return (phase_rate, size_rate), pows, (cells, sign, TWO_PI * (F / den)), layout, matrix
+        rates = (2j * math.pi * rate, TWO_PI * -rate)
+        return rates, pows, (cells, sign, TWO_PI * F), layout, matrix
 
     @cached_property
     def _du_matrix(self):
         """The d/du set's matrix, built on the first pass that reads df/du:
-        2 pi i freq times each coefficient, in the value set's layout."""
+        2 pi i F times each coefficient, in the value set's layout."""
         _, _, (cells, sign, wf), (shape, *_), _ = self._arrays
         return _coefficient_matrix(cells, shape, self.coef * (1j * wf), sign)
 
@@ -306,32 +254,30 @@ class TermSeries:
         shape to restore (None for a scalar tau).
 
         The points go in blocks of _POINT_BLOCK, the last one padded.  Per
-        block, one power table holds e^{2 pi i freq u + 2 pi vexp v} of every
-        baby and giant step (see _arrays): a real np.exp of the v part, whose
-        entries below e^{_EXP_FLOOR} are 0, times the phase, formed once per
-        run of equal Re tau.  Each set is then, per slice of _GIANT_SLICE
-        giant steps, one matrix product of its cached matrix against the
-        giant steps' table; the two sets share one layout and every
-        elementwise pass after it: times the baby steps' table summed over
-        the baby steps, times v^vpow per group, and summed over the groups,
-        the sign -1 ones conjugated.  Every product has one shape per series,
-        so a point's value does not depend on the batch it arrives in, and f
-        does not depend on the order.
+        block, one power table holds q^n of every baby and giant step n (see
+        _arrays): a real np.exp of the v part, whose entries below
+        e^{_EXP_FLOOR} are 0, times the phase, formed once per run of equal
+        Re tau.  Each set is then, per slice of _GIANT_SLICE giant steps, one
+        matrix product of its cached matrix against the giant steps' table;
+        the two sets share one layout and every elementwise pass after it:
+        times the baby steps' table summed over the baby steps, times v^vpow
+        per group, and summed over the groups, the sign -1 ones conjugated.
+        Every product has one shape per series, so a point's value does not
+        depend on the batch it arrives in, and f does not depend on the order.
         """
         t = np.asarray(tau, dtype=complex)
         if np.any(t.imag <= 0):
             raise ValueError("tau must lie in the upper half-plane")
         flat = t.reshape(-1)
-        rates, pows, _, (shape, runs, conj, pow_of), matrix = self._arrays
+        rates, pows, _, (shape, nconj, pow_of), matrix = self._arrays
         matrices = [matrix, self._du_matrix] if order else [matrix]
         outs = np.zeros((len(matrices), flat.size), dtype=complex)
         size = shape[1]
-        nbaby = rates[1].size - size
         # every block padded to _POINT_BLOCK points; a run of equal Re tau
         # ends at each change and at each block
         pts = np.full(-(-flat.size // _POINT_BLOCK) * _POINT_BLOCK, 1j)
         pts[: flat.size] = flat
-        uu = np.fmod(pts.real, self.den)  # den is a period of every phase; fmod is exact
+        uu = np.fmod(pts.real, 1)  # 1 is a period of every phase; fmod is exact
         new = np.ones(pts.size, dtype=bool)
         np.not_equal(uu[1:], uu[:-1], out=new[1:])
         new[::_POINT_BLOCK] = True
@@ -341,21 +287,19 @@ class TermSeries:
             m = min(_POINT_BLOCK, flat.size - a)
             phase_u, rows, v = uu[block][new[block]], run[block] - run[a], pts.imag[block]
             for start in range(0, max(size, 1), _GIANT_SLICE):
-                cols = slice(0 if start == 0 else nbaby + start, nbaby + start + _GIANT_SLICE)
+                cols = slice(0 if start == 0 else _BABY + start, _BABY + start + _GIANT_SLICE)
                 table = _power_table(phase_u, rows, v, rates[0][cols], rates[1][cols])
                 if start == 0:
-                    babies, table = table[:nbaby], table[nbaby:]
+                    babies, table = table[:_BABY], table[_BABY:]
                     powers = v ** pows[:, None]
                 part = np.empty((len(matrices), shape[0], v.size), dtype=complex)
                 for out, mat in zip(part, matrices):
                     np.matmul(mat[:, start : start + _GIANT_SLICE], table, out=out)
                 part = part.reshape(len(matrices), shape[0] // _BABY, _BABY, v.size)
-                for kind, g0, g1 in runs:
-                    part[:, g0:g1] *= babies[kind * _BABY : (kind + 1) * _BABY]
+                part *= babies
                 sums = part.sum(axis=2)
                 sums *= powers[pow_of]
-                for g0, g1 in conj:
-                    np.conjugate(sums[:, g0:g1], out=sums[:, g0:g1])
+                np.conjugate(sums[:, :nconj], out=sums[:, :nconj])
                 outs[:, a : a + m] += sums.sum(axis=1)[:, :m]
         return list(outs), (None if t.ndim == 0 else t.shape)
 
@@ -368,7 +312,7 @@ class TermSeries:
     def jet(self, tau):
         """(f, df/du, df/dv) at tau (complex scalar or ndarray with Im > 0):
         f and df/du from one pass, in which d/du multiplies a term by
-        2 pi i freq, and df/dv as eval of the exact series d_v(), which the
+        2 pi i F, and df/dv as eval of the exact series d_v(), which the
         first call builds from the term arrays and keeps."""
         outs, shape = self._sums(tau, 1)
         outs += self._dv_series._sums(tau, 0)[0]
@@ -555,7 +499,7 @@ class HolomorphicQExpansion:
     def _series(self) -> TermSeries:
         """sum c(n) q^n as a TermSeries, built on the first evaluate."""
         n = np.arange(self.coefficients.size)
-        return TermSeries(1, n, -n, 0 * n, self.coefficients)
+        return TermSeries(n, 0 * n, self.coefficients)
 
     def evaluate(self, tau):
         """The sum at tau (complex scalar or ndarray with Im > 0), by TermSeries.eval."""
@@ -584,7 +528,7 @@ def to_terms(form: FormExpansion) -> TermSeries:
     F = np.concatenate([n, [0], np.repeat(-n[1:], nu)])
     vpow = np.concatenate([0 * n, [nu], np.tile(np.arange(nu), form.n_max)])
     coef = np.concatenate([form.c_plus, [form.c_minus_zero], z.reshape(-1)])
-    return TermSeries(1, F, -np.abs(F), vpow, coef)  # every term decays as e^{-2 pi |freq| v}
+    return TermSeries(F, vpow, coef)
 
 
 def evaluate(form: FormExpansion, tau):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from maassforms.characters import (
     DirichletCharacter,
+    _root,
     c_psi,
     character_by_label,
     conductor,
@@ -90,6 +91,14 @@ class TestTablesOnFirstRead:
             got = chi(a - q)
             assert type(got) is complex and bits(got) == bits(want)
         assert not chi.values.flags.writeable and not chi._num.flags.writeable
+
+    @given(st.integers(1, 10**9).flatmap(lambda lam: st.tuples(st.integers(0, lam - 1), st.just(lam))))
+    def test_root_is_the_exact_rotation_at_large_orders(self, j_lam):
+        # j / lam in floats is the correctly rounded quotient, as
+        # float(Fraction(j, lam)) is, so the roots keep their bits at orders
+        # far past the moduli the value tables above reach
+        j, lam = j_lam
+        assert bits(_root(j, lam)) == bits(cmath.exp(2j * math.pi * Fraction(j, lam)))
 
     @given(st.data())
     def test_exact_structure_at_large_moduli(self, data):

@@ -460,8 +460,12 @@ class TestResiduals:
     def test_pair_path_builds_no_exact_dict(self, monkeypatch, psi):
         # the numeric paths make no Fraction: the pair path, a series' first
         # jet (which builds its d_v series) and the first evaluate of a
-        # shadow or Bol image all work on the integer term arrays
+        # shadow or Bol image all work on the integer term arrays, and the
+        # twisted pair builds its characters from integer exponents
+        import maassforms.characters as characters
         import maassforms.forms as forms
+
+        assert "Fraction" not in vars(forms)
 
         f, g = oldform_pair(7)
         grid = [complex(r, i) for r in (-1.5, 0.5) for i in (0.5, 2.0)]
@@ -477,7 +481,8 @@ class TestResiduals:
         def forbidden(*args, **kwargs):
             raise AssertionError("Fraction made on a numeric path")
 
-        monkeypatch.setattr(forms, "Fraction", forbidden)
+        monkeypatch.setattr(characters, "Fraction", forbidden)
+        characters._root.cache_clear()
         rep, *got = [call() for call in first_calls]
         assert rep.to_json() == want[0].to_json()
         for values, first in zip(got, want[1:]):

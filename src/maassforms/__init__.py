@@ -5,7 +5,7 @@ Submodules:
                 kernel W_nu and the one vertical-line Mellin inversion rule
     characters  Dirichlet characters as integer exponent tables, Gauss sums,
                 and the twist constant
-    modgroup    rational 2x2 matrices, slash action, Gamma_0(N) cusp data
+    modgroup    integer 2x2 matrices, slash action, Gamma_0(N) cusp data
                 and coset representatives
     forms       truncated Fourier expansions with exact termwise operators
                 (shadow, Bol, raising/lowering, Laplacian), twists, and

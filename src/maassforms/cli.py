@@ -202,17 +202,6 @@ def cmd_verify_fe(args) -> int:
                 f"--psi conductor {psi.modulus} is not coprime to the level {form_f.level}",
                 EXIT_USAGE,
             )
-        # twisted continuation runs at level N m^2; the balanced Mellin and
-        # form-truncation tails meet at e^{-2 pi sqrt(n_max) / (m sqrt N)},
-        # which is the attainable residual floor for this expansion length
-        big = form_f.level * psi.modulus**2
-        floor = math.exp(-2.0 * math.pi * math.sqrt(form_f.n_max) / math.sqrt(big))
-        print(f"truncation floor for n_max = {form_f.n_max} at level {big}: ~{floor:.1e}")
-        if floor > args.tol:
-            print(
-                "notice: the floor exceeds the tolerance; residuals cannot "
-                "certify the pair at this expansion length"
-            )
     report = lseries.fe_residuals(form_f, form_g, grid, T=args.T, psi=psi)
     # the default T trusts n_max, so a zero-padded form overshoots it
     for side, form in (("f", form_f), ("g", form_g)):
@@ -230,6 +219,10 @@ def cmd_verify_fe(args) -> int:
     if args.out:
         forms.atomic_write(args.out, report.to_csv())
         print(f"wrote {args.out}")
+    # the dropped [T, inf) Mellin integrand of f's pair, the CSV's tail_bound
+    print(f"tail bound at T = {report.quadrature_T:.4g}: {report.tail_bound:.6e}")
+    if report.tail_bound > args.tol:
+        print("notice: the tail bound exceeds the tolerance; residuals cannot certify the pair")
     print(f"max residual: {report.max_residual:.6e} (tolerance {args.tol:g})")
     if report.max_residual > args.tol:
         print("FAIL: functional equation residual above tolerance")
@@ -272,7 +265,7 @@ def cmd_extract(args) -> int:
     form = forms.load_form(args.infile)
     try:
         cp, cm = forms.extract_coefficients(
-            forms.to_terms(form).eval, form.weight, 1.0, 0.0, args.n, args.v0, args.v1, args.samples
+            forms.to_terms(form).eval, form.weight, args.n, args.v0, args.v1, args.samples
         )
     except forms.IllConditionedError as exc:
         _fail(str(exc), EXIT_CONDITIONING)
@@ -291,10 +284,7 @@ def cmd_cusps(args) -> int:
                 "repr": c.label(),
                 "width": c.width,
                 "kappa": c.kappa,
-                "scaling": [
-                    [int(c.scaling.a), int(c.scaling.b)],
-                    [int(c.scaling.c), int(c.scaling.d)],
-                ],
+                "scaling": [[c.scaling.a, c.scaling.b], [c.scaling.c, c.scaling.d]],
             }
             for c in cs
         ],

@@ -238,7 +238,7 @@ def f_expansion(
         full_head = _coset_sum(rows, charvals, taus, -k, k - 1, prefix=half)
         lines.append(np.stack(full_head) * (v ** (1 - k) / (1 - k)))
     modes = np.arange(-n_range, n_range + 1)
-    c_plus, c_minus, info = two_height_solve(*lines, k, 1.0, 0.0, modes, v0, v1)
+    c_plus, c_minus, info = two_height_solve(*lines, k, modes, v0, v1)
     if 0 in info["lost"]:
         raise IllConditionedError(info["lost"][0])
     lost, divisor = np.isin(modes, list(info["lost"])), 2.0 ** (-k) - 1.0

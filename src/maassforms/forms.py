@@ -51,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .characters import DirichletCharacter
-from .modgroup import RationalMatrix, slash_factor
+from .modgroup import IntegerMatrix, slash_factor
 from .specfun import _inc_gamma_scaled
 
 __all__ = [
@@ -362,7 +362,7 @@ def bol_op(ts: TermSeries, k: int) -> TermSeries:
 # slashed 1-jets -------------------------------------------------------------
 
 
-def slash_jet1(ts: TermSeries, k: int, gamma: RationalMatrix, tau):
+def slash_jet1(ts: TermSeries, k: int, gamma: IntegerMatrix, tau):
     """(f, df/du, df/dv) of f|_k gamma at tau (scalar or ndarray), the triple
     TermSeries.jet gives, by the chain rule from TermSeries.jet at gamma tau.
 
@@ -648,20 +648,19 @@ def twist(form: FormExpansion, psi: DirichletCharacter) -> FormExpansion:
 # coefficient extraction
 
 
-def two_height_solve(vals0, vals1, k: int, t: float, kappa: float, modes, v0: float, v1: float):
-    """(c+, c-, info) for an array of modes of a width-t, parameter-kappa
-    expansion, from sample lines at u_j = j t / S along Im tau = v0 and v1:
-    the last axis of vals0 and vals1 holds a line's S samples, leading axes
-    stack lines, and c+ and c- are shaped (*leading, len(modes)).
+def two_height_solve(vals0, vals1, k: int, modes, v0: float, v1: float):
+    """(c+, c-, info) for an array of modes of an expansion at infinity
+    (width 1, kappa 0), from sample lines at u_j = j / S along Im tau = v0
+    and v1: the last axis of vals0 and vals1 holds a line's S samples,
+    leading axes stack lines, and c+ and c- are shaped (*leading, len(modes)).
 
     Mode n's period integral at height v is c+(n) + c-(n) G(v), with
-    G(v) = Gamma(1-k, -4 pi (n + kappa) v / t) for n + kappa != 0 and
-    v^{1-k} for n + kappa = 0.  It is bin n mod S of one np.fft.fft per line
-    of the kappa-shifted samples, times e^{2 pi (n + kappa) v / t} / S: the
+    G(v) = Gamma(1-k, -4 pi n v) for n != 0 and v^{1-k} for n = 0.  It is
+    bin n mod S of one np.fft.fft per line, times e^{2 pi n v} / S: the
     trapezoid rule, spectrally accurate for the periodic integrand.  Each
     mode's G pair is evaluated once.  A mode is lost, with c+ = c- = 0 and
     its reason in info["lost"][n], when (1 + G)^2 leaves the double range
-    (n v / t >~ 27 for n > 0 at k = -2) or the two G agree to 1e-8 relative
+    (n v >~ 27 for n > 0 at k = -2) or the two G agree to 1e-8 relative
     (close heights, or both underflowed); its height factor, which may
     overflow, is never formed.  info also holds per mode the condition
     estimate (1 + G)^2 / |G(v1) - G(v0)| (inf when lost), the G values and
@@ -670,17 +669,16 @@ def two_height_solve(vals0, vals1, k: int, t: float, kappa: float, modes, v0: fl
     modes = np.asarray(modes, dtype=np.int64)
     gram, condition, lost = np.full((2, modes.size), np.nan), np.full(modes.size, math.inf), {}
     for j, n in enumerate(modes.tolist()):
-        nk = n + kappa
         try:
             g0, g1 = gram[:, j] = [
-                _inc_gamma_scaled(1 - k, -4.0 * math.pi * nk * v / t, 0.0) if nk else v ** (1 - k)
+                _inc_gamma_scaled(1 - k, -4.0 * math.pi * n * v, 0.0) if n else v ** (1 - k)
                 for v in (v0, v1)
             ]
             scale = max(abs(g0), abs(g1))
             square = (1.0 + scale) ** 2
         except OverflowError:
             lost[n] = (
-                f"Gamma(1-k, -4 pi (n + kappa) v / t) leaves the double range for n = {n} at "
+                f"Gamma(1-k, -4 pi n v) leaves the double range for n = {n} at "
                 f"heights ({v0}, {v1}); lower the heights"
             )
             continue
@@ -695,9 +693,8 @@ def two_height_solve(vals0, vals1, k: int, t: float, kappa: float, modes, v0: fl
     solved, periods = modes[ok], []
     for vals, v in ((vals0, v0), (vals1, v1)):
         samples = np.shape(vals)[-1]
-        shift = np.exp(-2j * math.pi * kappa * np.arange(samples) / samples) if kappa else 1.0
-        height = np.exp(2.0 * math.pi * (solved + kappa) * v / t) / samples
-        periods.append(np.fft.fft(np.asarray(vals) * shift)[..., solved % samples] * height)
+        height = np.exp(2.0 * math.pi * solved * v) / samples
+        periods.append(np.fft.fft(vals)[..., solved % samples] * height)
     c_minus = (periods[1] - periods[0]) / (gram[1, ok] - gram[0, ok])
     out = np.zeros((4, *periods[0].shape[:-1], modes.size), dtype=complex)
     out[..., ok] = periods[0] - c_minus * gram[0, ok], c_minus, *periods
@@ -709,18 +706,16 @@ def two_height_solve(vals0, vals1, k: int, t: float, kappa: float, modes, v0: fl
 def extract_coefficients(
     f_eval: Callable,
     k: int,
-    t: float,
-    kappa: float,
     n: int,
     v0: float,
     v1: float,
     samples: int = 256,
     full_output: bool = False,
 ):
-    """Recover (c+(n), c-(n)) of a width-t, parameter-kappa expansion from
-    period integrals at two heights: the one-mode case of two_height_solve,
-    raising IllConditionedError when the heights cannot separate the
-    components.
+    """Recover (c+(n), c-(n)) of an expansion at infinity (width 1, kappa 0)
+    from period integrals at two heights: the one-mode case of
+    two_height_solve, raising IllConditionedError when the heights cannot
+    separate the components.
 
     f_eval must be vectorised: it is called once, on a (2, samples) ndarray
     holding the line at v0 in row 0 and the line at v1 in row 1, and must
@@ -730,11 +725,11 @@ def extract_coefficients(
     """
     if samples < 2 * abs(n) + 2:
         raise ValueError(f"samples={samples} cannot resolve mode n={n}")
-    taus = np.arange(samples) * (t / samples) + 1j * np.array([[v0], [v1]])
+    taus = np.arange(samples) * (1.0 / samples) + 1j * np.array([[v0], [v1]])
     lines = np.asarray(f_eval(taus), dtype=complex)
     if lines.shape != taus.shape:
         raise ValueError("f_eval must return an array shaped like its argument")
-    c_plus, c_minus, info = two_height_solve(*lines, k, t, kappa, [n], v0, v1)
+    c_plus, c_minus, info = two_height_solve(*lines, k, [n], v0, v1)
     if info["lost"]:
         raise IllConditionedError(info["lost"][n])
     c_plus, c_minus = complex(c_plus[0]), complex(c_minus[0])

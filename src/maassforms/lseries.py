@@ -220,7 +220,7 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
         return np.array(outs)
 
     g_eval = partial(slash, ts.eval, k, fricke(form.level))
-    cgp0, cgm0 = extract_coefficients(g_eval, k, 1.0, 0.0, 0, 0.5, 1.0, _ZERO_MODE_SAMPLES)
+    cgp0, cgm0 = extract_coefficients(g_eval, k, 0, 0.5, 1.0, _ZERO_MODE_SAMPLES)
     return FrickePair(
         level=form.level,
         weight=k,

@@ -1,22 +1,23 @@
-"""Rational 2x2 matrices with the weight-k slash action, and Gamma_0(N) cusp
+"""Integer 2x2 matrices with the weight-k slash action, and Gamma_0(N) cusp
 data: representatives, scaling matrices, widths, cusp parameters, and coset
 representatives for Eisenstein sums.
 
-All group computations are exact.  Matrices carry Fraction entries, since
-the slash action also takes rational matrices such as T^{u/m} or the Fricke
-involution; cusp widths and parameters are read from the scaling matrix's
-integer entries, and the coset enumeration behind the Eisenstein sums runs
-over the whole box of rows at once in int64 numpy (guarded against overflow)
-and builds a RationalMatrix only when a representative is indexed.  Floats
-only enter through the slash action on the upper half-plane.
+All group computations are exact.  Every matrix the theory needs is
+integral (Gamma_0(N), scaling matrices, integer translations, the Fricke
+involution), so matrices hold Python ints; cusp widths and parameters are
+read from the scaling matrix's entries, and the coset enumeration behind the
+Eisenstein sums runs over the whole box of rows at once in int64 numpy
+(guarded against overflow) and builds an IntegerMatrix only when a
+representative is indexed.  Floats only enter through the slash action on
+the upper half-plane.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .characters import DirichletCharacter
 
 __all__ = [
-    "RationalMatrix",
+    "IntegerMatrix",
     "Cusp",
     "identity_matrix",
     "translation",
@@ -42,35 +43,40 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RationalMatrix:
-    """2x2 matrix over Q with positive determinant."""
+class IntegerMatrix:
+    """2x2 matrix over Z with positive determinant.  Entries are stored as
+    Python ints through operator.index: numpy ints convert, so products
+    cannot wrap, and a rational or float entry raises TypeError."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    a: int
+    b: int
+    c: int
+    d: int
 
     def __post_init__(self):
         for name in "abcd":
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.det <= 0:
             raise ValueError(f"determinant must be positive, got {self.det}")
 
     @property
-    def det(self) -> Fraction:
+    def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(
+    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
+        return IntegerMatrix(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
 
-    def inverse(self) -> "RationalMatrix":
-        det = self.det
-        return RationalMatrix(self.d / det, -self.b / det, -self.c / det, self.a / det)
+    def inverse(self) -> "IntegerMatrix":
+        """The inverse of a determinant-1 matrix, the only kind whose inverse
+        is integral."""
+        if self.det != 1:
+            raise ValueError(f"only determinant-1 matrices are inverted, got det {self.det}")
+        return IntegerMatrix(self.d, -self.b, -self.c, self.a)
 
     def apply(self, tau):
         """Moebius action (a tau + b)/(c tau + d) at a complex scalar or ndarray."""
@@ -79,41 +85,33 @@ class RationalMatrix:
             raise ZeroDivisionError("c*tau + d = 0")
         return (complex(self.a) * tau + complex(self.b)) / denom
 
-    @property
-    def is_integral(self) -> bool:
-        return all(getattr(self, n).denominator == 1 for n in "abcd")
-
     def in_gamma0(self, level: int) -> bool:
-        return (
-            self.is_integral
-            and self.det == 1
-            and int(self.c) % level == 0
-        )
+        return self.det == 1 and self.c % level == 0
 
-    def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
     def __repr__(self):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
 
-def identity_matrix() -> RationalMatrix:
-    return RationalMatrix(1, 0, 0, 1)
+def identity_matrix() -> IntegerMatrix:
+    return IntegerMatrix(1, 0, 0, 1)
 
 
-def translation(r) -> RationalMatrix:
-    """T^r = [[1, r], [0, 1]] for rational r."""
-    return RationalMatrix(1, Fraction(r), 0, 1)
+def translation(r: int) -> IntegerMatrix:
+    """T^r = [[1, r], [0, 1]] for an integer r."""
+    return IntegerMatrix(1, r, 0, 1)
 
 
-def fricke(level: int) -> RationalMatrix:
+def fricke(level: int) -> IntegerMatrix:
     """omega(N) = [[0, -1], [N, 0]]; slashing twice multiplies by (-1)^k."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    return RationalMatrix(0, -1, level, 0)
+    return IntegerMatrix(0, -1, level, 0)
 
 
-def slash_factor(k: int, gamma: RationalMatrix, tau):
+def slash_factor(k: int, gamma: IntegerMatrix, tau):
     """(det gamma)^{k/2} (c tau + d)^{-k} at a complex scalar or ndarray tau;
     integer k keeps powers single-valued, and the positive real root is taken
     for (det)^{k/2} with odd k.  The one place the slash factor is formed."""
@@ -124,7 +122,7 @@ def slash_factor(k: int, gamma: RationalMatrix, tau):
     return det ** (k / 2.0) * denom ** (-k)
 
 
-def slash(f: Callable, k: int, gamma: RationalMatrix, tau):
+def slash(f: Callable, k: int, gamma: IntegerMatrix, tau):
     """Weight-k slash action (f|_k gamma)(tau) at a complex scalar or ndarray
     tau.  f must take a 1-d ndarray: it is called once, on gamma tau at every
     point, and a scalar tau is a batch of one, so scalar and array calls agree
@@ -155,7 +153,7 @@ class Cusp:
 
     a: int
     c: int
-    scaling: RationalMatrix
+    scaling: IntegerMatrix
     width: int
     kappa: float = 0.0
 
@@ -170,14 +168,14 @@ class Cusp:
         return f"Cusp({self.label()}, width={self.width})"
 
 
-def _scaling_matrix(a: int, c: int) -> RationalMatrix:
+def _scaling_matrix(a: int, c: int) -> IntegerMatrix:
     """An SL_2(Z) matrix with first column (a, c)."""
     if c == 0:
         return identity_matrix()
     g, x, y = _ext_gcd(a, c)
     assert g == 1
     # a*x + c*y = 1 -> [[a, -y], [c, x]] has det a x + c y = 1
-    return RationalMatrix(a, -y, c, x)
+    return IntegerMatrix(a, -y, c, x)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -225,8 +223,7 @@ def cusp_equivalent(level: int, a1: int, c1: int, a2: int, c2: int) -> bool:
     """
     g1 = _scaling_matrix(a1, c1)
     g2 = _scaling_matrix(a2, c2)
-    d1, d2 = int(g1.d), int(g2.d)
-    rhs = (c2 * d1 - c1 * d2) % level
+    rhs = (c2 * g1.d - c1 * g2.d) % level
     g = math.gcd(c1 * c2 % level, level)
     return rhs % g == 0
 
@@ -270,11 +267,11 @@ def cusps(level: int, chi: DirichletCharacter | None = None) -> list[Cusp]:
     return out
 
 
-def _sl2_entries(m: RationalMatrix) -> tuple[int, int, int, int]:
-    """The entries of an integral determinant-1 matrix as ints."""
-    if not (m.is_integral and m.det == 1):
+def _sl2_entries(m: IntegerMatrix) -> tuple[int, int, int, int]:
+    """The entries of a determinant-1 matrix."""
+    if m.det != 1:
         raise ValueError(f"scaling matrix {m!r} is not in SL_2(Z)")
-    return int(m.a), int(m.b), int(m.c), int(m.d)
+    return m.entries()
 
 
 class CosetReps(Sequence):
@@ -284,7 +281,7 @@ class CosetReps(Sequence):
 
     rows[i] = (c_i, d_i) is the bottom row of gamma_rho^{-1} g_i and d[i] the
     d-entry of g_i (where the character is read); both are read-only int64
-    arrays.  Indexing or iterating builds the RationalMatrix g_i.
+    arrays.  Indexing or iterating builds the IntegerMatrix g_i.
     """
 
     def __init__(self, scaling: tuple, top: np.ndarray, rows: np.ndarray, d: np.ndarray):
@@ -296,11 +293,11 @@ class CosetReps(Sequence):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, i: int) -> RationalMatrix:
+    def __getitem__(self, i: int) -> IntegerMatrix:
         x, y = (int(v) for v in self._top[i])
         c, d = (int(v) for v in self.rows[i])
         a_r, b_r, c_r, d_r = self._scaling
-        return RationalMatrix(
+        return IntegerMatrix(
             a_r * x + b_r * c, a_r * y + b_r * d, c_r * x + d_r * c, c_r * y + d_r * d
         )
 
@@ -362,8 +359,8 @@ def coset_reps(level: int, rho: Cusp, bound: int) -> CosetReps:
     )
 
 
-def bottom_row(rho: Cusp, g: RationalMatrix) -> tuple[int, int]:
+def bottom_row(rho: Cusp, g: IntegerMatrix) -> tuple[int, int]:
     """The row (c, d) of gamma_rho^{-1} g entering j(gamma_rho^{-1} g, tau);
     gamma_rho^{-1} = [[d_rho, -b_rho], [-c_rho, a_rho]]."""
     a_r, _, c_r, _ = _sl2_entries(rho.scaling)
-    return int(a_r * g.c - c_r * g.a), int(a_r * g.d - c_r * g.b)
+    return a_r * g.c - c_r * g.a, a_r * g.d - c_r * g.b

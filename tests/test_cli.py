@@ -266,6 +266,27 @@ class TestVerifyFe:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [float(r[4]) for r in rows] == [report.tail_bound] * 2
 
+    def test_twisted_run_prints_the_measured_tail(self, tmp_path, monkeypatch, capsys):
+        # psi mod 13 at n_max 400 on the default grid: the run reaches a
+        # residual near 2, and prints the report's tail_bound (the dropped
+        # [T, inf) integrand, the CSV's last column) with a notice, not a
+        # predicted floor
+        import maassforms.lseries as lseries
+        seen = []
+        driver = lseries.fe_residuals
+        monkeypatch.setattr(
+            lseries, "fe_residuals", lambda *a, **kw: seen.append(driver(*a, **kw)) or seen[-1]
+        )
+        path = tmp_path / "ref.json"
+        save_form(harmonic_eisenstein_level_one(400), path)
+        assert run("verify-fe", "--f", str(path), "--g", str(path), "--psi", "13:quadratic") == 5
+        out = capsys.readouterr().out
+        (report,) = seen
+        assert "truncation floor" not in out
+        assert f"tail bound at T = 20: {report.tail_bound:.6e}\n" in out
+        assert "notice: the tail bound exceeds the tolerance" in out
+        assert report.tail_bound > 1e-4 and report.max_residual > 1.0
+
     @pytest.mark.parametrize("grid", ["-1:1:0,0:2:3", "0:0:1,0:0:1"])
     def test_grid_without_a_point_to_check_exits_2(self, example_form, tmp_path, capsys, grid):
         # an empty grid, and a grid holding only the pole s = 0: no residual

@@ -23,7 +23,7 @@ from maassforms.eisenstein import (
     harmonic_eisenstein_level_one,
 )
 from maassforms.forms import IllConditionedError, evaluate, shadow
-from maassforms.modgroup import RationalMatrix, coset_reps, cusps
+from maassforms.modgroup import IntegerMatrix, coset_reps, cusps
 
 TRIV1 = trivial_character(1)
 INF1 = cusps(1)[0]
@@ -152,11 +152,11 @@ class TestFSeries:
                 if math.gcd(abs(c), abs(d)) != 1:
                     continue
                 # lift to Gamma_0(N) and bound the entries
-                from maassforms.modgroup import RationalMatrix
+                from maassforms.modgroup import IntegerMatrix
 
                 g, x, y = _ext_gcd(d, -c)
-                gamma = RationalMatrix(x, y, c, d)
-                if max(abs(int(gamma.a)), abs(int(gamma.b))) > 20:
+                gamma = IntegerMatrix(x, y, c, d)
+                if max(abs(gamma.a), abs(gamma.b)) > 20:
                     continue
                 found += 1
                 lhs = slashed_sum(level, chi, -2, rho, gamma, tau, 90, "f")
@@ -360,9 +360,9 @@ class TestCosetSum:
         eisenstein._coset_rows.cache_clear()
 
         def refuse(*args):
-            raise AssertionError("RationalMatrix product on the lift path")
+            raise AssertionError("IntegerMatrix product on the lift path")
 
-        monkeypatch.setattr(RationalMatrix, "__matmul__", refuse)
+        monkeypatch.setattr(IntegerMatrix, "__matmul__", refuse)
         form = f_expansion(10, chi, -2, rho, 4, bound=30)
         assert np.all(np.isfinite(form.c_plus))
 

@@ -57,7 +57,7 @@ from maassforms.forms import (
     two_height_solve,
     xi_op,
 )
-from maassforms.modgroup import RationalMatrix, cusps, fricke
+from maassforms.modgroup import IntegerMatrix, cusps, fricke
 
 TRIV = trivial_character(1)
 FOURPI = 4.0 * math.pi
@@ -771,7 +771,7 @@ class TestSlashCommutation:
                 a, b, c, d = (int(rng.integers(-3, 4)) for _ in range(4))
                 if 0 < a * d - b * c <= 3:
                     break
-            alpha = RationalMatrix(a, b, c, d)
+            alpha = IntegerMatrix(a, b, c, d)
             tau = random_tau(rng, 0.6, 1.6)
             _, fu, fv = slash_jet1(ts, k, alpha, tau)
             lhs = 2j * tau.imag**k * (0.5 * (fu + 1j * fv)).conjugate()
@@ -792,7 +792,7 @@ class TestSlashCommutation:
                 a, b, c, d = (int(rng.integers(-3, 4)) for _ in range(4))
                 if 0 < a * d - b * c <= 3:
                     break
-            alpha = RationalMatrix(a, b, c, d)
+            alpha = IntegerMatrix(a, b, c, d)
             tau = random_tau(rng, 0.6, 1.6)
             v = tau.imag
             f, fu, fv = slash_jet1(ts, k, alpha, tau)
@@ -959,13 +959,13 @@ class TestTwist:
 
 class TestExtraction:
     def test_constant_evaluator(self):
-        cp, cm = extract_coefficients(lambda t: np.full_like(t, 2.5), -2, 1.0, 0.0, 0, 0.8, 1.6)
+        cp, cm = extract_coefficients(lambda t: np.full_like(t, 2.5), -2, 0, 0.8, 1.6)
         assert abs(cp - 2.5) < 1e-12
         assert abs(cm) < 1e-12
 
     def test_pure_v_power(self):
         ev = lambda t: np.asarray(t).imag ** 3 + 0j
-        cp, cm = extract_coefficients(ev, -2, 1.0, 0.0, 0, 0.8, 1.6)
+        cp, cm = extract_coefficients(ev, -2, 0, 0.8, 1.6)
         assert abs(cp) < 1e-12
         assert abs(cm - 1.0) < 1e-12
 
@@ -975,10 +975,10 @@ class TestExtraction:
         f = make_random_form(rng, n_max=8)
         ev = lambda taus: evaluate(f, taus)
         for n in (0, 1, 2):
-            cp, cm = extract_coefficients(ev, -2, 1.0, 0.0, n, 1.0, 2.0, 256)
+            cp, cm = extract_coefficients(ev, -2, n, 1.0, 2.0, 256)
             assert abs(cp - f.c_plus[n]) <= 1e-8
         for n in (-1, -2, -3):
-            cp, cm = extract_coefficients(ev, -2, 1.0, 0.0, n, 1.0, 2.0, 256)
+            cp, cm = extract_coefficients(ev, -2, n, 1.0, 2.0, 256)
             assert abs(cm - f.c_minus[-n - 1]) <= 1e-8
             assert abs(cp) <= 1e-8
 
@@ -987,25 +987,17 @@ class TestExtraction:
         f = make_random_form(rng, n_max=8)
         ev = lambda taus: evaluate(f, taus)
         for n in range(0, 6):
-            cp, _ = extract_coefficients(ev, -2, 1.0, 0.0, n, 0.35, 0.7, 256)
+            cp, _ = extract_coefficients(ev, -2, n, 0.35, 0.7, 256)
             assert abs(cp - f.c_plus[n]) <= 1e-8
         for n in range(-1, -6, -1):
-            cp, cm = extract_coefficients(ev, -2, 1.0, 0.0, n, 0.35, 0.7, 256)
+            cp, cm = extract_coefficients(ev, -2, n, 0.35, 0.7, 256)
             assert abs(cm - f.c_minus[-n - 1]) <= 1e-8
-
-    def test_nonzero_kappa(self):
-        # evaluator with frequencies n + kappa: a single shifted mode
-        kappa, t_width = 0.25, 2.0
-        ev = lambda taus: np.exp(2j * math.pi * (3 + kappa) * np.asarray(taus) / t_width)
-        cp, cm = extract_coefficients(ev, -2, t_width, kappa, 3, 0.5, 1.0, 256)
-        assert abs(cp - 1.0) <= 1e-10
-        assert abs(cm) <= 1e-10
 
     def test_ill_conditioned_heights(self, rng):
         f = make_random_form(rng)
         ev = lambda taus: evaluate(f, taus)
         with pytest.raises(IllConditionedError, match="agree to 1e-8 relative; move the heights"):
-            extract_coefficients(ev, -2, 1.0, 0.0, 1, 0.8, 0.8 + 1e-12)
+            extract_coefficients(ev, -2, 1, 0.8, 0.8 + 1e-12)
 
     @pytest.mark.parametrize("v0, v1", [(5.0, 10.0), (10.0, 20.0)])
     def test_gram_overflow_is_ill_conditioned(self, rng, v0, v1):
@@ -1014,18 +1006,18 @@ class TestExtraction:
         f = make_random_form(rng)
         ev = lambda taus: evaluate(f, taus)
         with pytest.raises(IllConditionedError, match="double range"):
-            extract_coefficients(ev, -2, 1.0, 0.0, 3, v0, v1)
+            extract_coefficients(ev, -2, 3, v0, v1)
 
     def test_aliasing_guard(self, rng):
         f = make_random_form(rng)
         ev = lambda taus: evaluate(f, taus)
         with pytest.raises(ValueError):
-            extract_coefficients(ev, -2, 1.0, 0.0, 40, 0.5, 1.0, samples=64)
+            extract_coefficients(ev, -2, 40, 0.5, 1.0, samples=64)
 
     def test_condition_report(self, rng):
         f = make_random_form(rng)
         ev = lambda taus: evaluate(f, taus)
-        (_, _), info = extract_coefficients(ev, -2, 1.0, 0.0, 1, 0.5, 1.0, full_output=True)
+        (_, _), info = extract_coefficients(ev, -2, 1, 0.5, 1.0, full_output=True)
         assert info["condition"] >= 1.0
 
     def test_one_evaluator_call_for_both_heights(self, rng):
@@ -1036,58 +1028,47 @@ class TestExtraction:
             seen.append(taus)
             return evaluate(f, taus)
 
-        got = extract_coefficients(ev, -2, 1.0, 0.0, 1, 0.5, 1.0, samples=32)
+        got = extract_coefficients(ev, -2, 1, 0.5, 1.0, samples=32)
         assert len(seen) == 1 and seen[0].shape == (2, 32)
         assert np.array_equal(seen[0], np.arange(32) / 32 + 1j * np.array([[0.5], [1.0]]))
         # each line alone gives the same values, so the same constants
         lines = [evaluate(f, row) for row in seen[0]]
-        c_plus, c_minus, _ = two_height_solve(*lines, -2, 1.0, 0.0, [1], 0.5, 1.0)
+        c_plus, c_minus, _ = two_height_solve(*lines, -2, [1], 0.5, 1.0)
         assert got == (complex(c_plus[0]), complex(c_minus[0]))
 
     @pytest.mark.parametrize("shape", [(64,), (32,), (32, 2), (1, 2, 32)])
     def test_wrongly_shaped_return_is_refused(self, shape):
         with pytest.raises(ValueError, match="f_eval must return an array shaped like its argument"):
-            extract_coefficients(lambda taus: np.zeros(shape, dtype=complex), -2, 1.0, 0.0, 0,
-                                 0.5, 1.0, samples=32)
+            extract_coefficients(lambda taus: np.zeros(shape, dtype=complex), -2, 0, 0.5, 1.0, 32)
 
 
-def mode_from_samples(vals, t, kappa, n, v):
-    """Oracle: (1/t) int_{tau0}^{tau0+t} f(tau) e^{-2 pi i (n + kappa) tau / t} dtau
-    along Im tau = v, by the trapezoid rule on the samples at
-    u_j = j t / len(vals), one mode at a time."""
+def mode_from_samples(vals, n, v):
+    """Oracle: int_{tau0}^{tau0+1} f(tau) e^{-2 pi i n tau} dtau along
+    Im tau = v, by the trapezoid rule on the samples at u_j = j / len(vals),
+    one mode at a time."""
     samples = len(vals)
-    taus = np.arange(samples) * (t / samples) + 1j * v
-    return complex(np.mean(vals * np.exp(-2j * math.pi * (n + kappa) * taus / t)))
+    taus = np.arange(samples) * (1.0 / samples) + 1j * v
+    return complex(np.mean(vals * np.exp(-2j * math.pi * n * taus)))
 
 
 class TestTwoHeightSolve:
     MODES = np.arange(-8, 9)
 
-    @pytest.mark.parametrize("kappa", [0.0, 0.25])
-    @pytest.mark.parametrize("t", [1.0, 2.0])
-    def test_every_mode_matches_the_per_mode_oracle(self, rng, kappa, t):
-        # three random forms, n_max <= 8, read as width-t, parameter-kappa
-        # expansions and stacked on a leading axis
+    def test_every_mode_matches_the_per_mode_oracle(self, rng):
+        # three random forms, n_max <= 8, stacked on a leading axis
         v0, v1, samples = 0.3, 0.6, 64
         fs = [make_random_form(rng, n_max=int(rng.integers(1, 9))) for _ in range(3)]
-        u = np.arange(samples) * (t / samples)
-
-        def line(f, v):
-            taus = u + 1j * v
-            return evaluate(f, taus / t) * np.exp(2j * math.pi * kappa * taus / t)
-
-        lines = [np.stack([line(f, v) for f in fs]) for v in (v0, v1)]
-        c_plus, c_minus, info = two_height_solve(*lines, -2, t, kappa, self.MODES, v0, v1)
+        u = np.arange(samples) * (1.0 / samples)
+        lines = [np.stack([evaluate(f, u + 1j * v) for f in fs]) for v in (v0, v1)]
+        c_plus, c_minus, info = two_height_solve(*lines, -2, self.MODES, v0, v1)
         assert c_plus.shape == c_minus.shape == info["i0"].shape == (3, self.MODES.size)
         assert not info["lost"]
         for i in range(3):
             for j, n in enumerate(self.MODES.tolist()):
                 want, tols = [], []
                 for key, vals, v in (("i0", lines[0][i], v0), ("i1", lines[1][i], v1)):
-                    want.append(mode_from_samples(vals, t, kappa, n, v))
-                    tols.append(
-                        1e-12 * np.abs(vals).max() * math.exp(2 * math.pi * abs(n + kappa) * v / t)
-                    )
+                    want.append(mode_from_samples(vals, n, v))
+                    tols.append(1e-12 * np.abs(vals).max() * math.exp(2 * math.pi * abs(n) * v))
                     assert abs(info[key][i, j] - want[-1]) <= tols[-1], (key, n)
                 # the oracle's periods through the same G pair; the solve
                 # magnifies a period error by at most the condition estimate
@@ -1097,49 +1078,19 @@ class TestTwoHeightSolve:
                 bound = 2 * max(tols) * info["condition"][j]
                 assert abs(c_minus[i, j] - cm) <= bound and abs(c_plus[i, j] - cp) <= bound
 
-    @staticmethod
-    def kappa_line(coeffs, k, t, kappa, v, samples=64):
-        """Samples along Im tau = v of sum_n (c+ + c- Gamma(1-k, -4 pi (n +
-        kappa) v / t)) e^{2 pi i (n + kappa) tau / t}, Gamma(3, x) in closed
-        form (k = -2)."""
-        taus = np.arange(samples) * (t / samples) + 1j * v
-        out = np.zeros(samples, dtype=complex)
-        for n, (cp, cm) in coeffs.items():
-            x = -4.0 * math.pi * (n + kappa) * v / t
-            gram = 2.0 * math.exp(-x) * (1.0 + x + x * x / 2.0)
-            out += (cp + cm * gram) * np.exp(2j * math.pi * (n + kappa) * taus / t)
-        return out
-
-    @pytest.mark.parametrize("kappa", [0.25, 0.5])
-    @pytest.mark.parametrize("t", [1.0, 2.0])
-    def test_kappa_shifted_gram_recovers_single_and_mixed_terms(self, rng, kappa, t):
-        # mode n of a parameter-kappa expansion carries Gamma(1-k, -4 pi (n +
-        # kappa) v / t), also at n = 0, where n + kappa != 0 rules out v^{1-k}
-        modes, v0, v1 = [-2, -1, 0, 1], 0.3, 0.6
-        cases = [{n: (0.0, 1.0)} for n in modes]
-        cases.append({n: tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for n in modes})
-        for coeffs in cases:
-            lines = [self.kappa_line(coeffs, -2, t, kappa, v) for v in (v0, v1)]
-            c_plus, c_minus, info = two_height_solve(*lines, -2, t, kappa, modes, v0, v1)
-            assert not info["lost"]
-            want = np.array([coeffs.get(n, (0.0, 0.0)) for n in modes])
-            scale = np.abs(want).max()
-            assert np.abs(c_plus - want[:, 0]).max() <= 1e-10 * scale
-            assert np.abs(c_minus - want[:, 1]).max() <= 1e-10 * scale
-
     def test_each_mode_gram_pair_is_evaluated_once(self, monkeypatch):
         calls = []
         gamma = forms._inc_gamma_scaled
         monkeypatch.setattr(forms, "_inc_gamma_scaled", lambda *a: calls.append(a) or gamma(*a))
         vals = np.ones(32, dtype=complex)
-        two_height_solve(vals, vals, -2, 1.0, 0.0, np.arange(-3, 4), 0.5, 1.0)
+        two_height_solve(vals, vals, -2, np.arange(-3, 4), 0.5, 1.0)
         assert len(calls) == 12  # two heights for each of the six modes n != 0
 
     def test_lost_modes_come_back_zero_with_their_reason(self, rng):
         f = make_random_form(rng)
         taus = np.arange(64) / 64
         lines = [evaluate(f, taus + 1j * v) for v in (10.0, 20.0)]
-        c_plus, c_minus, info = two_height_solve(*lines, -2, 1.0, 0.0, [0, 3, -8], 10.0, 20.0)
+        c_plus, c_minus, info = two_height_solve(*lines, -2, [0, 3, -8], 10.0, 20.0)
         assert "double range" in info["lost"][3] and "agree to 1e-8" in info["lost"][-8]
         assert c_plus[1:].tolist() == c_minus[1:].tolist() == [0j, 0j]
         assert np.isinf(info["condition"][1:]).all() and np.isfinite(info["condition"][0])
@@ -1153,7 +1104,7 @@ class TestTwoHeightSolve:
         assert shapes == [(2, 256), (2, 256)]
         shapes.clear()
         f = make_random_form(rng)
-        extract_coefficients(lambda taus: evaluate(f, taus), -2, 1.0, 0.0, 2, 0.5, 1.0)
+        extract_coefficients(lambda taus: evaluate(f, taus), -2, 2, 0.5, 1.0)
         assert shapes == [(256,), (256,)]
 
 

@@ -268,7 +268,7 @@ class TestPartnerConstants:
 
         pair, k = analytic_pair(form), form.weight
         g_eval = partial(slash, to_terms(form).eval, k, fricke(form.level))
-        want = extract_coefficients(g_eval, k, 1.0, 0.0, 0, 0.5, 1.0, 256)
+        want = extract_coefficients(g_eval, k, 0, 0.5, 1.0, 256)
         assert abs(pair.c_g_plus0 - want[0]) <= 1e-14
         assert abs(pair.c_g_minus0 - want[1]) <= 1e-14
 
@@ -461,11 +461,14 @@ class TestResiduals:
         # the numeric paths make no Fraction: the pair path, a series' first
         # jet (which builds its d_v series) and the first evaluate of a
         # shadow or Bol image all work on the integer term arrays, and the
-        # twisted pair builds its characters from integer exponents
+        # twisted pair builds its characters from integer exponents, and the
+        # group layer (the Fricke slash, cusp data) holds ints
         import maassforms.characters as characters
         import maassforms.forms as forms
+        import maassforms.modgroup as modgroup
 
         assert "Fraction" not in vars(forms)
+        assert "Fraction" not in vars(modgroup)
 
         f, g = oldform_pair(7)
         grid = [complex(r, i) for r in (-1.5, 0.5) for i in (0.5, 2.0)]

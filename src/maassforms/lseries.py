@@ -151,8 +151,9 @@ class FrickePair:
     The continuations (lambda_star, omega_star, lambda_continued,
     omega_continued) take one s or an array of s.  An array is grouped by
     the panel count of the log-t quadrature, which depends on s only through
-    |Im s|, and the evaluator is called once per group on its nodes and once
-    on their Fricke images, so a batch costs about as many as one point.
+    |Im s|, and the evaluator is called once per batch, on the nodes of all
+    its groups, and once on their Fricke images, so a batch costs as many
+    evaluator calls as one point.
     """
 
     level: int
@@ -258,28 +259,45 @@ def _mellin_piece(eval_fn: Callable, consts: Sequence[tuple[complex, complex]], 
     x = log t: an array rows x exponents.
 
     An exponent z gets max(2, ceil(log T / min(0.5, 4 / (1 + |Im z|))))
-    panels.  The exponents are grouped by that count and eval_fn is called
-    once per group, on exactly the nodes a lone exponent would get.  Each
-    row's sums are one exponents x nodes expression in blocks of about 2^15
-    entries, and .sum(axis=1) reduces each exponent alone, by the pairwise
-    sum np.sum gives one exponent, so a value does not depend on the rest of
-    the batch or on the other rows.
+    panels.  The exponents are grouped by that count, and eval_fn is called
+    once, on every group's nodes together (none for an empty exps), so each
+    exponent meets exactly the nodes, and the integrand values, a lone
+    exponent would get.  The weights are folded into the integrand, wd = w
+    diff, laid out panels x nodes, and the kernel is split into a panel
+    anchor and a node offset, e^{z x[p, j]} = e^{z x[p, 0]} e^{z (x[0, j] -
+    x[0, 0])}, so a row block of M exponents on P panels takes M (P + 16)
+    complex exponentials instead of 16 M P.  Each row's sums are one
+    exponents x panels x nodes expression in blocks of about 2^15 entries,
+    reduced by .sum over the nodes and then over the panels, which numpy
+    does for each exponent alone; a BLAS contraction over the nodes would
+    not (its blocking follows the batch), so a value does not depend on the
+    rest of the batch or on the other rows.
     """
     upper = math.log(T)
     counts = np.maximum(2, np.ceil(upper / np.fmin(0.5, 4.0 / (1.0 + np.abs(exps.imag)))))
+    groups = dict.fromkeys(counts.astype(int).tolist())
     out = np.empty((len(consts), exps.size), dtype=complex)
-    for npanels in dict.fromkeys(counts.astype(int).tolist()):
+    if not groups:
+        return out
+    rules = [gauss_legendre_panels(0.0, upper, npanels, _MELLIN_NODES) for npanels in groups]
+    t = np.exp(np.concatenate([x for x, _ in rules]))
+    vals = np.asarray(eval_fn(1j * t / math.sqrt(level)), dtype=complex)
+    diffs = [row - (c0 + cv * t ** (1 - k) / level ** ((1 - k) / 2.0))
+             for row, (c0, cv) in zip(vals, consts)]
+    stop = 0
+    for npanels, (x, w) in zip(groups, rules):
         members = np.flatnonzero(counts == npanels)
-        x, w = gauss_legendre_panels(0.0, upper, npanels, _MELLIN_NODES)
-        t = np.exp(x)
-        vals = np.asarray(eval_fn(1j * t / math.sqrt(level)), dtype=complex)
-        diffs = [row - (c0 + cv * t ** (1 - k) / level ** ((1 - k) / 2.0))
-                 for row, (c0, cv) in zip(vals, consts)]
+        nodes = slice(stop, stop + x.size)
+        stop = nodes.stop
+        wds = [(w * diff[nodes]).reshape(npanels, _MELLIN_NODES) for diff in diffs]
+        x = x.reshape(npanels, _MELLIN_NODES)
+        anchors, offsets = x[:, 0], x[0] - x[0, 0]
         step = max(1, (1 << 15) // x.size)
         for block in np.array_split(members, range(step, members.size, step)):
-            kernel = np.exp(exps[block, None] * x)
-            for r, diff in enumerate(diffs):
-                out[r, block] = (w * (diff * kernel)).sum(axis=1)
+            z = exps[block, None]
+            e1, e2 = np.exp(z * anchors), np.exp(z * offsets)
+            for r, wd in enumerate(wds):
+                out[r, block] = ((e2[:, None, :] * wd).sum(axis=2) * e1).sum(axis=1)
     return out
 
 

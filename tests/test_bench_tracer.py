@@ -8,6 +8,7 @@ are taken with test-local wrappers.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -130,3 +131,20 @@ def test_pair_builds_evaluate_only_what_they_read(passes):
     fe_residuals(f, g, VERIFY_GRID)
     assert sorted(passes) == [(0, 1), (0, 64), (0, 64)] + [(1, 112)] * 4
     assert len(passes) == 7 and sum(n for _, n in passes) == 577
+
+
+def test_a_continuation_batch_makes_one_pass_per_side(passes):
+    # a lambda_continued batch evaluates the integrand once on the nodes of
+    # all its panel groups and once on their Fricke images, however many
+    # groups it spans; an empty batch evaluates nothing
+    pair = lseries.analytic_pair(harmonic_eisenstein_level_one(40))
+    pts = 2.0 + 1j * np.linspace(-40.0, 40.0, 161)
+    upper = math.log(pair.T_default)
+    groups = {max(2, math.ceil(upper / min(0.5, 4.0 / (1.0 + abs(s.imag))))) for s in pts}
+    assert len(groups) >= 10
+    passes.clear()
+    lseries.lambda_continued(pair, pts)
+    assert passes == [(0, 16 * sum(groups))] * 2
+    passes.clear()
+    empty = lseries.lambda_continued(pair, np.array([], dtype=complex))
+    assert passes == [] and empty.shape == (0,)

@@ -263,13 +263,19 @@ class TestFExpansion:
         assert rank == len(cs) == dim_eisenstein(level, chi)
 
 
-def one_shot(rows, charvals, flat, k, prefix):
+def kernel_factor(mod2, k):
+    """|w|^{2k-2} from mod2 = |w|^2, formed as the coset-sum kernel forms it."""
+    return eisenstein._inverse_power(mod2, 1 - k, np.empty_like(mod2), np.empty_like(mod2))
+
+
+def one_shot(rows, charvals, flat, k, prefix, factor=kernel_factor):
     """The rows x points lift summands the chunked coset sum replaced,
     charvals w^{-k} |w|^{2k-2} with w = c tau + d, summed at once: (terms,
-    sum over all rows, sum over the first prefix rows)."""
+    sum over all rows, sum over the first prefix rows).  The modulus factor
+    |w|^{2k-2} is factor(|w|^2, k)."""
     w = rows[:, 0].reshape(-1, 1) * flat + rows[:, 1].reshape(-1, 1)
     mod2 = (w * np.conj(w)).real
-    terms = charvals.reshape(-1, 1) * w ** (-k) * mod2 ** (k - 1)
+    terms = charvals.reshape(-1, 1) * w ** (-k) * factor(mod2, k)
     return terms, terms.sum(axis=0), terms[:prefix].sum(axis=0)
 
 
@@ -322,6 +328,16 @@ class TestCosetSum:
             got_full, got_head = eisenstein._coset_sum(rows, charvals, taus, -k, k - 1, prefix)
             assert same_bits(got_full, full)
             assert same_bits(got_head, head)
+
+    @pytest.mark.parametrize("k", [-1, -2, -3, -6])
+    def test_modulus_factor_stays_within_rounding_of_the_power(self, level7_rows, k):
+        # the reciprocal and binary powering form each summand within
+        # 2 (1 - k) eps relative of the libm pow form mod2 ** (k - 1)
+        rows, charvals, _ = level7_rows
+        taus = np.concatenate([sample_points(64), [0.3 + 1e-3j, 1e-9 + 40.0j]])
+        got = one_shot(rows, charvals, taus, k, 0)[0]
+        want = one_shot(rows, charvals, taus, k, 0, factor=lambda m, k: m ** (k - 1))[0]
+        assert np.all(np.abs(got - want) <= 2 * (1 - k) * np.finfo(float).eps * np.abs(want))
 
     @pytest.mark.parametrize("chunk_rows, chunk_points", [(3, 4), (None, None)])
     def test_eisenstein_summands_without_the_modulus_factor(

@@ -42,7 +42,14 @@ from maassforms.lseries import (
     verification_set,
     xi_definitional,
 )
-from maassforms.specfun import QuadratureError, _inc_gamma_scaled, gamma_complex, w_nu
+from maassforms.modgroup import fricke, slash
+from maassforms.specfun import (
+    QuadratureError,
+    _inc_gamma_scaled,
+    gamma_complex,
+    gauss_legendre_panels,
+    w_nu,
+)
 
 TRIV1 = trivial_character(1)
 TWO_PI = 2.0 * math.pi
@@ -212,6 +219,63 @@ def mellin_nodes(pair, s):
     _mellin_piece(lambda z: seen.append(z) or np.zeros((1, z.size)), [(0j, 0j)], pair.level,
                   pair.weight, np.ravel(s), pair.T_default)
     return np.concatenate(seen)
+
+
+def per_node_kernel(eval_fn, consts, level, k, exps, T):
+    """_mellin_piece with a complex exponential per (exponent, node) pair, on
+    the same panel groups and nodes: (rows x exponents values, the sums of
+    |w diff kernel| that scale their rounding)."""
+    upper = math.log(T)
+    counts = np.maximum(2, np.ceil(upper / np.fmin(0.5, 4.0 / (1.0 + np.abs(exps.imag)))))
+    vals = np.empty((len(consts), exps.size), dtype=complex)
+    scale = np.empty(vals.shape)
+    for npanels in np.unique(counts):
+        members = counts == npanels
+        x, w = gauss_legendre_panels(0.0, upper, int(npanels), 16)
+        t = np.exp(x)
+        rows = eval_fn(1j * t / math.sqrt(level))
+        for r, (row, (c0, cv)) in enumerate(zip(rows, consts)):
+            diff = row - (c0 + cv * t ** (1 - k) / level ** ((1 - k) / 2.0))
+            terms = w * (diff * np.exp(exps[members, None] * x))
+            vals[r, members], scale[r, members] = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+    return vals, scale
+
+
+def kernel_cases():
+    for level, form in ((1, harmonic_eisenstein_level_one(40)), (11, oldform_pair(11)[0])):
+        for T in (None, 40.0):
+            yield pytest.param(form, T, id=f"N{level}-T{T or 'default'}")
+
+
+class TestMellinKernel:
+    """The anchor x offset kernel of _mellin_piece against the per-node
+    exponential it replaced, on both sides of the continuation.
+
+    The kernel is exact at nodes a_p + delta_j that differ from the stored
+    x[p, j] by about an ulp of log T, which moves e^{z x} by about |z| ulp
+    relative.  The pair's own integrand decays from t = 1, so that is far
+    below 1e-14; the partner's is largest near t = T, where at |Im z| = 60
+    and T = 40 it reaches 1.8e-14 of the sum of |terms|, the order of the
+    per-node rule's own rounding of z x there.  The partner side is held to
+    4 |z| ulp(log T)."""
+
+    @pytest.mark.parametrize("form, T", list(kernel_cases()))
+    def test_anchor_times_offset_matches_the_per_node_exponential(self, form, T):
+        pair, k = analytic_pair(form), form.weight
+        T = pair.T_default if T is None else T
+        rng = np.random.default_rng(form.level)
+        pts = rng.uniform(-4.0, 3.0, 48) + 1j * np.linspace(-60.0, 60.0, 48)
+        counts = np.ceil(math.log(T) / np.fmin(0.5, 4.0 / (1.0 + np.abs(pts.imag))))
+        assert np.unique(np.maximum(2, counts)).size >= 10
+        ev = partial(pair.integrands, rows=2)
+        partner = partial(slash, ev, k, fricke(pair.level))
+        consts = pair.row_constants
+        node_ulp = np.maximum(1e-14, 4 * np.abs(k - pts) * np.spacing(math.log(T)))
+        for fn, rows, exps, tol in ((ev, [c[:2] for c in consts], pts, 1e-14),
+                                    (partner, [c[2:] for c in consts], k - pts, node_ulp)):
+            got = _mellin_piece(fn, rows, pair.level, k, exps, T)
+            want, scale = per_node_kernel(fn, rows, pair.level, k, exps, T)
+            assert np.all(np.abs(got - want) <= tol * scale)
 
 
 def partner_rule_forms():

@@ -71,14 +71,14 @@ def _parse_character(level: int, label: str):
 
 
 def _parse_cusp(level: int, repr_str: str):
+    """The representative in modgroup.cusps(level) of the cusp that repr_str
+    names: "inf", "oo" or "infinity" (read as 1/0), any a/c, or an integer a
+    (read as a/1), each found by cusp_equivalent.  The representatives are
+    pairwise inequivalent, so a representative's own label finds itself."""
     cs = modgroup.cusps(level)
-    for c in cs:
-        if c.label() == repr_str or (repr_str in ("inf", "oo", "infinity") and c.is_infinity):
-            return c
-    # accept any a/c string, or a bare integer a as a/1, and reduce it to a
-    # representative
-    if "/" in repr_str or repr_str.lstrip("-").isdigit():
-        a_str, _, c_str = repr_str.partition("/")
+    text = "1/0" if repr_str in ("inf", "oo", "infinity") else repr_str
+    if "/" in text or text.lstrip("-").isdigit():
+        a_str, _, c_str = text.partition("/")
         try:
             a, cden = int(a_str), int(c_str or "1")
         except ValueError:
@@ -276,14 +276,14 @@ def cmd_extract(args) -> int:
 
 def cmd_cusps(args) -> int:
     chi = _parse_character(args.level, args.character) if args.character else None
-    cs = modgroup.cusps(args.level, chi)
+    cs = modgroup.cusps(args.level)
     payload = {
         "N": args.level,
         "cusps": [
             {
                 "repr": c.label(),
                 "width": c.width,
-                "kappa": c.kappa,
+                "kappa": 0.0 if chi is None else modgroup.cusp_parameter(args.level, chi, c),
                 "scaling": [[c.scaling.a, c.scaling.b], [c.scaling.c, c.scaling.d]],
             }
             for c in cs

@@ -16,7 +16,6 @@ depend on the batch a point arrives in.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,9 +33,8 @@ __all__ = [
     "eisenstein_level_one_coefficients",
 ]
 
-# Apery's constant zeta(3), and zeta(4) = pi^4 / 90
+# Apery's constant zeta(3)
 _ZETA3 = 1.2020569031595942854
-_ZETA4 = math.pi**4 / 90.0
 
 
 def _check_admissible(level: int, chi: DirichletCharacter, k: int, rho: Cusp):
@@ -56,14 +54,11 @@ _CHUNK_ROWS = 128
 _CHUNK_POINTS = 256
 
 
-@lru_cache(maxsize=64)
 def _coset_rows(level: int, chi: DirichletCharacter, rho: Cusp, bound: int):
+    """coset_reps' rows (c, d) as floats and conj(chi) at each d-entry, built
+    per call: pass many points at one cusp as one array, not one by one."""
     reps = coset_reps(level, rho, bound)
-    rows = reps.rows.astype(float)
-    charvals = np.conj(chi.values[reps.d % chi.modulus])
-    rows.setflags(write=False)
-    charvals.setflags(write=False)
-    return rows, charvals
+    return reps.rows.astype(float), np.conj(chi.values[reps.d % chi.modulus])
 
 
 def _inverse_power(x, e: int, out, base):
@@ -99,7 +94,12 @@ def _coset_sum(rows, charvals, flat, power: int, mod2_power: int | None = None, 
     is bit-identical to the one-shot expression's .sum(axis=0), and a lone
     point differs from that (pairwise) sum in the last bits, by at most
     1e-14 sum |term| at bound 60.
+
+    ValueError unless every point is finite with Im tau > 0: below the real
+    line the rows sum to a wrong value, and on it to NaN.
     """
+    if not (np.isfinite(flat).all() and (flat.imag > 0).all()):
+        raise ValueError("tau must be finite and lie in the upper half-plane")
     n, p = len(rows), len(flat)
     pts = np.repeat(flat, 2) if p == 1 else flat
     total = np.zeros(len(pts), dtype=complex)

@@ -264,10 +264,11 @@ class TermSeries:
         per group, and summed over the groups, the sign -1 ones conjugated.
         Every product has one shape per series, so a point's value does not
         depend on the batch it arrives in, and f does not depend on the order.
+        ValueError unless every point is finite with Im tau > 0.
         """
         t = np.asarray(tau, dtype=complex)
-        if np.any(t.imag <= 0):
-            raise ValueError("tau must lie in the upper half-plane")
+        if not (np.isfinite(t).all() and (t.imag > 0).all()):
+            raise ValueError("tau must be finite and lie in the upper half-plane")
         flat = t.reshape(-1)
         rates, pows, _, (shape, nconj, pow_of), matrix = self._arrays
         matrices = [matrix, self._du_matrix] if order else [matrix]

@@ -458,10 +458,10 @@ def fe_residuals(
     With psi (primitive, modulus m coprime to the level) the twisted
     equations Lambda_N(f,s,psi) = i^k C_psi Lambda_N(g,k-s,psibar) and its
     Omega companion are checked instead: the sides are the pairs of f_psi and
-    g_psibar at level N m^2 (see _twisted_sides), built once for the whole
-    grid, and i^k becomes i^k C_psi.  The residuals equal those of
-    twisted_lambda/twisted_omega point by point whenever f and g have the
-    same n_max.
+    g_psibar at level N m^2, built once for the whole grid, and i^k becomes
+    i^k C_psi (see _sides, which twisted_lambda/twisted_omega share, so the
+    residuals equal theirs point by point whenever f and g have the same
+    n_max).
 
     T defaults to f's pair default, max(4, sqrt(n_max)), and is used for both
     sides; tail_bound is the dropped [T, inf) integrand of f's pair.  Each
@@ -469,16 +469,8 @@ def fe_residuals(
     pass per node set, in one batch over all kept points, with values equal
     to the point-by-point ones.
     """
-    if form_f.weight != form_g.weight:
-        raise ValueError("weights differ")
-    if form_f.level != form_g.level:
-        raise ValueError(f"levels differ: f is at level {form_f.level}, g at {form_g.level}")
-    k, level = form_f.weight, form_f.level
-    if psi is None:
-        pair_f, pair_g = analytic_pair(form_f), analytic_pair(form_g)
-        ik = _i_pow(k)
-    else:
-        pair_f, pair_g, ik = _twisted_sides(form_f, form_g, form_f.character, psi, level)
+    pair_f, pair_g, ik = _sides(form_f, form_g, psi)
+    k = form_f.weight
     if T is None:
         T = pair_f.T_default
     poles = (0.0, float(k), 1.0, float(k - 1))
@@ -503,41 +495,41 @@ def fe_residuals(
     )
 
 
+def _sides(
+    form_f: FormExpansion, form_g: FormExpansion, psi: DirichletCharacter | None
+) -> tuple[FrickePair, FrickePair, complex]:
+    """The self-anchored pairs of the two sides of a functional equation and
+    its constant: those of f and g with i^k, or with psi those of f_psi and
+    g_psibar with i^k C_psi.
+
+    By the twisting proposition f_psi|_k omega(N m^2) = C_psi g_psibar, so
+    the twisted completed series live at level N m^2 = lcm(N, m^2, m m_chi),
+    where twist puts both twists.  c_psi refuses a psi that is not primitive
+    or whose modulus m shares a factor with N."""
+    if form_f.weight != form_g.weight:
+        raise ValueError("weights differ")
+    if form_f.level != form_g.level:
+        raise ValueError(f"levels differ: f is at level {form_f.level}, g at {form_g.level}")
+    if psi is None:
+        return analytic_pair(form_f), analytic_pair(form_g), _i_pow(form_f.weight)
+    ik = _i_pow(form_f.weight) * c_psi(form_f.character, psi, form_f.level)
+    return analytic_pair(twist(form_f, psi)), analytic_pair(twist(form_g, psi.conjugate())), ik
+
+
 # ---------------------------------------------------------------------------
 # twists
 
 
-def _twisted_sides(
-    form_f: FormExpansion,
-    form_g: FormExpansion,
-    chi: DirichletCharacter,
-    psi: DirichletCharacter,
-    level: int,
-) -> tuple[FrickePair, FrickePair, complex]:
-    """Self-anchored pairs for f_psi and g_psibar at level N m^2, plus the
-    constant i^k C_psi of their functional equations.
-
-    By the twisting proposition f_psi|_k omega(N m^2) = C_psi g_psibar, so
-    the twisted completed series live at level N m^2 and their functional
-    equation carries the constant C_psi.  level must be the level N of both
-    forms, and chi the character of f; twist then puts both twists at
-    lcm(N, m^2, m m_chi) = N m^2."""
-    m = psi.modulus
+def _twisted(form_f, form_g, chi, psi, level, k, s, T, continued: Callable):
+    """continued at s and at k - s of the twisted pairs, and i^k C_psi; k,
+    level and chi must be the forms' own weight, level and f's character."""
+    if k != form_f.weight:
+        raise ValueError("k must equal the weight of the forms")
     if form_f.level != level or form_g.level != level:
         raise ValueError(f"f and g must be at level {level}, not {form_f.level} and {form_g.level}")
     if chi != form_f.character:
         raise ValueError(f"chi must be the character of f: {chi!r} is not {form_f.character!r}")
-    if math.gcd(m, level) != 1:
-        raise ValueError(f"conductor {m} must be coprime to the level {level}")
-    ik = _i_pow(form_f.weight) * c_psi(chi, psi, level)
-    return analytic_pair(twist(form_f, psi)), analytic_pair(twist(form_g, psi.conjugate())), ik
-
-
-def _twisted(form_f, form_g, chi, psi, level, k, s, T, continued: Callable):
-    """continued at s and at k - s of the twisted pairs, and i^k C_psi."""
-    if k != form_f.weight:
-        raise ValueError("k must equal the weight of the forms")
-    pair_f, pair_g, ik = _twisted_sides(form_f, form_g, chi, psi, level)
+    pair_f, pair_g, ik = _sides(form_f, form_g, psi)
     return continued(pair_f, s, T), continued(pair_g, k - s, T), ik
 
 
@@ -642,7 +634,9 @@ _VERIFICATION_SETS = {
 def verification_set(level: int) -> ConductorSet:
     """Shipped conductor lists for levels 7 and 11; for other levels the
     first eight odd primes or 4 coprime to N, in increasing order, flagged
-    heuristic."""
+    heuristic.  ValueError for a level below 1."""
+    if level < 1:
+        raise ValueError("level must be >= 1")
     if level in _VERIFICATION_SETS:
         return ConductorSet(level, _VERIFICATION_SETS[level], "paper")
     out, m = [], 3

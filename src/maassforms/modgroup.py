@@ -147,15 +147,15 @@ class Cusp:
     """Cusp a/c of Gamma_0(N) in lowest terms; infinity is (1, 0).
 
     scaling is an SL_2(Z) matrix sending infinity to the cusp; width is the
-    least h >= 1 with scaling T^h scaling^{-1} in Gamma_0(N); kappa in [0, 1)
-    is the character's phase on that generator (0 for the trivial character).
+    least h >= 1 with scaling T^h scaling^{-1} in Gamma_0(N).  The data
+    depend on the level alone: a character's phase kappa on that generator
+    is read by cusp_parameter.
     """
 
     a: int
     c: int
     scaling: IntegerMatrix
     width: int
-    kappa: float = 0.0
 
     @property
     def is_infinity(self) -> bool:
@@ -228,12 +228,14 @@ def cusp_equivalent(level: int, a1: int, c1: int, a2: int, c2: int) -> bool:
     return rhs % g == 0
 
 
-def cusps(level: int, chi: DirichletCharacter | None = None) -> list[Cusp]:
+def cusps(level: int) -> list[Cusp]:
     """A complete irredundant list of Gamma_0(N) cusp representatives.
 
     Representatives are a/c with c | N and a mod gcd(c, N/c) coprime to it,
     ordered by (c, a); the class of the divisor c = N is represented by
-    infinity.  When chi is given the kappa field is filled from it.
+    infinity.  No two are equivalent, so cusp_equivalent finds each class's
+    representative among them; a character's kappa at each is
+    cusp_parameter's.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
@@ -256,12 +258,8 @@ def cusps(level: int, chi: DirichletCharacter | None = None) -> list[Cusp]:
     out = []
     for a, c in reps:
         scaling = _scaling_matrix(a, c)
-        cusp = Cusp(a, c, scaling, 1)
-        width = cusp_width(level, cusp)
-        cusp = Cusp(a, c, scaling, width)
-        if chi is not None:
-            cusp = Cusp(a, c, scaling, width, cusp_parameter(level, chi, cusp))
-        out.append(cusp)
+        width = cusp_width(level, Cusp(a, c, scaling, 1))
+        out.append(Cusp(a, c, scaling, width))
     # infinity first, then by (c, a)
     out.sort(key=lambda r: (0, 0) if r.is_infinity else (r.c, r.a))
     return out

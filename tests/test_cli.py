@@ -16,6 +16,7 @@ from maassforms.characters import enumerate_characters
 from maassforms.cli import main
 from maassforms.eisenstein import harmonic_eisenstein_level_one
 from maassforms.forms import FormExpansion, load_form, save_form, twist
+from maassforms.modgroup import cusp_parameter, cusps
 
 
 def run(*argv):
@@ -91,6 +92,19 @@ class TestExample:
         out = capsys.readouterr().out
         assert "extraction witness (bound 60 vs 30): worst relative" in out
         assert "notice:" not in out
+
+    @pytest.mark.parametrize("v0", ["-0.5", "0"])
+    def test_heights_off_the_upper_half_plane_exit_3(self, tmp_path, capsys, v0):
+        # a line at v0 = -0.5 would give c-(0) = -0.184 for the true 1/3,
+        # and one at v0 = 0 NaN coefficients; neither may be written
+        out = tmp_path / "x.json"
+        code = run(
+            "example", "--level", "1", "--weight", "-2", "--nmax", "4",
+            "--v0", v0, "--v1", "1", "--out", str(out),
+        )
+        assert code == 3
+        assert "upper half-plane" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_equivalent_cusp_string_accepted(self, tmp_path):
         # 7/3 reduces to the representative class at level 1
@@ -368,6 +382,28 @@ class TestOps:
 
     def test_eval_rejects_lower_half_plane(self, example_form):
         assert run("eval", "--in", str(example_form), "--tau", "0.3-0.7j") == 3
+
+    @pytest.mark.parametrize("tau", ["nanj", "0.5+infj", "inf+1j"])
+    def test_eval_rejects_a_point_that_is_not_finite(self, example_form, capsys, tau):
+        assert run("eval", "--in", str(example_form), "--tau", tau) == 3
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", [4, 9, 12, 16])
+    def test_cusps_json_reads_kappa_from_the_character(self, capsys, level):
+        # kappa is cusp_parameter's for every character, and 0.0 without one
+        reps = cusps(level)
+        assert run("cusps", "--level", str(level)) == 0
+        data = json.loads(capsys.readouterr().out)["cusps"]
+        assert [c["kappa"] for c in data] == [0.0] * len(reps)
+        kappas = []
+        for i, chi in enumerate(enumerate_characters(level)):
+            assert run("cusps", "--level", str(level), "--character", str(i)) == 0
+            data = json.loads(capsys.readouterr().out)["cusps"]
+            assert [c["repr"] for c in data] == [rho.label() for rho in reps]
+            for c, rho in zip(data, reps):
+                assert c["kappa"] == cusp_parameter(level, chi, rho)
+                kappas.append(c["kappa"])
+        assert any(kappas)
 
     def test_cusps_json(self, capsys):
         assert run("cusps", "--level", "6") == 0

@@ -171,6 +171,24 @@ def _ext_gcd(a, b):
     return g, y, x - y * (a // b)
 
 
+class TestPointsOffTheUpperHalfPlane:
+    @pytest.mark.parametrize("tau", [-1j, 0.3 + 0j, complex(0.3, math.nan)])
+    def test_series_refuse_the_point(self, tau):
+        # below the real line the coset sums are finite but wrong (f_series
+        # reads -2.3e-19 and eisenstein_series 1.456 at -i); on it, NaN
+        for fn in (f_series, eisenstein_series):
+            for point in (tau, np.array([0.5j, tau])):
+                with pytest.raises(ValueError, match="upper half-plane"):
+                    fn(1, TRIV1, -2, INF1, point)
+
+    @pytest.mark.parametrize("heights", [(-0.5, 1.0), (0.0, 1.0)])
+    def test_f_expansion_refuses_heights_off_the_upper_half_plane(self, heights):
+        # a line below the real axis would extract c-(0) = -0.184 for the
+        # true 1/3
+        with pytest.raises(ValueError, match="upper half-plane"):
+            f_expansion(1, TRIV1, -2, INF1, 4, heights=heights)
+
+
 class TestCuspValues:
     def test_eisenstein_delta_at_cusps(self):
         # E_{4,rho}(4, triv)|gamma_nu -> 1 at nu = rho and -> 0 elsewhere
@@ -373,7 +391,6 @@ class TestCosetSum:
         # cusp data and coset enumeration read integer entries only
         rho = cusps(10)[2]
         chi = trivial_character(10)
-        eisenstein._coset_rows.cache_clear()
 
         def refuse(*args):
             raise AssertionError("IntegerMatrix product on the lift path")
@@ -386,7 +403,6 @@ class TestCosetSum:
         # 256 points at bound 200: the rows x points layout held about 48,900
         # rows x 256 x 16 B = 200 MB per temporary (803 MB traced peak); the
         # chunked sum, coset enumeration included, peaked at 6.0 MB traced
-        eisenstein._coset_rows.cache_clear()
         taus = sample_points(256)
         tracemalloc.start()
         try:

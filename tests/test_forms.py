@@ -113,6 +113,18 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(f, 0.5 - 1.0j)
 
+    @pytest.mark.parametrize(
+        "tau", [complex(0.0, math.nan), complex(0.5, math.inf), complex(math.inf, 1.0),
+                complex(math.nan, 1.0)],
+    )
+    def test_rejects_a_point_that_is_not_finite(self, rng, tau):
+        # NaN fails Im tau <= 0 as well as Im tau > 0, so finiteness is
+        # checked on its own
+        f = make_random_form(rng)
+        for point in (tau, np.array([0.5j, tau])):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate(f, point)
+
     def test_tail_bound_honest(self, rng):
         # dropping coefficients beyond m changes the value by at most the bound
         full = make_random_form(rng, n_max=12)

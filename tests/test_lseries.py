@@ -847,6 +847,12 @@ class TestVerificationSets:
         assert len(full) == 4997 - 229
         assert all(verification_set(n).conductors == scanned(n) for n in full)
 
+    @pytest.mark.parametrize("level", [0, -7])
+    def test_level_below_one_is_refused(self, level):
+        # the heuristic scan needs gcd(m, N) = 1, which gcd(m, 0) = m never is
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            verification_set(level)
+
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             ConductorSet(7, (14,), "heuristic")  # shares a factor

@@ -252,8 +252,6 @@ def cmd_eval(args) -> int:
         tau = complex(args.tau)
     except ValueError:
         _fail(f"--tau expects a complex literal like 0.3+0.7j, got {args.tau!r}", EXIT_USAGE)
-    if tau.imag <= 0:
-        _fail("tau must lie in the upper half-plane", EXIT_PRECONDITION)
     value = forms.evaluate(form, tau)
     tail = forms.evaluate_tail_bound(form, tau.imag)
     print(f"f({_fmt(tau)}) = {_fmt(value)}")

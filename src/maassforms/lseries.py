@@ -439,12 +439,14 @@ def fe_residuals(
     over the grid; points within 1e-9 of the four poles are excluded (both
     sides blow up there) and listed in the report.
 
-    Each side is continued through its OWN analytic pair (partner = the form
-    slashed by the Fricke matrix pointwise).  Continuing both sides from one
-    shared pair would make the residual vanish identically - the two integral
-    representations are the same expression rearranged - so that route cannot
-    distinguish true pairs from false ones; the self-anchored route can, and
-    a single perturbed coefficient in g surfaces directly.
+    Each side is continued through the analytic pair of its own form
+    (partner = the form slashed by the Fricke matrix pointwise).  Continuing
+    g's side from f's pair would make the residual vanish identically - the
+    two integral representations are the same expression rearranged - so
+    that route cannot distinguish true pairs from false ones; the
+    self-anchored route can, and a single perturbed coefficient in g
+    surfaces directly.  Sides whose forms hold the same data (f = g, or a
+    real psi on f = g) are the same pair, so they share one (see _sides).
 
     Only one orientation is certified: f's pair is continued at s and g's
     at k - s.  The reversed reading (f's pair at k - s against g's at s)
@@ -465,9 +467,10 @@ def fe_residuals(
 
     T defaults to f's pair default, max(4, sqrt(n_max)), and is used for both
     sides; tail_bound is the dropped [T, inf) integrand of f's pair.  Each
-    side is continued once, Lambda and Omega together from one evaluator
-    pass per node set, in one batch over all kept points, with values equal
-    to the point-by-point ones.
+    pair is continued once, Lambda and Omega together from one evaluator
+    pass per node set, in one batch over all kept points (and their
+    reflections k - s when the sides share a pair), with values equal to the
+    point-by-point ones.
     """
     pair_f, pair_g, ik = _sides(form_f, form_g, psi)
     k = form_f.weight
@@ -480,9 +483,10 @@ def fe_residuals(
             excluded.append(s)
         else:
             kept.append(s)
-    pts = np.array(kept, dtype=complex)
-    lam_f, om_f = (row.tolist() for row in _continued(pair_f, pts, T, 2))
-    lam_g, om_g = (row.tolist() for row in _continued(pair_g, k - pts, T, 2))
+    rows_f, rows_g = _reflected(partial(_continued, rows=2), pair_f, pair_g,
+                                np.array(kept, dtype=complex), T)
+    lam_f, om_f = (row.tolist() for row in rows_f)
+    lam_g, om_g = (row.tolist() for row in rows_g)
     lam_res = [abs(a - ik * b) for a, b in zip(lam_f, lam_g)]
     om_res = [abs(a + ik * b) for a, b in zip(om_f, om_g)]
     return ResidualReport(
@@ -500,7 +504,8 @@ def _sides(
 ) -> tuple[FrickePair, FrickePair, complex]:
     """The self-anchored pairs of the two sides of a functional equation and
     its constant: those of f and g with i^k, or with psi those of f_psi and
-    g_psibar with i^k C_psi.
+    g_psibar with i^k C_psi.  When the two sides hold the same data (see
+    _same_data, read after twisting) both are one pair, built once.
 
     By the twisting proposition f_psi|_k omega(N m^2) = C_psi g_psibar, so
     the twisted completed series live at level N m^2 = lcm(N, m^2, m m_chi),
@@ -510,10 +515,40 @@ def _sides(
         raise ValueError("weights differ")
     if form_f.level != form_g.level:
         raise ValueError(f"levels differ: f is at level {form_f.level}, g at {form_g.level}")
-    if psi is None:
-        return analytic_pair(form_f), analytic_pair(form_g), _i_pow(form_f.weight)
-    ik = _i_pow(form_f.weight) * c_psi(form_f.character, psi, form_f.level)
-    return analytic_pair(twist(form_f, psi)), analytic_pair(twist(form_g, psi.conjugate())), ik
+    ik = _i_pow(form_f.weight)
+    if psi is not None:
+        ik *= c_psi(form_f.character, psi, form_f.level)
+        form_f, form_g = twist(form_f, psi), twist(form_g, psi.conjugate())
+    pair_f = analytic_pair(form_f)
+    return pair_f, (pair_f if _same_data(form_f, form_g) else analytic_pair(form_g)), ik
+
+
+def _same_data(a: FormExpansion, b: FormExpansion) -> bool:
+    """a and b agree, bit for bit, in everything analytic_pair reads: the
+    weight, level and n_max and the bytes of c+, c-(0) and c-."""
+    return (a.weight, a.level, a.n_max) == (b.weight, b.level, b.n_max) and all(
+        np.asarray(x, dtype=complex).tobytes() == np.asarray(y, dtype=complex).tobytes()
+        for x, y in ((a.c_plus, b.c_plus), (a.c_minus_zero, b.c_minus_zero), (a.c_minus, b.c_minus))
+    )
+
+
+def _reflected(continued: Callable, pair_f: FrickePair, pair_g: FrickePair, s, T):
+    """continued(pair_f, s, T) and continued(pair_g, k - s, T), where
+    continued gives a value shaped like s, or a list of such rows for a 1-d
+    array s.  When both sides are one pair (see _sides), one call on the
+    batch (s, k - s), split in two: every value equals its lone-point value,
+    so the halves are the two calls' results.  s comes first, so a pole or
+    non-finite point is named as the call at s would name it (the poles are
+    symmetric under s -> k - s)."""
+    k = pair_f.weight
+    if pair_g is not pair_f:
+        return continued(pair_f, s, T), continued(pair_g, k - s, T)
+    flat, shape = _batch(s)
+    both = np.asarray(continued(pair_f, np.concatenate([flat, k - flat]), T))
+    if shape is None:
+        return complex(both[0]), complex(both[1])
+    halves = both[..., :flat.size], both[..., flat.size:]
+    return tuple(h.reshape(h.shape[:-1] + shape) for h in halves)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +565,7 @@ def _twisted(form_f, form_g, chi, psi, level, k, s, T, continued: Callable):
     if chi != form_f.character:
         raise ValueError(f"chi must be the character of f: {chi!r} is not {form_f.character!r}")
     pair_f, pair_g, ik = _sides(form_f, form_g, psi)
-    return continued(pair_f, s, T), continued(pair_g, k - s, T), ik
+    return (*_reflected(continued, pair_f, pair_g, s, T), ik)
 
 
 def twisted_lambda(
@@ -548,7 +583,10 @@ def twisted_lambda(
 
     Both sides are self-anchored continuations of the twisted expansions at
     level N m^2, so the residual genuinely tests the twisted pair relation
-    including the constant C_psi.
+    including the constant C_psi.  When the two twisted expansions hold the
+    same data (f = g and a real psi) they are one pair, continued once at s
+    and k - s together (see _sides and _reflected); s may be one complex
+    number or an array, and the three results are shaped like it.
     """
     v_f, v_g, ik = _twisted(form_f, form_g, chi, psi, level, k, s, T, lambda_continued)
     return v_f, v_g, abs(v_f - ik * v_g)
@@ -565,7 +603,8 @@ def twisted_omega(
     T: float | None = None,
 ) -> tuple[complex, complex, float]:
     """Twisted Omega values and the residual of
-    Omega_N(f,s,psi) = -i^k C_psi Omega_N(g,k-s,psibar)."""
+    Omega_N(f,s,psi) = -i^k C_psi Omega_N(g,k-s,psibar), from the pairs
+    and batches of twisted_lambda."""
     v_f, v_g, ik = _twisted(form_f, form_g, chi, psi, level, k, s, T, omega_continued)
     return v_f, v_g, abs(v_f + ik * v_g)
 

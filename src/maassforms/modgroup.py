@@ -38,7 +38,6 @@ __all__ = [
     "cusp_parameter",
     "CosetReps",
     "coset_reps",
-    "bottom_row",
 ]
 
 
@@ -130,8 +129,8 @@ def slash(f: Callable, k: int, gamma: IntegerMatrix, tau):
     each slashed and keeps that axis in front of tau's shape."""
     t = np.asarray(tau, dtype=complex)
     flat = t.reshape(-1)
-    if np.any(flat.imag <= 0):
-        raise ValueError("tau must lie in the upper half-plane")
+    if not (np.isfinite(flat).all() and (flat.imag > 0).all()):
+        raise ValueError("tau must be finite and lie in the upper half-plane")
     out = slash_factor(k, gamma, flat) * f(gamma.apply(flat))
     if t.ndim == 0 and out.ndim == 1:
         return complex(out[0])
@@ -355,10 +354,3 @@ def coset_reps(level: int, rho: Cusp, bound: int) -> CosetReps:
     return CosetReps(
         scaling, np.stack([x, y], axis=1), np.stack([c, d], axis=1), c_r * y + d_r * d
     )
-
-
-def bottom_row(rho: Cusp, g: IntegerMatrix) -> tuple[int, int]:
-    """The row (c, d) of gamma_rho^{-1} g entering j(gamma_rho^{-1} g, tau);
-    gamma_rho^{-1} = [[d_rho, -b_rho], [-c_rho, a_rho]]."""
-    a_r, _, c_r, _ = _sl2_entries(rho.scaling)
-    return a_r * g.c - c_r * g.a, a_r * g.d - c_r * g.b

@@ -11,6 +11,7 @@ from maassforms.characters import trivial_character
 from maassforms.eisenstein import harmonic_eisenstein_level_one
 from maassforms.forms import FormExpansion
 from maassforms.lseries import FrickePair
+from maassforms.modgroup import Cusp, IntegerMatrix
 
 
 def make_random_form(rng, k=-2, n_max=6, level=1, alpha=1.0):
@@ -58,3 +59,10 @@ def pair_from_evaluators(level, k, f_eval, h_eval, constants, T):
         return np.array([fn(taus) for fn in (f_eval, h_eval)[:rows]])
 
     return FrickePair(level, k, integrands, *constants, T)
+
+
+def bottom_row(rho: Cusp, g: IntegerMatrix) -> tuple[int, int]:
+    """The row (c, d) of gamma_rho^{-1} g entering j(gamma_rho^{-1} g, tau);
+    gamma_rho^{-1} = [[d_rho, -b_rho], [-c_rho, a_rho]]."""
+    a_r, c_r = rho.scaling.a, rho.scaling.c
+    return a_r * g.c - c_r * g.a, a_r * g.d - c_r * g.b

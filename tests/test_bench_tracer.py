@@ -4,7 +4,7 @@ bench/tracer.py replaces library functions at their import sites to time
 each layer of a traced benchmark run.  A renamed or deleted function would
 otherwise surface only there, so the tracer is installed and removed here.
 The counts the tracer cannot see (continuations per pair, evaluator passes)
-are taken with test-local wrappers.
+are taken with the call counters of conftest.py.
 """
 
 import importlib.util
@@ -12,12 +12,10 @@ import math
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import maassforms.lseries as lseries
 from helpers import oldform_pair
 from maassforms.eisenstein import harmonic_eisenstein_level_one
-from maassforms.forms import TermSeries
 from maassforms.lseries import fe_residuals
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -30,37 +28,28 @@ def load_tracer():
     return module
 
 
-@pytest.fixture
-def continuations(monkeypatch):
-    """(pair, rows) of every lseries._continued call."""
-    seen, body = [], lseries._continued
-
-    def counting(pair, s, T, rows):
-        seen.append((pair, rows))
-        return body(pair, s, T, rows)
-
-    monkeypatch.setattr(lseries, "_continued", counting)
-    return seen
-
-
-@pytest.fixture
-def passes(monkeypatch):
-    """(order, points) of every TermSeries._sums call: one evaluator pass."""
-    seen, sums = [], TermSeries._sums
-
-    def counting(self, tau, order):
-        seen.append((order, int(np.size(tau))))
-        return sums(self, tau, order)
-
-    monkeypatch.setattr(TermSeries, "_sums", counting)
-    return seen
-
-
-def assert_one_continuation_per_pair(continuations):
+def assert_one_continuation_per_pair(continuations, points):
     # fe_residuals continues each of its two pairs once, Lambda and Omega
     # together, and not through the public one-row readings
-    assert [rows for _, rows in continuations] == [2, 2]
+    assert [(n, rows) for _, n, rows in continuations] == [(points, 2), (points, 2)]
     assert continuations[0][0] is not continuations[1][0]
+
+
+def assert_one_shared_continuation(continuations, points):
+    # a self-dual equation continues its one pair once, on the grid and its
+    # reflection k - s together
+    assert [(n, rows) for _, n, rows in continuations] == [(2 * points, 2)]
+
+
+def traced(call):
+    """The tracer's summary of one call."""
+    t = load_tracer().Tracer()
+    t.install()
+    try:
+        call()
+    finally:
+        t.uninstall()
+    return t.summary()
 
 
 def test_tracer_installs_records_and_uninstalls(continuations):
@@ -73,8 +62,7 @@ def test_tracer_installs_records_and_uninstalls(continuations):
     t.install()
     try:
         assert all(getattr(o, a) is not f for (o, a), f in zip(sites, originals))
-        ref = harmonic_eisenstein_level_one(8)
-        fe_residuals(ref, ref, [0.5 + 1.0j])
+        fe_residuals(*oldform_pair(2, base=4), [0.5 + 1.0j])
     finally:
         t.uninstall()
     assert all(getattr(o, a) is f for (o, a), f in zip(sites, originals))
@@ -83,12 +71,21 @@ def test_tracer_installs_records_and_uninstalls(continuations):
     assert summary["lseries.analytic_pair.calls"] == 2
     assert summary["lseries.lambda_continued.calls"] == 0
     assert summary["lseries.omega_continued.calls"] == 0
-    assert_one_continuation_per_pair(continuations)
+    assert_one_continuation_per_pair(continuations, 1)
     for layer in ("forms.extract_coefficients", "forms.to_terms"):
         assert summary[f"{layer}.self_s"] > 0, layer
     # the Fricke partners slash the pair's evaluators; the chain-rule
     # partner stays out of the residual path
     assert summary["forms.slash_jet1.self_s"] == 0
+    # a self-dual equation (the level-1 lift is its own partner) builds one
+    # pair and continues it once
+    continuations.clear()
+    ref = harmonic_eisenstein_level_one(8)
+    summary = traced(lambda: fe_residuals(ref, ref, [0.5 + 1.0j]))
+    assert summary["lseries.analytic_pair.calls"] == 1
+    assert summary["lseries.lambda_continued.calls"] == 0
+    assert summary["lseries.omega_continued.calls"] == 0
+    assert_one_shared_continuation(continuations, 1)
 
 
 # the shape of the benchmark's verify grid (bench/workloads.py VERIFY_GRID)
@@ -96,28 +93,25 @@ VERIFY_GRID = [complex(re, im) for re in (-1.5, -1.0, -0.5, 0.5, 1.5) for im in 
 
 
 def test_residual_driver_makes_one_batch_per_side(continuations, passes):
-    # fe_residuals continues each side once for the whole grid, so the form
-    # evaluations do not grow with the number of grid points
-    ref = harmonic_eisenstein_level_one(8)
-    summaries, pass_counts = [], []
-    for grid in (VERIFY_GRID[:1], VERIFY_GRID):
-        continuations.clear()
-        passes.clear()
-        t = load_tracer().Tracer()
-        t.install()
-        try:
-            fe_residuals(ref, ref, grid)
-        finally:
-            t.uninstall()
-        summaries.append(t.summary())
-        pass_counts.append(len(passes))
-        assert_one_continuation_per_pair(continuations)
-    for summary in summaries:
-        assert summary["lseries.lambda_continued.calls"] == 0
-        assert summary["lseries.omega_continued.calls"] == 0
-    one, full = summaries
-    assert one["forms.TermSeries.eval.calls"] == full["forms.TermSeries.eval.calls"]
-    assert pass_counts[0] == pass_counts[1]
+    # fe_residuals continues each pair once for the whole grid, so the form
+    # evaluations do not grow with the number of grid points: with f != g
+    # one batch per side, and on a self-dual equation one batch on the grid
+    # and its reflection
+    for (f, g), check in ((oldform_pair(2, base=4), assert_one_continuation_per_pair),
+                          ((harmonic_eisenstein_level_one(8),) * 2, assert_one_shared_continuation)):
+        summaries, pass_counts = [], []
+        for grid in (VERIFY_GRID[:1], VERIFY_GRID):
+            continuations.clear()
+            passes.clear()
+            summaries.append(traced(lambda: fe_residuals(f, g, grid)))
+            pass_counts.append(len(passes))
+            check(continuations, len(grid))
+        for summary in summaries:
+            assert summary["lseries.lambda_continued.calls"] == 0
+            assert summary["lseries.omega_continued.calls"] == 0
+        one, full = summaries
+        assert one["forms.TermSeries.eval.calls"] == full["forms.TermSeries.eval.calls"]
+        assert pass_counts[0] == pass_counts[1]
 
 
 def test_pair_builds_evaluate_only_what_they_read(passes):

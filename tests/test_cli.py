@@ -380,8 +380,14 @@ class TestOps:
         assert code == 4
         assert "double range" in capsys.readouterr().err
 
-    def test_eval_rejects_lower_half_plane(self, example_form):
-        assert run("eval", "--in", str(example_form), "--tau", "0.3-0.7j") == 3
+    def test_eval_rejects_lower_half_plane(self, example_form, capsys):
+        # one rule, owned by the evaluator, so one message for both points
+        errs = []
+        for tau in ("0.3-0.7j", "nanj"):
+            assert run("eval", "--in", str(example_form), "--tau", tau) == 3
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert "tau must be finite and lie in the upper half-plane" in errs[0]
 
     @pytest.mark.parametrize("tau", ["nanj", "0.5+infj", "inf+1j"])
     def test_eval_rejects_a_point_that_is_not_finite(self, example_form, capsys, tau):

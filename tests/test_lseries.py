@@ -7,6 +7,7 @@ its own Fricke partner) is the golden pair throughout.
 
 import math
 import re
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -673,21 +674,17 @@ class TestTwists:
         self.check_twisted_residuals(psi)
 
     @pytest.mark.parametrize("points", [1, 6])
-    def test_twisted_driver_builds_two_pairs(self, monkeypatch, points):
-        # one pair per side for the whole grid, not two per side per point
-        import maassforms.lseries as lseries
-
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return analytic_pair(*args, **kwargs)
-
-        monkeypatch.setattr(lseries, "analytic_pair", counting)
-        ref = harmonic_eisenstein_level_one(40)
+    def test_twisted_driver_builds_two_pairs(self, pair_builds, points):
+        # one pair per side for the whole grid, not two per side per point;
+        # on a self-dual equation (the level-1 lift, a real psi) one pair
+        psi = character_by_label(5, "quadratic")
         grid = [complex(0.5, 0.3 * j) for j in range(points)]
-        fe_residuals(ref, ref, grid, psi=character_by_label(5, "quadratic"))
-        assert len(calls) == 2
+        fe_residuals(*oldform_pair(2, base=20), grid, psi=psi)
+        assert len(pair_builds) == 2
+        pair_builds.clear()
+        ref = harmonic_eisenstein_level_one(40)
+        fe_residuals(ref, ref, grid, psi=psi)
+        assert len(pair_builds) == 1
 
     def test_twisted_report_records_T_and_tail(self):
         from maassforms.lseries import _integrand_tail
@@ -743,6 +740,106 @@ class TestTwists:
                             ref.n_max, cp, ref.c_minus_zero, ref.c_minus)
         _, _, res = twisted_lambda(ref, bad, TRIV1, psi, 1, -2, 2.0 + 0j)
         assert res > 1e-3
+
+
+class TestSelfDual:
+    """A functional equation whose two sides hold the same data (f = g, or a
+    real psi on f = g) builds one pair and continues it once, at s and k - s
+    together, with every output equal to the two-pair path's."""
+
+    GRID = [complex(r, i) for r in (-1.5, -0.5, 0.5, 1.5) for i in (0.5, 2.0)]
+    PSI = character_by_label(5, "quadratic")
+
+    @staticmethod
+    def two_pair_path(monkeypatch):
+        import maassforms.lseries as lseries
+
+        monkeypatch.setattr(lseries, "_same_data", lambda a, b: False)
+
+    def test_plain_residuals_build_one_pair_and_make_one_batch(
+        self, pair_builds, continuations, passes
+    ):
+        ref = harmonic_eisenstein_level_one(40)
+        fe_residuals(ref, ref, self.GRID)
+        assert len(pair_builds) == 1
+        assert [(n, rows) for _, n, rows in continuations] == [(2 * len(self.GRID), 2)]
+        # the pair's zero-mode extraction, the order-1 passes on the nodes
+        # and on their Fricke images (4 panels x 16 nodes), the tail point
+        assert passes == [(0, 64), (1, 64), (1, 64), (0, 1)]
+
+    def test_twisted_lambda_builds_one_pair_and_makes_one_batch(
+        self, pair_builds, continuations, passes
+    ):
+        ref = harmonic_eisenstein_level_one(400)
+        twisted_lambda(ref, ref, TRIV1, self.PSI, 1, -2, 0.5 + 0.5j)
+        assert len(pair_builds) == 1
+        assert [(n, rows) for _, n, rows in continuations] == [(2, 1)]
+        assert passes == [(0, 64), (0, 96), (0, 96)]
+
+    def test_outputs_equal_the_two_pair_path(self, monkeypatch):
+        ref = harmonic_eisenstein_level_one(400)
+        grid = self.GRID + [1.0 + 0j]
+        arr = np.array([[0.5 + 0.5j, -1.0 + 1.0j], [2.0 + 0.25j, 0.3 - 2.0j]])
+
+        def outputs():
+            out = [fe_residuals(ref, ref, grid).to_json()]
+            for psi in (self.PSI, character_by_label(3, "quadratic")):
+                out.append(fe_residuals(ref, ref, grid, psi=psi).to_json())
+                for fn in (twisted_lambda, twisted_omega):
+                    for s in (0.5 + 0.5j, -1.0 + 1.0j, 2.0 + 0.25j, arr):
+                        out.append(fn(ref, ref, TRIV1, psi, 1, -2, s))
+            return out
+
+        shared = outputs()
+        self.two_pair_path(monkeypatch)
+        apart = outputs()
+        for got, want in zip(shared, apart):
+            if isinstance(want, dict):
+                assert got == want
+            else:
+                for g, w in zip(got, want):
+                    assert type(g) is type(w)
+                    assert np.shape(g) == np.shape(w)
+                    assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("s", [1.0 + 0j, complex(-3.0, 0.0), complex(0.5, math.inf),
+                                   complex(math.nan, 1.0)])
+    def test_errors_name_the_point_the_two_pair_path_names(self, monkeypatch, s):
+        ref = harmonic_eisenstein_level_one(40)
+
+        def message():
+            with pytest.raises(ValueError) as err:
+                twisted_omega(ref, ref, TRIV1, self.PSI, 1, -2, s)
+            return str(err.value)
+
+        shared = message()
+        self.two_pair_path(monkeypatch)
+        assert shared == message()
+
+    def test_content_equal_forms_share_one_pair(self, pair_builds):
+        ref = harmonic_eisenstein_level_one(40)
+        again = harmonic_eisenstein_level_one(40)
+        assert again is not ref and again.c_plus is not ref.c_plus
+        fe_residuals(ref, again, self.GRID[:2])
+        assert len(pair_builds) == 1
+
+    def test_a_one_ulp_or_zero_sign_difference_builds_two_pairs(self, pair_builds):
+        ref = harmonic_eisenstein_level_one(40)
+        cp = ref.c_plus.copy()
+        cp[3] = np.nextafter(cp[3].real, np.inf) + 1j * cp[3].imag
+        assert ref.c_minus_zero.imag == 0.0
+        cm0 = complex(ref.c_minus_zero.real, -0.0)
+        for other in (replace(ref, c_plus=cp), replace(ref, c_minus_zero=cm0)):
+            pair_builds.clear()
+            fe_residuals(ref, other, self.GRID[:2])
+            assert len(pair_builds) == 2
+
+    def test_array_s_keeps_its_shape(self):
+        ref = harmonic_eisenstein_level_one(40)
+        for s in (np.array([[0.5 + 0.5j, -1.0 + 1.0j, 2.0 + 0.25j]]), np.array([], dtype=complex)):
+            for fn in (twisted_lambda, twisted_omega):
+                v_f, v_g, res = fn(ref, ref, TRIV1, self.PSI, 1, -2, s)
+                assert v_f.shape == v_g.shape == res.shape == s.shape
 
 
 class TestReconstruction:

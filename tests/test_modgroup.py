@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import make_random_form
+from helpers import bottom_row, make_random_form
 from maassforms.characters import character_by_label, enumerate_characters, trivial_character
 from maassforms.forms import to_terms
 from maassforms.modgroup import (
     Cusp,
     IntegerMatrix,
-    bottom_row,
     coset_reps,
     cusp_equivalent,
     cusp_parameter,
@@ -105,6 +104,18 @@ class TestSlash:
             w = complex(g.c) * tau + complex(g.d)
             want = w ** (-k) * abs(w) ** (2 * k - 2) * tau.imag ** (1 - k)
             assert abs(got - want) <= 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("tau", [complex(0.3, math.nan), complex(math.inf, 1.0), 0.3 - 0.7j])
+    def test_refuses_a_point_that_is_not_finite_or_not_in_the_upper_half_plane(self, tau):
+        # the rule TermSeries._sums and the coset sums apply, checked before
+        # f is called or gamma tau formed (the suite makes a RuntimeWarning
+        # from that arithmetic an error)
+        def f(t):
+            raise AssertionError("f called")
+
+        for t in (tau, np.array([0.5j, tau])):
+            with pytest.raises(ValueError, match=r"^tau must be finite and lie in the upper half-plane$"):
+                slash(f, -2, fricke(7), t)
 
     def test_cocycle(self, rng):
         # (f|g1)|g2 = f|(g1 g2) for integral matrices with small determinant

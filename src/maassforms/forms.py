@@ -558,13 +558,13 @@ def evaluate_tail_bound(form: FormExpansion, v: float, constant: float | None = 
 
 
 def growth_constant(form: FormExpansion) -> float:
-    """Least C with |c+-(n)| <= C max(|n|,1)^alpha over the stored range."""
-    a = form.alpha
-    c = max(abs(form.c_plus[0]), abs(form.c_minus_zero))
-    for n in range(1, form.n_max + 1):
-        scale = float(n) ** a
-        c = max(c, abs(form.c_plus[n]) / scale, abs(form.c_minus[n - 1]) / scale)
-    return float(c)
+    """Least C with |c+-(n)| <= C max(|n|,1)^alpha over the stored range, NaN
+    if a coefficient is NaN.  hypot and Python's float power round like the
+    scalar abs(c) / float(n) ** alpha; numpy's complex abs and power may not."""
+    scale = (np.arange(1.0, form.n_max + 1).astype(object) ** form.alpha).astype(float)
+    head = np.array([form.c_plus[0], form.c_minus_zero])
+    mods = [np.hypot(c.real, c.imag) for c in (head, form.c_plus[1:], form.c_minus)]
+    return float(np.concatenate([mods[0], mods[1] / scale, mods[2] / scale]).max())
 
 
 def laplacian(form: FormExpansion, tau: complex) -> complex:

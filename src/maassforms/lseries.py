@@ -9,11 +9,11 @@ combinations
 
 satisfy, for a Fricke pair g = f|_k omega(N), the functional equations
 Lambda_N(f,s) = i^k Lambda_N(g,k-s) and Omega_N(f,s) = -i^k Omega_N(g,k-s).
-Analytic continuation is computed from the incomplete Mellin representation
-on [1, T] (the integrand decays like e^{-2 pi t / sqrt N}), with the four
-simple pole terms restored explicitly; Lambda and Omega are two rows of one
-integrand evaluator.  The converse direction inverts Lambda along a vertical
-line with specfun.invert_on_line, the rule that also inverts W_nu.
+Analytic continuation is one incomplete Mellin integral of f(i t / sqrt N)
+over [1/T, T] (below t = 1 it reads g at the reciprocal height), with the
+four simple pole terms restored explicitly; Lambda and Omega are two rows of
+one integrand evaluator.  The converse direction inverts Lambda along a
+vertical line with specfun.invert_on_line, the rule that also inverts W_nu.
 """
 
 from __future__ import annotations
@@ -138,22 +138,19 @@ class FrickePair:
 
     integrands(taus, rows) stacks the first rows of (f, H = 2iv df/du + k f)
     at a 1-d array of points: one row for Lambda, two for Lambda and Omega.
-    The partner is never stored: its integrands are the Fricke slash of the
-    same evaluator, f|_k omega(N) = g and H|_k omega(N) = -H_g, the second
-    only on the imaginary axis, where every Mellin integrand is read.  (H =
-    v R_k - L_k / v and R_k, L_k commute with the slash; at tau = iv the
-    extra Fricke factors of weights k + 2 and k - 2 are -v'/v and -v/v',
-    v' = Im omega(N) tau, which flip the sign of both parts.  Off the axis
-    the two sides differ.)  The four constants are (c_f+(0), c_f-(0),
-    c_g+(0), c_g-(0)), and T_default is the Mellin cut-off used when a
-    continuation is given no T.
+    The partner is never stored or evaluated: every Mellin integrand is read
+    on the imaginary axis, where (F|_k omega(N))(i t / sqrt N) = i^{-k} t^{-k}
+    F(i / (t sqrt N)), g = f|_k omega(N) and -H_g = H|_k omega(N) (the last
+    only there), so below t = 1 the pair's own rows stand for the partner's
+    (see _mellin_piece).  The four constants are (c_f+(0), c_f-(0), c_g+(0),
+    c_g-(0)), and T_default is the Mellin cut-off used when a continuation
+    is given no T.
 
     The continuations (lambda_star, omega_star, lambda_continued,
     omega_continued) take one s or an array of s.  An array is grouped by
     the panel count of the log-t quadrature, which depends on s only through
     |Im s|, and the evaluator is called once per batch, on the nodes of all
-    its groups, and once on their Fricke images, so a batch costs as many
-    evaluator calls as one point.
+    its groups, so a batch costs as many evaluator calls as one point.
     """
 
     level: int
@@ -167,7 +164,7 @@ class FrickePair:
 
     @property
     def row_constants(self) -> tuple:
-        """Per row, (c0, c_v, partner c0, partner c_v) of its Mellin pieces:
+        """Per row, (c0, c_v, partner c0, partner c_v) of its Mellin integral:
         the four constants for f, k c_f(0) and -k c_g(0) for H (-H_g)."""
         lam = (self.c_f_plus0, self.c_f_minus0, self.c_g_plus0, self.c_g_minus0)
         return lam, tuple(sign * self.weight * c for sign, c in zip((1, 1, -1, -1), lam))
@@ -188,11 +185,11 @@ _ZERO_MODE_SAMPLES = 32
 
 
 def analytic_pair(form: FormExpansion) -> FrickePair:
-    """Self-anchored pair: the partner is f|_k omega(N) evaluated pointwise
-    from the form's own terms, and the partner's constant terms are extracted
-    numerically from its zero mode: one extract_coefficients call, that is
-    one evaluator call on _ZERO_MODE_SAMPLES points at each of the heights
-    0.5 and 1.
+    """Self-anchored pair: the partner is f|_k omega(N), read from the form's
+    own terms, and the partner's constant terms are extracted numerically
+    from its zero mode, the one place the partner is slashed off the
+    imaginary axis: one extract_coefficients call, that is one evaluator
+    call on _ZERO_MODE_SAMPLES points at each of the heights 0.5 and 1.
 
     This is the route that gives functional-equation residuals their content:
     a completed series continued through analytic_pair(form) uses no data
@@ -206,7 +203,7 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
     value-only pass for the row f alone, and for (f, H) the pass that forms f
     and f_u (the first two values of TermSeries.jet, which takes df/dv from a
     second series), so no derivative series is built.  The partner side of
-    Lambda and Omega is the Fricke slash of this evaluator (see FrickePair).
+    Lambda and Omega is this evaluator below t = 1 (see FrickePair).
     """
     # looked up in forms at each call, where bench/tracer.py wraps it by name
     from .forms import extract_coefficients
@@ -251,27 +248,29 @@ def _unbatch(values, shape: tuple | None):
     return np.array(values, dtype=complex).reshape(shape)
 
 
-def _mellin_piece(eval_fn: Callable, consts: Sequence[tuple[complex, complex]], level: int,
-                  k: int, exps: np.ndarray, T: float) -> np.ndarray:
-    """int_1^T (F_r(i t / sqrt N) - c0_r - cv_r t^{1-k} / N^{(1-k)/2})
-    t^{z - 1} dt for each row F_r of eval_fn, with consts[r] = (c0_r, cv_r),
-    and each exponent z of the 1-d array exps, by Gauss-Legendre in
-    x = log t: an array rows x exponents.
+def _mellin_piece(eval_fn: Callable, consts: Sequence[tuple], level: int, k: int,
+                  exps: np.ndarray, T: float) -> np.ndarray:
+    """int_{1/T}^T (F_r(i t / sqrt N) - P_r(t)) t^{z - 1} dt for each row F_r
+    of eval_fn and each z of the 1-d array exps, by Gauss-Legendre in
+    x = log t: an array rows x exponents.  With consts[r] = (c0, cv, pc0,
+    pcv), the row's FrickePair.row_constants, P_r(t) = c0 + cv t^{1-k} /
+    N^{(1-k)/2} for t >= 1 and, below, the partner's read at 1/t (see
+    FrickePair): i^k (pc0 t^{-k} + pcv t^{-1} / N^{(1-k)/2}).
 
-    An exponent z gets max(2, ceil(log T / min(0.5, 4 / (1 + |Im z|))))
-    panels.  The exponents are grouped by that count, and eval_fn is called
-    once, on every group's nodes together (none for an empty exps), so each
-    exponent meets exactly the nodes, and the integrand values, a lone
-    exponent would get.  The weights are folded into the integrand, wd = w
-    diff, laid out panels x nodes, and the kernel is split into a panel
-    anchor and a node offset, e^{z x[p, j]} = e^{z x[p, 0]} e^{z (x[0, j] -
-    x[0, 0])}, so a row block of M exponents on P panels takes M (P + 16)
-    complex exponentials instead of 16 M P.  Each row's sums are one
-    exponents x panels x nodes expression in blocks of about 2^15 entries,
-    reduced by .sum over the nodes and then over the panels, which numpy
-    does for each exponent alone; a BLAS contraction over the nodes would
-    not (its blocking follows the batch), so a value does not depend on the
-    rest of the batch or on the other rows.
+    An exponent z gets 2 n panels on [-log T, log T], n = max(2, ceil(log T
+    / min(0.5, 4 / (1 + |Im z|)))).  The exponents are grouped by that
+    count, and eval_fn is called once, on every group's nodes together (none
+    for an empty exps), so each exponent meets exactly the nodes, and the
+    integrand values, a lone exponent would get.  The weights are folded
+    into the integrand, wd = w diff, laid out panels x nodes, and the kernel
+    is split into a panel anchor and a node offset, e^{z x[p, j]} =
+    e^{z x[p, 0]} e^{z (x[0, j] - x[0, 0])}, so a row block of M exponents
+    on P panels takes M (P + 16) complex exponentials instead of 16 M P.
+    Each row's sums are one exponents x panels x nodes expression in blocks
+    of about 2^15 entries, reduced by .sum over the nodes and then over the
+    panels, which numpy does for each exponent alone; a BLAS contraction
+    over the nodes would not (its blocking follows the batch), so a value
+    does not depend on the rest of the batch or on the other rows.
     """
     upper = math.log(T)
     counts = np.maximum(2, np.ceil(upper / np.fmin(0.5, 4.0 / (1.0 + np.abs(exps.imag)))))
@@ -279,18 +278,20 @@ def _mellin_piece(eval_fn: Callable, consts: Sequence[tuple[complex, complex]], 
     out = np.empty((len(consts), exps.size), dtype=complex)
     if not groups:
         return out
-    rules = [gauss_legendre_panels(0.0, upper, npanels, _MELLIN_NODES) for npanels in groups]
-    t = np.exp(np.concatenate([x for x, _ in rules]))
+    rules = [gauss_legendre_panels(-upper, upper, 2 * npanels, _MELLIN_NODES) for npanels in groups]
+    x = np.concatenate([x for x, _ in rules])
+    t, below, nfac = np.exp(x), x < 0, level ** ((1 - k) / 2.0)
     vals = np.asarray(eval_fn(1j * t / math.sqrt(level)), dtype=complex)
-    diffs = [row - (c0 + cv * t ** (1 - k) / level ** ((1 - k) / 2.0))
-             for row, (c0, cv) in zip(vals, consts)]
+    diffs = [row - np.where(below, _i_pow(k) * (pc0 * t ** -k + pcv / t / nfac),
+                            c0 + cv * t ** (1 - k) / nfac)
+             for row, (c0, cv, pc0, pcv) in zip(vals, consts)]
     stop = 0
     for npanels, (x, w) in zip(groups, rules):
         members = np.flatnonzero(counts == npanels)
         nodes = slice(stop, stop + x.size)
         stop = nodes.stop
-        wds = [(w * diff[nodes]).reshape(npanels, _MELLIN_NODES) for diff in diffs]
-        x = x.reshape(npanels, _MELLIN_NODES)
+        wds = [(w * diff[nodes]).reshape(2 * npanels, _MELLIN_NODES) for diff in diffs]
+        x = x.reshape(2 * npanels, _MELLIN_NODES)
         anchors, offsets = x[:, 0], x[0] - x[0, 0]
         step = max(1, (1 << 15) // x.size)
         for block in np.array_split(members, range(step, members.size, step)):
@@ -304,9 +305,9 @@ def _mellin_piece(eval_fn: Callable, consts: Sequence[tuple[complex, complex]], 
 def _star(pair: FrickePair, s, T: float | None, rows: int) -> list:
     """The entire pole-corrected completions of the first rows integrands
     (Lambda, then Omega; Lambda alone takes the value-only evaluator pass):
-    the incomplete Mellin integrals on [1, T] of each integrand and of its
-    Fricke slash, the partner's integrand on the imaginary axis (see
-    FrickePair), joined with relative sign i^k.  Finite for every s.
+    one incomplete Mellin integral of the pair's own rows over [1/T, T] of
+    the imaginary axis, the part below t = 1 standing for the partner's
+    integral on [1, T] at k - s (see FrickePair).  Finite for every s.
 
     s is a complex number or an array of them; each row is shaped like s,
     each value equal to its lone-point value (see _mellin_piece for how the
@@ -317,12 +318,9 @@ def _star(pair: FrickePair, s, T: float | None, rows: int) -> list:
     pts, shape = _batch(s)
     if not np.isfinite(pts).all():
         raise ValueError(f"s must be a finite complex number, got s = {pts[~np.isfinite(pts)][0]}")
-    k, consts = pair.weight, pair.row_constants[:rows]
     ev = partial(pair.integrands, rows=rows)
-    partner = partial(slash, ev, k, fricke(pair.level))
-    i1 = _mellin_piece(ev, [c[:2] for c in consts], pair.level, k, pts, T)
-    i2 = _mellin_piece(partner, [c[2:] for c in consts], pair.level, k, k - pts, T)
-    return [_unbatch(row, shape) for row in i1 + _i_pow(k) * i2]
+    rows_out = _mellin_piece(ev, pair.row_constants[:rows], pair.level, pair.weight, pts, T)
+    return [_unbatch(row, shape) for row in rows_out]
 
 
 def _continued(pair: FrickePair, s, T: float | None, rows: int) -> list:
@@ -440,10 +438,10 @@ def fe_residuals(
     sides blow up there) and listed in the report.
 
     Each side is continued through the analytic pair of its own form
-    (partner = the form slashed by the Fricke matrix pointwise).  Continuing
-    g's side from f's pair would make the residual vanish identically - the
-    two integral representations are the same expression rearranged - so
-    that route cannot distinguish true pairs from false ones; the
+    (partner = the form read at the reciprocal height).  Continuing g's side
+    from f's pair would make the residual vanish identically - the two
+    integral representations are the same expression rearranged - so that
+    route cannot distinguish true pairs from false ones; the
     self-anchored route can, and a single perturbed coefficient in g
     surfaces directly.  Sides whose forms hold the same data (f = g, or a
     real psi on f = g) are the same pair, so they share one (see _sides).
@@ -451,8 +449,8 @@ def fe_residuals(
     Only one orientation is certified: f's pair is continued at s and g's
     at k - s.  The reversed reading (f's pair at k - s against g's at s)
     carries a larger error; on the golden oldform pairs (the level-1 lift
-    at n_max 40 N against N^{k/2} F(N tau)) its Omega residuals are 1.2e-9
-    at N = 7 and 4.1e-9 at N = 11, against about 2e-11 in this orientation.
+    at n_max 40 N against N^{k/2} F(N tau)) its Omega residuals are 1.1e-9
+    at N = 7 and 4.0e-9 at N = 11, against about 2e-11 in this orientation.
     So a PASS can depend on which form is passed as f.  Reading both would
     cost Mellin sums but no evaluator pass: s and k - s share their Mellin
     nodes, which depend on s only through |Im s|.

@@ -125,16 +125,13 @@ def slash(f: Callable, k: int, gamma: IntegerMatrix, tau):
     """Weight-k slash action (f|_k gamma)(tau) at a complex scalar or ndarray
     tau.  f must take a 1-d ndarray: it is called once, on gamma tau at every
     point, and a scalar tau is a batch of one, so scalar and array calls agree
-    bit for bit.  An f that stacks several functions on a leading axis gets
-    each slashed and keeps that axis in front of tau's shape."""
+    bit for bit."""
     t = np.asarray(tau, dtype=complex)
     flat = t.reshape(-1)
     if not (np.isfinite(flat).all() and (flat.imag > 0).all()):
         raise ValueError("tau must be finite and lie in the upper half-plane")
     out = slash_factor(k, gamma, flat) * f(gamma.apply(flat))
-    if t.ndim == 0 and out.ndim == 1:
-        return complex(out[0])
-    return out.reshape(out.shape[:-1] + t.shape)
+    return complex(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def test_tracer_installs_records_and_uninstalls(continuations):
     assert_one_continuation_per_pair(continuations, 1)
     for layer in ("forms.extract_coefficients", "forms.to_terms"):
         assert summary[f"{layer}.self_s"] > 0, layer
-    # the Fricke partners slash the pair's evaluators; the chain-rule
+    # the partners are read from the pairs' own evaluators; the chain-rule
     # partner stays out of the residual path
     assert summary["forms.slash_jet1.self_s"] == 0
     # a self-dual equation (the level-1 lift is its own partner) builds one
@@ -117,20 +117,20 @@ def test_residual_driver_makes_one_batch_per_side(continuations, passes):
 def test_pair_builds_evaluate_only_what_they_read(passes):
     # on the N = 11 golden pair each analytic_pair extracts c_g(0) from one
     # 64-point value-only pass (32 samples at each of two heights).  Each
-    # pair's Lambda and Omega nodes and their Fricke images take one order-1
-    # pass each (the grid is one panel group of 7 panels x 16 nodes), and the
-    # tail estimate one point.  With separate Lambda and Omega continuations
+    # pair's Lambda and Omega nodes on [1/T, T] take one order-1 pass (the
+    # grid is one panel group of 14 panels x 16 nodes), and the tail
+    # estimate one point.  With separate Lambda and Omega continuations
     # this read 11 passes on 1,025 points.
     f, g = oldform_pair(11)
     fe_residuals(f, g, VERIFY_GRID)
-    assert sorted(passes) == [(0, 1), (0, 64), (0, 64)] + [(1, 112)] * 4
-    assert len(passes) == 7 and sum(n for _, n in passes) == 577
+    assert sorted(passes) == [(0, 1), (0, 64), (0, 64), (1, 224), (1, 224)]
+    assert len(passes) == 5 and sum(n for _, n in passes) == 577
 
 
 def test_a_continuation_batch_makes_one_pass_per_side(passes):
-    # a lambda_continued batch evaluates the integrand once on the nodes of
-    # all its panel groups and once on their Fricke images, however many
-    # groups it spans; an empty batch evaluates nothing
+    # a lambda_continued batch evaluates the integrand once, on the nodes of
+    # all its panel groups (2 n panels of 16 nodes for a group of count n),
+    # however many groups it spans; an empty batch evaluates nothing
     pair = lseries.analytic_pair(harmonic_eisenstein_level_one(40))
     pts = 2.0 + 1j * np.linspace(-40.0, 40.0, 161)
     upper = math.log(pair.T_default)
@@ -138,7 +138,7 @@ def test_a_continuation_batch_makes_one_pass_per_side(passes):
     assert len(groups) >= 10
     passes.clear()
     lseries.lambda_continued(pair, pts)
-    assert passes == [(0, 16 * sum(groups))] * 2
+    assert passes == [(0, 32 * sum(groups))]
     passes.clear()
     empty = lseries.lambda_continued(pair, np.array([], dtype=complex))
     assert passes == [] and empty.shape == (0,)

@@ -161,8 +161,8 @@ class TestVerifyFe:
     @pytest.mark.parametrize("cutoff, want", [("1", 3), ("0.5", 3), ("0", 3), (None, 5)])
     def test_mellin_cutoff_must_exceed_one(self, tmp_path, capsys, cutoff, want):
         # g = f with c+(3) x 1.5 is no partner of f.  With T = 1 the Mellin
-        # integrals over [1, T] vanish and the pair would PASS (residual
-        # 2e-5); below 1 they run backwards.  Each such T exits 3 naming T,
+        # integral over [1/T, T] vanishes and the pair would PASS (residual
+        # 2e-5); below 1 it runs backwards.  Each such T exits 3 naming T,
         # and the default T FAILs the pair (residual 2.2)
         f = harmonic_eisenstein_level_one(40)
         cp = f.c_plus.copy()

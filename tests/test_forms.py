@@ -849,6 +849,41 @@ class TestGrowth:
             assert max(vals) < 10.0 * max(1.0, vals[0])
 
 
+def loop_growth_constant(form):
+    """The per-coefficient loop that growth_constant replaced, the reference
+    for its value."""
+    a = form.alpha
+    c = max(abs(form.c_plus[0]), abs(form.c_minus_zero))
+    for n in range(1, form.n_max + 1):
+        scale = float(n) ** a
+        c = max(c, abs(form.c_plus[n]) / scale, abs(form.c_minus[n - 1]) / scale)
+    return float(c)
+
+
+class TestGrowthConstant:
+    @given(st.integers(1, 200), st.sampled_from([0.0, 0.5, 3.0]), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 0.5, 1.0]))
+    def test_equals_the_per_coefficient_loop(self, n_max, alpha, seed, zero_share):
+        # random O(1) coefficients, a share of them (all, for 1.0) zero
+        rng = np.random.default_rng(seed)
+        form = make_random_form(rng, n_max=n_max, alpha=alpha)
+        cp, cm = form.c_plus.copy(), form.c_minus.copy()
+        cp[rng.random(cp.size) < zero_share] = 0.0
+        cm[rng.random(cm.size) < zero_share] = 0.0
+        cm0 = 0j if rng.random() < zero_share else form.c_minus_zero
+        form = FormExpansion(form.weight, 1, form.character, alpha, n_max, cp, cm0, cm)
+        assert growth_constant(form) == loop_growth_constant(form)
+
+    def test_a_nan_coefficient_gives_nan(self, rng):
+        form = make_random_form(rng, n_max=8)
+        for index in (0, 3, 8):
+            cp = form.c_plus.copy()
+            cp[index] = complex(math.nan, 0.0)
+            bad = FormExpansion(form.weight, 1, form.character, form.alpha, 8, cp,
+                                form.c_minus_zero, form.c_minus)
+            assert math.isnan(growth_constant(bad))
+
+
 class TestTwist:
     def test_trivial_character_is_identity(self, rng):
         f = make_random_form(rng)

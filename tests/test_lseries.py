@@ -180,20 +180,29 @@ class TestContinuation:
             om = omega_continued(p_a, s)
             assert abs(omega_continued(p_b, s) - om) <= 1e-12 * max(1.0, abs(om))
 
-    def test_degenerate_constant_form_omega_integrand(self):
-        # pure c+(0): H = k c+(0), so the constant-subtracted integrand is 0
-        f = single_form(k=-2, n_max=2)
-        cp = f.c_plus.copy()
-        cp[0] = 1.0
-        f = FormExpansion(-2, 1, TRIV1, 0.0, 2, cp, 0.0, f.c_minus)
-        from maassforms.forms import h_op, to_terms
+    @pytest.mark.parametrize("level, k", [(1, -2), (7, -2), (11, -3)])
+    def test_an_integrand_made_of_its_constant_terms_integrates_to_zero(self, level, k):
+        # rows equal to their own constant terms on both sides of t = 1: f's
+        # above, and below i^k t^{-k} times the partner's read at 1/t, for
+        # both rows' constants (H's are k c_f(0) and -k c_g(0))
+        rng = np.random.default_rng(level)
+        consts = rng.normal(size=4) + 1j * rng.normal(size=4)
+        pair = pair_from_evaluators(level, k, None, None, consts, 20.0)
+        nfac, ik = level ** ((1 - k) / 2.0), 1j ** (k % 4)
 
-        ts = to_terms(f)
-        pair = pair_from_evaluators(1, -2, ts.eval, h_op(ts, -2).eval, (1.0, 0.0, 0.0, 0.0), 20.0)
-        consts = [c[:2] for c in pair.row_constants]  # H's are k c+(0) = -2 and 0
-        val = _mellin_piece(partial(pair.integrands, rows=2), consts, 1, -2, np.array([3.0 + 0j]),
-                            20.0)
-        assert abs(val[1, 0]) <= 1e-12
+        def constant_rows(taus):
+            t = taus.imag * math.sqrt(level)
+            return np.array([
+                np.where(t >= 1, c0 + cv * t ** (1 - k) / nfac,
+                         ik * t ** -k * (pc0 + pcv * (1 / t) ** (1 - k) / nfac))
+                for c0, cv, pc0, pcv in pair.row_constants
+            ])
+
+        exps = np.array([3.0 + 0j, -1.0 + 5j, 0.5 - 20j])
+        val = _mellin_piece(constant_rows, pair.row_constants, level, k, exps, 20.0)
+        zero = [(0j,) * 4] * 2
+        scale = _mellin_piece(lambda z: np.abs(constant_rows(z)), zero, level, k, exps.real, 20.0)
+        assert np.all(np.abs(val) <= 1e-14 * scale.real)
 
 
 # points for the batch tests: |Im s| up to 60 spans several panel-count
@@ -217,7 +226,7 @@ def small_pair():
 def mellin_nodes(pair, s):
     """Every point at which _mellin_piece reads its integrand for s."""
     seen = []
-    _mellin_piece(lambda z: seen.append(z) or np.zeros((1, z.size)), [(0j, 0j)], pair.level,
+    _mellin_piece(lambda z: seen.append(z) or np.zeros((1, z.size)), [(0j,) * 4], pair.level,
                   pair.weight, np.ravel(s), pair.T_default)
     return np.concatenate(seen)
 
@@ -230,14 +239,15 @@ def per_node_kernel(eval_fn, consts, level, k, exps, T):
     counts = np.maximum(2, np.ceil(upper / np.fmin(0.5, 4.0 / (1.0 + np.abs(exps.imag)))))
     vals = np.empty((len(consts), exps.size), dtype=complex)
     scale = np.empty(vals.shape)
+    nfac, ik = level ** ((1 - k) / 2.0), 1j ** (k % 4)
     for npanels in np.unique(counts):
         members = counts == npanels
-        x, w = gauss_legendre_panels(0.0, upper, int(npanels), 16)
+        x, w = gauss_legendre_panels(-upper, upper, 2 * int(npanels), 16)
         t = np.exp(x)
         rows = eval_fn(1j * t / math.sqrt(level))
-        for r, (row, (c0, cv)) in enumerate(zip(rows, consts)):
-            diff = row - (c0 + cv * t ** (1 - k) / level ** ((1 - k) / 2.0))
-            terms = w * (diff * np.exp(exps[members, None] * x))
+        for r, (row, (c0, cv, pc0, pcv)) in enumerate(zip(rows, consts)):
+            sub = np.where(x < 0, ik * (pc0 * t ** -k + pcv / t / nfac), c0 + cv * t ** (1 - k) / nfac)
+            terms = w * ((row - sub) * np.exp(exps[members, None] * x))
             vals[r, members], scale[r, members] = terms.sum(axis=1), np.abs(terms).sum(axis=1)
     return vals, scale
 
@@ -250,33 +260,29 @@ def kernel_cases():
 
 class TestMellinKernel:
     """The anchor x offset kernel of _mellin_piece against the per-node
-    exponential it replaced, on both sides of the continuation.
+    exponential it replaced.
 
     The kernel is exact at nodes a_p + delta_j that differ from the stored
     x[p, j] by about an ulp of log T, which moves e^{z x} by about |z| ulp
-    relative.  The pair's own integrand decays from t = 1, so that is far
-    below 1e-14; the partner's is largest near t = T, where at |Im z| = 60
-    and T = 40 it reaches 1.8e-14 of the sum of |terms|, the order of the
-    per-node rule's own rounding of z x there.  The partner side is held to
-    4 |z| ulp(log T)."""
+    relative.  The integrand is largest near t = 1/T, where the form is read
+    closest to the real axis: at |Im z| = 60 and T = 40 the kernel's error
+    there is of the order of the per-node rule's own rounding of z x.  The
+    whole integral is held to 4 |z| ulp(log T) of the sum of |terms|; the
+    worst case here reads 0.77 |z| ulp(log T)."""
 
     @pytest.mark.parametrize("form, T", list(kernel_cases()))
     def test_anchor_times_offset_matches_the_per_node_exponential(self, form, T):
-        pair, k = analytic_pair(form), form.weight
+        pair = analytic_pair(form)
         T = pair.T_default if T is None else T
         rng = np.random.default_rng(form.level)
         pts = rng.uniform(-4.0, 3.0, 48) + 1j * np.linspace(-60.0, 60.0, 48)
         counts = np.ceil(math.log(T) / np.fmin(0.5, 4.0 / (1.0 + np.abs(pts.imag))))
         assert np.unique(np.maximum(2, counts)).size >= 10
         ev = partial(pair.integrands, rows=2)
-        partner = partial(slash, ev, k, fricke(pair.level))
-        consts = pair.row_constants
-        node_ulp = np.maximum(1e-14, 4 * np.abs(k - pts) * np.spacing(math.log(T)))
-        for fn, rows, exps, tol in ((ev, [c[:2] for c in consts], pts, 1e-14),
-                                    (partner, [c[2:] for c in consts], k - pts, node_ulp)):
-            got = _mellin_piece(fn, rows, pair.level, k, exps, T)
-            want, scale = per_node_kernel(fn, rows, pair.level, k, exps, T)
-            assert np.all(np.abs(got - want) <= tol * scale)
+        tol = np.maximum(1e-14, 4 * np.abs(pts) * np.spacing(math.log(T)))
+        got = _mellin_piece(ev, pair.row_constants, pair.level, form.weight, pts, T)
+        want, scale = per_node_kernel(ev, pair.row_constants, pair.level, form.weight, pts, T)
+        assert np.all(np.abs(got - want) <= tol * scale)
 
 
 def partner_rule_forms():
@@ -288,28 +294,34 @@ def partner_rule_forms():
 
 
 class TestFrickePartnerRule:
-    """The partner's Omega integrand is the Fricke slash of the pair's H row,
-    negated: on the imaginary axis H_g = -(H_f)|_k omega(N) for
-    g = f|_k omega(N), held here against the chain-rule H of g from
-    slash_jet1."""
+    """Below t = 1 the Mellin integral reads the pair's own rows in place of
+    the partner's: at every node t >= 1, i^{-k} t^{-k} integrands(i / (t
+    sqrt N)) is (g, -H_g)(i t / sqrt N) for g = f|_k omega(N), held here
+    against g and the chain-rule H of g from slash_jet1.  The second
+    identity, H|_k omega(N) = -H_g, holds on the imaginary axis only."""
 
     S = np.array([0.5 + 1.0j, -1.0 + 20.0j, 2.5 + 0.0j])
 
     @pytest.mark.parametrize("form", list(partner_rule_forms()), ids=lambda f: f"N{f.level}")
-    def test_slash_of_h_is_minus_the_chain_rule_partner(self, form):
+    def test_reciprocal_height_reads_the_chain_rule_partner(self, form):
         from maassforms.forms import slash_jet1, to_terms
-        from maassforms.modgroup import fricke, slash
 
-        pair, k = analytic_pair(form), form.weight
+        pair, k, root = analytic_pair(form), form.weight, math.sqrt(form.level)
         omega, ts = fricke(form.level), to_terms(form)
         nodes = mellin_nodes(pair, self.S)
         assert nodes.size and (nodes.real == 0).all()
-        for taus, close in ((nodes, True), (nodes + 0.3, False)):
-            rule = -slash(partial(pair.integrands, rows=2), k, omega, taus)[1]
-            f, fu, _ = slash_jet1(ts, k, omega, taus)
-            chain = 2j * taus.imag * fu + k * f
-            gap = np.abs(rule - chain).max() / np.abs(chain).max()
-            assert gap <= 1e-13 if close else gap > 1e-2
+        taus = nodes[nodes.imag * root >= 1.0]
+        assert 2 * taus.size == nodes.size
+        t = taus.imag * root
+        rule = (1j) ** (-k % 4) * t ** -k * pair.integrands(1j / (t * root), 2)
+        f, fu, _ = slash_jet1(ts, k, omega, taus)
+        want = np.array([f, -(2j * taus.imag * fu + k * f)])
+        assert np.all(np.abs(rule - want).max(axis=1) <= 1e-13 * np.abs(want).max(axis=1))
+        off = taus + 0.3
+        h_slashed = slash(lambda z: pair.integrands(z, 2)[1], k, omega, off)
+        f, fu, _ = slash_jet1(ts, k, omega, off)
+        chain = 2j * off.imag * fu + k * f
+        assert np.abs(h_slashed + chain).max() / np.abs(chain).max() > 1e-2
 
 
 def partner_constant_forms():
@@ -356,14 +368,12 @@ class TestHEvaluator:
     @pytest.mark.parametrize("form", list(h_path_forms()))
     def test_h_equals_the_jet_formula(self, form):
         from maassforms.forms import to_terms
-        from maassforms.modgroup import fricke
 
         pair, ts, k = analytic_pair(form), to_terms(form), form.weight
         nodes = mellin_nodes(pair, TestFrickePartnerRule.S)
-        for taus in (nodes, fricke(form.level).apply(nodes)):
-            f, f_u, _ = ts.jet(taus)
-            assert np.array_equal(pair.integrands(taus, 2)[1], 2j * taus.imag * f_u + k * f)
-            assert np.array_equal(pair.integrands(taus, 1), ts.eval(taus)[None])
+        f, f_u, _ = ts.jet(nodes)
+        assert np.array_equal(pair.integrands(nodes, 2)[1], 2j * nodes.imag * f_u + k * f)
+        assert np.array_equal(pair.integrands(nodes, 1), ts.eval(nodes)[None])
         # a lone point gets the value it gets in a batch
         assert np.array_equal(pair.integrands(nodes[:1], 2), pair.integrands(nodes, 2)[:, :1])
 
@@ -441,8 +451,48 @@ class TestBatch:
         assert peak < 8e6
 
 
+class TestOneMellinIntegral:
+    """A continuation reads the form on the imaginary axis only, in one
+    evaluator call per batch, and slashes nothing: the only Fricke slash on
+    the functional-equation path is each analytic_pair's zero-mode
+    extraction, whose points lie off the axis."""
+
+    @staticmethod
+    def count_slashes(monkeypatch):
+        import maassforms.lseries as lseries
+
+        seen = []
+
+        def counting(*args):
+            seen.append(args)
+            return slash(*args)
+
+        monkeypatch.setattr(lseries, "slash", counting)
+        return seen
+
+    def test_a_batch_reads_the_axis_once_and_slashes_nothing(self, small_pair, monkeypatch):
+        slashes, reads = self.count_slashes(monkeypatch), []
+
+        def integrands(taus, rows):
+            reads.append(taus)
+            return small_pair.integrands(taus, rows)
+
+        pair = replace(small_pair, integrands=integrands)
+        pts = np.array([0.5 + 1j, -1.0 + 20j, 2.0 - 45j, -2.5 + 0j])
+        for fn in (*BATCHED, partial(_star, T=None, rows=2), partial(_continued, T=None, rows=2)):
+            reads.clear()
+            fn(pair, pts)
+            assert len(reads) == 1 and reads[0].size and (reads[0].real == 0).all()
+        assert slashes == []
+
+    def test_residuals_slash_once_per_pair_build(self, monkeypatch, pair_builds):
+        slashes = self.count_slashes(monkeypatch)
+        fe_residuals(*oldform_pair(7, base=4), [0.5 + 1j, -1.0 + 0.5j, 2.0 + 3j])
+        assert len(pair_builds) == 2 and len(slashes) == 2
+
+
 class TestResiduals:
-    GRID = [complex(r, i) for r in (-1.0, -0.5, 0.5, 1.0) for i in (0.0, 1.0, 2.0)]
+    GRID =[complex(r, i) for r in (-1.0, -0.5, 0.5, 1.0) for i in (0.0, 1.0, 2.0)]
 
     def test_true_pair_residuals_tiny(self):
         ref = harmonic_eisenstein_level_one(40)
@@ -560,7 +610,7 @@ class TestResiduals:
 
 
 class TestMellinCutoff:
-    # T <= 1 leaves no [1, T] integral to take: at T = 1 any partner passes
+    # T <= 1 leaves no [1/T, T] integral to take: at T = 1 any partner passes
     # and below it the integral runs backwards; inf and nan are no cut-off
     @pytest.mark.parametrize("T", [1.0, 0.5, 0.0, -1.0, math.inf, math.nan])
     def test_rejects_cutoffs_that_are_not_finite_and_above_one(self, small_pair, T):
@@ -763,9 +813,9 @@ class TestSelfDual:
         fe_residuals(ref, ref, self.GRID)
         assert len(pair_builds) == 1
         assert [(n, rows) for _, n, rows in continuations] == [(2 * len(self.GRID), 2)]
-        # the pair's zero-mode extraction, the order-1 passes on the nodes
-        # and on their Fricke images (4 panels x 16 nodes), the tail point
-        assert passes == [(0, 64), (1, 64), (1, 64), (0, 1)]
+        # the pair's zero-mode extraction, one order-1 pass on the nodes of
+        # [1/T, T] (8 panels x 16 nodes), the tail point
+        assert passes == [(0, 64), (1, 128), (0, 1)]
 
     def test_twisted_lambda_builds_one_pair_and_makes_one_batch(
         self, pair_builds, continuations, passes
@@ -774,7 +824,7 @@ class TestSelfDual:
         twisted_lambda(ref, ref, TRIV1, self.PSI, 1, -2, 0.5 + 0.5j)
         assert len(pair_builds) == 1
         assert [(n, rows) for _, n, rows in continuations] == [(2, 1)]
-        assert passes == [(0, 64), (0, 96), (0, 96)]
+        assert passes == [(0, 64), (0, 192)]
 
     def test_outputs_equal_the_two_pair_path(self, monkeypatch):
         ref = harmonic_eisenstein_level_one(400)

@@ -162,18 +162,6 @@ class TestArraySlash:
         pointwise = np.array([slash(f, k, gamma, z) for z in points])
         assert np.array_equal(slash(f, k, gamma, taus), pointwise)
         assert np.array_equal(slash(f, k, gamma, taus.reshape(-1, 1)), pointwise.reshape(-1, 1))
-
-    @given(weights, slash_matrices, point_lists)
-    def test_stacked_rows_are_slashed_one_by_one(self, k, gamma, points):
-        # an evaluator that stacks rows on a leading axis keeps that axis,
-        # and each row is the slash of that row alone, bit for bit
-        f, h, taus = _evaluator(k), _evaluator(k, seed=8), np.array(points)
-        both = lambda t: np.array([f(t), h(t)])
-        for tau in (taus, taus.reshape(-1, 1), points[0]):
-            got = slash(both, k, gamma, tau)
-            assert got.shape == (2, *np.shape(tau))
-            assert np.array_equal(got[0], slash(f, k, gamma, tau))
-            assert np.array_equal(got[1], slash(h, k, gamma, tau))
         assert type(slash(f, k, gamma, points[0])) is complex
 
     @given(weights, slash_matrices, slash_matrices, point_lists)

@@ -22,6 +22,7 @@ import numpy as np
 from .characters import DirichletCharacter, _prime_factors
 from .forms import FormExpansion, IllConditionedError, two_height_solve
 from .modgroup import Cusp, coset_reps, cusp_parameter
+from .specfun import _batch, _unbatch, _upper_half_plane
 
 __all__ = [
     "eisenstein_series",
@@ -98,8 +99,7 @@ def _coset_sum(rows, charvals, flat, power: int, mod2_power: int | None = None, 
     ValueError unless every point is finite with Im tau > 0: below the real
     line the rows sum to a wrong value, and on it to NaN.
     """
-    if not (np.isfinite(flat).all() and (flat.imag > 0).all()):
-        raise ValueError("tau must be finite and lie in the upper half-plane")
+    flat, _ = _upper_half_plane(flat)
     n, p = len(rows), len(flat)
     pts = np.repeat(flat, 2) if p == 1 else flat
     total = np.zeros(len(pts), dtype=complex)
@@ -161,11 +161,8 @@ def eisenstein_series(
     """
     _check_admissible(level, chi, k, rho)
     rows, charvals = _coset_rows(level, chi, rho, bound)
-    t = np.asarray(tau, dtype=complex)
-    out = _coset_sum(rows, charvals, t.ravel(), k - 2)[0].reshape(t.shape)
-    if np.isscalar(tau) or np.ndim(tau) == 0:
-        return complex(out)
-    return out
+    flat, restore = _batch(tau)
+    return _unbatch(_coset_sum(rows, charvals, flat, k - 2)[0], restore)
 
 
 def f_series(
@@ -182,14 +179,10 @@ def f_series(
     bounded-memory pass of _coset_sum, in coset order at every point, so a
     point's value does not depend on its batch."""
     _check_admissible(level, chi, k, rho)
-    t = np.asarray(tau, dtype=complex)
-    flat = t.ravel()
+    flat, restore = _batch(tau)
     rows, charvals = _coset_rows(level, chi, rho, bound)
     v = flat.imag ** (1 - k) / (1 - k)
-    out = (_coset_sum(rows, charvals, flat, -k, k - 1)[0] * v).reshape(t.shape)
-    if np.isscalar(tau) or np.ndim(tau) == 0:
-        return complex(out)
-    return out
+    return _unbatch(_coset_sum(rows, charvals, flat, -k, k - 1)[0] * v, restore)
 
 
 def coset_tail_estimate(k: int, bound: int, v: float = 1.0) -> float:
@@ -227,16 +220,20 @@ def f_expansion(
     |x_B - x_{B/2}| / (2^{-k} - 1), where x_B is the datum extracted from the
     bound-B coset sum and x_{B/2} the same datum from its bound//2 prefix;
     the divisor turns the difference into the bound-B error under the
-    bound^k tail law of coset_tail_estimate (measured against the closed
-    form at k = -2 only, where the error/witness ratio is 0.95-1.80 for
-    heights up to (10, 20) at bound 60; the law fails once the heights
-    approach the bound, and at (40, 80) the c+(0) witness is 14 times too
-    small).  Both sums at both heights go through one
-    forms.two_height_solve call, one np.fft.fft per height.  A mode it
-    loses (c+(n) once (1 + Gamma(1-k, -4 pi n v1))^2 overflows, n v1 >~ 27
-    at k = -2; c-(-n) once both Gamma(1-k, 4 pi n v) underflow, n v >~ 59)
-    is stored as 0 with an infinite witness; a lost n = 0 raises
-    IllConditionedError.  The form itself does not depend on full_output.
+    bound^k tail law of coset_tail_estimate.  Against the closed form at
+    k = -2 the error/witness ratio is 0.95-1.80 for heights up to (10, 20)
+    at bound 60; the law fails once the heights approach the bound, and at
+    (40, 80) the c+(0) witness is 14 times too small.  At the cusp infinity
+    of N = 3, 4 and 5 (k = -1, -3, -2), bounds 60 and 120, a datum is within
+    1.11 witnesses of the bound-480 extraction; but at N = 4, k = -3, cusp
+    0/1 and bound 240, c-(-2) is 2.68 witnesses off, at 1.5e-11 of the
+    datum, where the witness nears the rounding of the sums.  Both sums at
+    both heights go through one forms.two_height_solve call, one np.fft.fft
+    per height.  A mode it loses (c+(n) once (1 + Gamma(1-k, -4 pi n v1))^2
+    overflows, n v1 >~ 27 at k = -2; c-(-n) once both Gamma(1-k, 4 pi n v)
+    underflow, n v >~ 59) is stored as 0 with an infinite witness; a lost
+    n = 0 raises IllConditionedError.  The form itself does not depend on
+    full_output.
     """
     _check_admissible(level, chi, k, rho)
     if heights is None:

@@ -52,7 +52,7 @@ import numpy as np
 
 from .characters import DirichletCharacter
 from .modgroup import IntegerMatrix, slash_factor
-from .specfun import _inc_gamma_scaled
+from .specfun import _inc_gamma_scaled, _unbatch, _upper_half_plane
 
 __all__ = [
     "FormExpansion",
@@ -251,7 +251,7 @@ class TermSeries:
     def _sums(self, tau, order: int):
         """The value at tau, and for order 1 also df/du: order 0 gives (f,)
         and 1 gives (f, df/du), each a flat array over the points, and the
-        shape to restore (None for a scalar tau).
+        token specfun._unbatch restores the caller's shape with.
 
         The points go in blocks of _POINT_BLOCK, the last one padded.  Per
         block, one power table holds q^n of every baby and giant step n (see
@@ -266,10 +266,7 @@ class TermSeries:
         depend on the batch it arrives in, and f does not depend on the order.
         ValueError unless every point is finite with Im tau > 0.
         """
-        t = np.asarray(tau, dtype=complex)
-        if not (np.isfinite(t).all() and (t.imag > 0).all()):
-            raise ValueError("tau must be finite and lie in the upper half-plane")
-        flat = t.reshape(-1)
+        flat, restore = _upper_half_plane(tau)
         rates, pows, _, (shape, nconj, pow_of), matrix = self._arrays
         matrices = [matrix, self._du_matrix] if order else [matrix]
         outs = np.zeros((len(matrices), flat.size), dtype=complex)
@@ -302,24 +299,22 @@ class TermSeries:
                 sums *= powers[pow_of]
                 np.conjugate(sums[:, :nconj], out=sums[:, :nconj])
                 outs[:, a : a + m] += sums.sum(axis=1)[:, :m]
-        return list(outs), (None if t.ndim == 0 else t.shape)
+        return list(outs), restore
 
     def eval(self, tau):
         """Evaluate at tau (complex scalar or ndarray with Im > 0); a scalar
         is a batch of one and returns a Python complex."""
-        (out,), shape = self._sums(tau, 0)
-        return complex(out[0]) if shape is None else out.reshape(shape)
+        (out,), restore = self._sums(tau, 0)
+        return _unbatch(out, restore)
 
     def jet(self, tau):
         """(f, df/du, df/dv) at tau (complex scalar or ndarray with Im > 0):
         f and df/du from one pass, in which d/du multiplies a term by
         2 pi i F, and df/dv as eval of the exact series d_v(), which the
         first call builds from the term arrays and keeps."""
-        outs, shape = self._sums(tau, 1)
+        outs, restore = self._sums(tau, 1)
         outs += self._dv_series._sums(tau, 0)[0]
-        if shape is None:
-            return tuple(complex(x[0]) for x in outs)
-        return tuple(x.reshape(shape) for x in outs)
+        return tuple(_unbatch(x, restore) for x in outs)
 
 
 # weight-k operators on term series ----------------------------------------
@@ -369,9 +364,11 @@ def slash_jet1(ts: TermSeries, k: int, gamma: IntegerMatrix, tau):
 
     gamma tau is holomorphic, so d/dtau only sees f_tau and d/dtaubar only
     f_taubar, each scaled by m = det/(c tau + d)^2 resp. conj(m), and
-    d/dtau also meets the slash factor.  The library's Fricke partners slash
-    their evaluator instead (lseries.FrickePair); this is the independent
-    derivative the slash identities are tested against.
+    d/dtau also meets the slash factor.  No library path calls it: a Fricke
+    pair reads its own rows at the reciprocal height on the imaginary axis,
+    and slashes its evaluator off the axis only for the partner's two
+    constant terms (lseries.FrickePair); this is the independent derivative
+    the slash identities are tested against.
     """
     c = complex(gamma.c)
     det = float(gamma.det)

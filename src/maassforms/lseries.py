@@ -29,7 +29,7 @@ import numpy as np
 from .characters import DirichletCharacter, _prime_factors, c_psi
 from .forms import FormExpansion, growth_constant, to_terms, twist
 from .modgroup import fricke, slash
-from .specfun import gamma_complex, gauss_legendre_panels, invert_on_line, w_nu
+from .specfun import _batch, _unbatch, gamma_complex, gauss_legendre_panels, invert_on_line, w_nu
 
 __all__ = [
     "UncertifiedRegionWarning",
@@ -235,19 +235,6 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
 _MELLIN_NODES = 16
 
 
-def _batch(s) -> tuple[np.ndarray, tuple | None]:
-    """s as a flat complex array, and the shape of the result: None for a
-    scalar s, which gets a Python complex back."""
-    arr = np.asarray(s, dtype=complex)
-    return arr.ravel(), (None if arr.ndim == 0 else arr.shape)
-
-
-def _unbatch(values, shape: tuple | None):
-    if shape is None:
-        return complex(values[0])
-    return np.array(values, dtype=complex).reshape(shape)
-
-
 def _mellin_piece(eval_fn: Callable, consts: Sequence[tuple], level: int, k: int,
                   exps: np.ndarray, T: float) -> np.ndarray:
     """int_{1/T}^T (F_r(i t / sqrt N) - P_r(t)) t^{z - 1} dt for each row F_r
@@ -315,28 +302,35 @@ def _star(pair: FrickePair, s, T: float | None, rows: int) -> list:
     T = pair.T_default if T is None else T
     if not 1.0 < T < math.inf:
         raise ValueError(f"the Mellin cut-off T must be a finite number > 1, got T = {T}")
-    pts, shape = _batch(s)
+    pts, restore = _batch(s)
     if not np.isfinite(pts).all():
         raise ValueError(f"s must be a finite complex number, got s = {pts[~np.isfinite(pts)][0]}")
     ev = partial(pair.integrands, rows=rows)
     rows_out = _mellin_piece(ev, pair.row_constants[:rows], pair.level, pair.weight, pts, T)
-    return [_unbatch(row, shape) for row in rows_out]
+    return [_unbatch(row, restore) for row in rows_out]
+
+
+def _near_poles(z: np.ndarray, k: int, tol: float) -> np.ndarray:
+    """The mask of the points of the 1-d array z within tol of a pole of the
+    weight-k completed series: 0, k, 1 or k - 1."""
+    return (np.abs(z[:, None] - np.array([0.0, k, 1.0, k - 1.0])) < tol).any(axis=1)
 
 
 def _continued(pair: FrickePair, s, T: float | None, rows: int) -> list:
-    """_star minus the four simple pole terms of each row's constants;
-    ValueError if a point of the batch is a pole."""
-    flat, shape = _batch(s)
-    pts, k = flat.tolist(), pair.weight
-    pole = (np.abs(flat[:, None] - np.array([0.0, k, 1.0, k - 1.0])) < 1e-12).any(axis=1)
+    """_star minus the four simple pole terms of each row's constants, one
+    array expression over the batch per row; ValueError if a point of the
+    batch lies within 1e-12 of a pole (see _near_poles)."""
+    z, restore = _batch(s)
+    k = pair.weight
+    pole = _near_poles(z, k, 1e-12)
     if pole.any():
-        z = pts[pole.argmax()]
-        raise ValueError(f"s = {z} is a pole of the completed series; probe lambda_star/omega_star")
+        raise ValueError(f"s = {complex(z[pole][0])} is a pole of the completed series; "
+                         "probe lambda_star/omega_star")
     ik, nfac = _i_pow(k), pair.level ** ((1 - k) / 2.0)
     return [
-        _unbatch([a - (cf0 / z + cg0 * ik / (k - z) + cfv / nfac / (z - k + 1)
-                       + cgv * ik / nfac / (1 - z)) for a, z in zip(row.tolist(), pts)], shape)
-        for row, (cf0, cfv, cg0, cgv) in zip(_star(pair, flat, T, rows), pair.row_constants)
+        _unbatch(row - (cf0 / z + cg0 * ik / (k - z) + cfv / nfac / (z - k + 1)
+                        + cgv * ik / nfac / (1 - z)), restore)
+        for row, (cf0, cfv, cg0, cgv) in zip(_star(pair, z, T, rows), pair.row_constants)
     ]
 
 
@@ -434,8 +428,8 @@ def fe_residuals(
     psi: DirichletCharacter | None = None,
 ) -> ResidualReport:
     """|Lambda(f,s) - i^k Lambda(g,k-s)| and |Omega(f,s) + i^k Omega(g,k-s)|
-    over the grid; points within 1e-9 of the four poles are excluded (both
-    sides blow up there) and listed in the report.
+    over the grid, any sequence of complex numbers; points within 1e-9 of
+    the four poles are excluded (see _near_poles) and listed in the report.
 
     Each side is continued through the analytic pair of its own form
     (partner = the form read at the reciprocal height).  Continuing g's side
@@ -471,30 +465,26 @@ def fe_residuals(
     point-by-point ones.
     """
     pair_f, pair_g, ik = _sides(form_f, form_g, psi)
-    k = form_f.weight
-    if T is None:
-        T = pair_f.T_default
-    poles = (0.0, float(k), 1.0, float(k - 1))
-    kept, excluded = [], []
-    for s in map(complex, grid):
-        if any(abs(s - p) < 1e-9 for p in poles):
-            excluded.append(s)
-        else:
-            kept.append(s)
-    rows_f, rows_g = _reflected(partial(_continued, rows=2), pair_f, pair_g,
-                                np.array(kept, dtype=complex), T)
-    lam_f, om_f = (row.tolist() for row in rows_f)
-    lam_g, om_g = (row.tolist() for row in rows_g)
-    lam_res = [abs(a - ik * b) for a, b in zip(lam_f, lam_g)]
-    om_res = [abs(a + ik * b) for a, b in zip(om_f, om_g)]
+    T = pair_f.T_default if T is None else T
+    pts = np.fromiter(map(complex, grid), dtype=complex)
+    near = _near_poles(pts, form_f.weight, 1e-9)
+    kept, excluded = pts[~near], pts[near].tolist()
+    (lam_f, om_f), (lam_g, om_g) = _reflected(partial(_continued, rows=2), pair_f, pair_g, kept, T)
     return ResidualReport(
-        grid=kept,
-        lambda_residuals=lam_res,
-        omega_residuals=om_res,
+        grid=kept.tolist(),
+        lambda_residuals=_residuals(lam_f, lam_g, -ik),
+        omega_residuals=_residuals(om_f, om_g, ik),
         excluded=excluded,
         quadrature_T=T,
         tail_bound=_integrand_tail(pair_f, T),
     )
+
+
+def _residuals(v_f: np.ndarray, v_g: np.ndarray, c: complex) -> list:
+    """|a + c b| at each point of the 1-d arrays v_f and v_g, in Python
+    arithmetic whatever the batch: c = -i^k for Lambda and i^k for Omega,
+    times C_psi when twisted."""
+    return [abs(a + c * b) for a, b in zip(v_f.tolist(), v_g.tolist())]
 
 
 def _sides(
@@ -530,32 +520,28 @@ def _same_data(a: FormExpansion, b: FormExpansion) -> bool:
     )
 
 
-def _reflected(continued: Callable, pair_f: FrickePair, pair_g: FrickePair, s, T):
-    """continued(pair_f, s, T) and continued(pair_g, k - s, T), where
-    continued gives a value shaped like s, or a list of such rows for a 1-d
+def _reflected(continued: Callable, pair_f: FrickePair, pair_g: FrickePair, s: np.ndarray, T):
+    """continued(pair_f, s, T) and continued(pair_g, k - s, T) for a 1-d
     array s.  When both sides are one pair (see _sides), one call on the
-    batch (s, k - s), split in two: every value equals its lone-point value,
-    so the halves are the two calls' results.  s comes first, so a pole or
-    non-finite point is named as the call at s would name it (the poles are
-    symmetric under s -> k - s)."""
+    batch (s, k - s), split along its last axis: every value equals its
+    lone-point value, so the halves are the two calls' results.  s comes
+    first, so a pole or non-finite point is named as the call at s would
+    name it (the poles are symmetric under s -> k - s)."""
     k = pair_f.weight
     if pair_g is not pair_f:
         return continued(pair_f, s, T), continued(pair_g, k - s, T)
-    flat, shape = _batch(s)
-    both = np.asarray(continued(pair_f, np.concatenate([flat, k - flat]), T))
-    if shape is None:
-        return complex(both[0]), complex(both[1])
-    halves = both[..., :flat.size], both[..., flat.size:]
-    return tuple(h.reshape(h.shape[:-1] + shape) for h in halves)
+    both = np.asarray(continued(pair_f, np.concatenate([s, k - s]), T))
+    return both[..., :s.size], both[..., s.size:]
 
 
 # ---------------------------------------------------------------------------
 # twists
 
 
-def _twisted(form_f, form_g, chi, psi, level, k, s, T, continued: Callable):
-    """continued at s and at k - s of the twisted pairs, and i^k C_psi; k,
-    level and chi must be the forms' own weight, level and f's character."""
+def _twisted(form_f, form_g, chi, psi, level, k, s, T, continued: Callable, sign: int):
+    """continued at s and at k - s of the twisted pairs, and the residual
+    |v_f + sign i^k C_psi v_g| (see _residuals), each shaped like s; k, level
+    and chi must be the forms' own weight, level and f's character."""
     if k != form_f.weight:
         raise ValueError("k must equal the weight of the forms")
     if form_f.level != level or form_g.level != level:
@@ -563,7 +549,10 @@ def _twisted(form_f, form_g, chi, psi, level, k, s, T, continued: Callable):
     if chi != form_f.character:
         raise ValueError(f"chi must be the character of f: {chi!r} is not {form_f.character!r}")
     pair_f, pair_g, ik = _sides(form_f, form_g, psi)
-    return (*_reflected(continued, pair_f, pair_g, s, T), ik)
+    flat, restore = _batch(s)
+    v_f, v_g = _reflected(continued, pair_f, pair_g, flat, T)
+    return (_unbatch(v_f, restore), _unbatch(v_g, restore),
+            _unbatch(_residuals(v_f, v_g, sign * ik), restore, float))
 
 
 def twisted_lambda(
@@ -586,8 +575,7 @@ def twisted_lambda(
     and k - s together (see _sides and _reflected); s may be one complex
     number or an array, and the three results are shaped like it.
     """
-    v_f, v_g, ik = _twisted(form_f, form_g, chi, psi, level, k, s, T, lambda_continued)
-    return v_f, v_g, abs(v_f - ik * v_g)
+    return _twisted(form_f, form_g, chi, psi, level, k, s, T, lambda_continued, -1)
 
 
 def twisted_omega(
@@ -603,8 +591,7 @@ def twisted_omega(
     """Twisted Omega values and the residual of
     Omega_N(f,s,psi) = -i^k C_psi Omega_N(g,k-s,psibar), from the pairs
     and batches of twisted_lambda."""
-    v_f, v_g, ik = _twisted(form_f, form_g, chi, psi, level, k, s, T, omega_continued)
-    return v_f, v_g, abs(v_f + ik * v_g)
+    return _twisted(form_f, form_g, chi, psi, level, k, s, T, omega_continued, 1)
 
 
 # ---------------------------------------------------------------------------

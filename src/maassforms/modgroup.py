@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .characters import DirichletCharacter
+from .specfun import _unbatch, _upper_half_plane
 
 __all__ = [
     "IntegerMatrix",
@@ -126,12 +127,8 @@ def slash(f: Callable, k: int, gamma: IntegerMatrix, tau):
     tau.  f must take a 1-d ndarray: it is called once, on gamma tau at every
     point, and a scalar tau is a batch of one, so scalar and array calls agree
     bit for bit."""
-    t = np.asarray(tau, dtype=complex)
-    flat = t.reshape(-1)
-    if not (np.isfinite(flat).all() and (flat.imag > 0).all()):
-        raise ValueError("tau must be finite and lie in the upper half-plane")
-    out = slash_factor(k, gamma, flat) * f(gamma.apply(flat))
-    return complex(out[0]) if t.ndim == 0 else out.reshape(t.shape)
+    flat, restore = _upper_half_plane(tau)
+    return _unbatch(slash_factor(k, gamma, flat) * f(gamma.apply(flat)), restore)
 
 
 # ---------------------------------------------------------------------------

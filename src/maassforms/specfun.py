@@ -1,5 +1,6 @@
 """Special functions: complex gamma, integer-order incomplete gamma, the
-Mellin kernel W_nu, and the one vertical-line rule for Mellin inversion.
+Mellin kernel W_nu, the one vertical-line rule for Mellin inversion, and
+the package's one batch rule and one half-plane rule for points s and tau.
 
 W_nu(s) is the Mellin transform of x |-> Gamma(nu, 2x) e^x.  For a positive
 integer nu it collapses to the finite sum
@@ -62,6 +63,30 @@ _LANCZOS_C = np.array(
 )
 
 
+def _batch(x) -> tuple[np.ndarray, tuple | None]:
+    """The batch rule: x as a flat complex array, and the token _unbatch
+    restores x's shape with (None for a scalar, which is a batch of one)."""
+    arr = np.asarray(x, dtype=complex)
+    return arr.ravel(), (None if arr.ndim == 0 else arr.shape)
+
+
+def _unbatch(values, restore: tuple | None, kind: type = complex):
+    """A flat batch's values of the given kind (complex or float) in the
+    caller's shape: a Python scalar for restore None, else an array."""
+    if restore is None:
+        return kind(values[0])
+    return np.asarray(values, dtype=kind).reshape(restore)
+
+
+def _upper_half_plane(tau) -> tuple[np.ndarray, tuple | None]:
+    """The half-plane rule: _batch(tau), or ValueError unless every point is
+    finite with Im tau > 0."""
+    flat, restore = _batch(tau)
+    if not (np.isfinite(flat).all() and (flat.imag > 0).all()):
+        raise ValueError("tau must be finite and lie in the upper half-plane")
+    return flat, restore
+
+
 def _lanczos_gamma(z):
     # valid for Re(z) >= 0.5; z is a complex ndarray
     zm1 = z - 1.0
@@ -78,7 +103,7 @@ def gamma_complex(s):
     Raises PoleError at non-positive integers.  Accuracy is ~1e-14 relative
     on |s| <= 50.
     """
-    arr = np.asarray(s, dtype=complex)
+    arr, restore = _batch(s)
     if np.any((arr.real <= 0.5) & (arr.imag == 0.0) & (arr.real == np.round(arr.real))):
         raise PoleError("gamma evaluated at a non-positive integer")
     out = np.empty_like(arr)
@@ -89,9 +114,7 @@ def gamma_complex(s):
         z = arr[~right]
         # reflection: Gamma(z) = pi / (sin(pi z) Gamma(1 - z))
         out[~right] = math.pi / (np.sin(math.pi * z) * _lanczos_gamma(1.0 - z))
-    if np.isscalar(s) or np.ndim(s) == 0:
-        return complex(out)
-    return out
+    return _unbatch(out, restore)
 
 
 def inc_gamma(nu: int, x: float) -> float:
@@ -124,7 +147,7 @@ def w_nu(nu: int, s):
     """
     if nu < 1 or nu != int(nu):
         raise ValueError(f"nu must be a positive integer, got {nu}")
-    arr = np.asarray(s, dtype=complex)
+    arr, restore = _batch(s)
     if np.any(arr.real <= 0):
         raise ValueError("w_nu requires Re(s) > 0")
     acc = np.zeros_like(arr)
@@ -132,10 +155,7 @@ def w_nu(nu: int, s):
     for l in range(int(nu)):
         acc = acc + coef * gamma_complex(arr + l)
         coef *= 2.0 / (l + 1)
-    acc = math.gamma(nu) * acc
-    if np.isscalar(s) or np.ndim(s) == 0:
-        return complex(acc)
-    return acc
+    return _unbatch(math.gamma(nu) * acc, restore)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from maassforms import eisenstein
-from maassforms.characters import trivial_character
+from maassforms.characters import character_by_label, trivial_character
 from maassforms.eisenstein import (
     coset_tail_estimate,
     dim_eisenstein,
@@ -247,6 +247,22 @@ class TestFExpansion:
         for got, exact, w in pairs:
             ratio = np.abs(np.asarray(got) - exact) / w
             assert np.all((ratio >= 1.0 / 3.0) & (ratio <= 3.0))
+
+    @pytest.mark.parametrize("level, k, label", [(3, -1, "quadratic"), (4, -3, "quadratic"),
+                                                 (5, -2, "trivial")])
+    def test_witness_bounds_the_error_beyond_weight_minus_two(self, level, k, label):
+        # no closed form here: the bound-480 extraction stands in for the
+        # exact data.  Worst error/witness ratios measured at bound 60 / 120:
+        # 0.36 / 0.19, 1.11 / 0.44 and 1.08 / 0.98 in the order above
+        chi = trivial_character(level) if label == "trivial" else character_by_label(level, label)
+        rho = next(c for c in cusps(level) if c.c == 0)
+        ref = f_expansion(level, chi, k, rho, 8, bound=480, heights=(1 / 3, 2 / 3))
+        for bound in (60, 120):
+            form, witness = f_expansion(level, chi, k, rho, 8, bound=bound,
+                                        heights=(1 / 3, 2 / 3), full_output=True)
+            for name in ("c_plus", "c_minus_zero", "c_minus"):
+                err = np.abs(np.asarray(getattr(form, name)) - getattr(ref, name))
+                assert np.all(err <= 2 * witness[name])
 
     def test_lost_modes_carry_infinite_witness(self):
         # at heights (40, 80) the Gram values of modes 1-2 leave the double

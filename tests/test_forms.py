@@ -441,6 +441,47 @@ class TestVectorisedEvaluator:
             tracemalloc.stop()
         assert peak < 8e6
 
+    def test_values_past_one_giant_step_slice(self, rng):
+        # n_max 5000 takes 313 giant steps, two slices of _GIANT_SLICE.  Off
+        # the axis the heights stay above 0.002, where the second slice's
+        # terms are below 1e-20 of sum |term| (and, lower, the phases of
+        # both the evaluator and the oracle lose 1e-14); on the axis, where
+        # the phases are exact, they reach down to 1e-4, where that slice
+        # holds 13% of sum |term|.  The oracle is each set's terms summed
+        # pairwise (loop_eval adds them one at a time and drifts 2.5e-14
+        # sum |term| from an fsum at this length)
+        from maassforms.eisenstein import harmonic_eisenstein_level_one
+
+        ts = to_terms(harmonic_eisenstein_level_one(5000))
+        assert np.unique(np.abs(ts.F) // 16).size > forms._GIANT_SLICE
+        taus = rng.uniform(-1.0, 1.0, 64) + 1j * rng.uniform(0.002, 1.5, 64)
+        taus[::2] = 1j * np.geomspace(1e-4, 1.5, 32)
+        values, jet = ts.eval(taus), ts.jet(taus)
+        assert np.array_equal(values, jet[0])
+        F, p = ts.F.astype(float), ts.vpow.astype(float)
+        for i, tau in enumerate(taus):
+            u, v = math.fmod(tau.real, 1), tau.imag
+            terms = ts.coef * np.exp(1j * TWO_PI * F * u - TWO_PI * np.abs(F) * v) * v**p
+            for got, row in zip(jet, (terms, 1j * TWO_PI * F * terms,
+                                      (p / v - TWO_PI * np.abs(F)) * terms)):
+                assert abs(got[i] - row.sum()) <= 1e-14 * np.abs(row).sum()
+
+    def test_warm_evaluation_at_n_max_1e5_stays_small(self, rng):
+        # the cached value matrix is 8.0 MB; a warm 256-point call holds
+        # only its block's tables, per slice of _GIANT_SLICE giant steps
+        from maassforms.eisenstein import harmonic_eisenstein_level_one
+
+        ts = to_terms(harmonic_eisenstein_level_one(100_000))
+        taus = rng.uniform(-1.0, 1.0, 256) + 1j * rng.uniform(0.002, 1.5, 256)
+        ts.eval(taus)
+        tracemalloc.start()
+        try:
+            ts.eval(taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_warm_evaluation_allocates_little(self, rng):
         # once the series' matrices (and jet's d_v series) exist, a call
         # allocates only its block's tables and sums, below the bound the

@@ -16,8 +16,9 @@ File formats
     cusp JSON      {"N": ..., "cusps": [{"repr": "a/c"|"inf", "width": t,
                     "kappa": kap, "scaling": [[a, b], [c, d]]}]}
     residual CSV   re_s, im_s, lambda_residual, omega_residual, tail_bound
-                   (tail_bound is the dropped [T, inf) Mellin integrand of
-                   f's pair, the twisted pair when --psi is given)
+                   (tail_bound is an upper bound on the dropped [T, inf)
+                   Mellin integrand of f's pair, the twisted pair when --psi
+                   is given, read from its terms: f's F != 0 terms at T)
 
 Grid SPEC for verify-fe: "re0:re1:steps,im0:im1:steps" (inclusive rectangular
 grid); points at the four poles of the completed series are excluded with a
@@ -219,7 +220,7 @@ def cmd_verify_fe(args) -> int:
     if args.out:
         forms.atomic_write(args.out, report.to_csv())
         print(f"wrote {args.out}")
-    # the dropped [T, inf) Mellin integrand of f's pair, the CSV's tail_bound
+    # the CSV's tail_bound: a bound on f's F != 0 terms at T, read from its terms
     print(f"tail bound at T = {report.quadrature_T:.4g}: {report.tail_bound:.6e}")
     if report.tail_bound > args.tol:
         print("notice: the tail bound exceeds the tolerance; residuals cannot certify the pair")

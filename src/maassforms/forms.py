@@ -50,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, _from_generator_values
 from .modgroup import IntegerMatrix, slash_factor
 from .specfun import _inc_gamma_scaled, _unbatch, _upper_half_plane
 
@@ -307,6 +307,14 @@ class TermSeries:
         (out,), restore = self._sums(tau, 0)
         return _unbatch(out, restore)
 
+    def magnitude(self, v: float) -> float:
+        """sum |coef| v^vpow e^{-2 pi |F| v} over the terms with F != 0: by the
+        triangle inequality a bound on |f - its constant terms| at height v,
+        whatever Re tau; evaluate_tail_bound and lseries.fe_residuals read it."""
+        live = self.F != 0
+        terms = np.abs(self.coef[live]) * v ** self.vpow[live].astype(float)
+        return float((terms * np.exp(-TWO_PI * v * np.abs(self.F[live]))).sum())
+
     def jet(self, tau):
         """(f, df/du, df/dv) at tau (complex scalar or ndarray with Im > 0):
         f and df/du from one pass, in which d/du multiplies a term by
@@ -535,23 +543,19 @@ def evaluate(form: FormExpansion, tau):
 
 
 def evaluate_tail_bound(form: FormExpansion, v: float, constant: float | None = None) -> float:
-    """Bound on the dropped tail sum_{|n| > n_max} at height v, from the
-    growth metadata |c(n)| <= C n^alpha and the closed incomplete-gamma sum."""
+    """Bound on the dropped tail sum_{|n| > n_max} at height v: the
+    TermSeries.magnitude of the growth-bound terms |c+-(n)| = C n^alpha,
+    n_max < |n| <= n_max + 400, as to_terms expands them, with the last mode
+    weighted by 1 / (1 - r), r = e^{-2 pi v}: it stands for the modes past it
+    too, through the geometric remainder r / (1 - r) of the crude ratio r."""
     if v <= 0:
         raise ValueError("v must be > 0")
     c = growth_constant(form) if constant is None else constant
-    k, a, m0 = form.weight, form.alpha, form.n_max + 1
-    r = math.exp(-TWO_PI * v)
-    total = 0.0
-    term_bound = None
-    for n in range(m0, m0 + 400):
-        gam = _inc_gamma_scaled(1 - k, 4 * math.pi * n * v, TWO_PI * n * v)
-        term_bound = c * n**a * (math.exp(-TWO_PI * n * v) + gam)
-        total += term_bound
-        if term_bound < 1e-300:
-            return total
-    # geometric remainder with the crude ratio r < 1
-    return total + term_bound * r / (1.0 - r)
+    bound = np.zeros(form.n_max + 401)
+    bound[form.n_max + 1 :] = c * np.arange(form.n_max + 1, bound.size) ** form.alpha
+    bound[-1] *= 1.0 / -math.expm1(-TWO_PI * v)
+    return to_terms(FormExpansion(form.weight, form.level, form.character, form.alpha,
+                                  bound.size - 1, bound, 0.0, bound[1:])).magnitude(v)
 
 
 def growth_constant(form: FormExpansion) -> float:
@@ -626,7 +630,7 @@ def twist(form: FormExpansion, psi: DirichletCharacter) -> FormExpansion:
     m = psi.modulus
     chi = form.character
     new_level = math.lcm(form.level, m * m, m * chi.conductor)
-    new_char = (chi * (psi * psi)).induce(new_level)
+    new_char = _from_generator_values(new_level, (chi, psi, psi))
     psi_n = psi.values[np.arange(-form.n_max, form.n_max + 1) % m]
     c = np.concatenate([form.c_minus[::-1], form.c_plus])  # c at n = -n_max..n_max
     prod = _times(psi_n, c)

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .characters import DirichletCharacter, _prime_factors, c_psi
-from .forms import FormExpansion, growth_constant, to_terms, twist
+from .forms import FormExpansion, TermSeries, growth_constant, to_terms, twist
 from .modgroup import fricke, slash
 from .specfun import _batch, _unbatch, gamma_complex, gauss_legendre_panels, invert_on_line, w_nu
 
@@ -143,8 +143,8 @@ class FrickePair:
     F(i / (t sqrt N)), g = f|_k omega(N) and -H_g = H|_k omega(N) (the last
     only there), so below t = 1 the pair's own rows stand for the partner's
     (see _mellin_piece).  The four constants are (c_f+(0), c_f-(0), c_g+(0),
-    c_g-(0)), and T_default is the Mellin cut-off used when a continuation
-    is given no T.
+    c_g-(0)), T_default is the Mellin cut-off used when a continuation is
+    given no T, and terms, set by analytic_pair alone, is the form's TermSeries.
 
     The continuations (lambda_star, omega_star, lambda_continued,
     omega_continued) take one s or an array of s.  An array is grouped by
@@ -161,6 +161,7 @@ class FrickePair:
     c_g_plus0: complex
     c_g_minus0: complex
     T_default: float
+    terms: TermSeries | None = None
 
     @property
     def row_constants(self) -> tuple:
@@ -228,6 +229,7 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
         c_g_plus0=cgp0,
         c_g_minus0=cgm0,
         T_default=max(4.0, math.sqrt(form.n_max)),
+        terms=ts,
     )
 
 
@@ -411,15 +413,6 @@ class ResidualReport:
         }
 
 
-def _integrand_tail(pair: FrickePair, T: float) -> float:
-    """Magnitude of the dropped [T, inf) integrand piece (e-folding scale)."""
-    tau = 1j * T / math.sqrt(pair.level)
-    k = pair.weight
-    sub = pair.c_f_plus0 + pair.c_f_minus0 * T ** (1 - k) / pair.level ** ((1 - k) / 2.0)
-    lead = abs(complex(pair.integrands(np.array([tau]), 1)[0, 0]) - sub)
-    return lead * math.sqrt(pair.level) / (2.0 * math.pi)
-
-
 def fe_residuals(
     form_f: FormExpansion,
     form_g: FormExpansion,
@@ -458,7 +451,9 @@ def fe_residuals(
     n_max).
 
     T defaults to f's pair default, max(4, sqrt(n_max)), and is used for both
-    sides; tail_bound is the dropped [T, inf) integrand of f's pair.  Each
+    sides.  tail_bound is the TermSeries.magnitude of f's pair (the twisted
+    pair under psi) at v = T / sqrt(N), a bound on its F != 0 terms at the
+    cut-off, times the e-folding scale sqrt(N) / 2 pi; nothing is evaluated.  Each
     pair is continued once, Lambda and Omega together from one evaluator
     pass per node set, in one batch over all kept points (and their
     reflections k - s when the sides share a pair), with values equal to the
@@ -469,6 +464,7 @@ def fe_residuals(
     pts = np.fromiter(map(complex, grid), dtype=complex)
     near = _near_poles(pts, form_f.weight, 1e-9)
     kept, excluded = pts[~near], pts[near].tolist()
+    root = math.sqrt(pair_f.level)
     (lam_f, om_f), (lam_g, om_g) = _reflected(partial(_continued, rows=2), pair_f, pair_g, kept, T)
     return ResidualReport(
         grid=kept.tolist(),
@@ -476,7 +472,7 @@ def fe_residuals(
         omega_residuals=_residuals(om_f, om_g, ik),
         excluded=excluded,
         quadrature_T=T,
-        tail_bound=_integrand_tail(pair_f, T),
+        tail_bound=pair_f.terms.magnitude(T / root) * root / (2.0 * math.pi),
     )
 
 

@@ -165,25 +165,10 @@ def _scaling_matrix(a: int, c: int) -> IntegerMatrix:
     """An SL_2(Z) matrix with first column (a, c)."""
     if c == 0:
         return identity_matrix()
-    g, x, y = _ext_gcd(a, c)
-    assert g == 1
+    assert math.gcd(a, c) == 1
+    x, y = (int(w[0]) for w in _euclid_lift(np.array([a]), np.array([-c])))
     # a*x + c*y = 1 -> [[a, -y], [c, x]] has det a x + c y = 1
     return IntegerMatrix(a, -y, c, x)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a x + b y = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 def cusp_width(level: int, rho: Cusp) -> int:
@@ -294,9 +279,9 @@ class CosetReps(Sequence):
 
 
 def _euclid_lift(d: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) of _ext_gcd(d, -c) for every row at once: the same quotient
-    sequence run over all rows together (numpy's // floors like Python's), each
-    row stopping when its remainder reaches 0."""
+    """(x, y) with d x - c y = gcd(d, c) >= 0 for every row at once: extended
+    Euclid on (d, -c), the quotient sequences run over all rows together
+    (numpy's // floors like Python's), each row stopping at remainder 0."""
     old_r, r = d.copy(), -c
     old_x, x = np.ones_like(d), np.zeros_like(d)
     old_y, y = np.zeros_like(d), np.ones_like(d)

@@ -118,13 +118,13 @@ def test_pair_builds_evaluate_only_what_they_read(passes):
     # on the N = 11 golden pair each analytic_pair extracts c_g(0) from one
     # 64-point value-only pass (32 samples at each of two heights).  Each
     # pair's Lambda and Omega nodes on [1/T, T] take one order-1 pass (the
-    # grid is one panel group of 14 panels x 16 nodes), and the tail
-    # estimate one point.  With separate Lambda and Omega continuations
-    # this read 11 passes on 1,025 points.
+    # grid is one panel group of 14 panels x 16 nodes); the tail bound is
+    # read from the terms, at no pass.  With separate Lambda and Omega
+    # continuations this read 11 passes on 1,025 points.
     f, g = oldform_pair(11)
     fe_residuals(f, g, VERIFY_GRID)
-    assert sorted(passes) == [(0, 1), (0, 64), (0, 64), (1, 224), (1, 224)]
-    assert len(passes) == 5 and sum(n for _, n in passes) == 577
+    assert sorted(passes) == [(0, 64), (0, 64), (1, 224), (1, 224)]
+    assert len(passes) == 4 and sum(n for _, n in passes) == 576
 
 
 def test_a_continuation_batch_makes_one_pass_per_side(passes):

@@ -27,7 +27,7 @@ from maassforms.characters import (
     unit_group_generators,
 )
 from maassforms import forms
-from maassforms.eisenstein import f_expansion
+from maassforms.eisenstein import f_expansion, harmonic_eisenstein_level_one
 from maassforms.forms import (
     _POINT_BLOCK,
     TWO_PI,
@@ -134,6 +134,18 @@ class TestEvaluate:
         )
         c = growth_constant(full)
         for v in (0.6, 1.0, 2.0):
+            tau = 0.17 + 1j * v
+            diff = abs(evaluate(full, tau) - evaluate(clipped, tau))
+            assert diff <= evaluate_tail_bound(clipped, v, constant=c) + 1e-15
+        # the n_max 600 lift clipped at 300, down to heights where the bound
+        # (4.1e-1 at v = 0.005) is a hundred times the dropped value
+        full = harmonic_eisenstein_level_one(600)
+        clipped = FormExpansion(
+            full.weight, full.level, full.character, full.alpha, 300,
+            full.c_plus[:301], full.c_minus_zero, full.c_minus[:300],
+        )
+        c = growth_constant(full)
+        for v in (0.005, 0.02, 0.1, 0.5):
             tau = 0.17 + 1j * v
             diff = abs(evaluate(full, tau) - evaluate(clipped, tau))
             assert diff <= evaluate_tail_bound(clipped, v, constant=c) + 1e-15
@@ -1020,6 +1032,22 @@ class TestTwist:
                 assert identical([t.c_plus, t.c_minus_zero, t.c_minus], list(want)), psi
                 count += 1
         assert count > 200
+
+    def test_twisted_character_is_the_induced_product(self, rng):
+        # twist builds chi psi^2 at L = lcm(N, m^2, m m_chi) as one character;
+        # it is chi * (psi * psi) induced to L, for every chi mod N <= 12 and
+        # every primitive psi of modulus m <= 13
+        psis = [psi for m in range(1, 14) for psi in enumerate_characters(m) if psi.is_primitive]
+        count = 0
+        for level in range(1, 13):
+            for chi in enumerate_characters(level):
+                f = FormExpansion(-2, level, chi, 0.0, 2, np.ones(3), 0.0, np.ones(2))
+                for psi in psis:
+                    t = twist(f, psi)
+                    assert t.level == math.lcm(level, psi.modulus**2, psi.modulus * chi.conductor)
+                    assert t.character == (chi * (psi * psi)).induce(t.level), (chi, psi)
+                    count += 1
+        assert count == 46 * 38  # characters mod N <= 12, primitive psi mod m <= 13
 
     def test_twist_to_a_large_level_builds_no_residue_table(self):
         # the twisted character mod N m^2 = 55,451 is only identified, not

@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from helpers import make_random_form, oldform_pair, pair_from_evaluators
 from maassforms.characters import character_by_label, trivial_character
 from maassforms.eisenstein import harmonic_eisenstein_level_one
-from maassforms.forms import FormExpansion, evaluate, twist
+from maassforms.forms import FormExpansion, TermSeries, evaluate, to_terms, twist
 from maassforms.lseries import (
     ConductorSet,
     ResidualReport,
@@ -629,6 +629,28 @@ class TestMellinCutoff:
     def test_accepts_a_cutoff_just_above_one(self, small_pair):
         assert np.isfinite(lambda_continued(small_pair, 0.5 + 1j, 1.5))
 
+    @pytest.mark.parametrize("case", ["N1", "N2", "N7", "N11", "psi5", "psi13"])
+    def test_tail_bound_bounds_the_terms_at_the_cutoff(self, case):
+        # tail_bound is at least the dropped integrand at the cut-off: f's
+        # F != 0 terms at i T / sqrt(N) times sqrt(N) / 2 pi, for the golden
+        # pairs and for the twists of the n_max 400 lift (f_psi at level
+        # m^2); the terms are evaluated alone, so the constant terms do not
+        # cancel them down to rounding
+        if case.startswith("N"):
+            f, g = oldform_pair(int(case[1:]))
+            rep, form = fe_residuals(f, g, [0.5 + 0j]), f
+        else:
+            ref = harmonic_eisenstein_level_one(400)
+            psi = character_by_label(int(case[3:]), "quadratic")
+            rep, form = fe_residuals(ref, ref, [0.5 + 0j], psi=psi), twist(ref, psi)
+        ts = to_terms(form)
+        live = ts.F != 0
+        root = math.sqrt(form.level)
+        terms = TermSeries(ts.F[live], ts.vpow[live], ts.coef[live]).eval(1j * rep.quadrature_T / root)
+        want = abs(terms) * root / TWO_PI
+        assert want > 0
+        assert rep.tail_bound >= want * (1 - 1e-12)
+
 
 class TestNonFiniteS:
     # no quadrature grid exists for an infinite |Im s|, and a nan would
@@ -737,14 +759,12 @@ class TestTwists:
         assert len(pair_builds) == 1
 
     def test_twisted_report_records_T_and_tail(self):
-        from maassforms.lseries import _integrand_tail
-
         ref = harmonic_eisenstein_level_one(400)
         psi = character_by_label(5, "quadratic")
         rep = fe_residuals(ref, ref, [0.5 + 0j], psi=psi)
         assert rep.quadrature_T == 20.0  # max(4, sqrt(400)), not 0
-        pair_f = analytic_pair(twist(ref, psi))
-        assert rep.tail_bound == _integrand_tail(pair_f, 20.0)
+        twisted = twist(ref, psi)  # at level 25
+        assert rep.tail_bound == to_terms(twisted).magnitude(20.0 / 5) * 5 / (2 * math.pi)
 
     def test_levels_must_match(self):
         # each side is continued at its own level, so f and g at different
@@ -813,9 +833,9 @@ class TestSelfDual:
         fe_residuals(ref, ref, self.GRID)
         assert len(pair_builds) == 1
         assert [(n, rows) for _, n, rows in continuations] == [(2 * len(self.GRID), 2)]
-        # the pair's zero-mode extraction, one order-1 pass on the nodes of
-        # [1/T, T] (8 panels x 16 nodes), the tail point
-        assert passes == [(0, 64), (1, 128), (0, 1)]
+        # the pair's zero-mode extraction and one order-1 pass on the nodes
+        # of [1/T, T] (8 panels x 16 nodes)
+        assert passes == [(0, 64), (1, 128)]
 
     def test_twisted_lambda_builds_one_pair_and_makes_one_batch(
         self, pair_builds, continuations, passes

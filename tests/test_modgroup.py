@@ -28,7 +28,6 @@ from maassforms.modgroup import (
     slash,
     translation,
 )
-from maassforms.modgroup import _ext_gcd as euclid_lift
 
 
 def random_gamma0(rng, level, bound=40):
@@ -380,7 +379,7 @@ def matrix_coset_reps(level, rho, bound):
         for d in d_range:
             if math.gcd(c, d) != 1:
                 continue
-            _, x, y = euclid_lift(d, -c)
+            _, x, y = _ext_gcd(d, -c)
             h0 = IntegerMatrix(x, y, c, d)
             for j in range(rho.width):
                 g = rho.scaling @ translation(j) @ h0

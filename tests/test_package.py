@@ -1,8 +1,11 @@
-"""Package surface: every exported name exists, and exact rationals stay
-out of the numeric modules."""
+"""Package surface: every exported name exists, exact rationals stay out
+of the numeric modules, and the import needs numpy alone."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,18 @@ def test_only_characters_imports_fractions():
             if "fractions" in names:
                 importers.append(path.stem)
     assert importers == ["characters"]
+
+
+def test_the_import_loads_numpy_alone():
+    # the package runs on numpy alone: a fresh interpreter that imports it
+    # loads no other module outside the standard library (the modules the
+    # interpreter loads at startup are set aside)
+    script = (
+        "import sys; before = set(sys.modules); import maassforms; "
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    src = str(Path(maassforms.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    outside = set(out.stdout.split()) - set(sys.stdlib_module_names)
+    assert outside == {"maassforms", "numpy"}

@@ -194,8 +194,9 @@ def invert_on_line(fn, x: float, abscissa: float, height: float, full_output: bo
     info carries that refinement_error and a tail_scale, |fn| at the top node
     times x^{-abscissa}.
     """
-    if x <= 0:
-        raise ValueError(f"x must be > 0, got {x}")
+    for name, value, positive in (("x", x, 1), ("abscissa", abscissa, 0), ("height", height, 1)):
+        if not math.isfinite(value) or (positive and value <= 0):
+            raise ValueError(f"{name} must be {'> 0 and ' if positive else ''}finite, got {value}")
     npanels = max(2, int(math.ceil(2.0 * height * max(1.0, abs(math.log(x))))))
     ys, ws = gauss_legendre_panels(-height, height, npanels, 12)
     ys2, ws2 = gauss_legendre_panels(-height, height, npanels, 6)

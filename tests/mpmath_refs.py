@@ -15,7 +15,11 @@ psi(-n): zeta becomes L(s, psi) = q^{-s} sum_a psi(a) zeta(s, a/q), the
 level q^2 turns (2 pi)^{-s} into (q / 2 pi)^s, and W_3/2 becomes
 psi(-1) W_3/2.  The oldform pair (f, g) of level N read from the lift
 (tests/helpers.oldform_pair) has Lambda_N(f, s) = N^{s/2} Lambda_1(s) and
-Lambda_N(g, s) = N^{(k-s)/2} Lambda_1(s), and likewise for Omega.
+Lambda_N(g, s) = N^{(k-s)/2} Lambda_1(s), and likewise for Omega.  On the
+imaginary axis the lift truncated at n_max reads, past its constant terms,
+
+    f(i t) - c+(0) - c-(0) t^3
+        = A sum_{n <= n_max} sigma_3(n) / n^3 [e^{-2 pi n t} + Gamma(3, 4 pi n t) e^{2 pi n t} / 2].
 """
 
 from functools import lru_cache
@@ -64,3 +68,16 @@ def oldform_lambda_omega(level: int, side: str, s: complex) -> tuple[complex, co
     pair: the lift's values times N^{s/2} or N^{(k-s)/2}."""
     scale = complex(mpmath.power(level, (s if side == "f" else WEIGHT - s) / 2))
     return tuple(scale * v for v in lift_lambda_omega(complex(s)))
+
+
+def lift_axis_value(t: float, n_max: int) -> float:
+    """f(i t) - c+(0) - c-(0) t^3 of the lift truncated at n_max."""
+    with mpmath.workdps(DPS):
+        t = mpmath.mpf(t)
+        total = mpmath.fsum(
+            sum(d ** 3 for d in range(1, n + 1) if n % d == 0) / mpmath.mpf(n) ** 3
+            * (mpmath.exp(-2 * mpmath.pi * n * t)
+               + mpmath.gammainc(3, 4 * mpmath.pi * n * t) * mpmath.exp(2 * mpmath.pi * n * t) / 2)
+            for n in range(1, n_max + 1)
+        )
+        return float(-15 / (2 * mpmath.pi ** 3) * total)

@@ -8,7 +8,6 @@ are taken with the call counters of conftest.py.
 """
 
 import importlib.util
-import math
 from pathlib import Path
 
 import numpy as np
@@ -132,9 +131,8 @@ def test_a_continuation_batch_makes_one_pass_per_side(passes):
     # all its panel groups (2 n panels of 16 nodes for a group of count n),
     # however many groups it spans; an empty batch evaluates nothing
     pair = lseries.analytic_pair(harmonic_eisenstein_level_one(40))
-    pts = 2.0 + 1j * np.linspace(-40.0, 40.0, 161)
-    upper = math.log(pair.T_default)
-    groups = {max(2, math.ceil(upper / min(0.5, 4.0 / (1.0 + abs(s.imag))))) for s in pts}
+    pts = 2.0 + 1j * np.linspace(-100.0, 100.0, 161)
+    groups = set(lseries._mellin_panels(pts, pair.T_default).tolist())
     assert len(groups) >= 10
     passes.clear()
     lseries.lambda_continued(pair, pts)

@@ -25,6 +25,7 @@ from maassforms.lseries import (
     ResidualReport,
     UncertifiedRegionWarning,
     _continued,
+    _mellin_panels,
     _mellin_piece,
     _star,
     analytic_pair,
@@ -235,8 +236,7 @@ def per_node_kernel(eval_fn, consts, level, k, exps, T):
     """_mellin_piece with a complex exponential per (exponent, node) pair, on
     the same panel groups and nodes: (rows x exponents values, the sums of
     |w diff kernel| that scale their rounding)."""
-    upper = math.log(T)
-    counts = np.maximum(2, np.ceil(upper / np.fmin(0.5, 4.0 / (1.0 + np.abs(exps.imag)))))
+    upper, counts = math.log(T), _mellin_panels(exps, T)
     vals = np.empty((len(consts), exps.size), dtype=complex)
     scale = np.empty(vals.shape)
     nfac, ik = level ** ((1 - k) / 2.0), 1j ** (k % 4)
@@ -265,19 +265,18 @@ class TestMellinKernel:
     The kernel is exact at nodes a_p + delta_j that differ from the stored
     x[p, j] by about an ulp of log T, which moves e^{z x} by about |z| ulp
     relative.  The integrand is largest near t = 1/T, where the form is read
-    closest to the real axis: at |Im z| = 60 and T = 40 the kernel's error
+    closest to the real axis: at |Im z| = 200 and T = 40 the kernel's error
     there is of the order of the per-node rule's own rounding of z x.  The
     whole integral is held to 4 |z| ulp(log T) of the sum of |terms|; the
-    worst case here reads 0.77 |z| ulp(log T)."""
+    worst case here reads 0.38 |z| ulp(log T), over 22 panel groups a case."""
 
     @pytest.mark.parametrize("form, T", list(kernel_cases()))
     def test_anchor_times_offset_matches_the_per_node_exponential(self, form, T):
         pair = analytic_pair(form)
         T = pair.T_default if T is None else T
         rng = np.random.default_rng(form.level)
-        pts = rng.uniform(-4.0, 3.0, 48) + 1j * np.linspace(-60.0, 60.0, 48)
-        counts = np.ceil(math.log(T) / np.fmin(0.5, 4.0 / (1.0 + np.abs(pts.imag))))
-        assert np.unique(np.maximum(2, counts)).size >= 10
+        pts = rng.uniform(-4.0, 3.0, 48) + 1j * np.linspace(-200.0, 200.0, 48)
+        assert np.unique(_mellin_panels(pts, T)).size >= 10
         ev = partial(pair.integrands, rows=2)
         tol = np.maximum(1e-14, 4 * np.abs(pts) * np.spacing(math.log(T)))
         got = _mellin_piece(ev, pair.row_constants, pair.level, form.weight, pts, T)
@@ -421,14 +420,16 @@ class TestBatch:
             fn(small_pair, np.array([0.5 + 1j, -1.0 + 30j, 1.0 + 0j, 2.0 + 0j]))
 
     def test_sums_span_panel_groups_and_row_blocks(self, small_pair):
-        # 300 points that share one panel count (15 panels of 16 nodes at
-        # T = 4 and |Im s| in [40, 40.1]) fill three row blocks of the Mellin
-        # sums (2^15 // 240 = 136 rows each); three more points open groups
-        # of their own.  Every value is the one its s gets alone.
-        panels = math.ceil(math.log(4.0) / (4.0 / 41.1))
-        assert panels == math.ceil(math.log(4.0) / (4.0 / 41.0)) == 15
-        assert 300 > 2 * ((1 << 15) // (16 * panels))
-        pts = np.concatenate([0.5 + 1j * np.linspace(40.0, 40.1, 300), [-1.0 + 1j, 2.0 - 7j, 0.3]])
+        # 300 points that share one panel count (2 x 10 panels of 16 nodes
+        # at T = 4 and |Im s| in [80, 80.1]) fill three row blocks of the
+        # Mellin sums (2^15 // 320 = 102 rows each); three more points open
+        # two groups of their own.  Every value is the one its s gets alone.
+        line = 0.5 + 1j * np.linspace(80.0, 80.1, 300)
+        assert _mellin_panels(line, 4.0).tolist() == [10] * 300
+        rows = (1 << 15) // (32 * 10)
+        assert 2 * rows < 300 <= 3 * rows
+        pts = np.concatenate([line, [-1.0 + 1j, 2.0 - 40j, 0.3]])
+        assert np.unique(_mellin_panels(pts, 4.0)).size == 3
         for fn in (lambda_continued, omega_continued):
             batch = fn(small_pair, pts)
             for z, value in zip(pts, batch):
@@ -972,6 +973,19 @@ class TestReconstruction:
         for t in (0.0, -0.5):
             with pytest.raises(ValueError, match="must be > 0"):
                 reconstruct_from_lambda(lambda s: 0j, 1, -2, t, 2.0, 40.0)
+
+    @pytest.mark.parametrize("name, t, beta1, height", [
+        ("height", 1.0, 2.0, -40.0),
+        ("height", 1.0, 2.0, 0.0),
+        ("height", 1.0, 2.0, math.inf),
+        ("x", math.nan, 2.0, 40.0),
+        ("abscissa", 1.0, math.nan, 40.0),
+    ])
+    def test_invalid_line_rejected(self, name, t, beta1, height):
+        # named as specfun.invert_on_line names them: x = t, abscissa = beta1
+        lam = lambda s: (1.0 / TWO_PI) ** s * gamma_complex(s)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            reconstruct_from_lambda(lam, 1, -2, t, beta1, height)
 
 
 class TestVerificationSets:

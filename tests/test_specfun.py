@@ -263,6 +263,22 @@ class TestMellinInversion:
             with pytest.raises(ValueError, match="x must be > 0"):
                 invert_w(1, x)
 
+    @pytest.mark.parametrize("name, x, abscissa, height", [
+        ("height", 1.0, 2.0, -1.0),
+        ("height", 1.0, 2.0, 0.0),
+        ("height", 1.0, 2.0, math.nan),
+        ("height", 1.0, 2.0, math.inf),
+        ("x", math.nan, 2.0, 1.0),
+        ("x", math.inf, 2.0, 1.0),
+        ("abscissa", 1.0, math.nan, 1.0),
+        ("abscissa", 1.0, -math.inf, 1.0),
+    ])
+    def test_invalid_line_rejected(self, name, x, abscissa, height):
+        # a negative height flips the sign of the integral and a zero height
+        # gives 0, so neither may pass silently; nor may a NaN
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            invert_on_line(lambda s: w_nu(3, s), x, abscissa, height)
+
     def test_one_call_on_both_rules(self):
         calls = []
 

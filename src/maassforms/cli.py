@@ -18,7 +18,8 @@ File formats
     residual CSV   re_s, im_s, lambda_residual, omega_residual, tail_bound
                    (tail_bound is an upper bound on the dropped [T, inf)
                    Mellin integrand of f's pair, the twisted pair when --psi
-                   is given, read from its terms: f's F != 0 terms at T)
+                   is given, read from its terms: f's F != 0 terms at T,
+                   the smaller of the sides' max(4, sqrt(last nonzero |n|)))
 
 Grid SPEC for verify-fe: "re0:re1:steps,im0:im1:steps" (inclusive rectangular
 grid); points at the four poles of the completed series are excluded with a
@@ -203,16 +204,7 @@ def cmd_verify_fe(args) -> int:
                 f"--psi conductor {psi.modulus} is not coprime to the level {form_f.level}",
                 EXIT_USAGE,
             )
-    report = lseries.fe_residuals(form_f, form_g, grid, T=args.T, psi=psi)
-    # the default T trusts n_max, so a zero-padded form overshoots it
-    for side, form in (("f", form_f), ("g", form_g)):
-        last = max(np.flatnonzero((form.c_plus[1:] != 0) | (form.c_minus != 0)) + 1, default=0)
-        if args.T is None and last < form.n_max / 2:
-            print(
-                f"notice: the last nonzero coefficient of {side} is at n = {last}, below n_max/2 "
-                f"(n_max = {form.n_max}); the default T = max(4, sqrt({form_f.n_max})) = "
-                f"{report.quadrature_T:.4g} assumes the full length"
-            )
+    report = lseries.fe_residuals(form_f, form_g, grid, psi=psi)
     if report.excluded:
         print(f"notice: excluded pole points {[_fmt(s) for s in report.excluded]}")
     if not report.grid:
@@ -458,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--psi", default=None, help="MODULUS:LABEL twisting character")
     vf.add_argument("--grid", default="-1:1:5,0:2:3")
     vf.add_argument("--tol", type=float, default=1e-4)
-    vf.add_argument("--T", type=float, default=None)
     vf.add_argument("--out", default=None)
     vf.set_defaults(func=cmd_verify_fe)
 

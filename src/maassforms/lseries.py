@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -143,8 +143,8 @@ class FrickePair:
     F(i / (t sqrt N)), g = f|_k omega(N) and -H_g = H|_k omega(N) (the last
     only there), so below t = 1 the pair's own rows stand for the partner's
     (see _mellin_piece).  The four constants are (c_f+(0), c_f-(0), c_g+(0),
-    c_g-(0)), T_default is the Mellin cut-off used when a continuation is
-    given no T, and terms, set by analytic_pair alone, is the form's TermSeries.
+    c_g-(0)), T is every continuation's Mellin cut-off (see analytic_pair),
+    and terms, set by analytic_pair alone, is the form's TermSeries.
 
     The continuations (lambda_star, omega_star, lambda_continued,
     omega_continued) take one s or an array of s.  An array is grouped by
@@ -160,7 +160,7 @@ class FrickePair:
     c_f_minus0: complex
     c_g_plus0: complex
     c_g_minus0: complex
-    T_default: float
+    T: float
     terms: TermSeries | None = None
 
     @property
@@ -197,8 +197,8 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
     except the form itself, so comparing two such continuations across
     s <-> k - s genuinely tests whether the two forms are Fricke partners.
     The price is evaluation of the form down to Im tau = 1/(sqrt(N) T); the
-    pair's T_default = max(4, sqrt(n_max)) balances that truncation loss
-    against the dropped [T, inf) integrand.
+    cut-off T = max(4, sqrt(n)), n the largest |n| of a nonzero term, not
+    n_max, balances that loss against the dropped [T, inf) integrand.
 
     The evaluator makes one pass of the form's TermSeries sums per call: the
     value-only pass for the row f alone, and for (f, H) the pass that forms f
@@ -228,7 +228,7 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
         c_f_minus0=form.c_minus_zero,
         c_g_plus0=cgp0,
         c_g_minus0=cgm0,
-        T_default=max(4.0, math.sqrt(form.n_max)),
+        T=max(4.0, math.sqrt(int(np.abs(ts.F).max(initial=0)))),
         terms=ts,
     )
 
@@ -300,7 +300,7 @@ def _mellin_piece(eval_fn: Callable, consts: Sequence[tuple], level: int, k: int
     return out
 
 
-def _star(pair: FrickePair, s, T: float | None, rows: int) -> list:
+def _star(pair: FrickePair, s, rows: int) -> list:
     """The entire pole-corrected completions of the first rows integrands
     (Lambda, then Omega; Lambda alone takes the value-only evaluator pass):
     one incomplete Mellin integral of the pair's own rows over [1/T, T] of
@@ -310,14 +310,13 @@ def _star(pair: FrickePair, s, T: float | None, rows: int) -> list:
     s is a complex number or an array of them; each row is shaped like s,
     each value equal to its lone-point value (see _mellin_piece for how the
     batch shares integrand evaluations)."""
-    T = pair.T_default if T is None else T
-    if not 1.0 < T < math.inf:
-        raise ValueError(f"the Mellin cut-off T must be a finite number > 1, got T = {T}")
+    if not 1.0 < pair.T < math.inf:
+        raise ValueError(f"the Mellin cut-off T must be a finite number > 1, got T = {pair.T}")
     pts, restore = _batch(s)
     if not np.isfinite(pts).all():
         raise ValueError(f"s must be a finite complex number, got s = {pts[~np.isfinite(pts)][0]}")
     ev = partial(pair.integrands, rows=rows)
-    rows_out = _mellin_piece(ev, pair.row_constants[:rows], pair.level, pair.weight, pts, T)
+    rows_out = _mellin_piece(ev, pair.row_constants[:rows], pair.level, pair.weight, pts, pair.T)
     return [_unbatch(row, restore) for row in rows_out]
 
 
@@ -327,7 +326,7 @@ def _near_poles(z: np.ndarray, k: int, tol: float) -> np.ndarray:
     return (np.abs(z[:, None] - np.array([0.0, k, 1.0, k - 1.0])) < tol).any(axis=1)
 
 
-def _continued(pair: FrickePair, s, T: float | None, rows: int) -> list:
+def _continued(pair: FrickePair, s, rows: int) -> list:
     """_star minus the four simple pole terms of each row's constants, one
     array expression over the batch per row; ValueError if a point of the
     batch lies within 1e-12 of a pole (see _near_poles)."""
@@ -341,30 +340,30 @@ def _continued(pair: FrickePair, s, T: float | None, rows: int) -> list:
     return [
         _unbatch(row - (cf0 / z + cg0 * ik / (k - z) + cfv / nfac / (z - k + 1)
                         + cgv * ik / nfac / (1 - z)), restore)
-        for row, (cf0, cfv, cg0, cgv) in zip(_star(pair, z, T, rows), pair.row_constants)
+        for row, (cf0, cfv, cg0, cgv) in zip(_star(pair, z, rows), pair.row_constants)
     ]
 
 
-def lambda_star(pair: FrickePair, s, T: float | None = None):
+def lambda_star(pair: FrickePair, s):
     """The entire completion of Lambda (see _star); vectorised over s."""
-    return _star(pair, s, T, 1)[0]
+    return _star(pair, s, 1)[0]
 
 
-def omega_star(pair: FrickePair, s, T: float | None = None):
+def omega_star(pair: FrickePair, s):
     """The entire completion of Omega (see _star); vectorised over s."""
-    return _star(pair, s, T, 2)[1]
+    return _star(pair, s, 2)[1]
 
 
-def lambda_continued(pair: FrickePair, s, T: float | None = None):
+def lambda_continued(pair: FrickePair, s):
     """Lambda_N(f, s) for arbitrary s away from the four simple poles;
     agrees with lambda_definitional on the certified half-plane.
     Vectorised over s like lambda_star."""
-    return _continued(pair, s, T, 1)[0]
+    return _continued(pair, s, 1)[0]
 
 
-def omega_continued(pair: FrickePair, s, T: float | None = None):
+def omega_continued(pair: FrickePair, s):
     """Omega_N(f, s) for arbitrary s away from the poles; vectorised over s."""
-    return _continued(pair, s, T, 2)[1]
+    return _continued(pair, s, 2)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +425,6 @@ def fe_residuals(
     form_f: FormExpansion,
     form_g: FormExpansion,
     grid: Sequence[complex],
-    T: float | None = None,
     psi: DirichletCharacter | None = None,
 ) -> ResidualReport:
     """|Lambda(f,s) - i^k Lambda(g,k-s)| and |Omega(f,s) + i^k Omega(g,k-s)|
@@ -456,32 +454,30 @@ def fe_residuals(
     Omega companion are checked instead: the sides are the pairs of f_psi and
     g_psibar at level N m^2, built once for the whole grid, and i^k becomes
     i^k C_psi (see _sides, which twisted_lambda/twisted_omega share, so the
-    residuals equal theirs point by point whenever f and g have the same
-    n_max).
+    residuals equal theirs point by point).
 
-    T defaults to f's pair default, max(4, sqrt(n_max)), and is used for both
-    sides.  tail_bound is the TermSeries.magnitude of f's pair (the twisted
-    pair under psi) at v = T / sqrt(N), a bound on its F != 0 terms at the
-    cut-off, times the e-folding scale sqrt(N) / 2 pi; nothing is evaluated.  Each
-    pair is continued once, Lambda and Omega together from one evaluator
-    pass per node set, in one batch over all kept points (and their
-    reflections k - s when the sides share a pair), with values equal to the
-    point-by-point ones.
+    Both sides use the smaller of the pairs' cut-offs T (see analytic_pair),
+    which no caller sets.  tail_bound is the TermSeries.magnitude of f's pair
+    (the twisted pair under psi) at v = T / sqrt(N), a bound on its F != 0
+    terms at the cut-off, times the e-folding scale sqrt(N) / 2 pi; nothing
+    is evaluated.  Each pair is continued once, Lambda and Omega together
+    from one evaluator pass per node set, in one batch over all kept points
+    (and their reflections k - s when the sides share a pair), with values
+    equal to the point-by-point ones.
     """
     pair_f, pair_g, ik = _sides(form_f, form_g, psi)
-    T = pair_f.T_default if T is None else T
     pts = np.fromiter(map(complex, grid), dtype=complex)
     near = _near_poles(pts, form_f.weight, 1e-9)
     kept, excluded = pts[~near], pts[near].tolist()
     root = math.sqrt(pair_f.level)
-    (lam_f, om_f), (lam_g, om_g) = _reflected(partial(_continued, rows=2), pair_f, pair_g, kept, T)
+    (lam_f, om_f), (lam_g, om_g) = _reflected(partial(_continued, rows=2), pair_f, pair_g, kept)
     return ResidualReport(
         grid=kept.tolist(),
         lambda_residuals=_residuals(lam_f, lam_g, -ik),
         omega_residuals=_residuals(om_f, om_g, ik),
         excluded=excluded,
-        quadrature_T=T,
-        tail_bound=pair_f.terms.magnitude(T / root) * root / (2.0 * math.pi),
+        quadrature_T=pair_f.T,
+        tail_bound=pair_f.terms.magnitude(pair_f.T / root) * root / (2.0 * math.pi),
     )
 
 
@@ -497,8 +493,8 @@ def _sides(
 ) -> tuple[FrickePair, FrickePair, complex]:
     """The self-anchored pairs of the two sides of a functional equation and
     its constant: those of f and g with i^k, or with psi those of f_psi and
-    g_psibar with i^k C_psi.  When the two sides hold the same data (see
-    _same_data, read after twisting) both are one pair, built once.
+    g_psibar with i^k C_psi.  Sides that hold the same data (see _same_data,
+    read after twisting) are one pair, built once; others share the smaller T.
 
     By the twisting proposition f_psi|_k omega(N m^2) = C_psi g_psibar, so
     the twisted completed series live at level N m^2 = lcm(N, m^2, m m_chi),
@@ -513,7 +509,11 @@ def _sides(
         ik *= c_psi(form_f.character, psi, form_f.level)
         form_f, form_g = twist(form_f, psi), twist(form_g, psi.conjugate())
     pair_f = analytic_pair(form_f)
-    return pair_f, (pair_f if _same_data(form_f, form_g) else analytic_pair(form_g)), ik
+    if _same_data(form_f, form_g):
+        return pair_f, pair_f, ik
+    pair_g = analytic_pair(form_g)
+    T = min(pair_f.T, pair_g.T)
+    return replace(pair_f, T=T), replace(pair_g, T=T), ik
 
 
 def _same_data(a: FormExpansion, b: FormExpansion) -> bool:
@@ -525,8 +525,8 @@ def _same_data(a: FormExpansion, b: FormExpansion) -> bool:
     )
 
 
-def _reflected(continued: Callable, pair_f: FrickePair, pair_g: FrickePair, s: np.ndarray, T):
-    """continued(pair_f, s, T) and continued(pair_g, k - s, T) for a 1-d
+def _reflected(continued: Callable, pair_f: FrickePair, pair_g: FrickePair, s: np.ndarray):
+    """continued(pair_f, s) and continued(pair_g, k - s) for a 1-d
     array s.  When both sides are one pair (see _sides), one call on the
     batch (s, k - s), split along its last axis: every value equals its
     lone-point value, so the halves are the two calls' results.  s comes
@@ -534,8 +534,8 @@ def _reflected(continued: Callable, pair_f: FrickePair, pair_g: FrickePair, s: n
     name it (the poles are symmetric under s -> k - s)."""
     k = pair_f.weight
     if pair_g is not pair_f:
-        return continued(pair_f, s, T), continued(pair_g, k - s, T)
-    both = np.asarray(continued(pair_f, np.concatenate([s, k - s]), T))
+        return continued(pair_f, s), continued(pair_g, k - s)
+    both = np.asarray(continued(pair_f, np.concatenate([s, k - s])))
     return both[..., :s.size], both[..., s.size:]
 
 
@@ -543,7 +543,7 @@ def _reflected(continued: Callable, pair_f: FrickePair, pair_g: FrickePair, s: n
 # twists
 
 
-def _twisted(form_f, form_g, chi, psi, level, k, s, T, continued: Callable, sign: int):
+def _twisted(form_f, form_g, chi, psi, level, k, s, continued: Callable, sign: int):
     """continued at s and at k - s of the twisted pairs, and the residual
     |v_f + sign i^k C_psi v_g| (see _residuals), each shaped like s; k, level
     and chi must be the forms' own weight, level and f's character."""
@@ -555,7 +555,7 @@ def _twisted(form_f, form_g, chi, psi, level, k, s, T, continued: Callable, sign
         raise ValueError(f"chi must be the character of f: {chi!r} is not {form_f.character!r}")
     pair_f, pair_g, ik = _sides(form_f, form_g, psi)
     flat, restore = _batch(s)
-    v_f, v_g = _reflected(continued, pair_f, pair_g, flat, T)
+    v_f, v_g = _reflected(continued, pair_f, pair_g, flat)
     return (_unbatch(v_f, restore), _unbatch(v_g, restore),
             _unbatch(_residuals(v_f, v_g, sign * ik), restore, float))
 
@@ -568,19 +568,18 @@ def twisted_lambda(
     level: int,
     k: int,
     s: complex,
-    T: float | None = None,
 ) -> tuple[complex, complex, float]:
     """(Lambda_N(f,s,psi), Lambda_N(g,k-s,psibar), residual of the twisted
     functional equation Lambda_N(f,s,psi) = i^k C_psi Lambda_N(g,k-s,psibar)).
 
     Both sides are self-anchored continuations of the twisted expansions at
     level N m^2, so the residual genuinely tests the twisted pair relation
-    including the constant C_psi.  When the two twisted expansions hold the
-    same data (f = g and a real psi) they are one pair, continued once at s
-    and k - s together (see _sides and _reflected); s may be one complex
-    number or an array, and the three results are shaped like it.
+    including the constant C_psi, at fe_residuals' cut-off.  When the two
+    twisted expansions hold the same data (f = g and a real psi) they are one
+    pair, continued once at s and k - s together (see _sides and _reflected);
+    s may be one complex number or an array, and the results are shaped like it.
     """
-    return _twisted(form_f, form_g, chi, psi, level, k, s, T, lambda_continued, -1)
+    return _twisted(form_f, form_g, chi, psi, level, k, s, lambda_continued, -1)
 
 
 def twisted_omega(
@@ -591,12 +590,11 @@ def twisted_omega(
     level: int,
     k: int,
     s: complex,
-    T: float | None = None,
 ) -> tuple[complex, complex, float]:
     """Twisted Omega values and the residual of
     Omega_N(f,s,psi) = -i^k C_psi Omega_N(g,k-s,psibar), from the pairs
     and batches of twisted_lambda."""
-    return _twisted(form_f, form_g, chi, psi, level, k, s, T, omega_continued, 1)
+    return _twisted(form_f, form_g, chi, psi, level, k, s, omega_continued, 1)
 
 
 # ---------------------------------------------------------------------------

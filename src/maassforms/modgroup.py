@@ -166,9 +166,10 @@ def _scaling_matrix(a: int, c: int) -> IntegerMatrix:
     if c == 0:
         return identity_matrix()
     assert math.gcd(a, c) == 1
-    x, y = (int(w[0]) for w in _euclid_lift(np.array([a]), np.array([-c])))
-    # a*x + c*y = 1 -> [[a, -y], [c, x]] has det a x + c y = 1
-    return IntegerMatrix(a, -y, c, x)
+    # x = a^{-1} mod c in (-c/2, c/2] and y = (1 - a x) / c: det a x + c y = 1
+    x = pow(a, -1, c)
+    x -= c * (2 * x > c)
+    return IntegerMatrix(a, -((1 - a * x) // c), c, x)
 
 
 def cusp_width(level: int, rho: Cusp) -> int:

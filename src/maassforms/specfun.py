@@ -176,6 +176,9 @@ def gauss_legendre_panels(lo: float, hi: float, npanels: int, nodes: int):
     return x, w
 
 
+_MAX_LINE_PANELS = 1 << 14  # 294,912 nodes; the tests' longest line takes 11,053
+
+
 def invert_on_line(fn, x: float, abscissa: float, height: float, full_output: bool = False):
     """(1/2 pi i) int_{abscissa - i height}^{abscissa + i height} x^{-s} fn(s) ds.
 
@@ -189,15 +192,19 @@ def invert_on_line(fn, x: float, abscissa: float, height: float, full_output: bo
     ~1e-6 absolute for x in [0.3, 3]; lseries.reconstruct_from_lambda runs
     on it with fn = Lambda.
 
-    Raises QuadratureError when the refinement moves the value by more than
-    1e-4 |value| + 1e-15.  With full_output=True returns (value, info), where
-    info carries that refinement_error and a tail_scale, |fn| at the top node
-    times x^{-abscissa}.
+    Raises ValueError, before fn is called, for a line that needs more than
+    _MAX_LINE_PANELS panels, and QuadratureError when the refinement moves
+    the value by more than 1e-4 |value| + 1e-15.  With full_output=True
+    returns (value, info), where info carries that refinement_error and a
+    tail_scale, |fn| at the top node times x^{-abscissa}.
     """
     for name, value, positive in (("x", x, 1), ("abscissa", abscissa, 0), ("height", height, 1)):
         if not math.isfinite(value) or (positive and value <= 0):
             raise ValueError(f"{name} must be {'> 0 and ' if positive else ''}finite, got {value}")
-    npanels = max(2, int(math.ceil(2.0 * height * max(1.0, abs(math.log(x))))))
+    need = 2.0 * height * max(1.0, abs(math.log(x)))
+    if need > _MAX_LINE_PANELS:
+        raise ValueError(f"height {height} at x = {x} needs {need:.4g} > {_MAX_LINE_PANELS} panels")
+    npanels = max(2, math.ceil(need))
     ys, ws = gauss_legendre_panels(-height, height, npanels, 12)
     ys2, ws2 = gauss_legendre_panels(-height, height, npanels, 6)
     s, s2 = abscissa + 1j * ys, abscissa + 1j * ys2

@@ -38,9 +38,9 @@ def continuations(monkeypatch):
     """(pair, points, rows) of every lseries._continued call."""
     seen, body = [], lseries._continued
 
-    def counting(pair, s, T, rows):
+    def counting(pair, s, rows):
         seen.append((pair, int(np.size(s)), rows))
-        return body(pair, s, T, rows)
+        return body(pair, s, rows)
 
     monkeypatch.setattr(lseries, "_continued", counting)
     return seen

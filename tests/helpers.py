@@ -50,6 +50,16 @@ def oldform_pair(level, base=40):
     return f, FormExpansion(k, level, chi, lift.alpha, n_max, cp, g0, cm)
 
 
+def padded_pair():
+    """(f, g): a length-40 level-1 lift padded with zeros to n_max 280 at
+    level 7, and its partner 7^{-1} F(7 tau), whose last term is at n = 280."""
+    _, g = oldform_pair(7)
+    lift = harmonic_eisenstein_level_one(40)
+    cp, cm = np.zeros(281, dtype=complex), np.zeros(280, dtype=complex)
+    cp[:41], cm[:40] = lift.c_plus, lift.c_minus
+    return FormExpansion(-2, 7, g.character, lift.alpha, 280, cp, lift.c_minus_zero, cm), g
+
+
 def pair_from_evaluators(level, k, f_eval, h_eval, constants, T):
     """A FrickePair whose integrand rows are f_eval and h_eval (each called on
     a 1-d array of points, h_eval only when the Omega row is read), with

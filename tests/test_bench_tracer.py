@@ -132,7 +132,7 @@ def test_a_continuation_batch_makes_one_pass_per_side(passes):
     # however many groups it spans; an empty batch evaluates nothing
     pair = lseries.analytic_pair(harmonic_eisenstein_level_one(40))
     pts = 2.0 + 1j * np.linspace(-100.0, 100.0, 161)
-    groups = set(lseries._mellin_panels(pts, pair.T_default).tolist())
+    groups = set(lseries._mellin_panels(pts, pair.T).tolist())
     assert len(groups) >= 10
     passes.clear()
     lseries.lambda_continued(pair, pts)

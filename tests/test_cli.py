@@ -6,12 +6,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import oldform_pair
+from helpers import oldform_pair, padded_pair
 from maassforms.characters import enumerate_characters
 from maassforms.cli import main
 from maassforms.eisenstein import harmonic_eisenstein_level_one
@@ -158,12 +159,10 @@ class TestVerifyFe:
         )
         assert code == 5
 
-    @pytest.mark.parametrize("cutoff, want", [("1", 3), ("0.5", 3), ("0", 3), (None, 5)])
-    def test_mellin_cutoff_must_exceed_one(self, tmp_path, capsys, cutoff, want):
+    def test_mellin_cutoff_must_exceed_one(self, tmp_path, capsys):
         # g = f with c+(3) x 1.5 is no partner of f.  With T = 1 the Mellin
         # integral over [1/T, T] vanishes and the pair would PASS (residual
-        # 2e-5); below 1 it runs backwards.  Each such T exits 3 naming T,
-        # and the default T FAILs the pair (residual 2.2)
+        # 2e-5); the pairs' own cut-off FAILs it (residual 2.2)
         f = harmonic_eisenstein_level_one(40)
         cp = f.c_plus.copy()
         cp[3] *= 1.5
@@ -173,49 +172,53 @@ class TestVerifyFe:
         save_form(g, tmp_path / "g.json")
         code = run(
             "verify-fe", "--f", str(tmp_path / "f.json"), "--g", str(tmp_path / "g.json"),
-            "--grid=-1:1:5,0.5:2:3", "--tol", "1e-4", *(["--T", cutoff] if cutoff else []),
+            "--grid=-1:1:5,0.5:2:3", "--tol", "1e-4",
         )
-        assert code == want
-        captured = capsys.readouterr()
-        assert "PASS" not in captured.out
-        if want == 3:
-            assert "cut-off T must be a finite number > 1" in captured.err
+        assert code == 5
+        assert "PASS" not in capsys.readouterr().out
 
     GRID = "--grid=-1.5:1.5:4,0.5:2:2"  # no pole of the completed series
 
-    def run_pair(self, tmp_path, f, g, *flags):
+    def run_pair(self, tmp_path, f, g, *flags, grid=GRID):
+        # grid=None runs verify-fe's default grid
         save_form(f, tmp_path / "f.json")
         save_form(g, tmp_path / "g.json")
         return run("verify-fe", "--f", str(tmp_path / "f.json"), "--g", str(tmp_path / "g.json"),
-                   self.GRID, *flags)
+                   *([grid] if grid else []), *flags)
+
+    def test_a_cutoff_flag_is_a_usage_error(self, tmp_path):
+        # the cut-off comes from the data; --T is no flag, so it exits 2
+        with pytest.raises(SystemExit) as exc:
+            self.run_pair(tmp_path, *oldform_pair(7), "--T", "2")
+        assert exc.value.code == 2
 
     @staticmethod
-    def padded_pair():
-        """A length-40 level-1 lift padded to n_max 280 at level 7, and its
-        partner 7^{-1} F(7 tau)."""
-        _, g = oldform_pair(7)
-        lift = harmonic_eisenstein_level_one(40)
-        cp, cm = np.zeros(281, dtype=complex), np.zeros(280, dtype=complex)
-        cp[:41], cm[:40] = lift.c_plus, lift.c_minus
-        return FormExpansion(-2, 7, g.character, lift.alpha, 280, cp, lift.c_minus_zero, cm), g
+    def max_residual(out: str) -> float:
+        return float(re.search(r"max residual: (\S+)", out).group(1))
 
-    def test_zero_padded_form_gets_a_notice(self, tmp_path, capsys):
-        # the default T = max(4, sqrt(n_max)) trusts the padding, and the
-        # run fails
-        assert self.run_pair(tmp_path, *self.padded_pair()) == 5
-        out = capsys.readouterr().out
-        assert (
-            "notice: the last nonzero coefficient of f is at n = 40, below n_max/2 "
-            "(n_max = 280); the default T = max(4, sqrt(280)) = 16.73 assumes the full length"
-        ) in out
-        assert out.count("notice:") == 1
-        assert out.index("notice:") < out.index("max residual")
+    def test_zero_padded_pair_is_cut_off_at_its_last_coefficient(self, tmp_path, capsys):
+        # the lift ends at n = 40, so both sides take T = sqrt(40), not
+        # sqrt(280): on GRID the residual reads 2.9e-3 (78 at sqrt(280)),
+        # 1.2e-3 on the default grid (20.5); the length-40 data still fails 1e-4
+        f, g = padded_pair()
+        for a, b in ((f, g), (g, f)):
+            assert self.run_pair(tmp_path, a, b) == 5
+            out = capsys.readouterr().out
+            assert "tail bound at T = 6.325:" in out and "notice" not in out
+            if a is f:
+                assert self.max_residual(out) < 3e-3
+        assert self.run_pair(tmp_path, f, g, grid=None) == 5
+        assert self.max_residual(capsys.readouterr().out) <= 1.2e-3
 
-    def test_zero_padded_form_with_a_given_t_gets_no_notice(self, tmp_path, capsys):
-        # the notice names the default T, which a run given --T does not use
-        self.run_pair(tmp_path, *self.padded_pair(), "--T", "8")
-        out = capsys.readouterr().out
-        assert "max residual" in out and "notice" not in out
+    @pytest.mark.parametrize("level, n", [(1, 4), (7, 28)])
+    def test_a_one_percent_corrupted_partner_fails(self, tmp_path, capsys, level, n):
+        # g's c+(n) x 1.01 against f: at T = 2 these passed with residuals
+        # 1.6e-7 and 3.0e-8; the pairs' own cut-off fails both
+        f, g = oldform_pair(level)
+        cp = g.c_plus.copy()
+        cp[n] *= 1.01
+        assert self.run_pair(tmp_path, f, replace(g, c_plus=cp), grid=None) == 5
+        assert self.max_residual(capsys.readouterr().out) > 1e-2
 
     def test_golden_pair_prints_no_notice(self, tmp_path, capsys):
         assert self.run_pair(tmp_path, *oldform_pair(7)) == 0
@@ -276,7 +279,7 @@ class TestVerifyFe:
         assert code == 0
         (psi, report), = seen
         assert psi.modulus == 5
-        assert report.quadrature_T == math.sqrt(40)
+        assert report.quadrature_T == math.sqrt(39)  # psi(40) = 0: the last term is at n = 39
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [float(r[4]) for r in rows] == [report.tail_bound] * 2
 

@@ -5,6 +5,7 @@ The level-one harmonic Eisenstein lift (exact divisor-sum coefficients,
 its own Fricke partner) is the golden pair throughout.
 """
 
+import inspect
 import math
 import re
 from dataclasses import replace
@@ -16,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from helpers import make_random_form, oldform_pair, pair_from_evaluators
+from helpers import make_random_form, oldform_pair, padded_pair, pair_from_evaluators
 from maassforms.characters import character_by_label, trivial_character
 from maassforms.eisenstein import harmonic_eisenstein_level_one
 from maassforms.forms import FormExpansion, TermSeries, evaluate, to_terms, twist
@@ -175,8 +176,7 @@ class TestContinuation:
         ref = harmonic_eisenstein_level_one(80)
         p_a, ts = analytic_pair(ref), to_terms(ref)
         consts = (p_a.c_f_plus0, p_a.c_f_minus0, p_a.c_g_plus0, p_a.c_g_minus0)
-        p_b = pair_from_evaluators(1, ref.weight, ts.eval, h_op(ts, ref.weight).eval, consts,
-                                   p_a.T_default)
+        p_b = pair_from_evaluators(1, ref.weight, ts.eval, h_op(ts, ref.weight).eval, consts, p_a.T)
         for s in (2.0 + 0j, 0.5 + 1.0j, -1.0 + 2.0j):
             om = omega_continued(p_a, s)
             assert abs(omega_continued(p_b, s) - om) <= 1e-12 * max(1.0, abs(om))
@@ -228,7 +228,7 @@ def mellin_nodes(pair, s):
     """Every point at which _mellin_piece reads its integrand for s."""
     seen = []
     _mellin_piece(lambda z: seen.append(z) or np.zeros((1, z.size)), [(0j,) * 4], pair.level,
-                  pair.weight, np.ravel(s), pair.T_default)
+                  pair.weight, np.ravel(s), pair.T)
     return np.concatenate(seen)
 
 
@@ -273,7 +273,7 @@ class TestMellinKernel:
     @pytest.mark.parametrize("form, T", list(kernel_cases()))
     def test_anchor_times_offset_matches_the_per_node_exponential(self, form, T):
         pair = analytic_pair(form)
-        T = pair.T_default if T is None else T
+        T = pair.T if T is None else T
         rng = np.random.default_rng(form.level)
         pts = rng.uniform(-4.0, 3.0, 48) + 1j * np.linspace(-200.0, 200.0, 48)
         assert np.unique(_mellin_panels(pts, T)).size >= 10
@@ -387,10 +387,10 @@ class TestRowsAskedFor:
         grid = np.array([complex(r, i) for r in (-1.5, -1.0, -0.5, 0.5, 1.5)
                          for i in (0.5, 1.5, 3.0)] + [0.5 + 25j, -1.0 - 40j])
         for pts in (grid, k - grid):
-            lam, om = _continued(pair, pts, None, 2)
+            lam, om = _continued(pair, pts, 2)
             assert np.array_equal(lam, lambda_continued(pair, pts))
             assert np.array_equal(om, omega_continued(pair, pts))
-            lam_star, om_star = _star(pair, pts, None, 2)
+            lam_star, om_star = _star(pair, pts, 2)
             assert np.array_equal(lam_star, lambda_star(pair, pts))
             assert np.array_equal(om_star, omega_star(pair, pts))
 
@@ -480,7 +480,7 @@ class TestOneMellinIntegral:
 
         pair = replace(small_pair, integrands=integrands)
         pts = np.array([0.5 + 1j, -1.0 + 20j, 2.0 - 45j, -2.5 + 0j])
-        for fn in (*BATCHED, partial(_star, T=None, rows=2), partial(_continued, T=None, rows=2)):
+        for fn in (*BATCHED, partial(_star, rows=2), partial(_continued, rows=2)):
             reads.clear()
             fn(pair, pts)
             assert len(reads) == 1 and reads[0].size and (reads[0].real == 0).all()
@@ -611,24 +611,51 @@ class TestResiduals:
 
 
 class TestMellinCutoff:
-    # T <= 1 leaves no [1/T, T] integral to take: at T = 1 any partner passes
-    # and below it the integral runs backwards; inf and nan are no cut-off
+    """The cut-off is the pair's, max(4, sqrt(n)) for the last nonzero term
+    n, and both sides of an equation take the smaller of theirs: no entry
+    point takes a T, since the residual cannot see the dropped [T, inf) tail
+    and at T = 2 a 1%-corrupted partner passed."""
+
+    ENTRY_POINTS = (lambda_star, omega_star, lambda_continued, omega_continued, fe_residuals,
+                    twisted_lambda, twisted_omega)
+
+    @pytest.mark.parametrize("fn", ENTRY_POINTS, ids=lambda fn: fn.__name__)
+    def test_no_entry_point_takes_a_cutoff(self, fn):
+        assert "T" not in inspect.signature(fn).parameters
+
+    # a hand-built pair can still carry any T.  T <= 1 leaves no [1/T, T]
+    # integral to take: at T = 1 any partner passes and below it the
+    # integral runs backwards; inf and nan are no cut-off
     @pytest.mark.parametrize("T", [1.0, 0.5, 0.0, -1.0, math.inf, math.nan])
     def test_rejects_cutoffs_that_are_not_finite_and_above_one(self, small_pair, T):
-        ref = harmonic_eisenstein_level_one(4)
-        psi = character_by_label(5, "quadratic")
-        for call in (
-            *(lambda fn=fn: fn(small_pair, 0.5 + 1j, T) for fn in BATCHED),
-            lambda: fe_residuals(ref, ref, [0.5 + 1j], T=T),
-            lambda: fe_residuals(ref, ref, [0.5 + 1j], T=T, psi=psi),
-            lambda: twisted_lambda(ref, ref, TRIV1, psi, 1, -2, 0.5 + 1j, T),
-            lambda: twisted_omega(ref, ref, TRIV1, psi, 1, -2, 0.5 + 1j, T),
-        ):
-            with pytest.raises(ValueError, match="cut-off T"):
-                call()
+        pair = replace(small_pair, T=T)
+        for fn in BATCHED:
+            for s in (0.5 + 1j, np.array([0.5 + 1j, -1.0 + 20j])):
+                with pytest.raises(ValueError, match="cut-off T must be a finite number > 1"):
+                    fn(pair, s)
 
     def test_accepts_a_cutoff_just_above_one(self, small_pair):
-        assert np.isfinite(lambda_continued(small_pair, 0.5 + 1j, 1.5))
+        pair = replace(small_pair, T=1.5)
+        for fn in BATCHED:
+            assert np.isfinite(fn(pair, 0.5 + 1j))
+            assert np.isfinite(fn(pair, np.array([0.5 + 1j, -1.0 + 20j]))).all()
+
+    @pytest.mark.parametrize("level", [1, 2, 7, 11])
+    def test_golden_pairs_keep_the_full_length(self, level):
+        # both forms of a golden pair end at n_max = 40 N
+        f, g = oldform_pair(level)
+        assert analytic_pair(g).T == max(4.0, math.sqrt(f.n_max))
+        assert fe_residuals(f, g, [0.5 + 1j]).quadrature_T == max(4.0, math.sqrt(f.n_max))
+
+    def test_zero_padding_does_not_stretch_the_cutoff(self):
+        # the padded lift ends at n = 40, its partner at n = 280: both sides
+        # take sqrt(40), in either order, and the self-dual lift keeps its own
+        f, g = padded_pair()
+        assert (analytic_pair(f).T, analytic_pair(g).T) == (math.sqrt(40), math.sqrt(280))
+        for a, b in ((f, g), (g, f)):
+            assert fe_residuals(a, b, [0.5 + 1j]).quadrature_T == math.sqrt(40)
+        lift = harmonic_eisenstein_level_one(40)
+        assert fe_residuals(lift, lift, [0.5 + 1j]).quadrature_T == math.sqrt(40)
 
     @pytest.mark.parametrize("case", ["N1", "N2", "N7", "N11", "psi5", "psi13"])
     def test_tail_bound_bounds_the_terms_at_the_cutoff(self, case):
@@ -763,9 +790,10 @@ class TestTwists:
         ref = harmonic_eisenstein_level_one(400)
         psi = character_by_label(5, "quadratic")
         rep = fe_residuals(ref, ref, [0.5 + 0j], psi=psi)
-        assert rep.quadrature_T == 20.0  # max(4, sqrt(400)), not 0
+        # psi(400) = 0, so the twist's last nonzero term is at n = 399
+        assert rep.quadrature_T == math.sqrt(399)
         twisted = twist(ref, psi)  # at level 25
-        assert rep.tail_bound == to_terms(twisted).magnitude(20.0 / 5) * 5 / (2 * math.pi)
+        assert rep.tail_bound == to_terms(twisted).magnitude(math.sqrt(399) / 5) * 5 / (2 * math.pi)
 
     def test_levels_must_match(self):
         # each side is continued at its own level, so f and g at different

@@ -18,6 +18,8 @@ from maassforms.forms import to_terms
 from maassforms.modgroup import (
     Cusp,
     IntegerMatrix,
+    _euclid_lift,
+    _scaling_matrix,
     coset_reps,
     cusp_equivalent,
     cusp_parameter,
@@ -254,6 +256,30 @@ class TestCusps:
                 for h in range(1, c.width):
                     assert not (c.scaling @ translation(h) @ inv).in_gamma0(level)
                 assert (c.scaling @ translation(c.width) @ inv).in_gamma0(level)
+
+    def test_scaling_matrix_is_the_euclid_lift_for_positive_c(self):
+        # the modular inverse x of a mod c, moved into (-c/2, c/2], is the x
+        # of the batched extended-Euclid lift for every coprime (a, c) with
+        # c > 0, so every cusp's scaling matrix is the one it always was
+        pairs = [(a, c) for c in range(1, 71) for a in range(-70, 71) if math.gcd(a, c) == 1]
+        a, c = (np.array(v) for v in zip(*pairs))
+        x, y = _euclid_lift(a, -c)
+        for (a_i, c_i), x_i, y_i in zip(pairs, x.tolist(), y.tolist()):
+            m = _scaling_matrix(a_i, c_i)
+            assert (m.a, m.b, m.c, m.d) == (a_i, -y_i, c_i, x_i)
+            assert m.det == 1
+
+    def test_cusp_equivalence_ignores_the_sign_of_the_fraction(self):
+        # at c < 0 the scaling matrix may differ from the Euclid lift's, but
+        # its d moves by a multiple of c, which the congruence absorbs
+        for level in range(1, 31):
+            reps = [(r.a, r.c) for r in cusps(level)]
+            for c in range(1, 13):
+                for a in range(-12, 13):
+                    if math.gcd(a, c) == 1:
+                        for r in reps:
+                            assert cusp_equivalent(level, a, c, *r) == cusp_equivalent(
+                                level, -a, -c, *r)
 
     def test_orbit_enumeration_exact(self):
         # brute-force: pairwise inequivalent, and every reduced fraction

@@ -279,6 +279,30 @@ class TestMellinInversion:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             invert_on_line(lambda s: w_nu(3, s), x, abscissa, height)
 
+    @pytest.mark.parametrize("x, height", [(1.0, 1e6), (1e-300, 1e4), (1.0, 2.0**13 + 1)])
+    def test_a_line_past_the_panel_limit_is_refused_before_any_work(self, x, height):
+        # 2 height max(1, |log x|) panels of 12 + 6 nodes: past 2^14 panels
+        # the line is refused before fn is called or a node array is built
+        import tracemalloc
+
+        def fn(s):
+            raise AssertionError("fn called on a refused line")
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^height {height} at x = {x} needs .* panels"):
+                invert_on_line(fn, x, 2.0, height)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_a_line_at_the_panel_limit_is_taken(self):
+        # exactly 2^14 panels at x = 1: one call on 294,912 nodes
+        sizes = []
+        invert_on_line(lambda s: sizes.append(s.size) or 0j, 1.0, 2.0, 2.0**13)
+        assert sizes == [2**14 * 18]
+
     def test_one_call_on_both_rules(self):
         calls = []
 

@@ -210,12 +210,6 @@ class DirichletCharacter:
         """Product character modulo lcm of the moduli (exact)."""
         return _from_generator_values(math.lcm(self.modulus, other.modulus), (self, other))
 
-    def induce(self, modulus: int) -> "DirichletCharacter":
-        """The character mod `modulus` induced by chi (requires q | modulus)."""
-        if modulus % self.modulus != 0:
-            raise ValueError(f"{self.modulus} does not divide {modulus}")
-        return _from_generator_values(modulus, (self,))
-
     def to_json(self) -> dict:
         return {
             "modulus": self.modulus,

@@ -6,11 +6,13 @@ the weight-k slash of v^{1-k}/(1-k) and lands in the polynomial-growth space
 with shadow E_{2-k,rho}(N, conj(chi)).  Sums run over the bounded coset
 representatives from modgroup, which come sorted by max(|c|, |d|), so the
 bound//2 sum behind the extraction witness is a prefix of the bound sum.
-One kernel, _coset_sum, evaluates every sum: it walks the rows in fixed
-chunks against fixed blocks of tau, so memory stays bounded whatever the
-bound and the number of points, and it adds the rows in coset order at every
-point, taking the prefix sum on the way; results are reproducible and do not
-depend on the batch a point arrives in.
+One kernel, _coset_sum, evaluates every sum in real arithmetic, from
+x = c Re tau + d and y = c Im tau: it walks the rows in fixed chunks against
+fixed blocks of tau, so memory stays bounded whatever the bound and the
+number of points, and it adds the rows in coset order at every point,
+taking the prefix sum on the way; results are reproducible and do not depend
+on the batch a point arrives in.  f_expansion passes both of its sample
+lines in one call, which shares x and x^2 between the two heights.
 """
 
 from __future__ import annotations
@@ -69,78 +71,138 @@ def _inverse_power(x, e: int, out, base):
     out is within about e eps of x ** -e relative.  np.power would call libm
     pow per entry, about 40% of a lift chunk's time."""
     np.reciprocal(x, out=base)
-    np.copyto(out, base)
+    power = base
     for bit in bin(e)[3:]:
-        np.multiply(out, out, out=out)
+        np.multiply(power, power, out=out)
+        power = out
         if bit == "1":
             np.multiply(out, base, out=out)
+    if power is base:
+        np.copyto(out, base)
     return out
 
 
-def _coset_sum(rows, charvals, flat, power: int, mod2_power: int | None = None, prefix: int = 0):
+def _binary_power(x, x2, y, y2, m: int, pr, pi, t1, t2):
+    """(x + i y)**m for m >= 1 into (pr, pi) by left-to-right binary powering,
+    one rounded real ufunc per step: a square of a + i b is (a^2 - b^2,
+    2 (a b)) and a product with x + i y is (x a - y b, x b + y a).  x2 = x^2
+    and y2 = y^2 serve the first square; y and y2 may be one column; t1 and
+    t2 are scratch."""
+    if m == 1:
+        np.copyto(pr, x)
+        np.copyto(pi, y)
+        return
+    np.subtract(x2, y2, out=pr)
+    np.multiply(x, np.add(y, y, out=t1[:, : y.shape[1]]), out=pi)
+    for i, bit in enumerate(bin(m)[3:]):
+        if i:
+            np.multiply(pr, pr, out=t1)
+            np.multiply(pi, pi, out=t2)
+            np.multiply(pi, pr, out=pi)
+            np.add(pi, pi, out=pi)
+            np.subtract(t1, t2, out=pr)
+        if bit == "1":
+            np.multiply(y, pi, out=t1)
+            np.multiply(x, pi, out=t2)
+            np.multiply(y, pr, out=pi)
+            np.add(t2, pi, out=pi)
+            np.multiply(x, pr, out=pr)
+            np.subtract(pr, t1, out=pr)
+
+
+def _coset_sum(rows, charvals, u, v, power: int, mod2_power: int = 0, prefix: int = 0):
     """(sum over all rows, sum over the first prefix rows) of
     charvals * w**power * (|w|^2)**mod2_power, w = c tau + d, for the rows
-    (c, d) at the points flat; the last factor is left out when mod2_power is
-    None, and is otherwise formed by _inverse_power with a negative
-    mod2_power (the lift's k - 1).
+    (c, d) at the points tau = u + i v: u is a 1-d array of real parts and v
+    holds imaginary parts, shaped (h, len(u)), or (h, 1) for h horizontal
+    lines through the points u; both results are shaped (h, len(u)).
+    mod2_power is 0 or negative (the lift's k - 1).
+
+    Real arithmetic: each summand is formed from x = c Re tau + d and
+    y = c Im tau, which round as numpy's complex c tau + d does.  A negative
+    power is taken as conj(w)**-power (|w|^2)**power, so every summand is
+    charvals (x +- i y)**m (x^2 + y^2)**e with m >= 1 and e <= 0: the m-th
+    power by _binary_power, then the character value (skipped when every
+    value is 1), then the modulus factor by _inverse_power.  x and x^2 are
+    formed once per row and point for all h heights, and on a line y and
+    y^2 are one number per row.  On f_expansion's lines, u = j / S with
+    S = 256, x = (c j + S d) / S and x^2 are exact, and there this gives each
+    lift summand with real character values bit for bit as the complex
+    ufuncs it replaced (which fuse multiply-adds; tested at k = -1, -2 and
+    -3), so those lifts and witnesses are unchanged.  Anywhere, a summand is
+    within the rounding of its powers, (2 sqrt 2 m + 4 |e|) 2^-53 relative to
+    first order.
 
     One pass walks the rows in chunks of _CHUNK_ROWS against blocks of at
-    most _CHUNK_POINTS points, evaluating each summand into fixed buffers with
-    the ufuncs of the one-shot rows x points expression.  Rows are added in
-    order: row 0 of each chunk holds the running sum, which is kept when it
-    reaches the prefix.  numpy's .sum(axis=0) adds rows in order only over
-    two or more columns (a single column it sums pairwise), so no block holds
-    a single point and a lone point is summed beside a copy of itself.  Hence
-    a point's value does not depend on its batch; with two or more points it
-    is bit-identical to the one-shot expression's .sum(axis=0), and a lone
-    point differs from that (pairwise) sum in the last bits, by at most
-    1e-14 sum |term| at bound 60.
+    most _CHUNK_POINTS points, evaluating the summands into fixed buffers.
+    Rows are added in order: row 0 of each chunk holds the running sum (0
+    before the first), which is kept when it reaches the prefix.  numpy's
+    .sum(axis=0) adds rows in order only over two or more columns (a single
+    column it sums pairwise), so no block holds a single point and a lone
+    point is summed beside a copy of itself.  Hence a point's value does not depend on its
+    batch or on the chunk sizes; with two or more points it is bit-identical
+    to the .sum(axis=0) of the rows x points summands formed in one shot, and
+    a lone point differs from that (pairwise) sum in the last bits, by at
+    most 1e-14 sum |term| at bound 60.
 
     ValueError unless every point is finite with Im tau > 0: below the real
     line the rows sum to a wrong value, and on it to NaN.
     """
-    flat, _ = _upper_half_plane(flat)
-    n, p = len(rows), len(flat)
-    pts = np.repeat(flat, 2) if p == 1 else flat
-    total = np.zeros(len(pts), dtype=complex)
-    head = np.zeros(len(pts), dtype=complex)
-    blocks = max(1, -(-len(pts) // _CHUNK_POINTS))
+    _upper_half_plane(u + 1j * v)
+    m, e = abs(power), mod2_power + min(power, 0)
+    n, p, h = len(rows), len(u), len(v)
+    if p == 1:
+        u, v = np.repeat(u, 2), np.repeat(v, 2, axis=1)
+    total = np.zeros((h, len(u)), dtype=complex)
+    head = np.zeros((h, len(u)), dtype=complex)
+    blocks = max(1, -(-len(u) // _CHUNK_POINTS))
     # blocks of at least 2 points while _CHUNK_POINTS >= 4
-    cols = [len(pts) * i // blocks for i in range(blocks + 1)]
+    cols = [len(u) * i // blocks for i in range(blocks + 1)]
     edges = sorted({*range(0, n, _CHUNK_ROWS), prefix, n})
-    size = (_CHUNK_ROWS + 1) * -(-len(pts) // blocks)
-    w_buf, x_buf = np.empty(size, complex), np.empty(size, complex)
-    m_buf, r_buf = np.empty(size), np.empty(size)
-    c_col, d_col, v_col = rows[:, :1], rows[:, 1:], charvals.reshape(-1, 1)
+    size = (_CHUNK_ROWS + 1) * -(-len(u) // blocks)
+    buf = np.empty((9, size))
+    c_col, d_col = rows[:, :1], rows[:, 1:]
+    v_re, v_im = charvals.real.reshape(-1, 1), charvals.imag.reshape(-1, 1)
+    unit = bool((charvals == 1).all())
     for a, b in zip(cols, cols[1:]):
-        t = pts[a:b]
-        acc = None
+        sums = np.zeros((h, 2, b - a))  # per height, the running real and imaginary sums
         for i0, i1 in zip(edges, edges[1:]):
-            shape = (i1 - i0 + 1, b - a)  # row 0 carries the running sum
-            x = x_buf[: shape[0] * shape[1]].reshape(shape)
-            terms = x[1:]
-            w = w_buf[: terms.size].reshape(terms.shape)
-            np.multiply(c_col[i0:i1], t, out=w)
-            np.add(w, d_col[i0:i1], out=w)
-            if mod2_power is not None:
-                np.multiply(w, np.conjugate(w, out=terms), out=terms)
-                mod2 = m_buf[: w.size].reshape(w.shape)
-                _inverse_power(terms.real, -mod2_power, mod2, r_buf[: w.size].reshape(w.shape))
-            terms[...] = w
-            terms **= power
-            np.multiply(v_col[i0:i1], terms, out=terms)
-            if mod2_power is not None:
-                np.multiply(terms, mod2, out=terms)
-            if acc is None:
-                acc = terms.sum(axis=0)
-            else:
-                x[0] = acc
-                acc = x.sum(axis=0)
-            if i1 == prefix:
-                head[a:b] = acc
-        if acc is not None:
-            total[a:b] = acc
-    return total[:p], head[:p]
+            c, d = c_col[i0:i1], d_col[i0:i1]
+            # row 0 of re_sum and im_sum carries the running sum
+            re_sum, im_sum, *rest = (
+                part[: (i1 - i0 + 1) * (b - a)].reshape(i1 - i0 + 1, b - a) for part in buf
+            )
+            pr, pi = re_sum[1:], im_sum[1:]
+            x, x2, y, y2, mod2, t1, t2 = (arr[1:] for arr in rest)
+            np.multiply(c, u[a:b], out=x)
+            np.add(x, d, out=x)
+            np.multiply(x, x, out=x2)
+            for line in range(h):
+                v_line = v[line, a:b] if v.shape[1] > 1 else v[line]
+                y_line, y2_line = y[:, : v_line.size], y2[:, : v_line.size]
+                np.multiply(c, v_line, out=y_line)
+                np.multiply(y_line, y_line, out=y2_line)
+                if power < 0:
+                    np.negative(y_line, out=y_line)
+                _binary_power(x, x2, y_line, y2_line, m, pr, pi, t1, t2)
+                if not unit:
+                    np.multiply(v_im[i0:i1], pi, out=t1)
+                    np.multiply(v_im[i0:i1], pr, out=t2)
+                    np.multiply(v_re[i0:i1], pr, out=pr)
+                    np.subtract(pr, t1, out=pr)
+                    np.multiply(v_re[i0:i1], pi, out=pi)
+                    np.add(pi, t2, out=pi)
+                if e:
+                    np.add(x2, y2_line, out=mod2)
+                    _inverse_power(mod2, -e, mod2, t1)
+                    np.multiply(pr, mod2, out=pr)
+                    np.multiply(pi, mod2, out=pi)
+                re_sum[0], im_sum[0] = sums[line]
+                sums[line] = re_sum.sum(axis=0), im_sum.sum(axis=0)
+                if i1 == prefix:
+                    head[line, a:b].real, head[line, a:b].imag = sums[line]
+        total[:, a:b].real, total[:, a:b].imag = sums[:, 0], sums[:, 1]
+    return total[:, :p], head[:, :p]
 
 
 def eisenstein_series(
@@ -162,7 +224,7 @@ def eisenstein_series(
     _check_admissible(level, chi, k, rho)
     rows, charvals = _coset_rows(level, chi, rho, bound)
     flat, restore = _batch(tau)
-    return _unbatch(_coset_sum(rows, charvals, flat, k - 2)[0], restore)
+    return _unbatch(_coset_sum(rows, charvals, flat.real, flat.imag[None], k - 2)[0][0], restore)
 
 
 def f_series(
@@ -182,7 +244,8 @@ def f_series(
     flat, restore = _batch(tau)
     rows, charvals = _coset_rows(level, chi, rho, bound)
     v = flat.imag ** (1 - k) / (1 - k)
-    return _unbatch(_coset_sum(rows, charvals, flat, -k, k - 1)[0] * v, restore)
+    total = _coset_sum(rows, charvals, flat.real, flat.imag[None], -k, k - 1)[0][0]
+    return _unbatch(total * v, restore)
 
 
 def coset_tail_estimate(k: int, bound: int, v: float = 1.0) -> float:
@@ -227,7 +290,11 @@ def f_expansion(
     of N = 3, 4 and 5 (k = -1, -3, -2), bounds 60 and 120, a datum is within
     1.11 witnesses of the bound-480 extraction; but at N = 4, k = -3, cusp
     0/1 and bound 240, c-(-2) is 2.68 witnesses off, at 1.5e-11 of the
-    datum, where the witness nears the rounding of the sums.  Both sums at
+    datum, where the witness nears the rounding of the sums.  Both lines
+    come from one _coset_sum call, which forms x = c u + d and x^2 once for
+    the two heights and reads the bound//2 prefix on the way; on the default
+    samples (256 a line) x and x^2 are exact and every datum and witness is
+    the one the complex-arithmetic kernel gave, bit for bit.  Both sums at
     both heights go through one forms.two_height_solve call, one np.fft.fft
     per height.  A mode it loses (c+(n) once (1 + Gamma(1-k, -4 pi n v1))^2
     overflows, n v1 >~ 27 at k = -2; c-(-n) once both Gamma(1-k, 4 pi n v)
@@ -245,12 +312,11 @@ def f_expansion(
     rows, charvals = _coset_rows(level, chi, rho, bound)
     # rows are sorted by max(|c|, |d|), so the bound//2 sum is a prefix
     half = int(np.searchsorted(np.abs(rows).max(axis=1), bound // 2, side="right"))
-    # one line per height: the bound-B sum stacked on its bound//2 prefix
-    lines = []
-    for v in (v0, v1):
-        taus = np.arange(samples) * (1.0 / samples) + 1j * v
-        full_head = _coset_sum(rows, charvals, taus, -k, k - 1, prefix=half)
-        lines.append(np.stack(full_head) * (v ** (1 - k) / (1 - k)))
+    # both lines in one pass; per height, the bound-B sum stacked on its
+    # bound//2 prefix
+    u, v = np.arange(samples) * (1.0 / samples), np.array([[v0], [v1]], dtype=float)
+    full, head = _coset_sum(rows, charvals, u, v, -k, k - 1, prefix=half)
+    lines = [np.stack((f, fh)) * (h ** (1 - k) / (1 - k)) for f, fh, h in zip(full, head, heights)]
     modes = np.arange(-n_range, n_range + 1)
     c_plus, c_minus, info = two_height_solve(*lines, k, modes, v0, v1)
     if 0 in info["lost"]:

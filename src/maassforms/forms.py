@@ -355,14 +355,6 @@ def h_op(ts: TermSeries, k: int) -> TermSeries:
     return ts.d_u().mul_v(1).scale(2j) + ts.scale(k)
 
 
-def bol_op(ts: TermSeries, k: int) -> TermSeries:
-    """D^{1-k} with D = (1/2 pi i) d/dtau, iterated termwise."""
-    out = ts
-    for _ in range(1 - k):
-        out = out.d_tau().scale(1.0 / (2j * math.pi))
-    return out
-
-
 # slashed 1-jets -------------------------------------------------------------
 
 

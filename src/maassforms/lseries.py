@@ -150,7 +150,8 @@ class FrickePair:
     omega_continued) take one s or an array of s.  An array is grouped by
     the panel count of the log-t quadrature, which depends on s only through
     |Im s|, and the evaluator is called once per batch, on the nodes of all
-    its groups, so a batch costs as many evaluator calls as one point.
+    its groups (once per _MELLIN_NODE_CAP nodes of whole groups past that),
+    so a batch costs as many evaluator calls as one point.
     """
 
     level: int
@@ -235,6 +236,9 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
 
 # Gauss-Legendre nodes per log-t panel of every incomplete Mellin integral, and kappa
 _MELLIN_NODES, _MELLIN_PHASE = 16, 6
+# evaluator nodes per call of _mellin_piece (whole panel groups; a group above
+# it is evaluated alone): 1 MB per complex row
+_MELLIN_NODE_CAP = 1 << 16
 
 
 def _mellin_panels(exps: np.ndarray, T: float) -> np.ndarray:
@@ -258,10 +262,11 @@ def _mellin_piece(eval_fn: Callable, consts: Sequence[tuple], level: int, k: int
     remainder 2.7e-45 kappa^32 is 1.2e-35, 2.2e-20, 2.2e-16 and 9.4e-11 at
     kappa = 2, 6, 8 and 12: 6 is the largest integer 1,000 times below
     2^-53.  The exponents are grouped by that count, and eval_fn is called
-    once, on every group's nodes together (none
-    for an empty exps), so each exponent meets exactly the nodes, and the
-    integrand values, a lone exponent would get.  The weights are folded
-    into the integrand, wd = w diff, laid out panels x nodes, and the kernel
+    on the nodes of consecutive whole groups together, up to
+    _MELLIN_NODE_CAP nodes a call (none for an empty exps), so memory stays
+    bounded however large |Im z| gets, and each exponent meets exactly the
+    nodes, and the integrand values, a lone exponent would get.  The weights
+    are folded into the integrand, wd = w diff, laid out panels x nodes, and the kernel
     is split into a panel anchor and a node offset, e^{z x[p, j]} =
     e^{z x[p, 0]} e^{z (x[0, j] - x[0, 0])}, so a row block of M exponents
     on P panels takes M (P + 16) complex exponentials instead of 16 M P.
@@ -276,27 +281,35 @@ def _mellin_piece(eval_fn: Callable, consts: Sequence[tuple], level: int, k: int
     out = np.empty((len(consts), exps.size), dtype=complex)
     if not groups:
         return out
-    rules = [gauss_legendre_panels(-upper, upper, 2 * npanels, _MELLIN_NODES) for npanels in groups]
-    x = np.concatenate([x for x, _ in rules])
-    t, below, nfac = np.exp(x), x < 0, level ** ((1 - k) / 2.0)
-    vals = np.asarray(eval_fn(1j * t / math.sqrt(level)), dtype=complex)
-    diffs = [row - np.where(below, _i_pow(k) * (pc0 * t ** -k + pcv / t / nfac),
-                            c0 + cv * t ** (1 - k) / nfac)
-             for row, (c0, cv, pc0, pcv) in zip(vals, consts)]
-    stop = 0
-    for npanels, (x, w) in zip(groups, rules):
-        members = np.flatnonzero(counts == npanels)
-        nodes = slice(stop, stop + x.size)
-        stop = nodes.stop
-        wds = [(w * diff[nodes]).reshape(2 * npanels, _MELLIN_NODES) for diff in diffs]
-        x = x.reshape(2 * npanels, _MELLIN_NODES)
-        anchors, offsets = x[:, 0], x[0] - x[0, 0]
-        step = max(1, (1 << 15) // x.size)
-        for block in np.array_split(members, range(step, members.size, step)):
-            z = exps[block, None]
-            e1, e2 = np.exp(z * anchors), np.exp(z * offsets)
-            for r, wd in enumerate(wds):
-                out[r, block] = ((e2[:, None, :] * wd).sum(axis=2) * e1).sum(axis=1)
+    batches, size, nfac = [], 0, level ** ((1 - k) / 2.0)
+    for npanels in groups:
+        if not batches or size + 2 * npanels * _MELLIN_NODES > _MELLIN_NODE_CAP:
+            batches.append([])
+            size = 0
+        batches[-1].append(npanels)
+        size += 2 * npanels * _MELLIN_NODES
+    for batch in batches:
+        rules = [gauss_legendre_panels(-upper, upper, 2 * n, _MELLIN_NODES) for n in batch]
+        x = np.concatenate([x for x, _ in rules])
+        t, below = np.exp(x), x < 0
+        vals = np.asarray(eval_fn(1j * t / math.sqrt(level)), dtype=complex)
+        diffs = [row - np.where(below, _i_pow(k) * (pc0 * t ** -k + pcv / t / nfac),
+                                c0 + cv * t ** (1 - k) / nfac)
+                 for row, (c0, cv, pc0, pcv) in zip(vals, consts)]
+        stop = 0
+        for npanels, (x, w) in zip(batch, rules):
+            members = np.flatnonzero(counts == npanels)
+            nodes = slice(stop, stop + x.size)
+            stop = nodes.stop
+            wds = [(w * diff[nodes]).reshape(2 * npanels, _MELLIN_NODES) for diff in diffs]
+            x = x.reshape(2 * npanels, _MELLIN_NODES)
+            anchors, offsets = x[:, 0], x[0] - x[0, 0]
+            step = max(1, (1 << 15) // x.size)
+            for block in np.array_split(members, range(step, members.size, step)):
+                z = exps[block, None]
+                e1, e2 = np.exp(z * anchors), np.exp(z * offsets)
+                for r, wd in enumerate(wds):
+                    out[r, block] = ((e2[:, None, :] * wd).sum(axis=2) * e1).sum(axis=1)
     return out
 
 

@@ -301,13 +301,17 @@ def coset_reps(level: int, rho: Cusp, bound: int) -> CosetReps:
     g whose row (c, d) of gamma_rho^{-1} g has max(|c|, |d|) <= bound, sorted
     by (max(|c|, |d|), |c|, |d|, c, d).
 
-    Cosets biject with bottom rows of gamma_rho^{-1} Gamma_0(N) up to sign;
-    every normalized coprime row of the box is lifted at once, in int64 numpy,
-    by extended Euclid to h0 = [[x, y], [c, d]], and the T^j ambiguity (j mod
-    width) is resolved in integers: gamma_rho T^j h0 lies in Gamma_0(N) iff
-    its lower-left entry c_rho x + (c_rho j + d_rho) c is 0 mod N, tested for
-    all rows per j.  An up-front bound in Python ints raises OverflowError
-    where the d-entries c_rho y + d_rho d could leave int64.
+    Cosets biject with bottom rows of gamma_rho^{-1} Gamma_0(N) up to sign.
+    A row (c, d) of gamma_rho^{-1} g has -d/c = g^{-1} rho, a cusp of rho's
+    class, and Gamma_0(N) keeps gcd(denominator, N), so only the normalized
+    coprime rows of the box with gcd(c, N) = gcd(c_rho, N) can lift: they are
+    lifted at once, in int64 numpy, by extended Euclid to
+    h0 = [[x, y], [c, d]] (the other rows would find no j below), and the T^j
+    ambiguity (j mod width) is resolved in integers: gamma_rho T^j h0 lies in
+    Gamma_0(N) iff its lower-left entry c_rho x + (c_rho j + d_rho) c is 0
+    mod N, tested for all rows per j.  An up-front bound in Python ints
+    raises OverflowError where the d-entries c_rho y + d_rho d could leave
+    int64.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -317,7 +321,7 @@ def coset_reps(level: int, rho: Cusp, bound: int) -> CosetReps:
     if bound * (abs(c_r) * rho.width + abs(d_r)) > np.iinfo(np.int64).max:
         raise OverflowError(f"scaling entries of {rho.label()} overflow int64 at bound {bound}")
     c, d = np.meshgrid(np.arange(bound + 1), np.arange(-bound, bound + 1), indexing="ij")
-    keep = (np.gcd(c, d) == 1) & ((c > 0) | (d > 0))
+    keep = (np.gcd(c, d) == 1) & ((c > 0) | (d > 0)) & (np.gcd(c, level) == math.gcd(c_r, level))
     c, d = c[keep], d[keep]
     x, y = _euclid_lift(d, c)
     # lower-left entry of gamma_rho T^j h0, mod N, stepping j

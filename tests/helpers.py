@@ -5,11 +5,13 @@ A plain module rather than conftest.py: a test module importing from
 tests bring their own.
 """
 
+import math
+
 import numpy as np
 
-from maassforms.characters import trivial_character
+from maassforms.characters import DirichletCharacter, _from_generator_values, trivial_character
 from maassforms.eisenstein import harmonic_eisenstein_level_one
-from maassforms.forms import FormExpansion
+from maassforms.forms import FormExpansion, TermSeries
 from maassforms.lseries import FrickePair
 from maassforms.modgroup import Cusp, IntegerMatrix
 
@@ -76,3 +78,18 @@ def bottom_row(rho: Cusp, g: IntegerMatrix) -> tuple[int, int]:
     gamma_rho^{-1} = [[d_rho, -b_rho], [-c_rho, a_rho]]."""
     a_r, c_r = rho.scaling.a, rho.scaling.c
     return a_r * g.c - c_r * g.a, a_r * g.d - c_r * g.b
+
+
+def induce(chi: DirichletCharacter, modulus: int) -> DirichletCharacter:
+    """The character mod `modulus` induced by chi (requires q | modulus)."""
+    if modulus % chi.modulus != 0:
+        raise ValueError(f"{chi.modulus} does not divide {modulus}")
+    return _from_generator_values(modulus, (chi,))
+
+
+def bol_op(ts: TermSeries, k: int) -> TermSeries:
+    """D^{1-k} with D = (1/2 pi i) d/dtau, iterated termwise."""
+    out = ts
+    for _ in range(1 - k):
+        out = out.d_tau().scale(1.0 / (2j * math.pi))
+    return out

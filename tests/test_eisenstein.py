@@ -7,6 +7,7 @@ probed by doubling the bound.
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from maassforms.eisenstein import (
     harmonic_eisenstein_level_one,
 )
 from maassforms.forms import IllConditionedError, evaluate, shadow
-from maassforms.modgroup import IntegerMatrix, coset_reps, cusps
+from maassforms.modgroup import IntegerMatrix, coset_reps, cusp_parameter, cusps
 
 TRIV1 = trivial_character(1)
 INF1 = cusps(1)[0]
@@ -303,14 +304,73 @@ def kernel_factor(mod2, k):
 
 
 def one_shot(rows, charvals, flat, k, prefix, factor=kernel_factor):
-    """The rows x points lift summands the chunked coset sum replaced,
+    """The rows x points lift summands in numpy's complex arithmetic,
     charvals w^{-k} |w|^{2k-2} with w = c tau + d, summed at once: (terms,
     sum over all rows, sum over the first prefix rows).  The modulus factor
-    |w|^{2k-2} is factor(|w|^2, k)."""
+    |w|^{2k-2} is factor(|w|^2, k).  With two or more points its sums are
+    bit for bit those of the complex chunked kernel that the real-arithmetic
+    one replaced."""
     w = rows[:, 0].reshape(-1, 1) * flat + rows[:, 1].reshape(-1, 1)
     mod2 = (w * np.conj(w)).real
     terms = charvals.reshape(-1, 1) * w ** (-k) * factor(mod2, k)
     return terms, terms.sum(axis=0), terms[:prefix].sum(axis=0)
+
+
+def real_power(x, y, m):
+    """(x + i y)**m by left-to-right binary powering in real arithmetic."""
+    pr, pi = x, y
+    for bit in bin(m)[3:]:
+        pr, pi = pr * pr - pi * pi, 2 * (pr * pi)
+        if bit == "1":
+            pr, pi = x * pr - y * pi, x * pi + y * pr
+    return pr, pi
+
+
+def as_complex(re, im):
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def real_one_shot(rows, charvals, u, v, power, mod2_power, prefix):
+    """The coset-sum summands charvals w**power (|w|^2)**mod2_power in the
+    kernel's real arithmetic, rows x points at once for each row of v:
+    (sums over all rows, sums over the first prefix rows), shaped like the
+    kernel's results."""
+    c, d = rows[:, :1], rows[:, 1:]
+    x = c * u + d
+    m, e = abs(power), mod2_power + min(power, 0)
+    cr, ci = charvals.real.reshape(-1, 1), charvals.imag.reshape(-1, 1)
+    unit = (charvals == 1).all()
+    full, head = [], []
+    for v_line in v:
+        y = c * v_line
+        mod2 = x * x + y * y
+        pr, pi = real_power(x, -y if power < 0 else y, m)
+        if not unit:
+            pr, pi = cr * pr - ci * pi, cr * pi + ci * pr
+        if e:
+            factor = eisenstein._inverse_power(mod2, -e, np.empty_like(mod2), np.empty_like(mod2))
+            pr, pi = pr * factor, pi * factor
+        pr, pi = np.broadcast_arrays(pr, pi)
+        full.append(as_complex(pr.sum(axis=0), pi.sum(axis=0)))
+        head.append(as_complex(pr[:prefix].sum(axis=0), pi[:prefix].sum(axis=0)))
+    return np.array(full), np.array(head)
+
+
+def exact_summand(charval, x, y, power, mod2_power):
+    """charval w**power (|w|^2)**mod2_power at w = x + i y in exact rationals,
+    as (real part, imaginary part)."""
+    X, Y = Fraction(x), Fraction(y)
+    re, im = Fraction(1), Fraction(0)
+    for _ in range(abs(power)):
+        re, im = re * X - im * Y, re * Y + im * X
+    if power < 0:
+        inverse = 1 / (re * re + im * im)
+        re, im = re * inverse, -im * inverse
+    factor = (X * X + Y * Y) ** mod2_power
+    cr, ci = Fraction(charval.real), Fraction(charval.imag)
+    return (cr * re - ci * im) * factor, (cr * im + ci * re) * factor
 
 
 def same_bits(a, b):
@@ -332,6 +392,9 @@ def sample_points(count, seed=3):
     return rng.uniform(-1.0, 1.0, count) + 1j * rng.uniform(0.05, 2.0, count)
 
 
+TWO_LINES = np.array([[0.25], [0.5]])
+
+
 class TestCosetSum:
     @pytest.mark.parametrize("points", [2, 7, 256])
     @pytest.mark.parametrize(
@@ -349,6 +412,9 @@ class TestCosetSum:
     def test_chunked_sum_equals_the_one_shot_sum(
         self, monkeypatch, level7_rows, points, chunk_rows, chunk_points, prefix
     ):
+        # the lift's summands at scattered points for three weights, the
+        # Eisenstein series' at one, and the lift's on two lines through
+        # at most 7 points, against the one-shot sums in the same arithmetic
         rows, charvals, half = level7_rows
         sizes = {"half": half, "all": len(rows)}
         prefix = sizes.get(prefix, prefix)
@@ -357,11 +423,14 @@ class TestCosetSum:
             monkeypatch.setattr(eisenstein, "_CHUNK_POINTS", chunk_points)
         assert 0 < half < len(rows) and eisenstein._CHUNK_ROWS < len(rows)
         taus = sample_points(points)
-        for k in (-1, -2, -3):
-            _, full, head = one_shot(rows, charvals, taus, k, prefix)
-            got_full, got_head = eisenstein._coset_sum(rows, charvals, taus, -k, k - 1, prefix)
-            assert same_bits(got_full, full)
-            assert same_bits(got_head, head)
+        cases = [(taus.imag[None], -k, k - 1) for k in (-1, -2, -3)]
+        cases += [(taus.imag[None], -4, 0), (TWO_LINES, 2, -3)]
+        for v, power, mod2_power in cases:
+            u = taus.real if v.shape[1] > 1 else taus.real[:7]
+            want = real_one_shot(rows, charvals, u, v, power, mod2_power, prefix)
+            got = eisenstein._coset_sum(rows, charvals, u, v, power, mod2_power, prefix)
+            assert same_bits(got[0], want[0])
+            assert same_bits(got[1], want[1])
 
     @pytest.mark.parametrize("k", [-1, -2, -3, -6])
     def test_modulus_factor_stays_within_rounding_of_the_power(self, level7_rows, k):
@@ -373,19 +442,70 @@ class TestCosetSum:
         want = one_shot(rows, charvals, taus, k, 0, factor=lambda m, k: m ** (k - 1))[0]
         assert np.all(np.abs(got - want) <= 2 * (1 - k) * np.finfo(float).eps * np.abs(want))
 
-    @pytest.mark.parametrize("chunk_rows, chunk_points", [(3, 4), (None, None)])
-    def test_eisenstein_summands_without_the_modulus_factor(
-        self, monkeypatch, level7_rows, chunk_rows, chunk_points
-    ):
+    @pytest.mark.parametrize("k", [-1, -2, -3, -6])
+    @pytest.mark.parametrize("series", ["lift", "eisenstein"])
+    def test_summands_stay_within_the_rounding_of_their_powers(self, level7_rows, k, series):
+        # each summand, charvals w**(-k) |w|^{2k-2} (lift) or charvals
+        # w**(k-2) (Eisenstein), against the same expression in exact
+        # rationals at the kernel's x and y.  With u = 2^-53: a complex
+        # product rounds each part within 2u (|ac| + |bd|), so within
+        # 2 sqrt 2 u |z1 z2|, and the m - 1 products of the m-th power and
+        # the character value add up to 2 sqrt 2 m u; |w|^2 rounds within
+        # 2u, so its power e within 2 |e| u, the reciprocal and the |e| - 1
+        # products of its powering add |e| u, and the last product u: in all
+        # (2 sqrt 2 m + 4 |e|) u to first order, and gamma-style below
         rows, charvals, _ = level7_rows
-        if chunk_rows is not None:
-            monkeypatch.setattr(eisenstein, "_CHUNK_ROWS", chunk_rows)
-            monkeypatch.setattr(eisenstein, "_CHUNK_POINTS", chunk_points)
-        taus = sample_points(7)
-        w = rows[:, 0].reshape(-1, 1) * taus + rows[:, 1].reshape(-1, 1)
-        for k in (-1, -2):
-            want = (charvals.reshape(-1, 1) * w ** (k - 2)).sum(axis=0)
-            assert same_bits(eisenstein._coset_sum(rows, charvals, taus, k - 2)[0], want)
+        rows, charvals = rows[::9], charvals[::9]
+        taus = np.concatenate([sample_points(8), [0.3 + 1e-3j, 1e-9 + 40.0j]])
+        power, mod2_power = (-k, k - 1) if series == "lift" else (k - 2, 0)
+        m, e = abs(power), mod2_power + min(power, 0)
+        first_order = Fraction(2 * math.sqrt(2) * m + 4 * abs(e)) * Fraction(2) ** -53
+        bound = first_order / (1 - first_order)
+        for row, charval in zip(rows, charvals):
+            got = eisenstein._coset_sum(row[None], charval[None], taus.real, taus.imag[None],
+                                        power, mod2_power)[0][0]
+            x, y = row[0] * taus.real + row[1], row[0] * taus.imag
+            for value, xi, yi in zip(got, x, y):
+                re, im = exact_summand(charval, xi, yi, power, mod2_power)
+                err2 = (Fraction(value.real) - re) ** 2 + (Fraction(value.imag) - im) ** 2
+                assert err2 <= bound**2 * (re * re + im * im)
+
+    @pytest.mark.parametrize("level, k, label", [(6, -2, "trivial"), (10, -2, "trivial"),
+                                                 (3, -1, "quadratic"), (4, -3, "quadratic")])
+    def test_lift_lines_keep_the_bits_of_the_complex_kernel(self, monkeypatch, level, k, label):
+        # on f_expansion's default lines x = (c j + 256 d) / 256 and x^2 are
+        # exact, where the real arithmetic rounds each summand as numpy's
+        # complex ufuncs did: every datum and witness at every cusp equals the
+        # one extracted from the complex one-shot sums, bit for bit
+        chi = trivial_character(level) if label == "trivial" else character_by_label(level, label)
+        rhos = [rho for rho in cusps(level) if cusp_parameter(level, chi, rho) == 0]
+        real = [f_expansion(level, chi, k, rho, 8, bound=40, full_output=True) for rho in rhos]
+
+        def complex_kernel(rows, charvals, u, v, power, mod2_power, prefix):
+            assert (power, mod2_power) == (-k, k - 1) and v.shape[1] == 1
+            sums = [one_shot(rows, charvals, u + 1j * line, k, prefix)[1:] for line in v[:, 0]]
+            return np.array([s[0] for s in sums]), np.array([s[1] for s in sums])
+
+        monkeypatch.setattr(eisenstein, "_coset_sum", complex_kernel)
+        for rho, (form, witness) in zip(rhos, real):
+            want, want_witness = f_expansion(level, chi, k, rho, 8, bound=40, full_output=True)
+            for name in ("c_plus", "c_minus_zero", "c_minus"):
+                assert same_bits(np.asarray(getattr(form, name)), np.asarray(getattr(want, name)))
+                assert same_bits(np.asarray(witness[name]), np.asarray(want_witness[name]))
+
+    def test_two_lines_in_one_call_equal_two_calls(self, level7_rows):
+        # each line of a two-line call is its one-line call, and a line is
+        # the same points given with one height per point
+        rows, charvals, half = level7_rows
+        u = np.arange(256) * (1.0 / 256)
+        for power, mod2_power in ((2, -3), (1, -2), (3, -4), (-4, 0)):
+            both = eisenstein._coset_sum(rows, charvals, u, TWO_LINES, power, mod2_power, half)
+            for i, line in enumerate(TWO_LINES):
+                one = eisenstein._coset_sum(rows, charvals, u, line[None], power, mod2_power, half)
+                assert same_bits(both[0][i], one[0][0]) and same_bits(both[1][i], one[1][0])
+            points = np.repeat(TWO_LINES, len(u), axis=1)
+            each = eisenstein._coset_sum(rows, charvals, u, points, power, mod2_power, half)
+            assert same_bits(both[0], each[0]) and same_bits(both[1], each[1])
 
     def test_a_lone_point_does_not_depend_on_its_batch(self):
         # numpy sums one column pairwise, so a lone point is summed in coset
@@ -400,7 +520,8 @@ class TestCosetSum:
             assert f_series(1, TRIV1, -2, INF1, tau, 60) == batch_f[i]
             assert eisenstein_series(1, TRIV1, -2, INF1, tau, 60) == batch_e[i]
             terms, full, _ = one_shot(rows, charvals, taus[i : i + 1], -2, 0)
-            got = eisenstein._coset_sum(rows, charvals, taus[i : i + 1], 2, -3)[0]
+            lone = taus[i : i + 1]
+            got = eisenstein._coset_sum(rows, charvals, lone.real, lone.imag[None], 2, -3)[0][0]
             assert abs(got[0] - full[0]) <= 1e-14 * np.abs(terms).sum()
 
     def test_no_rational_arithmetic_on_the_lift_path(self, monkeypatch):

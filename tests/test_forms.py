@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_random_form, oldform_pair, random_tau
+from helpers import bol_op, induce, make_random_form, oldform_pair, random_tau
 from maassforms.characters import (
     DirichletCharacter,
     character_by_label,
@@ -35,7 +35,6 @@ from maassforms.forms import (
     IllConditionedError,
     TermSeries,
     bol,
-    bol_op,
     evaluate,
     evaluate_tail_bound,
     extract_coefficients,
@@ -477,6 +476,37 @@ class TestVectorisedEvaluator:
             for got, row in zip(jet, (terms, 1j * TWO_PI * F * terms,
                                       (p / v - TWO_PI * np.abs(F)) * terms)):
                 assert abs(got[i] - row.sum()) <= 1e-14 * np.abs(row).sum()
+
+    @pytest.mark.parametrize("draw", range(5))
+    def test_a_long_series_meets_the_per_term_phase_oracle(self, draw):
+        # the n_max 5000 lift at 64 points of height 1e-4 to 1.5, half of
+        # them off the axis.  The oracle forms each term's phase as cos and
+        # sin of theta = 2 pi F u and adds the terms with math.fsum, so its
+        # sum adds no error.  Both sides form theta and rho = 2 pi |F| v with
+        # two roundings (the evaluator splits F into a giant and a baby step,
+        # whose parts of theta and rho add up to the whole), so each moves a
+        # term by eps (|theta| + rho) relative; each addition along a term's
+        # path through the evaluator (at most _GIANT_SLICE in a matrix
+        # product, then _BABY baby steps) rounds within eps / 2, and the
+        # groups, the slices and the few roundings of each term's
+        # exponentials and products on both sides are given 32 eps
+        ts = to_terms(harmonic_eisenstein_level_one(5000))
+        rng = np.random.default_rng([5000, draw])
+        heights = np.exp(rng.uniform(math.log(1e-4), math.log(1.5), 64))
+        taus = rng.uniform(-1.0, 1.0, 64) + 1j * heights
+        taus[::2] = 1j * taus[::2].imag
+        got = ts.eval(taus)
+        F, p, eps = ts.F.astype(float), ts.vpow.astype(float), np.finfo(float).eps
+        fixed = (forms._GIANT_SLICE + forms._BABY) / 2 + 32
+        for value, tau in zip(got, taus):
+            u, v = math.fmod(tau.real, 1), tau.imag
+            theta, rho = TWO_PI * F * u, TWO_PI * np.abs(F) * v
+            size = np.exp(-rho) * v**p
+            re = (ts.coef.real * np.cos(theta) - ts.coef.imag * np.sin(theta)) * size
+            im = (ts.coef.real * np.sin(theta) + ts.coef.imag * np.cos(theta)) * size
+            mag = np.abs(ts.coef) * size
+            gate = eps * (mag * (2 * (np.abs(theta) + rho) + fixed)).sum()
+            assert abs(value - complex(math.fsum(re), math.fsum(im))) <= gate
 
     def test_warm_evaluation_at_n_max_1e5_stays_small(self, rng):
         # the cached value matrix is 8.0 MB; a warm 256-point call holds
@@ -1009,7 +1039,7 @@ class TestTwist:
                              n_max=2 * m + 3, level=level)
         back = twist(twist(f, psi), psi.conjugate())
         assert back.level == level * m * m
-        assert back.character == f.character.induce(level * m * m)
+        assert back.character == induce(f.character, level * m * m)
         assert back.c_minus_zero == 0
         for got, want, start in ((back.c_plus, f.c_plus, 0), (back.c_minus, f.c_minus, 1)):
             coprime = np.gcd(np.arange(start, start + len(want)), m) == 1
@@ -1045,7 +1075,7 @@ class TestTwist:
                 for psi in psis:
                     t = twist(f, psi)
                     assert t.level == math.lcm(level, psi.modulus**2, psi.modulus * chi.conductor)
-                    assert t.character == (chi * (psi * psi)).induce(t.level), (chi, psi)
+                    assert t.character == induce(chi * (psi * psi), t.level), (chi, psi)
                     count += 1
         assert count == 46 * 38  # characters mod N <= 12, primitive psi mod m <= 13
 

@@ -486,6 +486,55 @@ class TestOneMellinIntegral:
             assert len(reads) == 1 and reads[0].size and (reads[0].real == 0).all()
         assert slashes == []
 
+    def test_a_capped_batch_reads_whole_groups_and_keeps_every_value(self, monkeypatch):
+        # with the node cap lowered to the largest panel group of the batch,
+        # every evaluator call holds whole groups within the cap, and every
+        # value equals the uncapped one
+        import maassforms.lseries as lseries
+
+        pair = analytic_pair(harmonic_eisenstein_level_one(40))
+        pts = 2.0 + 1j * np.linspace(-40.0, 40.0, 33)
+        counts = _mellin_panels(pts, pair.T)
+        assert np.unique(counts).size >= 4
+        want = [lambda_continued(pair, pts), omega_continued(pair, pts)]
+        cap, reads = 2 * int(counts.max()) * 16, []
+
+        def integrands(taus, rows):
+            reads.append(taus.size)
+            return pair.integrands(taus, rows)
+
+        capped = replace(pair, integrands=integrands)
+        monkeypatch.setattr(lseries, "_MELLIN_NODE_CAP", cap)
+        got = [lambda_continued(capped, pts), omega_continued(capped, pts)]
+        assert all((g == w).all() for g, w in zip(got, want))
+        assert len(reads) >= 2 * np.unique(counts).size and max(reads) <= cap
+        groups = {2 * int(n) * 16 for n in counts}
+        assert all(size in groups for size in reads)
+
+    def test_a_batch_far_up_the_line_stays_in_bounded_memory(self):
+        # 1,440 points up to |Im s| = 4,000 at T = sqrt 40: 612 groups and
+        # 6,061,248 nodes, which one call held as 589 MB traced; in calls of
+        # at most _MELLIN_NODE_CAP nodes the peak is 8.7 MB
+        import tracemalloc
+
+        import maassforms.lseries as lseries
+
+        calls = []
+
+        def zeros(taus):
+            calls.append(taus.size)
+            return np.zeros((1, taus.size), dtype=complex)
+
+        pts = 2.0 + 1j * np.linspace(-4000.0, 4000.0, 1440)
+        tracemalloc.start()
+        try:
+            _mellin_piece(zeros, [(0j,) * 4], 1, -2, pts, math.sqrt(40.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(calls) == 6_061_248 and max(calls) <= lseries._MELLIN_NODE_CAP
+        assert peak < 20e6
+
     def test_residuals_slash_once_per_pair_build(self, monkeypatch, pair_builds):
         slashes = self.count_slashes(monkeypatch)
         fe_residuals(*oldform_pair(7, base=4), [0.5 + 1j, -1.0 + 0.5j, 2.0 + 3j])

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import bottom_row, make_random_form
 from maassforms.characters import character_by_label, enumerate_characters, trivial_character
+from maassforms import modgroup
 from maassforms.forms import to_terms
 from maassforms.modgroup import (
     Cusp,
@@ -458,6 +459,29 @@ class TestIntegerEnumerator:
         ]
         assert len(rows) == len(set(rows))
         assert sorted(rows) == sorted(pairs)
+
+    @pytest.mark.parametrize("level", [6, 8, 9, 10, 12])
+    def test_only_the_cusps_own_rows_are_lifted(self, monkeypatch, level):
+        # a row's -d/c is g^{-1} rho, so only rows with gcd(c, N) =
+        # gcd(c_rho, N) can lift: Euclid receives exactly those, not the box
+        bound, seen = 15, []
+
+        def counting(d, c):
+            seen.append(len(d))
+            return _euclid_lift(d, c)
+
+        monkeypatch.setattr(modgroup, "_euclid_lift", counting)
+        for rho in cusps(level):
+            seen.clear()
+            coset_reps(level, rho, bound)
+            own = math.gcd(rho.c, level)
+            box = [
+                (c, d)
+                for c in range(bound + 1)
+                for d in range(-bound, bound + 1)
+                if math.gcd(c, d) == 1 and (c > 0 or d > 0) and math.gcd(c, level) == own
+            ]
+            assert seen == [len(box)]
 
     def test_rejects_scaling_outside_sl2z(self):
         # a scaling set from outside through dataclasses.replace is checked;

@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 usage (bad flag values), 3 semantic precondition
 (e.g. character parity vs weight), 4 numerical conditioning failure,
 5 verification failure (the computation ran; the checked property fails the
 tolerance).  All file output is UTF-8 JSON/CSV written atomically, numbers
-with 17 significant digits so values round-trip bit-exactly.
+with 17 significant digits so values round-trip bit-exactly.  What the
+library works out from the data has no flag: example and extract print the
+samples per line they took, verify-fe the Mellin cut-off T.
 
 File formats
     form JSON      {"weight": k, "level": N, "character": {...}, "alpha": a,
@@ -155,7 +157,6 @@ def cmd_example(args) -> int:
             args.nmax,
             bound=args.bound,
             heights=heights,
-            samples=args.samples,
             full_output=True,
         )
     except forms.IllConditionedError as exc:
@@ -172,6 +173,7 @@ def cmd_example(args) -> int:
     worst, worst_label = max(relative)
     print(f"wrote {args.out}")
     print(f"coset tail estimate (bound {args.bound}): {tail:.3e}")
+    print(f"sample lines: heights {witness['heights']}, {witness['samples']} samples each")
     print(
         f"extraction witness (bound {args.bound} vs {args.bound // 2}): "
         f"worst relative {worst:.2e} at {worst_label}"
@@ -254,12 +256,14 @@ def cmd_eval(args) -> int:
 
 def cmd_extract(args) -> int:
     form = forms.load_form(args.infile)
+    samples = forms.line_samples(args.n, (args.v0, args.v1), form.n_max)
     try:
         cp, cm = forms.extract_coefficients(
-            forms.to_terms(form).eval, form.weight, args.n, args.v0, args.v1, args.samples
+            forms.to_terms(form).eval, form.weight, args.n, args.v0, args.v1, samples
         )
     except forms.IllConditionedError as exc:
         _fail(str(exc), EXIT_CONDITIONING)
+    print(f"samples per line: {samples}")
     print(f"c+({args.n}) = {_fmt(cp)}")
     print(f"c-({args.n}) = {_fmt(cm)}")
     return EXIT_OK
@@ -440,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--bound", type=int, default=60)
     ex.add_argument("--v0", type=float, default=None)
     ex.add_argument("--v1", type=float, default=None)
-    ex.add_argument("--samples", type=int, default=256)
     ex.add_argument("--out", required=True)
     ex.set_defaults(func=cmd_example)
 
@@ -478,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     xt.add_argument("--n", type=int, required=True)
     xt.add_argument("--v0", type=float, default=0.4)
     xt.add_argument("--v1", type=float, default=0.8)
-    xt.add_argument("--samples", type=int, default=256)
     xt.set_defaults(func=cmd_extract)
 
     cu = sub.add_parser("cusps", help="cusp data of Gamma_0(N) as JSON")

@@ -6,13 +6,10 @@ the weight-k slash of v^{1-k}/(1-k) and lands in the polynomial-growth space
 with shadow E_{2-k,rho}(N, conj(chi)).  Sums run over the bounded coset
 representatives from modgroup, which come sorted by max(|c|, |d|), so the
 bound//2 sum behind the extraction witness is a prefix of the bound sum.
-One kernel, _coset_sum, evaluates every sum in real arithmetic, from
-x = c Re tau + d and y = c Im tau: it walks the rows in fixed chunks against
-fixed blocks of tau, so memory stays bounded whatever the bound and the
-number of points, and it adds the rows in coset order at every point,
-taking the prefix sum on the way; results are reproducible and do not depend
-on the batch a point arrives in.  f_expansion passes both of its sample
-lines in one call, which shares x and x^2 between the two heights.
+One kernel, _coset_sum, evaluates every sum in real arithmetic, in bounded
+memory and in coset order at every point, taking the prefix sum on the way,
+so a point's value does not depend on its batch; f_expansion passes both of
+its sample lines in one call.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ import math
 import numpy as np
 
 from .characters import DirichletCharacter, _prime_factors
-from .forms import FormExpansion, IllConditionedError, two_height_solve
+from .forms import FormExpansion, IllConditionedError, line_samples, two_height_solve
 from .modgroup import Cusp, coset_reps, cusp_parameter
 from .specfun import _batch, _unbatch, _upper_half_plane
 
@@ -125,25 +122,23 @@ def _coset_sum(rows, charvals, u, v, power: int, mod2_power: int = 0, prefix: in
     power by _binary_power, then the character value (skipped when every
     value is 1), then the modulus factor by _inverse_power.  x and x^2 are
     formed once per row and point for all h heights, and on a line y and
-    y^2 are one number per row.  On f_expansion's lines, u = j / S with
-    S = 256, x = (c j + S d) / S and x^2 are exact, and there this gives each
-    lift summand with real character values bit for bit as the complex
-    ufuncs it replaced (which fuse multiply-adds; tested at k = -1, -2 and
-    -3), so those lifts and witnesses are unchanged.  Anywhere, a summand is
-    within the rounding of its powers, (2 sqrt 2 m + 4 |e|) 2^-53 relative to
-    first order.
+    y^2 are one number per row.  On f_expansion's lines, u = j / S with S a
+    power of two, x = (c j + S d) / S and x^2 are exact (bound S < 2^25), and
+    there each lift summand with real character values is bit for bit the
+    one of the complex ufuncs it replaced (which fuse multiply-adds; tested
+    at k = -1, -2 and -3).  Anywhere, a summand is within the rounding of its
+    powers, (2 sqrt 2 m + 4 |e|) 2^-53 relative to first order.
 
     One pass walks the rows in chunks of _CHUNK_ROWS against blocks of at
-    most _CHUNK_POINTS points, evaluating the summands into fixed buffers.
-    Rows are added in order: row 0 of each chunk holds the running sum (0
-    before the first), which is kept when it reaches the prefix.  numpy's
-    .sum(axis=0) adds rows in order only over two or more columns (a single
-    column it sums pairwise), so no block holds a single point and a lone
-    point is summed beside a copy of itself.  Hence a point's value does not depend on its
-    batch or on the chunk sizes; with two or more points it is bit-identical
-    to the .sum(axis=0) of the rows x points summands formed in one shot, and
-    a lone point differs from that (pairwise) sum in the last bits, by at
-    most 1e-14 sum |term| at bound 60.
+    most _CHUNK_POINTS points, into fixed buffers, and adds rows in order:
+    row 0 of each chunk holds the running sum (0 before the first), kept
+    when it reaches the prefix.  numpy's .sum(axis=0) adds rows in order
+    only over two or more columns (one column it sums pairwise), so no block
+    holds a single point and a lone point is summed beside a copy of itself.
+    Hence a point's value does not depend on its batch or on the chunk
+    sizes; with two or more points it is bit-identical to the .sum(axis=0)
+    of the rows x points summands formed in one shot, and a lone point
+    differs from that (pairwise) sum by at most 1e-14 sum |term| at bound 60.
 
     ValueError unless every point is finite with Im tau > 0: below the real
     line the rows sum to a wrong value, and on it to NaN.
@@ -218,8 +213,6 @@ def eisenstein_series(
     tau may be a complex scalar or ndarray.  Absolutely convergent for
     k <= -1; the truncation error scales like bound^k (see
     coset_tail_estimate), so doubling the bound is a cheap error probe.
-    The sum is one bounded-memory pass of _coset_sum, in coset order at every
-    point, so a point's value does not depend on its batch.
     """
     _check_admissible(level, chi, k, rho)
     rows, charvals = _coset_rows(level, chi, rho, bound)
@@ -237,9 +230,7 @@ def f_series(
 ):
     """Harmonic lift at the cusp rho: sum of conj(chi(g)) applied to the
     weight-k slash of v^{1-k}/(1-k), i.e. termwise
-    (c tau + d)^{-k} |c tau + d|^{2k-2} v^{1-k} / (1-k).  The sum is one
-    bounded-memory pass of _coset_sum, in coset order at every point, so a
-    point's value does not depend on its batch."""
+    (c tau + d)^{-k} |c tau + d|^{2k-2} v^{1-k} / (1-k)."""
     _check_admissible(level, chi, k, rho)
     flat, restore = _batch(tau)
     rows, charvals = _coset_rows(level, chi, rho, bound)
@@ -264,51 +255,53 @@ def f_expansion(
     n_range: int,
     bound: int = 60,
     heights: tuple[float, float] | None = None,
-    samples: int = 256,
     full_output: bool = False,
 ):
     """Extract the Fourier data of the harmonic lift into a FormExpansion.
 
     Period integrals at two heights separate c+(n) from c-(n) (both with
-    width 1 and kappa 0 at infinity, since T is in Gamma_0(N)).  When
-    heights is None they are scaled like 1/n_range: the mode-n data sits at
-    relative size e^{-2 pi |n| v} in the samples, so heights of order one
-    lose deep modes to the double-precision floor regardless of the bound.
-    The lower clamp keeps bound * v0 above 1, where the truncated coset sum
-    still resolves the height.
+    width 1 and kappa 0 at infinity, since T is in Gamma_0(N)).  Default
+    heights scale like 1/n_range, as mode n sits at e^{-2 pi |n| v} relative,
+    and keep bound * v0 above 1, where the coset sum still resolves them.
+    Each line takes S = forms.line_samples(n_range, heights) samples, the
+    least power of two >= 256, 2 n_range + 2 and 2 n_range + 6 / v0 with
+    v0 = min(heights), at most forms._SAMPLES_CAP = 2^16 (else ValueError
+    before any coset row, as for a height <= 0): the trapezoid rule
+    converges like e^{-2 pi S v0} (Trefethen and Weideman, SIAM Rev. 56,
+    2014), so mode n_range's alias weighs e^{-2 pi (S - 2 n_range) v0} <=
+    4e-17.  At bound 240, n_range 8 and heights (0.01, 0.02) of the level-1
+    lift, against S = 4096 and (in witnesses) the closed form:
 
-    With full_output=True the result is (form, witness): witness holds
-    per-mode error witnesses under the keys "c_plus", "c_minus_zero" and
-    "c_minus", shaped like the form's fields.  Each is
-    |x_B - x_{B/2}| / (2^{-k} - 1), where x_B is the datum extracted from the
-    bound-B coset sum and x_{B/2} the same datum from its bound//2 prefix;
-    the divisor turns the difference into the bound-B error under the
-    bound^k tail law of coset_tail_estimate.  Against the closed form at
-    k = -2 the error/witness ratio is 0.95-1.80 for heights up to (10, 20)
-    at bound 60; the law fails once the heights approach the bound, and at
-    (40, 80) the c+(0) witness is 14 times too small.  At the cusp infinity
-    of N = 3, 4 and 5 (k = -1, -3, -2), bounds 60 and 120, a datum is within
-    1.11 witnesses of the bound-480 extraction; but at N = 4, k = -3, cusp
-    0/1 and bound 240, c-(-2) is 2.68 witnesses off, at 1.5e-11 of the
-    datum, where the witness nears the rounding of the sums.  Both lines
-    come from one _coset_sum call, which forms x = c u + d and x^2 once for
-    the two heights and reads the bound//2 prefix on the way; on the default
-    samples (256 a line) x and x^2 are exact and every datum and witness is
-    the one the complex-arithmetic kernel gave, bit for bit.  Both sums at
-    both heights go through one forms.two_height_solve call, one np.fft.fft
-    per height.  A mode it loses (c+(n) once (1 + Gamma(1-k, -4 pi n v1))^2
+        S v0                1.28    2.56    5.12     10.24
+        |x_S - x_4096|      1.9e3   2.25    1.9e-6   6.8e-7
+        error / witness     4.2e7   4.9e5   2.53     2.34
+
+    The floor keeps earlier calls' bits: a box max(|c|, |d|) <= bound is not
+    invariant under d -> d + c, so the truncated sum is not exactly
+    1-periodic, and S = 128, 64 and 32 move the benchmark's 16 lifts by
+    3.1e-3, 9.4e-3 and 2.2e-2 from S = 256, about as 1/S.
+
+    With full_output=True the result is (form, witness): witness holds the
+    "heights" and "samples" used and, under "c_plus", "c_minus_zero" and
+    "c_minus" shaped like the form's fields, per-mode error witnesses
+    |x_B - x_{B/2}| / (2^{-k} - 1), x_B the datum from the bound-B coset sum
+    and x_{B/2} from its bound//2 prefix: the bound-B error under the bound^k
+    tail law of coset_tail_estimate.  Against the closed form at k = -2 the
+    error/witness ratio is 0.95-1.80 for heights up to (10, 20) at bound 60;
+    at (40, 80) the c+(0) witness is 14 times too small, and at N = 4,
+    k = -3, cusp 0/1 and bound 240 c-(-2) is 2.68 witnesses off, at 1.5e-11
+    of the datum, where the witness nears the rounding of the sums.  A mode
+    two_height_solve loses (c+(n) once (1 + Gamma(1-k, -4 pi n v1))^2
     overflows, n v1 >~ 27 at k = -2; c-(-n) once both Gamma(1-k, 4 pi n v)
-    underflow, n v >~ 59) is stored as 0 with an infinite witness; a lost
-    n = 0 raises IllConditionedError.  The form itself does not depend on
-    full_output.
+    underflow, n v >~ 59) is stored as 0 with an infinite witness, a lost
+    n = 0 raises IllConditionedError, and the form ignores full_output.
     """
     _check_admissible(level, chi, k, rho)
     if heights is None:
         v0 = max(1.2 / bound, min(1.0, 2.0 / max(1, n_range)))
         heights = (v0, 2.0 * v0)
     v0, v1 = heights
-    if samples < 2 * n_range + 2:
-        raise ValueError(f"samples={samples} cannot resolve modes up to {n_range}")
+    samples = line_samples(n_range, heights)
     rows, charvals = _coset_rows(level, chi, rho, bound)
     # rows are sorted by max(|c|, |d|), so the bound//2 sum is a prefix
     half = int(np.searchsorted(np.abs(rows).max(axis=1), bound // 2, side="right"))
@@ -335,7 +328,8 @@ def f_expansion(
     )
     if full_output:
         witness = (w_plus[n_range:], float(w_minus[n_range]), w_minus[:n_range][::-1])
-        return form, dict(zip(("c_plus", "c_minus_zero", "c_minus"), witness))
+        keys = ("c_plus", "c_minus_zero", "c_minus", "heights", "samples")
+        return form, dict(zip(keys, (*witness, heights, samples)))
     return form
 
 

@@ -69,6 +69,7 @@ __all__ = [
     "lowering",
     "h_transform",
     "twist",
+    "line_samples",
     "two_height_solve",
     "extract_coefficients",
     "growth_constant",
@@ -640,6 +641,24 @@ def twist(form: FormExpansion, psi: DirichletCharacter) -> FormExpansion:
 
 # ---------------------------------------------------------------------------
 # coefficient extraction
+
+# samples per line: a power of two keeps u = j / S (and a lift's x, x^2)
+# exact; the floor, as a lift's coset sum moves by about 1/S; an alias weighs
+# e^{-2 pi _ALIAS_REACH} = 4e-17; the cap, as a height of 1e-6 asks for 2^23
+_SAMPLES_FLOOR, _ALIAS_REACH, _SAMPLES_CAP = 256, 6.0, 2**16
+
+
+def line_samples(n: int, heights, n_max: int | None = None) -> int:
+    """The least power of two >= _SAMPLES_FLOOR, 2 |n| + 2 and the reach of
+    the data: n_max + |n| + 1 for a form stored to n_max, else 2 |n| +
+    _ALIAS_REACH / min(heights).  ValueError off the half-plane or past the cap."""
+    _upper_half_plane([complex(0.0, v) for v in heights])
+    n = abs(n)
+    reach = max(2 * n + 2, 2 * n + _ALIAS_REACH / min(heights) if n_max is None else n + n_max + 1)
+    if reach > _SAMPLES_CAP:
+        raise ValueError(f"heights {heights}, mode {n} and n_max {n_max} need {reach:.3g} "
+                         f"samples a line, past the cap of {_SAMPLES_CAP}")
+    return max(_SAMPLES_FLOOR, 1 << (math.ceil(reach) - 1).bit_length())
 
 
 def two_height_solve(vals0, vals1, k: int, modes, v0: float, v1: float):

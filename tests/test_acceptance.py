@@ -176,7 +176,7 @@ def test_criterion_5_shadow_of_example_as_parameterized():
     and every mode the witness certifies must match E_4 to 1e-3."""
     t0 = time.monotonic()
     form, witness = f_expansion(1, TRIV1, -2, cusps(1)[0], 8, bound=60,
-                                heights=(1.0, 2.0), samples=256, full_output=True)
+                                heights=(1.0, 2.0), full_output=True)
     k = form.weight
     sh = shadow(form).coefficients
     want = eisenstein_level_one_coefficients(8)
@@ -208,7 +208,7 @@ def test_criterion_5_companion_shadow_at_scaled_heights():
     every requested mode stays above the noise floor."""
     t0 = time.monotonic()
     form = f_expansion(1, TRIV1, -2, cusps(1)[0], 8, bound=60,
-                       heights=(0.25, 0.5), samples=256)
+                       heights=(0.25, 0.5))
     sh = shadow(form).coefficients
     want = eisenstein_level_one_coefficients(8)
     worst = max(

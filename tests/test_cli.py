@@ -1,11 +1,13 @@
 """Command-line interface: outputs, exit-code vocabulary, file round trips."""
 
+import argparse
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,8 +15,9 @@ import numpy as np
 import pytest
 
 from helpers import oldform_pair, padded_pair
+from maassforms import eisenstein, forms
 from maassforms.characters import enumerate_characters
-from maassforms.cli import main
+from maassforms.cli import build_parser, main
 from maassforms.eisenstein import harmonic_eisenstein_level_one
 from maassforms.forms import FormExpansion, load_form, save_form, twist
 from maassforms.modgroup import cusp_parameter, cusps
@@ -105,6 +108,35 @@ class TestExample:
         )
         assert code == 3
         assert "upper half-plane" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_prints_the_sample_lines_it_used(self, tmp_path, capsys):
+        code = run("example", "--level", "1", "--weight", "-2", "--nmax", "8",
+                   "--out", str(tmp_path / "f.json"))
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "sample lines: heights (0.25, 0.5), 256 samples each"
+
+    def test_deep_modes_take_the_samples_they_need(self, tmp_path, capsys):
+        # 256 samples a line cannot resolve modes up to 150 (this exited 3);
+        # at the default heights (0.02, 0.04) the rule takes 300 + 300 -> 1024
+        code = run("example", "--level", "1", "--weight", "-2", "--nmax", "150",
+                   "--out", str(tmp_path / "f.json"))
+        assert code == 0
+        assert "sample lines: heights (0.02, 0.04), 1024 samples each" in capsys.readouterr().out
+
+    def test_heights_past_the_sample_cap_exit_3_before_any_coset_row(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("a coset row was built")
+
+        monkeypatch.setattr(eisenstein, "_coset_rows", refuse)
+        out = tmp_path / "x.json"
+        code = run("example", "--level", "1", "--weight", "-2", "--nmax", "8",
+                   "--v0", "1e-6", "--v1", "2e-6", "--out", str(out))
+        assert code == 3
+        assert "heights (1e-06, 2e-06)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_equivalent_cusp_string_accepted(self, tmp_path):
@@ -371,6 +403,44 @@ class TestOps:
         out = capsys.readouterr().out
         assert "c+(1)" in out
 
+    def test_extract_prints_its_samples_per_line(self, example_form, capsys):
+        assert run("extract", "--in", str(example_form), "--n", "1") == 0
+        assert capsys.readouterr().out.splitlines()[0] == "samples per line: 256"
+
+    def test_extract_reads_a_long_form_without_alias(self, tmp_path, capsys):
+        # at 256 samples a line modes 253-400 alias onto n = 3: at heights
+        # (0.002, 0.004) c+(3) came out as -452 for the true -0.25
+        ref = harmonic_eisenstein_level_one(400)
+        save_form(ref, tmp_path / "f.json")
+        code = run("extract", "--in", str(tmp_path / "f.json"), "--n", "3",
+                   "--v0", "0.002", "--v1", "0.004")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "samples per line: 512"
+        got = complex(re.search(r"c\+\(3\) = (\S+)", out).group(1))
+        assert abs(got - ref.c_plus[3]) < 1e-10
+
+    @pytest.mark.parametrize("n_max, n", [(70000, 3), (10, 40000)])
+    def test_extract_past_the_sample_cap_exits_3_before_any_work(
+        self, monkeypatch, capsys, n_max, n
+    ):
+        form = harmonic_eisenstein_level_one(n_max)
+
+        def refuse(*args):
+            raise AssertionError("the form was evaluated")
+
+        monkeypatch.setattr(forms, "load_form", lambda path: form)
+        monkeypatch.setattr(forms.TermSeries, "_sums", refuse)
+        tracemalloc.start()
+        try:
+            code = run("extract", "--in", "f.json", "--n", str(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert f"n_max {n_max} need" in capsys.readouterr().err
+        assert peak < 1e6
+
     def test_extract_overflowing_heights_exits_4(self, example_form, capsys):
         # Gamma(3, -4 pi 3 v1) overflows at v1 = 20
         code = run("extract", "--in", str(example_form), "--n", "3", "--v0", "10", "--v1", "20")
@@ -438,6 +508,29 @@ class TestOps:
         assert np.array_equal(form.c_plus, form2.c_plus)
         assert np.array_equal(form.c_minus, form2.c_minus)
         assert form.c_minus_zero == form2.c_minus_zero
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", ["example", "extract"])
+    def test_a_samples_flag_is_a_usage_error(self, example_form, tmp_path, command):
+        # the samples per line come from the heights and the data
+        args = {"example": ["--level", "1", "--weight", "-2", "--nmax", "8",
+                            "--out", str(tmp_path / "f.json")],
+                "extract": ["--in", str(example_form), "--n", "1"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            run(command, *args, "--samples", "512")
+        assert exc.value.code == 2
+
+    def test_no_flag_sets_a_value_the_library_derives_from_the_data(self):
+        # the samples per line of example and extract, and verify-fe's Mellin
+        # cut-off T; a prefix would still reach an option by abbreviation
+        derived = ("--samples", "--T")
+        (commands,) = (a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+        assert {"example", "extract", "verify-fe"} <= set(commands.choices)
+        for name, sub in commands.choices.items():
+            offered = [o for o in sub._option_string_actions if o.startswith(derived)]
+            assert offered == [], name
 
 
 class TestSelfcheck:

@@ -298,21 +298,59 @@ class TestFExpansion:
         assert rank == len(cs) == dim_eisenstein(level, chi)
 
 
+class TestSamplesPerLine:
+    def test_low_lines_take_enough_samples_to_meet_the_closed_form(self):
+        # at 256 samples a line, S v0 = 2.56: the witness read 1.9e-5 relative
+        # while c-(0) came out as 2.585 for the true 1/3.  The rule takes 1024
+        form, witness = f_expansion(1, TRIV1, -2, INF1, 8, bound=240, heights=(0.01, 0.02),
+                                    full_output=True)
+        assert witness["heights"] == (0.01, 0.02) and witness["samples"] == 1024
+        ref = harmonic_eisenstein_level_one(8)
+        for name in ("c_plus", "c_minus_zero", "c_minus"):
+            err = np.abs(np.asarray(getattr(form, name)) - getattr(ref, name))
+            assert np.all(err <= 3 * witness[name])
+        assert abs(form.c_minus_zero - 1.0 / 3.0) < 1e-4
+
+    def test_default_lines_keep_256_samples(self):
+        for n_range in (1, 8, 10):
+            assert f_expansion(1, TRIV1, -2, INF1, n_range, full_output=True)[1]["samples"] == 256
+
+    @pytest.mark.parametrize("n_range, heights, message", [
+        (8, (1e-6, 2e-6), "past the cap"),  # 2^23 samples a line
+        (40000, None, "past the cap"),
+        (8, (0.0, 1.0), "upper half-plane"),
+        (8, (0.5, math.inf), "upper half-plane"),
+    ])
+    def test_refusals_come_before_any_coset_row(self, monkeypatch, n_range, heights, message):
+        def refuse(*args):
+            raise AssertionError("a coset row was built")
+
+        monkeypatch.setattr(eisenstein, "_coset_rows", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                f_expansion(1, TRIV1, -2, INF1, n_range, bound=60, heights=heights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
 def kernel_factor(mod2, k):
     """|w|^{2k-2} from mod2 = |w|^2, formed as the coset-sum kernel forms it."""
     return eisenstein._inverse_power(mod2, 1 - k, np.empty_like(mod2), np.empty_like(mod2))
 
 
-def one_shot(rows, charvals, flat, k, prefix, factor=kernel_factor):
+def one_shot(rows, charvals, flat, k, prefix):
     """The rows x points lift summands in numpy's complex arithmetic,
     charvals w^{-k} |w|^{2k-2} with w = c tau + d, summed at once: (terms,
     sum over all rows, sum over the first prefix rows).  The modulus factor
-    |w|^{2k-2} is factor(|w|^2, k).  With two or more points its sums are
-    bit for bit those of the complex chunked kernel that the real-arithmetic
-    one replaced."""
+    |w|^{2k-2} is the kernel's.  With two or more points its sums are bit for
+    bit those of the complex chunked kernel that the real-arithmetic one
+    replaced."""
     w = rows[:, 0].reshape(-1, 1) * flat + rows[:, 1].reshape(-1, 1)
     mod2 = (w * np.conj(w)).real
-    terms = charvals.reshape(-1, 1) * w ** (-k) * factor(mod2, k)
+    terms = charvals.reshape(-1, 1) * w ** (-k) * kernel_factor(mod2, k)
     return terms, terms.sum(axis=0), terms[:prefix].sum(axis=0)
 
 
@@ -433,16 +471,6 @@ class TestCosetSum:
             assert same_bits(got[1], want[1])
 
     @pytest.mark.parametrize("k", [-1, -2, -3, -6])
-    def test_modulus_factor_stays_within_rounding_of_the_power(self, level7_rows, k):
-        # the reciprocal and binary powering form each summand within
-        # 2 (1 - k) eps relative of the libm pow form mod2 ** (k - 1)
-        rows, charvals, _ = level7_rows
-        taus = np.concatenate([sample_points(64), [0.3 + 1e-3j, 1e-9 + 40.0j]])
-        got = one_shot(rows, charvals, taus, k, 0)[0]
-        want = one_shot(rows, charvals, taus, k, 0, factor=lambda m, k: m ** (k - 1))[0]
-        assert np.all(np.abs(got - want) <= 2 * (1 - k) * np.finfo(float).eps * np.abs(want))
-
-    @pytest.mark.parametrize("k", [-1, -2, -3, -6])
     @pytest.mark.parametrize("series", ["lift", "eisenstein"])
     def test_summands_stay_within_the_rounding_of_their_powers(self, level7_rows, k, series):
         # each summand, charvals w**(-k) |w|^{2k-2} (lift) or charvals
@@ -453,7 +481,10 @@ class TestCosetSum:
         # the character value add up to 2 sqrt 2 m u; |w|^2 rounds within
         # 2u, so its power e within 2 |e| u, the reciprocal and the |e| - 1
         # products of its powering add |e| u, and the last product u: in all
-        # (2 sqrt 2 m + 4 |e|) u to first order, and gamma-style below
+        # (2 sqrt 2 m + 4 |e|) u to first order, and gamma-style below.  The
+        # modulus factor alone, the reciprocal and binary powering of the
+        # kernel's |w|^2, is within 2 |e| eps of that |w|^2 ** e in exact
+        # rationals, as it was of the libm pow form it replaced
         rows, charvals, _ = level7_rows
         rows, charvals = rows[::9], charvals[::9]
         taus = np.concatenate([sample_points(8), [0.3 + 1e-3j, 1e-9 + 40.0j]])
@@ -461,14 +492,19 @@ class TestCosetSum:
         m, e = abs(power), mod2_power + min(power, 0)
         first_order = Fraction(2 * math.sqrt(2) * m + 4 * abs(e)) * Fraction(2) ** -53
         bound = first_order / (1 - first_order)
+        factor_bound = 2 * abs(e) * Fraction(np.finfo(float).eps)
         for row, charval in zip(rows, charvals):
             got = eisenstein._coset_sum(row[None], charval[None], taus.real, taus.imag[None],
                                         power, mod2_power)[0][0]
             x, y = row[0] * taus.real + row[1], row[0] * taus.imag
-            for value, xi, yi in zip(got, x, y):
+            mod2 = x * x + y * y
+            factor = eisenstein._inverse_power(mod2, -e, np.empty_like(mod2), np.empty_like(mod2))
+            for value, xi, yi, m2, f in zip(got, x, y, mod2, factor):
                 re, im = exact_summand(charval, xi, yi, power, mod2_power)
                 err2 = (Fraction(value.real) - re) ** 2 + (Fraction(value.imag) - im) ** 2
                 assert err2 <= bound**2 * (re * re + im * im)
+                exact = Fraction(m2) ** e
+                assert abs(Fraction(f) - exact) <= factor_bound * exact
 
     @pytest.mark.parametrize("level, k, label", [(6, -2, "trivial"), (10, -2, "trivial"),
                                                  (3, -1, "quadratic"), (4, -3, "quadratic")])

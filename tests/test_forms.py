@@ -1160,6 +1160,30 @@ class TestExtraction:
         with pytest.raises(ValueError):
             extract_coefficients(ev, -2, 40, 0.5, 1.0, samples=64)
 
+    @pytest.mark.parametrize("n, heights, n_max, want", [
+        (8, (0.25, 0.5), None, 256),  # the floor: 16 + 24 samples reach
+        (8, (0.01, 0.02), None, 1024),  # 16 + 600
+        (150, (0.02, 0.04), None, 1024),  # 300 + 300
+        (8, (3.0, 6.0), None, 256),
+        (3, (0.002, 0.004), 400, 512),  # a stored form: n_max + |n| + 1 = 404
+        (-3, (0.4, 0.8), 252, 256),  # 256 exactly
+        (3, (0.4, 0.8), 253, 512),  # 257
+        (200, (0.4, 0.8), 10, 512),  # 2 |n| + 2 = 402
+        (32767, (3.0, 6.0), None, 2**16),  # the cap, one short of a refusal
+        (3, (0.4, 0.8), 65532, 2**16),
+    ])
+    def test_samples_per_line(self, n, heights, n_max, want):
+        assert forms.line_samples(n, heights, n_max) == want
+
+    @pytest.mark.parametrize("n, heights, n_max", [
+        (8, (1e-6, 2e-6), None),  # 2^23 samples a line
+        (32768, (3.0, 6.0), None),  # 2 |n| + 2 = 65538
+        (3, (0.4, 0.8), 65533),  # n_max + |n| + 1 = 65537
+    ])
+    def test_samples_past_the_cap_are_refused(self, n, heights, n_max):
+        with pytest.raises(ValueError, match=f"n_max {n_max} need .* past the cap of 65536"):
+            forms.line_samples(n, heights, n_max)
+
     def test_condition_report(self, rng):
         f = make_random_form(rng)
         ev = lambda taus: evaluate(f, taus)

@@ -33,9 +33,11 @@ Memory stays bounded whatever the number of points or terms (the tables are
 per block and per slice of 256 giant steps, and a sparse series gets a giant
 step per nonzero mode, not per span), and a point's value does not depend on
 the batch it arrives in: every block is padded to 64 points, so each product
-has one shape.  A pair's partner constants come from extract_coefficients at
-32 samples per line (lseries._ZERO_MODE_SAMPLES), one call that is one
-64-point block.
+has one shape.  A form's partner constants (FormExpansion.fricke_constants)
+come from extract_coefficients at 32 samples per line (_ZERO_MODE_SAMPLES),
+one 64-point block.  A form keeps its TermSeries (to_terms) and those
+constants, and a series its matrices and its last pass, each released with
+its owner: one form object is built and extracted once.
 """
 
 from __future__ import annotations
@@ -45,13 +47,13 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 
 from .characters import DirichletCharacter, _from_generator_values
-from .modgroup import IntegerMatrix, slash_factor
+from .modgroup import IntegerMatrix, fricke, slash, slash_factor
 from .specfun import _inc_gamma_scaled, _unbatch, _upper_half_plane
 
 __all__ = [
@@ -249,10 +251,16 @@ class TermSeries:
         """d_v(), the series whose value jet gives as df/dv, built on its first call."""
         return self.d_v()
 
+    _last = (None, None)  # ((order, the points' bytes), rows) of the last pass
+
     def _sums(self, tau, order: int):
         """The value at tau, and for order 1 also df/du: order 0 gives (f,)
         and 1 gives (f, df/du), each a flat array over the points, and the
         token specfun._unbatch restores the caller's shape with.
+
+        The series keeps its last pass, keyed by the order and the exact bits
+        of the points (-0.0 is not 0.0), and answers a repeat with copies of
+        its rows; it holds one copy of the points and of the rows.
 
         The points go in blocks of _POINT_BLOCK, the last one padded.  Per
         block, one power table holds q^n of every baby and giant step n (see
@@ -268,6 +276,9 @@ class TermSeries:
         ValueError unless every point is finite with Im tau > 0.
         """
         flat, restore = _upper_half_plane(tau)
+        key = (order, flat.tobytes())
+        if self._last[0] == key:
+            return list(self._last[1].copy()), restore
         rates, pows, _, (shape, nconj, pow_of), matrix = self._arrays
         matrices = [matrix, self._du_matrix] if order else [matrix]
         outs = np.zeros((len(matrices), flat.size), dtype=complex)
@@ -300,7 +311,8 @@ class TermSeries:
                 sums *= powers[pow_of]
                 np.conjugate(sums[:, :nconj], out=sums[:, :nconj])
                 outs[:, a : a + m] += sums.sum(axis=1)[:, :m]
-        return list(outs), restore
+        object.__setattr__(self, "_last", (key, outs))
+        return list(outs.copy()), restore
 
     def eval(self, tau):
         """Evaluate at tau (complex scalar or ndarray with Im > 0); a scalar
@@ -368,8 +380,8 @@ def slash_jet1(ts: TermSeries, k: int, gamma: IntegerMatrix, tau):
     d/dtau also meets the slash factor.  No library path calls it: a Fricke
     pair reads its own rows at the reciprocal height on the imaginary axis,
     and slashes its evaluator off the axis only for the partner's two
-    constant terms (lseries.FrickePair); this is the independent derivative
-    the slash identities are tested against.
+    constant terms (FormExpansion.fricke_constants); this is the independent
+    derivative the slash identities are tested against.
     """
     c = complex(gamma.c)
     det = float(gamma.det)
@@ -388,11 +400,29 @@ def slash_jet1(ts: TermSeries, k: int, gamma: IntegerMatrix, tau):
 # form expansions
 
 
-@dataclass(frozen=True)
+# Samples per line of the partner's zero-mode extraction.  Bin 0 of an
+# S-point line at height v also holds the aliased modes +-S, +-2S, ... of
+# the 1-periodic partner.  At the lower height v0 = 0.5, mode S weighs
+# e^{-2 pi S v0} times c+(S), and mode -S weighs e^{-2 pi S v0} times
+# c-(-S) Gamma(1-k) sum_{l < 1-k} (4 pi S v0)^l / l!, the finite
+# incomplete-gamma sum of to_terms, a polynomial of degree -k.  At S = 32,
+# e^{-2 pi S v0} = e^{-100.5} = 2.2e-44 and the sum is below 3.2e16 for
+# every k >= -10, so an alias is below 1e-27 of its own coefficient
+# (c+(S) or c-(-S) Gamma(1-k)); higher aliases and the line at v1 = 1 are
+# smaller still.  More samples would evaluate the partner where no
+# constant reads it.
+_ZERO_MODE_SAMPLES = 32
+
+
+@dataclass(frozen=True, eq=False)
 class FormExpansion:
     """Truncated Fourier data of a weight-k harmonic Maass form of polynomial
     growth: holomorphic coefficients c+(0..n_max), the v^{1-k} datum c-(0),
     and nonholomorphic coefficients c-(-1..-n_max) stored by |n| - 1.
+
+    c_plus and c_minus are read-only views of a read-only copy, so what the
+    form keeps (to_terms, fricke_constants) cannot go stale.  Forms compare
+    and hash by identity; lseries._same_data compares their data.
     """
 
     weight: int
@@ -413,17 +443,37 @@ class FormExpansion:
             raise ValueError("alpha must be >= 0")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        cp = np.asarray(self.c_plus, dtype=complex).copy()
-        cm = np.asarray(self.c_minus, dtype=complex).copy()
+        cp = np.array(self.c_plus, dtype=complex)
+        cm = np.array(self.c_minus, dtype=complex)
         if cp.shape != (self.n_max + 1,):
             raise ValueError(f"c_plus must have length n_max+1 = {self.n_max + 1}")
         if cm.shape != (self.n_max,):
             raise ValueError(f"c_minus must have length n_max = {self.n_max}")
-        cp.setflags(write=False)
-        cm.setflags(write=False)
-        object.__setattr__(self, "c_plus", cp)
-        object.__setattr__(self, "c_minus", cm)
+        for name, base in (("c_plus", cp), ("c_minus", cm)):
+            base.setflags(write=False)
+            object.__setattr__(self, name, base.view())
         object.__setattr__(self, "c_minus_zero", complex(self.c_minus_zero))
+
+    @cached_property
+    def _terms(self) -> TermSeries:
+        """to_terms(self), built on its first call."""
+        nu, n = 1 - self.weight, np.arange(self.n_max + 1)
+        steps = [np.full(self.n_max, math.gamma(nu))]
+        steps += [4 * math.pi * n[1:] / l for l in range(1, nu)]
+        z = self.c_minus[:, None] * np.cumprod(np.stack(steps, axis=1), axis=1)
+        z[self.c_minus == 0] = 0  # also where the product overflowed
+        F = np.concatenate([n, [0], np.repeat(-n[1:], nu)])
+        vpow = np.concatenate([0 * n, [nu], np.tile(np.arange(nu), self.n_max)])
+        coef = np.concatenate([self.c_plus, [self.c_minus_zero], z.reshape(-1)])
+        return TermSeries(F, vpow, coef)
+
+    @cached_property
+    def fricke_constants(self) -> tuple[complex, complex]:
+        """(c+(0), c-(0)) of the partner f|_k omega(N), from its zero mode at
+        the heights 0.5 and 1 on the first read, and kept: one evaluator pass
+        of to_terms(self), slashed off the axis, on _ZERO_MODE_SAMPLES a line."""
+        g_eval = partial(slash, to_terms(self).eval, self.weight, fricke(self.level))
+        return extract_coefficients(g_eval, self.weight, 0, 0.5, 1.0, _ZERO_MODE_SAMPLES)
 
     # -- JSON -----------------------------------------------------------
 
@@ -513,21 +563,16 @@ class HolomorphicQExpansion:
 
 
 def to_terms(form: FormExpansion) -> TermSeries:
-    """The expansion as a TermSeries, built from the coefficient arrays: the
-    terms c+(n) q^n, c-(0) v^{1-k}, then c-(-m) Gamma(1-k) (4 pi m)^l / l!
+    """The expansion as a TermSeries, built from the coefficient arrays on
+    the first call and kept on the form: every later call returns the same
+    series, with its matrices and its last pass (see TermSeries._sums).  The
+    terms are c+(n) q^n, c-(0) v^{1-k}, then c-(-m) Gamma(1-k) (4 pi m)^l / l!
     v^l e^{-2 pi i m u - 2 pi m v} by m and l < 1-k, each formed as for a
     lone term.  That is c-(-m) Gamma(1-k, 4 pi m v) q^{-m} through the
     finite sum Gamma(nu, x) = Gamma(nu) e^{-x} sum_{l<nu} x^l/l!, which
     absorbs the growing |q^{-m}| = e^{2 pi m v} into a decaying e^{-2 pi m v}.
     """
-    nu, n = 1 - form.weight, np.arange(form.n_max + 1)
-    steps = [np.full(form.n_max, math.gamma(nu))] + [4 * math.pi * n[1:] / l for l in range(1, nu)]
-    z = form.c_minus[:, None] * np.cumprod(np.stack(steps, axis=1), axis=1)
-    z[form.c_minus == 0] = 0  # also where the product overflowed
-    F = np.concatenate([n, [0], np.repeat(-n[1:], nu)])
-    vpow = np.concatenate([0 * n, [nu], np.tile(np.arange(nu), form.n_max)])
-    coef = np.concatenate([form.c_plus, [form.c_minus_zero], z.reshape(-1)])
-    return TermSeries(F, vpow, coef)
+    return form._terms
 
 
 def evaluate(form: FormExpansion, tau):

@@ -28,7 +28,6 @@ import numpy as np
 
 from .characters import DirichletCharacter, _prime_factors, c_psi
 from .forms import FormExpansion, TermSeries, growth_constant, to_terms, twist
-from .modgroup import fricke, slash
 from .specfun import _batch, _unbatch, gamma_complex, gauss_legendre_panels, invert_on_line, w_nu
 
 __all__ = [
@@ -143,8 +142,9 @@ class FrickePair:
     F(i / (t sqrt N)), g = f|_k omega(N) and -H_g = H|_k omega(N) (the last
     only there), so below t = 1 the pair's own rows stand for the partner's
     (see _mellin_piece).  The four constants are (c_f+(0), c_f-(0), c_g+(0),
-    c_g-(0)), T is every continuation's Mellin cut-off (see analytic_pair),
-    and terms, set by analytic_pair alone, is the form's TermSeries.
+    c_g-(0)), the last two the form's fricke_constants, T is every
+    continuation's Mellin cut-off (see analytic_pair), and terms, set by
+    analytic_pair alone, is to_terms(form).
 
     The continuations (lambda_star, omega_star, lambda_continued,
     omega_continued) take one s or an array of s.  An array is grouped by
@@ -172,26 +172,11 @@ class FrickePair:
         return lam, tuple(sign * self.weight * c for sign, c in zip((1, 1, -1, -1), lam))
 
 
-# Samples per line of the partner's zero-mode extraction.  Bin 0 of an
-# S-point line at height v also holds the aliased modes +-S, +-2S, ... of
-# the 1-periodic partner.  At the lower height v0 = 0.5, mode S weighs
-# e^{-2 pi S v0} times c+(S), and mode -S weighs e^{-2 pi S v0} times
-# c-(-S) Gamma(1-k) sum_{l < 1-k} (4 pi S v0)^l / l!, the finite
-# incomplete-gamma sum of to_terms, a polynomial of degree -k.  At S = 32,
-# e^{-2 pi S v0} = e^{-100.5} = 2.2e-44 and the sum is below 3.2e16 for
-# every k >= -10, so an alias is below 1e-27 of its own coefficient
-# (c+(S) or c-(-S) Gamma(1-k)); higher aliases and the line at v1 = 1 are
-# smaller still.  More samples would evaluate the partner where no
-# constant reads it.
-_ZERO_MODE_SAMPLES = 32
-
-
 def analytic_pair(form: FormExpansion) -> FrickePair:
     """Self-anchored pair: the partner is f|_k omega(N), read from the form's
-    own terms, and the partner's constant terms are extracted numerically
-    from its zero mode, the one place the partner is slashed off the
-    imaginary axis: one extract_coefficients call, that is one evaluator
-    call on _ZERO_MODE_SAMPLES points at each of the heights 0.5 and 1.
+    own terms, and the partner's constant terms are the form's
+    fricke_constants, extracted numerically from its zero mode, the one
+    place the partner is slashed off the imaginary axis, once per form.
 
     This is the route that gives functional-equation residuals their content:
     a completed series continued through analytic_pair(form) uses no data
@@ -205,11 +190,9 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
     value-only pass for the row f alone, and for (f, H) the pass that forms f
     and f_u (the first two values of TermSeries.jet, which takes df/dv from a
     second series), so no derivative series is built.  The partner side of
-    Lambda and Omega is this evaluator below t = 1 (see FrickePair).
+    Lambda and Omega is this evaluator below t = 1 (see FrickePair).  A
+    second pair of one form builds and extracts nothing (see to_terms).
     """
-    # looked up in forms at each call, where bench/tracer.py wraps it by name
-    from .forms import extract_coefficients
-
     k = form.weight
     ts = to_terms(form)
 
@@ -219,16 +202,14 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
             outs[1] = 2j * taus.imag * outs[1] + k * outs[0]
         return np.array(outs)
 
-    g_eval = partial(slash, ts.eval, k, fricke(form.level))
-    cgp0, cgm0 = extract_coefficients(g_eval, k, 0, 0.5, 1.0, _ZERO_MODE_SAMPLES)
     return FrickePair(
         level=form.level,
         weight=k,
         integrands=integrands,
         c_f_plus0=complex(form.c_plus[0]),
         c_f_minus0=form.c_minus_zero,
-        c_g_plus0=cgp0,
-        c_g_minus0=cgm0,
+        c_g_plus0=form.fricke_constants[0],
+        c_g_minus0=form.fricke_constants[1],
         T=max(4.0, math.sqrt(int(np.abs(ts.F).max(initial=0)))),
         terms=ts,
     )
@@ -476,7 +457,9 @@ def fe_residuals(
     is evaluated.  Each pair is continued once, Lambda and Omega together
     from one evaluator pass per node set, in one batch over all kept points
     (and their reflections k - s when the sides share a pair), with values
-    equal to the point-by-point ones.
+    equal to the point-by-point ones.  One f checked against several
+    partners is built and extracted once, and evaluated once per node set
+    (one T, and |Im s| in one panel group; see TermSeries._sums).
     """
     pair_f, pair_g, ik = _sides(form_f, form_g, psi)
     pts = np.fromiter(map(complex, grid), dtype=complex)

@@ -95,13 +95,16 @@ def test_residual_driver_makes_one_batch_per_side(continuations, passes):
     # fe_residuals continues each pair once for the whole grid, so the form
     # evaluations do not grow with the number of grid points: with f != g
     # one batch per side, and on a self-dual equation one batch on the grid
-    # and its reflection
-    for (f, g), check in ((oldform_pair(2, base=4), assert_one_continuation_per_pair),
-                          ((harmonic_eisenstein_level_one(8),) * 2, assert_one_shared_continuation)):
+    # and its reflection.  Each grid gets fresh forms, since a form keeps its
+    # series, partner constants and last pass (see test_form_memo.py)
+    for forms, check in ((lambda: oldform_pair(2, base=4), assert_one_continuation_per_pair),
+                         (lambda: (harmonic_eisenstein_level_one(8),) * 2,
+                          assert_one_shared_continuation)):
         summaries, pass_counts = [], []
         for grid in (VERIFY_GRID[:1], VERIFY_GRID):
             continuations.clear()
             passes.clear()
+            f, g = forms()
             summaries.append(traced(lambda: fe_residuals(f, g, grid)))
             pass_counts.append(len(passes))
             check(continuations, len(grid))

@@ -455,12 +455,12 @@ class TestBatch:
 class TestOneMellinIntegral:
     """A continuation reads the form on the imaginary axis only, in one
     evaluator call per batch, and slashes nothing: the only Fricke slash on
-    the functional-equation path is each analytic_pair's zero-mode
-    extraction, whose points lie off the axis."""
+    the functional-equation path is each form's zero-mode extraction
+    (FormExpansion.fricke_constants), whose points lie off the axis."""
 
     @staticmethod
     def count_slashes(monkeypatch):
-        import maassforms.lseries as lseries
+        import maassforms.forms as forms
 
         seen = []
 
@@ -468,7 +468,7 @@ class TestOneMellinIntegral:
             seen.append(args)
             return slash(*args)
 
-        monkeypatch.setattr(lseries, "slash", counting)
+        monkeypatch.setattr(forms, "slash", counting)
         return seen
 
     def test_a_batch_reads_the_axis_once_and_slashes_nothing(self, small_pair, monkeypatch):

@@ -35,9 +35,10 @@ step per nonzero mode, not per span), and a point's value does not depend on
 the batch it arrives in: every block is padded to 64 points, so each product
 has one shape.  A form's partner constants (FormExpansion.fricke_constants)
 come from extract_coefficients at 32 samples per line (_ZERO_MODE_SAMPLES),
-one 64-point block.  A form keeps its TermSeries (to_terms) and those
-constants, and a series its matrices and its last pass, each released with
-its owner: one form object is built and extracted once.
+one 64-point block.  A form keeps its TermSeries (to_terms), those
+constants, its last twist (see twist) and its lseries.analytic_pair, and a
+series its matrices and its last pass, each released with its owner: one
+form object is built and extracted once.
 """
 
 from __future__ import annotations
@@ -421,8 +422,9 @@ class FormExpansion:
     and nonholomorphic coefficients c-(-1..-n_max) stored by |n| - 1.
 
     c_plus and c_minus are read-only views of a read-only copy, so what the
-    form keeps (to_terms, fricke_constants) cannot go stale.  Forms compare
-    and hash by identity; lseries._same_data compares their data.
+    form keeps (to_terms, fricke_constants, its last twist and its Fricke
+    pair, one of each) cannot go stale.  Forms compare and hash by identity;
+    lseries._same_data compares their data.
     """
 
     weight: int
@@ -433,6 +435,9 @@ class FormExpansion:
     c_plus: np.ndarray
     c_minus_zero: complex
     c_minus: np.ndarray
+
+    _twist = (None, None)  # (psi, twist(self, psi)) of the last twist
+    _pair = None  # lseries.analytic_pair(self), set on its first call
 
     def __post_init__(self):
         if self.weight > -1:
@@ -531,18 +536,19 @@ def load_form(path) -> FormExpansion:
         return FormExpansion.from_json(json.load(fh))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HolomorphicQExpansion:
-    """Truncated q-expansion sum c(n) q^n, the image space of xi_k and D^{1-k}."""
+    """Truncated q-expansion sum c(n) q^n, the image space of xi_k and D^{1-k};
+    read-only coefficients and identity eq and hash, as for FormExpansion."""
 
     weight: int
     level: int
     coefficients: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coefficients, dtype=complex).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", arr)
+        base = np.array(self.coefficients, dtype=complex)
+        base.setflags(write=False)
+        object.__setattr__(self, "coefficients", base.view())
 
     @cached_property
     def _series(self) -> TermSeries:
@@ -662,7 +668,12 @@ def twist(form: FormExpansion, psi: DirichletCharacter) -> FormExpansion:
 
     psi(0) is 1 for the modulus-1 character (twisting is then the identity)
     and 0 otherwise.
+    The form keeps its last twist: a psi equal to the last one (psibar for a
+    real psi) gets the same f_psi back, and another psi replaces it.
     """
+    kept_psi, kept = form._twist
+    if kept_psi == psi:
+        return kept
     if not psi.is_primitive:
         raise ValueError("twisting character must be primitive")
     m = psi.modulus
@@ -672,7 +683,7 @@ def twist(form: FormExpansion, psi: DirichletCharacter) -> FormExpansion:
     psi_n = psi.values[np.arange(-form.n_max, form.n_max + 1) % m]
     c = np.concatenate([form.c_minus[::-1], form.c_plus])  # c at n = -n_max..n_max
     prod = _times(psi_n, c)
-    return FormExpansion(
+    twisted = FormExpansion(
         weight=form.weight,
         level=new_level,
         character=new_char,
@@ -682,6 +693,8 @@ def twist(form: FormExpansion, psi: DirichletCharacter) -> FormExpansion:
         c_minus_zero=psi(0) * form.c_minus_zero,
         c_minus=prod[form.n_max - 1 :: -1],
     )
+    object.__setattr__(form, "_twist", (psi, twisted))
+    return twisted
 
 
 # ---------------------------------------------------------------------------

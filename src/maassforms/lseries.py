@@ -151,7 +151,8 @@ class FrickePair:
     the panel count of the log-t quadrature, which depends on s only through
     |Im s|, and the evaluator is called once per batch, on the nodes of all
     its groups (once per _MELLIN_NODE_CAP nodes of whole groups past that),
-    so a batch costs as many evaluator calls as one point.
+    so a batch costs as many evaluator calls as one point.  A pair keeps its
+    last continuation (see _star), one batch; a replaced pair keeps none.
     """
 
     level: int
@@ -163,6 +164,8 @@ class FrickePair:
     c_g_minus0: complex
     T: float
     terms: TermSeries | None = None
+
+    _last = (None, None)  # ((rows, the s batch's bytes), rows out) of the last _star
 
     @property
     def row_constants(self) -> tuple:
@@ -191,8 +194,11 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
     and f_u (the first two values of TermSeries.jet, which takes df/dv from a
     second series), so no derivative series is built.  The partner side of
     Lambda and Omega is this evaluator below t = 1 (see FrickePair).  A
-    second pair of one form builds and extracts nothing (see to_terms).
+    second pair of one form builds and extracts nothing: the pair is kept on
+    the form, as to_terms is, and every call returns it.
     """
+    if form._pair is not None:
+        return form._pair
     k = form.weight
     ts = to_terms(form)
 
@@ -202,7 +208,7 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
             outs[1] = 2j * taus.imag * outs[1] + k * outs[0]
         return np.array(outs)
 
-    return FrickePair(
+    pair = FrickePair(
         level=form.level,
         weight=k,
         integrands=integrands,
@@ -213,6 +219,8 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
         T=max(4.0, math.sqrt(int(np.abs(ts.F).max(initial=0)))),
         terms=ts,
     )
+    object.__setattr__(form, "_pair", pair)
+    return pair
 
 
 # Gauss-Legendre nodes per log-t panel of every incomplete Mellin integral, and kappa
@@ -303,15 +311,19 @@ def _star(pair: FrickePair, s, rows: int) -> list:
 
     s is a complex number or an array of them; each row is shaped like s,
     each value equal to its lone-point value (see _mellin_piece for how the
-    batch shares integrand evaluations)."""
+    batch shares integrand evaluations).  The pair keeps its last rows, keyed
+    by rows and the exact bits of the batch, and answers a repeat with copies."""
     if not 1.0 < pair.T < math.inf:
         raise ValueError(f"the Mellin cut-off T must be a finite number > 1, got T = {pair.T}")
     pts, restore = _batch(s)
     if not np.isfinite(pts).all():
         raise ValueError(f"s must be a finite complex number, got s = {pts[~np.isfinite(pts)][0]}")
-    ev = partial(pair.integrands, rows=rows)
-    rows_out = _mellin_piece(ev, pair.row_constants[:rows], pair.level, pair.weight, pts, pair.T)
-    return [_unbatch(row, restore) for row in rows_out]
+    key = (rows, pts.tobytes())
+    if pair._last[0] != key:
+        ev = partial(pair.integrands, rows=rows)
+        out = _mellin_piece(ev, pair.row_constants[:rows], pair.level, pair.weight, pts, pair.T)
+        object.__setattr__(pair, "_last", (key, out))
+    return [_unbatch(row.copy(), restore) for row in pair._last[1]]
 
 
 def _near_poles(z: np.ndarray, k: int, tol: float) -> np.ndarray:
@@ -459,7 +471,9 @@ def fe_residuals(
     (and their reflections k - s when the sides share a pair), with values
     equal to the point-by-point ones.  One f checked against several
     partners is built and extracted once, and evaluated once per node set
-    (one T, and |Im s| in one panel group; see TermSeries._sums).
+    (one T, and |Im s| in one panel group; see TermSeries._sums).  A form
+    keeps its last twist and its pair, and a pair its last continuation, so
+    a repeated call twists, builds, extracts and continues nothing again.
     """
     pair_f, pair_g, ik = _sides(form_f, form_g, psi)
     pts = np.fromiter(map(complex, grid), dtype=complex)
@@ -490,7 +504,8 @@ def _sides(
     """The self-anchored pairs of the two sides of a functional equation and
     its constant: those of f and g with i^k, or with psi those of f_psi and
     g_psibar with i^k C_psi.  Sides that hold the same data (see _same_data,
-    read after twisting) are one pair, built once; others share the smaller T.
+    read after twisting) are one pair, built once; others share the smaller T,
+    and a pair already at it is the kept pair itself.
 
     By the twisting proposition f_psi|_k omega(N m^2) = C_psi g_psibar, so
     the twisted completed series live at level N m^2 = lcm(N, m^2, m m_chi),
@@ -509,12 +524,15 @@ def _sides(
         return pair_f, pair_f, ik
     pair_g = analytic_pair(form_g)
     T = min(pair_f.T, pair_g.T)
-    return replace(pair_f, T=T), replace(pair_g, T=T), ik
+    pair_f, pair_g = (p if p.T == T else replace(p, T=T) for p in (pair_f, pair_g))
+    return pair_f, pair_g, ik
 
 
 def _same_data(a: FormExpansion, b: FormExpansion) -> bool:
     """a and b agree, bit for bit, in everything analytic_pair reads: the
-    weight, level and n_max and the bytes of c+, c-(0) and c-."""
+    weight, level and n_max and the bytes of c+, c-(0) and c-; a is b at once."""
+    if a is b:
+        return True
     return (a.weight, a.level, a.n_max) == (b.weight, b.level, b.n_max) and all(
         np.asarray(x, dtype=complex).tobytes() == np.asarray(y, dtype=complex).tobytes()
         for x, y in ((a.c_plus, b.c_plus), (a.c_minus_zero, b.c_minus_zero), (a.c_minus, b.c_minus))
@@ -574,6 +592,8 @@ def twisted_lambda(
     twisted expansions hold the same data (f = g and a real psi) they are one
     pair, continued once at s and k - s together (see _sides and _reflected);
     s may be one complex number or an array, and the results are shaped like it.
+    With the kept twists and pairs, twisted_lambda and then twisted_omega on
+    the same forms and psi twist, build and extract each side once.
     """
     return _twisted(form_f, form_g, chi, psi, level, k, s, lambda_continued, -1)
 

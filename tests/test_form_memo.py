@@ -1,13 +1,16 @@
 """What a form derives is derived once and kept with it.
 
-A FormExpansion keeps its TermSeries (to_terms) and its partner constants
-(fricke_constants); a TermSeries keeps its last evaluator pass.  Every value
-must stay bit for bit what a fresh form gives, and a form must not be
-changed under what it keeps.
+A FormExpansion keeps its TermSeries (to_terms), its partner constants
+(fricke_constants), its last twist and its Fricke pair (analytic_pair); a
+TermSeries keeps its last evaluator pass and a FrickePair its last
+continuation.  Every value must stay bit for bit what a fresh form gives, a
+form must not be changed under what it keeps, and each owner keeps one.
 """
 
 import copy
+import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 from functools import partial
 
@@ -15,12 +18,14 @@ import numpy as np
 import pytest
 
 import maassforms.forms as forms
-from helpers import make_random_form, oldform_pair
-from maassforms.characters import character_by_label
+from helpers import make_random_form, oldform_pair, padded_pair
+import maassforms.lseries as lseries
+from maassforms.characters import DirichletCharacter, character_by_label
 from maassforms.eisenstein import harmonic_eisenstein_level_one
-from maassforms.forms import TermSeries, to_terms
-from maassforms.lseries import (analytic_pair, fe_residuals, lambda_continued,
-                                reconstruct_from_lambda)
+from maassforms.forms import TermSeries, bol, shadow, to_terms, twist
+from maassforms.lseries import (_star, analytic_pair, fe_residuals, lambda_continued,
+                                lambda_star, omega_star, reconstruct_from_lambda,
+                                twisted_lambda, twisted_omega)
 
 # the shape of the benchmark's verify grid, moved per call by an offset in
 # Im s as the benchmark moves it
@@ -94,6 +99,20 @@ class TestIdentity:
         # the form holds its own copy: the caller's arrays stay writeable
         c_plus[0] = 5.0
         assert f.c_plus[0] != 5.0
+
+    @pytest.mark.parametrize("image", [shadow, bol])
+    def test_a_holomorphic_image_compares_hashes_and_stays_read_only(self, rng, image):
+        f = make_random_form(rng)
+        h, again = image(f), image(f)
+        assert h == h and h != again and h != copy.copy(h)
+        assert {h: 1}[h] == 1
+        tau = 0.1 + 0.7j
+        before = h.evaluate(tau)
+        with pytest.raises(ValueError):
+            h.coefficients.setflags(write=True)
+        with pytest.raises(ValueError):
+            h.coefficients[0] = 5.0
+        assert h.evaluate(tau) == before == again.evaluate(tau)
 
 
 class TestBitwiseReuse:
@@ -227,3 +246,159 @@ class TestLastPass:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+@pytest.fixture
+def mellin_calls(monkeypatch):
+    """Per lseries._mellin_piece call (one continuation), the number of
+    evaluator calls it made."""
+    seen, piece = [], lseries._mellin_piece
+
+    def counting(eval_fn, *args):
+        seen.append(0)
+
+        def evaluating(taus):
+            seen[-1] += 1
+            return eval_fn(taus)
+
+        return piece(evaluating, *args)
+
+    monkeypatch.setattr(lseries, "_mellin_piece", counting)
+    return seen
+
+
+def quadratic(m):
+    """The quadratic character mod m, a new object on each call."""
+    return character_by_label(m, "quadratic")
+
+
+def same_data(a, b):
+    return (a.level == b.level and a.character == b.character
+            and a.c_plus.tobytes() == b.c_plus.tobytes()
+            and a.c_minus.tobytes() == b.c_minus.tobytes() and a.c_minus_zero == b.c_minus_zero)
+
+
+class TestKeptTwist:
+    def test_an_equal_character_gets_the_same_twist(self, rng):
+        f = make_random_form(rng, n_max=30)
+        psi, again = quadratic(5), quadratic(5)
+        assert psi is not again and psi == again
+        assert twist(f, psi) is twist(f, again) is twist(f, psi.conjugate())
+
+    def test_another_character_replaces_the_twist(self, rng):
+        f = make_random_form(rng, n_max=30)
+        first = twist(f, quadratic(5))
+        other = twist(f, quadratic(7))
+        again = twist(f, quadratic(5))
+        assert again is not first and other is not first
+        assert same_data(again, first) and same_data(again, twist(fresh(f), quadratic(5)))
+
+    def test_a_complex_character_and_its_conjugate_give_two_forms(self, rng):
+        f = make_random_form(rng, n_max=30)
+        psi = DirichletCharacter(5, (1,))  # order 4, primitive
+        assert psi.is_primitive and psi != psi.conjugate()
+        f_psi, f_psibar = twist(f, psi), twist(f, psi.conjugate())
+        assert f_psi is not f_psibar
+        assert f_psi.c_plus.tobytes() != f_psibar.c_plus.tobytes()
+        assert same_data(f_psibar, twist(fresh(f), psi.conjugate()))
+
+    def test_a_form_holds_one_twist(self, rng):
+        f = make_random_form(rng, n_max=30)
+        first = twist(f, quadratic(5))
+        analytic_pair(first)  # and with it what the twist keeps
+        gone = weakref.ref(first)
+        del first
+        gc.collect()
+        assert gone() is not None
+        twist(f, quadratic(7))
+        gc.collect()
+        assert gone() is None
+
+    def test_a_twisted_equation_twists_builds_and_extracts_once(self, monkeypatch):
+        f = harmonic_eisenstein_level_one(40)
+        psi, s = quadratic(5), np.array([0.5 + 0.5j, -1.0 + 1.0j])
+        builds, extractions = [], []
+        post_init, extract = forms.FormExpansion.__post_init__, forms.extract_coefficients
+
+        def building(self):
+            builds.append(self)
+            post_init(self)
+
+        def extracting(*args):
+            extractions.append(args)
+            return extract(*args)
+
+        monkeypatch.setattr(forms.FormExpansion, "__post_init__", building)
+        monkeypatch.setattr(forms, "extract_coefficients", extracting)
+        got = [call(f, f, f.character, psi, 1, f.weight, s) for call in (twisted_lambda, twisted_omega)]
+        assert len(builds) == 1 and len(extractions) == 1
+        monkeypatch.undo()
+        g = fresh(f)
+        want = [call(g, fresh(g), g.character, quadratic(5), 1, g.weight, s)
+                for call in (twisted_lambda, twisted_omega)]
+        for a, b in zip(got, want):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+class TestKeptPair:
+    def test_a_form_keeps_its_pair(self, rng):
+        f = make_random_form(rng)
+        assert analytic_pair(f) is analytic_pair(f)
+        assert analytic_pair(fresh(f)) is not analytic_pair(f)
+
+    def test_a_side_at_the_smaller_cut_off_is_the_kept_pair(self):
+        f, (g, *_) = verify_partners(7)  # one cut-off: both sides are kept pairs
+        pair_f, pair_g, _ = lseries._sides(f, g, None)
+        assert pair_f is analytic_pair(f) and pair_g is analytic_pair(g)
+        f, g = padded_pair()  # f's cut-off is the smaller one
+        pair_f, pair_g, _ = lseries._sides(f, g, None)
+        assert pair_f is analytic_pair(f) and pair_f.T < analytic_pair(g).T
+        assert pair_g is not analytic_pair(g) and pair_g.T == pair_f.T
+
+    def test_reconstruction_continues_once(self, mellin_calls):
+        f = harmonic_eisenstein_level_one(40)
+        pair = analytic_pair(f)
+        for t in (0.8, 1.0, 1.5):
+            got = reconstruct_from_lambda(partial(lambda_continued, analytic_pair(f)),
+                                          1, -2, t, 2.0, 40.0)
+            calls = len(mellin_calls)
+            other = analytic_pair(fresh(f))
+            want = reconstruct_from_lambda(partial(lambda_continued, other), 1, -2, t, 2.0, 40.0)
+            del mellin_calls[calls:]
+            assert complex(got) == complex(want)
+        assert mellin_calls == [1] and analytic_pair(f) is pair
+
+    def test_another_batch_or_rows_recomputes(self, mellin_calls):
+        pair = analytic_pair(harmonic_eisenstein_level_one(12))
+        pts = np.array([0.5 + 1j, -1.0 + 2j, 2.5 - 3j])
+        zeros = np.array([0.5 + 0j, 1.5 + 1j])
+        negative = zeros.copy()
+        negative.imag[0] = -0.0
+        # each call follows the one before it, so each continues anew
+        for call in (lambda p: lambda_star(p, pts), lambda p: omega_star(p, pts),
+                     lambda p: lambda_star(p, pts), lambda p: lambda_star(p, pts[::-1]),
+                     lambda p: lambda_star(p, pts[:2]), lambda p: lambda_star(p, zeros),
+                     lambda p: lambda_star(p, negative), lambda p: lambda_star(p, pts)):
+            mellin_calls.clear()
+            got = call(pair)
+            assert len(mellin_calls) == 1
+            other = analytic_pair(fresh(harmonic_eisenstein_level_one(12)))
+            assert np.array_equal(got, call(other))
+        mellin_calls.clear()
+        assert np.array_equal(lambda_star(pair, pts.copy()), got)
+        assert mellin_calls == []  # a repeat of the last batch, from memory
+
+    def test_a_returned_array_does_not_reach_the_memory(self, mellin_calls):
+        pair = analytic_pair(harmonic_eisenstein_level_one(12))
+        pts = np.array([[0.5 + 1j, -1.0 + 2j], [2.5 - 3j, 0.25 + 0j]])
+        rows = _star(pair, pts, 2)
+        want = [row.copy() for row in rows]
+        for row in rows:
+            row[...] = np.nan
+        again = _star(pair, pts, 2)
+        assert len(mellin_calls) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(again, want))
+        assert all(row.shape == pts.shape for row in again)
+        scalar = lambda_star(pair, 0.5 + 1j)
+        assert type(scalar) is complex and scalar == lambda_star(pair, complex(0.5, 1.0))
+        assert len(mellin_calls) == 2

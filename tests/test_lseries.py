@@ -478,9 +478,11 @@ class TestOneMellinIntegral:
             reads.append(taus)
             return small_pair.integrands(taus, rows)
 
-        pair = replace(small_pair, integrands=integrands)
         pts = np.array([0.5 + 1j, -1.0 + 20j, 2.0 - 45j, -2.5 + 0j])
         for fn in (*BATCHED, partial(_star, rows=2), partial(_continued, rows=2)):
+            # a fresh pair each time: one pair would answer a repeated batch
+            # from its last continuation
+            pair = replace(small_pair, integrands=integrands)
             reads.clear()
             fn(pair, pts)
             assert len(reads) == 1 and reads[0].size and (reads[0].real == 0).all()

@@ -261,6 +261,8 @@ def character_by_label(q: int, label: str) -> DirichletCharacter:
         # every generator order is even, so the real characters are the
         # exponent vectors with entries in {0, o/2}: 2^r - 1 non-trivial ones
         _, orders = unit_group_generators(q)
+        if not orders:
+            raise ValueError(f"modulus {q} has no real non-trivial character")
         if len(orders) != 1:
             raise ValueError(
                 f"modulus {q} has {2 ** len(orders) - 1} real non-trivial characters; "

@@ -25,10 +25,10 @@ block of 64 points, one table of those powers takes a real np.exp and a
 cos/sin once per distinct Re tau, with no exponential per term, and each
 coefficient set is one matrix product of the giant powers against a matrix
 cached per series, contracted with the baby powers and v^vpow.  A pass forms
-the value set, or that and the df/du set, which shares its layout: eval and
-a Fricke pair read for Lambda alone the value, and a pair read for Lambda
-and Omega both (for H = 2iv f_u + k f).  TermSeries.jet reads both too, and
-df/dv as eval of the exact series d_v(), which it builds once and keeps.
+the value set, or that and the df/du set, which shares its layout: eval reads
+the value, and a Fricke pair both (for H = 2iv f_u + k f).  TermSeries.jet
+reads both too, and df/dv as eval of the exact series d_v(), which it builds
+once and keeps.
 Memory stays bounded whatever the number of points or terms (the tables are
 per block and per slice of 256 giant steps, and a sparse series gets a giant
 step per nonzero mode, not per span), and a point's value does not depend on

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -135,24 +134,24 @@ class FrickePair:
     """A form's integrand evaluator and the constants of its Fricke pair,
     with partner g = f|_k omega(N).
 
-    integrands(taus, rows) stacks the first rows of (f, H = 2iv df/du + k f)
-    at a 1-d array of points: one row for Lambda, two for Lambda and Omega.
-    The partner is never stored or evaluated: every Mellin integrand is read
-    on the imaginary axis, where (F|_k omega(N))(i t / sqrt N) = i^{-k} t^{-k}
-    F(i / (t sqrt N)), g = f|_k omega(N) and -H_g = H|_k omega(N) (the last
-    only there), so below t = 1 the pair's own rows stand for the partner's
-    (see _mellin_piece).  The four constants are (c_f+(0), c_f-(0), c_g+(0),
+    integrands(taus) stacks the rows (f, H = 2iv df/du + k f), Lambda's and
+    Omega's integrands, at a 1-d array of points.  The partner is never
+    stored or evaluated: every Mellin integrand is read on the imaginary
+    axis, where (F|_k omega(N))(i t / sqrt N) = i^{-k} t^{-k} F(i / (t sqrt
+    N)), g = f|_k omega(N) and -H_g = H|_k omega(N) (the last only there), so
+    below t = 1 the pair's own rows stand for the partner's (see
+    _mellin_piece).  The four constants are (c_f+(0), c_f-(0), c_g+(0),
     c_g-(0)), the last two the form's fricke_constants, T is every
     continuation's Mellin cut-off (see analytic_pair), and terms, set by
     analytic_pair alone, is to_terms(form).
 
-    The continuations (lambda_star, omega_star, lambda_continued,
-    omega_continued) take one s or an array of s.  An array is grouped by
-    the panel count of the log-t quadrature, which depends on s only through
-    |Im s|, and the evaluator is called once per batch, on the nodes of all
-    its groups (once per _MELLIN_NODE_CAP nodes of whole groups past that),
-    so a batch costs as many evaluator calls as one point.  A pair keeps its
-    last continuation (see _star), one batch; a replaced pair keeps none.
+    A continuation is (Lambda, Omega) at one s or an array of s; an array
+    is grouped by the panel count of the log-t quadrature, which depends on
+    s only through |Im s|, and the evaluator is called once per batch, on
+    the nodes of all its groups (once per _MELLIN_NODE_CAP nodes of whole
+    groups past that), so a batch costs as many evaluator calls as one
+    point.  A pair keeps its last continuation (see _star), one batch, which
+    serves Lambda and Omega; a replaced pair keeps none.
     """
 
     level: int
@@ -165,7 +164,7 @@ class FrickePair:
     T: float
     terms: TermSeries | None = None
 
-    _last = (None, None)  # ((rows, the s batch's bytes), rows out) of the last _star
+    _last = (None, None)  # (the s batch's bytes, (Lambda*, Omega*)) of the last _star
 
     @property
     def row_constants(self) -> tuple:
@@ -189,24 +188,21 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
     cut-off T = max(4, sqrt(n)), n the largest |n| of a nonzero term, not
     n_max, balances that loss against the dropped [T, inf) integrand.
 
-    The evaluator makes one pass of the form's TermSeries sums per call: the
-    value-only pass for the row f alone, and for (f, H) the pass that forms f
-    and f_u (the first two values of TermSeries.jet, which takes df/dv from a
-    second series), so no derivative series is built.  The partner side of
-    Lambda and Omega is this evaluator below t = 1 (see FrickePair).  A
-    second pair of one form builds and extracts nothing: the pair is kept on
-    the form, as to_terms is, and every call returns it.
+    The evaluator makes one pass of the form's TermSeries sums per call, the
+    one that forms f and f_u (the first two values of TermSeries.jet), so no
+    derivative series is built, and each continuation is (Lambda, Omega)
+    from it; below t = 1 it is the partner side (see FrickePair).  A second
+    pair of one form builds and extracts nothing: the pair is kept on the
+    form, as to_terms is, and every call returns it.
     """
     if form._pair is not None:
         return form._pair
     k = form.weight
     ts = to_terms(form)
 
-    def integrands(taus, rows):
-        outs, _ = ts._sums(taus, rows - 1)
-        if rows == 2:
-            outs[1] = 2j * taus.imag * outs[1] + k * outs[0]
-        return np.array(outs)
+    def integrands(taus):
+        (f, f_u), _ = ts._sums(taus, 1)
+        return np.array([f, 2j * taus.imag * f_u + k * f])
 
     pair = FrickePair(
         level=form.level,
@@ -302,26 +298,26 @@ def _mellin_piece(eval_fn: Callable, consts: Sequence[tuple], level: int, k: int
     return out
 
 
-def _star(pair: FrickePair, s, rows: int) -> list:
-    """The entire pole-corrected completions of the first rows integrands
-    (Lambda, then Omega; Lambda alone takes the value-only evaluator pass):
-    one incomplete Mellin integral of the pair's own rows over [1/T, T] of
-    the imaginary axis, the part below t = 1 standing for the partner's
+def _star(pair: FrickePair, s) -> list:
+    """[Lambda*, Omega*], the entire pole-corrected completions: one
+    incomplete Mellin integral of the pair's two rows over [1/T, T] of the
+    imaginary axis, the part below t = 1 standing for the partner's
     integral on [1, T] at k - s (see FrickePair).  Finite for every s.
 
     s is a complex number or an array of them; each row is shaped like s,
     each value equal to its lone-point value (see _mellin_piece for how the
-    batch shares integrand evaluations).  The pair keeps its last rows, keyed
-    by rows and the exact bits of the batch, and answers a repeat with copies."""
+    batch shares integrand evaluations).  The pair keeps its last
+    continuation, keyed by the exact bits of the batch, and answers a
+    repeat, for Lambda or Omega, with copies."""
     if not 1.0 < pair.T < math.inf:
         raise ValueError(f"the Mellin cut-off T must be a finite number > 1, got T = {pair.T}")
     pts, restore = _batch(s)
     if not np.isfinite(pts).all():
         raise ValueError(f"s must be a finite complex number, got s = {pts[~np.isfinite(pts)][0]}")
-    key = (rows, pts.tobytes())
+    key = pts.tobytes()
     if pair._last[0] != key:
-        ev = partial(pair.integrands, rows=rows)
-        out = _mellin_piece(ev, pair.row_constants[:rows], pair.level, pair.weight, pts, pair.T)
+        out = _mellin_piece(pair.integrands, pair.row_constants, pair.level, pair.weight, pts,
+                            pair.T)
         object.__setattr__(pair, "_last", (key, out))
     return [_unbatch(row.copy(), restore) for row in pair._last[1]]
 
@@ -332,10 +328,10 @@ def _near_poles(z: np.ndarray, k: int, tol: float) -> np.ndarray:
     return (np.abs(z[:, None] - np.array([0.0, k, 1.0, k - 1.0])) < tol).any(axis=1)
 
 
-def _continued(pair: FrickePair, s, rows: int) -> list:
-    """_star minus the four simple pole terms of each row's constants, one
-    array expression over the batch per row; ValueError if a point of the
-    batch lies within 1e-12 of a pole (see _near_poles)."""
+def _continued(pair: FrickePair, s) -> list:
+    """[Lambda, Omega]: _star minus the four simple pole terms of each row's
+    constants, one array expression over the batch per row; ValueError if a
+    point of the batch lies within 1e-12 of a pole (see _near_poles)."""
     z, restore = _batch(s)
     k = pair.weight
     pole = _near_poles(z, k, 1e-12)
@@ -346,30 +342,30 @@ def _continued(pair: FrickePair, s, rows: int) -> list:
     return [
         _unbatch(row - (cf0 / z + cg0 * ik / (k - z) + cfv / nfac / (z - k + 1)
                         + cgv * ik / nfac / (1 - z)), restore)
-        for row, (cf0, cfv, cg0, cgv) in zip(_star(pair, z, rows), pair.row_constants)
+        for row, (cf0, cfv, cg0, cgv) in zip(_star(pair, z), pair.row_constants)
     ]
 
 
 def lambda_star(pair: FrickePair, s):
     """The entire completion of Lambda (see _star); vectorised over s."""
-    return _star(pair, s, 1)[0]
+    return _star(pair, s)[0]
 
 
 def omega_star(pair: FrickePair, s):
     """The entire completion of Omega (see _star); vectorised over s."""
-    return _star(pair, s, 2)[1]
+    return _star(pair, s)[1]
 
 
 def lambda_continued(pair: FrickePair, s):
     """Lambda_N(f, s) for arbitrary s away from the four simple poles;
     agrees with lambda_definitional on the certified half-plane.
     Vectorised over s like lambda_star."""
-    return _continued(pair, s, 1)[0]
+    return _continued(pair, s)[0]
 
 
 def omega_continued(pair: FrickePair, s):
     """Omega_N(f, s) for arbitrary s away from the poles; vectorised over s."""
-    return _continued(pair, s, 2)[1]
+    return _continued(pair, s)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +381,6 @@ class ResidualReport:
     omega_residuals: list
     excluded: list = field(default_factory=list)
     quadrature_T: float = 0.0
-    nodes_per_panel: int = _MELLIN_NODES
     tail_bound: float = 0.0
 
     def __post_init__(self):
@@ -421,7 +416,7 @@ class ResidualReport:
             "omega_residuals": list(self.omega_residuals),
             "excluded": [[s.real, s.imag] for s in self.excluded],
             "quadrature_T": self.quadrature_T,
-            "nodes_per_panel": self.nodes_per_panel,
+            "nodes_per_panel": _MELLIN_NODES,
             "tail_bound": self.tail_bound,
             "max_residual": self.max_residual,
         }
@@ -480,7 +475,7 @@ def fe_residuals(
     near = _near_poles(pts, form_f.weight, 1e-9)
     kept, excluded = pts[~near], pts[near].tolist()
     root = math.sqrt(pair_f.level)
-    (lam_f, om_f), (lam_g, om_g) = _reflected(partial(_continued, rows=2), pair_f, pair_g, kept)
+    (lam_f, om_f), (lam_g, om_g) = _reflected(pair_f, pair_g, kept)
     return ResidualReport(
         grid=kept.tolist(),
         lambda_residuals=_residuals(lam_f, lam_g, -ik),
@@ -539,17 +534,17 @@ def _same_data(a: FormExpansion, b: FormExpansion) -> bool:
     )
 
 
-def _reflected(continued: Callable, pair_f: FrickePair, pair_g: FrickePair, s: np.ndarray):
-    """continued(pair_f, s) and continued(pair_g, k - s) for a 1-d
-    array s.  When both sides are one pair (see _sides), one call on the
-    batch (s, k - s), split along its last axis: every value equals its
-    lone-point value, so the halves are the two calls' results.  s comes
-    first, so a pole or non-finite point is named as the call at s would
-    name it (the poles are symmetric under s -> k - s)."""
+def _reflected(pair_f: FrickePair, pair_g: FrickePair, s: np.ndarray):
+    """The continuations (Lambda, Omega) of pair_f at s and of pair_g at
+    k - s for a 1-d array s.  When both sides are one pair (see _sides), one
+    continuation of the batch (s, k - s), split along its last axis: every
+    value equals its lone-point value, so the halves are the two sides'.  s
+    comes first, so a pole or non-finite point is named as the call at s
+    would name it (the poles are symmetric under s -> k - s)."""
     k = pair_f.weight
     if pair_g is not pair_f:
-        return continued(pair_f, s), continued(pair_g, k - s)
-    both = np.asarray(continued(pair_f, np.concatenate([s, k - s])))
+        return _continued(pair_f, s), _continued(pair_g, k - s)
+    both = np.asarray(_continued(pair_f, np.concatenate([s, k - s])))
     return both[..., :s.size], both[..., s.size:]
 
 
@@ -557,10 +552,12 @@ def _reflected(continued: Callable, pair_f: FrickePair, pair_g: FrickePair, s: n
 # twists
 
 
-def _twisted(form_f, form_g, chi, psi, level, k, s, continued: Callable, sign: int):
-    """continued at s and at k - s of the twisted pairs, and the residual
-    |v_f + sign i^k C_psi v_g| (see _residuals), each shaped like s; k, level
-    and chi must be the forms' own weight, level and f's character."""
+def _twisted(form_f, form_g, chi, psi, level, k, s, row: int, sign: int):
+    """Row row (0 Lambda, 1 Omega) of the twisted pairs' continuations at s
+    and k - s, and the residual |v_f + sign i^k C_psi v_g| (see _residuals),
+    each shaped like s; the pairs keep their continuation (Lambda, Omega),
+    so the other row at the same arguments comes from memory.  k, level and
+    chi must be the forms' own weight, level and f's character."""
     if k != form_f.weight:
         raise ValueError("k must equal the weight of the forms")
     if form_f.level != level or form_g.level != level:
@@ -569,7 +566,7 @@ def _twisted(form_f, form_g, chi, psi, level, k, s, continued: Callable, sign: i
         raise ValueError(f"chi must be the character of f: {chi!r} is not {form_f.character!r}")
     pair_f, pair_g, ik = _sides(form_f, form_g, psi)
     flat, restore = _batch(s)
-    v_f, v_g = _reflected(continued, pair_f, pair_g, flat)
+    v_f, v_g = (v[row] for v in _reflected(pair_f, pair_g, flat))
     return (_unbatch(v_f, restore), _unbatch(v_g, restore),
             _unbatch(_residuals(v_f, v_g, sign * ik), restore, float))
 
@@ -592,10 +589,11 @@ def twisted_lambda(
     twisted expansions hold the same data (f = g and a real psi) they are one
     pair, continued once at s and k - s together (see _sides and _reflected);
     s may be one complex number or an array, and the results are shaped like it.
-    With the kept twists and pairs, twisted_lambda and then twisted_omega on
-    the same forms and psi twist, build and extract each side once.
+    A pair's continuation is (Lambda, Omega), kept with the twists and
+    pairs: twisted_lambda then twisted_omega on the same forms, psi and s
+    twist, build, extract and continue each side once.
     """
-    return _twisted(form_f, form_g, chi, psi, level, k, s, lambda_continued, -1)
+    return _twisted(form_f, form_g, chi, psi, level, k, s, 0, -1)
 
 
 def twisted_omega(
@@ -609,8 +607,8 @@ def twisted_omega(
 ) -> tuple[complex, complex, float]:
     """Twisted Omega values and the residual of
     Omega_N(f,s,psi) = -i^k C_psi Omega_N(g,k-s,psibar), from the pairs
-    and batches of twisted_lambda."""
-    return _twisted(form_f, form_g, chi, psi, level, k, s, omega_continued, 1)
+    and continuations of twisted_lambda."""
+    return _twisted(form_f, form_g, chi, psi, level, k, s, 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -35,12 +35,13 @@ def pair_builds(monkeypatch):
 
 @pytest.fixture
 def continuations(monkeypatch):
-    """(pair, points, rows) of every lseries._continued call."""
+    """(pair, points) of every lseries._continued call: one continuation,
+    Lambda and Omega together."""
     seen, body = [], lseries._continued
 
-    def counting(pair, s, rows):
-        seen.append((pair, int(np.size(s)), rows))
-        return body(pair, s, rows)
+    def counting(pair, s):
+        seen.append((pair, int(np.size(s))))
+        return body(pair, s)
 
     monkeypatch.setattr(lseries, "_continued", counting)
     return seen

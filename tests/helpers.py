@@ -63,12 +63,12 @@ def padded_pair():
 
 
 def pair_from_evaluators(level, k, f_eval, h_eval, constants, T):
-    """A FrickePair whose integrand rows are f_eval and h_eval (each called on
-    a 1-d array of points, h_eval only when the Omega row is read), with
-    constants (c_f+(0), c_f-(0), c_g+(0), c_g-(0)) and Mellin cut-off T."""
+    """A FrickePair whose integrand rows are f_eval and h_eval (both called
+    on a 1-d array of points per evaluator call), with constants (c_f+(0),
+    c_f-(0), c_g+(0), c_g-(0)) and Mellin cut-off T."""
 
-    def integrands(taus, rows):
-        return np.array([fn(taus) for fn in (f_eval, h_eval)[:rows]])
+    def integrands(taus):
+        return np.array([f_eval(taus), h_eval(taus)])
 
     return FrickePair(level, k, integrands, *constants, T)
 

@@ -30,14 +30,14 @@ def load_tracer():
 def assert_one_continuation_per_pair(continuations, points):
     # fe_residuals continues each of its two pairs once, Lambda and Omega
     # together, and not through the public one-row readings
-    assert [(n, rows) for _, n, rows in continuations] == [(points, 2), (points, 2)]
+    assert [n for _, n in continuations] == [points, points]
     assert continuations[0][0] is not continuations[1][0]
 
 
 def assert_one_shared_continuation(continuations, points):
     # a self-dual equation continues its one pair once, on the grid and its
     # reflection k - s together
-    assert [(n, rows) for _, n, rows in continuations] == [(2 * points, 2)]
+    assert [n for _, n in continuations] == [2 * points]
 
 
 def traced(call):
@@ -130,16 +130,17 @@ def test_pair_builds_evaluate_only_what_they_read(passes):
 
 
 def test_a_continuation_batch_makes_one_pass_per_side(passes):
-    # a lambda_continued batch evaluates the integrand once, on the nodes of
-    # all its panel groups (2 n panels of 16 nodes for a group of count n),
-    # however many groups it spans; an empty batch evaluates nothing
+    # a lambda_continued batch evaluates the integrand once, in the order-1
+    # pass that gives Lambda's and Omega's rows, on the nodes of all its
+    # panel groups (2 n panels of 16 nodes for a group of count n), however
+    # many groups it spans; an empty batch evaluates nothing
     pair = lseries.analytic_pair(harmonic_eisenstein_level_one(40))
     pts = 2.0 + 1j * np.linspace(-100.0, 100.0, 161)
     groups = set(lseries._mellin_panels(pts, pair.T).tolist())
     assert len(groups) >= 10
     passes.clear()
     lseries.lambda_continued(pair, pts)
-    assert passes == [(0, 32 * sum(groups))]
+    assert passes == [(1, 32 * sum(groups))]
     passes.clear()
     empty = lseries.lambda_continued(pair, np.array([], dtype=complex))
     assert passes == [] and empty.shape == (0,)

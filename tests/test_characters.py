@@ -265,6 +265,11 @@ class TestAgainstFractionOracle:
             if real == 2:
                 quad = character_by_label(q, "quadratic")
                 assert quad.modulus == q and quad == quad.conjugate() and not quad.is_trivial
+            elif real == 1:
+                # moduli 1 and 2: only the trivial character, so no index helps
+                with pytest.raises(ValueError, match=f"^modulus {q} has no real non-trivial "
+                                                     "character$"):
+                    character_by_label(q, "quadratic")
             else:
                 with pytest.raises(ValueError, match=f"has {real - 1} real non-trivial"):
                     character_by_label(q, "quadratic")

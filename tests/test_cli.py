@@ -279,6 +279,18 @@ class TestVerifyFe:
         )
         assert code == 2
 
+    def test_psi_without_a_real_character_exits_2(self, example_form, capsys):
+        # (Z/2)* has only the trivial character: the message says so rather
+        # than point to an index that does not exist
+        code = run(
+            "verify-fe", "--f", str(example_form), "--g", str(example_form),
+            "--psi", "2:quadratic", "--grid", "0:1:2,0:1:2",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "modulus 2 has no real non-trivial character" in err
+        assert "index" not in err
+
     def test_twisted_pass(self, tmp_path):
         ref = harmonic_eisenstein_level_one(400)
         path = tmp_path / "ref.json"

@@ -24,8 +24,8 @@ from maassforms.characters import DirichletCharacter, character_by_label
 from maassforms.eisenstein import harmonic_eisenstein_level_one
 from maassforms.forms import TermSeries, bol, shadow, to_terms, twist
 from maassforms.lseries import (_star, analytic_pair, fe_residuals, lambda_continued,
-                                lambda_star, omega_star, reconstruct_from_lambda,
-                                twisted_lambda, twisted_omega)
+                                lambda_star, omega_continued, omega_star,
+                                reconstruct_from_lambda, twisted_lambda, twisted_omega)
 
 # the shape of the benchmark's verify grid, moved per call by an offset in
 # Im s as the benchmark moves it
@@ -368,14 +368,14 @@ class TestKeptPair:
             assert complex(got) == complex(want)
         assert mellin_calls == [1] and analytic_pair(f) is pair
 
-    def test_another_batch_or_rows_recomputes(self, mellin_calls):
+    def test_another_batch_recomputes(self, mellin_calls):
         pair = analytic_pair(harmonic_eisenstein_level_one(12))
         pts = np.array([0.5 + 1j, -1.0 + 2j, 2.5 - 3j])
         zeros = np.array([0.5 + 0j, 1.5 + 1j])
         negative = zeros.copy()
         negative.imag[0] = -0.0
         # each call follows the one before it, so each continues anew
-        for call in (lambda p: lambda_star(p, pts), lambda p: omega_star(p, pts),
+        for call in (lambda p: lambda_star(p, pts), lambda p: omega_star(p, -pts),
                      lambda p: lambda_star(p, pts), lambda p: lambda_star(p, pts[::-1]),
                      lambda p: lambda_star(p, pts[:2]), lambda p: lambda_star(p, zeros),
                      lambda p: lambda_star(p, negative), lambda p: lambda_star(p, pts)):
@@ -386,19 +386,53 @@ class TestKeptPair:
             assert np.array_equal(got, call(other))
         mellin_calls.clear()
         assert np.array_equal(lambda_star(pair, pts.copy()), got)
-        assert mellin_calls == []  # a repeat of the last batch, from memory
+        # a repeat of the last batch, for Lambda or Omega, from memory
+        omega = omega_star(pair, pts)
+        assert mellin_calls == []
+        other = analytic_pair(fresh(harmonic_eisenstein_level_one(12)))
+        assert np.array_equal(omega, omega_star(other, pts))
 
     def test_a_returned_array_does_not_reach_the_memory(self, mellin_calls):
         pair = analytic_pair(harmonic_eisenstein_level_one(12))
         pts = np.array([[0.5 + 1j, -1.0 + 2j], [2.5 - 3j, 0.25 + 0j]])
-        rows = _star(pair, pts, 2)
+        rows = _star(pair, pts)
         want = [row.copy() for row in rows]
         for row in rows:
             row[...] = np.nan
-        again = _star(pair, pts, 2)
+        again = _star(pair, pts)
         assert len(mellin_calls) == 1
         assert all(np.array_equal(a, b) for a, b in zip(again, want))
         assert all(row.shape == pts.shape for row in again)
         scalar = lambda_star(pair, 0.5 + 1j)
         assert type(scalar) is complex and scalar == lambda_star(pair, complex(0.5, 1.0))
         assert len(mellin_calls) == 2
+
+
+class TestOneContinuation:
+    """A pair's continuation is (Lambda, Omega): Omega read after Lambda at
+    the same points, plain or twisted, takes no second Mellin sum and no
+    second evaluator pass, and every value is the one fresh forms give."""
+
+    S = np.array([0.5 + 1j, -1.0 + 2j, 2.5 - 3j])
+
+    def test_omega_after_lambda_takes_one_mellin_sum(self, mellin_calls):
+        f = harmonic_eisenstein_level_one(40)
+        pair = analytic_pair(f)
+        got = [lambda_continued(pair, self.S), omega_continued(pair, self.S)]
+        assert mellin_calls == [1]
+        want = [fn(analytic_pair(fresh(f)), self.S) for fn in (lambda_continued, omega_continued)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_twisted_omega_after_twisted_lambda_continues_once(self, mellin_calls, passes):
+        f = harmonic_eisenstein_level_one(40)
+        psi, s = quadratic(5), 0.5 + 0.5j
+        got = [call(f, f, f.character, psi, 1, f.weight, s) for call in (twisted_lambda, twisted_omega)]
+        # one continuation of the shared pair at s and k - s, which share
+        # their Mellin nodes: one order-1 pass on 2 n panels of 16 nodes
+        (npanels,) = set(lseries._mellin_panels(np.array([s, f.weight - s]),
+                                                analytic_pair(twist(f, psi)).T).tolist())
+        assert mellin_calls == [1]
+        assert [p for p in passes if p[0] == 1] == [(1, 32 * npanels)]
+        want = [call(g, fresh(g), g.character, quadratic(5), 1, g.weight, s)
+                for call, g in ((twisted_lambda, fresh(f)), (twisted_omega, fresh(f)))]
+        assert repr(got) == repr(want)

@@ -277,7 +277,7 @@ class TestMellinKernel:
         rng = np.random.default_rng(form.level)
         pts = rng.uniform(-4.0, 3.0, 48) + 1j * np.linspace(-200.0, 200.0, 48)
         assert np.unique(_mellin_panels(pts, T)).size >= 10
-        ev = partial(pair.integrands, rows=2)
+        ev = pair.integrands
         tol = np.maximum(1e-14, 4 * np.abs(pts) * np.spacing(math.log(T)))
         got = _mellin_piece(ev, pair.row_constants, pair.level, form.weight, pts, T)
         want, scale = per_node_kernel(ev, pair.row_constants, pair.level, form.weight, pts, T)
@@ -312,12 +312,12 @@ class TestFrickePartnerRule:
         taus = nodes[nodes.imag * root >= 1.0]
         assert 2 * taus.size == nodes.size
         t = taus.imag * root
-        rule = (1j) ** (-k % 4) * t ** -k * pair.integrands(1j / (t * root), 2)
+        rule = (1j) ** (-k % 4) * t ** -k * pair.integrands(1j / (t * root))
         f, fu, _ = slash_jet1(ts, k, omega, taus)
         want = np.array([f, -(2j * taus.imag * fu + k * f)])
         assert np.all(np.abs(rule - want).max(axis=1) <= 1e-13 * np.abs(want).max(axis=1))
         off = taus + 0.3
-        h_slashed = slash(lambda z: pair.integrands(z, 2)[1], k, omega, off)
+        h_slashed = slash(lambda z: pair.integrands(z)[1], k, omega, off)
         f, fu, _ = slash_jet1(ts, k, omega, off)
         chain = 2j * off.imag * fu + k * f
         assert np.abs(h_slashed + chain).max() / np.abs(chain).max() > 1e-2
@@ -361,8 +361,8 @@ def h_path_forms():
 
 class TestHEvaluator:
     """The pair's evaluator takes f and f_u from one pass without the d/dv
-    sums when both rows are read; its H row is the one formed from
-    TermSeries.jet, bit for bit, and its f row is TermSeries.eval's."""
+    sums; its H row is the one formed from TermSeries.jet, bit for bit, and
+    its f row is TermSeries.eval's, the value-only pass's."""
 
     @pytest.mark.parametrize("form", list(h_path_forms()))
     def test_h_equals_the_jet_formula(self, form):
@@ -371,27 +371,32 @@ class TestHEvaluator:
         pair, ts, k = analytic_pair(form), to_terms(form), form.weight
         nodes = mellin_nodes(pair, TestFrickePartnerRule.S)
         f, f_u, _ = ts.jet(nodes)
-        assert np.array_equal(pair.integrands(nodes, 2)[1], 2j * nodes.imag * f_u + k * f)
-        assert np.array_equal(pair.integrands(nodes, 1), ts.eval(nodes)[None])
+        assert np.array_equal(pair.integrands(nodes)[1], 2j * nodes.imag * f_u + k * f)
+        assert np.array_equal(pair.integrands(nodes)[:1], ts.eval(nodes)[None])
         # a lone point gets the value it gets in a batch
-        assert np.array_equal(pair.integrands(nodes[:1], 2), pair.integrands(nodes, 2)[:, :1])
+        assert np.array_equal(pair.integrands(nodes[:1]), pair.integrands(nodes)[:, :1])
 
 
-class TestRowsAskedFor:
-    """No value depends on which rows were asked for: Lambda read with
-    Omega is Lambda read alone, bit for bit, at s and at k - s."""
+class TestLambdaAlone:
+    """Lambda does not depend on Omega being formed: lambda_star, which
+    reads the pair's continuation (Lambda, Omega), is bit for bit the Mellin
+    integral of the value-only evaluator TermSeries.eval with Lambda's
+    constants alone, at s and at k - s."""
 
     @pytest.mark.parametrize("form", list(h_path_forms()))
-    def test_both_rows_equal_the_lone_readings(self, form):
-        pair, k = analytic_pair(form), form.weight
+    def test_lambda_equals_the_value_only_integral(self, form):
+        pair, k, ts = analytic_pair(form), form.weight, to_terms(form)
         grid = np.array([complex(r, i) for r in (-1.5, -1.0, -0.5, 0.5, 1.5)
                          for i in (0.5, 1.5, 3.0)] + [0.5 + 25j, -1.0 - 40j])
         for pts in (grid, k - grid):
-            lam, om = _continued(pair, pts, 2)
+            want = _mellin_piece(lambda z: ts.eval(z)[None], pair.row_constants[:1],
+                                 pair.level, k, pts, pair.T)[0]
+            assert np.array_equal(lambda_star(pair, pts), want)
+            lam, om = _continued(pair, pts)
             assert np.array_equal(lam, lambda_continued(pair, pts))
             assert np.array_equal(om, omega_continued(pair, pts))
-            lam_star, om_star = _star(pair, pts, 2)
-            assert np.array_equal(lam_star, lambda_star(pair, pts))
+            lam_star, om_star = _star(pair, pts)
+            assert np.array_equal(lam_star, want)
             assert np.array_equal(om_star, omega_star(pair, pts))
 
 
@@ -474,12 +479,12 @@ class TestOneMellinIntegral:
     def test_a_batch_reads_the_axis_once_and_slashes_nothing(self, small_pair, monkeypatch):
         slashes, reads = self.count_slashes(monkeypatch), []
 
-        def integrands(taus, rows):
+        def integrands(taus):
             reads.append(taus)
-            return small_pair.integrands(taus, rows)
+            return small_pair.integrands(taus)
 
         pts = np.array([0.5 + 1j, -1.0 + 20j, 2.0 - 45j, -2.5 + 0j])
-        for fn in (*BATCHED, partial(_star, rows=2), partial(_continued, rows=2)):
+        for fn in (*BATCHED, _star, _continued):
             # a fresh pair each time: one pair would answer a repeated batch
             # from its last continuation
             pair = replace(small_pair, integrands=integrands)
@@ -491,7 +496,8 @@ class TestOneMellinIntegral:
     def test_a_capped_batch_reads_whole_groups_and_keeps_every_value(self, monkeypatch):
         # with the node cap lowered to the largest panel group of the batch,
         # every evaluator call holds whole groups within the cap, and every
-        # value equals the uncapped one
+        # value equals the uncapped one; Omega is read from the continuation
+        # Lambda made
         import maassforms.lseries as lseries
 
         pair = analytic_pair(harmonic_eisenstein_level_one(40))
@@ -501,15 +507,18 @@ class TestOneMellinIntegral:
         want = [lambda_continued(pair, pts), omega_continued(pair, pts)]
         cap, reads = 2 * int(counts.max()) * 16, []
 
-        def integrands(taus, rows):
+        def integrands(taus):
             reads.append(taus.size)
-            return pair.integrands(taus, rows)
+            return pair.integrands(taus)
 
         capped = replace(pair, integrands=integrands)
         monkeypatch.setattr(lseries, "_MELLIN_NODE_CAP", cap)
-        got = [lambda_continued(capped, pts), omega_continued(capped, pts)]
+        got = [lambda_continued(capped, pts)]
+        lambda_reads = len(reads)
+        got.append(omega_continued(capped, pts))
         assert all((g == w).all() for g, w in zip(got, want))
-        assert len(reads) >= 2 * np.unique(counts).size and max(reads) <= cap
+        assert len(reads) == lambda_reads
+        assert len(reads) >= np.unique(counts).size and max(reads) <= cap
         groups = {2 * int(n) * 16 for n in counts}
         assert all(size in groups for size in reads)
 
@@ -912,7 +921,7 @@ class TestSelfDual:
         ref = harmonic_eisenstein_level_one(40)
         fe_residuals(ref, ref, self.GRID)
         assert len(pair_builds) == 1
-        assert [(n, rows) for _, n, rows in continuations] == [(2 * len(self.GRID), 2)]
+        assert [n for _, n in continuations] == [2 * len(self.GRID)]
         # the pair's zero-mode extraction and one order-1 pass on the nodes
         # of [1/T, T] (8 panels x 16 nodes)
         assert passes == [(0, 64), (1, 128)]
@@ -923,8 +932,10 @@ class TestSelfDual:
         ref = harmonic_eisenstein_level_one(400)
         twisted_lambda(ref, ref, TRIV1, self.PSI, 1, -2, 0.5 + 0.5j)
         assert len(pair_builds) == 1
-        assert [(n, rows) for _, n, rows in continuations] == [(2, 1)]
-        assert passes == [(0, 64), (0, 192)]
+        # one continuation of s and k - s, Lambda and Omega from one order-1
+        # pass on the nodes of [1/T, T] (12 panels x 16 nodes)
+        assert [n for _, n in continuations] == [2]
+        assert passes == [(0, 64), (1, 192)]
 
     def test_outputs_equal_the_two_pair_path(self, monkeypatch):
         ref = harmonic_eisenstein_level_one(400)
@@ -1124,3 +1135,11 @@ class TestResidualReportValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ResidualReport(grid=[1j], lambda_residuals=[0.1, 0.2], omega_residuals=[0.1])
+
+    def test_nodes_per_panel_is_not_a_constructor_field(self):
+        # the report records the one node count every continuation uses; no
+        # caller can set another
+        with pytest.raises(TypeError, match="nodes_per_panel"):
+            ResidualReport(grid=[], lambda_residuals=[], omega_residuals=[], nodes_per_panel=8)
+        rep = ResidualReport(grid=[1j], lambda_residuals=[0.1], omega_residuals=[0.2])
+        assert rep.to_json()["nodes_per_panel"] == 16

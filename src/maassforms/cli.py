@@ -195,6 +195,8 @@ def cmd_example(args) -> int:
 
 
 def cmd_verify_fe(args) -> int:
+    if not 0.0 <= args.tol < math.inf:  # NaN too: no residual compares above it
+        _fail(f"--tol must be a finite number >= 0, got {args.tol}", EXIT_USAGE)
     form_f = forms.load_form(args.f)
     form_g = forms.load_form(args.g)
     grid = _parse_grid(args.grid)

@@ -266,7 +266,8 @@ def f_expansion(
     Each line takes S = forms.line_samples(n_range, heights) samples, the
     least power of two >= 256, 2 n_range + 2 and 2 n_range + 6 / v0 with
     v0 = min(heights), at most forms._SAMPLES_CAP = 2^16 (else ValueError
-    before any coset row, as for a height <= 0): the trapezoid rule
+    before any coset row, as for a height <= 0 and for n_range or bound
+    below 1): the trapezoid rule
     converges like e^{-2 pi S v0} (Trefethen and Weideman, SIAM Rev. 56,
     2014), so mode n_range's alias weighs e^{-2 pi (S - 2 n_range) v0} <=
     4e-17.  At bound 240, n_range 8 and heights (0.01, 0.02) of the level-1
@@ -296,6 +297,10 @@ def f_expansion(
     underflow, n v >~ 59) is stored as 0 with an infinite witness, a lost
     n = 0 raises IllConditionedError, and the form ignores full_output.
     """
+    if n_range < 1:
+        raise ValueError(f"n_range must be >= 1, got {n_range}")
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
     _check_admissible(level, chi, k, rho)
     if heights is None:
         v0 = max(1.2 / bound, min(1.0, 2.0 / max(1, n_range)))

@@ -33,12 +33,10 @@ Memory stays bounded whatever the number of points or terms (the tables are
 per block and per slice of 256 giant steps, and a sparse series gets a giant
 step per nonzero mode, not per span), and a point's value does not depend on
 the batch it arrives in: every block is padded to 64 points, so each product
-has one shape.  A form's partner constants (FormExpansion.fricke_constants)
-come from extract_coefficients at 32 samples per line (_ZERO_MODE_SAMPLES),
-one 64-point block.  A form keeps its TermSeries (to_terms), those
-constants, its last twist (see twist) and its lseries.analytic_pair, and a
-series its matrices and its last pass, each released with its owner: one
-form object is built and extracted once.
+has one shape.  A form keeps its TermSeries (to_terms), its last twist (see
+twist) and its lseries.analytic_pair, and a series its matrices, each
+released with its owner; a pass keeps nothing, and the pair keeps what only
+it reads: the partner's constants and its last node rows.
 """
 
 from __future__ import annotations
@@ -48,13 +46,13 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .characters import DirichletCharacter, _from_generator_values
-from .modgroup import IntegerMatrix, fricke, slash, slash_factor
+from .modgroup import IntegerMatrix, slash_factor
 from .specfun import _inc_gamma_scaled, _unbatch, _upper_half_plane
 
 __all__ = [
@@ -252,16 +250,13 @@ class TermSeries:
         """d_v(), the series whose value jet gives as df/dv, built on its first call."""
         return self.d_v()
 
-    _last = (None, None)  # ((order, the points' bytes), rows) of the last pass
-
     def _sums(self, tau, order: int):
         """The value at tau, and for order 1 also df/du: order 0 gives (f,)
         and 1 gives (f, df/du), each a flat array over the points, and the
-        token specfun._unbatch restores the caller's shape with.
-
-        The series keeps its last pass, keyed by the order and the exact bits
-        of the points (-0.0 is not 0.0), and answers a repeat with copies of
-        its rows; it holds one copy of the points and of the rows.
+        token specfun._unbatch restores the caller's shape with.  A pass
+        reads only the series, the points and the order, and keeps nothing:
+        a repeat is a new pass (a Fricke pair keeps its own last rows; see
+        lseries.analytic_pair).
 
         The points go in blocks of _POINT_BLOCK, the last one padded.  Per
         block, one power table holds q^n of every baby and giant step n (see
@@ -277,9 +272,6 @@ class TermSeries:
         ValueError unless every point is finite with Im tau > 0.
         """
         flat, restore = _upper_half_plane(tau)
-        key = (order, flat.tobytes())
-        if self._last[0] == key:
-            return list(self._last[1].copy()), restore
         rates, pows, _, (shape, nconj, pow_of), matrix = self._arrays
         matrices = [matrix, self._du_matrix] if order else [matrix]
         outs = np.zeros((len(matrices), flat.size), dtype=complex)
@@ -312,8 +304,7 @@ class TermSeries:
                 sums *= powers[pow_of]
                 np.conjugate(sums[:, :nconj], out=sums[:, :nconj])
                 outs[:, a : a + m] += sums.sum(axis=1)[:, :m]
-        object.__setattr__(self, "_last", (key, outs))
-        return list(outs.copy()), restore
+        return list(outs), restore
 
     def eval(self, tau):
         """Evaluate at tau (complex scalar or ndarray with Im > 0); a scalar
@@ -381,7 +372,7 @@ def slash_jet1(ts: TermSeries, k: int, gamma: IntegerMatrix, tau):
     d/dtau also meets the slash factor.  No library path calls it: a Fricke
     pair reads its own rows at the reciprocal height on the imaginary axis,
     and slashes its evaluator off the axis only for the partner's two
-    constant terms (FormExpansion.fricke_constants); this is the independent
+    constant terms (see lseries.analytic_pair); this is the independent
     derivative the slash identities are tested against.
     """
     c = complex(gamma.c)
@@ -401,20 +392,6 @@ def slash_jet1(ts: TermSeries, k: int, gamma: IntegerMatrix, tau):
 # form expansions
 
 
-# Samples per line of the partner's zero-mode extraction.  Bin 0 of an
-# S-point line at height v also holds the aliased modes +-S, +-2S, ... of
-# the 1-periodic partner.  At the lower height v0 = 0.5, mode S weighs
-# e^{-2 pi S v0} times c+(S), and mode -S weighs e^{-2 pi S v0} times
-# c-(-S) Gamma(1-k) sum_{l < 1-k} (4 pi S v0)^l / l!, the finite
-# incomplete-gamma sum of to_terms, a polynomial of degree -k.  At S = 32,
-# e^{-2 pi S v0} = e^{-100.5} = 2.2e-44 and the sum is below 3.2e16 for
-# every k >= -10, so an alias is below 1e-27 of its own coefficient
-# (c+(S) or c-(-S) Gamma(1-k)); higher aliases and the line at v1 = 1 are
-# smaller still.  More samples would evaluate the partner where no
-# constant reads it.
-_ZERO_MODE_SAMPLES = 32
-
-
 @dataclass(frozen=True, eq=False)
 class FormExpansion:
     """Truncated Fourier data of a weight-k harmonic Maass form of polynomial
@@ -422,9 +399,9 @@ class FormExpansion:
     and nonholomorphic coefficients c-(-1..-n_max) stored by |n| - 1.
 
     c_plus and c_minus are read-only views of a read-only copy, so what the
-    form keeps (to_terms, fricke_constants, its last twist and its Fricke
-    pair, one of each) cannot go stale.  Forms compare and hash by identity;
-    lseries._same_data compares their data.
+    form keeps (to_terms, its last twist and its Fricke pair, which holds
+    the partner's constants, one of each) cannot go stale.  Forms compare
+    and hash by identity; lseries._same_data compares their data.
     """
 
     weight: int
@@ -471,14 +448,6 @@ class FormExpansion:
         vpow = np.concatenate([0 * n, [nu], np.tile(np.arange(nu), self.n_max)])
         coef = np.concatenate([self.c_plus, [self.c_minus_zero], z.reshape(-1)])
         return TermSeries(F, vpow, coef)
-
-    @cached_property
-    def fricke_constants(self) -> tuple[complex, complex]:
-        """(c+(0), c-(0)) of the partner f|_k omega(N), from its zero mode at
-        the heights 0.5 and 1 on the first read, and kept: one evaluator pass
-        of to_terms(self), slashed off the axis, on _ZERO_MODE_SAMPLES a line."""
-        g_eval = partial(slash, to_terms(self).eval, self.weight, fricke(self.level))
-        return extract_coefficients(g_eval, self.weight, 0, 0.5, 1.0, _ZERO_MODE_SAMPLES)
 
     # -- JSON -----------------------------------------------------------
 
@@ -571,7 +540,7 @@ class HolomorphicQExpansion:
 def to_terms(form: FormExpansion) -> TermSeries:
     """The expansion as a TermSeries, built from the coefficient arrays on
     the first call and kept on the form: every later call returns the same
-    series, with its matrices and its last pass (see TermSeries._sums).  The
+    series, with its matrices (see TermSeries._arrays).  The
     terms are c+(n) q^n, c-(0) v^{1-k}, then c-(-m) Gamma(1-k) (4 pi m)^l / l!
     v^l e^{-2 pi i m u - 2 pi m v} by m and l < 1-k, each formed as for a
     lone term.  That is c-(-m) Gamma(1-k, 4 pi m v) q^{-m} through the

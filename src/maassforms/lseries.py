@@ -21,12 +21,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import forms
 from .characters import DirichletCharacter, _prime_factors, c_psi
 from .forms import FormExpansion, TermSeries, growth_constant, to_terms, twist
+from .modgroup import fricke, slash
 from .specfun import _batch, _unbatch, gamma_complex, gauss_legendre_panels, invert_on_line, w_nu
 
 __all__ = [
@@ -141,9 +144,9 @@ class FrickePair:
     N)), g = f|_k omega(N) and -H_g = H|_k omega(N) (the last only there), so
     below t = 1 the pair's own rows stand for the partner's (see
     _mellin_piece).  The four constants are (c_f+(0), c_f-(0), c_g+(0),
-    c_g-(0)), the last two the form's fricke_constants, T is every
-    continuation's Mellin cut-off (see analytic_pair), and terms, set by
-    analytic_pair alone, is to_terms(form).
+    c_g-(0)), the last two extracted by analytic_pair from the partner's
+    zero mode, T is every continuation's Mellin cut-off (see analytic_pair),
+    and terms, set by analytic_pair alone, is to_terms(form).
 
     A continuation is (Lambda, Omega) at one s or an array of s; an array
     is grouped by the panel count of the log-t quadrature, which depends on
@@ -151,7 +154,8 @@ class FrickePair:
     the nodes of all its groups (once per _MELLIN_NODE_CAP nodes of whole
     groups past that), so a batch costs as many evaluator calls as one
     point.  A pair keeps its last continuation (see _star), one batch, which
-    serves Lambda and Omega; a replaced pair keeps none.
+    serves Lambda and Omega; a replaced pair keeps none, but shares the
+    evaluator and with it the last node rows (see analytic_pair).
     """
 
     level: int
@@ -174,11 +178,26 @@ class FrickePair:
         return lam, tuple(sign * self.weight * c for sign, c in zip((1, 1, -1, -1), lam))
 
 
+# Samples per line of the partner's zero-mode extraction.  Bin 0 of an
+# S-point line at height v also holds the aliased modes +-S, +-2S, ... of
+# the 1-periodic partner.  At the lower height v0 = 0.5, mode S weighs
+# e^{-2 pi S v0} times c+(S), and mode -S weighs e^{-2 pi S v0} times
+# c-(-S) Gamma(1-k) sum_{l < 1-k} (4 pi S v0)^l / l!, the finite
+# incomplete-gamma sum of to_terms, a polynomial of degree -k.  At S = 32,
+# e^{-2 pi S v0} = e^{-100.5} = 2.2e-44 and the sum is below 3.2e16 for
+# every k >= -10, so an alias is below 1e-27 of its own coefficient
+# (c+(S) or c-(-S) Gamma(1-k)); higher aliases and the line at v1 = 1 are
+# smaller still.  More samples would evaluate the partner where no
+# constant reads it.
+_ZERO_MODE_SAMPLES = 32
+
+
 def analytic_pair(form: FormExpansion) -> FrickePair:
     """Self-anchored pair: the partner is f|_k omega(N), read from the form's
-    own terms, and the partner's constant terms are the form's
-    fricke_constants, extracted numerically from its zero mode, the one
-    place the partner is slashed off the imaginary axis, once per form.
+    own terms, and the partner's constant terms come from its zero mode at
+    the heights 0.5 and 1, by forms.extract_coefficients on
+    _ZERO_MODE_SAMPLES points a line: one evaluator pass of the form's
+    terms, the one place the partner is slashed off the imaginary axis.
 
     This is the route that gives functional-equation residuals their content:
     a completed series continued through analytic_pair(form) uses no data
@@ -191,27 +210,37 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
     The evaluator makes one pass of the form's TermSeries sums per call, the
     one that forms f and f_u (the first two values of TermSeries.jet), so no
     derivative series is built, and each continuation is (Lambda, Omega)
-    from it; below t = 1 it is the partner side (see FrickePair).  A second
-    pair of one form builds and extracts nothing: the pair is kept on the
-    form, as to_terms is, and every call returns it.
+    from it; below t = 1 it is the partner side (see FrickePair).  It keeps
+    its last rows, keyed by the exact bits of the points (-0.0 is not 0.0),
+    and answers a repeat with a copy, so one f checked against several
+    partners is evaluated once per node set.  A second pair of one form
+    builds and extracts nothing: the pair is kept on the form, as to_terms
+    is, and every call returns it.
     """
     if form._pair is not None:
         return form._pair
     k = form.weight
     ts = to_terms(form)
+    last = [None, None]  # the points' bytes and the rows of the last call
 
     def integrands(taus):
-        (f, f_u), _ = ts._sums(taus, 1)
-        return np.array([f, 2j * taus.imag * f_u + k * f])
+        taus = np.asarray(taus, dtype=complex)
+        key = taus.tobytes()
+        if last[0] != key:
+            (f, f_u), _ = ts._sums(taus, 1)
+            last[:] = key, np.array([f, 2j * taus.imag * f_u + k * f])
+        return last[1].copy()
 
+    g_eval = partial(slash, ts.eval, k, fricke(form.level))
+    c_g = forms.extract_coefficients(g_eval, k, 0, 0.5, 1.0, _ZERO_MODE_SAMPLES)
     pair = FrickePair(
         level=form.level,
         weight=k,
         integrands=integrands,
         c_f_plus0=complex(form.c_plus[0]),
         c_f_minus0=form.c_minus_zero,
-        c_g_plus0=form.fricke_constants[0],
-        c_g_minus0=form.fricke_constants[1],
+        c_g_plus0=c_g[0],
+        c_g_minus0=c_g[1],
         T=max(4.0, math.sqrt(int(np.abs(ts.F).max(initial=0)))),
         terms=ts,
     )
@@ -466,7 +495,7 @@ def fe_residuals(
     (and their reflections k - s when the sides share a pair), with values
     equal to the point-by-point ones.  One f checked against several
     partners is built and extracted once, and evaluated once per node set
-    (one T, and |Im s| in one panel group; see TermSeries._sums).  A form
+    (one T, and |Im s| in one panel group; see analytic_pair).  A form
     keeps its last twist and its pair, and a pair its last continuation, so
     a repeated call twists, builds, extracts and continues nothing again.
     """

@@ -139,6 +139,24 @@ class TestExample:
         assert "heights (1e-06, 2e-06)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--nmax=-3", "n_range must be >= 1"), ("--nmax=0", "n_range must be >= 1"),
+        ("--bound=0", "bound must be >= 1"), ("--bound=-5", "bound must be >= 1"),
+    ])
+    def test_a_bad_mode_count_or_bound_exits_3_before_any_coset_row(
+        self, tmp_path, capsys, monkeypatch, flag, message
+    ):
+        def refuse(*args):
+            raise AssertionError("a coset row was built")
+
+        monkeypatch.setattr(eisenstein, "_coset_rows", refuse)
+        out = tmp_path / "x.json"
+        code = run("example", "--level", "1", "--weight", "-2", "--nmax", "8", flag,
+                   "--out", str(out))
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_equivalent_cusp_string_accepted(self, tmp_path):
         # 7/3 reduces to the representative class at level 1
         code = run(
@@ -190,6 +208,30 @@ class TestVerifyFe:
             "--grid=-1:1:3,0:2:2", "--tol", "1e-4",
         )
         assert code == 5
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_a_tolerance_that_is_not_a_finite_number_from_0_exits_2_before_any_form_is_read(
+        self, tmp_path, capsys, monkeypatch, tol
+    ):
+        # nan and inf would PASS whatever the residual, and -1 FAIL it
+        def refuse(path):
+            raise AssertionError("a form was read")
+
+        monkeypatch.setattr(forms, "load_form", refuse)
+        path = str(tmp_path / "f.json")
+        code = run("verify-fe", "--f", path, "--g", path, f"--tol={tol}")
+        assert code == 2
+        assert "--tol must be a finite number >= 0" in capsys.readouterr().err
+
+    def test_a_zero_tolerance_is_accepted(self, tmp_path, capsys):
+        zero = FormExpansion(-2, 1, enumerate_characters(1)[0], 0.0, 4, np.zeros(5), 0.0,
+                             np.zeros(4))
+        path = tmp_path / "zero.json"
+        save_form(zero, path)
+        code = run("verify-fe", "--f", str(path), "--g", str(path), "--tol", "0")
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "max residual: 0.000000e+00 (tolerance 0)" in out and "PASS" in out
 
     def test_mellin_cutoff_must_exceed_one(self, tmp_path, capsys):
         # g = f with c+(3) x 1.5 is no partner of f.  With T = 1 the Mellin

@@ -336,6 +336,21 @@ class TestSamplesPerLine:
         assert peak < 1e6
 
 
+    @pytest.mark.parametrize("n_range, bound, message", [
+        (-3, 60, "n_range must be >= 1"), (0, 60, "n_range must be >= 1"),
+        (8, 0, "bound must be >= 1"), (8, -5, "bound must be >= 1"),
+    ])
+    def test_a_bad_mode_count_or_bound_is_refused_before_any_coset_row(
+        self, monkeypatch, n_range, bound, message
+    ):
+        def refuse(*args):
+            raise AssertionError("a coset row was built")
+
+        monkeypatch.setattr(eisenstein, "_coset_rows", refuse)
+        with pytest.raises(ValueError, match=message):
+            f_expansion(1, TRIV1, -2, INF1, n_range, bound=bound)
+
+
 def kernel_factor(mod2, k):
     """|w|^{2k-2} from mod2 = |w|^2, formed as the coset-sum kernel forms it."""
     return eisenstein._inverse_power(mod2, 1 - k, np.empty_like(mod2), np.empty_like(mod2))

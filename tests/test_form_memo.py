@@ -1,9 +1,9 @@
 """What a form derives is derived once and kept with it.
 
-A FormExpansion keeps its TermSeries (to_terms), its partner constants
-(fricke_constants), its last twist and its Fricke pair (analytic_pair); a
-TermSeries keeps its last evaluator pass and a FrickePair its last
-continuation.  Every value must stay bit for bit what a fresh form gives, a
+A FormExpansion keeps its TermSeries (to_terms), its last twist and its
+Fricke pair (analytic_pair); a FrickePair keeps its partner's constants, its
+evaluator's last node rows and its last continuation, and a TermSeries pass
+keeps nothing.  Every value must stay bit for bit what a fresh form gives, a
 form must not be changed under what it keeps, and each owner keeps one.
 """
 
@@ -49,6 +49,12 @@ def verify_partners(level):
     c_plus[2 * level] *= 1.01
     unscaled = g.c_minus_zero / float(level) ** (1 - g.weight)
     return f, [g, replace(g, c_plus=c_plus), replace(g, c_minus_zero=unscaled)]
+
+
+def partner_constants(form):
+    """(c_g+(0), c_g-(0)) of the form's Fricke pair."""
+    pair = analytic_pair(form)
+    return pair.c_g_plus0, pair.c_g_minus0
 
 
 def same_report(a, b):
@@ -149,7 +155,7 @@ class TestKeptData:
 
     def test_a_replaced_form_derives_its_own_data(self):
         f, _ = oldform_pair(7)
-        ts, constants = to_terms(f), f.fricke_constants
+        ts, constants = to_terms(f), partner_constants(f)
         c_plus = np.array(f.c_plus)
         c_plus[1] *= 1.01
         h = replace(f, c_plus=c_plus)
@@ -158,16 +164,17 @@ class TestKeptData:
         assert to_terms(h) is not ts
         assert to_terms(h).coef.tobytes() == to_terms(built).coef.tobytes()
         assert to_terms(h).coef.tobytes() != ts.coef.tobytes()
-        assert h.fricke_constants == built.fricke_constants
-        assert h.fricke_constants != constants
-        assert (to_terms(f), f.fricke_constants) == (ts, constants)
+        assert partner_constants(h) == partner_constants(built)
+        assert partner_constants(h) != constants
+        assert (to_terms(f), partner_constants(f)) == (ts, constants)
 
     def test_a_second_residual_call_builds_nothing_for_f(self, monkeypatch):
         f, (g, g_perturbed, _) = verify_partners(11)
         fe_residuals(f, g, shifted(0.02))
-        ts, last = to_terms(f), to_terms(f)._last
-        builds, extractions = [], []
+        ts = to_terms(f)
+        builds, extractions, f_passes = [], [], []
         post_init, extract = TermSeries.__post_init__, forms.extract_coefficients
+        sums = TermSeries._sums
 
         def building(self):
             builds.append(self)
@@ -177,65 +184,88 @@ class TestKeptData:
             extractions.append(args)
             return extract(*args)
 
+        def summing(self, *args):
+            if self is ts:
+                f_passes.append(args)
+            return sums(self, *args)
+
         monkeypatch.setattr(TermSeries, "__post_init__", building)
         monkeypatch.setattr(forms, "extract_coefficients", extracting)
+        monkeypatch.setattr(TermSeries, "_sums", summing)
         fe_residuals(f, g_perturbed, shifted(-0.04))
-        # the partner's series and constants only; f's pass came from memory
+        # the partner's series and constants only; f's rows came from its pair
         assert len(builds) == 1 and len(extractions) == 1
-        assert to_terms(f) is ts and ts._last is last
+        assert to_terms(f) is ts and f_passes == []
 
 
 class TestLastPass:
-    def test_a_repeated_pass_is_served_from_memory(self, rng, computed):
+    """A series pass keeps nothing; a Fricke pair keeps its evaluator's last
+    node rows, keyed by the points' exact bits, and answers with copies."""
+
+    def test_a_series_pass_keeps_nothing(self, rng, computed):
         ts = to_terms(make_random_form(rng, n_max=40))
         taus = rng.uniform(-1.0, 1.0, 70) + 1j * rng.uniform(0.05, 1.5, 70)
         ran, first = computed(lambda: ts.eval(taus))
         assert ran
         ran, again = computed(lambda: ts.eval(taus))
+        assert ran and np.array_equal(first, again)
+
+    def test_an_evaluation_leaves_nothing_held(self, rng):
+        # the points' bytes and the value row of this pass are 32 MB:
+        # none of it may stay with the series
+        ts = to_terms(harmonic_eisenstein_level_one(40))
+        taus = rng.uniform(-1.0, 1.0, 10**6) + 1j * rng.uniform(0.05, 1.5, 10**6)
+        ts.eval(taus[:1])  # the series' matrices, kept with it
+        tracemalloc.start()
+        try:
+            ts.eval(taus)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1e6
+
+    def test_a_repeated_pass_is_served_from_memory(self, rng, computed):
+        pair = analytic_pair(make_random_form(rng, n_max=40))
+        taus = rng.uniform(-1.0, 1.0, 70) + 1j * rng.uniform(0.05, 1.5, 70)
+        ran, first = computed(lambda: pair.integrands(taus))
+        assert ran
+        ran, again = computed(lambda: pair.integrands(taus))
         assert not ran and np.array_equal(first, again)
         again[:] = 0.0
-        ran, third = computed(lambda: ts.eval(taus.copy()))
+        ran, third = computed(lambda: pair.integrands(taus.copy()))
         assert not ran and np.array_equal(third, first)
-        # the caller's shape comes from the call, not the memory
-        ran, square = computed(lambda: ts.eval(taus.reshape(7, 10)))
-        assert not ran and np.array_equal(square, first.reshape(7, 10))
-        ran, lone = computed(lambda: ts.eval(taus[:1]))
-        assert ran
-        ran, scalar = computed(lambda: ts.eval(complex(taus[0])))
-        assert not ran and type(scalar) is complex and scalar == lone[0]
+        ran, lone = computed(lambda: pair.integrands(taus[:1]))
+        assert ran and np.array_equal(lone, first[:, :1])
 
     def test_other_points_orders_and_signed_zeros_recompute(self, rng, computed):
         form = make_random_form(rng, n_max=40)
-        ts = to_terms(form)
+        pair = analytic_pair(form)
         taus = rng.uniform(-1.0, 1.0, 70) + 1j * rng.uniform(0.05, 1.5, 70)
         taus[::5] = 1j * taus[::5].imag
         signed = taus.copy()
         signed.real[::5] = -0.0  # equal points, other bits
         assert np.array_equal(signed, taus) and signed.tobytes() != taus.tobytes()
-        other = to_terms(fresh(form))  # the values a series without memory gives
+        other = analytic_pair(fresh(form))  # the values a pair without memory gives
         # each call follows the one before it, so each asks for a new pass
-        for call in (lambda s: s.eval(taus), lambda s: s.eval(taus[::-1]),
-                     lambda s: s._sums(taus, 1)[0], lambda s: s.eval(taus),
-                     lambda s: s.eval(taus + 0.25), lambda s: s.eval(taus),
-                     lambda s: s.eval(signed), lambda s: s.eval(taus)):
-            ran, got = computed(lambda: call(ts))
+        for points in (taus, taus[::-1], taus, taus + 0.25, taus, signed, taus):
+            ran, got = computed(lambda: pair.integrands(points))
             assert ran
-            want = call(other)
-            assert np.array_equal(np.atleast_2d(got), np.atleast_2d(want))
+            assert np.array_equal(got, other.integrands(points))
 
-    def test_a_returned_row_does_not_reach_the_memory(self, rng):
-        ts = to_terms(make_random_form(rng, n_max=20))
-        taus = 0.1 + 1j * np.linspace(0.1, 1.0, 9)
-        outs, _ = ts._sums(taus, 1)
-        want = [row.copy() for row in outs]
-        for row in outs:
-            row[:] = np.nan
-        again, _ = ts._sums(taus, 1)
-        assert all(np.array_equal(a, b) for a, b in zip(again, want))
+    def test_a_replaced_pair_shares_the_rows(self, rng, computed):
+        pair = analytic_pair(make_random_form(rng, n_max=20))
+        taus = 1j * np.linspace(0.1, 1.0, 9)
+        want = pair.integrands(taus)
+        smaller = replace(pair, T=pair.T / 2)
+        ran, rows = computed(lambda: smaller.integrands(taus))
+        assert not ran and np.array_equal(rows, want)
+        rows[:] = np.nan
+        ran, again = computed(lambda: pair.integrands(taus))
+        assert not ran and np.array_equal(again, want)
 
     def test_warm_evaluation_at_new_points_at_n_max_1e5_stays_small(self, rng):
-        # test_warm_evaluation_at_n_max_1e5_stays_small repeats its points,
-        # which the memory now serves; here the warm call gets new points
+        # test_warm_evaluation_at_n_max_1e5_stays_small repeats its points;
+        # a series keeps no pass, so both warm calls make one, here at new points
         ts = to_terms(harmonic_eisenstein_level_one(100_000))
         taus = rng.uniform(-1.0, 1.0, 256) + 1j * rng.uniform(0.002, 1.5, 256)
         ts.eval(taus)

@@ -460,12 +460,13 @@ class TestBatch:
 class TestOneMellinIntegral:
     """A continuation reads the form on the imaginary axis only, in one
     evaluator call per batch, and slashes nothing: the only Fricke slash on
-    the functional-equation path is each form's zero-mode extraction
-    (FormExpansion.fricke_constants), whose points lie off the axis."""
+    the functional-equation path is the extraction of the partner's
+    constants from its zero mode when analytic_pair builds a pair, whose
+    points lie off the axis."""
 
     @staticmethod
     def count_slashes(monkeypatch):
-        import maassforms.forms as forms
+        import maassforms.lseries as lseries
 
         seen = []
 
@@ -473,7 +474,7 @@ class TestOneMellinIntegral:
             seen.append(args)
             return slash(*args)
 
-        monkeypatch.setattr(forms, "slash", counting)
+        monkeypatch.setattr(lseries, "slash", counting)
         return seen
 
     def test_a_batch_reads_the_axis_once_and_slashes_nothing(self, small_pair, monkeypatch):

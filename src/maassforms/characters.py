@@ -202,9 +202,11 @@ class DirichletCharacter:
         return self.conductor == self.modulus
 
     def conjugate(self) -> "DirichletCharacter":
-        return DirichletCharacter(
-            self.modulus, tuple(-e for e in self.exponents)
-        )
+        """The conjugate character: self when every exponent e has -e = e
+        mod its order (a real character, whose tables are then shared),
+        else a new character of exponents -e."""
+        exps = tuple(-e % o for e, o in zip(self.exponents, self.gen_orders))
+        return self if exps == self.exponents else DirichletCharacter(self.modulus, exps)
 
     def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
         """Product character modulo lcm of the moduli (exact)."""
@@ -305,7 +307,8 @@ def c_psi(chi: DirichletCharacter, psi: DirichletCharacter, level: int) -> compl
     if not psi.is_primitive:
         raise ValueError("psi must be primitive")
     tau = gauss_sum(psi)
-    tau_bar = gauss_sum(psi.conjugate())
+    psibar = psi.conjugate()
+    tau_bar = tau if psibar is psi else gauss_sum(psibar)
     val = chi(m) * psi(-level) * tau / tau_bar
     alt = chi(m) * psi(level) * tau * tau / m
     if abs(val - alt) > 1e-10 * max(1.0, abs(val)):

@@ -33,10 +33,12 @@ Memory stays bounded whatever the number of points or terms (the tables are
 per block and per slice of 256 giant steps, and a sparse series gets a giant
 step per nonzero mode, not per span), and a point's value does not depend on
 the batch it arrives in: every block is padded to 64 points, so each product
-has one shape.  A form keeps its TermSeries (to_terms), its last twist (see
-twist) and its lseries.analytic_pair, and a series its matrices, each
+has one shape.  A form keeps its TermSeries (to_terms), one twist per psi
+(see twist) and its lseries.analytic_pair, and a series its matrices, each
 released with its owner; a pass keeps nothing, and the pair keeps what only
-it reads: the partner's constants and its last node rows.
+it reads: the partner's constants and its last node rows.  The twists cost
+about the form's own footprint per distinct psi, and nothing outlives the
+form: there is no module-level cache.
 """
 
 from __future__ import annotations
@@ -306,16 +308,36 @@ class TermSeries:
                 outs[:, a : a + m] += sums.sum(axis=1)[:, :m]
         return list(outs), restore
 
+    def _refuse_heights(self, heights) -> None:
+        """ValueError, naming the height, unless v^vpow is finite for every
+        height v given and every vpow of the series: v^p is largest at the
+        greatest height for p >= 0 and at the least for p < 0, so two powers
+        decide.  eval and magnitude ask before any pass; _sums does not, as
+        the continuations never read such heights."""
+        v = np.asarray(heights, dtype=float)
+        for h, p in ((v.max(initial=1.0), self.vpow.max(initial=0)),
+                     (v.min(initial=1.0), self.vpow.min(initial=0))):
+            try:
+                float(h) ** int(p)  # Python's power raises where numpy's warns
+            except OverflowError:
+                raise ValueError(f"height {float(h)!r} is past the double range: "
+                                 f"v^{int(p)} is not finite there") from None
+
     def eval(self, tau):
         """Evaluate at tau (complex scalar or ndarray with Im > 0); a scalar
-        is a batch of one and returns a Python complex."""
-        (out,), restore = self._sums(tau, 0)
+        is a batch of one and returns a Python complex.  ValueError at a
+        height where v^vpow leaves the double range (see _refuse_heights)."""
+        flat, restore = _upper_half_plane(tau)
+        self._refuse_heights(flat.imag)
+        (out,), _ = self._sums(flat, 0)
         return _unbatch(out, restore)
 
     def magnitude(self, v: float) -> float:
         """sum |coef| v^vpow e^{-2 pi |F| v} over the terms with F != 0: by the
         triangle inequality a bound on |f - its constant terms| at height v,
-        whatever Re tau; evaluate_tail_bound and lseries.fe_residuals read it."""
+        whatever Re tau; evaluate_tail_bound and lseries.fe_residuals read it.
+        ValueError where v^vpow leaves the double range (see _refuse_heights)."""
+        self._refuse_heights(v)
         live = self.F != 0
         terms = np.abs(self.coef[live]) * v ** self.vpow[live].astype(float)
         return float((terms * np.exp(-TWO_PI * v * np.abs(self.F[live]))).sum())
@@ -399,9 +421,11 @@ class FormExpansion:
     and nonholomorphic coefficients c-(-1..-n_max) stored by |n| - 1.
 
     c_plus and c_minus are read-only views of a read-only copy, so what the
-    form keeps (to_terms, its last twist and its Fricke pair, which holds
-    the partner's constants, one of each) cannot go stale.  Forms compare
-    and hash by identity; lseries._same_data compares their data.
+    form keeps (to_terms and its Fricke pair, which holds the partner's
+    constants, one of each, and one twist per psi in _twists, a dict made
+    with the form and released with it) cannot go stale.  A form made by
+    dataclasses.replace starts with nothing kept.  Forms compare and hash
+    by identity; lseries._same_data compares their data.
     """
 
     weight: int
@@ -413,7 +437,6 @@ class FormExpansion:
     c_minus_zero: complex
     c_minus: np.ndarray
 
-    _twist = (None, None)  # (psi, twist(self, psi)) of the last twist
     _pair = None  # lseries.analytic_pair(self), set on its first call
 
     def __post_init__(self):
@@ -435,6 +458,7 @@ class FormExpansion:
             base.setflags(write=False)
             object.__setattr__(self, name, base.view())
         object.__setattr__(self, "c_minus_zero", complex(self.c_minus_zero))
+        object.__setattr__(self, "_twists", {})  # psi -> twist(self, psi), per instance
 
     @cached_property
     def _terms(self) -> TermSeries:
@@ -637,11 +661,25 @@ def twist(form: FormExpansion, psi: DirichletCharacter) -> FormExpansion:
 
     psi(0) is 1 for the modulus-1 character (twisting is then the identity)
     and 0 otherwise.
-    The form keeps its last twist: a psi equal to the last one (psibar for a
-    real psi) gets the same f_psi back, and another psi replaces it.
+
+    The form keeps one twist per psi, so f_psi is built once per (form, psi)
+    whatever the order of the calls, and with it the twist's own to_terms,
+    Fricke pair and last continuation: a psi equal to a kept one (the same
+    modulus and exponents, so psibar of a real psi too) gets the same f_psi
+    back.  Callers interleave characters: the converse checks run psi mod
+    3, 4 and 5 on one form in turn, and a complex psi on a self-paired form
+    needs f_psi and f_psibar in every lseries._sides call, so a single slot
+    would rebuild both on every call.  The cost is one twisted form per
+    distinct psi: its coefficients and, once continued, its TermSeries and
+    pair, about the form's own footprint; the largest caller in this
+    package twists one form by 10 characters (the level-11 conductor set).
+    The twists live in a dict on the form and are released with it: there
+    is no module-level cache, size bound or setting.  A sweep over every psi
+    mod m belongs to a batched path over all psi at once, not to repeated
+    twist calls.
     """
-    kept_psi, kept = form._twist
-    if kept_psi == psi:
+    kept = form._twists.get(psi)
+    if kept is not None:
         return kept
     if not psi.is_primitive:
         raise ValueError("twisting character must be primitive")
@@ -662,7 +700,7 @@ def twist(form: FormExpansion, psi: DirichletCharacter) -> FormExpansion:
         c_minus_zero=psi(0) * form.c_minus_zero,
         c_minus=prod[form.n_max - 1 :: -1],
     )
-    object.__setattr__(form, "_twist", (psi, twisted))
+    form._twists[psi] = twisted
     return twisted
 
 

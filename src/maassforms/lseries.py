@@ -496,8 +496,11 @@ def fe_residuals(
     equal to the point-by-point ones.  One f checked against several
     partners is built and extracted once, and evaluated once per node set
     (one T, and |Im s| in one panel group; see analytic_pair).  A form
-    keeps its last twist and its pair, and a pair its last continuation, so
-    a repeated call twists, builds, extracts and continues nothing again.
+    keeps one twist per psi (see forms.twist) and its pair, and a pair its
+    last continuation, so a repeated call twists, builds, extracts and
+    continues nothing again, whatever psi the calls between used; the kept
+    twists cost about the form's footprint per distinct psi and are
+    released with the form.
     """
     pair_f, pair_g, ik = _sides(form_f, form_g, psi)
     pts = np.fromiter(map(complex, grid), dtype=complex)
@@ -529,7 +532,10 @@ def _sides(
     its constant: those of f and g with i^k, or with psi those of f_psi and
     g_psibar with i^k C_psi.  Sides that hold the same data (see _same_data,
     read after twisting) are one pair, built once; others share the smaller T,
-    and a pair already at it is the kept pair itself.
+    and a pair already at it is the kept pair itself.  Each form keeps one
+    twist per psi (see forms.twist), and each twist its pair, so f_psi and
+    g_psibar, and for a complex psi on f = g both f_psi and f_psibar, are
+    twisted and built once per form whatever psi other calls use.
 
     By the twisting proposition f_psi|_k omega(N m^2) = C_psi g_psibar, so
     the twisted completed series live at level N m^2 = lcm(N, m^2, m m_chi),
@@ -618,9 +624,12 @@ def twisted_lambda(
     twisted expansions hold the same data (f = g and a real psi) they are one
     pair, continued once at s and k - s together (see _sides and _reflected);
     s may be one complex number or an array, and the results are shaped like it.
-    A pair's continuation is (Lambda, Omega), kept with the twists and
-    pairs: twisted_lambda then twisted_omega on the same forms, psi and s
-    twist, build, extract and continue each side once.
+    A form keeps one twist per psi (see forms.twist) and a twist its pair,
+    so each (form, psi) is twisted, built and extracted once whatever the
+    order of the characters, at about the form's footprint per distinct psi,
+    released with the form.  A pair's continuation is (Lambda, Omega), kept
+    with the pair: twisted_lambda then twisted_omega on the same forms, psi
+    and s continue each side once.
     """
     return _twisted(form_f, form_g, chi, psi, level, k, s, 0, -1)
 
@@ -635,8 +644,9 @@ def twisted_omega(
     s: complex,
 ) -> tuple[complex, complex, float]:
     """Twisted Omega values and the residual of
-    Omega_N(f,s,psi) = -i^k C_psi Omega_N(g,k-s,psibar), from the pairs
-    and continuations of twisted_lambda."""
+    Omega_N(f,s,psi) = -i^k C_psi Omega_N(g,k-s,psibar), from the twists
+    (one kept per psi on each form), pairs and continuations of
+    twisted_lambda."""
     return _twisted(form_f, form_g, chi, psi, level, k, s, 1, 1)
 
 

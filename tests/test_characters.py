@@ -344,6 +344,50 @@ class TestGaussSums:
                     assert abs(lhs - psi(n) * taub) < 1e-10
 
 
+class TestConjugate:
+    """A real character is its own conjugate, with its tables; any other
+    character gets a new one."""
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_a_quadratic_character_is_its_own_conjugate(self, m):
+        psi = character_by_label(m, "quadratic")
+        built = DirichletCharacter(m, tuple(-e for e in psi.exponents))
+        assert psi.conjugate() is psi and built == psi
+        assert psi.conjugate().values.tobytes() == built.values.tobytes()
+        assert struct.pack("2d", gauss_sum(psi.conjugate()).real, gauss_sum(psi.conjugate()).imag) \
+            == struct.pack("2d", gauss_sum(built).real, gauss_sum(built).imag)
+
+    def test_a_complex_character_gets_a_new_conjugate(self):
+        psi = DirichletCharacter(5, (1,))  # order 4
+        bar = psi.conjugate()
+        assert bar is not psi and bar != psi and bar.exponents == (3,)
+        assert bar.conjugate() == psi
+        assert all(bar.rational_exponent(a) == (None if psi(a) == 0 else -psi.rational_exponent(a) % 1)
+                   for a in range(5))
+
+    def test_the_conjugate_is_the_character_itself_exactly_when_it_is_real(self):
+        for q in range(1, 41):
+            for chi in enumerate_characters(q):
+                real = all(chi.rational_exponent(a) in (None, 0, Fraction(1, 2)) for a in range(q))
+                assert (chi.conjugate() is chi) == real
+                assert chi.conjugate() == DirichletCharacter(q, tuple(-e for e in chi.exponents))
+
+    @pytest.mark.parametrize("psi, sums", [(character_by_label(5, "quadratic"), 1),
+                                           (character_by_label(4, "quadratic"), 1),
+                                           (DirichletCharacter(5, (1,)), 2)])
+    def test_the_twist_constant_reuses_the_gauss_sum_of_a_real_character(
+        self, monkeypatch, psi, sums
+    ):
+        import maassforms.characters as characters
+
+        seen, body = [], characters.gauss_sum
+        monkeypatch.setattr(characters, "gauss_sum", lambda p: seen.append(p) or body(p))
+        chi = trivial_character(3)
+        got = c_psi(chi, psi, 3)
+        assert len(seen) == sums
+        assert got == chi(psi.modulus) * psi(-3) * body(psi) / body(psi.conjugate())
+
+
 class TestTwistConstant:
     def test_quadratic_mod_5_level_1(self):
         psi = character_by_label(5, "quadratic")

@@ -521,6 +521,16 @@ class TestOps:
         assert run("eval", "--in", str(example_form), "--tau", tau) == 3
         assert "finite" in capsys.readouterr().err
 
+    def test_eval_past_the_double_range_exits_3(self, tmp_path, capsys):
+        # v^3 of c-(0) v^3 overflows at 1e300, where the CLI printed nan+nanj
+        # and exited 0; the suite makes a RuntimeWarning an error
+        save_form(harmonic_eisenstein_level_one(10), tmp_path / "f.json")
+        assert run("eval", "--in", str(tmp_path / "f.json"), "--tau", "1e300j") == 3
+        assert "height 1e+300 is past the double range" in capsys.readouterr().err
+        assert run("eval", "--in", str(tmp_path / "f.json"), "--tau", "1e100j") == 0
+        value = re.search(r"= (\S+)j", capsys.readouterr().out).group(1)
+        assert complex(value + "j") == pytest.approx(1e300 / 3.0, rel=1e-15)
+
     @pytest.mark.parametrize("level", [4, 9, 12, 16])
     def test_cusps_json_reads_kappa_from_the_character(self, capsys, level):
         # kappa is cusp_parameter's for every character, and 0.0 without one

@@ -1,10 +1,12 @@
 """What a form derives is derived once and kept with it.
 
-A FormExpansion keeps its TermSeries (to_terms), its last twist and its
-Fricke pair (analytic_pair); a FrickePair keeps its partner's constants, its
-evaluator's last node rows and its last continuation, and a TermSeries pass
-keeps nothing.  Every value must stay bit for bit what a fresh form gives, a
-form must not be changed under what it keeps, and each owner keeps one.
+A FormExpansion keeps its TermSeries (to_terms), one twist per character
+and its Fricke pair (analytic_pair); a FrickePair keeps its partner's
+constants, its evaluator's last node rows and its last continuation, and a
+TermSeries pass keeps nothing.  Every value must stay bit for bit what a
+fresh form gives, a form must not be changed under what it keeps, each owner
+keeps one of each (one per character for the twists), and what it keeps is
+released with it.
 """
 
 import copy
@@ -302,6 +304,25 @@ def quadratic(m):
     return character_by_label(m, "quadratic")
 
 
+def counting_builds(monkeypatch):
+    """The forms built (FormExpansion.__post_init__ runs: one per twist made)
+    and the forms.extract_coefficients calls (one per pair built) from now on."""
+    builds, extractions = [], []
+    post_init, extract = forms.FormExpansion.__post_init__, forms.extract_coefficients
+
+    def building(self):
+        builds.append(self)
+        post_init(self)
+
+    def extracting(*args):
+        extractions.append(args)
+        return extract(*args)
+
+    monkeypatch.setattr(forms.FormExpansion, "__post_init__", building)
+    monkeypatch.setattr(forms, "extract_coefficients", extracting)
+    return builds, extractions
+
+
 def same_data(a, b):
     return (a.level == b.level and a.character == b.character
             and a.c_plus.tobytes() == b.c_plus.tobytes()
@@ -315,13 +336,14 @@ class TestKeptTwist:
         assert psi is not again and psi == again
         assert twist(f, psi) is twist(f, again) is twist(f, psi.conjugate())
 
-    def test_another_character_replaces_the_twist(self, rng):
+    def test_another_character_keeps_the_first_twist(self, rng):
         f = make_random_form(rng, n_max=30)
         first = twist(f, quadratic(5))
         other = twist(f, quadratic(7))
         again = twist(f, quadratic(5))
-        assert again is not first and other is not first
-        assert same_data(again, first) and same_data(again, twist(fresh(f), quadratic(5)))
+        assert again is first and other is not first
+        assert same_data(again, twist(fresh(f), quadratic(5)))
+        assert same_data(other, twist(fresh(f), quadratic(7)))
 
     def test_a_complex_character_and_its_conjugate_give_two_forms(self, rng):
         f = make_random_form(rng, n_max=30)
@@ -332,7 +354,7 @@ class TestKeptTwist:
         assert f_psi.c_plus.tobytes() != f_psibar.c_plus.tobytes()
         assert same_data(f_psibar, twist(fresh(f), psi.conjugate()))
 
-    def test_a_form_holds_one_twist(self, rng):
+    def test_the_twists_are_released_with_the_form(self, rng):
         f = make_random_form(rng, n_max=30)
         first = twist(f, quadratic(5))
         analytic_pair(first)  # and with it what the twist keeps
@@ -340,26 +362,69 @@ class TestKeptTwist:
         del first
         gc.collect()
         assert gone() is not None
-        twist(f, quadratic(7))
+        twist(f, quadratic(7))  # another psi keeps the first twist
+        gc.collect()
+        assert gone() is not None
+        del f
         gc.collect()
         assert gone() is None
+
+    def test_every_twist_dies_with_its_form(self, rng):
+        f = make_random_form(rng, n_max=30)
+        psi = DirichletCharacter(5, (1,))  # order 4
+        twists = [twist(f, p) for p in (quadratic(3), quadratic(4), psi, psi.conjugate())]
+        for f_psi in twists:
+            analytic_pair(f_psi)
+        refs = [weakref.ref(f_psi) for f_psi in twists]
+        del twists, f_psi
+        gc.collect()
+        assert all(ref() is not None for ref in refs)
+        del f
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_a_replaced_form_starts_with_no_twists(self, rng):
+        f = make_random_form(rng, n_max=30)
+        f_psi = twist(f, quadratic(5))
+        g = replace(f)
+        c_plus = np.array(f.c_plus)
+        c_plus[1] += 1.0
+        h = replace(f, c_plus=c_plus)
+        assert g._twists == {} and h._twists == {} and f._twists is not g._twists
+        assert twist(g, quadratic(5)) is not f_psi and same_data(twist(g, quadratic(5)), f_psi)
+        assert twist(h, quadratic(5)).c_plus[1] == quadratic(5)(1) * c_plus[1]
+        assert list(f._twists.values()) == [f_psi]
+
+    def test_interleaved_characters_twist_build_and_extract_once_each(self, monkeypatch):
+        f = harmonic_eisenstein_level_one(40)
+        s = np.array([0.5 + 0.5j, -1.0 + 1.0j])
+        builds, extractions = counting_builds(monkeypatch)
+        got = [call(f, f, f.character, quadratic(m), 1, f.weight, s)
+               for m in (3, 4, 5, 3, 4, 5) for call in (twisted_lambda, twisted_omega)]
+        assert len(builds) == 3 and len(extractions) == 3
+        monkeypatch.undo()
+        want = []
+        for m in (3, 4, 5, 3, 4, 5):
+            g = fresh(f)
+            want += [call(g, g, g.character, quadratic(m), 1, g.weight, s)
+                     for call in (twisted_lambda, twisted_omega)]
+        for a, b in zip(got, want):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_a_complex_character_on_one_form_twists_each_side_once(self, monkeypatch):
+        f = harmonic_eisenstein_level_one(40)
+        psi = DirichletCharacter(5, (1,))  # order 4: f_psi and f_psibar differ
+        builds, extractions = counting_builds(monkeypatch)
+        got = [fe_residuals(f, f, GRID[:4], psi=psi) for _ in range(2)]
+        assert len(builds) == 2 and len(extractions) == 2
+        monkeypatch.undo()
+        want = fe_residuals(fresh(f), fresh(f), GRID[:4], psi=DirichletCharacter(5, (1,)))
+        assert all(same_report(report, want) for report in got)
 
     def test_a_twisted_equation_twists_builds_and_extracts_once(self, monkeypatch):
         f = harmonic_eisenstein_level_one(40)
         psi, s = quadratic(5), np.array([0.5 + 0.5j, -1.0 + 1.0j])
-        builds, extractions = [], []
-        post_init, extract = forms.FormExpansion.__post_init__, forms.extract_coefficients
-
-        def building(self):
-            builds.append(self)
-            post_init(self)
-
-        def extracting(*args):
-            extractions.append(args)
-            return extract(*args)
-
-        monkeypatch.setattr(forms.FormExpansion, "__post_init__", building)
-        monkeypatch.setattr(forms, "extract_coefficients", extracting)
+        builds, extractions = counting_builds(monkeypatch)
         got = [call(f, f, f.character, psi, 1, f.weight, s) for call in (twisted_lambda, twisted_omega)]
         assert len(builds) == 1 and len(extractions) == 1
         monkeypatch.undo()

@@ -124,6 +124,34 @@ class TestEvaluate:
             with pytest.raises(ValueError, match="finite"):
                 evaluate(f, point)
 
+    @pytest.mark.parametrize("tau", [1e300j, np.array([0.5j, 0.25 + 1e300j])])
+    def test_a_height_past_the_double_range_is_refused_before_any_pass(self, monkeypatch, tau):
+        # f = c-(0) v^3 + ... for the level-1 lift, and 1e300^3 is no double;
+        # the suite makes a RuntimeWarning an error, so none may be raised
+        f = harmonic_eisenstein_level_one(10)
+
+        def refuse(*args):
+            raise AssertionError("a pass was made")
+
+        monkeypatch.setattr(TermSeries, "_sums", refuse)
+        for call in (lambda: evaluate(f, tau), lambda: evaluate_tail_bound(f, 1e300),
+                     lambda: to_terms(f).magnitude(1e300)):
+            with pytest.raises(ValueError, match=r"height 1e\+300 is past the double range"):
+                call()
+
+    def test_a_height_below_the_double_range_is_refused_for_a_negative_power(self):
+        # R_k f has v^-1 terms, and 1 / 1e-310 is no double
+        series = raising_op(to_terms(harmonic_eisenstein_level_one(10)), -2)
+        with pytest.raises(ValueError, match="height 1e-310 is past the double range: v"):
+            series.eval(1e-310j)
+
+    def test_the_highest_heights_in_range_still_evaluate(self):
+        f = harmonic_eisenstein_level_one(10)
+        assert evaluate(f, 1e100j) == pytest.approx(1e300 / 3.0, rel=1e-15)
+        assert evaluate_tail_bound(f, 1e100) == 0.0
+        # a q-series has no power of v, so any height is in range
+        assert shadow(f).evaluate(1e300j) == shadow(f).coefficients[0]
+
     def test_tail_bound_honest(self, rng):
         # dropping coefficients beyond m changes the value by at most the bound
         full = make_random_form(rng, n_max=12)

@@ -221,8 +221,9 @@ def cmd_verify_fe(args) -> int:
     if report.tail_bound > args.tol:
         print("notice: the tail bound exceeds the tolerance; residuals cannot certify the pair")
     print(f"max residual: {report.max_residual:.6e} (tolerance {args.tol:g})")
-    if report.max_residual > args.tol:
-        print("FAIL: functional equation residual above tolerance")
+    if not report.max_residual <= args.tol:  # NaN fails too
+        why = "is not a number" if math.isnan(report.max_residual) else "above tolerance"
+        print(f"FAIL: functional equation residual {why}")
         return EXIT_VERIFICATION
     print("PASS")
     return EXIT_OK

@@ -33,12 +33,23 @@ Memory stays bounded whatever the number of points or terms (the tables are
 per block and per slice of 256 giant steps, and a sparse series gets a giant
 step per nonzero mode, not per span), and a point's value does not depend on
 the batch it arrives in: every block is padded to 64 points, so each product
-has one shape.  A form keeps its TermSeries (to_terms), one twist per psi
-(see twist) and its lseries.analytic_pair, and a series its matrices, each
-released with its owner; a pass keeps nothing, and the pair keeps what only
-it reads: the partner's constants and its last node rows.  The twists cost
-about the form's own footprint per distinct psi, and nothing outlives the
-form: there is no module-level cache.
+has one shape.
+
+What is kept: a form keeps its TermSeries (to_terms), one twist per psi
+(twist) and its Fricke pair (lseries.analytic_pair, whose own keeping the
+lseries.FrickePair docstring states); a series keeps its matrices and its
+d_v series (jet); a pass keeps nothing.  Each is built on first use and
+released with its owner: there is no module-level cache, size bound or
+setting.  A psi equal to a kept one (the same modulus and exponents, so
+psibar of a real psi too) gets the same twist back, because callers
+interleave characters: the converse checks run psi mod 3, 4 and 5 on one
+form in turn, and a complex psi on a self-paired form needs f_psi and
+f_psibar in every equation.  A twist costs about the form's own footprint
+once continued (its coefficients, TermSeries and pair); the largest caller
+in this package twists one form by 10 characters (the level-11 conductor
+set).  A form's coefficients are read-only (see FormExpansion), so nothing
+kept goes stale, and a form made by dataclasses.replace starts with
+nothing kept.
 """
 
 from __future__ import annotations
@@ -256,9 +267,8 @@ class TermSeries:
         """The value at tau, and for order 1 also df/du: order 0 gives (f,)
         and 1 gives (f, df/du), each a flat array over the points, and the
         token specfun._unbatch restores the caller's shape with.  A pass
-        reads only the series, the points and the order, and keeps nothing:
-        a repeat is a new pass (a Fricke pair keeps its own last rows; see
-        lseries.analytic_pair).
+        reads only the series, the points and the order, and keeps nothing
+        (see the module docstring).
 
         The points go in blocks of _POINT_BLOCK, the last one padded.  Per
         block, one power table holds q^n of every baby and giant step n (see
@@ -312,8 +322,8 @@ class TermSeries:
         """ValueError, naming the height, unless v^vpow is finite for every
         height v given and every vpow of the series: v^p is largest at the
         greatest height for p >= 0 and at the least for p < 0, so two powers
-        decide.  eval and magnitude ask before any pass; _sums does not, as
-        the continuations never read such heights."""
+        decide.  eval, jet and magnitude ask before any pass; _sums does not,
+        as the continuations never read such heights."""
         v = np.asarray(heights, dtype=float)
         for h, p in ((v.max(initial=1.0), self.vpow.max(initial=0)),
                      (v.min(initial=1.0), self.vpow.min(initial=0))):
@@ -346,9 +356,14 @@ class TermSeries:
         """(f, df/du, df/dv) at tau (complex scalar or ndarray with Im > 0):
         f and df/du from one pass, in which d/du multiplies a term by
         2 pi i F, and df/dv as eval of the exact series d_v(), which the
-        first call builds from the term arrays and keeps."""
-        outs, restore = self._sums(tau, 1)
-        outs += self._dv_series._sums(tau, 0)[0]
+        first call builds from the term arrays and keeps.  ValueError at a
+        height where v^vpow of either series leaves the double range (see
+        _refuse_heights)."""
+        flat, restore = _upper_half_plane(tau)
+        for series in (self, self._dv_series):
+            series._refuse_heights(flat.imag)
+        outs, _ = self._sums(flat, 1)
+        outs += self._dv_series._sums(flat, 0)[0]
         return tuple(_unbatch(x, restore) for x in outs)
 
 
@@ -397,6 +412,7 @@ def slash_jet1(ts: TermSeries, k: int, gamma: IntegerMatrix, tau):
     constant terms (see lseries.analytic_pair); this is the independent
     derivative the slash identities are tested against.
     """
+    f, fu, fv = ts.jet(gamma.apply(tau))  # first, so a height past the range is named
     c = complex(gamma.c)
     det = float(gamma.det)
     w = c * tau + complex(gamma.d)
@@ -404,7 +420,6 @@ def slash_jet1(ts: TermSeries, k: int, gamma: IntegerMatrix, tau):
     # d/dtau of the slash factor
     dpref = det ** (k / 2.0) * (-k) * c * w ** (-k - 1)
     m = det / (w * w)
-    f, fu, fv = ts.jet(gamma.apply(tau))
     ftau = dpref * f + pref * 0.5 * (fu - 1j * fv) * m
     ftaubar = pref * 0.5 * (fu + 1j * fv) * np.conjugate(m)
     return pref * f, ftau + ftaubar, 1j * (ftau - ftaubar)
@@ -421,11 +436,9 @@ class FormExpansion:
     and nonholomorphic coefficients c-(-1..-n_max) stored by |n| - 1.
 
     c_plus and c_minus are read-only views of a read-only copy, so what the
-    form keeps (to_terms and its Fricke pair, which holds the partner's
-    constants, one of each, and one twist per psi in _twists, a dict made
-    with the form and released with it) cannot go stale.  A form made by
-    dataclasses.replace starts with nothing kept.  Forms compare and hash
-    by identity; lseries._same_data compares their data.
+    form keeps (see the module docstring; the twists in _twists, a dict made
+    with the form) cannot go stale.  Forms compare and hash by identity;
+    lseries._same_data compares their data.
     """
 
     weight: int
@@ -662,21 +675,11 @@ def twist(form: FormExpansion, psi: DirichletCharacter) -> FormExpansion:
     psi(0) is 1 for the modulus-1 character (twisting is then the identity)
     and 0 otherwise.
 
-    The form keeps one twist per psi, so f_psi is built once per (form, psi)
-    whatever the order of the calls, and with it the twist's own to_terms,
-    Fricke pair and last continuation: a psi equal to a kept one (the same
-    modulus and exponents, so psibar of a real psi too) gets the same f_psi
-    back.  Callers interleave characters: the converse checks run psi mod
-    3, 4 and 5 on one form in turn, and a complex psi on a self-paired form
-    needs f_psi and f_psibar in every lseries._sides call, so a single slot
-    would rebuild both on every call.  The cost is one twisted form per
-    distinct psi: its coefficients and, once continued, its TermSeries and
-    pair, about the form's own footprint; the largest caller in this
-    package twists one form by 10 characters (the level-11 conductor set).
-    The twists live in a dict on the form and are released with it: there
-    is no module-level cache, size bound or setting.  A sweep over every psi
-    mod m belongs to a batched path over all psi at once, not to repeated
-    twist calls.
+    The form keeps one twist per psi (see the module docstring), so f_psi,
+    and with it its to_terms, Fricke pair and last continuation, is built
+    once per (form, psi) whatever the order of the calls.  A sweep over
+    every psi mod m belongs to a batched path over all psi at once, not to
+    repeated twist calls.
     """
     kept = form._twists.get(psi)
     if kept is not None:
@@ -715,11 +718,14 @@ _SAMPLES_FLOOR, _ALIAS_REACH, _SAMPLES_CAP = 256, 6.0, 2**16
 
 def line_samples(n: int, heights, n_max: int | None = None) -> int:
     """The least power of two >= _SAMPLES_FLOOR, 2 |n| + 2 and the reach of
-    the data: n_max + |n| + 1 for a form stored to n_max, else 2 |n| +
-    _ALIAS_REACH / min(heights).  ValueError off the half-plane or past the cap."""
+    the data: 2 |n| + _ALIAS_REACH / min(heights), where an alias weighs
+    below 4e-17 of its coefficient, or for a form stored to n_max the
+    smaller of that and n_max + |n| + 1, where no mode aliases onto n.
+    ValueError off the half-plane or past the cap."""
     _upper_half_plane([complex(0.0, v) for v in heights])
     n = abs(n)
-    reach = max(2 * n + 2, 2 * n + _ALIAS_REACH / min(heights) if n_max is None else n + n_max + 1)
+    alias = 2 * n + _ALIAS_REACH / min(heights)
+    reach = max(2 * n + 2, alias if n_max is None else min(alias, n + n_max + 1))
     if reach > _SAMPLES_CAP:
         raise ValueError(f"heights {heights}, mode {n} and n_max {n_max} need {reach:.3g} "
                          f"samples a line, past the cap of {_SAMPLES_CAP}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import forms
 from .characters import DirichletCharacter, _prime_factors, c_psi
-from .forms import FormExpansion, TermSeries, growth_constant, to_terms, twist
+from .forms import FormExpansion, growth_constant, to_terms, twist
 from .modgroup import fricke, slash
 from .specfun import _batch, _unbatch, gamma_complex, gauss_legendre_panels, invert_on_line, w_nu
 
@@ -145,17 +145,27 @@ class FrickePair:
     below t = 1 the pair's own rows stand for the partner's (see
     _mellin_piece).  The four constants are (c_f+(0), c_f-(0), c_g+(0),
     c_g-(0)), the last two extracted by analytic_pair from the partner's
-    zero mode, T is every continuation's Mellin cut-off (see analytic_pair),
-    and terms, set by analytic_pair alone, is to_terms(form).
+    zero mode, and T is every continuation's Mellin cut-off (see
+    analytic_pair, and _sides for an equation's two sides).
 
     A continuation is (Lambda, Omega) at one s or an array of s; an array
     is grouped by the panel count of the log-t quadrature, which depends on
     s only through |Im s|, and the evaluator is called once per batch, on
     the nodes of all its groups (once per _MELLIN_NODE_CAP nodes of whole
     groups past that), so a batch costs as many evaluator calls as one
-    point.  A pair keeps its last continuation (see _star), one batch, which
-    serves Lambda and Omega; a replaced pair keeps none, but shares the
-    evaluator and with it the last node rows (see analytic_pair).
+    point.
+
+    What is kept: a form keeps its TermSeries, one twist per psi and its
+    pair (see the forms module), so a form is built and extracted once
+    whatever the order of the calls.  A pair keeps the partner's constants,
+    its evaluator's last node rows, keyed by the exact bits of the points
+    (-0.0 is not 0.0), and its last continuation, keyed by the exact bits
+    of the s batch, which serves Lambda and Omega; a repeat is answered
+    with copies, so one f checked against several partners is evaluated
+    once per node set.  A pair made by dataclasses.replace (another T)
+    keeps no continuation, but shares the evaluator and with it the last
+    node rows.  Each owner releases what it keeps with itself: there is no
+    module-level cache.
     """
 
     level: int
@@ -166,7 +176,6 @@ class FrickePair:
     c_g_plus0: complex
     c_g_minus0: complex
     T: float
-    terms: TermSeries | None = None
 
     _last = (None, None)  # (the s batch's bytes, (Lambda*, Omega*)) of the last _star
 
@@ -193,29 +202,20 @@ _ZERO_MODE_SAMPLES = 32
 
 
 def analytic_pair(form: FormExpansion) -> FrickePair:
-    """Self-anchored pair: the partner is f|_k omega(N), read from the form's
-    own terms, and the partner's constant terms come from its zero mode at
-    the heights 0.5 and 1, by forms.extract_coefficients on
-    _ZERO_MODE_SAMPLES points a line: one evaluator pass of the form's
-    terms, the one place the partner is slashed off the imaginary axis.
+    """The form's Fricke pair, self-anchored: the partner is f|_k omega(N),
+    read from the form's own terms, and the partner's constant terms come
+    from its zero mode at the heights 0.5 and 1, by
+    forms.extract_coefficients on _ZERO_MODE_SAMPLES points a line: one
+    evaluator pass of the form's terms, the one place the partner is
+    slashed off the imaginary axis.  The evaluator makes one pass of the
+    form's TermSeries sums per call, the one that forms f and f_u (the
+    first two values of TermSeries.jet), so no derivative series is built.
 
-    This is the route that gives functional-equation residuals their content:
-    a completed series continued through analytic_pair(form) uses no data
-    except the form itself, so comparing two such continuations across
-    s <-> k - s genuinely tests whether the two forms are Fricke partners.
-    The price is evaluation of the form down to Im tau = 1/(sqrt(N) T); the
-    cut-off T = max(4, sqrt(n)), n the largest |n| of a nonzero term, not
-    n_max, balances that loss against the dropped [T, inf) integrand.
-
-    The evaluator makes one pass of the form's TermSeries sums per call, the
-    one that forms f and f_u (the first two values of TermSeries.jet), so no
-    derivative series is built, and each continuation is (Lambda, Omega)
-    from it; below t = 1 it is the partner side (see FrickePair).  It keeps
-    its last rows, keyed by the exact bits of the points (-0.0 is not 0.0),
-    and answers a repeat with a copy, so one f checked against several
-    partners is evaluated once per node set.  A second pair of one form
-    builds and extracts nothing: the pair is kept on the form, as to_terms
-    is, and every call returns it.
+    The cut-off T = max(4, sqrt(n)), n the largest |n| of a nonzero term,
+    not n_max, balances the loss from evaluating the form down to Im tau =
+    1/(sqrt(N) T) against the dropped [T, inf) integrand.  How an
+    equation's sides use their pairs: see _sides; what the form and the
+    pair keep: see FrickePair.
     """
     if form._pair is not None:
         return form._pair
@@ -242,7 +242,6 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
         c_g_plus0=c_g[0],
         c_g_minus0=c_g[1],
         T=max(4.0, math.sqrt(int(np.abs(ts.F).max(initial=0)))),
-        terms=ts,
     )
     object.__setattr__(form, "_pair", pair)
     return pair
@@ -335,9 +334,8 @@ def _star(pair: FrickePair, s) -> list:
 
     s is a complex number or an array of them; each row is shaped like s,
     each value equal to its lone-point value (see _mellin_piece for how the
-    batch shares integrand evaluations).  The pair keeps its last
-    continuation, keyed by the exact bits of the batch, and answers a
-    repeat, for Lambda or Omega, with copies."""
+    batch shares integrand evaluations).  A repeat of the pair's last batch
+    is answered from what the pair keeps (see FrickePair)."""
     if not 1.0 < pair.T < math.inf:
         raise ValueError(f"the Mellin cut-off T must be a finite number > 1, got T = {pair.T}")
     pts, restore = _batch(s)
@@ -420,15 +418,15 @@ class ResidualReport:
 
     @property
     def max_lambda(self) -> float:
-        return max(self.lambda_residuals, default=0.0)
+        return _worst(self.lambda_residuals)
 
     @property
     def max_omega(self) -> float:
-        return max(self.omega_residuals, default=0.0)
+        return _worst(self.omega_residuals)
 
     @property
     def max_residual(self) -> float:
-        return max(self.max_lambda, self.max_omega)
+        return _worst([self.max_lambda, self.max_omega])
 
     def to_csv(self) -> str:
         lines = ["re_s,im_s,lambda_residual,omega_residual,tail_bound"]
@@ -451,6 +449,12 @@ class ResidualReport:
         }
 
 
+def _worst(residuals) -> float:
+    """The largest residual, NaN if any is NaN (max alone keeps a NaN only
+    when it comes first), 0.0 for none."""
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals, default=0.0)
+
+
 def fe_residuals(
     form_f: FormExpansion,
     form_g: FormExpansion,
@@ -460,17 +464,13 @@ def fe_residuals(
     """|Lambda(f,s) - i^k Lambda(g,k-s)| and |Omega(f,s) + i^k Omega(g,k-s)|
     over the grid, any sequence of complex numbers; points within 1e-9 of
     the four poles are excluded (see _near_poles) and listed in the report.
+    With psi (primitive, modulus m coprime to the level) the twisted
+    equations Lambda_N(f,s,psi) = i^k C_psi Lambda_N(g,k-s,psibar) and its
+    Omega companion are checked instead.  The sides are _sides', in one
+    batch over all kept points, so the residuals equal twisted_lambda's and
+    twisted_omega's point by point.
 
-    Each side is continued through the analytic pair of its own form
-    (partner = the form read at the reciprocal height).  Continuing g's side
-    from f's pair would make the residual vanish identically - the two
-    integral representations are the same expression rearranged - so that
-    route cannot distinguish true pairs from false ones; the
-    self-anchored route can, and a single perturbed coefficient in g
-    surfaces directly.  Sides whose forms hold the same data (f = g, or a
-    real psi on f = g) are the same pair, so they share one (see _sides).
-
-    Only one orientation is certified: f's pair is continued at s and g's
+    Only one orientation is certified: f's side is continued at s and g's
     at k - s.  The reversed reading (f's pair at k - s against g's at s)
     carries a larger error; on the golden oldform pairs (the level-1 lift
     at n_max 40 N against N^{k/2} F(N tau)) its Omega residuals are 1.1e-9
@@ -479,42 +479,23 @@ def fe_residuals(
     cost Mellin sums but no evaluator pass: s and k - s share their Mellin
     nodes, which depend on s only through |Im s|.
 
-    With psi (primitive, modulus m coprime to the level) the twisted
-    equations Lambda_N(f,s,psi) = i^k C_psi Lambda_N(g,k-s,psibar) and its
-    Omega companion are checked instead: the sides are the pairs of f_psi and
-    g_psibar at level N m^2, built once for the whole grid, and i^k becomes
-    i^k C_psi (see _sides, which twisted_lambda/twisted_omega share, so the
-    residuals equal theirs point by point).
-
-    Both sides use the smaller of the pairs' cut-offs T (see analytic_pair),
-    which no caller sets.  tail_bound is the TermSeries.magnitude of f's pair
-    (the twisted pair under psi) at v = T / sqrt(N), a bound on its F != 0
-    terms at the cut-off, times the e-folding scale sqrt(N) / 2 pi; nothing
-    is evaluated.  Each pair is continued once, Lambda and Omega together
-    from one evaluator pass per node set, in one batch over all kept points
-    (and their reflections k - s when the sides share a pair), with values
-    equal to the point-by-point ones.  One f checked against several
-    partners is built and extracted once, and evaluated once per node set
-    (one T, and |Im s| in one panel group; see analytic_pair).  A form
-    keeps one twist per psi (see forms.twist) and its pair, and a pair its
-    last continuation, so a repeated call twists, builds, extracts and
-    continues nothing again, whatever psi the calls between used; the kept
-    twists cost about the form's footprint per distinct psi and are
-    released with the form.
+    quadrature_T is f's side's cut-off T, which no caller sets (see _sides).
+    tail_bound is the TermSeries.magnitude of f's form (f_psi under psi) at
+    v = T / sqrt(N), N its level, a bound on its F != 0 terms at the
+    cut-off, times the e-folding scale sqrt(N) / 2 pi; nothing is evaluated.
     """
-    pair_f, pair_g, ik = _sides(form_f, form_g, psi)
     pts = np.fromiter(map(complex, grid), dtype=complex)
     near = _near_poles(pts, form_f.weight, 1e-9)
     kept, excluded = pts[~near], pts[near].tolist()
-    root = math.sqrt(pair_f.level)
-    (lam_f, om_f), (lam_g, om_g) = _reflected(pair_f, pair_g, kept)
+    (lam_f, om_f), (lam_g, om_g), ik, form, T = _sides(form_f, form_g, psi, kept)
+    root = math.sqrt(form.level)
     return ResidualReport(
         grid=kept.tolist(),
         lambda_residuals=_residuals(lam_f, lam_g, -ik),
         omega_residuals=_residuals(om_f, om_g, ik),
         excluded=excluded,
-        quadrature_T=pair_f.T,
-        tail_bound=pair_f.terms.magnitude(pair_f.T / root) * root / (2.0 * math.pi),
+        quadrature_T=T,
+        tail_bound=to_terms(form).magnitude(T / root) * root / (2.0 * math.pi),
     )
 
 
@@ -525,17 +506,33 @@ def _residuals(v_f: np.ndarray, v_g: np.ndarray, c: complex) -> list:
     return [abs(a + c * b) for a, b in zip(v_f.tolist(), v_g.tolist())]
 
 
-def _sides(
-    form_f: FormExpansion, form_g: FormExpansion, psi: DirichletCharacter | None
-) -> tuple[FrickePair, FrickePair, complex]:
-    """The self-anchored pairs of the two sides of a functional equation and
-    its constant: those of f and g with i^k, or with psi those of f_psi and
-    g_psibar with i^k C_psi.  Sides that hold the same data (see _same_data,
-    read after twisting) are one pair, built once; others share the smaller T,
-    and a pair already at it is the kept pair itself.  Each form keeps one
-    twist per psi (see forms.twist), and each twist its pair, so f_psi and
-    g_psibar, and for a complex psi on f = g both f_psi and f_psibar, are
-    twisted and built once per form whatever psi other calls use.
+def _sides(form_f: FormExpansion, form_g: FormExpansion, psi: DirichletCharacter | None,
+           s: np.ndarray) -> tuple:
+    """The two sides of a functional equation at the 1-d array s: f's
+    (Lambda, Omega) at s, g's at k - s, the constant i^k, and f's form and
+    cut-off T, which the report's tail bound reads; with psi the sides of
+    f_psi and g_psibar, the constant i^k C_psi and the form f_psi.  This is
+    the one computation behind fe_residuals, twisted_lambda and
+    twisted_omega.
+
+    Each side is continued through the analytic pair of its own form, whose
+    partner is that form read at the reciprocal height (see FrickePair), so
+    the sides use no data but the two forms.  Continuing g's side from f's
+    pair would make the residual vanish identically - the two integral
+    representations are the same expression rearranged - so that route
+    could not tell true pairs from false ones; this one can, and a single
+    perturbed coefficient in g surfaces directly.
+
+    Sides that hold the same data after twisting (f = g, or a real psi on
+    f = g; see _same_data) are one pair, continued once on the batch
+    (s, k - s) and split: every value equals its lone-point value, so the
+    halves are the two sides'.  Other sides are continued at the smaller of
+    their pairs' T, a pair at the other T through dataclasses.replace.
+    Either way s comes first, so a point within 1e-12 of a pole, or not
+    finite, is named as the call at s would name it (the poles are
+    symmetric under s -> k - s).  What the forms, twists and pairs keep, so
+    that a repeated call twists, builds, extracts and continues nothing
+    again: see FrickePair.
 
     By the twisting proposition f_psi|_k omega(N m^2) = C_psi g_psibar, so
     the twisted completed series live at level N m^2 = lcm(N, m^2, m m_chi),
@@ -545,17 +542,19 @@ def _sides(
         raise ValueError("weights differ")
     if form_f.level != form_g.level:
         raise ValueError(f"levels differ: f is at level {form_f.level}, g at {form_g.level}")
-    ik = _i_pow(form_f.weight)
+    k = form_f.weight
+    ik = _i_pow(k)
     if psi is not None:
         ik *= c_psi(form_f.character, psi, form_f.level)
         form_f, form_g = twist(form_f, psi), twist(form_g, psi.conjugate())
     pair_f = analytic_pair(form_f)
     if _same_data(form_f, form_g):
-        return pair_f, pair_f, ik
+        both = np.asarray(_continued(pair_f, np.concatenate([s, k - s])))
+        return both[..., :s.size], both[..., s.size:], ik, form_f, pair_f.T
     pair_g = analytic_pair(form_g)
     T = min(pair_f.T, pair_g.T)
     pair_f, pair_g = (p if p.T == T else replace(p, T=T) for p in (pair_f, pair_g))
-    return pair_f, pair_g, ik
+    return _continued(pair_f, s), _continued(pair_g, k - s), ik, form_f, T
 
 
 def _same_data(a: FormExpansion, b: FormExpansion) -> bool:
@@ -569,39 +568,24 @@ def _same_data(a: FormExpansion, b: FormExpansion) -> bool:
     )
 
 
-def _reflected(pair_f: FrickePair, pair_g: FrickePair, s: np.ndarray):
-    """The continuations (Lambda, Omega) of pair_f at s and of pair_g at
-    k - s for a 1-d array s.  When both sides are one pair (see _sides), one
-    continuation of the batch (s, k - s), split along its last axis: every
-    value equals its lone-point value, so the halves are the two sides'.  s
-    comes first, so a pole or non-finite point is named as the call at s
-    would name it (the poles are symmetric under s -> k - s)."""
-    k = pair_f.weight
-    if pair_g is not pair_f:
-        return _continued(pair_f, s), _continued(pair_g, k - s)
-    both = np.asarray(_continued(pair_f, np.concatenate([s, k - s])))
-    return both[..., :s.size], both[..., s.size:]
-
-
 # ---------------------------------------------------------------------------
 # twists
 
 
 def _twisted(form_f, form_g, chi, psi, level, k, s, row: int, sign: int):
-    """Row row (0 Lambda, 1 Omega) of the twisted pairs' continuations at s
-    and k - s, and the residual |v_f + sign i^k C_psi v_g| (see _residuals),
-    each shaped like s; the pairs keep their continuation (Lambda, Omega),
-    so the other row at the same arguments comes from memory.  k, level and
-    chi must be the forms' own weight, level and f's character."""
+    """Row row (0 Lambda, 1 Omega) of the twisted equation's sides at s and
+    k - s (see _sides), and the residual |v_f + sign i^k C_psi v_g| (see
+    _residuals), each shaped like s.  k, level and chi must be the forms'
+    own weight, level and f's character."""
     if k != form_f.weight:
         raise ValueError("k must equal the weight of the forms")
     if form_f.level != level or form_g.level != level:
         raise ValueError(f"f and g must be at level {level}, not {form_f.level} and {form_g.level}")
     if chi != form_f.character:
         raise ValueError(f"chi must be the character of f: {chi!r} is not {form_f.character!r}")
-    pair_f, pair_g, ik = _sides(form_f, form_g, psi)
     flat, restore = _batch(s)
-    v_f, v_g = (v[row] for v in _reflected(pair_f, pair_g, flat))
+    side_f, side_g, ik, _, _ = _sides(form_f, form_g, psi, flat)
+    v_f, v_g = side_f[row], side_g[row]
     return (_unbatch(v_f, restore), _unbatch(v_g, restore),
             _unbatch(_residuals(v_f, v_g, sign * ik), restore, float))
 
@@ -618,18 +602,12 @@ def twisted_lambda(
     """(Lambda_N(f,s,psi), Lambda_N(g,k-s,psibar), residual of the twisted
     functional equation Lambda_N(f,s,psi) = i^k C_psi Lambda_N(g,k-s,psibar)).
 
-    Both sides are self-anchored continuations of the twisted expansions at
-    level N m^2, so the residual genuinely tests the twisted pair relation
-    including the constant C_psi, at fe_residuals' cut-off.  When the two
-    twisted expansions hold the same data (f = g and a real psi) they are one
-    pair, continued once at s and k - s together (see _sides and _reflected);
-    s may be one complex number or an array, and the results are shaped like it.
-    A form keeps one twist per psi (see forms.twist) and a twist its pair,
-    so each (form, psi) is twisted, built and extracted once whatever the
-    order of the characters, at about the form's footprint per distinct psi,
-    released with the form.  A pair's continuation is (Lambda, Omega), kept
-    with the pair: twisted_lambda then twisted_omega on the same forms, psi
-    and s continue each side once.
+    The sides are _sides' at level N m^2, so the residual tests the twisted
+    pair relation including the constant C_psi, and equals fe_residuals'
+    with psi point by point.  s may be one complex number or an array, and
+    the results are shaped like it.  Each side's continuation is (Lambda,
+    Omega), kept with its pair (see FrickePair): twisted_lambda then
+    twisted_omega on the same forms, psi and s continue each side once.
     """
     return _twisted(form_f, form_g, chi, psi, level, k, s, 0, -1)
 
@@ -644,9 +622,8 @@ def twisted_omega(
     s: complex,
 ) -> tuple[complex, complex, float]:
     """Twisted Omega values and the residual of
-    Omega_N(f,s,psi) = -i^k C_psi Omega_N(g,k-s,psibar), from the twists
-    (one kept per psi on each form), pairs and continuations of
-    twisted_lambda."""
+    Omega_N(f,s,psi) = -i^k C_psi Omega_N(g,k-s,psibar): the other row of
+    twisted_lambda's sides."""
     return _twisted(form_f, form_g, chi, psi, level, k, s, 1, 1)
 
 

@@ -251,6 +251,19 @@ class TestVerifyFe:
         assert code == 5
         assert "PASS" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("nan_in", ["f", "g"])
+    def test_a_nan_residual_fails_with_exit_5(self, tmp_path, capsys, nan_in):
+        # c+(3) = NaN makes every residual NaN, which no tolerance may pass
+        f = harmonic_eisenstein_level_one(40)
+        cp = f.c_plus.copy()
+        cp[3] = np.nan
+        g = replace(f, c_plus=cp)
+        code = self.run_pair(tmp_path, *((g, f) if nan_in == "f" else (f, g)), "--tol", "1e-4")
+        out = capsys.readouterr().out
+        assert code == 5
+        assert "max residual: nan" in out and "PASS" not in out
+        assert "FAIL: functional equation residual is not a number" in out
+
     GRID = "--grid=-1.5:1.5:4,0.5:2:2"  # no pole of the completed series
 
     def run_pair(self, tmp_path, f, g, *flags, grid=GRID):
@@ -474,9 +487,12 @@ class TestOps:
         got = complex(re.search(r"c\+\(3\) = (\S+)", out).group(1))
         assert abs(got - ref.c_plus[3]) < 1e-10
 
-    @pytest.mark.parametrize("n_max, n", [(70000, 3), (10, 40000)])
+    @pytest.mark.parametrize("n_max, n, heights", [
+        (70000, 3, ("1e-5", "2e-5")),  # n_max + |n| + 1 = 70004, below 2 |n| + 6e5
+        (10, 40000, ("0.4", "0.8")),  # 2 |n| + 2 = 80002
+    ])
     def test_extract_past_the_sample_cap_exits_3_before_any_work(
-        self, monkeypatch, capsys, n_max, n
+        self, monkeypatch, capsys, n_max, n, heights
     ):
         form = harmonic_eisenstein_level_one(n_max)
 
@@ -487,13 +503,26 @@ class TestOps:
         monkeypatch.setattr(forms.TermSeries, "_sums", refuse)
         tracemalloc.start()
         try:
-            code = run("extract", "--in", "f.json", "--n", str(n))
+            code = run("extract", "--in", "f.json", "--n", str(n),
+                       "--v0", heights[0], "--v1", heights[1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 3
         assert f"n_max {n_max} need" in capsys.readouterr().err
         assert peak < 1e6
+
+    def test_extract_reads_a_form_past_the_no_alias_reach(self, monkeypatch, capsys):
+        # n_max + |n| + 1 = 70004 is past the cap, but at the default heights
+        # (0.4, 0.8) the modes past 2 |n| + 15 weigh below 4e-17 of their
+        # coefficients, so 256 samples a line read c+(3)
+        ref = harmonic_eisenstein_level_one(70000)
+        monkeypatch.setattr(forms, "load_form", lambda path: ref)
+        assert run("extract", "--in", "f.json", "--n", "3") == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "samples per line: 256"
+        got = complex(re.search(r"c\+\(3\) = (\S+)", out).group(1))
+        assert abs(got - ref.c_plus[3]) < 1e-10
 
     def test_extract_overflowing_heights_exits_4(self, example_form, capsys):
         # Gamma(3, -4 pi 3 v1) overflows at v1 = 20

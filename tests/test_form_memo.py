@@ -14,10 +14,12 @@ import gc
 import tracemalloc
 import weakref
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maassforms.forms as forms
 from helpers import make_random_form, oldform_pair, padded_pair
@@ -25,7 +27,7 @@ import maassforms.lseries as lseries
 from maassforms.characters import DirichletCharacter, character_by_label
 from maassforms.eisenstein import harmonic_eisenstein_level_one
 from maassforms.forms import TermSeries, bol, shadow, to_terms, twist
-from maassforms.lseries import (_star, analytic_pair, fe_residuals, lambda_continued,
+from maassforms.lseries import (ResidualReport, _star, analytic_pair, fe_residuals, lambda_continued,
                                 lambda_star, omega_continued, omega_star,
                                 reconstruct_from_lambda, twisted_lambda, twisted_omega)
 
@@ -442,13 +444,21 @@ class TestKeptPair:
         assert analytic_pair(fresh(f)) is not analytic_pair(f)
 
     def test_a_side_at_the_smaller_cut_off_is_the_kept_pair(self):
+        # a side ran on a pair when that pair keeps the side's batch (see _star)
+        s = np.array([0.5 + 0.5j, -1.0 + 1.0j])
         f, (g, *_) = verify_partners(7)  # one cut-off: both sides are kept pairs
-        pair_f, pair_g, _ = lseries._sides(f, g, None)
-        assert pair_f is analytic_pair(f) and pair_g is analytic_pair(g)
+        _, _, _, _, T = lseries._sides(f, g, None, s)
+        assert T == analytic_pair(f).T == analytic_pair(g).T
+        assert analytic_pair(f)._last[0] == s.tobytes()
+        assert analytic_pair(g)._last[0] == (f.weight - s).tobytes()
         f, g = padded_pair()  # f's cut-off is the smaller one
-        pair_f, pair_g, _ = lseries._sides(f, g, None)
-        assert pair_f is analytic_pair(f) and pair_f.T < analytic_pair(g).T
-        assert pair_g is not analytic_pair(g) and pair_g.T == pair_f.T
+        side_f, side_g, _, _, T = lseries._sides(f, g, None, s)
+        assert T == analytic_pair(f).T < analytic_pair(g).T
+        assert analytic_pair(f)._last[0] == s.tobytes()
+        assert np.array_equal(side_f, lseries._continued(analytic_pair(f), s))
+        assert analytic_pair(g)._last[0] != (f.weight - s).tobytes()
+        at_t = replace(analytic_pair(g), T=T)
+        assert np.array_equal(side_g, lseries._continued(at_t, f.weight - s))
 
     def test_reconstruction_continues_once(self, mellin_calls):
         f = harmonic_eisenstein_level_one(40)
@@ -531,3 +541,65 @@ class TestOneContinuation:
         want = [call(g, fresh(g), g.character, quadratic(5), 1, g.weight, s)
                 for call, g in ((twisted_lambda, fresh(f)), (twisted_omega, fresh(f)))]
         assert repr(got) == repr(want)
+
+
+@cache
+def kept_equations():
+    """The sides of three equations, kept for the whole session so that what
+    they keep carries over from one example to the next: the level-1 lift
+    against itself, the N = 7 golden pair at base 4, and the zero-padded
+    N = 7 pair, whose sides have different cut-offs."""
+    lift = harmonic_eisenstein_level_one(40)
+    return [(lift, lift), oldform_pair(7, base=4), padded_pair()]
+
+
+# psi: none, quadratic mod 3 and mod 5, and the order-4 character mod 5,
+# whose f_psi and f_psibar differ on a self-paired form
+CHARACTERS = [None, quadratic(3), quadratic(5), DirichletCharacter(5, (1,))]
+POOL = [0.5 + 0.5j, -1.0 + 1.0j, 1.5 + 0.5j, 2.0 + 0.16j, -0.5 + 3.0j]
+
+
+def drive(name, f, g, psi, s):
+    if name == "fe_residuals":
+        return fe_residuals(f, g, list(s), psi=psi)
+    if name == "lambda_continued":
+        return lambda_continued(analytic_pair(f if psi is None else twist(f, psi)), s)
+    call = twisted_lambda if name == "twisted_lambda" else twisted_omega
+    return call(f, g, f.character, psi, f.level, f.weight, s)
+
+
+def bits(x):
+    """The exact bits of an output (a report, a tuple or an array)."""
+    if isinstance(x, ResidualReport):
+        x = [x.grid, x.lambda_residuals, x.omega_residuals, x.excluded, x.quadrature_T,
+             x.tail_bound]
+    if isinstance(x, (list, tuple)):
+        return [bits(y) for y in x]
+    return np.asarray(x).tobytes()
+
+
+def equation_call():
+    """(function, equation index, psi, s): a twisted function takes a psi."""
+    def with_psi(name):
+        psis = CHARACTERS if name in ("fe_residuals", "lambda_continued") else CHARACTERS[1:]
+        batch = st.lists(st.sampled_from(POOL), min_size=1, max_size=3, unique=True)
+        return st.tuples(st.just(name), st.integers(0, 2), st.sampled_from(psis),
+                         batch.map(np.array))
+
+    names = ("fe_residuals", "twisted_lambda", "twisted_omega", "lambda_continued")
+    return st.sampled_from(names).flatmap(with_psi)
+
+
+class TestKeptIsInvisible:
+    @settings(max_examples=25)
+    @given(st.lists(equation_call(), min_size=1, max_size=6))
+    def test_any_interleaving_gives_the_bits_of_fresh_forms(self, calls):
+        # every branch of _sides (one shared pair, kept pairs at one T, a
+        # pair replaced to the smaller T) meets kept twists, pairs and
+        # continuations left by any earlier call
+        for name, which, psi, s in calls:
+            f, g = kept_equations()[which]
+            got = drive(name, f, g, psi, s)
+            new_f = fresh(f)
+            want = drive(name, new_f, new_f if g is f else fresh(g), psi, s)
+            assert bits(got) == bits(want), (name, which, psi, s)

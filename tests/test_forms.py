@@ -9,6 +9,7 @@ import cmath
 import json
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -137,6 +138,26 @@ class TestEvaluate:
         for call in (lambda: evaluate(f, tau), lambda: evaluate_tail_bound(f, 1e300),
                      lambda: to_terms(f).magnitude(1e300)):
             with pytest.raises(ValueError, match=r"height 1e\+300 is past the double range"):
+                call()
+
+    def test_a_jet_past_the_double_range_is_refused_before_any_pass(self, monkeypatch):
+        # the series reaches v^3; slash_jet1 by omega(1) at 1e-300 i reads the
+        # jet at -1/tau, about 1e300 i.  R_k f reaches v^-1, which 1e-200
+        # keeps finite, but its d_v series v^-2, which the jet also reads
+        ts = to_terms(harmonic_eisenstein_level_one(10))
+        raised = raising_op(ts, -2)
+        assert raised.vpow.min() == -1 and raised._dv_series.vpow.min() == -2
+
+        def refuse(*args):
+            raise AssertionError("a pass was made")
+
+        monkeypatch.setattr(TermSeries, "_sums", refuse)
+        image = re.escape(repr(fricke(1).apply(1e-300j).imag))
+        for call, height in ((lambda: ts.jet(1e300j), r"1e\+300"),
+                             (lambda: ts.jet(np.array([0.5j, 1e300j])), r"1e\+300"),
+                             (lambda: slash_jet1(ts, -2, fricke(1), 1e-300j), image),
+                             (lambda: raised.jet(1e-200j), "1e-200")):
+            with pytest.raises(ValueError, match=f"height {height} is past the double range"):
                 call()
 
     def test_a_height_below_the_double_range_is_refused_for_a_negative_power(self):
@@ -1194,11 +1215,13 @@ class TestExtraction:
         (150, (0.02, 0.04), None, 1024),  # 300 + 300
         (8, (3.0, 6.0), None, 256),
         (3, (0.002, 0.004), 400, 512),  # a stored form: n_max + |n| + 1 = 404
-        (-3, (0.4, 0.8), 252, 256),  # 256 exactly
-        (3, (0.4, 0.8), 253, 512),  # 257
+        (-3, (0.01, 0.02), 252, 256),  # 256 exactly, below 2 |n| + 600
+        (3, (0.01, 0.02), 253, 512),  # 257
+        (3, (0.4, 0.8), 253, 256),  # 2 |n| + 15 = 21, below n_max + |n| + 1
+        (3, (0.4, 0.8), 70000, 256),
         (200, (0.4, 0.8), 10, 512),  # 2 |n| + 2 = 402
         (32767, (3.0, 6.0), None, 2**16),  # the cap, one short of a refusal
-        (3, (0.4, 0.8), 65532, 2**16),
+        (3, (6e-5, 1.2e-4), 65532, 2**16),  # 2 |n| + 1e5 is past it
     ])
     def test_samples_per_line(self, n, heights, n_max, want):
         assert forms.line_samples(n, heights, n_max) == want
@@ -1206,7 +1229,7 @@ class TestExtraction:
     @pytest.mark.parametrize("n, heights, n_max", [
         (8, (1e-6, 2e-6), None),  # 2^23 samples a line
         (32768, (3.0, 6.0), None),  # 2 |n| + 2 = 65538
-        (3, (0.4, 0.8), 65533),  # n_max + |n| + 1 = 65537
+        (3, (6e-5, 1.2e-4), 65533),  # n_max + |n| + 1 = 65537
     ])
     def test_samples_past_the_cap_are_refused(self, n, heights, n_max):
         with pytest.raises(ValueError, match=f"n_max {n_max} need .* past the cap of 65536"):

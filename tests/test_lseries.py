@@ -1144,3 +1144,22 @@ class TestResidualReportValidation:
             ResidualReport(grid=[], lambda_residuals=[], omega_residuals=[], nodes_per_panel=8)
         rep = ResidualReport(grid=[1j], lambda_residuals=[0.1], omega_residuals=[0.2])
         assert rep.to_json()["nodes_per_panel"] == 16
+
+    @pytest.mark.parametrize("lam, om", [
+        ([1e-12, math.nan], [0.0, 0.0]),  # max([1e-12, nan]) drops the NaN
+        ([math.nan, 1e-12], [0.0, 0.0]),  # and keeps it only when it comes first
+        ([0.0, 0.0], [1e-12, math.nan]),
+        ([0.0, math.nan], [1e-12, 2.0]),  # a NaN Lambda beside a finite Omega
+    ])
+    def test_a_nan_residual_makes_its_maxima_nan(self, lam, om):
+        rep = ResidualReport(grid=[1j, 2j], lambda_residuals=lam, omega_residuals=om)
+        assert math.isnan(rep.max_residual)
+        assert math.isnan(rep.max_lambda) == any(map(math.isnan, lam))
+        assert math.isnan(rep.max_omega) == any(map(math.isnan, om))
+
+    def test_finite_maxima_are_the_largest_residuals(self):
+        rep = ResidualReport(grid=[1j, 2j], lambda_residuals=[1e-12, 3e-12],
+                             omega_residuals=[2e-12, 1e-13])
+        assert (rep.max_lambda, rep.max_omega, rep.max_residual) == (3e-12, 2e-12, 3e-12)
+        empty = ResidualReport(grid=[], lambda_residuals=[], omega_residuals=[])
+        assert empty.max_residual == 0.0

@@ -8,8 +8,9 @@ It takes no flags.  It imports the library from this checkout's src/ and
 bench/workloads.py and bench/run.py, which it only reads, and runs seeds
 1 and 2, rounds 0 and 1 of each workload, each round's operations in
 bench/run.py's seeded order.  It prints one line "<workload> <sha256>" per
-workload: two checkouts that print the same lines gave the same outputs
-and verdicts.
+workload, then a line "sides <sha256>" over the functional-equation
+functions on inputs no workload runs (see sides_records): two checkouts that
+print the same lines gave the same outputs and verdicts.
 """
 
 import dataclasses
@@ -24,6 +25,10 @@ import run  # noqa: E402  (first: it fixes one BLAS thread before numpy loads)
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
+from maassforms.characters import DirichletCharacter, character_by_label, trivial_character  # noqa: E402
+from maassforms.eisenstein import harmonic_eisenstein_level_one  # noqa: E402
+from maassforms.forms import FormExpansion  # noqa: E402
+from maassforms.lseries import fe_residuals, twisted_lambda, twisted_omega  # noqa: E402
 
 SEEDS, ROUNDS = (1, 2), (0, 1)
 
@@ -59,6 +64,47 @@ def round_records(make_round, seed: int, index: int):
     return zip((op.name for op in rnd.ops), outputs, run.judge(rnd, outputs))
 
 
+def level_seven_forms():
+    """(f, g, padded): the level-1 lift at n_max 280 read at level 7, its
+    Fricke partner 7^{k/2} F(7 tau) (c+-(7n) = 7^{k/2} c+-(n), c-(0) times
+    7^{k/2} 7^{1-k}), and the lift at n_max 40 padded with zeros to n_max
+    280 at level 7, whose cut-off is below g's."""
+    level, base = 7, 40
+    lift, short = harmonic_eisenstein_level_one(level * base), harmonic_eisenstein_level_one(base)
+    k, n_max, chi = lift.weight, level * base, trivial_character(level)
+    scale = float(level) ** (k / 2.0)
+    cp, cm = np.zeros(n_max + 1, dtype=complex), np.zeros(n_max, dtype=complex)
+    cp[::level], cm[level - 1 :: level] = scale * short.c_plus, scale * short.c_minus
+    g = FormExpansion(k, level, chi, lift.alpha, n_max, cp,
+                      scale * float(level) ** (1 - k) * short.c_minus_zero, cm)
+    f = FormExpansion(k, level, chi, lift.alpha, n_max, lift.c_plus, lift.c_minus_zero,
+                      lift.c_minus)
+    cp, cm = np.zeros(n_max + 1, dtype=complex), np.zeros(n_max, dtype=complex)
+    cp[: base + 1], cm[:base] = short.c_plus, short.c_minus
+    padded = FormExpansion(k, level, chi, short.alpha, n_max, cp, short.c_minus_zero, cm)
+    return f, g, padded
+
+
+def sides_records():
+    """(name, output) of fe_residuals, twisted_lambda and twisted_omega on
+    the equations no workload runs: a zero-padded pair, whose sides have
+    different cut-offs, plain and twisted; a complex psi on f = g, whose
+    twisted sides differ; and twisted equations with f != g."""
+    lift = harmonic_eisenstein_level_one(40)
+    f, g, padded = level_seven_forms()
+    quartic, quadratic = DirichletCharacter(5, (1,)), character_by_label(3, "quadratic")
+    grid = [complex(re, im) for re in (-1.5, 0.5, 2.5) for im in (0.5, 2.0)]
+    s = np.array([0.5 + 0.5j, 2.0 + 0.16j])
+    equations = [("padded", padded, g, None), ("padded-psi3", padded, g, quadratic),
+                 ("lift-psi5", lift, lift, quartic), ("level7-psi5", f, g, quartic),
+                 ("level7-psi3", f, g, quadratic)]
+    for name, a, b, psi in equations:
+        yield name, fe_residuals(a, b, grid, psi=psi)
+        if psi is not None:
+            for call in (twisted_lambda, twisted_omega):
+                yield name, call(a, b, a.character, psi, a.level, a.weight, s)
+
+
 def main() -> int:
     for name, (make_round, _) in workloads.WORKLOADS.items():
         digest = hashlib.sha256()
@@ -67,6 +113,10 @@ def main() -> int:
                 for record in round_records(make_round, seed, index):
                     digest.update(canonical(record).encode())
         print(name, digest.hexdigest())
+    digest = hashlib.sha256()
+    for record in sides_records():
+        digest.update(canonical(record).encode())
+    print("sides", digest.hexdigest())
     return 0
 
 

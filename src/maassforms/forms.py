@@ -502,16 +502,33 @@ class FormExpansion:
 
     @staticmethod
     def from_json(data: dict) -> "FormExpansion":
+        """The form of to_json's data; ValueError, naming the field and the
+        index, for a coefficient that is not finite."""
+        coefficients = {
+            "c_plus": np.array([complex(re, im) for re, im in data["c_plus"]]),
+            "c_minus_zero": complex(*data["c_minus_zero"]),
+            "c_minus": np.array([complex(re, im) for re, im in data["c_minus"]]),
+        }
+        for name, values in coefficients.items():
+            _require_finite(name, values)
         return FormExpansion(
             weight=int(data["weight"]),
             level=int(data["level"]),
             character=DirichletCharacter.from_json(data["character"]),
             alpha=float(data["alpha"]),
             n_max=int(data["n_max"]),
-            c_plus=np.array([complex(re, im) for re, im in data["c_plus"]]),
-            c_minus_zero=complex(*data["c_minus_zero"]),
-            c_minus=np.array([complex(re, im) for re, im in data["c_minus"]]),
+            **coefficients,
         )
+
+
+def _require_finite(name: str, values) -> None:
+    """ValueError naming the field, and the index for an array, of the
+    first value that is not finite."""
+    values = np.asarray(values)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        where = f"{name}[{bad[0]}]" if values.ndim else name
+        raise ValueError(f"{where} must be finite, got {values.flat[bad[0]]}")
 
 
 def atomic_write(path, text: str) -> None:
@@ -529,15 +546,20 @@ def atomic_write(path, text: str) -> None:
 
 
 def save_form(form: FormExpansion, path) -> None:
-    """Write the form as JSON, atomically.
+    """Write the form as strict JSON, atomically.
 
     Floats are serialized by repr, so a load reproduces the in-memory values
-    bit for bit.
+    bit for bit.  ValueError, before anything is written, for a value that
+    is not finite (JSON has no NaN or Infinity); a coefficient is named by
+    its field and index.
     """
-    atomic_write(path, json.dumps(form.to_json(), indent=1) + "\n")
+    for name in ("c_plus", "c_minus_zero", "c_minus"):
+        _require_finite(name, getattr(form, name))
+    atomic_write(path, json.dumps(form.to_json(), indent=1, allow_nan=False) + "\n")
 
 
 def load_form(path) -> FormExpansion:
+    """The form save_form wrote to path (see FormExpansion.from_json)."""
     with open(path, encoding="utf-8") as fh:
         return FormExpansion.from_json(json.load(fh))
 

@@ -252,13 +252,17 @@ class TestVerifyFe:
         assert "PASS" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("nan_in", ["f", "g"])
-    def test_a_nan_residual_fails_with_exit_5(self, tmp_path, capsys, nan_in):
-        # c+(3) = NaN makes every residual NaN, which no tolerance may pass
+    def test_a_nan_residual_fails_with_exit_5(self, capsys, monkeypatch, nan_in):
+        # c+(3) = NaN makes every residual NaN, which no tolerance may pass.
+        # No form file holds a NaN (load_form refuses one), so the forms
+        # come from memory
         f = harmonic_eisenstein_level_one(40)
         cp = f.c_plus.copy()
         cp[3] = np.nan
         g = replace(f, c_plus=cp)
-        code = self.run_pair(tmp_path, *((g, f) if nan_in == "f" else (f, g)), "--tol", "1e-4")
+        held = dict(zip(("f.json", "g.json"), (g, f) if nan_in == "f" else (f, g)))
+        monkeypatch.setattr(forms, "load_form", held.__getitem__)
+        code = run("verify-fe", "--f", "f.json", "--g", "g.json", self.GRID, "--tol", "1e-4")
         out = capsys.readouterr().out
         assert code == 5
         assert "max residual: nan" in out and "PASS" not in out
@@ -549,6 +553,15 @@ class TestOps:
     def test_eval_rejects_a_point_that_is_not_finite(self, example_form, capsys, tau):
         assert run("eval", "--in", str(example_form), "--tau", tau) == 3
         assert "finite" in capsys.readouterr().err
+
+    def test_eval_of_a_file_holding_nan_exits_3(self, tmp_path, capsys):
+        # such a file printed f(...) = nan+nanj and exited 0
+        path = tmp_path / "g.json"
+        data = harmonic_eisenstein_level_one(10).to_json()
+        data["c_plus"][2] = [math.nan, 0.0]
+        path.write_text(json.dumps(data))
+        assert run("eval", "--in", str(path), "--tau", "0.1+0.8j") == 3
+        assert "c_plus[2] must be finite, got (nan+0j)" in capsys.readouterr().err
 
     def test_eval_past_the_double_range_exits_3(self, tmp_path, capsys):
         # v^3 of c-(0) v^3 overflows at 1e300, where the CLI printed nan+nanj

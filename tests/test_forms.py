@@ -12,6 +12,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1394,6 +1395,33 @@ class TestSerialization:
         assert g.c_minus_zero == f.c_minus_zero
         assert np.array_equal(g.c_minus, f.c_minus)
         assert g.character == f.character
+
+    @pytest.mark.parametrize("field, index, bad", [
+        ("c_plus", 2, math.nan), ("c_minus_zero", None, math.inf), ("c_minus", 1, -math.inf),
+    ])
+    def test_a_non_finite_coefficient_is_not_saved(self, rng, tmp_path, field, index, bad):
+        # JSON has no NaN or Infinity: the file would not be strict JSON
+        f = make_random_form(rng, k=-3, n_max=4)
+        value, where = bad, field
+        if index is not None:
+            value, where = getattr(f, field).copy(), f"{field}[{index}]"
+            value[index] = bad
+        path = tmp_path / "form.json"
+        with pytest.raises(ValueError, match=re.escape(where) + " must be finite"):
+            save_form(replace(f, **{field: value}), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("field, token", [("c_plus", "NaN"), ("c_minus", "-Infinity")])
+    def test_a_file_holding_nan_or_infinity_is_not_loaded(self, rng, tmp_path, field, token):
+        f = make_random_form(rng, k=-3, n_max=4)
+        path = tmp_path / "form.json"
+        save_form(f, path)
+        data = json.loads(path.read_text())
+        data[field][3][1] = float(token.replace("Infinity", "inf"))
+        path.write_text(json.dumps(data))
+        assert token in path.read_text()
+        with pytest.raises(ValueError, match=re.escape(f"{field}[3] must be finite")):
+            load_form(path)
 
     def test_schema_fields(self, rng, tmp_path):
         f = make_random_form(rng)

@@ -1035,30 +1035,48 @@ class TestReconstruction:
         f = single_form(plus=1)
         lam = lambda s: (1.0 / TWO_PI) ** s * gamma_complex(s)
         val, info = reconstruct_from_lambda(lam, 1, -2, 1.0, 2.0, 40.0, full_output=True)
-        assert info["refinement_error"] <= 1e-8
+        assert info["witness"] <= 1e-8
 
     def test_unresolved_raises(self):
-        # an integrand that carries its own factor 1e6^s oscillates past what
-        # 6 nodes per unit panel resolve at t = 1 (the panels narrow with
-        # |log t| only): the refinement moves the value by ~2e7
+        # an integrand that carries its own factor 1e6^s turns 13.8 radians
+        # per unit of Im s, past what 16 nodes on panels 2 to 6 wide resolve
+        # at t = 1 (the panels narrow with |log t| only): the witness reads
+        # ~4e8
         lam = lambda s: (1e6 / TWO_PI) ** s * gamma_complex(s)
-        with pytest.raises(QuadratureError, match="refinement moves"):
+        with pytest.raises(QuadratureError, match="witness"):
             reconstruct_from_lambda(lam, 1, -2, 1.0, 2.0, 40.0)
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_a_non_finite_lambda_raises(self, poison):
+        # NaN everywhere, or one infinite node at the top of the line
+        def lam(s):
+            vals = np.full(s.shape, np.nan + 0j) if np.isnan(poison) else gamma_complex(s)
+            vals[np.argmax(s.imag)] = poison
+            return vals
+
+        with pytest.raises(QuadratureError, match=rf"fn is \({poison}"):
+            reconstruct_from_lambda(lam, 1, -2, 1.0, 2.0, 40.0, full_output=True)
 
     @pytest.mark.parametrize("t", [1e-3, 1e-2, 0.1, 10.0, 20.0])
     def test_small_and_large_t_resolve(self, t):
-        # panels of width 1/|log t| let the 6-node refinement follow t^{-iy},
-        # which turns |log t| radians per unit of Im s
+        # panels of width 1/|log t| let 16 nodes follow t^{-iy}, which turns
+        # |log t| radians per unit of Im s; the gate sits near Lambda's
+        # rounding floor, t^{-2} = 1e6 at t = 1e-3
         lam = lambda s: (1.0 / TWO_PI) ** s * gamma_complex(s)
         got = reconstruct_from_lambda(lam, 1, -2, t, 2.0, 40.0)
         assert abs(got - math.exp(-TWO_PI * t)) <= 1e-12
 
     @pytest.mark.parametrize("t", [math.exp(-1.0), 0.5, 1.0, 2.0, math.e])
-    def test_unit_panels_for_t_within_a_factor_e(self, t):
-        # 80 panels of width 1 at height 40, 12 + 6 nodes each
-        sizes = []
-        reconstruct_from_lambda(lambda s: sizes.append(s.size) or 0j, 1, -2, t, 2.0, 40.0)
-        assert sizes == [80 * 18]
+    def test_one_node_set_for_t_within_a_factor_e(self, t):
+        # 20 graded panels of 16 nodes at height 40, in one call, on the same
+        # bits for every t with |log t| <= 1: so a pair's kept continuation
+        # answers a repeat at another such t
+        at_one, at_t = [], []
+        reconstruct_from_lambda(lambda s: at_one.append(s.copy()) or 0j, 1, -2, 1.0, 2.0, 40.0)
+        reconstruct_from_lambda(lambda s: at_t.append(s.copy()) or 0j, 1, -2, t, 2.0, 40.0)
+        assert len(at_one) == len(at_t) == 1
+        assert at_t[0].tobytes() == at_one[0].tobytes()
+        assert at_t[0].size == 20 * 16
 
     def test_nonpositive_t_rejected(self):
         for t in (0.0, -0.5):

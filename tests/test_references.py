@@ -100,13 +100,15 @@ def test_lift_meets_the_closed_form_high_on_the_line(q):
 
 def test_reconstruction_meets_the_closed_form_within_its_witness():
     # the n_max 40 lift rebuilt from Lambda on Re s = 2, |Im s| <= 40: off
-    # its axis values by far less than the 6-node refinement it reports
+    # its axis values within the witness it reports, itself below 1e-12 and
+    # the error within 1.5e-14
     pair = analytic_pair(harmonic_eisenstein_level_one(40))
     for t in (0.5, 0.8, 1.0, 1.5, 2.0):
         got, info = reconstruct_from_lambda(
             lambda s: lambda_continued(pair, s), 1, WEIGHT, t, 2.0, 40.0, full_output=True
         )
-        assert abs(got - lift_axis_value(t, 40)) <= info["refinement_error"], t
+        err = abs(got - lift_axis_value(t, 40))
+        assert err <= info["witness"] <= 1e-12 and err <= 1.5e-14, t
 
 
 def test_a_wrong_partner_fails_the_closed_form():

@@ -9,8 +9,10 @@ bench/workloads.py and bench/run.py, which it only reads, and runs seeds
 1 and 2, rounds 0 and 1 of each workload, each round's operations in
 bench/run.py's seeded order.  It prints one line "<workload> <sha256>" per
 workload, then a line "sides <sha256>" over the functional-equation
-functions on inputs no workload runs (see sides_records): two checkouts that
-print the same lines gave the same outputs and verdicts.
+functions on inputs no workload runs (see sides_records), and a line
+"line <sha256>" over the vertical-line rule on inputs no workload runs (see
+line_records): two checkouts that print the same lines gave the same outputs
+and verdicts.
 """
 
 import dataclasses
@@ -28,7 +30,15 @@ import workloads  # noqa: E402
 from maassforms.characters import DirichletCharacter, character_by_label, trivial_character  # noqa: E402
 from maassforms.eisenstein import harmonic_eisenstein_level_one  # noqa: E402
 from maassforms.forms import FormExpansion  # noqa: E402
-from maassforms.lseries import fe_residuals, twisted_lambda, twisted_omega  # noqa: E402
+from maassforms.lseries import (  # noqa: E402
+    analytic_pair,
+    fe_residuals,
+    lambda_continued,
+    reconstruct_from_lambda,
+    twisted_lambda,
+    twisted_omega,
+)
+from maassforms.specfun import invert_on_line, w_nu  # noqa: E402
 
 SEEDS, ROUNDS = (1, 2), (0, 1)
 
@@ -105,6 +115,22 @@ def sides_records():
                 yield name, call(a, b, a.character, psi, a.level, a.weight, s)
 
 
+def line_records():
+    """(name, (value, info)) of invert_on_line with full_output: W_nu for
+    nu = 1-3 at x in {1e-3, 0.3, 1, 3, 20}, height 200, and
+    reconstruct_from_lambda of the n_max 40 lift at t in {0.5, 0.8, 1, 1.5,
+    2}, height 40."""
+    for nu in (1, 2, 3):
+        for x in (1e-3, 0.3, 1.0, 3.0, 20.0):
+            yield f"w{nu}@{x}", invert_on_line(lambda s: w_nu(nu, s), x, 2.0, 200.0, True)
+    lift = harmonic_eisenstein_level_one(40)
+    pair = analytic_pair(lift)
+    for t in (0.5, 0.8, 1.0, 1.5, 2.0):
+        yield f"lift@{t}", reconstruct_from_lambda(
+            lambda s: lambda_continued(pair, s), lift.level, lift.weight, t, 2.0, 40.0, True
+        )
+
+
 def main() -> int:
     for name, (make_round, _) in workloads.WORKLOADS.items():
         digest = hashlib.sha256()
@@ -113,10 +139,11 @@ def main() -> int:
                 for record in round_records(make_round, seed, index):
                     digest.update(canonical(record).encode())
         print(name, digest.hexdigest())
-    digest = hashlib.sha256()
-    for record in sides_records():
-        digest.update(canonical(record).encode())
-    print("sides", digest.hexdigest())
+    for name, records in (("sides", sides_records), ("line", line_records)):
+        digest = hashlib.sha256()
+        for record in records():
+            digest.update(canonical(record).encode())
+        print(name, digest.hexdigest())
     return 0
 
 

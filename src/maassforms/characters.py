@@ -1,17 +1,29 @@
-"""Dirichlet characters modulo q as integer exponent tables.
+"""Dirichlet characters modulo q, identified by integer exponent vectors.
 
 A character is stored by its exponent vector on a fixed generating set of
 (Z/qZ)^*: the modulus is CRT-split into prime powers, each odd prime power
 contributes one generator (a lifted primitive root), and 2^e contributes
 {-1, 5} for e >= 3 (just {-1} for e = 2).  Construction keeps that vector,
-the generators, their orders and lam = lcm(orders); the exact exponents n(a),
-chi(a) = e^{2 pi i n(a)/lam}, and the values chi(a) are tabulated on first read.
+the generators, their orders and lam = lcm(orders).
+
+What each read costs:
+  - arithmetic on the exponent vector, no table: `conductor`, `parity`,
+    `is_primitive`, `is_trivial`, and every read of the trivial character;
+  - one column of the modulus' shared discrete-log table (`_unit_logs`,
+    built once per modulus): a single value chi(n), `rational_exponent(n)`,
+    and the generator reads of products and induced characters;
+  - the character's own residue tables, built on first read: the exact
+    exponents n(a), chi(a) = e^{2 pi i n(a)/lam}, and the values chi(a),
+    read whole by a gather over many residues and by the Gauss sum, which is
+    then kept on the character (and on its conjugate, which is made once).
+Every value is _root(n(a), lam), whichever way it is read, so the bits agree.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -126,8 +138,12 @@ class DirichletCharacter:
     """Dirichlet character mod q, identified by its exponent vector on the
     canonical generators: chi(g_i) = e^{2 pi i exponents_i / orders_i}.
 
-    Eager: modulus, exponents, generators, gen_orders, _lam.  Built on first
-    read, read-only: `_num`, n(a) per residue (-1 on non-units); `values`, chi(a).
+    Eager: modulus, exponents, generators, gen_orders, _lam.  Arithmetic, no
+    table: conductor, parity, is_primitive, is_trivial.  chi(n) and
+    rational_exponent(n) read gcd(n, q) alone for the trivial character,
+    else one column of the modulus' shared _unit_logs.  Built on first read,
+    read-only: `_num`, n(a) per residue (-1 on non-units); `values`, chi(a),
+    for whole-table reads; `gauss_sum`, tau(chi); and the conjugate.
     """
 
     def __init__(self, modulus: int, exponents: tuple[int, ...]):
@@ -143,30 +159,47 @@ class DirichletCharacter:
         self._lam = math.lcm(*orders)
 
     @cached_property
+    def _steps(self) -> tuple[int, ...]:
+        """The exponents scaled to lam: chi(g_i) = e^{2 pi i _steps_i / lam}."""
+        return tuple(e * (self._lam // o) for e, o in zip(self.exponents, self.gen_orders))
+
+    @cached_property
     def _num(self) -> np.ndarray:
         logs, lam = _unit_logs(self.modulus), self._lam
-        steps = [e * (lam // o) for e, o in zip(self.exponents, self.gen_orders)]
-        num = np.where(logs[-1] == 1, np.array(steps, dtype=np.int64) @ logs[:-1] % lam, -1)
+        # one scaled row per generator: cheaper than an integer matmul
+        num = np.where(logs[-1], sum(s * row for s, row in zip(self._steps, logs)) % lam, -1)
         num.setflags(write=False)
         return num
 
     @cached_property
     def values(self) -> np.ndarray:
-        roots = np.zeros(self._lam + 1, dtype=complex)  # roots[-1] = 0 on non-units
-        for j in np.bincount(self._num + 1)[1:].nonzero()[0].tolist():
-            roots[j] = _root(j, self._lam)
+        lam = self._lam
+        roots = np.zeros(lam + 1, dtype=complex)  # roots[-1] = 0 on non-units
+        for j in range(0, lam, math.gcd(lam, *self._steps)):  # the n(a) that occur
+            roots[j] = _root(j, lam)
         values = roots[self._num]
         values.setflags(write=False)
         return values
 
     # -- evaluation ---------------------------------------------------------
 
+    def _exponent(self, n: int) -> int:
+        """n(a) at the residue a of n, -1 on a non-unit: by gcd alone for the
+        trivial character, else from n's column of the modulus' discrete-log
+        table."""
+        q = self.modulus
+        if self.is_trivial:
+            return 0 if math.gcd(n, q) == 1 else -1
+        *logs, unit = _unit_logs(q)[:, n % q].tolist()
+        return sum(map(operator.mul, self._steps, logs)) % self._lam if unit else -1
+
     def __call__(self, n: int) -> complex:
-        return self.values.item(n % self.modulus)
+        j = self._exponent(n)
+        return _root(j, self._lam) if j >= 0 else 0j
 
     def rational_exponent(self, n: int) -> Fraction | None:
         """Exact r with chi(n) = e^{2 pi i r}, or None when chi(n) = 0."""
-        j = int(self._num[n % self.modulus])
+        j = self._exponent(n)
         return None if j < 0 else Fraction(j, self._lam)
 
     # -- structure ----------------------------------------------------------
@@ -186,16 +219,24 @@ class DirichletCharacter:
 
     @property
     def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exponents)
+        return not any(self.exponents)
 
     @property
     def parity(self) -> int:
-        """chi(-1), exactly +1 or -1."""
-        return 1 if self._num[self.modulus - 1] == 0 else -1
+        """chi(-1), exactly +1 or -1.  -1 is g^(o/2) at each odd prime's
+        generator g of order o and is the generator -1 at a power of two,
+        so chi(-1) is -1 to the sum of the exponents on all generators but 5
+        (the second one when 8 | q)."""
+        on_five = self.exponents[1] if self.modulus % 8 == 0 else 0
+        return -1 if (sum(self.exponents) - on_five) % 2 else 1
 
     @cached_property
     def conductor(self) -> int:
         return conductor(self)
+
+    @cached_property
+    def gauss_sum(self) -> complex:
+        return gauss_sum(self)
 
     @property
     def is_primitive(self) -> bool:
@@ -204,9 +245,16 @@ class DirichletCharacter:
     def conjugate(self) -> "DirichletCharacter":
         """The conjugate character: self when every exponent e has -e = e
         mod its order (a real character, whose tables are then shared),
-        else a new character of exponents -e."""
-        exps = tuple(-e % o for e, o in zip(self.exponents, self.gen_orders))
-        return self if exps == self.exponents else DirichletCharacter(self.modulus, exps)
+        else a character of exponents -e, made on the first call and kept,
+        whose own conjugate is self, so tau of either is summed once."""
+        bar = self.__dict__.get("_conjugate")
+        if bar is None:
+            exps = tuple(-e % o for e, o in zip(self.exponents, self.gen_orders))
+            if exps == self.exponents:
+                return self
+            bar = DirichletCharacter(self.modulus, exps)
+            self._conjugate, bar._conjugate = bar, self
+        return bar
 
     def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
         """Product character modulo lcm of the moduli (exact)."""
@@ -235,15 +283,14 @@ def _from_generator_values(modulus: int, chis) -> DirichletCharacter:
     lam = math.lcm(*(chi._lam for chi in chis))
     exps = []
     for g, o in zip(gens, orders):
-        j = sum(int(chi._num[g % chi.modulus]) * (lam // chi._lam) for chi in chis) * o
+        j = sum(chi._exponent(g) * (lam // chi._lam) for chi in chis) * o
         assert j % lam == 0, "exponent at a generator must be integral"
         exps.append(j // lam % o)
     return DirichletCharacter(modulus, tuple(exps))
 
 
 def trivial_character(q: int) -> DirichletCharacter:
-    _, orders = unit_group_generators(q)
-    return DirichletCharacter(q, tuple(0 for _ in orders))
+    return DirichletCharacter(q, (0,) * len(unit_group_generators(q)[1]))
 
 
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
@@ -282,17 +329,41 @@ def character_by_label(q: int, label: str) -> DirichletCharacter:
     return DirichletCharacter(q, tuple(map(int, np.unravel_index(idx, orders))))
 
 
+def _valuation(a: int, p: int) -> int:
+    """v_p(a) for a != 0."""
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v
+
+
 def conductor(chi: DirichletCharacter) -> int:
     """Smallest f | q such that chi factors through a character mod f.
 
-    Checked exactly: f works iff n(a) = 0 for every unit a = 1 (mod f).
+    The product over p^e || q of p^c, with c read off the exponents on that
+    prime power's generators (c = 0 when they are all 0): for odd p and
+    exponent a, c = e - min(v_p(a), e - 1), as chi is trivial on 1 + p^c
+    exactly when p^(e - c) | a; for 2^2, c = 2; for 2^e (e >= 3) with
+    exponents a on -1 and b on 5, c = 2 when b = 0 and else e - v_2(b), as
+    1 + 2^c (c >= 2) is generated by 5^(2^(c - 2)).
     """
-    divisors = product(*([p**k for k in range(e + 1)] for p, e in _prime_factors(chi.modulus)))
-    return next(f for f in sorted(map(math.prod, divisors)) if not np.any(chi._num[1::f] > 0))
+    f, exps = 1, iter(chi.exponents)
+    for p, e in _prime_factors(chi.modulus):
+        if p == 2:
+            if e == 1:
+                continue
+            a, b = next(exps), (next(exps) if e > 2 else 0)
+            f *= 2 ** (e - _valuation(b, 2)) if b else (4 if a else 1)
+        else:
+            a = next(exps)
+            f *= p ** (e - min(_valuation(a, p), e - 1)) if a else 1
+    return f
 
 
 def gauss_sum(psi: DirichletCharacter) -> complex:
-    """tau(psi) = sum_{a mod m} psi(a) e^{2 pi i a / m}."""
+    """tau(psi) = sum_{a mod m} psi(a) e^{2 pi i a / m}, summed left to right.
+    Read it as psi.gauss_sum to sum once per character."""
     m = psi.modulus
     return sum(v * cmath.exp(2j * math.pi * a / m) for a, v in enumerate(psi.values.tolist()))
 
@@ -306,9 +377,7 @@ def c_psi(chi: DirichletCharacter, psi: DirichletCharacter, level: int) -> compl
         raise ValueError(f"conductor {m} not coprime to level {level}")
     if not psi.is_primitive:
         raise ValueError("psi must be primitive")
-    tau = gauss_sum(psi)
-    psibar = psi.conjugate()
-    tau_bar = tau if psibar is psi else gauss_sum(psibar)
+    tau, tau_bar = psi.gauss_sum, psi.conjugate().gauss_sum  # kept on psi and its conjugate
     val = chi(m) * psi(-level) * tau / tau_bar
     alt = chi(m) * psi(level) * tau * tau / m
     if abs(val - alt) > 1e-10 * max(1.0, abs(val)):

@@ -4,6 +4,7 @@ constant.  Brute-force checks are exhaustive at desk moduli."""
 import cmath
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -115,6 +116,7 @@ class TestTablesOnFirstRead:
         r = data.draw(st.integers(1, 5))
         lifted = induce(chi, q * r)
         assert "_num" not in vars(lifted) and "values" not in vars(lifted)
+        assert "_num" not in vars(chi), "single reads and products read the shared log table"
         for n in data.draw(st.lists(st.integers(0, q * r - 1), min_size=1, max_size=20)):
             if math.gcd(n, q * r) == 1:
                 assert lifted.rational_exponent(n) == chi.rational_exponent(n)
@@ -141,6 +143,79 @@ class TestTablesOnFirstRead:
             if q % f == 0 and all(chi.rational_exponent(a) in (None, 0) for a in range(1, q, f))
         )
         assert chi.conductor == conductor(chi) == want
+
+
+def table_conductor(chi) -> int:
+    """The conductor by scanning chi's exponent table: the smallest f | q
+    with n(a) = 0 at every unit a = 1 (mod f)."""
+    q = chi.modulus
+    return next(f for f in range(1, q + 1) if q % f == 0 and not np.any(chi._num[1::f] > 0))
+
+
+def table_parity(chi) -> int:
+    """chi(-1) read from chi's exponent table."""
+    return 1 if chi._num[chi.modulus - 1] == 0 else -1
+
+
+def assert_matches_tables(chi, residues):
+    """Structure against the table oracles, then each single read at the
+    residues against chi's own tables: values by their bits, so the signs of
+    zeros count, and exponents exactly."""
+    got_values = np.array(list(map(chi, residues)), dtype=complex)
+    got_exponents = list(map(chi.rational_exponent, residues))
+    f = table_conductor(chi)
+    assert (chi.conductor, chi.parity, chi.is_primitive) == (f, table_parity(chi), f == chi.modulus)
+    idx = np.asarray(residues) % chi.modulus
+    assert got_values.view(np.uint64).tobytes() == chi.values[idx].view(np.uint64).tobytes()
+    lam = chi._lam
+    assert got_exponents == [None if j < 0 else fraction(j, lam) for j in chi._num[idx].tolist()]
+
+
+@lru_cache(maxsize=1 << 12)
+def fraction(j: int, lam: int) -> Fraction:
+    return Fraction(j, lam)
+
+
+class TestExponentArithmetic:
+    """Conductor, parity and primitivity come from the exponent vector and
+    single reads from the modulus' shared log table; chi's own tables, and
+    the table scan that found the conductor before, are the oracles."""
+
+    @pytest.mark.parametrize("q_lo", range(1, 300, 50))
+    def test_every_character_below_300(self, q_lo):
+        for q in range(q_lo, q_lo + 50):
+            for chi in enumerate_characters(q):
+                assert_matches_tables(chi, range(q))
+
+    @given(st.data())
+    def test_random_exponents_up_to_20000(self, data):
+        # a modulus with a given power of two or odd prime power and
+        # exponents that are random multiples of random divisors of their
+        # orders, so that every branch of the local conductor and high
+        # p-adic valuations are met
+        base = data.draw(st.sampled_from([1, 4, 8, 16, 64, 512, 9, 27, 243, 25, 125, 49, 343, 121]))
+        q = base * data.draw(st.integers(1, 20_000 // base))
+        exps = []
+        for o in unit_group_generators(q)[1]:
+            d = data.draw(st.sampled_from([d for d in range(1, o + 1) if o % d == 0]))
+            exps.append(d * data.draw(st.integers(0, o // d - 1)))
+        chi = DirichletCharacter(q, tuple(exps))
+        residues = [0, 1, q - 1, *data.draw(st.lists(st.integers(-q, 2 * q), max_size=20))]
+        assert_matches_tables(chi, residues)
+
+    def test_structure_and_trivial_reads_allocate_no_residue_table(self):
+        # an exponent table mod 10^6 + 3 alone would take 8 MB
+        tracemalloc.start()
+        try:
+            chi = DirichletCharacter(1_000_003, (1,))
+            got = (chi.conductor, chi.parity, chi.is_primitive)
+            triv = [trivial_character(q)(n) for q in (1_000_003, 3 * 2**20) for n in (1, 2, 6, -5)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (1_000_003, -1, True)
+        assert triv == [1, 1, 1, 1, 1, 0, 0, 1]
+        assert peak < 64 * 1024
 
 
 class TestEnumeration:
@@ -346,7 +421,7 @@ class TestGaussSums:
 
 class TestConjugate:
     """A real character is its own conjugate, with its tables; any other
-    character gets a new one."""
+    character gets a new one, made once and kept."""
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_a_quadratic_character_is_its_own_conjugate(self, m):
@@ -361,7 +436,7 @@ class TestConjugate:
         psi = DirichletCharacter(5, (1,))  # order 4
         bar = psi.conjugate()
         assert bar is not psi and bar != psi and bar.exponents == (3,)
-        assert bar.conjugate() == psi
+        assert psi.conjugate() is bar and bar.conjugate() is psi
         assert all(bar.rational_exponent(a) == (None if psi(a) == 0 else -psi.rational_exponent(a) % 1)
                    for a in range(5))
 
@@ -386,6 +461,7 @@ class TestConjugate:
         got = c_psi(chi, psi, 3)
         assert len(seen) == sums
         assert got == chi(psi.modulus) * psi(-3) * body(psi) / body(psi.conjugate())
+        assert c_psi(chi, psi, 3) == got and len(seen) == sums, "tau(psi), tau(conj psi) are kept"
 
 
 class TestTwistConstant:

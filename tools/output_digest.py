@@ -9,10 +9,12 @@ bench/workloads.py and bench/run.py, which it only reads, and runs seeds
 1 and 2, rounds 0 and 1 of each workload, each round's operations in
 bench/run.py's seeded order.  It prints one line "<workload> <sha256>" per
 workload, then a line "sides <sha256>" over the functional-equation
-functions on inputs no workload runs (see sides_records), and a line
+functions on inputs no workload runs (see sides_records), a line
 "line <sha256>" over the vertical-line rule on inputs no workload runs (see
-line_records): two checkouts that print the same lines gave the same outputs
-and verdicts.
+line_records), and a line "characters <sha256>" over every read of the
+characters that a small modulus or a twist at levels 7 and 11 gives (see
+characters_records): two checkouts that print the same lines gave the same
+outputs and verdicts.
 """
 
 import dataclasses
@@ -27,9 +29,15 @@ import run  # noqa: E402  (first: it fixes one BLAS thread before numpy loads)
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from maassforms.characters import DirichletCharacter, character_by_label, trivial_character  # noqa: E402
+from maassforms.characters import (  # noqa: E402
+    DirichletCharacter,
+    character_by_label,
+    enumerate_characters,
+    gauss_sum,
+    trivial_character,
+)
 from maassforms.eisenstein import harmonic_eisenstein_level_one  # noqa: E402
-from maassforms.forms import FormExpansion  # noqa: E402
+from maassforms.forms import FormExpansion, twist  # noqa: E402
 from maassforms.lseries import (  # noqa: E402
     analytic_pair,
     fe_residuals,
@@ -37,6 +45,7 @@ from maassforms.lseries import (  # noqa: E402
     reconstruct_from_lambda,
     twisted_lambda,
     twisted_omega,
+    verification_set,
 )
 from maassforms.specfun import invert_on_line, w_nu  # noqa: E402
 
@@ -131,6 +140,27 @@ def line_records():
         )
 
 
+def characters_records():
+    """(chi, reads) for every character mod q < 64, then for the characters
+    chi psi^2 mod N m^2 that forms.twist gives a level-N form with the
+    trivial character, for N = 7 and 11 and each m of verification_set(N):
+    psi is the quadratic character mod m, as in the converse workload, and
+    the character of exponent 1 on the primitive root.  The reads are every
+    chi(n) and rational exponent for n mod q, then the conductor, parity,
+    is_primitive, the value table and the Gauss sum."""
+    chis = [chi for q in range(1, 64) for chi in enumerate_characters(q)]
+    for level in (7, 11):
+        form = FormExpansion(-2, level, trivial_character(level), 1.0, 1,
+                             np.zeros(2, dtype=complex), 0j, np.zeros(1, dtype=complex))
+        for m in verification_set(level).conductors:
+            for psi in (character_by_label(m, "quadratic"), DirichletCharacter(m, (1,))):
+                chis.append(twist(form, psi).character)
+    for chi in chis:
+        q = chi.modulus
+        yield chi, ([chi(n) for n in range(q)], [chi.rational_exponent(n) for n in range(q)],
+                    chi.conductor, chi.parity, chi.is_primitive, chi.values, gauss_sum(chi))
+
+
 def main() -> int:
     for name, (make_round, _) in workloads.WORKLOADS.items():
         digest = hashlib.sha256()
@@ -139,7 +169,8 @@ def main() -> int:
                 for record in round_records(make_round, seed, index):
                     digest.update(canonical(record).encode())
         print(name, digest.hexdigest())
-    for name, records in (("sides", sides_records), ("line", line_records)):
+    for name, records in (("sides", sides_records), ("line", line_records),
+                          ("characters", characters_records)):
         digest = hashlib.sha256()
         for record in records():
             digest.update(canonical(record).encode())

@@ -10,8 +10,9 @@ What each read costs:
   - arithmetic on the exponent vector, no table: `conductor`, `parity`,
     `is_primitive`, `is_trivial`, and every read of the trivial character;
   - one column of the modulus' shared discrete-log table (`_unit_logs`,
-    built once per modulus): a single value chi(n), `rational_exponent(n)`,
-    and the generator reads of products and induced characters;
+    kept for the last 32 moduli read): a single value chi(n),
+    `rational_exponent(n)`, and the generator reads of products and induced
+    characters;
   - the character's own residue tables, built on first read: the exact
     exponents n(a), chi(a) = e^{2 pi i n(a)/lam}, and the values chi(a),
     read whole by a gather over many residues and by the Gauss sum, which is
@@ -105,13 +106,17 @@ def unit_group_generators(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(gens), tuple(orders)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _unit_logs(q: int) -> np.ndarray:
     """Integer table of shape (r + 1, q) for the r generators of (Z/qZ)^*.
 
     Row i < r holds the exponent of each residue a (mod q) on generator i of
     unit_group_generators(q), so a = prod g_i^{row_i[a]}; the last row is 1
     on units and 0 elsewhere (non-units read exponent 0 in every row).
+
+    The tables of the last 32 moduli read are kept: a benchmark run reads
+    at most 20 (the converse workload with its warm-ups), and a sweep over
+    many moduli holds 32 tables, not one per modulus (15 MB at q = 10^6).
     """
     gens, orders = unit_group_generators(q)
     ks = np.indices(orders).reshape(len(orders), math.prod(orders))

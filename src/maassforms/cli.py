@@ -6,7 +6,9 @@ Exit codes: 0 success, 2 usage (bad flag values), 3 semantic precondition
 tolerance).  All file output is UTF-8 JSON/CSV written atomically, numbers
 with 17 significant digits so values round-trip bit-exactly.  What the
 library works out from the data has no flag: example and extract print the
-samples per line they took, verify-fe the Mellin cut-off T.
+heights and samples per line they took (extract reads mode n at the heights
+forms.mode_heights(n), 1/(2 max(1, |n|)) and twice that), verify-fe the
+Mellin cut-off T.
 
 File formats
     form JSON      {"weight": k, "level": N, "character": {...}, "alpha": a,
@@ -259,14 +261,13 @@ def cmd_eval(args) -> int:
 
 def cmd_extract(args) -> int:
     form = forms.load_form(args.infile)
-    samples = forms.line_samples(args.n, (args.v0, args.v1), form.n_max)
+    heights = forms.mode_heights(args.n)
+    samples = forms.line_samples(args.n, heights, form.n_max, k=form.weight)
     try:
-        cp, cm = forms.extract_coefficients(
-            forms.to_terms(form).eval, form.weight, args.n, args.v0, args.v1, samples
-        )
+        cp, cm = forms.extract_coefficients(forms.to_terms(form).eval, form.weight, args.n, samples)
     except forms.IllConditionedError as exc:
         _fail(str(exc), EXIT_CONDITIONING)
-    print(f"samples per line: {samples}")
+    print(f"sample lines: heights {heights}, {samples} samples each")
     print(f"c+({args.n}) = {_fmt(cp)}")
     print(f"c-({args.n}) = {_fmt(cm)}")
     return EXIT_OK
@@ -479,11 +480,16 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--tau", required=True)
     ev.set_defaults(func=cmd_eval)
 
-    xt = sub.add_parser("extract", help="recover (c+(n), c-(n)) from the evaluator")
+    xt = sub.add_parser(
+        "extract",
+        help="recover (c+(n), c-(n)) from the evaluator",
+        description="Recover (c+(n), c-(n)) of a stored form from its evaluator, "
+        "by period integrals at the heights v0 = 1/(2 max(1, |n|)) and v1 = 2 v0, "
+        "where mode n weighs e^{-pi} and e^{-2 pi}.  The heights and the samples "
+        "per line are worked out from n and the form, and printed.",
+    )
     xt.add_argument("--in", dest="infile", required=True)
-    xt.add_argument("--n", type=int, required=True)
-    xt.add_argument("--v0", type=float, default=0.4)
-    xt.add_argument("--v1", type=float, default=0.8)
+    xt.add_argument("--n", type=int, required=True, help="the mode to read")
     xt.set_defaults(func=cmd_extract)
 
     cu = sub.add_parser("cusps", help="cusp data of Gamma_0(N) as JSON")

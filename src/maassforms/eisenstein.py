@@ -263,15 +263,16 @@ def f_expansion(
     width 1 and kappa 0 at infinity, since T is in Gamma_0(N)).  Default
     heights scale like 1/n_range, as mode n sits at e^{-2 pi |n| v} relative,
     and keep bound * v0 above 1, where the coset sum still resolves them.
-    Each line takes S = forms.line_samples(n_range, heights) samples, the
-    least power of two >= 256, 2 n_range + 2 and 2 n_range + 6 / v0 with
-    v0 = min(heights), at most forms._SAMPLES_CAP = 2^16 (else ValueError
-    before any coset row, as for a height <= 0 and for n_range or bound
-    below 1): the trapezoid rule
+    Each line takes S = forms.line_samples(n_range, heights, k=k) samples,
+    the least power of two >= 256, 2 n_range + 2 and 2 n_range + R / v0 with
+    v0 = min(heights) and R >= 6 growing with -k, at most
+    forms._SAMPLES_CAP = 2^16 (else ValueError before any coset row, as for
+    a height <= 0 and for n_range or bound below 1): the trapezoid rule
     converges like e^{-2 pi S v0} (Trefethen and Weideman, SIAM Rev. 56,
-    2014), so mode n_range's alias weighs e^{-2 pi (S - 2 n_range) v0} <=
-    4e-17.  At bound 240, n_range 8 and heights (0.01, 0.02) of the level-1
-    lift, against S = 4096 and (in witnesses) the closed form:
+    2014), so mode n_range's alias weighs e^{-2 pi (S - 2 n_range) v0},
+    times the polynomial factor of a c- term, <= 4e-17.  At bound 240,
+    n_range 8 and heights (0.01, 0.02) of the level-1 lift, against
+    S = 4096 and (in witnesses) the closed form:
 
         S v0                1.28    2.56    5.12     10.24
         |x_S - x_4096|      1.9e3   2.25    1.9e-6   6.8e-7
@@ -306,7 +307,7 @@ def f_expansion(
         v0 = max(1.2 / bound, min(1.0, 2.0 / max(1, n_range)))
         heights = (v0, 2.0 * v0)
     v0, v1 = heights
-    samples = line_samples(n_range, heights)
+    samples = line_samples(n_range, heights, k=k)
     rows, charvals = _coset_rows(level, chi, rho, bound)
     # rows are sorted by max(|c|, |d|), so the bound//2 sum is a prefix
     half = int(np.searchsorted(np.abs(rows).max(axis=1), bound // 2, side="right"))

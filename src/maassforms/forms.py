@@ -83,6 +83,7 @@ __all__ = [
     "lowering",
     "h_transform",
     "twist",
+    "mode_heights",
     "line_samples",
     "two_height_solve",
     "extract_coefficients",
@@ -734,19 +735,44 @@ def twist(form: FormExpansion, psi: DirichletCharacter) -> FormExpansion:
 
 # samples per line: a power of two keeps u = j / S (and a lift's x, x^2)
 # exact; the floor, as a lift's coset sum moves by about 1/S; an alias weighs
-# e^{-2 pi _ALIAS_REACH} = 4e-17; the cap, as a height of 1e-6 asks for 2^23
+# at most e^{-2 pi _ALIAS_REACH} = 4e-17 of its coefficient; the cap, as a
+# height of 1e-6 asks for 2^23
 _SAMPLES_FLOOR, _ALIAS_REACH, _SAMPLES_CAP = 256, 6.0, 2**16
 
 
-def line_samples(n: int, heights, n_max: int | None = None) -> int:
+def mode_heights(n: int) -> tuple[float, float]:
+    """The two heights at which one mode is read: v0 = 1 / (2 max(1, |n|))
+    and v1 = 2 v0.  The trapezoid rule at height v reads mode n at weight
+    e^{-2 pi |n| v} (Trefethen and Weideman, SIAM Rev. 56, 2014), so mode n
+    sits at e^{-pi} and e^{-2 pi} for every n != 0: the evaluator's rounding
+    is amplified at most e^{2 pi} = 535, and the Gram pair
+    Gamma(1-k, -/+ 2 pi), Gamma(1-k, -/+ 4 pi) is the same for every n."""
+    v0 = 0.5 / max(1, abs(n))
+    return v0, 2.0 * v0
+
+
+def line_samples(n: int, heights, n_max: int | None = None, *, k: int) -> int:
     """The least power of two >= _SAMPLES_FLOOR, 2 |n| + 2 and the reach of
-    the data: 2 |n| + _ALIAS_REACH / min(heights), where an alias weighs
+    the data at weight k: 2 |n| + R / min(heights), where an alias weighs
     below 4e-17 of its coefficient, or for a form stored to n_max the
     smaller of that and n_max + |n| + 1, where no mode aliases onto n.
-    ValueError off the half-plane or past the cap."""
+    ValueError off the half-plane or past the cap.
+
+    At S samples a line the nearest alias of mode n is mode n - S (n >= 0)
+    or n + S, at |m| = |n| + R / v0 for R = (S - 2 |n|) v0; relative to
+    mode n's own weight it weighs e^{-2 pi R} times, for a c- term,
+    e^x Gamma(1-k, x) = sum_{l <= K} K! x^l / l! <= (K + x)^K at
+    x = 4 pi |m| v0, K = max(0, -k) (at k = -5, n = 18, v0 = 1/36 and R = 6,
+    4e9).  R is the fixed point of R = _ALIAS_REACH + K log(K + x) / (2 pi),
+    reached from R = _ALIAS_REACH by steps that grow R and shrink by a
+    factor of about K / (2 pi R)."""
     _upper_half_plane([complex(0.0, v) for v in heights])
-    n = abs(n)
-    alias = 2 * n + _ALIAS_REACH / min(heights)
+    n, v0, degree = abs(n), min(heights), max(0, -k)
+    far, previous = _ALIAS_REACH, -math.inf
+    while far - previous > 1e-12:
+        x = 2.0 * TWO_PI * (far + n * v0)
+        previous, far = far, _ALIAS_REACH + degree * math.log(degree + x) / TWO_PI
+    alias = 2 * n + far / v0
     reach = max(2 * n + 2, alias if n_max is None else min(alias, n + n_max + 1))
     if reach > _SAMPLES_CAP:
         raise ValueError(f"heights {heights}, mode {n} and n_max {n_max} need {reach:.3g} "
@@ -809,28 +835,22 @@ def two_height_solve(vals0, vals1, k: int, modes, v0: float, v1: float):
     return c_plus, c_minus, info
 
 
-def extract_coefficients(
-    f_eval: Callable,
-    k: int,
-    n: int,
-    v0: float,
-    v1: float,
-    samples: int = 256,
-    full_output: bool = False,
-):
+def extract_coefficients(f_eval: Callable, k: int, n: int, samples: int, full_output: bool = False):
     """Recover (c+(n), c-(n)) of an expansion at infinity (width 1, kappa 0)
-    from period integrals at two heights: the one-mode case of
-    two_height_solve, raising IllConditionedError when the heights cannot
-    separate the components.
+    from period integrals at the two heights mode_heights(n): the one-mode
+    case of two_height_solve, raising IllConditionedError when the heights
+    cannot separate the components.
 
     f_eval must be vectorised: it is called once, on a (2, samples) ndarray
     holding the line at v0 in row 0 and the line at v1 in row 1, and must
     return an array of the same shape.  samples bounds the resolvable
     frequency range: modes are aliased mod samples, so it must exceed the
-    bandwidth of f plus |n|.
+    bandwidth of f plus |n|; line_samples(n, mode_heights(n), n_max, k=k)
+    is that count for a form stored to n_max.
     """
     if samples < 2 * abs(n) + 2:
         raise ValueError(f"samples={samples} cannot resolve mode n={n}")
+    v0, v1 = mode_heights(n)
     taus = np.arange(samples) * (1.0 / samples) + 1j * np.array([[v0], [v1]])
     lines = np.asarray(f_eval(taus), dtype=complex)
     if lines.shape != taus.shape:

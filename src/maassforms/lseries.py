@@ -189,22 +189,22 @@ class FrickePair:
 
 # Samples per line of the partner's zero-mode extraction.  Bin 0 of an
 # S-point line at height v also holds the aliased modes +-S, +-2S, ... of
-# the 1-periodic partner.  At the lower height v0 = 0.5, mode S weighs
-# e^{-2 pi S v0} times c+(S), and mode -S weighs e^{-2 pi S v0} times
-# c-(-S) Gamma(1-k) sum_{l < 1-k} (4 pi S v0)^l / l!, the finite
-# incomplete-gamma sum of to_terms, a polynomial of degree -k.  At S = 32,
-# e^{-2 pi S v0} = e^{-100.5} = 2.2e-44 and the sum is below 3.2e16 for
-# every k >= -10, so an alias is below 1e-27 of its own coefficient
-# (c+(S) or c-(-S) Gamma(1-k)); higher aliases and the line at v1 = 1 are
-# smaller still.  More samples would evaluate the partner where no
-# constant reads it.
+# the 1-periodic partner.  At the lower height v0 = 0.5 of the rule
+# forms.mode_heights(0) = (0.5, 1), mode S weighs e^{-2 pi S v0} times
+# c+(S), and mode -S weighs e^{-2 pi S v0} times c-(-S) Gamma(1-k)
+# sum_{l < 1-k} (4 pi S v0)^l / l!, the finite incomplete-gamma sum of
+# to_terms, a polynomial of degree -k.  At S = 32, e^{-2 pi S v0} =
+# e^{-100.5} = 2.2e-44 and the sum is below 3.2e16 for every k >= -10, so
+# an alias is below 1e-27 of its own coefficient (c+(S) or c-(-S)
+# Gamma(1-k)); higher aliases and the line at v1 = 1 are smaller still.
+# More samples would evaluate the partner where no constant reads it.
 _ZERO_MODE_SAMPLES = 32
 
 
 def analytic_pair(form: FormExpansion) -> FrickePair:
     """The form's Fricke pair, self-anchored: the partner is f|_k omega(N),
     read from the form's own terms, and the partner's constant terms come
-    from its zero mode at the heights 0.5 and 1, by
+    from its zero mode at the heights forms.mode_heights(0), by
     forms.extract_coefficients on _ZERO_MODE_SAMPLES points a line: one
     evaluator pass of the form's terms, the one place the partner is
     slashed off the imaginary axis.  The evaluator makes one pass of the
@@ -232,7 +232,7 @@ def analytic_pair(form: FormExpansion) -> FrickePair:
         return last[1].copy()
 
     g_eval = partial(slash, ts.eval, k, fricke(form.level))
-    c_g = forms.extract_coefficients(g_eval, k, 0, 0.5, 1.0, _ZERO_MODE_SAMPLES)
+    c_g = forms.extract_coefficients(g_eval, k, 0, _ZERO_MODE_SAMPLES)
     pair = FrickePair(
         level=form.level,
         weight=k,

@@ -33,6 +33,15 @@ def make_random_form(rng, k=-2, n_max=6, level=1, alpha=1.0):
     )
 
 
+def stored_mode(f, n):
+    """(c+(n), c-(n)) as stored in f, 0 where the form has no such term."""
+    if n > 0:
+        return complex(f.c_plus[n]), 0j
+    if n < 0:
+        return 0j, complex(f.c_minus[-n - 1])
+    return complex(f.c_plus[0]), f.c_minus_zero
+
+
 def random_tau(rng, v_lo=0.4, v_hi=1.5):
     return complex(rng.uniform(-0.5, 0.5), rng.uniform(v_lo, v_hi))
 

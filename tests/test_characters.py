@@ -18,6 +18,7 @@ from helpers import induce
 from maassforms.characters import (
     DirichletCharacter,
     _root,
+    _unit_logs,
     c_psi,
     character_by_label,
     conductor,
@@ -134,6 +135,18 @@ class TestTablesOnFirstRead:
         assert chi == twin and hash(chi) == h == hash(twin)
         assert seen(chi) is key and seen(twin) is key
         assert seen.cache_info().hits == 2
+
+    def test_the_shared_log_tables_are_bounded(self):
+        # a sweep over many moduli keeps the last maxsize tables, not one
+        # table per modulus read
+        bound = _unit_logs.cache_info().maxsize
+        assert bound is not None
+        for q in range(10_000, 10_000 + bound + 10):
+            _, orders = unit_group_generators(q)
+            chi = DirichletCharacter(q, (1,) * len(orders))
+            assert not chi.is_trivial
+            chi(7)
+        assert _unit_logs.cache_info().currsize == bound
 
     @given(characters_mod(q_max=2000))
     def test_conductor_is_the_smallest_factoring_divisor(self, chi):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import oldform_pair, padded_pair
+from helpers import oldform_pair, padded_pair, stored_mode
 from maassforms import eisenstein, forms
 from maassforms.characters import enumerate_characters
 from maassforms.cli import build_parser, main
@@ -119,7 +119,7 @@ class TestExample:
 
     def test_deep_modes_take_the_samples_they_need(self, tmp_path, capsys):
         # 256 samples a line cannot resolve modes up to 150 (this exited 3);
-        # at the default heights (0.02, 0.04) the rule takes 300 + 300 -> 1024
+        # at the default heights (0.02, 0.04) the rule takes 300 + 378 -> 1024
         code = run("example", "--level", "1", "--weight", "-2", "--nmax", "150",
                    "--out", str(tmp_path / "f.json"))
         assert code == 0
@@ -137,6 +137,15 @@ class TestExample:
                    "--v0", "1e-6", "--v1", "2e-6", "--out", str(out))
         assert code == 3
         assert "heights (1e-06, 2e-06)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_heights_too_close_to_separate_c_minus_zero_exit_4(self, tmp_path, capsys):
+        # G(v) = v^3 at n = 0 moves by 3e-9 between the heights, below 1e-8
+        out = tmp_path / "x.json"
+        code = run("example", "--level", "1", "--weight", "-2", "--nmax", "8",
+                   "--v0", "1", "--v1", "1.000000001", "--out", str(out))
+        assert code == 4
+        assert "agree to 1e-8 relative" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, message", [
@@ -474,29 +483,48 @@ class TestOps:
         out = capsys.readouterr().out
         assert "c+(1)" in out
 
-    def test_extract_prints_its_samples_per_line(self, example_form, capsys):
+    def test_extract_prints_the_sample_lines_it_used(self, example_form, capsys):
         assert run("extract", "--in", str(example_form), "--n", "1") == 0
-        assert capsys.readouterr().out.splitlines()[0] == "samples per line: 256"
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "sample lines: heights (0.5, 1.0), 256 samples each")
 
-    def test_extract_reads_a_long_form_without_alias(self, tmp_path, capsys):
-        # at 256 samples a line modes 253-400 alias onto n = 3: at heights
-        # (0.002, 0.004) c+(3) came out as -452 for the true -0.25
-        ref = harmonic_eisenstein_level_one(400)
-        save_form(ref, tmp_path / "f.json")
-        code = run("extract", "--in", str(tmp_path / "f.json"), "--n", "3",
-                   "--v0", "0.002", "--v1", "0.004")
-        assert code == 0
+    @pytest.fixture(scope="class")
+    def long_form(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("forms") / "f400.json"
+        save_form(harmonic_eisenstein_level_one(400), path)
+        return path
+
+    def test_extract_reads_a_long_form_without_alias(self, long_form, capsys):
+        # at n = 100 the form's reach n_max + |n| + 1 = 501 is below the
+        # alias reach 2 |n| + R / v0 = 1695: 512 samples a line, and no mode
+        # of the form aliases onto n
+        ref = load_form(long_form)
+        assert run("extract", "--in", str(long_form), "--n", "100") == 0
         out = capsys.readouterr().out
-        assert out.splitlines()[0] == "samples per line: 512"
-        got = complex(re.search(r"c\+\(3\) = (\S+)", out).group(1))
-        assert abs(got - ref.c_plus[3]) < 1e-10
+        assert out.splitlines()[0] == "sample lines: heights (0.005, 0.01), 512 samples each"
+        got = complex(re.search(r"c\+\(100\) = (\S+)", out).group(1))
+        assert abs(got - ref.c_plus[100]) <= 1e-11 * abs(ref.c_plus[100])
 
-    @pytest.mark.parametrize("n_max, n, heights", [
-        (70000, 3, ("1e-5", "2e-5")),  # n_max + |n| + 1 = 70004, below 2 |n| + 6e5
-        (10, 40000, ("0.4", "0.8")),  # 2 |n| + 2 = 80002
+    @pytest.mark.parametrize("n", [-100, -400, 20, 400, 0])
+    def test_extract_reads_deep_modes_of_the_long_form(self, long_form, capsys, n):
+        # at the fixed heights (0.4, 0.8) this printed c-(-100) = -4.6e86 for
+        # the stored -0.139 and c+(20) = -46911 for -0.278, with exit 0, and
+        # exited 4 at n = 400
+        ref = load_form(long_form)
+        assert run("extract", "--in", str(long_form), f"--n={n}") == 0
+        out = capsys.readouterr().out
+        got = [complex(re.search(re.escape(f"c{sign}({n}) = ") + r"(\S+)", out).group(1))
+               for sign in "+-"]
+        want = stored_mode(ref, n)
+        scale = max(map(abs, want))
+        assert all(abs(x - y) <= 1e-11 * scale for x, y in zip(got, want))
+
+    @pytest.mark.parametrize("n_max, n", [
+        (70000, 5000),  # the alias reach 2 |n| + R / v0 = 84728, n_max + |n| + 1 = 75001
+        (10, 40000),  # 2 |n| + 2 = 80002
     ])
     def test_extract_past_the_sample_cap_exits_3_before_any_work(
-        self, monkeypatch, capsys, n_max, n, heights
+        self, monkeypatch, capsys, n_max, n
     ):
         form = harmonic_eisenstein_level_one(n_max)
 
@@ -507,8 +535,7 @@ class TestOps:
         monkeypatch.setattr(forms.TermSeries, "_sums", refuse)
         tracemalloc.start()
         try:
-            code = run("extract", "--in", "f.json", "--n", str(n),
-                       "--v0", heights[0], "--v1", heights[1])
+            code = run("extract", "--in", "f.json", "--n", str(n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -517,28 +544,23 @@ class TestOps:
         assert peak < 1e6
 
     def test_extract_reads_a_form_past_the_no_alias_reach(self, monkeypatch, capsys):
-        # n_max + |n| + 1 = 70004 is past the cap, but at the default heights
-        # (0.4, 0.8) the modes past 2 |n| + 15 weigh below 4e-17 of their
+        # n_max + |n| + 1 = 70004 is past the cap, but at the heights (1/6,
+        # 1/3) the modes past 2 |n| + R / v0 = 51 weigh below 4e-17 of their
         # coefficients, so 256 samples a line read c+(3)
         ref = harmonic_eisenstein_level_one(70000)
         monkeypatch.setattr(forms, "load_form", lambda path: ref)
         assert run("extract", "--in", "f.json", "--n", "3") == 0
         out = capsys.readouterr().out
-        assert out.splitlines()[0] == "samples per line: 256"
+        assert out.splitlines()[0].endswith(", 256 samples each")
         got = complex(re.search(r"c\+\(3\) = (\S+)", out).group(1))
         assert abs(got - ref.c_plus[3]) < 1e-10
 
-    def test_extract_overflowing_heights_exits_4(self, example_form, capsys):
-        # Gamma(3, -4 pi 3 v1) overflows at v1 = 20
-        code = run("extract", "--in", str(example_form), "--n", "3", "--v0", "10", "--v1", "20")
-        assert code == 4
-        assert "double range" in capsys.readouterr().err
-
-    def test_extract_overflowing_condition_exits_4(self, example_form, capsys):
-        # Gamma(3, -4 pi 3 v1) fits at v1 = 10, but (1 + G)^2 does not
-        code = run("extract", "--in", str(example_form), "--n", "3", "--v0", "5", "--v1", "10")
-        assert code == 4
-        assert "double range" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--v0", "--v1"])
+    def test_extract_takes_no_height(self, example_form, flag):
+        # the heights come from the mode
+        with pytest.raises(SystemExit) as exc:
+            run("extract", "--in", str(example_form), "--n", "1", flag, "1")
+        assert exc.value.code == 2
 
     def test_eval_rejects_lower_half_plane(self, example_form, capsys):
         # one rule, owned by the evaluator, so one message for both points

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import bol_op, induce, make_random_form, oldform_pair, random_tau
+from helpers import bol_op, induce, make_random_form, oldform_pair, random_tau, stored_mode
 from maassforms.characters import (
     DirichletCharacter,
     character_by_label,
@@ -1153,93 +1153,122 @@ class TestTwist:
             twist(f, psi9)
 
 
+def spread_form(seed, k, n_max, alpha):
+    """A form with every coefficient of size max(1, |n|)^alpha times a
+    factor in [1, 2] and a random phase, so each mode's own size sets the
+    scale of its relative error."""
+    rng = np.random.default_rng(seed)
+    size = np.maximum(1, np.abs(np.arange(-n_max, n_max + 1))) ** alpha
+    c = size * rng.uniform(1.0, 2.0, size.size) * np.exp(2j * math.pi * rng.uniform(size=size.size))
+    return FormExpansion(k, 1, TRIV, alpha, n_max, c[n_max:], c[n_max - 1], c[:n_max][::-1])
+
+
 class TestExtraction:
     def test_constant_evaluator(self):
-        cp, cm = extract_coefficients(lambda t: np.full_like(t, 2.5), -2, 0, 0.8, 1.6)
+        cp, cm = extract_coefficients(lambda t: np.full_like(t, 2.5), -2, 0, 256)
         assert abs(cp - 2.5) < 1e-12
         assert abs(cm) < 1e-12
 
     def test_pure_v_power(self):
         ev = lambda t: np.asarray(t).imag ** 3 + 0j
-        cp, cm = extract_coefficients(ev, -2, 0, 0.8, 1.6)
+        cp, cm = extract_coefficients(ev, -2, 0, 256)
         assert abs(cp) < 1e-12
         assert abs(cm - 1.0) < 1e-12
 
-    def test_round_trip_shallow_modes_at_unit_heights(self, rng):
-        # at heights (1, 2) the mode-n data sits at relative size e^{-2 pi n}
-        # in the samples, so double precision supports |n| <= 3 at 1e-8
+    @pytest.mark.parametrize("n", [0, 1, -1, 7, -7, 250, -250, 1000])
+    def test_the_heights_put_every_mode_at_one_weight(self, n):
+        v0, v1 = forms.mode_heights(n)
+        assert v1 == 2 * v0 and v0 == 1 / (2 * max(1, abs(n)))
+        if n:
+            assert math.isclose(TWO_PI * abs(n) * v0, math.pi)
+        assert forms.mode_heights(-n) == (v0, v1)
+
+    def test_round_trip_every_mode_at_the_rule_heights(self, rng):
+        # fixed heights hold mode n at e^{-2 pi |n| v0}: (1, 2) read only
+        # |n| <= 3 to 1e-8, and (0.35, 0.7) only |n| <= 5
         f = make_random_form(rng, n_max=8)
         ev = lambda taus: evaluate(f, taus)
-        for n in (0, 1, 2):
-            cp, cm = extract_coefficients(ev, -2, n, 1.0, 2.0, 256)
-            assert abs(cp - f.c_plus[n]) <= 1e-8
-        for n in (-1, -2, -3):
-            cp, cm = extract_coefficients(ev, -2, n, 1.0, 2.0, 256)
-            assert abs(cm - f.c_minus[-n - 1]) <= 1e-8
-            assert abs(cp) <= 1e-8
+        for n in range(-8, 9):
+            samples = forms.line_samples(n, forms.mode_heights(n), f.n_max, k=-2)
+            got = extract_coefficients(ev, -2, n, samples)
+            for x, want in zip(got, stored_mode(f, n)):
+                assert abs(x - want) <= 1e-10, n
 
-    def test_round_trip_full_range_at_scaled_heights(self, rng):
-        # lowering the heights keeps every requested mode above the floor
-        f = make_random_form(rng, n_max=8)
-        ev = lambda taus: evaluate(f, taus)
-        for n in range(0, 6):
-            cp, _ = extract_coefficients(ev, -2, n, 0.35, 0.7, 256)
-            assert abs(cp - f.c_plus[n]) <= 1e-8
-        for n in range(-1, -6, -1):
-            cp, cm = extract_coefficients(ev, -2, n, 0.35, 0.7, 256)
-            assert abs(cm - f.c_minus[-n - 1]) <= 1e-8
-
-    def test_ill_conditioned_heights(self, rng):
-        f = make_random_form(rng)
-        ev = lambda taus: evaluate(f, taus)
-        with pytest.raises(IllConditionedError, match="agree to 1e-8 relative; move the heights"):
-            extract_coefficients(ev, -2, 1, 0.8, 0.8 + 1e-12)
-
-    @pytest.mark.parametrize("v0, v1", [(5.0, 10.0), (10.0, 20.0)])
-    def test_gram_overflow_is_ill_conditioned(self, rng, v0, v1):
-        # at n = 3 the condition estimate overflows from n v1 ~ 27 and the
-        # Gram value itself from n v1 ~ 56: both are a lost mode
-        f = make_random_form(rng)
-        ev = lambda taus: evaluate(f, taus)
-        with pytest.raises(IllConditionedError, match="double range"):
-            extract_coefficients(ev, -2, 3, v0, v1)
+    @given(
+        k=st.integers(-5, -1),
+        alpha=st.sampled_from((0.0, 1.0)),
+        n_max=st.integers(1, 300),
+        n=st.integers(-300, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # the nearest alias onto n = 18 at 256 samples a line is c-(-238), whose
+    # Gamma(6, x) factor at k = -5 is 4e9 times e^{-x}: 256 read c+(18) 1.1e-6
+    # off, and the weight's reach takes 512, which reads it to 7.5e-11
+    @example(k=-5, alpha=1.0, n_max=300, n=18, seed=0)
+    @example(k=-5, alpha=0.0, n_max=300, n=-300, seed=1)
+    def test_every_stored_mode_comes_back(self, k, alpha, n_max, n, seed):
+        f = spread_form(seed, k, max(n_max, abs(n)), alpha)
+        samples = forms.line_samples(n, forms.mode_heights(n), f.n_max, k=k)
+        got = extract_coefficients(to_terms(f).eval, k, n, samples)
+        want = stored_mode(f, n)
+        scale = max(map(abs, want))
+        for x, y in zip(got, want):
+            assert abs(x - y) <= 1e-8 * scale
 
     def test_aliasing_guard(self, rng):
         f = make_random_form(rng)
         ev = lambda taus: evaluate(f, taus)
         with pytest.raises(ValueError):
-            extract_coefficients(ev, -2, 40, 0.5, 1.0, samples=64)
+            extract_coefficients(ev, -2, 40, samples=64)
 
     @pytest.mark.parametrize("n, heights, n_max, want", [
-        (8, (0.25, 0.5), None, 256),  # the floor: 16 + 24 samples reach
-        (8, (0.01, 0.02), None, 1024),  # 16 + 600
-        (150, (0.02, 0.04), None, 1024),  # 300 + 300
+        (8, (0.25, 0.5), None, 256),  # the floor: 16 + 30 samples reach
+        (8, (0.01, 0.02), None, 1024),  # 16 + 746
+        (150, (0.02, 0.04), None, 1024),  # 300 + 378
         (8, (3.0, 6.0), None, 256),
         (3, (0.002, 0.004), 400, 512),  # a stored form: n_max + |n| + 1 = 404
-        (-3, (0.01, 0.02), 252, 256),  # 256 exactly, below 2 |n| + 600
+        (-3, (0.01, 0.02), 252, 256),  # 256 exactly, below 2 |n| + 745
         (3, (0.01, 0.02), 253, 512),  # 257
-        (3, (0.4, 0.8), 253, 256),  # 2 |n| + 15 = 21, below n_max + |n| + 1
+        (3, (0.4, 0.8), 253, 256),  # 2 |n| + 19 = 25, below n_max + |n| + 1
         (3, (0.4, 0.8), 70000, 256),
         (200, (0.4, 0.8), 10, 512),  # 2 |n| + 2 = 402
-        (32767, (3.0, 6.0), None, 2**16),  # the cap, one short of a refusal
+        (32766, (3.0, 6.0), None, 2**16),  # the cap: 65532 + 3.5
         (3, (6e-5, 1.2e-4), 65532, 2**16),  # 2 |n| + 1e5 is past it
     ])
     def test_samples_per_line(self, n, heights, n_max, want):
-        assert forms.line_samples(n, heights, n_max) == want
+        assert forms.line_samples(n, heights, n_max, k=-2) == want
 
     @pytest.mark.parametrize("n, heights, n_max", [
         (8, (1e-6, 2e-6), None),  # 2^23 samples a line
+        (32767, (3.0, 6.0), None),  # 65534 + 3.5
         (32768, (3.0, 6.0), None),  # 2 |n| + 2 = 65538
         (3, (6e-5, 1.2e-4), 65533),  # n_max + |n| + 1 = 65537
     ])
     def test_samples_past_the_cap_are_refused(self, n, heights, n_max):
         with pytest.raises(ValueError, match=f"n_max {n_max} need .* past the cap of 65536"):
-            forms.line_samples(n, heights, n_max)
+            forms.line_samples(n, heights, n_max, k=-2)
+
+    @given(k=st.integers(-12, 0), n=st.integers(0, 4000), v0=st.floats(1e-3, 4.0))
+    def test_the_nearest_alias_weighs_below_4e_17(self, k, n, v0):
+        # R = (S - 2 |n|) v0: the nearest alias, at |m| = |n| + R / v0, weighs
+        # e^{-2 pi R} e^x Gamma(1-k, x) at x = 4 pi |m| v0
+        try:
+            samples = forms.line_samples(n, (v0, 2 * v0), k=k)
+        except ValueError:
+            return
+        far = (samples - 2 * n) * v0
+        x = FOURPI * (far + n * v0)
+        weight = math.exp(-TWO_PI * far) * forms._inc_gamma_scaled(max(1, 1 - k), x, x)
+        assert weight <= math.exp(-12 * math.pi) * (1 + 1e-9)
+
+    def test_the_weight_lengthens_the_reach(self):
+        heights = forms.mode_heights(18)
+        assert [forms.line_samples(18, heights, 300, k=k) for k in (0, -1, -5)] == [256, 512, 512]
 
     def test_condition_report(self, rng):
         f = make_random_form(rng)
         ev = lambda taus: evaluate(f, taus)
-        (_, _), info = extract_coefficients(ev, -2, 1, 0.5, 1.0, full_output=True)
+        (_, _), info = extract_coefficients(ev, -2, 1, 256, full_output=True)
         assert info["condition"] >= 1.0
 
     def test_one_evaluator_call_for_both_heights(self, rng):
@@ -1250,7 +1279,7 @@ class TestExtraction:
             seen.append(taus)
             return evaluate(f, taus)
 
-        got = extract_coefficients(ev, -2, 1, 0.5, 1.0, samples=32)
+        got = extract_coefficients(ev, -2, 1, samples=32)
         assert len(seen) == 1 and seen[0].shape == (2, 32)
         assert np.array_equal(seen[0], np.arange(32) / 32 + 1j * np.array([[0.5], [1.0]]))
         # each line alone gives the same values, so the same constants
@@ -1261,7 +1290,12 @@ class TestExtraction:
     @pytest.mark.parametrize("shape", [(64,), (32,), (32, 2), (1, 2, 32)])
     def test_wrongly_shaped_return_is_refused(self, shape):
         with pytest.raises(ValueError, match="f_eval must return an array shaped like its argument"):
-            extract_coefficients(lambda taus: np.zeros(shape, dtype=complex), -2, 0, 0.5, 1.0, 32)
+            extract_coefficients(lambda taus: np.zeros(shape, dtype=complex), -2, 0, 32)
+
+    def test_a_lost_mode_is_ill_conditioned(self):
+        # at k = -200 the Gram values Gamma(201, x) leave the double range
+        with pytest.raises(IllConditionedError, match="double range"):
+            extract_coefficients(lambda taus: np.ones_like(taus), -200, 1, 256)
 
 
 def mode_from_samples(vals, n, v):
@@ -1317,6 +1351,24 @@ class TestTwoHeightSolve:
         assert c_plus[1:].tolist() == c_minus[1:].tolist() == [0j, 0j]
         assert np.isinf(info["condition"][1:]).all() and np.isfinite(info["condition"][0])
 
+    def test_close_heights_lose_the_mode(self, rng):
+        f = make_random_form(rng)
+        v0, v1 = 0.8, 0.8 + 1e-12
+        lines = [evaluate(f, np.arange(256) / 256 + 1j * v) for v in (v0, v1)]
+        c_plus, c_minus, info = two_height_solve(*lines, -2, [1], v0, v1)
+        assert "agree to 1e-8 relative; move the heights" in info["lost"][1]
+        assert c_plus.tolist() == c_minus.tolist() == [0j]
+
+    @pytest.mark.parametrize("v0, v1", [(5.0, 10.0), (10.0, 20.0)])
+    def test_gram_overflow_loses_the_mode(self, rng, v0, v1):
+        # at n = 3 the condition estimate overflows from n v1 ~ 27 and the
+        # Gram value itself from n v1 ~ 56: both are a lost mode
+        f = make_random_form(rng)
+        lines = [evaluate(f, np.arange(256) / 256 + 1j * v) for v in (v0, v1)]
+        c_plus, c_minus, info = two_height_solve(*lines, -2, [3], v0, v1)
+        assert "double range" in info["lost"][3]
+        assert c_plus.tolist() == c_minus.tolist() == [0j]
+
     def test_one_fft_per_sampled_height(self, monkeypatch, rng):
         shapes = []
         fft = np.fft.fft
@@ -1326,7 +1378,7 @@ class TestTwoHeightSolve:
         assert shapes == [(2, 256), (2, 256)]
         shapes.clear()
         f = make_random_form(rng)
-        extract_coefficients(lambda taus: evaluate(f, taus), -2, 2, 0.5, 1.0)
+        extract_coefficients(lambda taus: evaluate(f, taus), -2, 2, 256)
         assert shapes == [(256,), (256,)]
 
 

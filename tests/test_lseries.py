@@ -344,7 +344,7 @@ class TestPartnerConstants:
 
         pair, k = analytic_pair(form), form.weight
         g_eval = partial(slash, to_terms(form).eval, k, fricke(form.level))
-        want = extract_coefficients(g_eval, k, 0, 0.5, 1.0, 256)
+        want = extract_coefficients(g_eval, k, 0, 256)
         assert abs(pair.c_g_plus0 - want[0]) <= 1e-14
         assert abs(pair.c_g_minus0 - want[1]) <= 1e-14
 

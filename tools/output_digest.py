@@ -11,10 +11,11 @@ bench/run.py's seeded order.  It prints one line "<workload> <sha256>" per
 workload, then a line "sides <sha256>" over the functional-equation
 functions on inputs no workload runs (see sides_records), a line
 "line <sha256>" over the vertical-line rule on inputs no workload runs (see
-line_records), and a line "characters <sha256>" over every read of the
+line_records), a line "characters <sha256>" over every read of the
 characters that a small modulus or a twist at levels 7 and 11 gives (see
-characters_records): two checkouts that print the same lines gave the same
-outputs and verdicts.
+characters_records), and a line "extract <sha256>" over coefficient
+extraction from a long form (see extract_records): two checkouts that print
+the same lines gave the same outputs and verdicts.
 """
 
 import dataclasses
@@ -37,7 +38,14 @@ from maassforms.characters import (  # noqa: E402
     trivial_character,
 )
 from maassforms.eisenstein import harmonic_eisenstein_level_one  # noqa: E402
-from maassforms.forms import FormExpansion, twist  # noqa: E402
+from maassforms.forms import (  # noqa: E402
+    FormExpansion,
+    extract_coefficients,
+    line_samples,
+    mode_heights,
+    to_terms,
+    twist,
+)
 from maassforms.lseries import (  # noqa: E402
     analytic_pair,
     fe_residuals,
@@ -161,6 +169,17 @@ def characters_records():
                     chi.conductor, chi.parity, chi.is_primitive, chi.values, gauss_sum(chi))
 
 
+def extract_records():
+    """(n, samples, result) of extract_coefficients with full_output on the
+    n_max 400 lift at n in {0, +-1, +-3, +-20, +-100, +-400}, at the rule's
+    heights and line_samples' count."""
+    lift = harmonic_eisenstein_level_one(400)
+    ev, k = to_terms(lift).eval, lift.weight
+    for n in (0, 1, -1, 3, -3, 20, -20, 100, -100, 400, -400):
+        samples = line_samples(n, mode_heights(n), lift.n_max, k=k)
+        yield n, samples, extract_coefficients(ev, k, n, samples, full_output=True)
+
+
 def main() -> int:
     for name, (make_round, _) in workloads.WORKLOADS.items():
         digest = hashlib.sha256()
@@ -170,7 +189,7 @@ def main() -> int:
                     digest.update(canonical(record).encode())
         print(name, digest.hexdigest())
     for name, records in (("sides", sides_records), ("line", line_records),
-                          ("characters", characters_records)):
+                          ("characters", characters_records), ("extract", extract_records)):
         digest = hashlib.sha256()
         for record in records():
             digest.update(canonical(record).encode())

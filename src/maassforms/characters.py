@@ -274,10 +274,24 @@ class DirichletCharacter:
 
     @staticmethod
     def from_json(data: dict) -> "DirichletCharacter":
-        chi = DirichletCharacter(int(data["modulus"]), tuple(int(e) for e in data["exponents"]))
+        """The character of to_json's data; ValueError naming a missing field
+        (see _json_field)."""
+        modulus, exponents = (_json_field(data, name, "character") for name in ("modulus", "exponents"))
+        chi = DirichletCharacter(int(modulus), tuple(int(e) for e in exponents))
         if "generators" in data and list(chi.generators) != list(data["generators"]):
             raise ValueError("generator convention mismatch in character data")
         return chi
+
+
+def _json_field(data, name: str, what: str):
+    """data[name] for the JSON object data of a `what`; ValueError naming
+    the field where data lacks it or is no object."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object with a field {name!r}, "
+                         f"got {type(data).__name__}")
+    if name not in data:
+        raise ValueError(f"{what} has no field {name!r}")
+    return data[name]
 
 
 def _from_generator_values(modulus: int, chis) -> DirichletCharacter:

@@ -64,7 +64,7 @@ from typing import Callable
 
 import numpy as np
 
-from .characters import DirichletCharacter, _from_generator_values
+from .characters import DirichletCharacter, _from_generator_values, _json_field
 from .modgroup import IntegerMatrix, slash_factor
 from .specfun import _inc_gamma_scaled, _unbatch, _upper_half_plane
 
@@ -503,21 +503,25 @@ class FormExpansion:
 
     @staticmethod
     def from_json(data: dict) -> "FormExpansion":
-        """The form of to_json's data; ValueError, naming the field and the
-        index, for a coefficient that is not finite."""
+        """The form of to_json's data; ValueError naming a missing field
+        (see characters._json_field), and the field and the index for a
+        coefficient that is not finite."""
+        def field(name):
+            return _json_field(data, name, "form")
+
         coefficients = {
-            "c_plus": np.array([complex(re, im) for re, im in data["c_plus"]]),
-            "c_minus_zero": complex(*data["c_minus_zero"]),
-            "c_minus": np.array([complex(re, im) for re, im in data["c_minus"]]),
+            "c_plus": np.array([complex(re, im) for re, im in field("c_plus")]),
+            "c_minus_zero": complex(*field("c_minus_zero")),
+            "c_minus": np.array([complex(re, im) for re, im in field("c_minus")]),
         }
         for name, values in coefficients.items():
             _require_finite(name, values)
         return FormExpansion(
-            weight=int(data["weight"]),
-            level=int(data["level"]),
-            character=DirichletCharacter.from_json(data["character"]),
-            alpha=float(data["alpha"]),
-            n_max=int(data["n_max"]),
+            weight=int(field("weight")),
+            level=int(field("level")),
+            character=DirichletCharacter.from_json(field("character")),
+            alpha=float(field("alpha")),
+            n_max=int(field("n_max")),
             **coefficients,
         )
 
@@ -620,11 +624,13 @@ def evaluate_tail_bound(form: FormExpansion, v: float, constant: float | None = 
     TermSeries.magnitude of the growth-bound terms |c+-(n)| = C n^alpha,
     n_max < |n| <= n_max + 400, as to_terms expands them, with the last mode
     weighted by 1 / (1 - r), r = e^{-2 pi v}: it stands for the modes past it
-    too, through the geometric remainder r / (1 - r) of the crude ratio r."""
+    too, through the geometric remainder r / (1 - r) of the crude ratio r.
+    ValueError where n^alpha leaves the double range (see _refuse_growth)."""
     if v <= 0:
         raise ValueError("v must be > 0")
     c = growth_constant(form) if constant is None else constant
     bound = np.zeros(form.n_max + 401)
+    _refuse_growth(form.alpha, bound.size - 1)
     bound[form.n_max + 1 :] = c * np.arange(form.n_max + 1, bound.size) ** form.alpha
     bound[-1] *= 1.0 / -math.expm1(-TWO_PI * v)
     return to_terms(FormExpansion(form.weight, form.level, form.character, form.alpha,
@@ -634,11 +640,25 @@ def evaluate_tail_bound(form: FormExpansion, v: float, constant: float | None = 
 def growth_constant(form: FormExpansion) -> float:
     """Least C with |c+-(n)| <= C max(|n|,1)^alpha over the stored range, NaN
     if a coefficient is NaN.  hypot and Python's float power round like the
-    scalar abs(c) / float(n) ** alpha; numpy's complex abs and power may not."""
+    scalar abs(c) / float(n) ** alpha; numpy's complex abs and power may not.
+    ValueError where n^alpha leaves the double range (see _refuse_growth)."""
+    _refuse_growth(form.alpha, form.n_max)
     scale = (np.arange(1.0, form.n_max + 1).astype(object) ** form.alpha).astype(float)
     head = np.array([form.c_plus[0], form.c_minus_zero])
     mods = [np.hypot(c.real, c.imag) for c in (head, form.c_plus[1:], form.c_minus)]
     return float(np.concatenate([mods[0], mods[1] / scale, mods[2] / scale]).max())
+
+
+def _refuse_growth(alpha: float, n: int) -> None:
+    """ValueError, naming alpha and n, unless n^alpha is finite: the growth
+    bound C n^alpha is read up to n, and n^alpha grows with n."""
+    try:
+        power = float(n) ** alpha  # Python's power raises where numpy's warns
+    except OverflowError:
+        power = math.inf
+    if power == math.inf:
+        raise ValueError(f"alpha {alpha!r} is past the double range at n = {n}: "
+                         "n^alpha is not finite there")
 
 
 def laplacian(form: FormExpansion, tau: complex) -> complex:

@@ -296,6 +296,13 @@ def _euclid_lift(d: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sign * old_x, sign * old_y
 
 
+# the largest coset bound: the box of candidate rows holds (B + 1)(2B + 1)
+# entries, and coset_reps holds several int64 arrays of it at once, about
+# 75 bytes an entry at its peak, so 156 MB at 1024 (tracemalloc), growing as
+# B^2; bound 100,000 would ask 149 GiB for one array of the box
+_BOUND_CAP = 1024
+
+
 def coset_reps(level: int, rho: Cusp, bound: int) -> CosetReps:
     """One representative per coset of Gamma_rho \\ Gamma_0(N) among matrices
     g whose row (c, d) of gamma_rho^{-1} g has max(|c|, |d|) <= bound, sorted
@@ -311,12 +318,15 @@ def coset_reps(level: int, rho: Cusp, bound: int) -> CosetReps:
     Gamma_0(N) iff its lower-left entry c_rho x + (c_rho j + d_rho) c is 0
     mod N, tested for all rows per j.  An up-front bound in Python ints
     raises OverflowError where the d-entries c_rho y + d_rho d could leave
-    int64.
+    int64, and ValueError past _BOUND_CAP, before any array is built.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     scaling = _sl2_entries(rho.scaling)
     _, _, c_r, d_r = scaling
+    if bound > _BOUND_CAP:
+        raise ValueError(f"bound {bound} is past the cap of {_BOUND_CAP}: the coset box "
+                         "holds (bound + 1)(2 bound + 1) rows")
     # |y| <= width * bound and |d| <= bound bound every d-entry c_rho y + d_rho d
     if bound * (abs(c_r) * rho.width + abs(d_r)) > np.iinfo(np.int64).max:
         raise OverflowError(f"scaling entries of {rho.label()} overflow int64 at bound {bound}")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import maassforms.forms as forms
 import maassforms.lseries as lseries
-from maassforms.forms import TermSeries
 
 # property tests draw from a fixed seed with a bounded example count, so the
 # suite stays deterministic and its run time bounded
@@ -16,45 +16,60 @@ def rng():
     return np.random.default_rng(20240915)
 
 
-# call counters: each records the calls of one library function, looked up
-# through its module as the library and bench/tracer.py look it up
+class Work:
+    """The work counted since the last clear():
+
+    passes       (order, points) of each TermSeries._sums call, one evaluator pass;
+    entries      terms x points summed over those passes;
+    sums         (exponents, nodes) of each lseries._mellin_piece call, one
+                 Mellin sum, nodes the points its evaluator calls were given;
+    extractions  forms.extract_coefficients calls, one per Fricke pair built;
+    forms        FormExpansion.__post_init__ runs, one per form built (a twist too).
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.passes, self.sums = [], []
+        self.entries = self.extractions = self.forms = 0
 
 
 @pytest.fixture
-def pair_builds(monkeypatch):
-    """The form of every lseries.analytic_pair call."""
-    seen, build = [], lseries.analytic_pair
+def work(monkeypatch):
+    """A Work counting from now on.  As bench/tracer.py, it wraps the module
+    attributes through which the library looks the four functions up, so
+    what it counts is what a call does, whichever object keeps what."""
+    seen = Work()
+    sums, piece = forms.TermSeries._sums, lseries._mellin_piece
+    extract, post_init = forms.extract_coefficients, forms.FormExpansion.__post_init__
 
-    def counting(form):
-        seen.append(form)
-        return build(form)
-
-    monkeypatch.setattr(lseries, "analytic_pair", counting)
-    return seen
-
-
-@pytest.fixture
-def continuations(monkeypatch):
-    """(pair, points) of every lseries._continued call: one continuation,
-    Lambda and Omega together."""
-    seen, body = [], lseries._continued
-
-    def counting(pair, s):
-        seen.append((pair, int(np.size(s))))
-        return body(pair, s)
-
-    monkeypatch.setattr(lseries, "_continued", counting)
-    return seen
-
-
-@pytest.fixture
-def passes(monkeypatch):
-    """(order, points) of every TermSeries._sums call: one evaluator pass."""
-    seen, sums = [], TermSeries._sums
-
-    def counting(self, tau, order):
-        seen.append((order, int(np.size(tau))))
+    def passing(self, tau, order):
+        seen.passes.append((order, int(np.size(tau))))
+        seen.entries += self.F.size * int(np.size(tau))
         return sums(self, tau, order)
 
-    monkeypatch.setattr(TermSeries, "_sums", counting)
+    def summing(eval_fn, consts, level, k, exps, T):
+        nodes = []
+
+        def evaluating(taus):
+            nodes.append(taus.size)
+            return eval_fn(taus)
+
+        out = piece(evaluating, consts, level, k, exps, T)
+        seen.sums.append((exps.size, sum(nodes)))
+        return out
+
+    def extracting(*args, **kwargs):
+        seen.extractions += 1
+        return extract(*args, **kwargs)
+
+    def building(self):
+        seen.forms += 1
+        post_init(self)
+
+    monkeypatch.setattr(forms.TermSeries, "_sums", passing)
+    monkeypatch.setattr(lseries, "_mellin_piece", summing)
+    monkeypatch.setattr(forms, "extract_coefficients", extracting)
+    monkeypatch.setattr(forms.FormExpansion, "__post_init__", building)
     return seen

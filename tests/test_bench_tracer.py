@@ -3,8 +3,8 @@
 bench/tracer.py replaces library functions at their import sites to time
 each layer of a traced benchmark run.  A renamed or deleted function would
 otherwise surface only there, so the tracer is installed and removed here.
-The counts the tracer cannot see (continuations per pair, evaluator passes)
-are taken with the call counters of conftest.py.
+The counts the tracer cannot see (Mellin sums, evaluator passes) are taken
+with the work fixture of conftest.py.
 """
 
 import importlib.util
@@ -15,6 +15,7 @@ import numpy as np
 import maassforms.lseries as lseries
 from helpers import oldform_pair
 from maassforms.eisenstein import harmonic_eisenstein_level_one
+from maassforms.forms import to_terms
 from maassforms.lseries import fe_residuals
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -27,17 +28,18 @@ def load_tracer():
     return module
 
 
-def assert_one_continuation_per_pair(continuations, points):
-    # fe_residuals continues each of its two pairs once, Lambda and Omega
-    # together, and not through the public one-row readings
-    assert [n for _, n in continuations] == [points, points]
-    assert continuations[0][0] is not continuations[1][0]
+def assert_one_continuation_per_pair(work, points):
+    # fe_residuals builds two pairs and continues each once, Lambda and
+    # Omega together, and not through the public one-row readings
+    assert work.extractions == 2
+    assert [exponents for exponents, _ in work.sums] == [points, points]
 
 
-def assert_one_shared_continuation(continuations, points):
-    # a self-dual equation continues its one pair once, on the grid and its
-    # reflection k - s together
-    assert [n for _, n in continuations] == [2 * points]
+def assert_one_shared_continuation(work, points):
+    # a self-dual equation builds one pair and continues it once, on the
+    # grid and its reflection k - s together
+    assert work.extractions == 1
+    assert [exponents for exponents, _ in work.sums] == [2 * points]
 
 
 def traced(call):
@@ -51,7 +53,7 @@ def traced(call):
     return t.summary()
 
 
-def test_tracer_installs_records_and_uninstalls(continuations):
+def test_tracer_installs_records_and_uninstalls(work):
     tracer = load_tracer()
     sites = [(owner, attr) for _, module, attr, importers, _ in tracer.FUNCTIONS
              for owner in (module, *importers)]
@@ -70,7 +72,7 @@ def test_tracer_installs_records_and_uninstalls(continuations):
     assert summary["lseries.analytic_pair.calls"] == 2
     assert summary["lseries.lambda_continued.calls"] == 0
     assert summary["lseries.omega_continued.calls"] == 0
-    assert_one_continuation_per_pair(continuations, 1)
+    assert_one_continuation_per_pair(work, 1)
     for layer in ("forms.extract_coefficients", "forms.to_terms"):
         assert summary[f"{layer}.self_s"] > 0, layer
     # the partners are read from the pairs' own evaluators; the chain-rule
@@ -78,20 +80,20 @@ def test_tracer_installs_records_and_uninstalls(continuations):
     assert summary["forms.slash_jet1.self_s"] == 0
     # a self-dual equation (the level-1 lift is its own partner) builds one
     # pair and continues it once
-    continuations.clear()
     ref = harmonic_eisenstein_level_one(8)
+    work.clear()
     summary = traced(lambda: fe_residuals(ref, ref, [0.5 + 1.0j]))
     assert summary["lseries.analytic_pair.calls"] == 1
     assert summary["lseries.lambda_continued.calls"] == 0
     assert summary["lseries.omega_continued.calls"] == 0
-    assert_one_shared_continuation(continuations, 1)
+    assert_one_shared_continuation(work, 1)
 
 
 # the shape of the benchmark's verify grid (bench/workloads.py VERIFY_GRID)
 VERIFY_GRID = [complex(re, im) for re in (-1.5, -1.0, -0.5, 0.5, 1.5) for im in (0.5, 1.5, 3.0)]
 
 
-def test_residual_driver_makes_one_batch_per_side(continuations, passes):
+def test_residual_driver_makes_one_batch_per_side(work):
     # fe_residuals continues each pair once for the whole grid, so the form
     # evaluations do not grow with the number of grid points: with f != g
     # one batch per side, and on a self-dual equation one batch on the grid
@@ -102,12 +104,11 @@ def test_residual_driver_makes_one_batch_per_side(continuations, passes):
                           assert_one_shared_continuation)):
         summaries, pass_counts = [], []
         for grid in (VERIFY_GRID[:1], VERIFY_GRID):
-            continuations.clear()
-            passes.clear()
             f, g = forms()
+            work.clear()
             summaries.append(traced(lambda: fe_residuals(f, g, grid)))
-            pass_counts.append(len(passes))
-            check(continuations, len(grid))
+            pass_counts.append(len(work.passes))
+            check(work, len(grid))
         for summary in summaries:
             assert summary["lseries.lambda_continued.calls"] == 0
             assert summary["lseries.omega_continued.calls"] == 0
@@ -116,7 +117,7 @@ def test_residual_driver_makes_one_batch_per_side(continuations, passes):
         assert pass_counts[0] == pass_counts[1]
 
 
-def test_pair_builds_evaluate_only_what_they_read(passes):
+def test_pair_builds_evaluate_only_what_they_read(work):
     # on the N = 11 golden pair each analytic_pair extracts c_g(0) from one
     # 64-point value-only pass (32 samples at each of two heights).  Each
     # pair's Lambda and Omega nodes on [1/T, T] take one order-1 pass (the
@@ -124,12 +125,13 @@ def test_pair_builds_evaluate_only_what_they_read(passes):
     # read from the terms, at no pass.  With separate Lambda and Omega
     # continuations this read 11 passes on 1,025 points.
     f, g = oldform_pair(11)
+    work.clear()
     fe_residuals(f, g, VERIFY_GRID)
-    assert sorted(passes) == [(0, 64), (0, 64), (1, 224), (1, 224)]
-    assert len(passes) == 4 and sum(n for _, n in passes) == 576
+    assert sorted(work.passes) == [(0, 64), (0, 64), (1, 224), (1, 224)]
+    assert work.entries == 288 * (to_terms(f).F.size + to_terms(g).F.size)
 
 
-def test_a_continuation_batch_makes_one_pass_per_side(passes):
+def test_a_continuation_batch_makes_one_pass_per_side(work):
     # a lambda_continued batch evaluates the integrand once, in the order-1
     # pass that gives Lambda's and Omega's rows, on the nodes of all its
     # panel groups (2 n panels of 16 nodes for a group of count n), however
@@ -138,9 +140,10 @@ def test_a_continuation_batch_makes_one_pass_per_side(passes):
     pts = 2.0 + 1j * np.linspace(-100.0, 100.0, 161)
     groups = set(lseries._mellin_panels(pts, pair.T).tolist())
     assert len(groups) >= 10
-    passes.clear()
+    work.clear()
     lseries.lambda_continued(pair, pts)
-    assert passes == [(1, 32 * sum(groups))]
-    passes.clear()
+    assert work.passes == [(1, 32 * sum(groups))]
+    work.clear()
     empty = lseries.lambda_continued(pair, np.array([], dtype=complex))
-    assert passes == [] and empty.shape == (0,)
+    assert work.passes == []
+    assert empty.shape == (0,)

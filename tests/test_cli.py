@@ -148,6 +148,20 @@ class TestExample:
         assert "agree to 1e-8 relative" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_bound_past_the_cap_exits_3_in_bounded_memory(self, tmp_path, capsys):
+        # its coset box would ask numpy for 149 GiB
+        out = tmp_path / "x.json"
+        tracemalloc.start()
+        try:
+            code = run("example", "--level", "1", "--weight", "-2", "--nmax", "4",
+                       "--bound", "100000", "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "bound 100000 is past the cap of 1024" in capsys.readouterr().err
+        assert peak < 1e6 and not out.exists()
+
     @pytest.mark.parametrize("flag, message", [
         ("--nmax=-3", "n_range must be >= 1"), ("--nmax=0", "n_range must be >= 1"),
         ("--bound=0", "bound must be >= 1"), ("--bound=-5", "bound must be >= 1"),
@@ -585,6 +599,30 @@ class TestOps:
         assert run("eval", "--in", str(path), "--tau", "0.1+0.8j") == 3
         assert "c_plus[2] must be finite, got (nan+0j)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify-fe", "shadow", "bol", "twist", "eval", "extract"])
+    @pytest.mark.parametrize("field", ["weight", "level", "character", "alpha", "n_max", "c_plus",
+                                       "c_minus_zero", "c_minus", "character.modulus",
+                                       "character.exponents", "a JSON list"])
+    def test_a_malformed_form_file_exits_3_naming_the_field(self, tmp_path, capsys, command, field):
+        # a missing field raised KeyError and a list TypeError, each a
+        # traceback and exit 1; a list names the first field read
+        data = harmonic_eisenstein_level_one(4).to_json()
+        if field == "a JSON list":
+            data, name = list(data), "c_plus"
+        else:
+            owner, _, name = field.rpartition(".")
+            del (data[owner] if owner else data)[name]
+        path, out = str(tmp_path / "f.json"), str(tmp_path / "out.json")
+        Path(path).write_text(json.dumps(data))
+        argv = {
+            "verify-fe": ["--f", path, "--g", path],
+            "twist": ["--in", path, "--psi", "5:quadratic", "--out", out],
+            "eval": ["--in", path, "--tau", "0.1+0.5j"],
+            "extract": ["--in", path, "--n", "1"],
+        }.get(command, ["--in", path])
+        assert run(command, *argv) == 3
+        assert f"field {name!r}" in capsys.readouterr().err
+
     def test_eval_past_the_double_range_exits_3(self, tmp_path, capsys):
         # v^3 of c-(0) v^3 overflows at 1e300, where the CLI printed nan+nanj
         # and exited 0; the suite makes a RuntimeWarning an error
@@ -594,6 +632,16 @@ class TestOps:
         assert run("eval", "--in", str(tmp_path / "f.json"), "--tau", "1e100j") == 0
         value = re.search(r"= (\S+)j", capsys.readouterr().out).group(1)
         assert complex(value + "j") == pytest.approx(1e300 / 3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha, n", [(400.0, 200), (120.0, 600)])
+    def test_eval_of_a_file_whose_growth_leaves_the_double_range_exits_3(
+        self, tmp_path, capsys, alpha, n
+    ):
+        # 200^400 raised OverflowError in growth_constant (exit 1); 600^120,
+        # past n_max in the tail bound, made numpy's power warn
+        save_form(replace(harmonic_eisenstein_level_one(200), alpha=alpha), tmp_path / "f.json")
+        assert run("eval", "--in", str(tmp_path / "f.json"), "--tau", "0.1+0.5j") == 3
+        assert f"alpha {alpha!r} is past the double range at n = {n}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("level", [4, 9, 12, 16])
     def test_cusps_json_reads_kappa_from_the_character(self, capsys, level):

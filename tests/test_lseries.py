@@ -547,10 +547,10 @@ class TestOneMellinIntegral:
         assert sum(calls) == 6_061_248 and max(calls) <= lseries._MELLIN_NODE_CAP
         assert peak < 20e6
 
-    def test_residuals_slash_once_per_pair_build(self, monkeypatch, pair_builds):
+    def test_residuals_slash_once_per_pair_build(self, monkeypatch, work):
         slashes = self.count_slashes(monkeypatch)
         fe_residuals(*oldform_pair(7, base=4), [0.5 + 1j, -1.0 + 0.5j, 2.0 + 3j])
-        assert len(pair_builds) == 2 and len(slashes) == 2
+        assert work.extractions == 2 and len(slashes) == 2
 
 
 class TestResiduals:
@@ -835,17 +835,17 @@ class TestTwists:
         self.check_twisted_residuals(psi)
 
     @pytest.mark.parametrize("points", [1, 6])
-    def test_twisted_driver_builds_two_pairs(self, pair_builds, points):
+    def test_twisted_driver_builds_two_pairs(self, work, points):
         # one pair per side for the whole grid, not two per side per point;
         # on a self-dual equation (the level-1 lift, a real psi) one pair
         psi = character_by_label(5, "quadratic")
         grid = [complex(0.5, 0.3 * j) for j in range(points)]
         fe_residuals(*oldform_pair(2, base=20), grid, psi=psi)
-        assert len(pair_builds) == 2
-        pair_builds.clear()
+        assert work.extractions == 2
+        work.clear()
         ref = harmonic_eisenstein_level_one(40)
         fe_residuals(ref, ref, grid, psi=psi)
-        assert len(pair_builds) == 1
+        assert work.extractions == 1
 
     def test_twisted_report_records_T_and_tail(self):
         ref = harmonic_eisenstein_level_one(400)
@@ -905,56 +905,57 @@ class TestTwists:
 class TestSelfDual:
     """A functional equation whose two sides hold the same data (f = g, or a
     real psi on f = g) builds one pair and continues it once, at s and k - s
-    together, with every output equal to the two-pair path's."""
+    together, with every output equal to the two-pair path's, which a
+    partner padded with one zero coefficient takes: its data differ, its
+    terms do not."""
 
     GRID = [complex(r, i) for r in (-1.5, -0.5, 0.5, 1.5) for i in (0.5, 2.0)]
     PSI = character_by_label(5, "quadratic")
 
     @staticmethod
-    def two_pair_path(monkeypatch):
-        import maassforms.lseries as lseries
+    def padded(form):
+        """form stored to n_max + 1, its last coefficients zero."""
+        return FormExpansion(form.weight, form.level, form.character, form.alpha, form.n_max + 1,
+                             np.append(form.c_plus, 0), form.c_minus_zero, np.append(form.c_minus, 0))
 
-        monkeypatch.setattr(lseries, "_same_data", lambda a, b: False)
-
-    def test_plain_residuals_build_one_pair_and_make_one_batch(
-        self, pair_builds, continuations, passes
-    ):
+    def test_plain_residuals_build_one_pair_and_make_one_batch(self, work):
         ref = harmonic_eisenstein_level_one(40)
         fe_residuals(ref, ref, self.GRID)
-        assert len(pair_builds) == 1
-        assert [n for _, n in continuations] == [2 * len(self.GRID)]
+        assert work.extractions == 1
+        assert [exponents for exponents, _ in work.sums] == [2 * len(self.GRID)]
         # the pair's zero-mode extraction and one order-1 pass on the nodes
         # of [1/T, T] (8 panels x 16 nodes)
-        assert passes == [(0, 64), (1, 128)]
+        assert work.passes == [(0, 64), (1, 128)]
 
-    def test_twisted_lambda_builds_one_pair_and_makes_one_batch(
-        self, pair_builds, continuations, passes
-    ):
+    def test_twisted_lambda_builds_one_pair_and_makes_one_batch(self, work):
         ref = harmonic_eisenstein_level_one(400)
         twisted_lambda(ref, ref, TRIV1, self.PSI, 1, -2, 0.5 + 0.5j)
-        assert len(pair_builds) == 1
+        assert work.extractions == 1
         # one continuation of s and k - s, Lambda and Omega from one order-1
         # pass on the nodes of [1/T, T] (12 panels x 16 nodes)
-        assert [n for _, n in continuations] == [2]
-        assert passes == [(0, 64), (1, 192)]
+        assert work.sums == [(2, 192)]
+        assert work.passes == [(0, 64), (1, 192)]
 
-    def test_outputs_equal_the_two_pair_path(self, monkeypatch):
+    def test_outputs_equal_the_two_pair_path(self, work):
         ref = harmonic_eisenstein_level_one(400)
         grid = self.GRID + [1.0 + 0j]
         arr = np.array([[0.5 + 0.5j, -1.0 + 1.0j], [2.0 + 0.25j, 0.3 - 2.0j]])
 
-        def outputs():
-            out = [fe_residuals(ref, ref, grid).to_json()]
+        def outputs(g):
+            out = [fe_residuals(ref, g, grid).to_json()]
             for psi in (self.PSI, character_by_label(3, "quadratic")):
-                out.append(fe_residuals(ref, ref, grid, psi=psi).to_json())
+                out.append(fe_residuals(ref, g, grid, psi=psi).to_json())
                 for fn in (twisted_lambda, twisted_omega):
                     for s in (0.5 + 0.5j, -1.0 + 1.0j, 2.0 + 0.25j, arr):
-                        out.append(fn(ref, ref, TRIV1, psi, 1, -2, s))
+                        out.append(fn(ref, g, TRIV1, psi, 1, -2, s))
             return out
 
-        shared = outputs()
-        self.two_pair_path(monkeypatch)
-        apart = outputs()
+        shared = outputs(ref)
+        # one pair for ref and one per twist of ref; the padded partner adds
+        # as many again
+        assert work.extractions == 3
+        apart = outputs(self.padded(ref))
+        assert work.extractions == 6
         for got, want in zip(shared, apart):
             if isinstance(want, dict):
                 assert got == want
@@ -966,35 +967,33 @@ class TestSelfDual:
 
     @pytest.mark.parametrize("s", [1.0 + 0j, complex(-3.0, 0.0), complex(0.5, math.inf),
                                    complex(math.nan, 1.0)])
-    def test_errors_name_the_point_the_two_pair_path_names(self, monkeypatch, s):
+    def test_errors_name_the_point_the_two_pair_path_names(self, s):
         ref = harmonic_eisenstein_level_one(40)
 
-        def message():
+        def message(g):
             with pytest.raises(ValueError) as err:
-                twisted_omega(ref, ref, TRIV1, self.PSI, 1, -2, s)
+                twisted_omega(ref, g, TRIV1, self.PSI, 1, -2, s)
             return str(err.value)
 
-        shared = message()
-        self.two_pair_path(monkeypatch)
-        assert shared == message()
+        assert message(ref) == message(self.padded(ref))
 
-    def test_content_equal_forms_share_one_pair(self, pair_builds):
+    def test_content_equal_forms_share_one_pair(self, work):
         ref = harmonic_eisenstein_level_one(40)
         again = harmonic_eisenstein_level_one(40)
         assert again is not ref and again.c_plus is not ref.c_plus
         fe_residuals(ref, again, self.GRID[:2])
-        assert len(pair_builds) == 1
+        assert work.extractions == 1
 
-    def test_a_one_ulp_or_zero_sign_difference_builds_two_pairs(self, pair_builds):
+    def test_a_one_ulp_or_zero_sign_difference_builds_two_pairs(self, work):
         ref = harmonic_eisenstein_level_one(40)
         cp = ref.c_plus.copy()
         cp[3] = np.nextafter(cp[3].real, np.inf) + 1j * cp[3].imag
         assert ref.c_minus_zero.imag == 0.0
         cm0 = complex(ref.c_minus_zero.real, -0.0)
         for other in (replace(ref, c_plus=cp), replace(ref, c_minus_zero=cm0)):
-            pair_builds.clear()
-            fe_residuals(ref, other, self.GRID[:2])
-            assert len(pair_builds) == 2
+            work.clear()
+            fe_residuals(replace(ref), other, self.GRID[:2])
+            assert work.extractions == 2
 
     def test_array_s_keeps_its_shape(self):
         ref = harmonic_eisenstein_level_one(40)

@@ -566,3 +566,12 @@ class TestIntegerCuspData:
         reps = coset_reps(7, shifted(rho, 2**40), 60)
         assert reps.d.tolist() == [g.d for g in reps]
         assert max(abs(v) for v in reps.d.tolist()) > 2**45
+
+    def test_coset_reps_take_bound_960_and_refuse_past_the_cap(self):
+        # the box of bound B has (B + 1)(2 B + 1) rows: bound 100,000 would
+        # ask 149 GiB for one array of it
+        reps = coset_reps(1, cusps(1)[0], 960)
+        assert np.abs(reps.rows[-1]).max() == 960
+        for bound in (modgroup._BOUND_CAP + 1, 100_000):
+            with pytest.raises(ValueError, match=f"bound {bound} is past the cap of 1024"):
+                coset_reps(1, cusps(1)[0], bound)
